@@ -4,6 +4,10 @@
 #   make test         — full test suite, plus the codec/server packages
 #                       under the race detector (certifies the wavefront
 #                       encoder and the multi-session serving layer)
+#   make bench-check  — vet + test the bench/ module (BENCHMARK.json's
+#                       harness). It is a module of its own, outside the
+#                       root ./..., so only this target notices when a
+#                       change here stops it building
 #   make bench-smoke  — 1-iteration pass over every benchmark so bench
 #                       code cannot rot, the SAD kernel dispatch sanity
 #                       check (logs the detected ISA, probes every tier
@@ -17,9 +21,6 @@
 #                       pinned in internal/codec/alloc_test.go)
 #   make bench-speed  — regenerate BENCH_speed.json (ns/frame, fps,
 #                       points/block for each searcher × worker count)
-#   make bench-matrix — regenerate BENCH_speed.json with the full
-#                       GOMAXPROCS × workers × pipeline scaling matrix
-#                       (same artifact, explicit sweep axes)
 #   make ratchet-pin  — re-pin BENCH_ratchet.json baselines on this host
 #                       (run after a deliberate perf change, commit the
 #                       result)
@@ -58,7 +59,7 @@
 
 GO ?= go
 
-.PHONY: build test bench-smoke bench-speed bench-matrix bench-rate ratchet-pin serve-smoke bench-serve cluster-smoke bench-cluster qos-smoke bench-qos obs-smoke ladder-smoke bench-ladder ci
+.PHONY: build test bench-check bench-smoke bench-speed bench-rate ratchet-pin serve-smoke bench-serve cluster-smoke bench-cluster qos-smoke bench-qos obs-smoke ladder-smoke bench-ladder ci
 
 build:
 	$(GO) vet ./...
@@ -66,7 +67,10 @@ build:
 
 test: build
 	$(GO) test ./...
-	$(GO) test -race ./internal/metrics/ ./internal/codec/ ./internal/core/ ./internal/search/ ./internal/server/ ./internal/gateway/ ./internal/obs/
+	$(GO) test -race ./internal/metrics/ ./internal/frame/ ./internal/codec/ ./internal/core/ ./internal/search/ ./internal/server/ ./internal/gateway/ ./internal/obs/
+
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 bench-smoke:
 	$(GO) run ./cmd/acbmbench -experiment dispatch
@@ -77,9 +81,6 @@ bench-smoke:
 	$(GO) test -run TestRecorderOverheadGuard -count=1 -v ./internal/codec/
 
 bench-speed:
-	$(GO) run ./cmd/acbmbench -experiment speed -frames 30 -json BENCH_speed.json
-
-bench-matrix:
 	$(GO) run ./cmd/acbmbench -experiment speed -frames 30 -json BENCH_speed.json
 
 ratchet-pin:
@@ -134,4 +135,4 @@ ladder-smoke:
 bench-ladder:
 	$(GO) run ./cmd/vload -ladder -json BENCH_ladder.json
 
-ci: test bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
+ci: test bench-check bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke

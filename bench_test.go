@@ -235,9 +235,9 @@ func BenchmarkDCT8x8Inverse(b *testing.B) {
 }
 
 func benchSearchBlock(b *testing.B, s search.Searcher) {
-	cur, ref, ip := benchPlanes()
+	cur, ref, _ := benchPlanes()
 	in := &search.Input{
-		Cur: cur, Ref: ref, RefI: ip,
+		Cur: cur, Ref: ref,
 		BX: 80, BY: 64, W: 16, H: 16, Range: 15, Qp: 16,
 	}
 	b.ResetTimer()
@@ -373,9 +373,9 @@ func BenchmarkInterpolateLazyFirstTouch(b *testing.B) {
 // candidates and losing candidates abort within a few rows. Reports
 // effective throughput over all candidate block bytes.
 func BenchmarkSADCapped_Spiral(b *testing.B) {
-	cur, ref, ip := benchPlanes()
+	cur, ref, _ := benchPlanes()
 	in := &search.Input{
-		Cur: cur, Ref: ref, RefI: ip,
+		Cur: cur, Ref: ref,
 		BX: 80, BY: 64, W: 16, H: 16, Range: 15, Qp: 16,
 	}
 	f := &search.FSBM{NoHalfPel: true}

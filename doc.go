@@ -74,10 +74,21 @@
 //     state is ~10 heap allocations per encoded frame, and `make
 //     bench-smoke` fails if the pinned ceiling regresses.
 //   - search.FSBM scans candidates centre-outward ("spiral", sorted by L1
-//     then raster order), so the SADCapped early-termination cap is
-//     near-minimal after the first ring; the visit order is chosen so the
-//     winner is identical to the raster scan's under the shorter-vector
-//     tie-break.
+//     then raster order), so the running minimum is near-final after the
+//     first ring; the visit order is chosen so the winner is identical to
+//     the raster scan's under the shorter-vector tie-break. For
+//     macroblocks the whole scan is one kernel call: the ±Range window
+//     clipped to the frame is a rectangle (its area is the Points
+//     count), and metrics.SADBest walks the cached spiral table inside
+//     it and returns the first strictly-best candidate. That kernel's
+//     contract defines only the winner — in ascending-L1 order the
+//     tie-break reduces to strict <, so a tier may abandon a losing
+//     candidate at any row granularity without changing index or SAD —
+//     which lets the AVX2 tier keep the cur block in eight YMM registers
+//     for the call and test the running minimum only after rows 8 and
+//     16. The per-candidate Legal/SADCapped loop survives where each
+//     candidate's exact SAD is the product (Input.Collect), for
+//     PixelDecimation and non-16×16 blocks, and as the test oracle.
 //   - internal/bitstream runs word-at-a-time: the Writer gathers bits in
 //     a 64-bit accumulator and the entropy layer packs whole syntax
 //     elements — Exp-Golomb codes, (run, level, last) TCOEF events, MVD
@@ -121,8 +132,8 @@
 //     Pipeline × Pool by golden -race tests; `make bench-rate` writes
 //     BENCH_rate.json (kbps tracking error, ns/frame per mode).
 //
-// `make bench-speed` / `make bench-matrix` (or `acbmbench -experiment
-// speed -json BENCH_speed.json`) record the encoder's speed trajectory —
+// `make bench-speed` (or `acbmbench -experiment speed -json
+// BENCH_speed.json`) records the encoder's speed trajectory —
 // ns/frame, fps, the analysis/entropy phase split, points/block,
 // allocs/frame and the half-pel bytes actually materialised per frame —
 // across the full GOMAXPROCS × workers × pipeline matrix, per searcher.

@@ -89,12 +89,11 @@ func TestFSBMFieldLessCoherentThanACBM(t *testing.T) {
 	run := func(s search.Searcher) float64 {
 		ref := frames[1]
 		cur := frames[2]
-		ip := frame.Interpolate(ref.Y)
 		fld := mvfield.NewField(cols, rows)
 		for mby := 0; mby < rows; mby++ {
 			for mbx := 0; mbx < cols; mbx++ {
 				in := &search.Input{
-					Cur: cur.Y, Ref: ref.Y, RefI: ip,
+					Cur: cur.Y, Ref: ref.Y,
 					BX: 16 * mbx, BY: 16 * mby, W: 16, H: 16,
 					Range: 15, Qp: 16,
 					CurField: fld, MBX: mbx, MBY: mby,

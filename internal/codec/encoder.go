@@ -602,7 +602,7 @@ func (e *Encoder) writeIntraMB(r *mbResult) {
 func (e *Encoder) analyzeInterMB(s search.Searcher, in *search.Input, src, recon *frame.Frame, curField *mvfield.Field, mbx, mby int, r *mbResult) {
 	x, y := 16*mbx, 16*mby
 	*in = search.Input{
-		Cur: src.Y, Ref: e.recon.Y, RefI: e.reconY,
+		Cur: src.Y, Ref: e.recon.Y,
 		BX: x, BY: y, W: 16, H: 16,
 		Range: e.cfg.SearchRange, Qp: e.curQp,
 		CurField: curField, PrevField: e.prevField,
@@ -635,7 +635,7 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, in *search.Input, src, recon
 			// The macroblock search result is already extracted, so the
 			// scratch Input is free to describe the 8×8 sub-problems.
 			*in = search.Input{
-				Cur: src.Y, Ref: e.recon.Y, RefI: e.reconY,
+				Cur: src.Y, Ref: e.recon.Y,
 				BX: x + off[0], BY: y + off[1], W: 8, H: 8,
 				Range: e.cfg.SearchRange, Qp: e.curQp,
 				PixelDecimation: e.cfg.PixelDecimation,

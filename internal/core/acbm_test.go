@@ -22,7 +22,7 @@ func texturedPlane(w, h int, seed uint64, scale float64, amp int) *frame.Plane {
 
 func newInput(cur, ref *frame.Plane, bx, by, qp int) *search.Input {
 	in := &search.Input{
-		Cur: cur, Ref: ref, RefI: frame.Interpolate(ref),
+		Cur: cur, Ref: ref,
 		BX: bx, BY: by, W: 16, H: 16, Range: 15, Qp: qp,
 		CurField: mvfield.NewField(6, 6), MBX: 2, MBY: 2,
 	}

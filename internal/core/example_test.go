@@ -31,7 +31,7 @@ func Example() {
 	}
 	acbm := core.New(core.DefaultParams) // α=1000 β=8 γ=1/4
 	in := &search.Input{
-		Cur: cur, Ref: ref, RefI: frame.Interpolate(ref),
+		Cur: cur, Ref: ref,
 		BX: 40, BY: 40, W: 16, H: 16, Range: 15, Qp: 16,
 		CurField: mvfield.NewField(6, 6), PrevField: prev, MBX: 2, MBY: 2,
 	}

@@ -12,13 +12,14 @@ import (
 
 // DispatchReport renders the SAD kernel dispatch state (detected CPU
 // features, registered tiers, the active tier) and runs a one-shot
-// sanity probe: every registered tier computes SAD, SADCapped, IntraSAD
-// and the half-pel phases on a fixed block and must agree with the
-// scalar reference bit-for-bit. It is the cheap CI-time version of the
-// full differential suite in internal/metrics — catching a machine
-// whose dispatch picked a broken tier (or silently fell back to scalar)
-// before any benchmark numbers get trusted. The returned error is
-// non-nil when the dispatch state is inconsistent or a probe mismatches.
+// sanity probe: every registered tier computes SAD, SADCapped, IntraSAD,
+// the half-pel phases and a SADBest window scan on a fixed block and
+// must agree with the scalar reference bit-for-bit. It is the cheap
+// CI-time version of the full differential suite in internal/metrics —
+// catching a machine whose dispatch picked a broken tier (or silently
+// fell back to scalar) before any benchmark numbers get trusted. The
+// returned error is non-nil when the dispatch state is inconsistent or a
+// probe mismatches.
 func DispatchReport() (string, error) {
 	var b strings.Builder
 	tiers := metrics.KernelISAs()
@@ -78,6 +79,15 @@ func probeKernelTiers(b *strings.Builder) []string {
 		return p
 	}
 	cur, ref := mk(), mk()
+	// A ±8 window around (9, 7) in raster order; the plane's top edge
+	// clips its first row away, so the in-kernel rectangle test runs too.
+	var window []metrics.Offset
+	for dy := -8; dy <= 8; dy++ {
+		for dx := -8; dx <= 8; dx++ {
+			window = append(window, metrics.Offset{DX: int16(dx), DY: int16(dy)})
+		}
+	}
+	clip := metrics.Rect{MinX: -8, MinY: -7, MaxX: 8, MaxY: 8}
 
 	type probe struct {
 		name string
@@ -99,6 +109,10 @@ func probeKernelTiers(b *strings.Builder) []string {
 				sum += v
 			}
 			return sum
+		}},
+		{"sadBest", func() int {
+			idx, sad := metrics.SADBest(cur, 8, 8, ref, 9, 7, 16, 16, window, clip, 1<<30)
+			return idx<<20 | sad
 		}},
 	}
 

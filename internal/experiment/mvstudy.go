@@ -82,7 +82,6 @@ func RunMVStudy(cfg MVStudyConfig) (*MVStudyResult, error) {
 		}
 		for i, trueMV := range cfg.MVs {
 			prev, cur := seq[i], seq[i+1]
-			ip := frame.Interpolate(prev)
 			// The content of cur moved by trueMV relative to prev, so the
 			// block-matching vector is −trueMV.
 			wantMV := trueMV.Neg()
@@ -90,7 +89,7 @@ func RunMVStudy(cfg MVStudyConfig) (*MVStudyResult, error) {
 				for bx := 0; bx+16 <= cfg.Size.W; bx += 16 {
 					var dev metrics.Deviation
 					in := &search.Input{
-						Cur: cur, Ref: prev, RefI: ip,
+						Cur: cur, Ref: prev,
 						BX: bx, BY: by, W: 16, H: 16,
 						Range: cfg.Range, Qp: 16,
 						Collect: &dev,

@@ -69,7 +69,6 @@ func RunDecisionMap(prof video.Profile, size frame.Size, idx int, params core.Pa
 	sc := prof.Scene(seed)
 	ref := sc.Render(size, idx-1)
 	cur := sc.Render(size, idx)
-	ip := frame.Interpolate(ref.Y)
 	cols, rows := size.MacroblockCols(), size.MacroblockRows()
 	dm := &DecisionMap{Cols: cols, Rows: rows, Decisions: make([]core.Decision, cols*rows)}
 	acbm := core.New(params)
@@ -77,7 +76,7 @@ func RunDecisionMap(prof video.Profile, size frame.Size, idx int, params core.Pa
 	for mby := 0; mby < rows; mby++ {
 		for mbx := 0; mbx < cols; mbx++ {
 			in := &search.Input{
-				Cur: cur.Y, Ref: ref.Y, RefI: ip,
+				Cur: cur.Y, Ref: ref.Y,
 				BX: 16 * mbx, BY: 16 * mby, W: 16, H: 16,
 				Range: DefaultRange, Qp: 16,
 				CurField: fld, MBX: mbx, MBY: mby,

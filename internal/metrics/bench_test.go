@@ -119,5 +119,23 @@ func BenchmarkKernelHalfPelRing16x16(b *testing.B) {
 	})
 }
 
+// BenchmarkKernelSADBest16x16 scans a whole ±15 window (961 candidates)
+// per op. The planes are noise, so no candidate is much better than the
+// rest and few leave at the first check: close to the worst case.
+func BenchmarkKernelSADBest16x16(b *testing.B) {
+	cur, ref := benchPlanes()
+	cands := spiralTable(15)
+	clip := Rect{MinX: -15, MinY: -15, MaxX: 15, MaxY: 15}
+	benchEachISA(b, func(b *testing.B) {
+		b.SetBytes(int64(len(cands)) * 16 * 16)
+		var sink int
+		for i := 0; i < b.N; i++ {
+			idx, sad := SADBest(cur, 32, 24, ref, 33+i%4, 24, 16, 16, cands, clip, 1<<30)
+			sink += idx + sad
+		}
+		benchSink = sink
+	})
+}
+
 // benchSink defeats dead-code elimination of the benchmark bodies.
 var benchSink int

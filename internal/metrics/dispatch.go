@@ -45,6 +45,13 @@ import (
 //     an indirect call would escape the caller's stack array to the
 //     heap on every refinement; the exported SADHalfPelRing restores
 //     the caller's centre slot to honour its contract
+//   - sadBest: the 16×16 best-of-candidates scan behind SADBest; cands
+//     and clip non-empty, the cur block and every candidate inside clip
+//     in-plane.
+//     Only the winner is defined (first strictly-smallest SAD below
+//     best, else -1 and best unchanged): a tier may drop a candidate as
+//     soon as its partial sum reaches the running minimum, at any row
+//     granularity
 type kernelTable struct {
 	name string
 
@@ -62,6 +69,8 @@ type kernelTable struct {
 	hpDCapped func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int
 
 	ring func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) [9]int
+
+	sadBest func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (idx, sad int)
 }
 
 // activeKernels is the table every exported SAD entry point reads. It is
@@ -186,6 +195,9 @@ func scalarTable() *kernelTable {
 			return sadHalfPelPlaneCappedScalar(cur, cx, cy, ref, 2*rx+1, 2*ry+1, w, h, cap)
 		},
 		ring: sadHalfPelRingScalar,
+		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
+			return sadBestBy(sadCappedScalar, cur, cx, cy, ref, rx, ry, 16, 16, cands, clip, best)
+		},
 	}
 }
 
@@ -205,6 +217,9 @@ func swarTable() *kernelTable {
 		hpVCapped: sadHalfPelVCapped,
 		hpDCapped: sadHalfPelDCapped,
 		ring:      sadHalfPelRingSWAR,
+		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
+			return sadBestBy(sadCappedSWAR, cur, cx, cy, ref, rx, ry, 16, 16, cands, clip, best)
+		},
 	}
 }
 

@@ -75,6 +75,18 @@ func sadHpHBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int)
 //go:noescape
 func sadHpVBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
 
+// sadBest16SSE2/AVX2 scan n ≥ 1 candidates for the 16×16 block at cur and
+// return the first strictly-best index below best, or -1. Candidates
+// outside [minX, maxX] × [minY, maxY] are skipped; ref addresses the
+// block displaced by (minX, minY) — the anchor itself may lie outside the
+// plane — and every candidate inside the rectangle must be in-plane.
+//
+//go:noescape
+func sadBest16SSE2(cur *byte, curStride int, ref *byte, refStride int, cands *Offset, n int, minX, minY, maxX, maxY int, best int) (idx, sad int)
+
+//go:noescape
+func sadBest16AVX2(cur *byte, curStride int, ref *byte, refStride int, cands *Offset, n int, minX, minY, maxX, maxY int, best int) (idx, sad int)
+
 //go:noescape
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -185,15 +197,29 @@ func sse2Table() *kernelTable {
 				pix(ref, rx-1, ry-1), ref.Stride, w, h, &out)
 			return out
 		},
+		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
+			return sadBest16SSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
+				&cands[0], len(cands), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
+		},
 	}
 }
 
-// avx2Table overrides the kernels where 256-bit lanes pay: plain SAD
-// (the motion-search workhorse), IntraSAD and the H/V half-pel probes.
-// The capped, diagonal and ring kernels keep the SSE2 implementations —
-// their per-row folds and 16-bit widening leave little for wider lanes,
-// and table entries may come from different tiers as long as each one
-// is bit-exact.
+// avx2Table starts from the SSE2 table — entries may come from different
+// tiers as long as each one is bit-exact — and replaces with true 256-bit
+// kernels: plain SAD, IntraSAD, the H/V half-pel probes, and sadBest (the
+// full-search scan: cur block resident in eight YMM registers, two ref
+// rows per VPSADBW).
+//
+// Still SSE2 under this name: the single-candidate capped kernels
+// (sadCapped, hpH/V/DCapped), the diagonal hpD and the ring. That is a
+// gap, not a verdict that wider lanes do not pay — measured on an AVX2
+// host the capped 16×16 SAD costs 46 ns against 19 ns for the uncapped
+// AVX2 SAD, and nearly all of the difference is the fold-and-compare
+// after every row. sadCapped has to keep that fold: the value it returns
+// on early exit is the cumulative sum at the exact row the cap was
+// crossed (TestSADCappedEarlyExitRowValues pins it on every tier), so it
+// cannot check less often. The full search no longer pays for it — it
+// goes through sadBest, whose contract defines only the winner.
 func avx2Table() *kernelTable {
 	t := *sse2Table()
 	t.name = "avx2"
@@ -208,6 +234,10 @@ func avx2Table() *kernelTable {
 	}
 	t.hpV = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
 		return sadHpVBlkAVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h)
+	}
+	t.sadBest = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
+		return sadBest16AVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
+			&cands[0], len(cands), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
 	}
 	return &t
 }

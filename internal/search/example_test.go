@@ -22,7 +22,7 @@ func Example() {
 
 	for _, s := range []search.Searcher{&search.FSBM{}, &search.Diamond{}} {
 		in := &search.Input{
-			Cur: cur, Ref: ref, RefI: frame.Interpolate(ref),
+			Cur: cur, Ref: ref,
 			BX: 40, BY: 40, W: 16, H: 16, Range: 15, Qp: 16,
 		}
 		res := s.Search(in)

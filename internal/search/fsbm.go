@@ -1,6 +1,11 @@
 package search
 
-import "repro/internal/mvfield"
+import (
+	"math"
+
+	"repro/internal/metrics"
+	"repro/internal/mvfield"
+)
 
 // FSBM is the full search block matching algorithm (§2.3): it evaluates
 // every integer position within ±Range and then the 8 half-pel neighbours
@@ -24,11 +29,53 @@ func (f *FSBM) Name() string {
 // spiral order of spiral.go) with ties broken toward the shorter vector;
 // the result is deterministic, matches the exhaustive minimum of the SAD
 // surface, and is identical — winner and Points — to a raster scan.
+//
+// Macroblocks hand the whole window to one best-of-candidates kernel call.
+// The per-point scan remains where the individual SADs are the product
+// (Collect), where the kernel does not apply (PixelDecimation, other block
+// shapes), and as the oracle the kernel path is tested against.
 func (f *FSBM) Search(in *Input) Result {
-	best := mvfield.Zero
-	bestSAD := -1
-	pts := 0
-	for _, mv := range spiralOffsets(in.Range) {
+	var best mvfield.MV
+	var bestSAD, pts int
+	if in.W == 16 && in.H == 16 && in.Collect == nil && !in.PixelDecimation {
+		best, bestSAD, pts = fullSearchBatch(in)
+	} else {
+		best, bestSAD, pts = fullSearchPerPoint(in)
+	}
+	if pts == 0 {
+		// Degenerate: no legal candidate (cannot happen for in-frame
+		// blocks since (0,0) is always legal); report the zero vector.
+		return Result{MV: mvfield.Zero, SAD: in.SAD(mvfield.Zero), Points: 1}
+	}
+	if !f.NoHalfPel {
+		mv, sad, extra := refineHalfPel(in, best, bestSAD)
+		best, bestSAD, pts = mv, sad, pts+extra
+	}
+	return Result{MV: best, SAD: bestSAD, Points: pts}
+}
+
+// fullSearchBatch is the integer full search as one kernel call: the legal
+// candidates of ±Range form a rectangle (the window clipped to the frame),
+// its area is the point count, and metrics.SADBest returns the first
+// strictly-best candidate of the spiral table inside it.
+func fullSearchBatch(in *Input) (best mvfield.MV, bestSAD, pts int) {
+	clip := metrics.Rect{
+		MinX: max(-in.Range, -in.BX), MaxX: min(in.Range, in.Ref.W-in.W-in.BX),
+		MinY: max(-in.Range, -in.BY), MaxY: min(in.Range, in.Ref.H-in.H-in.BY),
+	}
+	offs := spiralOffsets(in.Range)
+	i, sad := metrics.SADBest(in.Cur, in.BX, in.BY, in.Ref, in.BX, in.BY, in.W, in.H, offs, clip, math.MaxInt)
+	if i < 0 {
+		return mvfield.Zero, 0, 0 // empty window: the block is not inside the frame
+	}
+	return offsetMV(offs[i]), sad, (clip.MaxX - clip.MinX + 1) * (clip.MaxY - clip.MinY + 1)
+}
+
+// fullSearchPerPoint is the integer full search one candidate at a time.
+func fullSearchPerPoint(in *Input) (best mvfield.MV, bestSAD, pts int) {
+	bestSAD = -1
+	for _, o := range spiralOffsets(in.Range) {
+		mv := offsetMV(o)
 		if !in.Legal(mv) {
 			continue
 		}
@@ -42,14 +89,5 @@ func (f *FSBM) Search(in *Input) Result {
 			best, bestSAD = mv, s
 		}
 	}
-	if bestSAD < 0 {
-		// Degenerate: no legal candidate (cannot happen for in-frame
-		// blocks since (0,0) is always legal); report the zero vector.
-		return Result{MV: mvfield.Zero, SAD: in.SAD(mvfield.Zero), Points: 1}
-	}
-	if !f.NoHalfPel {
-		mv, sad, extra := refineHalfPel(in, best, bestSAD)
-		best, bestSAD, pts = mv, sad, pts+extra
-	}
-	return Result{MV: best, SAD: bestSAD, Points: pts}
+	return best, bestSAD, pts
 }

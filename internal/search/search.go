@@ -19,13 +19,10 @@ import (
 // ±Range full pels.
 type Input struct {
 	Cur *frame.Plane
+	// Ref is the integer reference plane. Half-pel candidates are
+	// evaluated by kernels that fuse the H.263 bilinear interpolation
+	// into the SAD directly against it, so no half-pel grid is needed.
 	Ref *frame.Plane
-	// RefI is retained for compatibility with callers that pre-build a
-	// half-pel view of Ref; the searchers no longer read it. Half-pel
-	// candidates are evaluated by kernels that fuse the H.263 bilinear
-	// interpolation into the SAD directly against Ref (bit-identical
-	// values), so probing costs no grid materialisation.
-	RefI *frame.Interpolated
 
 	BX, BY int // block anchor in pels
 	W, H   int // block size (16×16 for macroblocks)

@@ -22,10 +22,10 @@ func texturedPlane(w, h int, seed uint64) *frame.Plane {
 	return p
 }
 
-// newInput builds a search input over cur/ref with interpolation prepared.
+// newInput builds a macroblock search input over cur/ref.
 func newInput(cur, ref *frame.Plane, bx, by, rng, qp int) *Input {
 	return &Input{
-		Cur: cur, Ref: ref, RefI: frame.Interpolate(ref),
+		Cur: cur, Ref: ref,
 		BX: bx, BY: by, W: 16, H: 16, Range: rng, Qp: qp,
 	}
 }

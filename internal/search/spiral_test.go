@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/frame"
+	"repro/internal/metrics"
 	"repro/internal/mvfield"
+	"repro/internal/video"
 )
 
 // rasterFSBM is the seed's raster-order full search, kept as the reference
@@ -40,7 +42,10 @@ func rasterFSBM(in *Input) Result {
 
 func TestSpiralOffsetsOrder(t *testing.T) {
 	for _, r := range []int{1, 4, 15} {
-		offs := spiralOffsets(r)
+		var offs []mvfield.MV
+		for _, o := range spiralOffsets(r) {
+			offs = append(offs, offsetMV(o))
+		}
 		n := 2*r + 1
 		if len(offs) != n*n {
 			t.Fatalf("range %d: %d offsets, want %d", r, len(offs), n*n)
@@ -88,11 +93,10 @@ func TestSpiralMatchesRaster(t *testing.T) {
 		{"quantised", quant, quant},
 		{"cross", noisy, quant},
 	} {
-		ip := frame.Interpolate(tc.ref)
 		for _, anchor := range [][2]int{{0, 0}, {40, 40}, {80, 80}, {16, 0}, {0, 64}} {
 			for _, rng := range []int{4, 15} {
 				in := &Input{
-					Cur: tc.cur, Ref: tc.ref, RefI: ip,
+					Cur: tc.cur, Ref: tc.ref,
 					BX: anchor[0], BY: anchor[1], W: 16, H: 16, Range: rng,
 				}
 				for _, nhp := range []bool{true, false} {
@@ -111,5 +115,46 @@ func TestSpiralMatchesRaster(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFSBMBatchMatchesPerPoint holds the one-kernel-call full search to
+// the per-candidate scan it replaced: for every macroblock anchor of a
+// QCIF frame pair — corners and edges, where the window is clipped,
+// included — winner, SAD and Points must be identical at small, odd and
+// full ranges, on camera-like content and on a flat pair where every
+// candidate ties — on every kernel tier.
+func TestFSBMBatchMatchesPerPoint(t *testing.T) {
+	seq := video.Generate(video.Foreman, frame.QCIF, 2, 3)
+	flat := frame.NewPlane(frame.QCIF.W, frame.QCIF.H)
+	flat.Fill(77)
+	contents := []struct {
+		name     string
+		cur, ref *frame.Plane
+	}{
+		{"foreman", seq[1].Y, seq[0].Y},
+		{"flat", flat, flat},
+	}
+	for _, isa := range metrics.KernelISAs() {
+		restore, err := metrics.SetKernelISA(isa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range contents {
+			for _, r := range []int{1, 7, 15} {
+				for by := 0; by+16 <= tc.cur.H; by += 16 {
+					for bx := 0; bx+16 <= tc.cur.W; bx += 16 {
+						in := &Input{Cur: tc.cur, Ref: tc.ref, BX: bx, BY: by, W: 16, H: 16, Range: r}
+						gotMV, gotSAD, gotPts := fullSearchBatch(in)
+						wantMV, wantSAD, wantPts := fullSearchPerPoint(in)
+						if gotMV != wantMV || gotSAD != wantSAD || gotPts != wantPts {
+							t.Errorf("%s %s range=%d anchor=(%d,%d): batch {%v %d %d} != per-point {%v %d %d}",
+								isa, tc.name, r, bx, by, gotMV, gotSAD, gotPts, wantMV, wantSAD, wantPts)
+						}
+					}
+				}
+			}
+		}
+		restore()
 	}
 }
