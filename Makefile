@@ -1,9 +1,11 @@
 # CI/dev entry points for the ACBM reproduction.
 #
-#   make build        — vet + compile everything
-#   make test         — full test suite, plus the codec/server packages
-#                       under the race detector (certifies the wavefront
-#                       encoder and the multi-session serving layer)
+#   make build        — gofmt gate (any file `gofmt -l` names fails the
+#                       build) + vet + compile everything
+#   make test         — full test suite, then the whole tree again under
+#                       the race detector (certifies the wavefront
+#                       encoder, the multi-session serving layer and
+#                       every kernel-tier swap)
 #   make bench-check  — vet + test the bench/ module (BENCHMARK.json's
 #                       harness). It is a module of its own, outside the
 #                       root ./..., so only this target notices when a
@@ -62,12 +64,14 @@ GO ?= go
 .PHONY: build test bench-check bench-smoke bench-speed bench-rate ratchet-pin serve-smoke bench-serve cluster-smoke bench-cluster qos-smoke bench-qos obs-smoke ladder-smoke bench-ladder ci
 
 build:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
-	$(GO) test -race ./internal/metrics/ ./internal/frame/ ./internal/codec/ ./internal/core/ ./internal/search/ ./internal/server/ ./internal/gateway/ ./internal/obs/
+	$(GO) test -race ./...
 
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .

@@ -99,9 +99,25 @@
 //     fast path; every reordering preserves the reference kernels'
 //     floating-point operation order, so int32(math.Round) outputs are
 //     bit-identical (enforced by differential tests against the kept
-//     reference kernels). All-zero residual blocks skip the transform and
-//     quantiser entirely, and uncoded blocks reconstruct by copying their
-//     prediction — exact by construction.
+//     reference kernels).
+//   - The inter residual path matches its traffic. At the paper's
+//     operating points nearly every inter block quantises to nothing, so
+//     codec.codeInterBlock first takes the block's residual energy on
+//     plane bytes (metrics.SSE, one more entry of the kernel table:
+//     PMADDWD squares on amd64) — against a window of the reference plane
+//     for full-pel vectors, against a fetched 8×8 byte tile for half-pel
+//     ones — and compares it with dct.InterZeroBound(Qp) = k²−k,
+//     k = 2·Qp + Qp/2 the edge of QuantizeInter's dead zone. The DCT
+//     basis is orthonormal, so no coefficient can exceed the residual's
+//     L2 norm: at or below the bound every coefficient rounds inside the
+//     dead zone, the block is provably uncoded, and it is reconstructed
+//     by a byte copy of its prediction without being widened, transformed
+//     or quantised. Only blocks above the bound take the int32 load →
+//     Forward → QuantizeInter → dequantise → Inverse → clamp route. The
+//     gate is exact, not a heuristic — bitstreams are byte-identical with
+//     and without it — and codec.FrameStats reports its traffic per frame
+//     (GatedBlocks / TransformedBlocks / CodedBlocks). The per-frame PSNR
+//     statistics sum their squared error through the same kernel.
 //   - internal/codec analyses macroblocks on a wavefront worker pool
 //     (codec.Config.Workers): motion estimation, mode decision,
 //     transform/quantisation and reconstruction are scheduled per

@@ -3,7 +3,9 @@ package codec
 import (
 	"repro/internal/dct"
 	"repro/internal/frame"
+	"repro/internal/metrics"
 	"repro/internal/mvfield"
+	"repro/internal/search"
 )
 
 // Block-level coding primitives shared by the encoder and decoder. The
@@ -31,29 +33,48 @@ func storeBlock(p *frame.Plane, x, y int, b *dct.Block) {
 	}
 }
 
-// predBlock fetches the 8×8 motion-compensated prediction for the block
-// anchored at (x, y) with vector mv (half-pel units). Full-pel vectors
-// (both components even — which includes every skip block and most chroma
-// vectors) read the integer reference plane directly; true half-pel
-// vectors read one phase of the lazily interpolated view.
-func predBlock(b *dct.Block, ref *frame.Interpolated, x, y int, mv mvfield.MV) {
+// predWindow locates the 8×8 motion-compensated prediction for the block
+// anchored at (x, y) with vector mv (half-pel units) as bytes, without
+// widening a sample: it returns a plane and the anchor of the prediction
+// inside it. A full-pel vector whose block stays inside the reference
+// returns a window of the reference plane itself, touching no half-pel
+// state (that covers every skip block and most chroma vectors); every
+// other vector fetches the block through ref.Block, one phase of the
+// lazily interpolated view, into tile — a tight 8×8 plane the caller
+// owns — and returns that. Encoder and decoder both predict through
+// here, so they cannot disagree on a sample.
+func predWindow(tile *frame.Plane, ref *frame.Interpolated, x, y int, mv mvfield.MV) (p *frame.Plane, px, py int) {
 	if mv.X&1 == 0 && mv.Y&1 == 0 {
 		src := ref.Src()
 		sx, sy := x+mv.X/2, y+mv.Y/2
 		if src.InBounds(sx, sy, 8, 8) {
-			for r := 0; r < 8; r++ {
-				row := src.Pix[(sy+r)*src.Stride+sx : (sy+r)*src.Stride+sx+8]
-				for c := 0; c < 8; c++ {
-					b[r*8+c] = int32(row[c])
-				}
-			}
-			return
+			return src, sx, sy
 		}
 	}
-	var tmp [64]uint8
-	ref.Block(tmp[:], 2*x+mv.X, 2*y+mv.Y, 8, 8)
-	for i := range tmp {
-		b[i] = int32(tmp[i])
+	ref.Block(tile.Pix, 2*x+mv.X, 2*y+mv.Y, 8, 8)
+	return tile, 0, 0
+}
+
+// tilePlane wraps buf as the tight 8×8 plane predWindow fills.
+func tilePlane(buf *[64]uint8) frame.Plane {
+	return frame.Plane{W: 8, H: 8, Stride: 8, Pix: buf[:]}
+}
+
+// predBlock fetches the 8×8 motion-compensated prediction for the block
+// anchored at (x, y) with vector mv (half-pel units), widened into b.
+func predBlock(b *dct.Block, ref *frame.Interpolated, x, y int, mv mvfield.MV) {
+	var buf [64]uint8
+	tile := tilePlane(&buf)
+	pp, px, py := predWindow(&tile, ref, x, y, mv)
+	loadBlock(b, pp, px, py)
+}
+
+// copyBlock copies the 8×8 samples of src anchored at (sx, sy) to dst at
+// (x, y).
+func copyBlock(dst *frame.Plane, x, y int, src *frame.Plane, sx, sy int) {
+	for r := 0; r < 8; r++ {
+		copy(dst.Pix[(y+r)*dst.Stride+x:(y+r)*dst.Stride+x+8],
+			src.Pix[(sy+r)*src.Stride+sx:(sy+r)*src.Stride+sx+8])
 	}
 }
 
@@ -61,44 +82,20 @@ func predBlock(b *dct.Block, ref *frame.Interpolated, x, y int, mv mvfield.MV) {
 // block straight into p as bytes. The reconstruction of an uncoded block
 // is exactly its prediction and prediction samples are already 8-bit, so
 // this equals predBlock + reconInterBlock(coded=false) + storeBlock while
-// skipping both int32 conversions and the clamp. Full-pel vectors copy
-// plane rows directly, touching no half-pel state at all.
+// skipping both int32 conversions and the clamp.
 func storePredBlock(p *frame.Plane, x, y int, ref *frame.Interpolated, mv mvfield.MV) {
-	if mv.X&1 == 0 && mv.Y&1 == 0 {
-		src := ref.Src()
-		sx, sy := x+mv.X/2, y+mv.Y/2
-		if src.InBounds(sx, sy, 8, 8) {
-			for r := 0; r < 8; r++ {
-				copy(p.Pix[(y+r)*p.Stride+x:(y+r)*p.Stride+x+8],
-					src.Pix[(sy+r)*src.Stride+sx:(sy+r)*src.Stride+sx+8])
-			}
-			return
-		}
-	}
-	var tmp [64]uint8
-	ref.Block(tmp[:], 2*x+mv.X, 2*y+mv.Y, 8, 8)
-	for r := 0; r < 8; r++ {
-		copy(p.Pix[(y+r)*p.Stride+x:(y+r)*p.Stride+x+8], tmp[r*8:r*8+8])
-	}
+	var buf [64]uint8
+	tile := tilePlane(&buf)
+	pp, px, py := predWindow(&tile, ref, x, y, mv)
+	copyBlock(p, x, y, pp, px, py)
 }
 
 // encodeInterBlock transforms and quantises the residual cur−pred.
 // It returns the quantised levels and whether any level is non-zero.
-// A perfect prediction (all-zero residual, common on static content)
-// skips the transform and quantiser entirely: the DCT of a zero block is
-// zero and the dead-zone quantiser maps zero to zero, so the outcome is
-// exact by construction.
 func encodeInterBlock(levels *dct.Block, cur, pred *dct.Block, qp int) bool {
 	var resid dct.Block
-	zero := true
 	for i := range resid {
-		d := cur[i] - pred[i]
-		resid[i] = d
-		zero = zero && d == 0
-	}
-	if zero {
-		*levels = dct.Block{}
-		return false
+		resid[i] = cur[i] - pred[i]
 	}
 	dct.Forward(&resid, &resid)
 	dct.QuantizeInter(levels, &resid, qp)
@@ -108,6 +105,71 @@ func encodeInterBlock(levels *dct.Block, cur, pred *dct.Block, qp int) bool {
 		}
 	}
 	return false
+}
+
+// mbScratch is the state one analysis worker reuses across macroblocks,
+// so that neither the search problem nor the residual path allocates per
+// macroblock: the searcher's Input, and the tile predWindow fills for
+// half-pel vectors. Both are handed to code the compiler cannot see
+// through (the Searcher interface, the metrics kernel table), so they
+// must live on the heap once rather than on a stack per call.
+type mbScratch struct {
+	in      search.Input
+	tile    frame.Plane // tight 8×8 view of tileBuf
+	tileBuf [64]uint8
+}
+
+// init points the tile at its buffer; call it once the scratch has its
+// final address.
+func (sc *mbScratch) init() {
+	sc.tile = tilePlane(&sc.tileBuf)
+}
+
+// codeInterBlock runs the residual path for block i of an inter
+// macroblock: the 8×8 samples of src at (x, y), predicted from ref with
+// vector mv, reconstructed into recon. It sets r.coded[i] and, for a
+// coded block, r.levels[i]; the levels of an uncoded block are never
+// read and are left as they were.
+//
+// The path matches its traffic. The residual energy is taken on plane
+// bytes first, and a block at or below dct.InterZeroBound is provably
+// all-zero after Forward + QuantizeInter (see the bound's derivation), so
+// its outcome — uncoded, reconstruction = prediction — is recorded with a
+// byte copy and nothing is widened, transformed or quantised. Only a
+// block above the bound is loaded into dct.Blocks and takes the full
+// route. The gate changes which work is done, never its result: coded
+// flags, levels and every reconstructed sample equal what the full route
+// alone would produce.
+func (e *Encoder) codeInterBlock(sc *mbScratch, r *mbResult, i int, src, recon *frame.Plane, x, y int, ref *frame.Interpolated, mv mvfield.MV) {
+	pp, px, py := predWindow(&sc.tile, ref, x, y, mv)
+	if metrics.SSE(src, x, y, pp, px, py, 8, 8) <= dct.InterZeroBound(e.curQp) {
+		r.coded[i] = false
+		r.gated++
+		copyBlock(recon, x, y, pp, px, py)
+		return
+	}
+	var cur, pred dct.Block
+	loadBlock(&cur, src, x, y)
+	loadBlock(&pred, pp, px, py)
+	r.coded[i] = encodeInterBlock(&r.levels[i], &cur, &pred, e.curQp)
+	if !r.coded[i] {
+		copyBlock(recon, x, y, pp, px, py)
+		return
+	}
+	reconInterBlock(&cur, &pred, &r.levels[i], true, e.curQp) // cur is spent: reuse it
+	storeBlock(recon, x, y, &cur)
+}
+
+// codeInterBlocks runs codeInterBlock over the six blocks of macroblock
+// (mbx, mby): the four luma blocks with their own vectors (all equal for
+// a one-vector macroblock) and both chroma blocks with cmv.
+func (e *Encoder) codeInterBlocks(sc *mbScratch, r *mbResult, src, recon *frame.Frame, mbx, mby int, lumaMV [4]mvfield.MV, cmv mvfield.MV) {
+	r.gated = 0
+	for i, off := range lumaBlockOffsets {
+		e.codeInterBlock(sc, r, i, src.Y, recon.Y, 16*mbx+off[0], 16*mby+off[1], e.reconY, lumaMV[i])
+	}
+	e.codeInterBlock(sc, r, 4, src.Cb, recon.Cb, 8*mbx, 8*mby, e.reconCb, cmv)
+	e.codeInterBlock(sc, r, 5, src.Cr, recon.Cr, 8*mbx, 8*mby, e.reconCr, cmv)
 }
 
 // reconInterBlock reconstructs an inter block from its prediction and

@@ -186,6 +186,15 @@ type FrameStats struct {
 	InterMBs     int
 	Inter4VMBs   int // inter MBs that used four-vector prediction
 	SkipMBs      int
+	// The residual path's traffic over the 8×8 blocks of skip and inter
+	// macroblocks (six each): GatedBlocks were proved all-zero by the
+	// zero-block gate from their residual energy and never transformed;
+	// TransformedBlocks ran the forward DCT and quantiser; CodedBlocks,
+	// a subset of those, kept a non-zero level and are in the stream.
+	// Gated + Transformed = 6 · (SkipMBs + InterMBs).
+	GatedBlocks       int
+	TransformedBlocks int
+	CodedBlocks       int
 }
 
 // SequenceStats aggregates an encoded sequence.

@@ -45,6 +45,10 @@ type mbResult struct {
 	subMV  [4]mvfield.MV
 	points int     // candidate positions evaluated (Table 1 metric)
 	coded  [6]bool // inter: per-block coded flags (Y0..Y3, Cb, Cr)
+	// gated counts, for skip and inter macroblocks, the blocks the
+	// zero-block gate settled without a transform (codeInterBlock); the
+	// other 6−gated ran Forward + QuantizeInter.
+	gated int
 	// levels holds the quantised coefficients in coding order: the four
 	// luma blocks, then Cb, then Cr — intra and inter modes both use it.
 	levels [6]dct.Block
@@ -415,13 +419,22 @@ func (e *Encoder) writeFrameJob(j *frameJob) FrameStats {
 		ob.FrameWritten(j.index, wall, fs.Bits)
 	}
 
-	py, _ := frame.PSNR(j.src.Y, j.recon.Y)
-	pcb, _ := frame.PSNR(j.src.Cb, j.recon.Cb)
-	pcr, _ := frame.PSNR(j.src.Cr, j.recon.Cr)
-	fs.PSNRY, fs.PSNRCb, fs.PSNRCr = py, pcb, pcr
+	fs.PSNRY, fs.PSNRCb, fs.PSNRCr = jobPSNR(j)
 
 	e.stats.Frames = append(e.stats.Frames, fs)
 	return fs
+}
+
+// jobPSNR returns the component PSNRs of j's reconstruction against its
+// source. The squared error is summed by the dispatched block kernel
+// rather than frame.MSE's scalar loop; the sum is the same integer and
+// frame.PSNRFromSSE is the arithmetic frame.PSNR applies to it, so the
+// statistics are bit-equal to frame.PSNR's (TestJobPSNRMatchesFramePSNR).
+func jobPSNR(j *frameJob) (y, cb, cr float64) {
+	psnr := func(a, b *frame.Plane) float64 {
+		return frame.PSNRFromSSE(int64(metrics.SSE(a, 0, 0, b, 0, 0, a.W, a.H)), a.W*a.H)
+	}
+	return psnr(j.src.Y, j.recon.Y), psnr(j.src.Cb, j.recon.Cb), psnr(j.src.Cr, j.recon.Cr)
 }
 
 // writeFrameBody serialises the frame header and every macroblock of j,
@@ -457,6 +470,14 @@ func (e *Encoder) writeFrameBody(j *frameJob) FrameStats {
 					}
 				case mbIntra:
 					fs.IntraMBs++
+					continue
+				}
+				fs.GatedBlocks += r.gated
+				fs.TransformedBlocks += len(r.coded) - r.gated
+				for _, c := range r.coded {
+					if c {
+						fs.CodedBlocks++
+					}
 				}
 			}
 		}
@@ -597,10 +618,11 @@ func (e *Encoder) writeIntraMB(r *mbResult) {
 // outcome in r. It must observe only the left/up-left/up/up-right
 // neighbours of curField (the wavefront invariant parallel.go schedules
 // around) and may write solely to its own MB region of recon, its own
-// curField entry, and r. The caller supplies a per-worker scratch Input
-// (in), reused across macroblocks so the search problem never allocates.
-func (e *Encoder) analyzeInterMB(s search.Searcher, in *search.Input, src, recon *frame.Frame, curField *mvfield.Field, mbx, mby int, r *mbResult) {
+// curField entry, and r. The caller supplies a per-worker scratch (sc),
+// reused across macroblocks so analysis never allocates.
+func (e *Encoder) analyzeInterMB(s search.Searcher, sc *mbScratch, src, recon *frame.Frame, curField *mvfield.Field, mbx, mby int, r *mbResult) {
 	x, y := 16*mbx, 16*mby
+	in := &sc.in
 	*in = search.Input{
 		Cur: src.Y, Ref: e.recon.Y,
 		BX: x, BY: y, W: 16, H: 16,
@@ -645,72 +667,27 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, in *search.Input, src, recon
 			sum8 += ssad
 		}
 		if sum8 < res.SAD-e.cfg.Inter4VBias {
-			e.analyzeInter4VMB(src, recon, mbx, mby, subMV, r)
+			e.analyzeInter4VMB(sc, src, recon, mbx, mby, subMV, r)
 			r.points = pts
 			curField.Set(mbx, mby, avgMV(subMV))
 			return
 		}
 	}
 
-	cmv := chromaMV(mv)
-
-	// Transform and quantise all six blocks first so the skip decision
-	// can see the coded-block pattern.
-	var lumaPred [4]dct.Block
-	var cur dct.Block
-	for i, off := range lumaBlockOffsets {
-		loadBlock(&cur, src.Y, x+off[0], y+off[1])
-		predBlock(&lumaPred[i], e.reconY, x+off[0], y+off[1], mv)
-		r.coded[i] = encodeInterBlock(&r.levels[i], &cur, &lumaPred[i], e.curQp)
-	}
-	var cbPred, crPred dct.Block
-	cx, cy := 8*mbx, 8*mby
-	loadBlock(&cur, src.Cb, cx, cy)
-	predBlock(&cbPred, e.reconCb, cx, cy, cmv)
-	r.coded[4] = encodeInterBlock(&r.levels[4], &cur, &cbPred, e.curQp)
-	loadBlock(&cur, src.Cr, cx, cy)
-	predBlock(&crPred, e.reconCr, cx, cy, cmv)
-	r.coded[5] = encodeInterBlock(&r.levels[5], &cur, &crPred, e.curQp)
-
-	anyCoded := false
-	for _, c := range r.coded {
-		anyCoded = anyCoded || c
-	}
+	// Code and reconstruct all six blocks, then let the skip decision see
+	// the coded-block pattern. Reconstruction need not wait for it: a
+	// skipped macroblock has no coded block, so each block's
+	// reconstruction — its prediction — is the same either way.
+	e.codeInterBlocks(sc, r, src, recon, mbx, mby, [4]mvfield.MV{mv, mv, mv, mv}, chromaMV(mv))
 
 	r.points = pts
 	r.four = false
 	r.mv = mv
-	if mv == mvfield.Zero && !anyCoded {
+	if mv == mvfield.Zero && r.coded == [6]bool{} {
 		r.mode = mbSkip
 	} else {
 		r.mode = mbInter
 	}
-
-	// Reconstruction: coded blocks run dequant + inverse DCT + add; an
-	// uncoded block's reconstruction IS its prediction, so it stores
-	// directly without the inverse-transform round trip.
-	var rec dct.Block
-	for i, off := range lumaBlockOffsets {
-		if r.mode == mbInter && r.coded[i] {
-			reconInterBlock(&rec, &lumaPred[i], &r.levels[i], true, e.curQp)
-			storeBlock(recon.Y, x+off[0], y+off[1], &rec)
-		} else {
-			storeBlock(recon.Y, x+off[0], y+off[1], &lumaPred[i])
-		}
-	}
-	if r.mode == mbInter && r.coded[4] {
-		reconInterBlock(&rec, &cbPred, &r.levels[4], true, e.curQp)
-		storeBlock(recon.Cb, cx, cy, &rec)
-	} else {
-		storeBlock(recon.Cb, cx, cy, &cbPred)
-	}
-	if r.mode == mbInter && r.coded[5] {
-		reconInterBlock(&rec, &crPred, &r.levels[5], true, e.curQp)
-		storeBlock(recon.Cr, cx, cy, &rec)
-	} else {
-		storeBlock(recon.Cr, cx, cy, &crPred)
-	}
-
 	curField.Set(mbx, mby, r.mv)
 }
 

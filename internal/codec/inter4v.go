@@ -94,58 +94,15 @@ func avgMV(mvs [4]mvfield.MV) mvfield.MV {
 	return mvfield.MV{X: div4(sx), Y: div4(sy)}
 }
 
-// analyzeInter4VMB transforms, quantises and reconstructs a four-vector
-// macroblock, recording levels and coded flags in r for the write phase
-// (writeInterMB emits the flags, the four MVDs against the shared median
-// predictor, the CBP and the coefficients).
-func (e *Encoder) analyzeInter4VMB(src, recon *frame.Frame, mbx, mby int, subMV [4]mvfield.MV, r *mbResult) {
-	x, y := 16*mbx, 16*mby
-	cx, cy := 8*mbx, 8*mby
+// analyzeInter4VMB codes and reconstructs a four-vector macroblock,
+// recording levels and coded flags in r for the write phase (writeInterMB
+// emits the flags, the four MVDs against the shared median predictor, the
+// CBP and the coefficients).
+func (e *Encoder) analyzeInter4VMB(sc *mbScratch, src, recon *frame.Frame, mbx, mby int, subMV [4]mvfield.MV, r *mbResult) {
 	r.mode = mbInter
 	r.four = true
 	r.subMV = subMV
-
-	avg := avgMV(subMV)
-	cmv := chromaMV(avg)
-
-	var lumaPred [4]dct.Block
-	var cur dct.Block
-	for i, off := range lumaBlockOffsets {
-		loadBlock(&cur, src.Y, x+off[0], y+off[1])
-		predBlock(&lumaPred[i], e.reconY, x+off[0], y+off[1], subMV[i])
-		r.coded[i] = encodeInterBlock(&r.levels[i], &cur, &lumaPred[i], e.curQp)
-	}
-	var cbPred, crPred dct.Block
-	loadBlock(&cur, src.Cb, cx, cy)
-	predBlock(&cbPred, e.reconCb, cx, cy, cmv)
-	r.coded[4] = encodeInterBlock(&r.levels[4], &cur, &cbPred, e.curQp)
-	loadBlock(&cur, src.Cr, cx, cy)
-	predBlock(&crPred, e.reconCr, cx, cy, cmv)
-	r.coded[5] = encodeInterBlock(&r.levels[5], &cur, &crPred, e.curQp)
-
-	// As in analyzeInterMB, uncoded blocks reconstruct to their prediction
-	// and store it directly, skipping the inverse transform round trip.
-	var rec dct.Block
-	for i, off := range lumaBlockOffsets {
-		if r.coded[i] {
-			reconInterBlock(&rec, &lumaPred[i], &r.levels[i], true, e.curQp)
-			storeBlock(recon.Y, x+off[0], y+off[1], &rec)
-		} else {
-			storeBlock(recon.Y, x+off[0], y+off[1], &lumaPred[i])
-		}
-	}
-	if r.coded[4] {
-		reconInterBlock(&rec, &cbPred, &r.levels[4], true, e.curQp)
-		storeBlock(recon.Cb, cx, cy, &rec)
-	} else {
-		storeBlock(recon.Cb, cx, cy, &cbPred)
-	}
-	if r.coded[5] {
-		reconInterBlock(&rec, &crPred, &r.levels[5], true, e.curQp)
-		storeBlock(recon.Cr, cx, cy, &rec)
-	} else {
-		storeBlock(recon.Cr, cx, cy, &crPred)
-	}
+	e.codeInterBlocks(sc, r, src, recon, mbx, mby, subMV, chromaMV(avgMV(subMV)))
 }
 
 // decodeInter4VMB mirrors codeInter4VMB after the inter4v flag has been

@@ -61,7 +61,8 @@ func (e *Encoder) analyzeFrame(src, recon *frame.Frame, curField *mvfield.Field,
 			forked = e.forker.Fork()
 			s = forked
 		}
-		var scratch search.Input
+		var scratch mbScratch
+		scratch.init()
 		for mby := 0; mby < rows; mby++ {
 			for mbx := 0; mbx < cols; mbx++ {
 				if intra {
@@ -94,7 +95,8 @@ func (e *Encoder) analyzeFrame(src, recon *frame.Frame, curField *mvfield.Field,
 		workers.Add(1)
 		go func(s search.Searcher) {
 			defer workers.Done()
-			var scratch search.Input
+			var scratch mbScratch
+			scratch.init()
 			for idx := range jobs {
 				mbx, mby := idx%cols, idx/cols
 				if intra {
@@ -195,11 +197,11 @@ func (e *Encoder) analyzeFramePool(src, recon *frame.Frame, curField *mvfield.Fi
 	// One anti-diagonal has at most min(rows, cols/2+1) macroblocks, and
 	// the pool runs at most pool.Size() tasks at once; forking the smaller
 	// count guarantees a searcher is always available to a running task.
-	// Each fork travels with its own scratch search.Input, so pool tasks
+	// Each fork travels with its own analysis scratch, so pool tasks
 	// allocate nothing per macroblock.
 	type analysisCtx struct {
 		s  search.Searcher
-		in search.Input
+		sc mbScratch
 	}
 	f := e.forker
 	nf := rows
@@ -211,7 +213,9 @@ func (e *Encoder) analyzeFramePool(src, recon *frame.Frame, curField *mvfield.Fi
 	}
 	searchers := make(chan *analysisCtx, nf)
 	for i := 0; i < nf; i++ {
-		searchers <- &analysisCtx{s: f.Fork()}
+		c := &analysisCtx{s: f.Fork()}
+		c.sc.init()
+		searchers <- c
 	}
 
 	for d := 0; d <= (cols-1)+2*(rows-1); d++ {
@@ -236,14 +240,14 @@ func (e *Encoder) analyzeFramePool(src, recon *frame.Frame, curField *mvfield.Fi
 				pool.submit(e.cfg.Priority, func() {
 					e.noteQueueWait(time.Since(submitT))
 					c := <-searchers
-					e.analyzeInterMB(c.s, &c.in, src, recon, curField, mbx, mby, &results[idx])
+					e.analyzeInterMB(c.s, &c.sc, src, recon, curField, mbx, mby, &results[idx])
 					searchers <- c
 					wg.Done()
 				})
 			} else {
 				pool.submit(e.cfg.Priority, func() {
 					c := <-searchers
-					e.analyzeInterMB(c.s, &c.in, src, recon, curField, mbx, mby, &results[idx])
+					e.analyzeInterMB(c.s, &c.sc, src, recon, curField, mbx, mby, &results[idx])
 					searchers <- c
 					wg.Done()
 				})

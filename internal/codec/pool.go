@@ -66,10 +66,10 @@ const batchShare = 8
 type Pool struct {
 	size int
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	live   []func()
-	batch  []func()
+	mu    sync.Mutex
+	cond  *sync.Cond
+	live  []func()
+	batch []func()
 	// liveRun counts consecutive live dispatches while batch work waited;
 	// at batchShare the next dispatch is forced to the batch queue.
 	liveRun int

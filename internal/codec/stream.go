@@ -234,10 +234,7 @@ func (e *Encoder) writeFramePacket(j *frameJob) ([]byte, FrameStats) {
 		ob.FrameWritten(j.index, wall, fs.Bits)
 	}
 
-	py, _ := frame.PSNR(j.src.Y, j.recon.Y)
-	pcb, _ := frame.PSNR(j.src.Cb, j.recon.Cb)
-	pcr, _ := frame.PSNR(j.src.Cr, j.recon.Cr)
-	fs.PSNRY, fs.PSNRCb, fs.PSNRCr = py, pcb, pcr
+	fs.PSNRY, fs.PSNRCb, fs.PSNRCr = jobPSNR(j)
 
 	e.stats.Frames = append(e.stats.Frames, fs)
 	return pkt, fs

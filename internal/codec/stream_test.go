@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -29,7 +30,10 @@ func packetsEqual(a, b [][]byte) bool {
 // TestPacketsPipelineBitIdentical pins the packet path to the PR 1/PR 2
 // machinery: EncodePackets must produce byte-identical packets for every
 // Workers count, with and without the cross-frame pipeline, and on a
-// shared Pool — the packets counterpart of TestPipelineBitIdentical.
+// shared Pool — the packets counterpart of TestPipelineBitIdentical. The
+// per-frame statistics must match as well: the residual-path counters
+// (gated / transformed / coded blocks) merge additively from the
+// per-macroblock results, so scheduling cannot move them.
 func TestPacketsPipelineBitIdentical(t *testing.T) {
 	frames := video.Generate(video.Foreman, frame.SQCIF, 8, 3)
 	profiles := []struct {
@@ -61,19 +65,20 @@ func TestPacketsPipelineBitIdentical(t *testing.T) {
 				if !packetsEqual(ref, got) {
 					t.Fatalf("%s workers=%d pipeline=%v: packets differ from serial", p.name, workers, pipeline)
 				}
-				if len(stats.Frames) != len(refStats.Frames) {
-					t.Fatalf("%s workers=%d pipeline=%v: %d frame stats, want %d",
-						p.name, workers, pipeline, len(stats.Frames), len(refStats.Frames))
+				if !reflect.DeepEqual(stats.Frames, refStats.Frames) {
+					t.Fatalf("%s workers=%d pipeline=%v: frame stats differ from serial\n got %+v\nwant %+v",
+						p.name, workers, pipeline, stats.Frames, refStats.Frames)
 				}
 			}
 		}
+		checkResidualCounters(t, p.name, refStats)
 		// Shared-pool analysis (the vcodecd serving mode) must match too.
 		pool := NewPool(3)
 		cfg = p.cfg
 		cfg.Pool = pool
 		cfg.Pipeline = true
 		cfg.Searcher = reforge(t, p.cfg)
-		got, _, err := EncodePackets(cfg, frames)
+		got, stats, err := EncodePackets(cfg, frames)
 		pool.Close()
 		if err != nil {
 			t.Fatalf("%s pool: %v", p.name, err)
@@ -81,6 +86,31 @@ func TestPacketsPipelineBitIdentical(t *testing.T) {
 		if !packetsEqual(ref, got) {
 			t.Fatalf("%s: shared-pool packets differ from serial", p.name)
 		}
+		if !reflect.DeepEqual(stats.Frames, refStats.Frames) {
+			t.Fatalf("%s: shared-pool frame stats differ from serial\n got %+v\nwant %+v", p.name, stats.Frames, refStats.Frames)
+		}
+	}
+}
+
+// checkResidualCounters asserts the bookkeeping identities of the
+// residual-path counters on every frame, and that the sequence exercised
+// both sides of the zero-block gate.
+func checkResidualCounters(t *testing.T, name string, stats *SequenceStats) {
+	t.Helper()
+	gated, transformed := 0, 0
+	for i, f := range stats.Frames {
+		if got, want := f.GatedBlocks+f.TransformedBlocks, 6*(f.SkipMBs+f.InterMBs); got != want {
+			t.Fatalf("%s frame %d: gated %d + transformed %d = %d, want 6·(skip+inter) = %d",
+				name, i, f.GatedBlocks, f.TransformedBlocks, got, want)
+		}
+		if f.CodedBlocks > f.TransformedBlocks {
+			t.Fatalf("%s frame %d: %d coded blocks but only %d transformed", name, i, f.CodedBlocks, f.TransformedBlocks)
+		}
+		gated += f.GatedBlocks
+		transformed += f.TransformedBlocks
+	}
+	if gated == 0 || transformed == 0 {
+		t.Fatalf("%s: gated %d, transformed %d — the sequence must cross the gate both ways", name, gated, transformed)
 	}
 }
 

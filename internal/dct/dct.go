@@ -11,6 +11,10 @@
 // floating-point operation order exactly, so the int32(math.Round) outputs
 // are bit-identical to forwardRef/inverseRef (reference.go), which the
 // differential tests in reference_test.go enforce.
+//
+// InterZeroBound (quant.go) is the energy below which an inter residual is
+// certain to quantise to nothing; the encoder uses it to leave such blocks
+// untransformed.
 package dct
 
 import "math"

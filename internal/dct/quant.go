@@ -55,6 +55,35 @@ func QuantizeInter(dst, src *Block, qp int) {
 	}
 }
 
+// InterZeroBound returns the largest residual energy (the integer sum of
+// squared sample differences of an 8×8 block) for which Forward followed
+// by QuantizeInter at qp is guaranteed to produce sixty-four zero levels.
+// The encoder uses it to skip both for blocks that cannot be coded; a
+// block above the bound may still quantise to zero — the test is
+// sufficient, never necessary.
+//
+// Derivation — it follows the quantiser above, so change them together
+// (TestInterZeroBoundFollowsQuantizer recomputes it from QuantizeInter):
+//
+//   - QuantizeInter maps |c| to (|c| − Qp/2)/(2Qp), truncated and clamped
+//     at zero: level 0 exactly when |c| < k, with k = 2·Qp + Qp/2 the edge
+//     of the dead zone — on integers, |c| ≤ k−1.
+//   - Forward rounds each real coefficient F to the nearest integer (half
+//     away from zero), so |c| ≤ k−1 exactly when |F| < k − ½.
+//   - The 8×8 DCT-II basis is orthonormal: each F is the inner product of
+//     the residual with a unit vector, and by Cauchy–Schwarz
+//     |F| ≤ ‖resid‖₂ = √SSE.
+//   - So SSE < (k−½)² = k² − k + ¼ suffices, and SSE being an integer,
+//     that is SSE ≤ k² − k.
+//
+// The margin left for the float kernel is k − ½ − √(k²−k) > 1/(8k) ≥
+// 0.0016 coefficient units at Qp 31; Forward's error is of order 1e-11.
+func InterZeroBound(qp int) int {
+	qp = ClampQp(qp)
+	k := 2*qp + qp/2
+	return k*k - k
+}
+
 // QuantizeIntra quantises an intra coefficient block: DC uses the fixed /8
 // rule (clamped to 1..254 as in H.263), AC uses |c|/(2Qp) without dead zone.
 func QuantizeIntra(dst, src *Block, qp int) {

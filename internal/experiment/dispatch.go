@@ -13,8 +13,8 @@ import (
 // DispatchReport renders the SAD kernel dispatch state (detected CPU
 // features, registered tiers, the active tier) and runs a one-shot
 // sanity probe: every registered tier computes SAD, SADCapped, IntraSAD,
-// the half-pel phases and a SADBest window scan on a fixed block and
-// must agree with the scalar reference bit-for-bit. It is the cheap
+// the half-pel phases, a SADBest window scan and the residual-energy SSE
+// on a fixed block and must agree with the scalar reference bit-for-bit. It is the cheap
 // CI-time version of the full differential suite in internal/metrics —
 // catching a machine whose dispatch picked a broken tier (or silently
 // fell back to scalar) before any benchmark numbers get trusted. The
@@ -114,6 +114,7 @@ func probeKernelTiers(b *strings.Builder) []string {
 			idx, sad := metrics.SADBest(cur, 8, 8, ref, 9, 7, 16, 16, window, clip, 1<<30)
 			return idx<<20 | sad
 		}},
+		{"sse8x8", func() int { return metrics.SSE(cur, 8, 8, ref, 9, 7, 8, 8) }},
 	}
 
 	want := make([]int, len(probes))

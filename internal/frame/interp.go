@@ -450,7 +450,7 @@ func (ip *Interpolated) Block(dst []uint8, hx, hy, w, h int) {
 		if x0 >= -p.apron && y0 >= -p.apron && x0+w <= pw+p.apron && y0+h <= phh+p.apron {
 			ip.ensure(ph, x0, y0, x0+w-1, y0+h-1)
 			for y := 0; y < h; y++ {
-				copy(dst[y*w:y*w+w], p.padRow(y0+y)[p.apron+x0:p.apron+x0+w])
+				copy(dst[y*w:y*w+w], p.padRow(y0 + y)[p.apron+x0:p.apron+x0+w])
 			}
 			return
 		}

@@ -29,10 +29,23 @@ func PSNR(a, b *Plane) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return psnrFromMSE(mse), nil
+}
+
+func psnrFromMSE(mse float64) float64 {
 	if mse == 0 {
-		return PSNRCap, nil
+		return PSNRCap
 	}
-	return 10 * math.Log10(255*255/mse), nil
+	return 10 * math.Log10(255*255/mse)
+}
+
+// PSNRFromSSE is PSNR for a caller that has already summed the squared
+// sample differences (sse) over a given number of samples — the encoder
+// sums them with a SIMD kernel this package cannot import. It applies the
+// same arithmetic as PSNR to the same integer, so the two agree to the
+// last bit.
+func PSNRFromSSE(sse int64, samples int) float64 {
+	return psnrFromMSE(float64(sse) / float64(samples))
 }
 
 // PSNRYUV returns component PSNRs for two frames. The luma value is the

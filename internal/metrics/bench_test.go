@@ -137,5 +137,20 @@ func BenchmarkKernelSADBest16x16(b *testing.B) {
 	})
 }
 
+// BenchmarkKernelSSE8x8 is the zero-block gate's cost per residual block:
+// one 8×8 energy on plane bytes, in place of a load, a float DCT and a
+// quantiser pass.
+func BenchmarkKernelSSE8x8(b *testing.B) {
+	cur, ref := benchPlanes()
+	benchEachISA(b, func(b *testing.B) {
+		b.SetBytes(8 * 8)
+		var sink int
+		for i := 0; i < b.N; i++ {
+			sink += SSE(cur, 32, 16, ref, 33+i%4, 17, 8, 8)
+		}
+		benchSink = sink
+	})
+}
+
 // benchSink defeats dead-code elimination of the benchmark bodies.
 var benchSink int

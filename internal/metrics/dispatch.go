@@ -52,6 +52,11 @@ import (
 //     best, else -1 and best unchanged): a tier may drop a candidate as
 //     soon as its partial sum reaches the running minimum, at any row
 //     granularity
+//   - sse: sum of squared differences behind SSE; w%8 == 0,
+//     w·h ≤ sseMaxSamples (so 32-bit lane sums cannot overflow), both
+//     blocks in-plane. Exact integer arithmetic: no rounding rule, no
+//     early exit, nothing for a tier to get subtly wrong except a lane
+//     fold
 type kernelTable struct {
 	name string
 
@@ -71,6 +76,8 @@ type kernelTable struct {
 	ring func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) [9]int
 
 	sadBest func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (idx, sad int)
+
+	sse func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int
 }
 
 // activeKernels is the table every exported SAD entry point reads. It is
@@ -198,6 +205,7 @@ func scalarTable() *kernelTable {
 		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
 			return sadBestBy(sadCappedScalar, cur, cx, cy, ref, rx, ry, 16, 16, cands, clip, best)
 		},
+		sse: sseScalar,
 	}
 }
 
@@ -220,6 +228,7 @@ func swarTable() *kernelTable {
 		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
 			return sadBestBy(sadCappedSWAR, cur, cx, cy, ref, rx, ry, 16, 16, cands, clip, best)
 		},
+		sse: sseScalar, // squares do not fit SWAR's 16-bit lanes
 	}
 }
 

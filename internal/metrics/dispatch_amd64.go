@@ -87,6 +87,16 @@ func sadBest16SSE2(cur *byte, curStride int, ref *byte, refStride int, cands *Of
 //go:noescape
 func sadBest16AVX2(cur *byte, curStride int, ref *byte, refStride int, cands *Offset, n int, minX, minY, maxX, maxY int, best int) (idx, sad int)
 
+// sseBlkSSE2/AVX2 return Σ(a−b)² over a w×h block, w·h ≤ sseMaxSamples:
+// bytes widen to words, PMADDWD squares and pair-sums the differences
+// into dword lanes, and the lanes fold once at the end.
+//
+//go:noescape
+func sseBlkSSE2(a *byte, aStride int, b *byte, bStride int, w, h int) int
+
+//go:noescape
+func sseBlkAVX2(a *byte, aStride int, b *byte, bStride int, w, h int) int
+
 //go:noescape
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -201,14 +211,18 @@ func sse2Table() *kernelTable {
 			return sadBest16SSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
 				&cands[0], len(cands), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
 		},
+		sse: func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
+			return sseBlkSSE2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, w, h)
+		},
 	}
 }
 
 // avx2Table starts from the SSE2 table — entries may come from different
 // tiers as long as each one is bit-exact — and replaces with true 256-bit
-// kernels: plain SAD, IntraSAD, the H/V half-pel probes, and sadBest (the
+// kernels: plain SAD, IntraSAD, the H/V half-pel probes, sadBest (the
 // full-search scan: cur block resident in eight YMM registers, two ref
-// rows per VPSADBW).
+// rows per VPSADBW) and sse (sixteen squared differences per VPMADDWD;
+// the 8-wide residual block takes two rows per iteration).
 //
 // Still SSE2 under this name: the single-candidate capped kernels
 // (sadCapped, hpH/V/DCapped), the diagonal hpD and the ring. That is a
@@ -238,6 +252,9 @@ func avx2Table() *kernelTable {
 	t.sadBest = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
 		return sadBest16AVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
 			&cands[0], len(cands), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
+	}
+	t.sse = func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
+		return sseBlkAVX2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, w, h)
 	}
 	return &t
 }

@@ -112,6 +112,9 @@ func TestKernelTiersMatchScalar(t *testing.T) {
 					if got, want := SAD(cur, cx, cy, ref, rx, ry, w, h), sadScalar(cur, cx, cy, ref, rx, ry, w, h); got != want {
 						t.Fatalf("SAD w=%d h=%d: got %d want %d", w, h, got, want)
 					}
+					if got, want := SSE(cur, cx, cy, ref, rx, ry, w, h), sseScalar(cur, cx, cy, ref, rx, ry, w, h); got != want {
+						t.Fatalf("SSE w=%d h=%d: got %d want %d", w, h, got, want)
+					}
 					if got, want := Mean(cur, cx, cy, w, h), (planeSumScalar(cur, cx, cy, w, h)+w*h/2)/(w*h); got != want {
 						t.Fatalf("Mean w=%d h=%d: got %d want %d", w, h, got, want)
 					}

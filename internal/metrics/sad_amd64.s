@@ -1248,6 +1248,159 @@ done:
 	MOVQ BX, sad+96(FP)
 	RET
 
+// Sum of squared differences. Bytes widen to 16-bit words, the word
+// difference d ∈ [−255, 255] goes through PMADDWD against itself — which
+// squares each word and adds adjacent pairs into a dword, at most
+// 2·255² = 130050 — and the dwords accumulate with PADDD. The caller
+// bounds w·h by sseMaxSamples = 2^15, so a lane receives at most 2^12
+// such terms (< 2^30) and the folded total stays below 2^31: no widening
+// anywhere. The result is an exact integer, identical on every tier.
+
+// func sseBlkSSE2(a *byte, aStride int, b *byte, bStride int, w, h int) int
+TEXT ·sseBlkSSE2(SB), NOSPLIT, $0-56
+	MOVQ a+0(FP), DI
+	MOVQ aStride+8(FP), CX
+	MOVQ b+16(FP), SI
+	MOVQ bStride+24(FP), DX
+	MOVQ w+32(FP), BX
+	MOVQ h+40(FP), R9
+	PXOR X7, X7
+	PXOR X6, X6
+
+row:
+	XORQ AX, AX
+
+chunk16:
+	LEAQ 16(AX), R8
+	CMPQ R8, BX
+	JGT  tail8
+	MOVOU (DI)(AX*1), X0
+	MOVOU (SI)(AX*1), X1
+	MOVO  X0, X2
+	MOVO  X1, X3
+	PUNPCKLBW X6, X0
+	PUNPCKLBW X6, X1
+	PUNPCKHBW X6, X2
+	PUNPCKHBW X6, X3
+	PSUBW X1, X0
+	PSUBW X3, X2
+	PMADDWL X0, X0
+	PMADDWL X2, X2
+	PADDL X0, X7
+	PADDL X2, X7
+	MOVQ R8, AX
+	JMP  chunk16
+
+tail8:
+	CMPQ AX, BX
+	JGE  rowdone
+	MOVQ (DI)(AX*1), X0
+	MOVQ (SI)(AX*1), X1
+	PUNPCKLBW X6, X0
+	PUNPCKLBW X6, X1
+	PSUBW X1, X0
+	PMADDWL X0, X0
+	PADDL X0, X7
+
+rowdone:
+	ADDQ CX, DI
+	ADDQ DX, SI
+	DECQ R9
+	JNZ  row
+
+	PSHUFD $0xEE, X7, X0
+	PADDL  X0, X7
+	PSHUFD $0x55, X7, X0
+	PADDL  X0, X7
+	MOVL X7, AX
+	MOVQ AX, ret+48(FP)
+	RET
+
+// func sseBlkAVX2(a *byte, aStride int, b *byte, bStride int, w, h int) int
+TEXT ·sseBlkAVX2(SB), NOSPLIT, $0-56
+	MOVQ a+0(FP), DI
+	MOVQ aStride+8(FP), CX
+	MOVQ b+16(FP), SI
+	MOVQ bStride+24(FP), DX
+	MOVQ w+32(FP), BX
+	MOVQ h+40(FP), R9
+	VPXOR Y7, Y7, Y7
+	CMPQ BX, $8
+	JEQ  w8
+
+row:
+	XORQ AX, AX
+
+chunk16:
+	LEAQ 16(AX), R8
+	CMPQ R8, BX
+	JGT  tail8
+	VPMOVZXBW (DI)(AX*1), Y0
+	VPMOVZXBW (SI)(AX*1), Y1
+	VPSUBW   Y1, Y0, Y0
+	VPMADDWD Y0, Y0, Y0
+	VPADDD   Y0, Y7, Y7
+	MOVQ R8, AX
+	JMP  chunk16
+
+tail8:
+	CMPQ AX, BX
+	JGE  rowdone
+	VPMOVZXBW (DI)(AX*1), X0
+	VPMOVZXBW (SI)(AX*1), X1
+	VPSUBW   X1, X0, X0
+	VPMADDWD X0, X0, X0
+	VPADDD   Y0, Y7, Y7
+
+rowdone:
+	ADDQ CX, DI
+	ADDQ DX, SI
+	DECQ R9
+	JNZ  row
+	JMP  fold
+
+	// The residual block shape: two 8-byte rows per 256-bit op.
+w8:
+	MOVQ R9, R10
+	SHRQ $1, R10
+	JZ   w8odd
+
+w8pair:
+	VMOVQ (DI), X0
+	VPINSRQ $1, (DI)(CX*1), X0, X0
+	VMOVQ (SI), X1
+	VPINSRQ $1, (SI)(DX*1), X1, X1
+	VPMOVZXBW X0, Y0
+	VPMOVZXBW X1, Y1
+	VPSUBW   Y1, Y0, Y0
+	VPMADDWD Y0, Y0, Y0
+	VPADDD   Y0, Y7, Y7
+	LEAQ (DI)(CX*2), DI
+	LEAQ (SI)(DX*2), SI
+	DECQ R10
+	JNZ  w8pair
+
+w8odd:
+	TESTQ $1, R9
+	JZ    fold
+	VPMOVZXBW (DI), X0
+	VPMOVZXBW (SI), X1
+	VPSUBW   X1, X0, X0
+	VPMADDWD X0, X0, X0
+	VPADDD   Y0, Y7, Y7
+
+fold:
+	VEXTRACTI128 $1, Y7, X0
+	VPADDD  X7, X0, X0
+	VPSHUFD $0xEE, X0, X1
+	VPADDD  X1, X0, X0
+	VPSHUFD $0x55, X0, X1
+	VPADDD  X1, X0, X0
+	VMOVD X0, AX
+	VZEROUPPER
+	MOVQ AX, ret+48(FP)
+	RET
+
 // func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -136,17 +136,47 @@ func TestRecorderTimelineAndWrap(t *testing.T) {
 }
 
 // TestRecorderConcurrent is the -race hammer: analysis-side writes,
-// writer-goroutine writes, and snapshot readers all running at once.
+// writer-goroutine writes, and snapshot readers all running at once, on
+// a ring the writers lap ~30 times.
+//
+// What a snapshot taken against a wrapping writer promises is that every
+// event it returns is one frame's own record, never a mixture, and that
+// events come in frame order from the ring's current window. It does not
+// promise a gap-free timeline: Snapshot scans slots oldest-first while
+// the writer overwrites them oldest-first, so the writer can lap the scan
+// for a few slots (those are dropped, by the index re-check) and fall
+// behind it again. Contiguity holds once the writers are quiet, and is
+// asserted there.
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewFlightRecorder("hammer", Meta{PinnedLevel: -1}, 64)
-	const frames = 2000
+	const ring, frames = 64, 2000
+	r := NewFlightRecorder("hammer", Meta{PinnedLevel: -1}, ring)
+	// The analysis-side payload is a function of the frame index, so a
+	// reader can tell a slot's own values from a neighbour's.
+	wall := func(i int) time.Duration { return time.Duration(i+1) * time.Millisecond }
+	qp := func(i int) int { return i%31 + 1 }
+	check := func(rec Record) {
+		for j, ev := range rec.Events {
+			if j > 0 && ev.Index <= rec.Events[j-1].Index {
+				t.Errorf("events out of order: %d after %d", ev.Index, rec.Events[j-1].Index)
+				return
+			}
+			if ev.Index < rec.Frames-ring || ev.Index >= rec.Frames {
+				t.Errorf("event %d outside the ring window [%d, %d)", ev.Index, rec.Frames-ring, rec.Frames)
+				return
+			}
+			if ev.AnalysisMs != float64(ev.Index+1) || ev.Qp != qp(ev.Index) {
+				t.Errorf("event %d carries another frame's record: analysis %v ms, qp %d", ev.Index, ev.AnalysisMs, ev.Qp)
+				return
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	wg.Add(3)
 	go func() { // session goroutine: read + analysis
 		defer wg.Done()
 		for i := 0; i < frames; i++ {
 			r.FrameRead(i, time.Microsecond)
-			r.FrameAnalyzed(i, time.Millisecond, 0, 0, false, 16)
+			r.FrameAnalyzed(i, wall(i), 0, 0, false, qp(i))
 		}
 	}()
 	go func() { // pipeline writer goroutine: entropy + emit
@@ -159,19 +189,19 @@ func TestRecorderConcurrent(t *testing.T) {
 	go func() { // debug endpoint reader
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			rec := r.Snapshot()
-			for j := 1; j < len(rec.Events); j++ {
-				if rec.Events[j].Index != rec.Events[j-1].Index+1 {
-					t.Errorf("non-contiguous events: %d after %d", rec.Events[j].Index, rec.Events[j-1].Index)
-					return
-				}
-			}
+			check(r.Snapshot())
 		}
 	}()
 	wg.Wait()
 	r.Finish(nil)
-	if got := r.Snapshot().Frames; got != frames {
-		t.Fatalf("frames %d, want %d", got, frames)
+	rec := r.Snapshot()
+	check(rec)
+	if rec.Frames != frames || rec.DroppedFrames != frames-ring {
+		t.Fatalf("frames %d dropped %d, want %d / %d", rec.Frames, rec.DroppedFrames, frames, frames-ring)
+	}
+	if len(rec.Events) != ring || rec.Events[0].Index != frames-ring {
+		t.Fatalf("quiescent snapshot holds %d events from %d, want the last %d frames gap-free",
+			len(rec.Events), rec.Events[0].Index, ring)
 	}
 }
 

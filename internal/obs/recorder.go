@@ -256,7 +256,11 @@ func (r *FlightRecorder) Finish(err error) {
 
 // Snapshot renders the current flight record. Safe while the session is
 // still encoding; frames whose later phases have not landed yet simply
-// show zero for those fields.
+// show zero for those fields. Events come in frame order and each is one
+// frame's own record, but on a session long enough to wrap the ring the
+// timeline may skip frames: the scan and the writer both move oldest
+// slot first, and a slot the writer reclaims mid-scan is dropped, not
+// returned as a mixture.
 func (r *FlightRecorder) Snapshot() Record {
 	if r == nil {
 		return Record{}
