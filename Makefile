@@ -5,7 +5,11 @@
 #   make test         — full test suite, then the whole tree again under
 #                       the race detector (certifies the wavefront
 #                       encoder, the multi-session serving layer and
-#                       every kernel-tier swap)
+#                       every kernel-tier swap), then the scheduler
+#                       suites on one P (GOMAXPROCS=1): the wavefront's
+#                       spin-then-yield wait is only proven free of
+#                       live-lock where nothing else can run the row it
+#                       waits for
 #   make bench-check  — vet + test the bench/ module (BENCHMARK.json's
 #                       harness). It is a module of its own, outside the
 #                       root ./..., so only this target notices when a
@@ -19,8 +23,9 @@
 #                       run (compiles and exercises the frame-lag
 #                       controller on every push), and the
 #                       allocation-regression check (fails loudly if
-#                       EncodeFrame allocs/frame climb above the ceiling
-#                       pinned in internal/codec/alloc_test.go)
+#                       EncodeFrame allocs/frame climb above the ceilings
+#                       pinned in internal/codec/alloc_test.go for the
+#                       serial, Workers=2 and Pool(2) executors)
 #   make bench-speed  — regenerate BENCH_speed.json (ns/frame, fps,
 #                       points/block for each searcher × worker count)
 #   make ratchet-pin  — re-pin BENCH_ratchet.json baselines on this host
@@ -72,6 +77,7 @@ build:
 test: build
 	$(GO) test ./...
 	$(GO) test -race ./...
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Parallel|Pipeline|Pool|Ladder|Wavefront' ./internal/codec/ ./internal/server/
 
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .

@@ -323,6 +323,36 @@ func BenchmarkEncodeSequence_Pipeline(b *testing.B)          { benchEncodeSequen
 func BenchmarkEncodeSequence_Workers4(b *testing.B)          { benchEncodeSequence(b, 4, false) }
 func BenchmarkEncodeSequence_Workers4_Pipeline(b *testing.B) { benchEncodeSequence(b, 4, true) }
 
+// BenchmarkEncodeCIF is the scheduler's regression signal inside the root
+// module: ACBM on Carphone CIF at Qp 24, where a macroblock costs ~3 µs and
+// any per-macroblock hand-off shows. workers2 and pool2 must beat serial on
+// a two-core host; BENCHMARK.json's parallel_cif is the gated form.
+func BenchmarkEncodeCIF(b *testing.B) {
+	frames := video.Generate(video.Carphone, frame.CIF, 12, 1)
+	pool := codec.NewPool(2)
+	defer pool.Close()
+	for _, m := range []struct {
+		name string
+		cfg  codec.Config
+	}{
+		{"serial", codec.Config{Workers: 1}},
+		{"workers2", codec.Config{Workers: 2}},
+		{"pool2", codec.Config{Pool: pool}},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := m.cfg
+				cfg.Qp, cfg.Searcher = 24, core.New(core.DefaultParams)
+				if _, _, err := codec.EncodeSequence(cfg, frames); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+		})
+	}
+}
+
 // BenchmarkEncodeStream measures the streaming session (packet per frame,
 // pipeline overlap) with allocation tracking: the per-frame steady state
 // is pinned low by the size-bucketed plane/frame pools and the lazy

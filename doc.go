@@ -118,15 +118,17 @@
 //     and without it — and codec.FrameStats reports its traffic per frame
 //     (GatedBlocks / TransformedBlocks / CodedBlocks). The per-frame PSNR
 //     statistics sum their squared error through the same kernel.
-//   - internal/codec analyses macroblocks on a wavefront worker pool
+//   - internal/codec analyses macroblocks on a barrier-free wavefront
 //     (codec.Config.Workers): motion estimation, mode decision,
-//     transform/quantisation and reconstruction are scheduled per
-//     anti-diagonal d = x + 2y, because the predictive searchers read
-//     only the left/up-left/up/up-right motion-field neighbours. Each
-//     worker owns a forked searcher (search.Forker; core.ACBM is not
-//     concurrency-safe and merges its stats additively in Join), scratch
-//     is recycled through sync.Pools, and entropy coding stays serial —
-//     bitstreams are bit-identical for every worker count.
+//     transform/quantisation and reconstruction run a macroblock row per
+//     lane, each row publishing its progress with an atomic store and
+//     trailing the row above by two macroblocks, because the predictive
+//     searchers read only the left/up-left/up/up-right motion-field
+//     neighbours. Each lane owns a forked searcher (search.Forker;
+//     core.ACBM is not concurrency-safe and merges its stats additively
+//     in Join), scratch is recycled through sync.Pools, and entropy
+//     coding stays serial — bitstreams are bit-identical for every
+//     worker count.
 //   - codec.Pipeline (codec.Config.Pipeline in EncodeSequence) overlaps
 //     the serial entropy coding of frame n with the analysis of frame
 //     n+1: analysis of n+1 needs only frame n's reconstruction and motion
@@ -182,9 +184,11 @@
 //   - codec.Pool is the multi-session scheduler's substrate: one
 //     machine-sized analysis worker pool shared by every concurrent
 //     session (Config.Pool replaces per-session Config.Workers), with
-//     sessions interleaving at macroblock granularity on a FIFO queue —
-//     fair-share without oversubscription, bitstreams still
-//     bit-identical to the sequential encoder.
+//     sessions interleaving at macroblock-row granularity on a FIFO
+//     queue (the same row runner, one task per row, at most pool-size
+//     tasks outstanding per session) — fair-share without
+//     oversubscription, bitstreams still bit-identical to the
+//     sequential encoder.
 //   - internal/server (cmd/vcodecd) serves POST /encode: chunked Y4M
 //     upload in, flushed packet records out, session stats in HTTP
 //     trailers; admission control (session cap + bounded queue, 503

@@ -8,38 +8,50 @@ import (
 	"repro/internal/video"
 )
 
-// encodeFrameAllocCeiling is the pinned per-frame allocation budget for a
-// serial P-frame encode. The padded-apron/lazy-tile substrate brought the
-// steady state to ~10 allocations per frame (motion field, frame job,
-// statistics growth); the ceiling leaves headroom for noise while failing
-// loudly on a regression to per-macroblock or per-probe allocation
-// (a single reintroduced per-MB map or escaping search input costs ~100
-// allocations per QCIF frame). Run by `make bench-smoke` and the regular
-// test suite.
-const encodeFrameAllocCeiling = 40
-
-// TestEncodeFrameAllocCeiling measures steady-state allocations per
-// encoded P-frame (Workers=1: goroutine machinery would otherwise count)
-// with the pools warm.
+// TestEncodeFrameAllocCeiling pins the steady-state allocations per
+// encoded QCIF P-frame, pools warm, for each of the wavefront's executors.
+// Serial: the padded-apron/lazy-tile substrate brought the frame to ~10
+// allocations (motion field, frame job, statistics growth) plus the
+// wavefront's own four (schedule state, row counters, lane state, the
+// macroblock callback). The parallel executors add O(lanes) — a goroutine
+// and its closure per private lane, a task chain per pool lane — and
+// nothing per row or per macroblock. The ceilings leave headroom for
+// noise while failing loudly on a regression to per-macroblock cost: one
+// closure per macroblock on the pool path, which went unnoticed while
+// only Workers=1 was pinned, is ≥ 99 allocations per QCIF frame. Run by
+// `make bench-smoke` and the regular test suite.
 func TestEncodeFrameAllocCeiling(t *testing.T) {
 	frames := video.Generate(video.Foreman, frame.QCIF, 12, 77)
-	run := func() float64 {
-		e := NewEncoder(Config{Qp: 16, Searcher: &search.PBM{}, Workers: 1})
-		for _, f := range frames {
-			if _, err := e.EncodeFrame(f); err != nil {
-				t.Fatal(err)
+	pool := NewPool(2)
+	defer pool.Close()
+	for _, m := range []struct {
+		name    string
+		cfg     Config
+		ceiling float64
+	}{
+		{"workers1", Config{Workers: 1}, 40},
+		{"workers2", Config{Workers: 2}, 48},
+		{"pool2", Config{Pool: pool}, 56},
+	} {
+		run := func() {
+			cfg := m.cfg
+			cfg.Qp, cfg.Searcher = 16, &search.PBM{}
+			e := NewEncoder(cfg)
+			for _, f := range frames {
+				if _, err := e.EncodeFrame(f); err != nil {
+					t.Fatal(err)
+				}
 			}
+			e.Bitstream()
 		}
-		e.Bitstream()
-		return float64(len(frames))
-	}
-	run() // warm the size-bucketed pools
+		run() // warm the size-bucketed pools
 
-	n := testing.AllocsPerRun(3, func() { run() })
-	perFrame := n / float64(len(frames))
-	t.Logf("allocs/frame = %.1f (ceiling %d)", perFrame, encodeFrameAllocCeiling)
-	if perFrame > encodeFrameAllocCeiling {
-		t.Fatalf("EncodeFrame allocates %.1f objects/frame, above the pinned ceiling of %d — "+
-			"a pooled buffer or scratch reuse has regressed", perFrame, encodeFrameAllocCeiling)
+		perFrame := testing.AllocsPerRun(3, run) / float64(len(frames))
+		t.Logf("%s: allocs/frame = %.1f (ceiling %.0f)", m.name, perFrame, m.ceiling)
+		if perFrame > m.ceiling {
+			t.Errorf("%s: EncodeFrame allocates %.1f objects/frame, above the pinned ceiling of %.0f — "+
+				"a pooled buffer or scratch reuse has regressed, or the scheduler allocates per row or macroblock",
+				m.name, perFrame, m.ceiling)
+		}
 	}
 }

@@ -86,20 +86,21 @@ type Config struct {
 	// Pool, when non-nil, runs macroblock analysis on a shared worker
 	// pool instead of Workers frame-private goroutines. This is the
 	// multi-session serving mode (cmd/vcodecd): N concurrent encoder
-	// sessions share one machine-sized pool, interleaving at macroblock
-	// granularity, instead of oversubscribing the host with N×Workers
-	// goroutines. The wavefront schedule, its invariants and the output
-	// bits are identical to the private-worker path; Workers is ignored
-	// while Pool is set. The Searcher must implement search.Forker (all
-	// searchers this module provides do); otherwise the pool is dropped
-	// and the session analyses sequentially on its own goroutine.
+	// sessions share one machine-sized pool, interleaving at macroblock-
+	// row granularity, instead of oversubscribing the host with N×Workers
+	// goroutines. The wavefront, its invariants and the output bits are
+	// those of the private-worker executor (one row runner serves both);
+	// Workers is ignored while Pool is set. The Searcher must implement
+	// search.Forker (all searchers this module provides do); otherwise
+	// the pool is dropped and the session analyses sequentially on its
+	// own goroutine.
 	Pool *Pool
 	// Priority is the session's scheduling class on a shared Pool: live
-	// (the zero value) macroblock tasks dispatch ahead of batch tasks, so
-	// a live session preempts batch sessions at the anti-diagonal
-	// boundary while batch retains an anti-starvation share (see Pool).
-	// Priority never reaches the analysis results, so it cannot change a
-	// single output bit. Ignored without Pool.
+	// (the zero value) row tasks dispatch ahead of batch tasks, so a live
+	// session preempts batch sessions at the row boundary while batch
+	// retains an anti-starvation share (see Pool). Priority never reaches
+	// the analysis results, so it cannot change a single output bit.
+	// Ignored without Pool.
 	Priority Priority
 	// Observer, when non-nil, receives per-frame phase timings (analysis
 	// wall clock, shared-pool queue wait, entropy wall clock, encoded
@@ -111,15 +112,19 @@ type Config struct {
 	// pre-observer code (the alloc-ceiling and overhead-guard tests pin
 	// both properties).
 	Observer FrameObserver
-	// Workers sets how many goroutines analyse macroblocks concurrently
+	// Workers sets how many lanes analyse macroblocks concurrently
 	// (motion estimation, mode decision, transform/quantisation and
-	// reconstruction, scheduled per anti-diagonal wavefront; entropy
-	// coding stays serial, so the bitstream and all statistics are
-	// bit-identical for every worker count). 0 selects GOMAXPROCS, 1
-	// forces sequential analysis. Parallel analysis requires the Searcher
-	// to implement search.Forker — its frame-granular fork/join protocol
-	// runs at every worker count, so stateful searchers (core.Budgeted)
-	// stay deterministic; searchers without it are clamped to 1.
+	// reconstruction; a lane runs whole macroblock rows, each row
+	// trailing the one above by two macroblocks — see parallel.go. The
+	// calling goroutine is one of the lanes, so Workers−1 goroutines are
+	// started per frame, and never more lanes than the frame has rows.
+	// Entropy coding stays serial, so the bitstream and all statistics
+	// are bit-identical for every worker count). 0 selects GOMAXPROCS, 1
+	// analyses inline on the caller. Parallel analysis requires the
+	// Searcher to implement search.Forker — its frame-granular fork/join
+	// protocol runs at every worker count, so stateful searchers
+	// (core.Budgeted) stay deterministic; searchers without it are
+	// clamped to 1.
 	Workers int
 }
 

@@ -28,10 +28,10 @@ const (
 //     and reconstruction per macroblock. Results land in an mbResult per
 //     MB and reconstructed pixels go straight into the (disjoint) MB
 //     regions of the recon frame. This phase touches no entropy state, so
-//     it can run across a worker pool (see parallel.go): macroblocks are
-//     scheduled per anti-diagonal because the PBM/ACBM predictors read
-//     only the left, up-left, up and up-right neighbours of the current
-//     motion field.
+//     it can run across a worker pool (see parallel.go): macroblock rows
+//     run concurrently, each trailing the row above by two macroblocks,
+//     because the PBM/ACBM predictors read only the left, up-left, up and
+//     up-right neighbours of the current motion field.
 //  2. write — serial raster-order serialisation of the stored results.
 //     The entropy coder (including the adaptive arithmetic contexts) sees
 //     exactly the sequence of symbols the seed's interleaved encoder
@@ -132,7 +132,7 @@ type Encoder struct {
 	entropyTime  time.Duration
 
 	// obsWaitNs/obsStallNs accumulate the current frame's shared-pool
-	// queue wait (summed across MB tasks, and the worst single task).
+	// queue wait (summed across row tasks, and the worst single task).
 	// Pool workers add via noteQueueWait; the session goroutine drains
 	// both with Swap(0) when it reports the frame to cfg.Observer. Only
 	// touched when an Observer is attached.
@@ -183,15 +183,10 @@ func refAprons(searchRange int) (luma, chroma int) {
 	return luma, chroma
 }
 
-// workerCount resolves how many goroutines may analyse macroblocks
-// concurrently. withDefaults has already forced 1 for searchers that
-// cannot fork, so this is purely the configured width.
-func (e *Encoder) workerCount() int {
-	if e.cfg.Workers <= 1 {
-		return 1
-	}
-	return e.cfg.Workers
-}
+// workerCount is how many lanes may analyse macroblocks concurrently:
+// the configured width, which withDefaults has already resolved (≥ 1, and
+// exactly 1 for searchers that cannot fork).
+func (e *Encoder) workerCount() int { return e.cfg.Workers }
 
 // Stats returns per-frame statistics for everything encoded so far. In
 // arithmetic entropy mode the per-frame bit counts are approximate (the

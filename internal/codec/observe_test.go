@@ -73,10 +73,14 @@ func TestObserverByteIdentity(t *testing.T) {
 	}
 }
 
-// TestObserverQueueWaitOnPool checks the shared-pool queue-wait channel:
-// pool-mode frames report a queue wait (tasks always spend some
-// measurable time between submit and pickup) and private-worker frames
-// report exactly zero (the signal only exists under a shared pool).
+// TestObserverQueueWaitOnPool checks the shared-pool queue-wait channel.
+// Its unit is the row task: each task reports the time from its own
+// submission — the moment it was ready to run — to its pick-up by a pool
+// worker, so a frame's sum covers one wait per row task and the stall is
+// the worst of them (never more than the sum). Pool-mode frames report a
+// wait (a task always spends some measurable time between submit and
+// pick-up) and private-worker frames report exactly zero (the signal only
+// exists under a shared pool).
 func TestObserverQueueWaitOnPool(t *testing.T) {
 	frames := parallelFrames(3)
 	pool := NewPool(2)

@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/frame"
@@ -14,249 +16,214 @@ import (
 // The only cross-macroblock dependency in the analysis phase is the
 // motion-field neighbourhood the predictive searchers read: PBM (and so
 // ACBM) gathers candidates from the left (x−1,y), up-left (x−1,y−1), up
-// (x,y−1) and up-right (x+1,y−1) entries of the current field. Under the
-// anti-diagonal index d = x + 2y those neighbours live on diagonals d−1,
-// d−3, d−2 and d−1 — all strictly earlier — so every macroblock of one
-// diagonal can be analysed concurrently once the previous diagonal is
-// complete. This is the same wavefront H.264/HEVC encoders use, adapted
-// to this field's up-right (rather than up-left-only) reach.
+// (x,y−1) and up-right (x+1,y−1) entries of the current field. The unit
+// of work is therefore a macroblock row. Rows are claimed in increasing
+// order from one atomic counter by whichever lane runs next; a row walks
+// left to right (the left neighbour is its own previous step), publishes
+// done[y] = x+1 with an atomic store after every macroblock, and starts
+// macroblock (x, y) once done[y−1] ≥ min(x+2, cols) — the up-right
+// neighbour, and with it up and up-left, is complete. This is the
+// wavefront H.264/HEVC encoders use, adapted to this field's up-right
+// reach: a row trails the one above by two macroblocks and otherwise
+// never stops. There is no barrier inside the frame and no task smaller
+// than a row; the frame has one join, at its end.
 //
-// Each worker owns a forked Searcher (search.Forker) for the frame;
-// core.ACBM documents that it is not concurrency-safe, so every worker
-// gets its own instance and the additive Stats merge back in Join. All
-// other shared writes are disjoint: each macroblock touches only its own
-// 16×16 (8×8 chroma) region of the reconstruction, its own motion-field
-// entry and its own mbResult slot. The WaitGroup barrier between
-// diagonals publishes those writes to the workers of later diagonals.
+// Each lane owns a forked Searcher (search.Forker) and an analysis
+// scratch for the frame; core.ACBM documents that it is not
+// concurrency-safe, and the additive Stats merge back in Join. All other
+// shared writes are disjoint: each macroblock touches only its own 16×16
+// (8×8 chroma) region of the reconstruction, its own motion-field entry
+// and its own mbResult slot. The store to done[y] and the load that
+// satisfies a waiting row are the happens-before edge that publishes
+// those writes to the row below (and, transitively, to every later row);
+// the final join publishes them to the caller.
+//
+// Waiting: a row whose dependency is not yet met spins for a few loads
+// (the row above is usually within a macroblock of publishing), then
+// yields the processor on every further miss, so the wait can never
+// starve the goroutine it is waiting for — GOMAXPROCS=1 included. Rows
+// are claimed when a lane starts them, never earlier, which makes "the
+// row above is running or done" an invariant: the lowest unfinished row
+// waits on nothing, so some lane can always advance. The wait never
+// parks: a park/unpark pair costs more than most macroblocks (~100 µs to
+// wake an idle processor on a virtualised host), which is what the
+// per-diagonal barrier this replaced paid 56 times a CIF frame. The price
+// is that a yield reaches the Go scheduler, not the OS: when other
+// processes oversubscribe the cores a waiter can spin out a time slice
+// while the row above is descheduled. Measured with a CPU-bound client
+// on the same two cores (`vload -verify`) the daemon still out-ran the
+// parking design, and escalating the wait to time.Sleep was slower, not
+// faster, so it stays a yield.
 //
 // Determinism: the set of field entries visible to a macroblock equals
 // exactly the causal set the sequential raster scan would have computed
 // (Candidates reads only the four neighbours above), so every mbResult —
-// and with it the serial entropy pass — is bit-identical for any worker
-// count ≥ 1.
+// and with it the serial entropy pass — is bit-identical for any lane
+// count ≥ 1 and for all three executors below.
 
-// analyzeFrame fills results (and recon, and curField for P-frames) for
-// every macroblock of src, using the configured number of workers — or,
-// when Config.Pool is set, the shared cross-session worker pool. Intra
-// frames have no cross-MB dependencies and skip the wavefront barriers.
-func (e *Encoder) analyzeFrame(src, recon *frame.Frame, curField *mvfield.Field, results []mbResult, intra bool) {
-	if e.cfg.Pool != nil {
-		e.analyzeFramePool(src, recon, curField, results, intra)
-		return
-	}
-	cols, rows := e.size.MacroblockCols(), e.size.MacroblockRows()
-	nw := e.workerCount()
-	if nw > rows*cols {
-		nw = rows * cols
-	}
-	if nw <= 1 {
-		// Sequential analysis still runs the frame-granular fork/join
-		// protocol: searchers with per-frame control state (core.Budgeted
-		// freezes its thresholds per frame and servos them at the last
-		// Join) must see the same frame boundaries at every worker count,
-		// or the bitstream would depend on Config.Workers.
-		s := e.cfg.Searcher
-		var forked search.Searcher
-		if !intra && e.forker != nil {
-			forked = e.forker.Fork()
-			s = forked
-		}
-		var scratch mbScratch
-		scratch.init()
-		for mby := 0; mby < rows; mby++ {
-			for mbx := 0; mbx < cols; mbx++ {
-				if intra {
-					e.analyzeIntraMB(src, recon, mbx, mby, &results[mby*cols+mbx])
-				} else {
-					e.analyzeInterMB(s, &scratch, src, recon, curField, mbx, mby, &results[mby*cols+mbx])
-				}
-			}
-		}
-		if forked != nil {
-			e.forker.Join(forked)
-		}
-		return
-	}
+// waitSpins is how many loads a blocked row spends before it starts
+// yielding. The row above is usually within a macroblock of publishing, so
+// the count matters little (64 to 4096 measured the same); it is kept near
+// the cost of one yield so a wait on a descheduled lane gives the
+// processor up almost at once.
+const waitSpins = 128
 
-	// Fork one searcher per worker for the duration of the frame.
-	searchers := make([]search.Searcher, nw)
-	if intra {
-		// Intra analysis never runs motion search.
-	} else {
-		for i := range searchers {
-			searchers[i] = e.forker.Fork()
-		}
-	}
-
-	jobs := make(chan int, cols+rows)
-	var wg sync.WaitGroup
-	var workers sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		workers.Add(1)
-		go func(s search.Searcher) {
-			defer workers.Done()
-			var scratch mbScratch
-			scratch.init()
-			for idx := range jobs {
-				mbx, mby := idx%cols, idx/cols
-				if intra {
-					e.analyzeIntraMB(src, recon, mbx, mby, &results[idx])
-				} else {
-					e.analyzeInterMB(s, &scratch, src, recon, curField, mbx, mby, &results[idx])
-				}
-				wg.Done()
-			}
-		}(searchers[w])
-	}
-
-	if intra {
-		wg.Add(rows * cols)
-		for idx := 0; idx < rows*cols; idx++ {
-			jobs <- idx
-		}
-		wg.Wait()
-	} else {
-		for d := 0; d <= (cols-1)+2*(rows-1); d++ {
-			n := 0
-			loY := (d - (cols - 1) + 1) / 2
-			if loY < 0 {
-				loY = 0
-			}
-			hiY := d / 2
-			if hiY > rows-1 {
-				hiY = rows - 1
-			}
-			n = hiY - loY + 1
-			if n <= 0 {
-				continue
-			}
-			wg.Add(n)
-			for mby := loY; mby <= hiY; mby++ {
-				mbx := d - 2*mby
-				jobs <- mby*cols + mbx
-			}
-			wg.Wait() // barrier: diagonal complete, writes published
-		}
-	}
-	close(jobs)
-	workers.Wait()
-
-	if !intra {
-		for _, s := range searchers {
-			e.forker.Join(s)
-		}
-	}
+// rowProgress is one row's published macroblock count, alone on its cache
+// line: row y's per-macroblock store must not invalidate the line rows
+// y+1.. are polling for their own dependency.
+type rowProgress struct {
+	n atomic.Int32
+	_ [60]byte
 }
 
-// analyzeFramePool is analyzeFrame's shared-pool variant: identical
-// wavefront schedule and invariants, but the per-macroblock tasks run on
-// Config.Pool's cross-session workers instead of frame-private
-// goroutines. Forked searchers are borrowed from a buffered channel by
-// whichever pool worker picks the task up; the set is sized to the
-// largest possible concurrent task count (one anti-diagonal, itself
-// capped by the pool size), so borrowing never blocks. Searcher identity
-// does not affect the search result — forks share the parent's
-// parameters and differ only in their (additively merged) statistics — so
-// bitstreams stay bit-identical to the sequential encoder, exactly as in
-// the private-worker path.
-func (e *Encoder) analyzeFramePool(src, recon *frame.Frame, curField *mvfield.Field, results []mbResult, intra bool) {
-	pool := e.cfg.Pool
-	cols, rows := e.size.MacroblockCols(), e.size.MacroblockRows()
-	var wg sync.WaitGroup
+// wavefront is the schedule state of one frame's cols×rows grid.
+type wavefront struct {
+	cols, rows int
+	deps       bool         // false for intra frames: rows are independent
+	next       atomic.Int32 // rows claimed so far
+	done       []rowProgress
+}
 
-	// With an Observer attached each task additionally records how long
-	// it sat in the pool queue (the cross-session contention /
-	// preemption-stall signal). The timestamp capture and atomic adds
-	// observe scheduling, never influence it, so results are unchanged;
-	// the nil-observer closures below stay literally the pre-observer
-	// code so the hot path and its allocation profile are untouched.
-	observe := e.cfg.Observer != nil
-
-	if intra {
-		wg.Add(rows * cols)
-		for idx := 0; idx < rows*cols; idx++ {
-			idx := idx
-			if observe {
-				submitT := time.Now()
-				pool.submit(e.cfg.Priority, func() {
-					e.noteQueueWait(time.Since(submitT))
-					e.analyzeIntraMB(src, recon, idx%cols, idx/cols, &results[idx])
-					wg.Done()
-				})
-			} else {
-				pool.submit(e.cfg.Priority, func() {
-					e.analyzeIntraMB(src, recon, idx%cols, idx/cols, &results[idx])
-					wg.Done()
-				})
-			}
+// runRows is the body of a lane: it claims and runs rows until limit of
+// them ran or none is left, and reports whether unclaimed rows remain.
+func (w *wavefront) runRows(lane, limit int, run func(lane, mbx, mby int)) bool {
+	for ; limit > 0; limit-- {
+		y := int(w.next.Add(1)) - 1
+		if y >= w.rows {
+			return false
 		}
+		var above *atomic.Int32
+		if w.deps && y > 0 {
+			above = &w.done[y-1].n
+		}
+		seen := int32(0) // last value read from above: most steps need no load
+		for x := 0; x < w.cols; x++ {
+			if need := int32(min(x+2, w.cols)); above != nil && seen < need {
+				for spins := 0; ; spins++ {
+					if seen = above.Load(); seen >= need {
+						break
+					}
+					if spins >= waitSpins {
+						runtime.Gosched()
+					}
+				}
+			}
+			run(lane, x, y)
+			w.done[y].n.Store(int32(x + 1))
+		}
+	}
+	return int(w.next.Load()) < w.rows
+}
+
+// runWavefront calls run(lane, mbx, mby) exactly once for every macroblock
+// of a cols×rows grid, on lanes ≥ 1 concurrent lanes (lane < lanes tells
+// the callback which per-lane state is its own; a lane beyond the row
+// count finds nothing to claim). With deps set, a call starts after the
+// calls for its left, up-left, up and up-right neighbours returned; all
+// calls happen before runWavefront returns.
+//
+// One row runner serves three executors. lanes = 1: the caller runs every
+// row inline. pool == nil: lanes−1 frame-private goroutines plus the
+// caller itself, which would otherwise only park in the join. Otherwise
+// each lane is a chain of tasks on the shared pool — a task runs one row
+// and, while rows remain, submits its successor — so a session never has
+// more than lanes ≤ pool.Size() tasks queued or running, concurrent
+// sessions interleave FIFO at row grain, and the caller, not being a pool
+// worker, only waits. onWait, when non-nil, receives each pool task's
+// time from its submission (the moment it was ready to run) to pick-up.
+func runWavefront(cols, rows int, deps bool, lanes int, pool *Pool, pri Priority, onWait func(time.Duration), run func(lane, mbx, mby int)) {
+	w := &wavefront{cols: cols, rows: rows, deps: deps, done: make([]rowProgress, rows)}
+	var wg sync.WaitGroup
+	if pool == nil {
+		for lane := 1; lane < lanes; lane++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w.runRows(lane, rows, run)
+			}()
+		}
+		w.runRows(0, rows, run)
 		wg.Wait()
 		return
 	}
-
-	// One anti-diagonal has at most min(rows, cols/2+1) macroblocks, and
-	// the pool runs at most pool.Size() tasks at once; forking the smaller
-	// count guarantees a searcher is always available to a running task.
-	// Each fork travels with its own analysis scratch, so pool tasks
-	// allocate nothing per macroblock.
-	type analysisCtx struct {
-		s  search.Searcher
-		sc mbScratch
-	}
-	f := e.forker
-	nf := rows
-	if c := cols/2 + 1; c < nf {
-		nf = c
-	}
-	if pool.Size() < nf {
-		nf = pool.Size()
-	}
-	searchers := make(chan *analysisCtx, nf)
-	for i := 0; i < nf; i++ {
-		c := &analysisCtx{s: f.Fork()}
-		c.sc.init()
-		searchers <- c
-	}
-
-	for d := 0; d <= (cols-1)+2*(rows-1); d++ {
-		loY := (d - (cols - 1) + 1) / 2
-		if loY < 0 {
-			loY = 0
+	wg.Add(lanes)
+	for lane := 0; lane < lanes; lane++ {
+		var ready time.Time // written before each submit, read by the task it starts
+		var task func()
+		submit := func() {
+			if onWait != nil {
+				ready = time.Now()
+			}
+			pool.submit(pri, task)
 		}
-		hiY := d / 2
-		if hiY > rows-1 {
-			hiY = rows - 1
-		}
-		if hiY < loY {
-			continue
-		}
-		wg.Add(hiY - loY + 1)
-		for mby := loY; mby <= hiY; mby++ {
-			mbx := d - 2*mby
-			idx := mby*cols + mbx
-			mbx, mby := mbx, mby
-			if observe {
-				submitT := time.Now()
-				pool.submit(e.cfg.Priority, func() {
-					e.noteQueueWait(time.Since(submitT))
-					c := <-searchers
-					e.analyzeInterMB(c.s, &c.sc, src, recon, curField, mbx, mby, &results[idx])
-					searchers <- c
-					wg.Done()
-				})
+		task = func() {
+			if onWait != nil {
+				onWait(time.Since(ready))
+			}
+			if w.runRows(lane, 1, run) {
+				submit()
 			} else {
-				pool.submit(e.cfg.Priority, func() {
-					c := <-searchers
-					e.analyzeInterMB(c.s, &c.sc, src, recon, curField, mbx, mby, &results[idx])
-					searchers <- c
-					wg.Done()
-				})
+				wg.Done()
 			}
 		}
-		wg.Wait() // barrier: diagonal complete, writes published
+		submit()
 	}
+	wg.Wait()
+}
 
-	for i := 0; i < nf; i++ {
-		f.Join((<-searchers).s)
+// analysisLane is the state one lane owns for a frame: its forked searcher
+// and scratch, padded so neighbouring lanes' per-macroblock writes stay on
+// their own cache lines.
+type analysisLane struct {
+	s  search.Searcher
+	sc mbScratch
+	_  [64]byte
+}
+
+// analyzeFrame fills results (and recon, and curField for P-frames) for
+// every macroblock of src: Config.Workers lanes, or the shared pool's
+// width when Config.Pool is set. Intra frames have no cross-macroblock
+// dependencies, so their rows never wait.
+//
+// Every worker count — the inline Workers=1 included — runs the
+// frame-granular fork/join protocol: searchers with per-frame control
+// state (core.Budgeted freezes its thresholds per frame and servos them
+// at the last Join) must see the same frame boundaries everywhere, or the
+// bitstream would depend on Config.Workers. Fork identity does not affect
+// a search result — forks share the parent's parameters and differ only
+// in their additively merged statistics — so any lane may run any row.
+func (e *Encoder) analyzeFrame(src, recon *frame.Frame, curField *mvfield.Field, results []mbResult, intra bool) {
+	cols, rows := e.size.MacroblockCols(), e.size.MacroblockRows()
+	n := e.workerCount()
+	if e.cfg.Pool != nil {
+		n = e.cfg.Pool.Size()
+	}
+	// A row is the unit of work, so lanes beyond the row count would idle.
+	lanes := make([]analysisLane, min(n, rows))
+	fork := !intra && e.forker != nil // a nil forker only ever runs one lane
+	for i := range lanes {
+		lanes[i].sc.init()
+		lanes[i].s = e.cfg.Searcher
+		if fork {
+			lanes[i].s = e.forker.Fork()
+		}
+	}
+	var onWait func(time.Duration)
+	if e.cfg.Observer != nil {
+		onWait = e.noteQueueWait
+	}
+	runWavefront(cols, rows, !intra, len(lanes), e.cfg.Pool, e.cfg.Priority, onWait, func(lane, mbx, mby int) {
+		r := &results[mby*cols+mbx]
+		if intra {
+			e.analyzeIntraMB(src, recon, mbx, mby, r)
+		} else {
+			l := &lanes[lane]
+			e.analyzeInterMB(l.s, &l.sc, src, recon, curField, mbx, mby, r)
+		}
+	})
+	if fork {
+		for i := range lanes {
+			e.forker.Join(lanes[i].s)
+		}
 	}
 }

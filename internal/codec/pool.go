@@ -11,12 +11,12 @@ import (
 type Priority int
 
 const (
-	// PriorityLive is the interactive class: its macroblock tasks are
-	// dispatched ahead of batch tasks.
+	// PriorityLive is the interactive class: its row tasks are dispatched
+	// ahead of batch tasks.
 	PriorityLive Priority = iota
 	// PriorityBatch is the throughput class: it yields workers to live
-	// sessions at the anti-diagonal boundary but is never starved
-	// entirely (see the anti-starvation share below).
+	// sessions at the row boundary but is never starved entirely (see the
+	// anti-starvation share below).
 	PriorityBatch
 )
 
@@ -42,27 +42,35 @@ const batchShare = 8
 // letting every session spin up Config.Workers goroutines of its own —
 // N sessions share one pool rather than oversubscribing N×GOMAXPROCS.
 //
-// Scheduling and fairness: sessions submit one task per macroblock, so
-// concurrent sessions interleave at macroblock granularity — a session
-// never holds a worker longer than one block's analysis, and a newly
-// admitted session starts drawing workers within one macroblock's
-// latency of every other session of its class. Two priority tiers sit
-// above that FIFO fairness: live tasks (Config.Priority) are dispatched
-// before batch tasks, which means a live session preempts batch sessions
-// at the anti-diagonal boundary — batch macroblocks already running
-// finish (preemption is cooperative, at task granularity), but the
-// batch session's next diagonal waits behind the live wavefront. Batch
-// is never starved outright: after batchShare consecutive live
-// dispatches with batch work queued, one batch task runs. Within a
-// class, order remains strictly FIFO, which preserves the bounded
-// run-ahead argument: the wavefront barriers mean a session has at most
-// one anti-diagonal of tasks outstanding.
+// Scheduling and fairness: the unit of work is a macroblock row (see
+// runWavefront). A session keeps at most min(Size, rows) row tasks queued
+// or running — a finished row submits its successor, the frame is never
+// pre-queued — so concurrent sessions interleave at row granularity: a
+// session never holds a worker longer than one row's analysis (plus the
+// two-macroblock trail behind the row above), and a newly admitted
+// session's first task is at most one task per competing lane from the
+// head of its class's queue. Two priority tiers sit above that FIFO
+// fairness: live tasks (Config.Priority) are dispatched before batch
+// tasks, which means a live session preempts batch sessions at the row
+// boundary — batch rows already running finish (preemption is
+// cooperative, at task granularity), but each one's successor waits
+// behind the live session's rows. Batch is never starved outright: after
+// batchShare consecutive live dispatches with batch work queued, one
+// batch task runs. Within a class, order remains strictly FIFO, and the
+// bounded run-ahead above bounds total queue depth by sessions × Size.
 //
-// Deadlock freedom: pool workers never submit tasks and tasks never block
-// on other tasks (the per-frame searcher set is sized so a borrowed
-// searcher is always available; see analyzeFramePool), so every submitted
-// task eventually runs even when sessions outnumber workers — the
-// priority tiers reorder dispatch but never withhold it.
+// Deadlock freedom: a task claims its row when it starts, not when it is
+// submitted, so the rows of a frame are started in increasing order and
+// the row above a running row is itself running or done — never queued.
+// A running row therefore only ever waits (spinning, then yielding; it
+// never parks) on a row that holds another worker, the lowest unfinished
+// row of every frame waits on nothing, and submit never blocks (the
+// queues are unbounded slices), so a worker finishing a row can always
+// enqueue its successor. Every submitted task eventually runs even when
+// sessions outnumber workers — the priority tiers reorder dispatch but
+// never withhold it. Each lane of a frame owns its forked searcher and
+// scratch for the whole frame, so no task borrows anything it could wait
+// for.
 type Pool struct {
 	size int
 
@@ -104,14 +112,14 @@ func (p *Pool) worker() {
 		// Dispatch: live first, except when the anti-starvation share is
 		// owed to a waiting batch task.
 		if len(p.live) > 0 && (len(p.batch) == 0 || p.liveRun < batchShare) {
-			fn, p.live = p.live[0], p.live[1:]
+			fn = popTask(&p.live)
 			if len(p.batch) > 0 {
 				p.liveRun++
 			} else {
 				p.liveRun = 0
 			}
 		} else {
-			fn, p.batch = p.batch[0], p.batch[1:]
+			fn = popTask(&p.batch)
 			p.liveRun = 0
 		}
 		p.mu.Unlock()
@@ -119,14 +127,25 @@ func (p *Pool) worker() {
 	}
 }
 
+// popTask takes the head of a FIFO queue by shifting the rest down, so a
+// long-lived pool keeps one backing array per class instead of abandoning
+// and re-growing it as the head slides. A queue holds at most sessions ×
+// Size row tasks, so the shift is a few words per row of analysis.
+func popTask(q *[]func()) func() {
+	fn := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	(*q)[n] = nil // the array outlives the task
+	*q = (*q)[:n]
+	return fn
+}
+
 // Size returns the worker count.
 func (p *Pool) Size() int { return p.size }
 
-// submit enqueues one task in its class's FIFO queue. The queues are
-// unbounded, but the wavefront barriers bound each session to one
-// anti-diagonal of outstanding tasks, so total queue depth is bounded by
-// the session count times the widest diagonal — the same bound the old
-// single-channel pool enforced through blocking.
+// submit enqueues one task in its class's FIFO queue and never blocks:
+// the queues are unbounded, and runWavefront bounds each session to Size
+// outstanding tasks, so total depth is at most sessions × Size. Tasks may
+// submit (a finished row enqueues its successor).
 func (p *Pool) submit(pri Priority, fn func()) {
 	p.mu.Lock()
 	if pri == PriorityBatch {

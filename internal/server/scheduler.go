@@ -18,15 +18,16 @@
 //
 // All admitted sessions share one codec.Pool sized to the machine, not
 // Config.Workers goroutines per session. Sessions interleave on the pool
-// at macroblock granularity (a session submits at most one wavefront
-// diagonal of tasks before it must wait on the barrier), so an admitted
-// session makes analysis progress within one macroblock's latency of any
-// other of its class — fair-share by FIFO queue position within a
-// priority tier. Sessions carry ?priority=live|batch: live tasks
-// dispatch first (preempting batch at the anti-diagonal boundary), and
-// batch keeps a guaranteed anti-starvation share of dispatches (see
-// codec.Pool). The closed-loop QoS controller (qos.go) degrades batch
-// one level ahead of live under overload, same ordering, same rationale.
+// at macroblock-row granularity: a session keeps at most pool-size row
+// tasks queued or running (a finished row submits its successor; a frame
+// is never pre-queued), so an admitted session's next row is at most one
+// task per competing lane from the head of its class's queue — fair-share
+// by FIFO queue position within a priority tier, with run-ahead bounded
+// by construction. Sessions carry ?priority=live|batch: live tasks
+// dispatch first (preempting batch at the row boundary), and batch keeps
+// a guaranteed anti-starvation share of dispatches (see codec.Pool). The
+// closed-loop QoS controller (qos.go) degrades batch one level ahead of
+// live under overload, same ordering, same rationale.
 //
 // # What may block where
 //
@@ -34,8 +35,10 @@
 // blocks in the kernel socket buffer, which blocks the session's emit
 // callback, which (one frame in flight) blocks its next EncodeFrame —
 // backpressure, not buffering. Pool workers never block on a session's
-// client: they only run per-macroblock analysis tasks and the bounded
-// borrow of a forked searcher documented deadlock-free in codec.Pool.
+// client and never park on each other: they only run macroblock-row
+// analysis tasks, whose one wait — for the row above, which is always
+// running on another worker or done — spins then yields (documented
+// deadlock-free in codec.Pool), and enqueueing a successor never blocks.
 // Admission waits (queue) block only the waiting request's goroutine and
 // are bounded by MaxQueued; beyond that /encode fails fast with 503.
 package server

@@ -127,7 +127,7 @@ func newServerHists() serverHists {
 		analysis:    obs.NewHistogram("vcodecd_analysis_seconds", "per-frame macroblock-analysis wall clock"),
 		entropy:     obs.NewHistogram("vcodecd_entropy_seconds", "per-frame entropy-coding wall clock"),
 		emit:        obs.NewHistogram("vcodecd_emit_seconds", "per-packet write plus client flush"),
-		queueWait:   obs.NewHistogram("vcodecd_queue_wait_seconds", "per-frame summed shared-pool queue wait"),
+		queueWait:   obs.NewHistogram("vcodecd_queue_wait_seconds", "per-frame shared-pool queue wait, summed over the frame's row tasks (each from its submission to pick-up)"),
 	}
 }
 
