@@ -5,11 +5,12 @@
 #   make test         — full test suite, then the whole tree again under
 #                       the race detector (certifies the wavefront
 #                       encoder, the multi-session serving layer and
-#                       every kernel-tier swap), then the scheduler
-#                       suites on one P (GOMAXPROCS=1): the wavefront's
-#                       spin-then-yield wait is only proven free of
-#                       live-lock where nothing else can run the row it
-#                       waits for
+#                       every kernel-tier swap), then sched-one-p
+#   make sched-one-p  — the scheduler, engine and session suites on one P
+#                       (GOMAXPROCS=1): the wavefront's spin-then-yield
+#                       wait and the engine's writer hand-off are only
+#                       proven free of live-lock where nothing else can
+#                       run the row, or the writer, they wait for
 #   make bench-check  — vet + test the bench/ module (BENCHMARK.json's
 #                       harness). It is a module of its own, outside the
 #                       root ./..., so only this target notices when a
@@ -66,7 +67,10 @@
 
 GO ?= go
 
-.PHONY: build test bench-check bench-smoke bench-speed bench-rate ratchet-pin serve-smoke bench-serve cluster-smoke bench-cluster qos-smoke bench-qos obs-smoke ladder-smoke bench-ladder ci
+# The X-smoke targets are built by the one %-smoke pattern rule below, so
+# they must stay out of .PHONY (make skips implicit rules for phony
+# targets); FORCE keeps them, and the bin/% builds, always out of date.
+.PHONY: build test sched-one-p bench-check bench-smoke bench-speed bench-rate ratchet-pin bench-serve bench-cluster bench-qos bench-ladder ci FORCE
 
 build:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -77,7 +81,10 @@ build:
 test: build
 	$(GO) test ./...
 	$(GO) test -race ./...
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'Parallel|Pipeline|Pool|Ladder|Wavefront' ./internal/codec/ ./internal/server/
+	$(MAKE) sched-one-p
+
+sched-one-p:
+	GOMAXPROCS=1 $(GO) test -count=1 -timeout 5m -run 'Parallel|Pipeline|Pool|Ladder|Wavefront|Engine|Stream|Session|MaxFrames|GoroutineLeak' ./internal/codec/ ./internal/server/
 
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
@@ -99,50 +106,31 @@ ratchet-pin:
 bench-rate:
 	$(GO) run ./cmd/acbmbench -experiment rate -frames 30 -json BENCH_rate.json
 
-serve-smoke:
-	mkdir -p bin
-	$(GO) build -o bin/vcodecd ./cmd/vcodecd
-	$(GO) build -o bin/vload ./cmd/vload
-	BIN=bin sh scripts/serve_smoke.sh
+# Every binary a smoke script or a bench target runs, built from this
+# checkout each time (go build is itself incremental). .PRECIOUS: as
+# prerequisites of a pattern rule they would be deleted as intermediates.
+.PRECIOUS: bin/%
+bin/%: FORCE
+	@mkdir -p bin
+	$(GO) build -o $@ ./cmd/$*
+
+# serve-smoke, cluster-smoke, qos-smoke, obs-smoke, ladder-smoke: build the
+# daemons and tools, then run scripts/X_smoke.sh against them.
+%-smoke: bin/vcodecd bin/vcodec-gateway bin/vload bin/vcodec bin/seqgen FORCE
+	BIN=bin sh scripts/$*_smoke.sh
 
 bench-serve:
 	$(GO) run ./cmd/vload -selfhost -sessions 1,4,8 -frames 30 -size qcif -qp 16 -me acbm -verify -json BENCH_serve.json
 
-cluster-smoke:
-	mkdir -p bin
-	$(GO) build -o bin/vcodecd ./cmd/vcodecd
-	$(GO) build -o bin/vcodec-gateway ./cmd/vcodec-gateway
-	$(GO) build -o bin/vload ./cmd/vload
-	BIN=bin sh scripts/cluster_smoke.sh
-
 bench-cluster:
 	$(GO) run ./cmd/vload -chaos -sessions 8 -frames 24 -size qcif -qp 16 -me acbm -backends 2 -json BENCH_cluster.json
 
-qos-smoke:
-	mkdir -p bin
-	$(GO) build -o bin/vcodecd ./cmd/vcodecd
-	$(GO) build -o bin/vload ./cmd/vload
-	BIN=bin sh scripts/qos_smoke.sh
-
-bench-qos:
-	mkdir -p bin
-	$(GO) build -o bin/vcodecd ./cmd/vcodecd
+bench-qos: bin/vcodecd
 	$(GO) run ./cmd/vload -qos -qp 16 -me acbm -daemon bin/vcodecd -json BENCH_qos.json
-
-obs-smoke:
-	mkdir -p bin
-	$(GO) build -o bin/vcodecd ./cmd/vcodecd
-	$(GO) build -o bin/vload ./cmd/vload
-	BIN=bin sh scripts/obs_smoke.sh
-
-ladder-smoke:
-	mkdir -p bin
-	$(GO) build -o bin/vcodecd ./cmd/vcodecd
-	$(GO) build -o bin/vcodec ./cmd/vcodec
-	$(GO) build -o bin/seqgen ./cmd/seqgen
-	BIN=bin sh scripts/ladder_smoke.sh
 
 bench-ladder:
 	$(GO) run ./cmd/vload -ladder -json BENCH_ladder.json
 
 ci: test bench-check bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
+
+FORCE:

@@ -129,13 +129,21 @@
 //     in Join), scratch is recycled through sync.Pools, and entropy
 //     coding stays serial — bitstreams are bit-identical for every
 //     worker count.
-//   - codec.Pipeline (codec.Config.Pipeline in EncodeSequence) overlaps
-//     the serial entropy coding of frame n with the analysis of frame
-//     n+1: analysis of n+1 needs only frame n's reconstruction and motion
-//     field, both final when frame n's analysis ends, while the entropy
-//     coder — whose (arithmetic) state spans frames — consumes jobs
-//     strictly in frame order on one writer goroutine. One frame is in
-//     flight; output stays byte-identical for every worker count.
+//   - codec.Encoder is the one session engine — frame in, framed bytes
+//     out — behind every driver: per frame it checks the session is
+//     live, applies a pending QoS actuation, analyses, hands the job to
+//     phase 2 and runs the frame hand-off (reference retirement, rate
+//     control). Two choices are fixed at construction: the framing (one
+//     contiguous stream, or an independently parseable packet per frame
+//     through an emit callback — codec.EncodeStream) and where phase 2
+//     runs. With codec.Config.Pipeline it runs on one writer goroutine
+//     fed over an unbuffered channel, overlapping the serial entropy
+//     coding of frame n with the analysis of frame n+1: analysis of n+1
+//     needs only frame n's reconstruction and motion field, both final
+//     when frame n's analysis ends, while the entropy coder — whose
+//     (arithmetic) state spans frames — consumes jobs strictly in frame
+//     order. One frame is in flight; output stays byte-identical for
+//     every worker count, framing and placement.
 //   - Rate and complexity control are frame-lag controllers that compose
 //     with all of the above instead of forcing the encoder serial. The
 //     TargetKbps quantiser servo decides frame n+1's Qp at frame n's
@@ -174,9 +182,10 @@
 //   - codec.EncodeStream is the streaming session API: frames in one at
 //     a time, each finished frame out immediately as an independently
 //     parseable packet (first-byte latency of one frame, not one
-//     sequence). It reuses the analyzeFrameJob/writeFrameBody split and
-//     the pipeline overlap; a slow consumer throttles the encode (one
-//     frame in flight behind a blocked emit) instead of growing a queue.
+//     sequence). It is the session engine in packet framing; a slow
+//     consumer throttles the encode (one frame in flight behind a
+//     blocked emit) instead of growing a queue, and an emit error
+//     poisons the session before any further frame is analysed.
 //     codec.EncodePackets is its batch wrapper, and the uvarint
 //     record framing (codec.PacketWriter/PacketReader) carries packet
 //     streams over files and HTTP alike — with explicit indices, so a

@@ -76,12 +76,14 @@ type Config struct {
 	// the one frame in flight, so rate control composes with Workers,
 	// Pipeline and Pool — same bits in every mode, full parallelism.
 	TargetKbps float64
-	// Pipeline makes EncodeSequence overlap the serial entropy coding of
-	// frame n with the analysis of frame n+1 (one frame in flight; see
-	// codec.Pipeline). The bitstream and statistics are byte-identical to
-	// a serial encode for every Workers value, with or without rate
-	// control (the frame-lag controller never waits on the in-flight
-	// frame's bits).
+	// Pipeline runs phase 2 on a writer goroutine, overlapping the serial
+	// entropy coding of frame n with the analysis of frame n+1 (one frame
+	// in flight; see Encoder for the contract). Every driver honours it;
+	// EncodeFrame then returns when analysis is done, and the encoder
+	// owns the goroutine until Bitstream or Close. The bytes and
+	// statistics are identical to an inline encode for every Workers
+	// value, with or without rate control (the frame-lag controller never
+	// waits on the in-flight frame's bits).
 	Pipeline bool
 	// Pool, when non-nil, runs macroblock analysis on a shared worker
 	// pool instead of Workers frame-private goroutines. This is the

@@ -71,10 +71,38 @@ func putMBResults(rs []mbResult) {
 
 // Encoder encodes a sequence of equally sized frames: the first as an
 // I-frame, the rest as P-frames referencing the previous reconstruction
-// (plus periodic I-frames when Config.IntraPeriod is set).
+// (plus periodic I-frames when Config.IntraPeriod is set). It is the one
+// session engine — frames in, framed bytes out — behind every driver in
+// this package: EncodeSequence and EncodeStream (hence EncodePackets, each
+// LadderStream rung and every vcodecd session) are the same encode step
+// and differ only in the two choices fixed at construction.
 //
-// The bitstream is finalised by the first call to Bitstream; frames cannot
-// be added afterwards.
+// Framing: with no emit callback the frames form one contiguous stream
+// (sequence header, a continuation flag per frame) that Bitstream
+// finalises and returns; with one, every frame leaves through it as an
+// independently parseable Packet the moment it is written.
+//
+// Phase 2 placement: inline on the caller, or — Config.Pipeline — on one
+// writer goroutine fed over an unbuffered channel, so the serial entropy
+// coding of frame n overlaps the (possibly wavefront-parallel) analysis
+// of frame n+1 with exactly one frame in flight. The overlap is legal
+// because the phases touch disjoint state for different frames: writing
+// frame n reads only its frameJob and the entropy coder, which analysis
+// never touches; analysing frame n+1 reads frame n's reconstruction and
+// motion field, both final before frame n's job is handed over. Jobs
+// reach the writer in frame order, so the stateful entropy coder sees the
+// symbol sequence of an inline encode, and the channel send completing
+// is the one synchronisation point: the writer accepted job n, so it has
+// finished job n−1 — its last reads of the reference n's analysis
+// replaced, and its wroteBits — which is what frameHandoff relies on.
+// The inline path calls frameHandoff at the same point of the frame
+// sequence, so output bytes never depend on either choice, rate control
+// included (TestPipelineBitIdentical, TestPacketsPipelineBitIdentical).
+//
+// The source frame passed to EncodeFrame must not be mutated until its
+// frame is written (the next EncodeFrame's return at the latest, or the
+// finalise): PSNR statistics read it in phase 2. A Pipeline encoder owns
+// a goroutine until Bitstream (EncodeStream: Close) joins it.
 type Encoder struct {
 	cfg  Config
 	size frame.Size
@@ -87,6 +115,20 @@ type Encoder struct {
 	sw       symWriter
 	out      []byte
 	finished bool
+
+	emit func(Packet) error // nil: contiguous stream into sw
+	jobs chan *frameJob     // nil: phase 2 runs inline
+	done chan struct{}      // closed when the writer goroutine exits
+	// werr is the first emit error. It poisons the session: the failed
+	// frame is the last one written, every later EncodeFrame and the
+	// finalise return it. Written by whichever goroutine runs phase 2,
+	// before failed is set.
+	werr   error
+	failed atomic.Bool
+	// pending is the QoS actuation mailbox (see Actuate), drained at the
+	// top of every encode step so each actuated parameter is fixed before
+	// the frame's analysis begins.
+	pending pendingActuation
 
 	curQp int             // quantiser for the current frame
 	rc    *rateController // nil unless Config.TargetKbps > 0
@@ -107,8 +149,7 @@ type Encoder struct {
 	curSeed search.LayerSeed
 	// rcPrevJob is the last job whose write phase began: frameHandoff
 	// settles its wroteBits at the next hand-off. One field serves the
-	// serial and pipelined drivers alike (see frameHandoff for the memory
-	// ordering in the pipelined case).
+	// inline and the overlapped write alike.
 	rcPrevJob *frameJob
 
 	// lumaApron/chromaApron are the replicated borders carried by every
@@ -127,7 +168,7 @@ type Encoder struct {
 
 	// Cumulative wall clock per phase. In pipelined encodes the two
 	// fields are owned by different goroutines (analysis by the caller,
-	// entropy by the writer) and only read after Flush.
+	// entropy by the writer) and only read after the finalise.
 	analysisTime time.Duration
 	entropyTime  time.Duration
 
@@ -145,17 +186,29 @@ type Encoder struct {
 // PhaseTimes returns the cumulative wall clock spent in phase 1
 // (macroblock analysis: motion search, transforms, reconstruction) and
 // phase 2 (entropy coding and statistics). In pipeline mode the phases
-// overlap, so the sum can exceed the encode's wall-clock time.
+// overlap, so the sum can exceed the encode's wall-clock time — and the
+// call is valid only after the finalise: before that the writer goroutine
+// still owns the entropy counter.
 func (e *Encoder) PhaseTimes() (analysis, entropy time.Duration) {
+	if e.jobs != nil && !e.finished {
+		panic("codec: PhaseTimes of a pipelined encode before it is finalised")
+	}
 	return e.analysisTime, e.entropyTime
 }
 
-// NewEncoder returns an encoder for the given configuration.
-func NewEncoder(cfg Config) *Encoder {
+// NewEncoder returns an encoder producing one contiguous bitstream for the
+// given configuration.
+func NewEncoder(cfg Config) *Encoder { return newEngine(cfg, nil) }
+
+// newEngine builds the session engine for cfg with the framing emit
+// selects (see Encoder), starting the writer goroutine when cfg.Pipeline
+// asks for the overlap.
+func newEngine(cfg Config, emit func(Packet) error) *Encoder {
 	cfg = cfg.withDefaults()
 	e := &Encoder{
 		cfg:   cfg,
 		sw:    newSymWriter(cfg.Entropy),
+		emit:  emit,
 		curQp: cfg.Qp,
 		stats: SequenceStats{FPS: cfg.FPS},
 	}
@@ -164,6 +217,16 @@ func NewEncoder(cfg Config) *Encoder {
 		e.rc = newRateController(cfg.TargetKbps, cfg.FPS, cfg.Qp)
 	}
 	e.lumaApron, e.chromaApron = refAprons(cfg.SearchRange)
+	if cfg.Pipeline {
+		e.jobs = make(chan *frameJob) // unbuffered: exactly one frame in flight
+		e.done = make(chan struct{})
+		go func() {
+			defer close(e.done)
+			for j := range e.jobs {
+				e.writeFrame(j)
+			}
+		}()
+	}
 	return e
 }
 
@@ -183,29 +246,37 @@ func refAprons(searchRange int) (luma, chroma int) {
 	return luma, chroma
 }
 
-// workerCount is how many lanes may analyse macroblocks concurrently:
-// the configured width, which withDefaults has already resolved (≥ 1, and
-// exactly 1 for searchers that cannot fork).
-func (e *Encoder) workerCount() int { return e.cfg.Workers }
-
 // Stats returns per-frame statistics for everything encoded so far. In
 // arithmetic entropy mode the per-frame bit counts are approximate (the
 // range coder buffers up to a few bytes across frame boundaries); totals
 // are exact.
 func (e *Encoder) Stats() *SequenceStats { return &e.stats }
 
-// Bitstream finalises and returns the encoded stream. The first call ends
-// the sequence; subsequent EncodeFrame calls fail.
+// Bitstream finalises the encode and returns the contiguous stream (nil
+// for a packet session, whose bytes left through emit). The first call
+// ends the sequence; subsequent EncodeFrame calls fail.
 func (e *Encoder) Bitstream() []byte {
+	e.finalise()
+	return e.out
+}
+
+// finalise ends the session: it joins the writer goroutine, terminates
+// the contiguous stream and returns the emit error that poisoned the
+// session, if any. Idempotent.
+func (e *Encoder) finalise() error {
 	if !e.finished {
-		if e.frames > 0 {
+		e.finished = true
+		if e.jobs != nil {
+			close(e.jobs)
+			<-e.done
+		}
+		if e.emit == nil && e.frames > 0 {
 			e.sw.Flag(sctxMore, false)
 			e.out = e.sw.Finish()
 		}
-		e.finished = true
 		e.rcPrevJob = nil // release the last retained frame pair
 	}
-	return e.out
+	return e.werr
 }
 
 // Reconstruction returns the most recent reconstructed frame (the decoder
@@ -222,7 +293,7 @@ func (e *Encoder) Reconstruction() *frame.Frame {
 // the two phases can run on different goroutines for *different* frames:
 // entropy coding of frame n only reads its job, while analysis of frame
 // n+1 reads the encoder's reference state — which is final once the job
-// for frame n has been built (see pipeline.go for the overlap contract).
+// for frame n has been built (see Encoder for the overlap contract).
 type frameJob struct {
 	index    int            // frame number within the sequence
 	src      *frame.Frame   // source frame (PSNR); must not change until written
@@ -243,8 +314,7 @@ type frameJob struct {
 	cost int
 	// wroteBits is the frame's actual encoded size, filled in by the write
 	// phase. In pipelined encodes it is owned by the writer goroutine and
-	// may be read by the analysis side only after the *next* job's hand-off
-	// (the channel send establishes the happens-before edge).
+	// may be read by the analysis side only after the *next* job's hand-off.
 	wroteBits int
 }
 
@@ -291,9 +361,6 @@ func jobCost(results []mbResult) int {
 // installs the new reconstruction as the prediction reference. It touches
 // no entropy state.
 func (e *Encoder) analyzeFrameJob(f *frame.Frame) (*frameJob, error) {
-	if e.finished {
-		return nil, fmt.Errorf("codec: encoder finalised by Bitstream; cannot add frames")
-	}
 	if e.frames == 0 {
 		if err := validateSize(f.Size()); err != nil {
 			return nil, err
@@ -355,26 +422,18 @@ func (e *Encoder) analyzeFrameJob(f *frame.Frame) (*frameJob, error) {
 	return j, nil
 }
 
-// frameHandoff runs the per-frame hand-off protocol for job j — the
-// moment j's entropy write begins (pipelined drivers: call it on the
-// submitting goroutine immediately after j's channel send completes) or
-// has just finished (serial drivers: after writing j). Two things happen
-// here, both relying on the same guarantee — that the previously handed
-// job's write phase is complete by now:
+// frameHandoff runs on the session goroutine once job j's write has
+// begun (overlapped: the writer accepted it) or finished (inline) —
+// either way the previous job's write phase is complete (see Encoder):
 //
 //   - The reference frame j's analysis read (j.prevRef) is retired to the
-//     frame pool: its last readers were j's analysis (done before the
-//     hand-off) and the previous job's PSNR statistics (done when the
-//     writer accepted j).
+//     frame pool: its last readers were j's analysis and the previous
+//     job's PSNR statistics.
 //   - The frame-lag rate controller settles the previous job's actual
-//     size and plans the next quantiser. Calling it at the same point of
-//     the frame sequence in every driver is what keeps rate-controlled
-//     output byte-identical across all of them.
-//
-// Memory ordering (pipelined): the unbuffered channel send completing
-// means the writer accepted j, having finished — and published, via the
-// happens-before edge of the hand-off — the previous job's wroteBits and
-// its last reads of the retired reference.
+//     size and plans the next quantiser — from exactly the information an
+//     overlapped encode has at this point, even where the inline one
+//     already knows j's size, which is what keeps rate-controlled output
+//     byte-identical across both.
 func (e *Encoder) frameHandoff(j *frameJob) {
 	if j.prevRef != nil {
 		j.prevRef.Release()
@@ -394,18 +453,43 @@ func (e *Encoder) frameHandoff(j *frameJob) {
 	e.rcPrevJob = j
 }
 
-// writeFrameJob runs phase 2 for an analysed frame: the serial entropy
-// coding of the stored results, plus bit accounting and PSNR statistics.
-// Jobs must be written in frame order (the entropy coder is stateful).
-func (e *Encoder) writeFrameJob(j *frameJob) FrameStats {
-	start := time.Now()
-	if j.index == 0 {
-		e.writeSequenceHeader()
+// writeFrame runs phase 2 for an analysed frame: the serial entropy coding
+// of the stored results, bit accounting and PSNR statistics, in the
+// session's framing — into the one contiguous stream (sequence header
+// before frame 0, a continuation flag per frame), or into a fresh syntax
+// writer per frame whose bytes leave as an independently parseable packet
+// (the header packet first). Jobs must be written in frame order. On a
+// poisoned session the job is dropped.
+func (e *Encoder) writeFrame(j *frameJob) {
+	packets := e.emit != nil
+	if e.werr == nil && packets && j.index == 0 {
+		e.fail(e.emit(Packet{Index: 0, Data: e.headerPacket()}))
 	}
-	startBits := e.sw.Len()
-	e.sw.Flag(sctxMore, true)
+	if e.werr != nil {
+		putMBResults(j.results)
+		j.results = nil
+		return
+	}
+	start := time.Now()
+	startBits := 0
+	if packets {
+		e.sw = newSymWriter(e.cfg.Entropy)
+		e.sw.BeginData()
+	} else {
+		if j.index == 0 {
+			e.writeSequenceHeader()
+		}
+		startBits = e.sw.Len()
+		e.sw.Flag(sctxMore, true)
+	}
 	fs := e.writeFrameBody(j)
-	fs.Bits = e.sw.Len() - startBits
+	var pkt []byte
+	if packets {
+		pkt = e.sw.Finish()
+		fs.Bits = 8 * len(pkt)
+	} else {
+		fs.Bits = e.sw.Len() - startBits
+	}
 	fs.Qp = j.qp
 	j.wroteBits = fs.Bits
 	wall := time.Since(start)
@@ -417,7 +501,18 @@ func (e *Encoder) writeFrameJob(j *frameJob) FrameStats {
 	fs.PSNRY, fs.PSNRCb, fs.PSNRCr = jobPSNR(j)
 
 	e.stats.Frames = append(e.stats.Frames, fs)
-	return fs
+	if packets {
+		e.fail(e.emit(Packet{Index: j.index + 1, Data: pkt, Stats: fs}))
+	}
+}
+
+// fail records an emit error — the session's first: writeFrame never emits
+// on a poisoned session — and publishes it.
+func (e *Encoder) fail(err error) {
+	if err != nil {
+		e.werr = err
+		e.failed.Store(true)
+	}
 }
 
 // jobPSNR returns the component PSNRs of j's reconstruction against its
@@ -434,9 +529,7 @@ func jobPSNR(j *frameJob) (y, cb, cr float64) {
 
 // writeFrameBody serialises the frame header and every macroblock of j,
 // returning the type and macroblock-mode statistics. The results slab is
-// returned to the pool. Shared by the stream writer (writeFrameJob) and
-// the packetized transport (EncodePackets), which frame the body
-// differently.
+// returned to the pool.
 func (e *Encoder) writeFrameBody(j *frameJob) FrameStats {
 	cols, rows := e.size.MacroblockCols(), e.size.MacroblockRows()
 	fs := FrameStats{Macroblocks: cols * rows}
@@ -483,18 +576,51 @@ func (e *Encoder) writeFrameBody(j *frameJob) FrameStats {
 }
 
 // EncodeFrame appends one frame to the stream and returns its statistics.
-// Rate control runs the frame-lag protocol even though the actual bit
-// count is already known here: the controller must see exactly the
-// information a pipelined encode would, so serial and pipelined
-// rate-controlled bitstreams stay byte-identical.
+// With Config.Pipeline it returns once analysis is complete — the frame's
+// bits may still be in flight on the writer goroutine — and the statistics
+// are the zero value; read them from Stats after Bitstream.
 func (e *Encoder) EncodeFrame(f *frame.Frame) (FrameStats, error) {
-	j, err := e.analyzeFrameJob(f)
-	if err != nil {
+	j, err := e.encode(f, nil)
+	if err != nil || e.jobs != nil {
 		return FrameStats{}, err
 	}
-	fs := e.writeFrameJob(j)
+	return e.stats.Frames[j.index], nil
+}
+
+// encode is the engine step every driver runs per frame: refuse a
+// finalised or poisoned session, apply a pending actuation, analyse, hand
+// the job to phase 2 (inline, or to the writer goroutine) and run the
+// hand-off protocol. seed is the cross-layer motion seed for this frame's
+// analysis (ladder rungs below the top; nil elsewhere). The returned job's
+// curField is final and read-only.
+func (e *Encoder) encode(f *frame.Frame, seed search.LayerSeed) (*frameJob, error) {
+	if e.finished {
+		return nil, fmt.Errorf("codec: encoder finalised; cannot add frames")
+	}
+	if e.failed.Load() {
+		return nil, e.werr
+	}
+	if a := e.pending.Swap(nil); a != nil {
+		e.applyActuation(*a)
+	}
+	e.curSeed = seed
+	j, err := e.analyzeFrameJob(f)
+	e.curSeed = nil
+	if err != nil {
+		return nil, err
+	}
+	if e.jobs != nil {
+		e.jobs <- j
+	} else {
+		e.writeFrame(j)
+	}
 	e.frameHandoff(j)
-	return fs, nil
+	// An inline emit failure surfaces on the frame that hit it; an
+	// overlapped one on whichever later step first observes it.
+	if e.failed.Load() {
+		return nil, e.werr
+	}
+	return j, nil
 }
 
 func (e *Encoder) writeSequenceHeader() {
@@ -725,28 +851,18 @@ func (e *Encoder) writeInterMB(r *mbResult, curField *mvfield.Field, mbx, mby in
 }
 
 // EncodeSequence encodes frames with cfg and returns the statistics and
-// the finalised bitstream. With cfg.Pipeline set it drives the
-// cross-frame pipeline (pipeline.go); the output is byte-identical either
-// way.
+// the finalised bitstream, byte-identical with and without cfg.Pipeline.
 func EncodeSequence(cfg Config, frames []*frame.Frame) (*SequenceStats, []byte, error) {
 	if len(frames) == 0 {
 		return nil, nil, fmt.Errorf("codec: no frames to encode")
 	}
-	if cfg.Pipeline {
-		p := NewPipeline(cfg)
-		for i, f := range frames {
-			if err := p.EncodeFrame(f); err != nil {
-				p.Flush() // drain the writer goroutine before bailing
-				return nil, nil, fmt.Errorf("codec: frame %d: %w", i, err)
-			}
-		}
-		return p.Flush()
-	}
 	e := NewEncoder(cfg)
 	for i, f := range frames {
 		if _, err := e.EncodeFrame(f); err != nil {
+			e.Bitstream() // joins the writer goroutine before bailing
 			return nil, nil, fmt.Errorf("codec: frame %d: %w", i, err)
 		}
 	}
-	return e.Stats(), e.Bitstream(), nil
+	out := e.Bitstream()
+	return e.Stats(), out, nil
 }

@@ -21,10 +21,11 @@ import (
 // (frame.DownscaleFrame, pooled output) and hands {frame, motion field}
 // to rung r+1 — so rung r+1 analyses frame n while rung r is already on
 // frame n+1: a one-frame lag between adjacent rungs, pipelined exactly
-// like the phase overlap of PR 2. The hand-off rides the frame hand-off
-// point: EncodeFrameSeeded returns only after the frame's analysis is
-// complete, so the field a lower rung receives is final — never a
-// partially computed wavefront.
+// like the engine's phase overlap. Every rung is one session engine (see
+// Encoder) in packet framing, and the hand-off down the chain rides its
+// frame hand-off point: the encode step returns only after the frame's
+// analysis is complete, so the field a lower rung receives is final —
+// never a partially computed wavefront.
 //
 // Determinism: a rung's seed for frame n is a pure function of the rung
 // above's (worker-invariant) field for frame n, and seeds are evaluated
@@ -119,11 +120,10 @@ type ladderItem struct {
 }
 
 type ladderRung struct {
-	size  frame.Size
-	es    *EncodeStream
-	in    chan ladderItem
-	done  chan struct{}
-	stats *SequenceStats
+	size frame.Size
+	enc  *Encoder
+	in   chan ladderItem
+	done chan struct{}
 }
 
 // LadderStream is the streaming simulcast session: source frames go in
@@ -145,7 +145,6 @@ type LadderStream struct {
 	errMu  sync.Mutex
 	err    error
 	closed bool
-	frames int
 }
 
 // NewLadderStream starts one encode session per rung and the goroutine
@@ -167,7 +166,7 @@ func NewLadderStream(rungs []Rung, emit func(rung int, p Packet) error) (*Ladder
 			done: make(chan struct{}),
 		}
 		idx := i
-		rung.es = NewEncodeStream(r.Cfg, func(p Packet) error {
+		rung.enc = newEngine(r.Cfg, func(p Packet) error {
 			l.emitMu.Lock()
 			defer l.emitMu.Unlock()
 			return l.emitFn(idx, p)
@@ -209,7 +208,6 @@ func (l *LadderStream) EncodeFrame(f *frame.Frame) error {
 		return fmt.Errorf("codec: ladder source is %v, top rung wants %v", f.Size(), l.rungs[0].size)
 	}
 	l.rungs[0].in <- ladderItem{f: f}
-	l.frames++
 	return nil
 }
 
@@ -220,35 +218,30 @@ func (l *LadderStream) runRung(r int) {
 	// prev is the rung's previous (downscaled, ladder-owned) source frame.
 	// Its last readers are its own packet write (PSNR) and the downscale
 	// for the rung below — both complete by the time the *next* frame's
-	// EncodeFrameSeeded returns (the pipeline writer accepts frame n+1's
-	// job only after finishing frame n), so it is recycled one frame late.
-	// Rung 0 sources are caller-owned and never released here.
+	// encode step returns (the writer accepts frame n+1's job only after
+	// finishing frame n), so it is recycled one frame late. Rung 0 sources
+	// are caller-owned and never released here.
 	var prev *frame.Frame
-	poisoned := false
 	for item := range rung.in {
-		if poisoned || l.Err() != nil {
-			poisoned = true
-			if r > 0 {
-				item.f.Release()
+		var j *frameJob
+		err := l.Err() // sticky: once any rung failed, the chain only drains
+		if err == nil {
+			var seed search.LayerSeed
+			if item.seed != nil {
+				seed = &search.FieldSeed{Field: item.seed, Shift: 1}
 			}
-			continue
+			if j, err = rung.enc.encode(item.f, seed); err != nil {
+				l.setErr(fmt.Errorf("codec: ladder rung %d: %w", r, err))
+			}
 		}
-		var seed search.LayerSeed
-		if item.seed != nil {
-			seed = &search.FieldSeed{Field: item.seed, Shift: 1}
-		}
-		field, err := rung.es.EncodeFrameSeeded(item.f, seed)
 		if err != nil {
-			l.setErr(fmt.Errorf("codec: ladder rung %d: %w", r, err))
-			poisoned = true
 			if r > 0 {
 				item.f.Release()
 			}
 			continue
 		}
 		if r < l.last {
-			down := frame.DownscaleFrame(item.f)
-			l.rungs[r+1].in <- ladderItem{f: down, seed: field}
+			l.rungs[r+1].in <- ladderItem{f: frame.DownscaleFrame(item.f), seed: j.curField}
 		}
 		if r > 0 {
 			prev.Release()
@@ -258,13 +251,11 @@ func (l *LadderStream) runRung(r int) {
 	if r < l.last {
 		close(l.rungs[r+1].in)
 	}
-	stats, err := rung.es.Close()
-	rung.stats = stats
-	if err != nil {
+	if err := rung.enc.finalise(); err != nil {
 		l.setErr(fmt.Errorf("codec: ladder rung %d: %w", r, err))
 	}
 	if r > 0 {
-		// Safe only now: Close drained the rung's pipeline writer, so the
+		// Safe only now: the finalise joined the rung's writer, so the
 		// last frame's packet (and its PSNR read) is done.
 		prev.Release()
 	}
@@ -284,7 +275,7 @@ func (l *LadderStream) Close() ([]*SequenceStats, error) {
 	}
 	stats := make([]*SequenceStats, len(l.rungs))
 	for i, rung := range l.rungs {
-		stats[i] = rung.stats
+		stats[i] = rung.enc.Stats()
 	}
 	return stats, l.Err()
 }

@@ -20,17 +20,14 @@ import (
 // and contexts, trading a little compression for independence.
 
 // EncodePackets encodes frames as independent packets. It is the batch
-// wrapper around EncodeStream, so the full PR 1/PR 2 machinery applies:
-// analysis honours Config.Workers (wavefront) or Config.Pool (shared
-// pool), and Config.Pipeline overlaps entropy coding of frame n with
-// analysis of frame n+1. The packet bytes are identical for every such
-// setting (TestPacketsPipelineBitIdentical pins it).
+// wrapper around EncodeStream, so the whole engine applies: analysis
+// honours Config.Workers (wavefront) or Config.Pool (shared pool), and
+// Config.Pipeline overlaps entropy coding of frame n with analysis of
+// frame n+1. The packet bytes are identical for every such setting
+// (TestPacketsPipelineBitIdentical pins it).
 func EncodePackets(cfg Config, frames []*frame.Frame) ([][]byte, *SequenceStats, error) {
 	if len(frames) == 0 {
 		return nil, nil, fmt.Errorf("codec: no frames to encode")
-	}
-	if err := validateSize(frames[0].Size()); err != nil {
-		return nil, nil, err
 	}
 	var packets [][]byte
 	s := NewEncodeStream(cfg, func(p Packet) error {

@@ -37,13 +37,19 @@ func NewPacketWriter(w io.Writer) *PacketWriter {
 
 // WritePacket appends one framed record.
 func (pw *PacketWriter) WritePacket(index int, data []byte) error {
+	var hdr [2 * binary.MaxVarintLen64]byte
+	return pw.writeRecord(hdr[:0], index, data)
+}
+
+// writeRecord appends the plain record fields to hdr — empty, or a ladder
+// record's rung tag — and writes header and payload.
+func (pw *PacketWriter) writeRecord(hdr []byte, index int, data []byte) error {
 	if index < 0 {
 		return fmt.Errorf("codec: negative packet index %d", index)
 	}
-	var hdr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(index))
-	n += binary.PutUvarint(hdr[n:], uint64(len(data)))
-	if _, err := pw.w.Write(hdr[:n]); err != nil {
+	hdr = binary.AppendUvarint(hdr, uint64(index))
+	hdr = binary.AppendUvarint(hdr, uint64(len(data)))
+	if _, err := pw.w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := pw.w.Write(data)
@@ -107,73 +113,49 @@ const maxLadderRung = 1 << 10
 // LadderPacketWriter frames rung-tagged packets onto an io.Writer. Like
 // PacketWriter it never buffers: one record is at most two Write calls.
 type LadderPacketWriter struct {
-	w io.Writer
+	pw PacketWriter
 }
 
 // NewLadderPacketWriter returns a ladder-framing writer onto w.
 func NewLadderPacketWriter(w io.Writer) *LadderPacketWriter {
-	return &LadderPacketWriter{w: w}
+	return &LadderPacketWriter{pw: PacketWriter{w: w}}
 }
 
 // WritePacket appends one rung-tagged record.
-func (pw *LadderPacketWriter) WritePacket(rung, index int, data []byte) error {
-	if rung < 0 || index < 0 {
-		return fmt.Errorf("codec: negative ladder record coordinates (%d, %d)", rung, index)
+func (lw *LadderPacketWriter) WritePacket(rung, index int, data []byte) error {
+	if rung < 0 {
+		return fmt.Errorf("codec: negative ladder rung %d", rung)
 	}
 	var hdr [3 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(rung))
-	n += binary.PutUvarint(hdr[n:], uint64(index))
-	n += binary.PutUvarint(hdr[n:], uint64(len(data)))
-	if _, err := pw.w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := pw.w.Write(data)
-	return err
+	return lw.pw.writeRecord(binary.AppendUvarint(hdr[:0], uint64(rung)), index, data)
 }
 
 // LadderPacketReader parses a ladder-framed packet stream.
 type LadderPacketReader struct {
-	br *bufio.Reader
+	pr PacketReader
 }
 
 // NewLadderPacketReader returns a reader over r.
 func NewLadderPacketReader(r io.Reader) *LadderPacketReader {
-	return &LadderPacketReader{br: bufio.NewReader(r)}
+	return &LadderPacketReader{pr: PacketReader{br: bufio.NewReader(r)}}
 }
 
 // ReadPacket returns the next rung-tagged record, or io.EOF at a clean
 // end of stream.
-func (pr *LadderPacketReader) ReadPacket() (rung, index int, data []byte, err error) {
-	rg, err := binary.ReadUvarint(pr.br)
+func (lr *LadderPacketReader) ReadPacket() (rung, index int, data []byte, err error) {
+	rg, err := binary.ReadUvarint(lr.pr.br)
 	if err == io.EOF {
 		return 0, 0, nil, io.EOF
 	}
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("codec: reading ladder rung: %w", err)
 	}
-	idx, err := binary.ReadUvarint(pr.br)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, 0, nil, fmt.Errorf("codec: reading ladder packet index: %w", err)
+	if rg > maxLadderRung {
+		return 0, 0, nil, fmt.Errorf("codec: implausible ladder record (rung %d)", rg)
 	}
-	size, err := binary.ReadUvarint(pr.br)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, 0, nil, fmt.Errorf("codec: reading ladder packet length: %w", err)
+	index, data, err = lr.pr.ReadPacket()
+	if err == io.EOF { // the stream ended between the rung tag and its record
+		err = fmt.Errorf("codec: reading ladder packet index: %w", io.ErrUnexpectedEOF)
 	}
-	if rg > maxLadderRung || idx > 1<<32 || size > maxFramedPacket {
-		return 0, 0, nil, fmt.Errorf("codec: implausible ladder record (rung %d, index %d, %d bytes)", rg, idx, size)
-	}
-	data = make([]byte, size)
-	if _, err := io.ReadFull(pr.br, data); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, 0, nil, fmt.Errorf("codec: reading ladder packet payload: %w", err)
-	}
-	return int(rg), int(idx), data, nil
+	return int(rg), index, data, err
 }

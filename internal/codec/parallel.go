@@ -194,7 +194,7 @@ type analysisLane struct {
 // in their additively merged statistics — so any lane may run any row.
 func (e *Encoder) analyzeFrame(src, recon *frame.Frame, curField *mvfield.Field, results []mbResult, intra bool) {
 	cols, rows := e.size.MacroblockCols(), e.size.MacroblockRows()
-	n := e.workerCount()
+	n := e.cfg.Workers
 	if e.cfg.Pool != nil {
 		n = e.cfg.Pool.Size()
 	}

@@ -176,30 +176,26 @@ func TestPipelineModesAndRateControl(t *testing.T) {
 	}
 }
 
-// TestPipelineFlushSemantics pins the driver API: Flush is idempotent,
-// EncodeFrame after Flush fails, and the decoder reconstructs a pipelined
-// stream exactly.
+// TestPipelineFlushSemantics pins the engine's finalise in pipeline
+// mode: Bitstream is idempotent, EncodeFrame after it fails, and the
+// decoder reconstructs a pipelined stream exactly.
 func TestPipelineFlushSemantics(t *testing.T) {
 	frames := parallelFrames(3)
-	p := NewPipeline(Config{Qp: 16, Workers: 2})
+	e := NewEncoder(Config{Qp: 16, Workers: 2, Pipeline: true})
 	for _, f := range frames {
-		if err := p.EncodeFrame(f); err != nil {
+		if _, err := e.EncodeFrame(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stats, bs, err := p.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Frames) != 3 {
+	bs := e.Bitstream()
+	if stats := e.Stats(); len(stats.Frames) != 3 {
 		t.Fatalf("stats cover %d frames, want 3", len(stats.Frames))
 	}
-	_, bs2, err := p.Flush()
-	if err != nil || !bytes.Equal(bs, bs2) {
-		t.Fatalf("Flush not idempotent: %v", err)
+	if bs2 := e.Bitstream(); !bytes.Equal(bs, bs2) {
+		t.Fatal("Bitstream not idempotent")
 	}
-	if err := p.EncodeFrame(frames[0]); err == nil {
-		t.Fatal("EncodeFrame after Flush did not fail")
+	if _, err := e.EncodeFrame(frames[0]); err == nil {
+		t.Fatal("EncodeFrame after Bitstream did not fail")
 	}
 	decoded, err := Decode(bs)
 	if err != nil {
@@ -243,8 +239,8 @@ func TestWorkerCountForkers(t *testing.T) {
 		{&noForkSearcher{}, 1},
 	} {
 		e := NewEncoder(Config{Qp: 16, Searcher: tc.s, Workers: 5})
-		if got := e.workerCount(); got != tc.want {
-			t.Errorf("%s: workerCount=%d, want %d", tc.s.Name(), got, tc.want)
+		if got := e.cfg.Workers; got != tc.want {
+			t.Errorf("%s: Workers=%d, want %d", tc.s.Name(), got, tc.want)
 		}
 	}
 	// The pool is likewise dropped for non-Forker searchers: the session

@@ -49,7 +49,7 @@ type Actuation struct {
 // frames the last call wins. The stream's output bits from the next
 // EncodeFrame on reflect the actuation.
 func (s *EncodeStream) Actuate(a Actuation) {
-	s.pending.Store(&a)
+	s.e.pending.Store(&a)
 }
 
 // applyActuation installs a on the encoder. Must run on the session

@@ -68,8 +68,9 @@ func TestZeroBlockGateRate(t *testing.T) {
 			rcb.Release()
 			rcr.Release()
 		}
-		fs := e.writeFrameJob(j)
+		e.writeFrame(j)
 		e.frameHandoff(j)
+		fs := e.stats.Frames[j.index]
 		gated += fs.GatedBlocks
 		transformed += fs.TransformedBlocks
 		coded += fs.CodedBlocks

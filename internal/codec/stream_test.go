@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/frame"
@@ -194,14 +197,25 @@ func TestEncodeStreamIncremental(t *testing.T) {
 	}
 }
 
+// analyzedCounter is a FrameObserver counting completed analyses.
+type analyzedCounter struct{ n atomic.Int32 }
+
+func (c *analyzedCounter) FrameAnalyzed(int, time.Duration, time.Duration, time.Duration, bool, int) {
+	c.n.Add(1)
+}
+func (c *analyzedCounter) FrameWritten(int, time.Duration, int) {}
+
 // TestEncodeStreamEmitError checks an emit failure poisons the stream in
-// both serial and pipeline mode: later EncodeFrames and Close surface it.
+// both serial and pipeline mode: later EncodeFrames and Close surface it,
+// and once an EncodeFrame has returned it no further frame is analysed —
+// the engine checks the poison before analysis, not after.
 func TestEncodeStreamEmitError(t *testing.T) {
 	frames := video.Generate(video.Foreman, frame.SQCIF, 6, 2)
 	boom := fmt.Errorf("consumer gone")
 	for _, pipeline := range []bool{false, true} {
 		n := 0
-		s := NewEncodeStream(Config{Qp: 16, Pipeline: pipeline}, func(p Packet) error {
+		var analyzed analyzedCounter
+		s := NewEncodeStream(Config{Qp: 16, Pipeline: pipeline, Observer: &analyzed}, func(p Packet) error {
 			n++
 			if n > 3 {
 				return boom
@@ -209,18 +223,122 @@ func TestEncodeStreamEmitError(t *testing.T) {
 			return nil
 		})
 		var encodeErr error
+		atErr := int32(-1)
 		for _, f := range frames {
-			if err := s.EncodeFrame(f); err != nil {
-				encodeErr = err
-				break
+			if err := s.EncodeFrame(f); err != nil && encodeErr == nil {
+				encodeErr, atErr = err, analyzed.n.Load()
 			}
 		}
 		_, closeErr := s.Close()
 		if closeErr != boom {
 			t.Fatalf("pipeline=%v: Close error %v, want %v", pipeline, closeErr, boom)
 		}
-		if !pipeline && encodeErr != boom {
-			t.Fatalf("serial: EncodeFrame error %v, want %v", encodeErr, boom)
+		if encodeErr != boom {
+			t.Fatalf("pipeline=%v: EncodeFrame error %v, want %v", pipeline, encodeErr, boom)
+		}
+		if got := analyzed.n.Load(); got != atErr {
+			t.Fatalf("pipeline=%v: %d frames analysed, %d when EncodeFrame first returned the poison", pipeline, got, atErr)
+		}
+		if !pipeline && atErr != 3 {
+			t.Fatalf("serial: poison surfaced after %d analyses, want 3 (the frame whose emit failed)", atErr)
+		}
+	}
+}
+
+// expectNoLeakedGoroutines snapshots the goroutine count and returns a
+// check that fails t unless the count settles back to it.
+func expectNoLeakedGoroutines(t *testing.T) func() {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+			}
+		}
+	}
+}
+
+// TestEngineNoGoroutineLeak: after the finalise nothing the engine or a
+// ladder started is left running — on success, after an emit error and
+// after an analysis error (the frame size changing mid-stream), inline
+// and pipelined, in both framings.
+func TestEngineNoGoroutineLeak(t *testing.T) {
+	frames := video.Generate(video.Foreman, frame.Size{W: 64, H: 64}, 4, 2)
+	odd := frame.NewFrame(frame.SQCIF)
+	boom := fmt.Errorf("consumer gone")
+	emitter := func(failAfter int) func(Packet) error {
+		n := 0
+		return func(Packet) error {
+			if n++; failAfter > 0 && n > failAfter {
+				return boom
+			}
+			return nil
+		}
+	}
+	paths := []struct {
+		name      string
+		failAfter int          // emit calls that succeed; 0 = all
+		last      *frame.Frame // appended to frames when non-nil
+		wantErr   bool
+	}{
+		{"success", 0, nil, false},
+		{"emit-error", 2, nil, true},
+		{"analysis-error", 0, odd, true},
+	}
+	for _, pipeline := range []bool{false, true} {
+		for _, p := range paths {
+			name := fmt.Sprintf("%s pipeline=%v", p.name, pipeline)
+			in := frames
+			if p.last != nil {
+				in = append(in[:len(in):len(in)], p.last)
+			}
+			cfg := Config{Qp: 16, Workers: 2, Pipeline: pipeline, Searcher: &search.PBM{}}
+
+			check := expectNoLeakedGoroutines(t)
+			if p.failAfter == 0 { // the contiguous stream has no emit to fail
+				_, _, err := EncodeSequence(cfg, in)
+				if (err != nil) != p.wantErr {
+					t.Fatalf("%s: EncodeSequence error %v", name, err)
+				}
+				check()
+			}
+
+			s := NewEncodeStream(cfg, emitter(p.failAfter))
+			var err error
+			for _, f := range in {
+				if err = s.EncodeFrame(f); err != nil {
+					break
+				}
+			}
+			if _, cerr := s.Close(); err == nil {
+				err = cerr
+			}
+			if (err != nil) != p.wantErr {
+				t.Fatalf("%s: stream error %v", name, err)
+			}
+			check()
+
+			emit := emitter(p.failAfter)
+			l, err := NewLadderStream(ladderTestRungs(func(c *Config) { c.Workers, c.Pipeline = 2, pipeline }),
+				func(_ int, p Packet) error { return emit(p) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range in {
+				if err = l.EncodeFrame(f); err != nil {
+					break
+				}
+			}
+			if _, cerr := l.Close(); err == nil {
+				err = cerr
+			}
+			if (err != nil) != p.wantErr {
+				t.Fatalf("%s: ladder error %v", name, err)
+			}
+			check()
 		}
 	}
 }
@@ -250,7 +368,7 @@ func TestEncodeStreamRateControl(t *testing.T) {
 		pkts = append(pkts, p.Data)
 		return nil
 	})
-	if !s.overlap {
+	if s.e.jobs == nil {
 		t.Fatal("rate-controlled stream degraded to serial")
 	}
 	for i, f := range frames {

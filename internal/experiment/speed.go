@@ -92,7 +92,7 @@ type SpeedPoint struct {
 	KernelISA  string `json:"kernel_isa"`
 	Workers    int    `json:"workers"`
 	// Pipeline reports whether entropy coding of frame n overlapped
-	// analysis of frame n+1 (codec.Pipeline).
+	// analysis of frame n+1 (codec.Config.Pipeline).
 	Pipeline           bool    `json:"pipeline"`
 	NsPerFrame         float64 `json:"ns_per_frame"`
 	FPS                float64 `json:"fps"`
@@ -219,24 +219,11 @@ func RunSpeed(cfg SpeedConfig) (*SpeedResult, error) {
 // encodeTimed runs one encode and returns the stats plus the per-phase
 // wall clock (analysis vs entropy) the encoder accumulated.
 func encodeTimed(cfg codec.Config, pipeline bool, frames []*frame.Frame) (*codec.SequenceStats, time.Duration, time.Duration, error) {
-	if pipeline {
-		p := codec.NewPipeline(cfg)
-		for i, f := range frames {
-			if err := p.EncodeFrame(f); err != nil {
-				p.Flush() // drain the writer goroutine before bailing
-				return nil, 0, 0, fmt.Errorf("frame %d: %w", i, err)
-			}
-		}
-		stats, _, err := p.Flush()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		a, en := p.PhaseTimes()
-		return stats, a, en, nil
-	}
+	cfg.Pipeline = pipeline
 	e := codec.NewEncoder(cfg)
 	for i, f := range frames {
 		if _, err := e.EncodeFrame(f); err != nil {
+			e.Bitstream() // joins the writer goroutine before bailing
 			return nil, 0, 0, fmt.Errorf("frame %d: %w", i, err)
 		}
 	}

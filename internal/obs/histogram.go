@@ -49,6 +49,9 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
+// Sum returns the total of all observations.
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
+
 // bucketBoundSeconds is bucket b's upper bound in seconds.
 func bucketBoundSeconds(b int) float64 {
 	return float64(uint64(1)<<uint(b)) / 1e6

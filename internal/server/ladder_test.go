@@ -44,7 +44,7 @@ func readLadderPackets(t *testing.T, r io.Reader, nRungs int) [][][]byte {
 func TestServerLadderSession(t *testing.T) {
 	top := frame.Size{W: 64, H: 64}
 	frames := video.Generate(video.Foreman, top, 6, 7)
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 
 	resp, err := http.Post(ts.URL+"/encode?qp=14&me=pbm&ladder=64x64,32x32,16x16",
 		"video/x-yuv4mpeg", bytes.NewReader(y4mBody(t, frames)))
@@ -117,6 +117,21 @@ func TestServerLadderSession(t *testing.T) {
 				t.Fatalf("rung %d frame %d: %v", r, i, err)
 			}
 		}
+	}
+
+	// Simulcast traffic must move the signals operators and the QoS loop
+	// read: the /metrics phase totals and the controller's emit latency.
+	samples, _ := parseExposition(t, scrapeMetrics(t, ts.URL))
+	for _, name := range []string{"vcodecd_analysis_seconds_total", "vcodecd_entropy_seconds_total", "vcodecd_analysis_ms_per_frame", "vcodecd_entropy_ms_per_frame"} {
+		if samples[name] <= 0 {
+			t.Errorf("%s = %v after a ladder session, want > 0", name, samples[name])
+		}
+	}
+	s.qos.mu.Lock()
+	emitMs := s.qos.emitMs
+	s.qos.mu.Unlock()
+	if emitMs <= 0 {
+		t.Errorf("QoS emit latency EWMA %v after a ladder session, want > 0", emitMs)
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 
 // metrics are vcodecd's cumulative counters. Rates exposed on /metrics
 // are derived from totals (frames / uptime, phase ns / frames), so a
-// scraper can also rate() the raw totals itself.
+// scraper can also rate() the raw totals itself. The cumulative phase
+// wall clocks are the sums of the analysis and entropy histograms, which
+// see every frame of every rung.
 type metrics struct {
 	sessionsTotal    atomic.Int64 // admitted sessions
 	sessionsRejected atomic.Int64 // 503s from admission control
@@ -24,8 +26,6 @@ type metrics struct {
 	framesTotal      atomic.Int64 // frame packets emitted
 	packetsTotal     atomic.Int64 // all packets (header + frame)
 	bytesOut         atomic.Int64 // packet payload bytes streamed
-	analysisNs       atomic.Int64 // cumulative phase-1 wall clock
-	entropyNs        atomic.Int64 // cumulative phase-2 wall clock
 	sessionNs        atomic.Int64 // cumulative per-session wall clock
 
 	// Rate-controlled sessions (kbps query param): target and achieved
@@ -68,13 +68,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	active, queued := s.sched.counts()
 	frames := s.m.framesTotal.Load()
 	uptime := time.Since(s.start).Seconds()
+	analysis, entropy := s.hist.analysis.Sum(), s.hist.entropy.Sum()
 	var fps, analysisMs, entropyMs float64
 	if uptime > 0 {
 		fps = float64(frames) / uptime
 	}
 	if frames > 0 {
-		analysisMs = float64(s.m.analysisNs.Load()) / float64(frames) / 1e6
-		entropyMs = float64(s.m.entropyNs.Load()) / float64(frames) / 1e6
+		analysisMs = float64(analysis.Nanoseconds()) / float64(frames) / 1e6
+		entropyMs = float64(entropy.Nanoseconds()) / float64(frames) / 1e6
 	}
 	draining := 0
 	if s.sched.isDraining() {
@@ -103,8 +104,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g("vcodecd_frames_total", "counter", "frame packets emitted", frames)
 	g("vcodecd_packets_total", "counter", "packets emitted (header + frame)", s.m.packetsTotal.Load())
 	g("vcodecd_response_bytes_total", "counter", "packet payload bytes streamed to clients", s.m.bytesOut.Load())
-	g("vcodecd_analysis_seconds_total", "counter", "cumulative macroblock-analysis wall clock", float64(s.m.analysisNs.Load())/1e9)
-	g("vcodecd_entropy_seconds_total", "counter", "cumulative entropy-coding wall clock", float64(s.m.entropyNs.Load())/1e9)
+	g("vcodecd_analysis_seconds_total", "counter", "cumulative macroblock-analysis wall clock", analysis.Seconds())
+	g("vcodecd_entropy_seconds_total", "counter", "cumulative entropy-coding wall clock", entropy.Seconds())
 	g("vcodecd_session_seconds_total", "counter", "cumulative session wall clock", float64(s.m.sessionNs.Load())/1e9)
 	g("vcodecd_frames_per_second", "gauge", "frame packets per second of uptime", fps)
 	g("vcodecd_analysis_ms_per_frame", "gauge", "mean analysis latency per frame", analysisMs)

@@ -239,27 +239,41 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 		"vcodec_priority", pri,
 		"vcodec_searcher", meName,
 	), func(ctx context.Context) {
-		if len(opts.ladder) > 0 {
-			s.encodeLadderSession(ctx, w, r, cfg, opts, rec, traceID)
-		} else {
-			s.encodeSession(ctx, w, r, cfg, opts, rec, traceID)
-		}
+		s.encodeSession(ctx, w, r, cfg, opts, rec, traceID)
 	})
 }
 
 // encodeSession runs an admitted session: Y4M frames in, framed packets
 // out, the flight recorder observing every phase boundary along the way.
+//
+// A session is a chain of rungs, each one codec session engine. A plain
+// /encode is the one-rung chain, driven as a codec.EncodeStream on this
+// goroutine; /encode?ladder=WxH@kbps,... ingests the source once and
+// streams every rung back interleaved through a codec.LadderStream (which
+// owns the downscale chain, cross-layer motion seeding and per-rung rate
+// control). The two differ here only in record framing, the trailer set
+// and QoS registration: ladder sessions are exempt from the adaptive
+// controller — the rungs ARE the quality ladder, and a client that wants
+// a degraded stream picks a lower rung — while a pinned qoslevel applies
+// uniformly to every rung, keeping the stream byte-verifiable against an
+// offline EncodeLadder run.
 func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *http.Request, cfg codec.Config, opts sessionOpts, rec *obs.FlightRecorder, traceID string) {
+	ladder := len(opts.ladder) > 0
+	badRequest := func(err error) {
+		rec.Finish(err)
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
 	y4m, err := frame.NewY4MReader(r.Body)
 	if err != nil {
-		rec.Finish(err)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		badRequest(err)
 		return
 	}
-	if sz := y4m.Size(); sz.W%16 != 0 || sz.H%16 != 0 {
-		err := fmt.Errorf("frame size %dx%d not divisible into 16x16 macroblocks", sz.W, sz.H)
-		rec.Finish(err)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if sz := y4m.Size(); ladder && sz != opts.ladder[0].Size {
+		top := opts.ladder[0].Size
+		badRequest(fmt.Errorf("source is %dx%d, ladder top rung wants %dx%d", sz.W, sz.H, top.W, top.H))
+		return
+	} else if sz.W%16 != 0 || sz.H%16 != 0 {
+		badRequest(fmt.Errorf("frame size %dx%d not divisible into 16x16 macroblocks", sz.W, sz.H))
 		return
 	}
 	if fps := y4m.FPS(); fps > 0 {
@@ -276,37 +290,58 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 	if opts.batch {
 		cfg.Priority = codec.PriorityBatch
 	}
-	// The flight recorder rides the codec's observer hook: per-frame
-	// analysis/entropy wall clocks, pool queue waits and encoded sizes
-	// flow into the session's ring and the server-wide histograms.
-	// Observation is one-way — nothing here can change an output bit.
-	cfg.Observer = &sessionObserver{rec: rec, h: &s.hist}
+	// One encoder config per rung: shared knobs from the query, and for a
+	// ladder the per-rung bitrate target from the spec and — the Rung
+	// contract — a fresh searcher instance each, since the rungs analyse
+	// on parallel goroutines. The flight recorder rides the codec's
+	// observer hook; observation is one-way — nothing there can change an
+	// output bit.
+	rungs := make([]codec.Rung, max(1, len(opts.ladder)))
+	for i := range rungs {
+		rcfg := cfg
+		if ladder {
+			rungs[i].Size = opts.ladder[i].Size
+			rcfg.TargetKbps = opts.ladder[i].TargetKbps
+			if rcfg.Searcher, err = opts.newSearcher(); err != nil {
+				badRequest(err)
+				return
+			}
+		}
+		// A pinned session (qoslevel=N) takes its degradation at admission:
+		// its whole stream encodes at one level, byte-verifiable against the
+		// offline encoder.
+		if opts.pinned >= 0 {
+			rcfg = ApplyQosLevel(rcfg, opts.pinned)
+		}
+		rcfg.Observer = &sessionObserver{rec: rec, h: &s.hist, rung: i, rungs: len(rungs)}
+		rungs[i].Cfg = rcfg
+	}
 
-	// QoS coupling. A pinned session (qoslevel=N) takes its degradation
-	// at admission and is exempt from the controller — its whole stream
-	// encodes at one level, byte-verifiable against the offline encoder.
-	// An adaptive session registers with the control loop and applies the
-	// controller's target level at each frame hand-off below.
+	// QoS coupling: an adaptive plain session registers with the control
+	// loop and applies the controller's target level at each frame
+	// hand-off below; pinned and ladder sessions are exempt.
 	var qs *qosSession
-	qosLevel := 0
+	qosLevel := max(0, opts.pinned)
 	if opts.pinned >= 0 {
-		cfg = ApplyQosLevel(cfg, opts.pinned)
-		qosLevel = opts.pinned
 		rec.SetQosLevel(qosLevel)
-	} else if s.qos != nil {
+	} else if s.qos != nil && !ladder {
 		qs = s.qos.register(opts.batch)
 		defer s.qos.unregister(qs)
 	}
-	origSearcher := cfg.Searcher
-	cheapSearcher := &search.PBM{}
+	origSearcher, cheapSearcher := cfg.Searcher, &search.PBM{}
 
 	// The response streams while the request body is still being read;
 	// HTTP/1 needs full-duplex explicitly enabled (no-op error on HTTP/2).
 	rc := http.NewResponseController(w)
 	_ = rc.EnableFullDuplex()
 
+	trailers := []string{TrailerFrames, TrailerPSNRY, TrailerKbps, TrailerTargetKbps, TrailerQosLevel, TrailerQosTransitions, TrailerTrace, TrailerError}
 	w.Header().Set("Content-Type", ContentType)
-	w.Header().Set("Trailer", strings.Join([]string{TrailerFrames, TrailerPSNRY, TrailerKbps, TrailerTargetKbps, TrailerQosLevel, TrailerQosTransitions, TrailerTrace, TrailerError}, ", "))
+	if ladder {
+		trailers = []string{TrailerFrames, TrailerRungs, TrailerQosLevel, TrailerTrace, TrailerError}
+		w.Header().Set("Content-Type", LadderContentType)
+	}
+	w.Header().Set("Trailer", strings.Join(trailers, ", "))
 
 	// The labelled request context (see handleEncode) dies the moment the
 	// client disconnects (or a fronting gateway abandons the attempt).
@@ -317,16 +352,23 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 	// peer is gone.
 
 	begin := time.Now()
-	// Emit-side stream state: owned by whichever goroutine runs the emit
-	// callback (the pipeline writer), never shared.
+	// Emit-side stream state: the callback runs on the session's writer
+	// goroutine (a ladder serialises it across its rungs' writers), so
+	// lastEmit and the record writers need no locking.
 	var lastEmit time.Time
-	pw := codec.NewPacketWriter(w)
-	es := codec.NewEncodeStream(cfg, func(p codec.Packet) error {
+	pw, lpw := codec.NewPacketWriter(w), codec.NewLadderPacketWriter(w)
+	emit := func(rung int, p codec.Packet) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("client gone: %w", err)
 		}
 		emitStart := time.Now()
-		if err := pw.WritePacket(p.Index, p.Data); err != nil {
+		var err error
+		if ladder {
+			err = lpw.WritePacket(rung, p.Index, p.Data)
+		} else {
+			err = pw.WritePacket(p.Index, p.Data)
+		}
+		if err != nil {
 			return err
 		}
 		// Flush per packet: this is what turns the response into a live
@@ -344,7 +386,7 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 		s.m.bytesOut.Add(int64(len(p.Data)))
 		if p.Index > 0 {
 			s.m.framesTotal.Add(1)
-			rec.FrameEmitted(p.Index-1, emitDur)
+			rec.FrameEmitted((p.Index-1)*len(rungs)+rung, emitDur)
 			now := time.Now()
 			if lastEmit.IsZero() {
 				s.hist.firstPacket.Observe(now.Sub(begin))
@@ -354,7 +396,27 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 			lastEmit = now
 		}
 		return nil
-	})
+	}
+	var (
+		es     *codec.EncodeStream // plain session: also the QoS actuation target
+		enc    interface{ EncodeFrame(*frame.Frame) error }
+		finish func() ([]*codec.SequenceStats, error)
+	)
+	if ladder {
+		ls, err := codec.NewLadderStream(rungs, emit)
+		if err != nil {
+			badRequest(err)
+			return
+		}
+		enc, finish = ls, ls.Close
+	} else {
+		es = codec.NewEncodeStream(rungs[0].Cfg, func(p codec.Packet) error { return emit(0, p) })
+		enc = es
+		finish = func() ([]*codec.SequenceStats, error) {
+			st, err := es.Close()
+			return []*codec.SequenceStats{st}, err
+		}
+	}
 
 	frames := 0
 	var sessionErr error
@@ -373,7 +435,7 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 			break
 		}
 		readDur := time.Since(readStart)
-		rec.FrameRead(frames, readDur)
+		rec.FrameRead(frames*len(rungs), readDur) // the source read is a rung-0 event
 		s.hist.read.Observe(readDur)
 		if s.cfg.MaxFramesPerSession > 0 && frames >= s.cfg.MaxFramesPerSession {
 			sessionErr = fmt.Errorf("session frame cap (%d) exceeded", s.cfg.MaxFramesPerSession)
@@ -396,7 +458,7 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 			}
 		}
 		encStart := time.Now()
-		if err := es.EncodeFrame(f); err != nil {
+		if err := enc.EncodeFrame(f); err != nil {
 			sessionErr = err
 			break
 		}
@@ -405,36 +467,43 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 		}
 		frames++
 	}
-	stats, closeErr := es.Close()
+	stats, closeErr := finish()
 	if sessionErr == nil {
 		sessionErr = closeErr
 	}
-	analysis, entropy := es.PhaseTimes()
-	s.m.analysisNs.Add(analysis.Nanoseconds())
-	s.m.entropyNs.Add(entropy.Nanoseconds())
 	s.m.sessionNs.Add(time.Since(begin).Nanoseconds())
 
 	// Declared trailers: set after the body, shipped with the final chunk.
 	w.Header().Set(TrailerFrames, strconv.Itoa(frames))
-	w.Header().Set(TrailerPSNRY, strconv.FormatFloat(stats.AvgPSNRY(), 'f', 2, 64))
-	w.Header().Set(TrailerKbps, strconv.FormatFloat(stats.BitrateKbps(), 'f', 1, 64))
-	if cfg.TargetKbps > 0 {
-		w.Header().Set(TrailerTargetKbps, strconv.FormatFloat(cfg.TargetKbps, 'f', 1, 64))
-		// Only completed sessions enter the tracking sums: a truncated
-		// stream's bitrate (an I-frame-heavy prefix, or zero frames) would
-		// skew the achieved/target ratio the metrics promise.
-		if sessionErr == nil {
-			s.m.rateSessions.Add(1)
-			s.m.rateTargetMilliKbps.Add(int64(cfg.TargetKbps * 1000))
-			s.m.rateAchievedMilliKbps.Add(int64(stats.BitrateKbps() * 1000))
+	if ladder {
+		parts := make([]string, len(stats))
+		for i, st := range stats {
+			sz := rungs[i].Size
+			parts[i] = fmt.Sprintf("%dx%d:%d:%.2f:%.1f", sz.W, sz.H, len(st.Frames), st.AvgPSNRY(), st.BitrateKbps())
 		}
+		w.Header().Set(TrailerRungs, strings.Join(parts, ";"))
+	} else {
+		st := stats[0]
+		w.Header().Set(TrailerPSNRY, strconv.FormatFloat(st.AvgPSNRY(), 'f', 2, 64))
+		w.Header().Set(TrailerKbps, strconv.FormatFloat(st.BitrateKbps(), 'f', 1, 64))
+		if cfg.TargetKbps > 0 {
+			w.Header().Set(TrailerTargetKbps, strconv.FormatFloat(cfg.TargetKbps, 'f', 1, 64))
+			// Only completed sessions enter the tracking sums: a truncated
+			// stream's bitrate (an I-frame-heavy prefix, or zero frames) would
+			// skew the achieved/target ratio the metrics promise.
+			if sessionErr == nil {
+				s.m.rateSessions.Add(1)
+				s.m.rateTargetMilliKbps.Add(int64(cfg.TargetKbps * 1000))
+				s.m.rateAchievedMilliKbps.Add(int64(st.BitrateKbps() * 1000))
+			}
+		}
+		transitions := 0
+		if qs != nil {
+			transitions = int(qs.transitions.Load())
+		}
+		w.Header().Set(TrailerQosTransitions, strconv.Itoa(transitions))
 	}
 	w.Header().Set(TrailerQosLevel, strconv.Itoa(qosLevel))
-	transitions := 0
-	if qs != nil {
-		transitions = int(qs.transitions.Load())
-	}
-	w.Header().Set(TrailerQosTransitions, strconv.Itoa(transitions))
 	w.Header().Set(TrailerTrace, traceID)
 	rec.Finish(sessionErr)
 	if sessionErr != nil {
@@ -444,17 +513,20 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 	}
 }
 
-// sessionObserver bridges codec.FrameObserver to a session's flight
-// recorder and the server-wide latency histograms. Its methods run on
-// the session goroutine (FrameAnalyzed) and the pipeline writer
-// goroutine (FrameWritten); both targets are lock-free.
+// sessionObserver bridges one rung's codec.FrameObserver events to the
+// session's flight recorder and the server-wide latency histograms,
+// keying recorder slots as frame×rungs+rung so the trace endpoint can
+// render a per-rung timeline (a plain session is rung 0 of 1). Its
+// methods run on the rung's analysis goroutine (FrameAnalyzed) and its
+// writer goroutine (FrameWritten); both targets are lock-free.
 type sessionObserver struct {
-	rec *obs.FlightRecorder
-	h   *serverHists
+	rec         *obs.FlightRecorder
+	h           *serverHists
+	rung, rungs int
 }
 
 func (o *sessionObserver) FrameAnalyzed(index int, wall, queueWait, maxStall time.Duration, intra bool, qp int) {
-	o.rec.FrameAnalyzed(index, wall, queueWait, maxStall, intra, qp)
+	o.rec.FrameAnalyzed(index*o.rungs+o.rung, wall, queueWait, maxStall, intra, qp)
 	o.h.analysis.Observe(wall)
 	if queueWait > 0 {
 		o.h.queueWait.Observe(queueWait)
@@ -462,7 +534,7 @@ func (o *sessionObserver) FrameAnalyzed(index int, wall, queueWait, maxStall tim
 }
 
 func (o *sessionObserver) FrameWritten(index int, wall time.Duration, bits int) {
-	o.rec.FrameWritten(index, wall, bits)
+	o.rec.FrameWritten(index*o.rungs+o.rung, wall, bits)
 	o.h.entropy.Observe(wall)
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -729,5 +730,94 @@ func TestClientDisconnectTeardown(t *testing.T) {
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMaxFramesPerSession pins the per-upload frame cap on both session
+// shapes: a clip of exactly the cap succeeds; one frame more is cut at the
+// cap — every rung still streams exactly cap frame packets — and ends as a
+// failed session whose error trailer names the cap.
+func TestMaxFramesPerSession(t *testing.T) {
+	const limit = 3
+	frames := video.Generate(video.Foreman, frame.Size{W: 64, H: 64}, limit+1, 7)
+	for _, tc := range []struct {
+		name, query string
+		rungs       int
+	}{
+		{"plain", "qp=16&me=pbm", 1},
+		{"ladder", "qp=16&me=pbm&ladder=64x64,32x32", 2},
+	} {
+		s, ts := newTestServer(t, Config{MaxFramesPerSession: limit})
+		for _, n := range []int{limit, limit + 1} {
+			failedBefore := s.m.sessionsFailed.Load()
+			resp, err := http.Post(ts.URL+"/encode?"+tc.query, "video/x-yuv4mpeg", bytes.NewReader(y4mBody(t, frames[:n])))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %d frames: status %d", tc.name, n, resp.StatusCode)
+			}
+			pkts := [][][]byte{nil}
+			if tc.rungs > 1 {
+				pkts = readLadderPackets(t, resp.Body, tc.rungs)
+			} else {
+				pkts[0] = readPackets(t, resp.Body)
+			}
+			resp.Body.Close()
+			for r, p := range pkts {
+				if len(p) != limit+1 { // header + limit frame packets
+					t.Errorf("%s %d frames: rung %d streamed %d frame packets, want %d", tc.name, n, r, len(p)-1, limit)
+				}
+			}
+			errT := resp.Trailer.Get(TrailerError)
+			failed := s.m.sessionsFailed.Load() - failedBefore
+			if n <= limit && (errT != "" || failed != 0) {
+				t.Errorf("%s %d frames: error trailer %q, sessionsFailed +%d", tc.name, n, errT, failed)
+			}
+			if n > limit && (!strings.Contains(errT, fmt.Sprintf("frame cap (%d)", limit)) || failed != 1) {
+				t.Errorf("%s %d frames: error trailer %q, sessionsFailed +%d; want the cap named and +1", tc.name, n, errT, failed)
+			}
+			if got := resp.Trailer.Get(TrailerFrames); got != strconv.Itoa(limit) {
+				t.Errorf("%s %d frames: frames trailer %q, want %d", tc.name, n, got, limit)
+			}
+		}
+	}
+}
+
+// TestServerNoGoroutineLeak: once Drain and Close have returned, nothing a
+// session started — writer goroutines, ladder rung chains, the QoS loop,
+// the pool — is left running, whether its session succeeded or failed.
+func TestServerNoGoroutineLeak(t *testing.T) {
+	frames := video.Generate(video.Foreman, frame.Size{W: 64, H: 64}, 4, 7)
+	body := y4mBody(t, frames)
+	http.DefaultClient.CloseIdleConnections()
+	before := runtime.NumGoroutine()
+
+	s := New(Config{MaxFramesPerSession: 3})
+	ts := httptest.NewServer(s.Handler())
+	for _, q := range []string{"qp=16&me=pbm", "qp=16&me=pbm&ladder=64x64,32x32"} {
+		for _, upload := range [][]byte{y4mBody(t, frames[:3]), body} { // within the cap, then over it
+			resp, err := http.Post(ts.URL+"/encode?"+q, "video/x-yuv4mpeg", bytes.NewReader(upload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}
+	if n := s.m.sessionsFailed.Load(); n != 2 {
+		t.Fatalf("sessionsFailed %d, want 2 (the over-cap uploads)", n)
+	}
+	ts.Close()
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	http.DefaultClient.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
