@@ -379,22 +379,82 @@ func BenchmarkEncodeStream(b *testing.B) {
 }
 
 // BenchmarkInterpolateLazyFirstTouch measures the lazy substrate's cost
-// for a typical compensation pattern: one half-pel block fetched per
-// macroblock position (the worst case fills every tile once; the common
-// case touches far fewer).
+// for one diagonal-phase block materialised per macroblock position (the
+// worst case: every tile of the phase filled once). The codec no longer
+// pays it — prediction bytes come from frame.HalfPelBlock, below — so this
+// is the cost of the tiled view as bench/ probes it.
 func BenchmarkInterpolateLazyFirstTouch(b *testing.B) {
 	_, ref, _ := benchPlanes()
-	dst := make([]uint8, 16*16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ip := frame.InterpolateLazy(ref)
 		for y := 0; y+16 <= ref.H; y += 16 {
 			for x := 0; x+16 <= ref.W; x += 16 {
-				ip.Block(dst, 2*x+1, 2*y+1, 16, 16)
+				ip.PhaseRect(2*x+1, 2*y+1, 16, 16)
 			}
 		}
 		ip.Release()
 	}
+}
+
+// BenchmarkHalfPelBlock8x8 measures the codec's prediction fetch — one
+// 8×8 block written straight from the padded reference plane — per phase:
+// a is the integer copy, b and c average two source rows or columns, d
+// four samples.
+func BenchmarkHalfPelBlock8x8(b *testing.B) {
+	_, tight, _ := benchPlanes()
+	ref := frame.NewPlanePadded(tight.W, tight.H, frame.MinInterpApron)
+	ref.CopyBlock(0, 0, tight, 0, 0, tight.W, tight.H)
+	ref.ReplicateApron()
+	var dst [64]uint8
+	for ph, name := range []string{"a", "b", "c", "d"} {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(64)
+			for i := 0; i < b.N; i++ {
+				// Walk the anchors so the source rows are not one hot line.
+				x, y := 8*(i%20), 8*(i/20%16)
+				frame.HalfPelBlock(dst[:], ref, 2*x+ph&1, 2*y+ph>>1, 8, 8)
+			}
+		})
+	}
+}
+
+// BenchmarkForwardQuantizeInter measures the fused inter transform on the
+// three kinds of gate survivor at Qp 24 (bound 3540): a block whose eight
+// coefficient columns are all provably dead (the row pass is the whole
+// cost — most survivors), one with a single live column, and one that
+// runs every column, beside the two-call route the fused one replaces.
+func BenchmarkForwardQuantizeInter(b *testing.B) {
+	const qp = 24
+	var dead, mixed, live dct.Block
+	for i := range dead {
+		x, y := i%8, i/8
+		dead[i] = int32((x*5+y*3)%7 - 3)     // low-amplitude texture
+		mixed[i] = int32(10*(y%2*2-1) + x%2) // rows alternate: vertical detail only
+		live[i] = int32(i*37%255 - 127)
+	}
+	var levels dct.Block
+	for _, tc := range []struct {
+		name string
+		blk  *dct.Block
+		cols int
+	}{{"dead", &dead, 0}, {"mixed", &mixed, 1}, {"live", &live, 8}} {
+		if _, cols := dct.ForwardQuantizeInter(&levels, tc.blk, qp); cols != tc.cols {
+			b.Fatalf("%s block runs %d columns, want %d", tc.name, cols, tc.cols)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dct.ForwardQuantizeInter(&levels, tc.blk, qp)
+			}
+		})
+	}
+	b.Run("unfused", func(b *testing.B) {
+		var coef dct.Block
+		for i := 0; i < b.N; i++ {
+			dct.Forward(&coef, &dead)
+			dct.QuantizeInter(&levels, &coef, qp)
+		}
+	})
 }
 
 // BenchmarkSADCapped_Spiral measures the full search with the

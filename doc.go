@@ -26,18 +26,18 @@
 //     every position a legal candidate or a chroma-derived vector can
 //     reach is backed by real edge-replicated memory and no hot loop
 //     branches on the frame border.
-//   - The half-pel view (frame.Interpolated) is phase-split and lazily
-//     materialised: the integer phase is the source plane itself, and the
-//     b/c/d half-pel phases live in contiguous per-phase planes computed
-//     tile by tile (frame.TileSize² samples) on first touch, guarded by
-//     an atomic per-tile claim state. Wavefront workers first-touching
-//     the same tile are race-clean — one claims and fills (the fill is
-//     idempotent: a pure function of the source), the rest spin until the
-//     fill is published; nothing may read a tile's samples except through
-//     the claiming protocol (At/Block/PhaseRect). Output bits cannot
-//     change because lazily computed samples are byte-equal to the eager
-//     grid (differential tests pin this) and SAD probes/compensation read
-//     the same values either way, in the same order.
+//   - Motion compensation reads the reference plane and nothing else:
+//     frame.HalfPelBlock writes one block's prediction at its half-pel
+//     anchor straight from the padded plane — a row copy for the integer
+//     phase, one word-parallel pass over one (b, c) or two (d) source
+//     rows otherwise — so a block costs the 64 samples it uses and the
+//     codec holds no half-pel state between macroblocks. The phase-split,
+//     tile-by-tile half-pel view (frame.Interpolated: b/c/d phase planes
+//     filled frame.TileSize² samples at a time on first touch, behind an
+//     atomic per-tile claim) is still there, reached only through
+//     PhaseRect/At: the tests use it as the materialised oracle
+//     HalfPelBlock is differentially pinned against, and bench/ probes it
+//     as a layer. Nothing on the encode or decode path touches a tile.
 //   - internal/metrics runs the SAD family through a runtime-dispatched
 //     kernel table with four tiers: scalar (the differential-test
 //     reference), SWAR (8 pixels per uint64 load, split into 16-bit
@@ -60,10 +60,7 @@
 //     neighbour phases in one pass) that apply the H.263 bilinear
 //     rounding inside the difference loop, directly against the integer
 //     reference plane: searcher refinement never materialises half-pel
-//     storage at all, so the tiles that do get filled are only those
-//     motion compensation actually lands on — and full-pel compensation
-//     (every skip block, most chroma vectors) copies plane rows without
-//     touching the half-pel substrate either.
+//     storage at all, and neither does motion compensation (above).
 //   - Reconstruction frames, half-pel phase planes and their buffers
 //     recycle through size-bucketed pools (one bucket per exact
 //     dimensions × apron class), so concurrent vcodecd sessions at mixed

@@ -10,10 +10,12 @@ import (
 
 // TestEncodeFrameAllocCeiling pins the steady-state allocations per
 // encoded QCIF P-frame, pools warm, for each of the wavefront's executors.
-// Serial: the padded-apron/lazy-tile substrate brought the frame to ~10
+// Serial: the padded-apron substrate brought the frame to ~10
 // allocations (motion field, frame job, statistics growth) plus the
 // wavefront's own four (schedule state, row counters, lane state, the
-// macroblock callback). The parallel executors add O(lanes) — a goroutine
+// macroblock callback); predicting straight from the reference plane
+// took away the three half-pel views a frame used to draw (13.2 measured,
+// from 15.8, and the ceilings came down by as much). The parallel executors add O(lanes) — a goroutine
 // and its closure per private lane, a task chain per pool lane — and
 // nothing per row or per macroblock. The ceilings leave headroom for
 // noise while failing loudly on a regression to per-macroblock cost: one
@@ -29,9 +31,9 @@ func TestEncodeFrameAllocCeiling(t *testing.T) {
 		cfg     Config
 		ceiling float64
 	}{
-		{"workers1", Config{Workers: 1}, 40},
-		{"workers2", Config{Workers: 2}, 48},
-		{"pool2", Config{Pool: pool}, 56},
+		{"workers1", Config{Workers: 1}, 37},
+		{"workers2", Config{Workers: 2}, 45},
+		{"pool2", Config{Pool: pool}, 53},
 	} {
 		run := func() {
 			cfg := m.cfg

@@ -36,22 +36,23 @@ func storeBlock(p *frame.Plane, x, y int, b *dct.Block) {
 // predWindow locates the 8×8 motion-compensated prediction for the block
 // anchored at (x, y) with vector mv (half-pel units) as bytes, without
 // widening a sample: it returns a plane and the anchor of the prediction
-// inside it. A full-pel vector whose block stays inside the reference
-// returns a window of the reference plane itself, touching no half-pel
-// state (that covers every skip block and most chroma vectors); every
-// other vector fetches the block through ref.Block, one phase of the
-// lazily interpolated view, into tile — a tight 8×8 plane the caller
-// owns — and returns that. Encoder and decoder both predict through
-// here, so they cannot disagree on a sample.
-func predWindow(tile *frame.Plane, ref *frame.Interpolated, x, y int, mv mvfield.MV) (p *frame.Plane, px, py int) {
+// inside it. ref is the reference plane itself. A full-pel vector whose
+// block stays inside it returns a window of ref (that covers every skip
+// block and most chroma vectors); every other vector has
+// frame.HalfPelBlock compute the sixty-four samples from ref into tile — a
+// tight 8×8 plane the caller owns — and returns that. No half-pel state
+// outlives the call and nothing here claims a tile of the frame package's
+// materialised half-pel view, so concurrent analysis lanes share only the
+// read-only reference. Encoder and decoder both predict through here, so
+// they cannot disagree on a sample.
+func predWindow(tile, ref *frame.Plane, x, y int, mv mvfield.MV) (p *frame.Plane, px, py int) {
 	if mv.X&1 == 0 && mv.Y&1 == 0 {
-		src := ref.Src()
 		sx, sy := x+mv.X/2, y+mv.Y/2
-		if src.InBounds(sx, sy, 8, 8) {
-			return src, sx, sy
+		if ref.InBounds(sx, sy, 8, 8) {
+			return ref, sx, sy
 		}
 	}
-	ref.Block(tile.Pix, 2*x+mv.X, 2*y+mv.Y, 8, 8)
+	frame.HalfPelBlock(tile.Pix, ref, 2*x+mv.X, 2*y+mv.Y, 8, 8)
 	return tile, 0, 0
 }
 
@@ -62,7 +63,7 @@ func tilePlane(buf *[64]uint8) frame.Plane {
 
 // predBlock fetches the 8×8 motion-compensated prediction for the block
 // anchored at (x, y) with vector mv (half-pel units), widened into b.
-func predBlock(b *dct.Block, ref *frame.Interpolated, x, y int, mv mvfield.MV) {
+func predBlock(b *dct.Block, ref *frame.Plane, x, y int, mv mvfield.MV) {
 	var buf [64]uint8
 	tile := tilePlane(&buf)
 	pp, px, py := predWindow(&tile, ref, x, y, mv)
@@ -83,28 +84,22 @@ func copyBlock(dst *frame.Plane, x, y int, src *frame.Plane, sx, sy int) {
 // is exactly its prediction and prediction samples are already 8-bit, so
 // this equals predBlock + reconInterBlock(coded=false) + storeBlock while
 // skipping both int32 conversions and the clamp.
-func storePredBlock(p *frame.Plane, x, y int, ref *frame.Interpolated, mv mvfield.MV) {
+func storePredBlock(p *frame.Plane, x, y int, ref *frame.Plane, mv mvfield.MV) {
 	var buf [64]uint8
 	tile := tilePlane(&buf)
 	pp, px, py := predWindow(&tile, ref, x, y, mv)
 	copyBlock(p, x, y, pp, px, py)
 }
 
-// encodeInterBlock transforms and quantises the residual cur−pred.
-// It returns the quantised levels and whether any level is non-zero.
-func encodeInterBlock(levels *dct.Block, cur, pred *dct.Block, qp int) bool {
+// encodeInterBlock transforms and quantises the residual cur−pred. It
+// returns whether any quantised level is non-zero and how many coefficient
+// columns needed their column pass (dct.ForwardQuantizeInter).
+func encodeInterBlock(levels *dct.Block, cur, pred *dct.Block, qp int) (coded bool, liveCols int) {
 	var resid dct.Block
 	for i := range resid {
 		resid[i] = cur[i] - pred[i]
 	}
-	dct.Forward(&resid, &resid)
-	dct.QuantizeInter(levels, &resid, qp)
-	for _, l := range levels {
-		if l != 0 {
-			return true
-		}
-	}
-	return false
+	return dct.ForwardQuantizeInter(levels, &resid, qp)
 }
 
 // mbScratch is the state one analysis worker reuses across macroblocks,
@@ -126,21 +121,25 @@ func (sc *mbScratch) init() {
 }
 
 // codeInterBlock runs the residual path for block i of an inter
-// macroblock: the 8×8 samples of src at (x, y), predicted from ref with
-// vector mv, reconstructed into recon. It sets r.coded[i] and, for a
-// coded block, r.levels[i]; the levels of an uncoded block are never
-// read and are left as they were.
+// macroblock: the 8×8 samples of src at (x, y), predicted from the
+// reference plane ref with vector mv, reconstructed into recon. It sets
+// r.coded[i] and, for a coded block, r.levels[i]; the levels of an uncoded
+// block are never read.
 //
-// The path matches its traffic. The residual energy is taken on plane
-// bytes first, and a block at or below dct.InterZeroBound is provably
-// all-zero after Forward + QuantizeInter (see the bound's derivation), so
-// its outcome — uncoded, reconstruction = prediction — is recorded with a
-// byte copy and nothing is widened, transformed or quantised. Only a
-// block above the bound is loaded into dct.Blocks and takes the full
-// route. The gate changes which work is done, never its result: coded
-// flags, levels and every reconstructed sample equal what the full route
-// alone would produce.
-func (e *Encoder) codeInterBlock(sc *mbScratch, r *mbResult, i int, src, recon *frame.Plane, x, y int, ref *frame.Interpolated, mv mvfield.MV) {
+// The path matches its traffic, one route with early exits. The residual
+// energy is taken on plane bytes first, and a block at or below
+// dct.InterZeroBound is provably all-zero after Forward + QuantizeInter
+// (see the bound's derivation), so its outcome — uncoded, reconstruction =
+// prediction — is recorded with a byte copy and nothing is widened,
+// transformed or quantised. A block above the bound is loaded into
+// dct.Blocks and transformed by dct.ForwardQuantizeInter, which applies
+// the same bound per coefficient column after the row pass and runs the
+// column pass only where a level can be non-zero; most survivors end
+// there, uncoded, after half a transform. Only a block that keeps a level
+// is dequantised, inverse-transformed and clamped. Each exit changes
+// which work is done, never its result: coded flags, levels and every
+// reconstructed sample equal what the full route alone would produce.
+func (e *Encoder) codeInterBlock(sc *mbScratch, r *mbResult, i int, src, recon *frame.Plane, x, y int, ref *frame.Plane, mv mvfield.MV) {
 	pp, px, py := predWindow(&sc.tile, ref, x, y, mv)
 	if metrics.SSE(src, x, y, pp, px, py, 8, 8) <= dct.InterZeroBound(e.curQp) {
 		r.coded[i] = false
@@ -151,8 +150,12 @@ func (e *Encoder) codeInterBlock(sc *mbScratch, r *mbResult, i int, src, recon *
 	var cur, pred dct.Block
 	loadBlock(&cur, src, x, y)
 	loadBlock(&pred, pp, px, py)
-	r.coded[i] = encodeInterBlock(&r.levels[i], &cur, &pred, e.curQp)
-	if !r.coded[i] {
+	coded, liveCols := encodeInterBlock(&r.levels[i], &cur, &pred, e.curQp)
+	r.coded[i] = coded
+	if liveCols == 0 {
+		r.rowOnly++
+	}
+	if !coded {
 		copyBlock(recon, x, y, pp, px, py)
 		return
 	}
@@ -164,12 +167,12 @@ func (e *Encoder) codeInterBlock(sc *mbScratch, r *mbResult, i int, src, recon *
 // (mbx, mby): the four luma blocks with their own vectors (all equal for
 // a one-vector macroblock) and both chroma blocks with cmv.
 func (e *Encoder) codeInterBlocks(sc *mbScratch, r *mbResult, src, recon *frame.Frame, mbx, mby int, lumaMV [4]mvfield.MV, cmv mvfield.MV) {
-	r.gated = 0
+	r.gated, r.rowOnly = 0, 0
 	for i, off := range lumaBlockOffsets {
-		e.codeInterBlock(sc, r, i, src.Y, recon.Y, 16*mbx+off[0], 16*mby+off[1], e.reconY, lumaMV[i])
+		e.codeInterBlock(sc, r, i, src.Y, recon.Y, 16*mbx+off[0], 16*mby+off[1], e.recon.Y, lumaMV[i])
 	}
-	e.codeInterBlock(sc, r, 4, src.Cb, recon.Cb, 8*mbx, 8*mby, e.reconCb, cmv)
-	e.codeInterBlock(sc, r, 5, src.Cr, recon.Cr, 8*mbx, 8*mby, e.reconCr, cmv)
+	e.codeInterBlock(sc, r, 4, src.Cb, recon.Cb, 8*mbx, 8*mby, e.recon.Cb, cmv)
+	e.codeInterBlock(sc, r, 5, src.Cr, recon.Cr, 8*mbx, 8*mby, e.recon.Cr, cmv)
 }
 
 // reconInterBlock reconstructs an inter block from its prediction and

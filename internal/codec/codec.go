@@ -196,11 +196,14 @@ type FrameStats struct {
 	// The residual path's traffic over the 8×8 blocks of skip and inter
 	// macroblocks (six each): GatedBlocks were proved all-zero by the
 	// zero-block gate from their residual energy and never transformed;
-	// TransformedBlocks ran the forward DCT and quantiser; CodedBlocks,
-	// a subset of those, kept a non-zero level and are in the stream.
-	// Gated + Transformed = 6 · (SkipMBs + InterMBs).
+	// TransformedBlocks ran the forward DCT and quantiser; RowOnlyBlocks,
+	// a subset of those, were settled by its row pass — every coefficient
+	// column proved dead by the same bound, no column pass run;
+	// CodedBlocks, a disjoint subset, kept a non-zero level and are in the
+	// stream. Gated + Transformed = 6 · (SkipMBs + InterMBs).
 	GatedBlocks       int
 	TransformedBlocks int
+	RowOnlyBlocks     int
 	CodedBlocks       int
 }
 

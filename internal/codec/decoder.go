@@ -20,10 +20,7 @@ type Decoder struct {
 	deblock bool // current frame's in-loop filter flag
 	err     error
 
-	recon   *frame.Frame
-	reconY  *frame.Interpolated
-	reconCb *frame.Interpolated
-	reconCr *frame.Interpolated
+	recon *frame.Frame
 }
 
 // NewDecoder parses the sequence header of data.
@@ -172,9 +169,9 @@ func (d *Decoder) newRecon() *frame.Frame {
 }
 
 // refreshReference mirrors the encoder: deblock, replicate the plane
-// aprons, install the frame as the reference with a fresh lazy half-pel
-// view, and retire the previous reference to the frame pool (callers only
-// ever receive clones, so nothing references it).
+// aprons, install the frame as the reference, and retire the previous
+// reference to the frame pool (callers only ever receive clones, so
+// nothing references it).
 func (d *Decoder) refreshReference(recon *frame.Frame, qp int) {
 	if d.deblock {
 		deblockFrame(recon, qp)
@@ -182,12 +179,6 @@ func (d *Decoder) refreshReference(recon *frame.Frame, qp int) {
 	recon.ReplicateAprons()
 	old := d.recon
 	d.recon = recon
-	d.reconY.Release()
-	d.reconCb.Release()
-	d.reconCr.Release()
-	d.reconY = frame.InterpolateLazy(recon.Y)
-	d.reconCb = frame.InterpolateLazy(recon.Cb)
-	d.reconCr = frame.InterpolateLazy(recon.Cr)
 	old.Release()
 }
 
@@ -309,10 +300,10 @@ func (d *Decoder) decodeInterMB(recon *frame.Frame, curField *mvfield.Field, qp,
 	}
 	if cod { // skip: the reconstruction is the zero-MV prediction, copied as bytes
 		for _, off := range lumaBlockOffsets {
-			storePredBlock(recon.Y, x+off[0], y+off[1], d.reconY, mvfield.Zero)
+			storePredBlock(recon.Y, x+off[0], y+off[1], d.recon.Y, mvfield.Zero)
 		}
-		storePredBlock(recon.Cb, cx, cy, d.reconCb, mvfield.Zero)
-		storePredBlock(recon.Cr, cx, cy, d.reconCr, mvfield.Zero)
+		storePredBlock(recon.Cb, cx, cy, d.recon.Cb, mvfield.Zero)
+		storePredBlock(recon.Cr, cx, cy, d.recon.Cr, mvfield.Zero)
 		curField.Set(mbx, mby, mvfield.Zero)
 		return nil
 	}
@@ -352,31 +343,31 @@ func (d *Decoder) decodeInterMB(recon *frame.Frame, curField *mvfield.Field, qp,
 	}
 	cmv := chromaMV(mv)
 	var levels, pred, rec dct.Block
-	codeBlock := func(p *frame.Plane, bx, by int, ip *frame.Interpolated, bmv mvfield.MV, c bool) error {
+	codeBlock := func(p *frame.Plane, bx, by int, ref *frame.Plane, bmv mvfield.MV, c bool) error {
 		if !c { // uncoded: reconstruction = prediction, copied as bytes
-			storePredBlock(p, bx, by, ip, bmv)
+			storePredBlock(p, bx, by, ref, bmv)
 			return nil
 		}
 		if err := readCoeffs(d.sr, &levels); err != nil {
 			return err
 		}
-		predBlock(&pred, ip, bx, by, bmv)
+		predBlock(&pred, ref, bx, by, bmv)
 		reconInterBlock(&rec, &pred, &levels, true, qp)
 		storeBlock(p, bx, by, &rec)
 		return nil
 	}
 	for i, off := range lumaBlockOffsets {
 		levels = dct.Block{}
-		if err := codeBlock(recon.Y, x+off[0], y+off[1], d.reconY, mv, coded[i]); err != nil {
+		if err := codeBlock(recon.Y, x+off[0], y+off[1], d.recon.Y, mv, coded[i]); err != nil {
 			return err
 		}
 	}
 	levels = dct.Block{}
-	if err := codeBlock(recon.Cb, cx, cy, d.reconCb, cmv, coded[4]); err != nil {
+	if err := codeBlock(recon.Cb, cx, cy, d.recon.Cb, cmv, coded[4]); err != nil {
 		return err
 	}
 	levels = dct.Block{}
-	if err := codeBlock(recon.Cr, cx, cy, d.reconCr, cmv, coded[5]); err != nil {
+	if err := codeBlock(recon.Cr, cx, cy, d.recon.Cr, cmv, coded[5]); err != nil {
 		return err
 	}
 

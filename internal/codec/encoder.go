@@ -47,8 +47,9 @@ type mbResult struct {
 	coded  [6]bool // inter: per-block coded flags (Y0..Y3, Cb, Cr)
 	// gated counts, for skip and inter macroblocks, the blocks the
 	// zero-block gate settled without a transform (codeInterBlock); the
-	// other 6−gated ran Forward + QuantizeInter.
-	gated int
+	// other 6−gated were transformed, rowOnly of them by the row pass
+	// alone (dct.ForwardQuantizeInter found every coefficient column dead).
+	gated, rowOnly int
 	// levels holds the quantised coefficients in coding order: the four
 	// luma blocks, then Cb, then Cr — intra and inter modes both use it.
 	levels [6]dct.Block
@@ -160,9 +161,6 @@ type Encoder struct {
 	chromaApron int
 
 	recon     *frame.Frame // reference: last reconstructed frame
-	reconY    *frame.Interpolated
-	reconCb   *frame.Interpolated
-	reconCr   *frame.Interpolated
 	prevField *mvfield.Field
 	frames    int
 
@@ -562,6 +560,7 @@ func (e *Encoder) writeFrameBody(j *frameJob) FrameStats {
 				}
 				fs.GatedBlocks += r.gated
 				fs.TransformedBlocks += len(r.coded) - r.gated
+				fs.RowOnlyBlocks += r.rowOnly
 				for _, c := range r.coded {
 					if c {
 						fs.CodedBlocks++
@@ -672,24 +671,17 @@ func writeCoeffs(sw symWriter, b *dct.Block) {
 }
 
 // refreshReference installs recon as the prediction reference: the
-// in-loop filter runs first, then the plane aprons are replicated (the
-// once-per-frame moment border memory is refreshed — analysis of the next
-// frame may read the apron freely), and the half-pel view is reset to
-// lazy: no half-pel sample is computed until refinement or compensation
-// actually lands on its tile. The previous frame's view returns to the
-// size-bucketed pool.
+// in-loop filter runs first, then the plane aprons are replicated — the
+// once-per-frame moment border memory is refreshed, after which analysis
+// of the next frame may read the apron freely. That is all a reference
+// needs: motion search and compensation both compute half-pel samples
+// from these planes on demand.
 func (e *Encoder) refreshReference(recon *frame.Frame) {
 	if e.cfg.Deblock {
 		deblockFrame(recon, e.curQp)
 	}
 	recon.ReplicateAprons()
 	e.recon = recon
-	e.reconY.Release()
-	e.reconCb.Release()
-	e.reconCr.Release()
-	e.reconY = frame.InterpolateLazy(recon.Y)
-	e.reconCb = frame.InterpolateLazy(recon.Cb)
-	e.reconCr = frame.InterpolateLazy(recon.Cr)
 }
 
 // analyzeIntraMB transforms, quantises and reconstructs the six intra
@@ -743,6 +735,10 @@ func (e *Encoder) writeIntraMB(r *mbResult) {
 // reused across macroblocks so analysis never allocates.
 func (e *Encoder) analyzeInterMB(s search.Searcher, sc *mbScratch, src, recon *frame.Frame, curField *mvfield.Field, mbx, mby int, r *mbResult) {
 	x, y := 16*mbx, 16*mby
+	// The block's internal variation decides intra against inter below
+	// and is ACBM's evidence for conditions 1–2: computed once, here, and
+	// handed to the searcher.
+	intraSAD := metrics.IntraSAD(src.Y, x, y, 16, 16)
 	in := &sc.in
 	*in = search.Input{
 		Cur: src.Y, Ref: e.recon.Y,
@@ -750,14 +746,14 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, sc *mbScratch, src, recon *f
 		Range: e.cfg.SearchRange, Qp: e.curQp,
 		CurField: curField, PrevField: e.prevField,
 		MBX: mbx, MBY: mby,
-		Seed:            e.curSeed,
+		Seed:     e.curSeed,
+		IntraSAD: intraSAD, HasIntraSAD: true,
 		PixelDecimation: e.cfg.PixelDecimation,
 	}
 	res := s.Search(in)
 
 	// Mode decision (TMN-style): intra wins when the block's internal
 	// variation is clearly below the best matching error.
-	intraSAD := metrics.IntraSAD(src.Y, x, y, 16, 16)
 	if intraSAD < res.SAD-e.cfg.IntraBias {
 		e.analyzeIntraMB(src, recon, mbx, mby, r)
 		r.points = res.Points

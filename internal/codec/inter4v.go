@@ -134,31 +134,31 @@ func (d *Decoder) decodeInter4VMB(recon *frame.Frame, curField *mvfield.Field, q
 	avg := avgMV(subMV)
 	cmv := chromaMV(avg)
 	var levels, pred8, rec dct.Block
-	codeBlock := func(p *frame.Plane, bx, by int, ip *frame.Interpolated, bmv mvfield.MV, c bool) error {
+	codeBlock := func(p *frame.Plane, bx, by int, ref *frame.Plane, bmv mvfield.MV, c bool) error {
 		if !c { // uncoded: reconstruction = prediction, copied as bytes
-			storePredBlock(p, bx, by, ip, bmv)
+			storePredBlock(p, bx, by, ref, bmv)
 			return nil
 		}
 		if err := readCoeffs(d.sr, &levels); err != nil {
 			return err
 		}
-		predBlock(&pred8, ip, bx, by, bmv)
+		predBlock(&pred8, ref, bx, by, bmv)
 		reconInterBlock(&rec, &pred8, &levels, true, qp)
 		storeBlock(p, bx, by, &rec)
 		return nil
 	}
 	for i, off := range lumaBlockOffsets {
 		levels = dct.Block{}
-		if err := codeBlock(recon.Y, x+off[0], y+off[1], d.reconY, subMV[i], coded[i]); err != nil {
+		if err := codeBlock(recon.Y, x+off[0], y+off[1], d.recon.Y, subMV[i], coded[i]); err != nil {
 			return fmt.Errorf("codec: 4v luma block %d: %w", i, err)
 		}
 	}
 	levels = dct.Block{}
-	if err := codeBlock(recon.Cb, cx, cy, d.reconCb, cmv, coded[4]); err != nil {
+	if err := codeBlock(recon.Cb, cx, cy, d.recon.Cb, cmv, coded[4]); err != nil {
 		return err
 	}
 	levels = dct.Block{}
-	if err := codeBlock(recon.Cr, cx, cy, d.reconCr, cmv, coded[5]); err != nil {
+	if err := codeBlock(recon.Cr, cx, cy, d.recon.Cr, cmv, coded[5]); err != nil {
 		return err
 	}
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dct"
 	"repro/internal/frame"
 	"repro/internal/metrics"
 	"repro/internal/mvfield"
@@ -19,8 +18,9 @@ import (
 // not already exact — the ones that would otherwise all be transformed —
 // at least three quarters must be settled by the gate. The test drives
 // the two encoder phases by hand so it can recompute every block's
-// prediction from the reference the analysis read, with the decoder-side
-// predBlock on an eagerly interpolated view, and classify it itself.
+// prediction from the reference the analysis read, sample by sample off an
+// eagerly interpolated view (the tile-filled oracle, not the plane-direct
+// fetch the codec uses), and classify it itself.
 func TestZeroBlockGateRate(t *testing.T) {
 	frames := video.Generate(video.Carphone, frame.QCIF, 30, 2005)
 	e := NewEncoder(Config{Qp: 30, Searcher: core.New(core.DefaultParams), Workers: 1})
@@ -35,10 +35,13 @@ func TestZeroBlockGateRate(t *testing.T) {
 			ref := j.prevRef
 			ry, rcb, rcr := frame.Interpolate(ref.Y), frame.Interpolate(ref.Cb), frame.Interpolate(ref.Cr)
 			exact := func(src *frame.Plane, view *frame.Interpolated, x, y int, mv mvfield.MV) bool {
-				var cur, pred dct.Block
-				loadBlock(&cur, src, x, y)
-				predBlock(&pred, view, x, y, mv)
-				return cur == pred
+				for i := 0; i < 64; i++ {
+					bx, by := i%8, i/8
+					if src.At(x+bx, y+by) != view.AtClamped(2*(x+bx)+mv.X, 2*(y+by)+mv.Y) {
+						return false
+					}
+				}
+				return true
 			}
 			for idx := range j.results {
 				r := &j.results[idx]
@@ -139,5 +142,35 @@ func TestJobPSNRMatchesFramePSNR(t *testing.T) {
 		y, _, _ := jobPSNR(&frameJob{src: &frame.Frame{Y: a, Cb: a, Cr: a}, recon: &frame.Frame{Y: b, Cb: b, Cr: b}})
 		restore()
 		same(isa+" noise", y, a, b)
+	}
+}
+
+// TestRowOnlyRate pins what the column test inside
+// dct.ForwardQuantizeInter is for, on the cell TestZeroBlockGateRate uses:
+// of the blocks that survive the zero-block gate and are transformed, more
+// than half must be settled by the row pass alone — every coefficient
+// column proved dead, no column pass run (measured 60.5 % here; nearly all
+// of the rest run exactly one column, so 95 % of this cell's columns are
+// dead). Those blocks are uncoded, so they and the coded ones are disjoint
+// subsets of the transformed ones.
+func TestRowOnlyRate(t *testing.T) {
+	frames := video.Generate(video.Carphone, frame.QCIF, 30, 2005)
+	st, _, err := EncodeSequence(Config{Qp: 30, Searcher: core.New(core.DefaultParams), Workers: 1}, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transformed, rowOnly, coded := 0, 0, 0
+	for i, f := range st.Frames {
+		if f.RowOnlyBlocks+f.CodedBlocks > f.TransformedBlocks {
+			t.Fatalf("frame %d: row-only %d + coded %d exceed transformed %d", i, f.RowOnlyBlocks, f.CodedBlocks, f.TransformedBlocks)
+		}
+		transformed += f.TransformedBlocks
+		rowOnly += f.RowOnlyBlocks
+		coded += f.CodedBlocks
+	}
+	share := float64(rowOnly) / float64(transformed)
+	t.Logf("transformed blocks %d: row pass only %d (%.1f%%), coded %d", transformed, rowOnly, 100*share, coded)
+	if share < 0.55 {
+		t.Fatalf("the row pass settled %.1f%% of gate-surviving blocks on Carphone@30, want ≥ 55%%", 100*share)
 	}
 }

@@ -184,7 +184,10 @@ func (a *ACBM) SearchTrace(in *search.Input) (search.Result, Trace) {
 	if p.GammaDen == 0 {
 		p = DefaultParams
 	}
-	intra := metrics.IntraSAD(in.Cur, in.BX, in.BY, in.W, in.H)
+	intra := in.IntraSAD
+	if !in.HasIntraSAD {
+		intra = metrics.IntraSAD(in.Cur, in.BX, in.BY, in.W, in.H)
+	}
 	pbmRes := a.PBM.Search(in)
 
 	tr := Trace{

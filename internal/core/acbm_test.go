@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/frame"
+	"repro/internal/metrics"
 	"repro/internal/mvfield"
 	"repro/internal/search"
 	"repro/internal/video"
@@ -246,5 +247,59 @@ func TestForceFullSearchParams(t *testing.T) {
 	}
 	if a.Stats().FSBMRate() != 0 {
 		t.Fatal("FSBM rate must be zero")
+	}
+}
+
+// TestIntraSADHandOver pins the hand-over on search.Input: a caller that
+// has already computed the block's IntraSAD (the encoder, for its
+// intra/inter decision) passes it in, and ACBM must reach the very same
+// evidence, decisions and totals as when it computes the value itself —
+// across all three classes, and for a flat block, whose IntraSAD of 0 is
+// the reason the flag is explicit.
+func TestIntraSADHandOver(t *testing.T) {
+	frames := video.Generate(video.Foreman, frame.QCIF, 3, 5)
+	flat := frame.NewPlane(frame.QCIF.W, frame.QCIF.H)
+	flat.Fill(90)
+	pairs := [][2]*frame.Plane{
+		{frames[1].Y, frames[0].Y},
+		{frames[2].Y, frames[0].Y}, // a two-frame gap: harder matches
+		{flat, frames[0].Y},
+	}
+	own, handed := New(DefaultParams), New(DefaultParams)
+	classes := map[Decision]int{}
+	for _, qp := range []int{10, 30} {
+		for _, pr := range pairs {
+			for mby := 0; mby < frame.QCIF.MacroblockRows(); mby++ {
+				for mbx := 0; mbx < frame.QCIF.MacroblockCols(); mbx++ {
+					in := newInput(pr[0], pr[1], 16*mbx, 16*mby, qp)
+					in.MBX, in.MBY = mbx, mby
+					in.CurField = mvfield.NewField(frame.QCIF.MacroblockCols(), frame.QCIF.MacroblockRows())
+					wantRes, wantTr := own.SearchTrace(in)
+
+					in.IntraSAD, in.HasIntraSAD = metrics.IntraSAD(in.Cur, in.BX, in.BY, in.W, in.H), true
+					gotRes, gotTr := handed.SearchTrace(in)
+					if gotRes != wantRes || gotTr != wantTr {
+						t.Fatalf("qp %d MB (%d,%d): handed-over %+v %+v, own %+v %+v", qp, mbx, mby, gotRes, gotTr, wantRes, wantTr)
+					}
+					classes[gotTr.Decision]++
+				}
+			}
+		}
+	}
+	if own.Stats() != handed.Stats() {
+		t.Fatalf("stats differ: own %+v, handed-over %+v", own.Stats(), handed.Stats())
+	}
+	for _, d := range []Decision{AcceptedEasy, AcceptedGoodMatch, Critical} {
+		if classes[d] == 0 {
+			t.Fatalf("no %v block in the sample (%v): the comparison is vacuous for that class", d, classes)
+		}
+	}
+
+	// The handed-over value is what is used, not recomputed: a wrong one
+	// shows up in the evidence.
+	in := newInput(frames[1].Y, frames[0].Y, 48, 48, 30)
+	in.IntraSAD, in.HasIntraSAD = 0, true
+	if _, tr := New(DefaultParams).SearchTrace(in); tr.IntraSAD != 0 {
+		t.Fatalf("Trace.IntraSAD = %d with a handed-over 0", tr.IntraSAD)
 	}
 }

@@ -14,7 +14,9 @@
 //
 // InterZeroBound (quant.go) is the energy below which an inter residual is
 // certain to quantise to nothing; the encoder uses it to leave such blocks
-// untransformed.
+// untransformed, and ForwardQuantizeInter applies the same bound per
+// coefficient column after the row pass, so a surviving block runs the
+// column pass only where a level can be non-zero.
 package dct
 
 import "math"
@@ -94,6 +96,74 @@ func Forward(dst, src *Block) {
 			dst[v*BlockSize+u] = int32(math.Round(dot8(&colF, &cosTable[v])))
 		}
 	}
+}
+
+// ForwardQuantizeInter is Forward followed by QuantizeInter at qp, fused so
+// that a block pays only for the coefficient columns that can hold a
+// non-zero level: levels receives exactly the sixty-four values the two
+// calls would produce. coded reports whether any of them is non-zero (the
+// scan a caller would otherwise run), live how many of the eight columns
+// needed their column pass — 0 means the block was settled by half a
+// transform. levels and resid may alias.
+//
+// The row pass is Forward's, unchanged, and accumulates per column u the
+// energy E_u = Σ_y tmp[y][u]² of the intermediate. The column pass maps
+// tmp[·][u] to F(u, ·) through the orthonormal 1-D basis, so every
+// coefficient of the column obeys |F(u, v)| ≤ √E_u — the Cauchy–Schwarz
+// step of InterZeroBound's derivation, applied to one column rather than
+// the whole block. From there the argument is that derivation's word for
+// word: E_u ≤ InterZeroBound(qp) = k²−k puts all eight |F(u, v)| below
+// k−½, each rounds to an integer inside the dead zone, and the column is
+// eight zero levels without a column pass, with the same margin (> 1/(8k)
+// ≥ 0.0016 coefficient units) over the float kernel's error (~1e-11;
+// E_u's own rounding error is of that order too). The shared bound is
+// tied to the quantiser by TestInterZeroBoundFollowsQuantizer. A column
+// above the bound runs Forward's dot8 products in Forward's order, then
+// QuantizeInter's rule, so its levels are bit-identical to the two-call
+// route's.
+func ForwardQuantizeInter(levels, resid *Block, qp int) (coded bool, live int) {
+	qp = ClampQp(qp)
+	bound := float64(InterZeroBound(qp))
+	half, step := int32(qp/2), int32(2*qp)
+	var tmp [BlockSize][BlockSize]float64 // tmp[y][u]
+	var energy [BlockSize]float64         // energy[u] = Σ_y tmp[y][u]²
+	var rowF [BlockSize]float64
+	for y := 0; y < BlockSize; y++ {
+		row := resid[y*BlockSize : y*BlockSize+BlockSize]
+		for x, v := range row {
+			rowF[x] = float64(v)
+		}
+		trow := &tmp[y]
+		for u := 0; u < BlockSize; u++ {
+			t := dot8(&rowF, &cosTable[u])
+			trow[u] = t
+			energy[u] += t * t
+		}
+	}
+	*levels = Block{}
+	var colF [BlockSize]float64
+	var nz int32
+	for u := 0; u < BlockSize; u++ {
+		if energy[u] <= bound {
+			continue
+		}
+		live++
+		for y := 0; y < BlockSize; y++ {
+			colF[y] = tmp[y][u]
+		}
+		// Products first, quantiser second: interleaved, the integer divide
+		// stalls the float pipeline and a fully live block runs ~15 % slower.
+		var c [BlockSize]int32
+		for v := 0; v < BlockSize; v++ {
+			c[v] = int32(math.Round(dot8(&colF, &cosTable[v])))
+		}
+		for v := 0; v < BlockSize; v++ {
+			l := quantInterCoef(c[v], half, step)
+			levels[v*BlockSize+u] = l
+			nz |= l
+		}
+	}
+	return nz != 0, live
 }
 
 // Inverse computes the 2-D inverse DCT of src into dst (row-major 8×8),

@@ -40,19 +40,26 @@ func QuantizeInter(dst, src *Block, qp int) {
 	qp = ClampQp(qp)
 	half, step := int32(qp/2), int32(2*qp)
 	for i, c := range src {
-		neg := c < 0
-		if neg {
-			c = -c
-		}
-		l := (c - half) / step
-		if l < 0 {
-			l = 0
-		}
-		if neg {
-			l = -l
-		}
-		dst[i] = clampLevel(l)
+		dst[i] = quantInterCoef(c, half, step)
 	}
+}
+
+// quantInterCoef is the dead-zone rule for one coefficient, with half =
+// Qp/2 and step = 2·Qp; QuantizeInter and ForwardQuantizeInter both apply
+// it, so they cannot drift apart.
+func quantInterCoef(c, half, step int32) int32 {
+	neg := c < 0
+	if neg {
+		c = -c
+	}
+	l := (c - half) / step
+	if l < 0 {
+		l = 0
+	}
+	if neg {
+		l = -l
+	}
+	return clampLevel(l)
 }
 
 // InterZeroBound returns the largest residual energy (the integer sum of

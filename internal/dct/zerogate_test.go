@@ -23,21 +23,79 @@ func energy(b *Block) int {
 }
 
 // checkGate asserts the gate's promise for resid at every quantiser that
-// gates it.
+// gates it, and — at all 31 — that ForwardQuantizeInter, which applies the
+// same bound one coefficient column at a time, is indistinguishable from
+// the route it fuses.
 func checkGate(t *testing.T, what string, resid *Block) {
 	t.Helper()
 	e := energy(resid)
 	var coef, levels Block
 	Forward(&coef, resid)
+	colE := columnEnergies(resid)
 	for qp := MinQp; qp <= MaxQp; qp++ {
+		QuantizeInter(&levels, &coef, qp)
+		checkFused(t, what, resid, &levels, &colE, qp)
 		if e > InterZeroBound(qp) {
 			continue
 		}
-		QuantizeInter(&levels, &coef, qp)
 		if levels != (Block{}) {
 			t.Fatalf("%s: energy %d ≤ bound %d at qp %d, yet levels %v (resid %v)",
 				what, e, InterZeroBound(qp), qp, levels, *resid)
 		}
+	}
+}
+
+// columnEnergies is the row pass of Forward with the per-column energy
+// E_u = Σ_y tmp[y][u]² ForwardQuantizeInter tests against the bound,
+// accumulated in the same order so the two agree to the last bit.
+func columnEnergies(resid *Block) (e [BlockSize]float64) {
+	var rowF [BlockSize]float64
+	for y := 0; y < BlockSize; y++ {
+		for x := range rowF {
+			rowF[x] = float64(resid[y*BlockSize+x])
+		}
+		for u := 0; u < BlockSize; u++ {
+			t := dot8(&rowF, &cosTable[u])
+			e[u] += t * t
+		}
+	}
+	return e
+}
+
+// checkFused asserts ForwardQuantizeInter's whole contract for resid at
+// qp against want, the levels of Forward + QuantizeInter, and colE, the
+// block's columnEnergies: the same sixty-four levels (on a destination
+// that starts dirty), coded = the any-non-zero scan, live = the number of
+// columns whose row-pass energy exceeds the bound — and every column it
+// skipped is zero in want.
+func checkFused(t *testing.T, what string, resid, want *Block, colE *[BlockSize]float64, qp int) {
+	t.Helper()
+	var got Block
+	for i := range got {
+		got[i] = -77
+	}
+	coded, live := ForwardQuantizeInter(&got, resid, qp)
+	if got != *want {
+		t.Fatalf("%s qp %d: fused levels %v, Forward+QuantizeInter %v (resid %v)", what, qp, got, *want, *resid)
+	}
+	if coded != (*want != Block{}) {
+		t.Fatalf("%s qp %d: coded = %v, levels %v", what, qp, coded, *want)
+	}
+	wantLive := 0
+	for u, e := range colE {
+		if e > float64(InterZeroBound(qp)) {
+			wantLive++
+			continue
+		}
+		for v := 0; v < BlockSize; v++ {
+			if want[v*BlockSize+u] != 0 {
+				t.Fatalf("%s qp %d: column %d has energy %v ≤ bound %d, yet level (%d,%d) = %d",
+					what, qp, u, e, InterZeroBound(qp), u, v, want[v*BlockSize+u])
+			}
+		}
+	}
+	if live != wantLive {
+		t.Fatalf("%s qp %d: %d live columns, want %d (resid %v)", what, qp, live, wantLive, *resid)
 	}
 }
 
@@ -183,6 +241,78 @@ func TestZeroBlockGateAdversarial(t *testing.T) {
 	}
 }
 
+// TestZeroColumnAdversarial is the adversarial construction turned on one
+// column: for every quantiser, column u and basis function (u, v), the
+// aligned residual is grown until its row-pass energy in column u crosses
+// the bound, which yields two residuals one unit of energy apart. In the
+// one still at or below the bound column u must be skipped and must
+// quantise to zero under the full route; in the one above it must run.
+// checkFused holds the fused function to exactly that: its live count has
+// to equal the columns over the bound by the test's own row pass (the
+// other columns carry the integer construction's leakage, which at the
+// smallest quantisers is itself over the bound), every column at or below
+// must be zero in Forward + QuantizeInter's output, and the levels must
+// match. Both residuals are gate survivors wherever the alignment is
+// imperfect — the population the column test exists for.
+func TestZeroColumnAdversarial(t *testing.T) {
+	closest := 0.0
+	for qp := MinQp; qp <= MaxQp; qp++ {
+		bound := InterZeroBound(qp)
+		k := float64(2*qp + qp/2)
+		colEnergy := func(u, v, e int) float64 {
+			r := alignedResidual(u, v, e)
+			return columnEnergies(&r)[u]
+		}
+		for v := 0; v < BlockSize; v++ {
+			for u := 0; u < BlockSize; u++ {
+				// Σ_u E_u is the block's energy (Parseval), so E_u ≤ bound at
+				// energy = bound; alignment improves with energy, so E_u
+				// crosses over not far above. Bisect to adjacent energies on
+				// either side of the crossing.
+				lo, hi := bound, 2*bound+64
+				for colEnergy(u, v, hi) <= float64(bound) {
+					if hi *= 2; hi > 1<<20 {
+						t.Fatalf("qp %d (%d,%d): column energy never crosses the bound", qp, u, v)
+					}
+				}
+				for hi-lo > 1 {
+					if mid := (lo + hi) / 2; colEnergy(u, v, mid) <= float64(bound) {
+						lo = mid
+					} else {
+						hi = mid
+					}
+				}
+				at, over := alignedResidual(u, v, lo), alignedResidual(u, v, hi)
+
+				var coef, want Block
+				Forward(&coef, &at)
+				QuantizeInter(&want, &coef, qp)
+				colE := columnEnergies(&at)
+				if colE[u] > float64(bound) {
+					t.Fatalf("qp %d (%d,%d): built column energy %v, want ≤ %d", qp, u, v, colE[u], bound)
+				}
+				checkFused(t, "column at bound", &at, &want, &colE, qp)
+				if c := math.Abs(float64(coef[v*8+u])) / (k - 1); c > closest {
+					closest = c
+				}
+
+				Forward(&coef, &over)
+				QuantizeInter(&want, &coef, qp)
+				colE = columnEnergies(&over)
+				if colE[u] <= float64(bound) {
+					t.Fatalf("qp %d (%d,%d): built column energy %v, want > %d", qp, u, v, colE[u], bound)
+				}
+				checkFused(t, "column above bound", &over, &want, &colE, qp)
+			}
+		}
+	}
+	// As for the block gate: somewhere a skipped column must hold a
+	// coefficient at the very edge of the dead zone, or this tests nothing.
+	if closest < 1 {
+		t.Fatalf("no skipped column reached |c| = k−1 (closest %.3f of it)", closest)
+	}
+}
+
 // TestZeroBlockGateTable covers the block shapes the encoder meets:
 // dense noise with its energy straddling each bound, sparse blocks,
 // single spikes at every position, and constant planes.
@@ -246,5 +376,31 @@ func FuzzZeroBlockGate(f *testing.F) {
 			}
 		}
 		checkGate(t, "fuzz", &r)
+	})
+}
+
+// FuzzForwardQuantizeInter covers the fused transform over the encoder's
+// whole input range — residuals are differences of 8-bit samples, ±255 —
+// starting from FuzzZeroBlockGate's corpus (scale 0 reproduces its small
+// blocks, which sit around the bounds) plus full-range seeds.
+func FuzzForwardQuantizeInter(f *testing.F) {
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, uint8(0), uint8(0))
+	f.Add([]byte{0x7f, 0x80, 0x7f, 0x80}, uint8(3), uint8(0))
+	f.Add(make([]byte, 64), uint8(1), uint8(0))
+	f.Add([]byte{0x7f, 0x80, 0x7f, 0x80}, uint8(0), uint8(1))
+	f.Add([]byte{40, 0, 0, 0, 0, 0, 0, 0, 216, 0, 0, 0, 0, 0, 0, 0, 3}, uint8(0), uint8(1))
+	f.Add([]byte{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}, uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, shift, scale uint8) {
+		var r Block
+		for i := range r {
+			if len(data) > 0 {
+				v := int32(int8(data[i%len(data)])) >> (shift % 7)
+				if scale%2 == 1 {
+					v *= 2 // ±256, clipped to the residual range below
+				}
+				r[i] = max(-255, min(255, v))
+			}
+		}
+		checkGate(t, "fuzz", &r) // holds the fused route to the two-call one at every qp
 	})
 }

@@ -20,20 +20,25 @@ import (
 // Storage is phase-split: the integer phase is the source plane itself
 // (never copied), and the three half-pel phases live in separate W×H
 // planes (Phase b: horizontal, c: vertical, d: diagonal), each carrying a
-// HalfPelApron replicated-interpolation border. A block prediction or SAD
-// probe uses exactly one phase — the parity of its half-pel anchor — so
-// phase planes make every half-pel access a contiguous row walk instead
-// of a stride-2 gather.
+// HalfPelApron replicated-interpolation border. A SAD probe over a block
+// uses exactly one phase — the parity of its half-pel anchor — so phase
+// planes make it a contiguous row walk instead of a stride-2 gather.
 //
 // Views from InterpolateLazy materialise phase samples tile by tile on
 // first touch: TileSize×TileSize regions (plus the adjoining apron strips
-// on border tiles) are computed only when a probe or a motion-compensated
-// block actually lands on them. Tile fills are idempotent — every fill of
-// a tile writes the identical bytes — and guarded by an atomic claim
-// state, so concurrent wavefront workers first-touching the same tile are
-// race-clean: one claims and fills, the rest spin until the fill is
-// published. Views from Interpolate are fully materialised up front and
-// skip the claim checks.
+// on border tiles) are computed only when PhaseRect or At lands on them.
+// Tile fills are idempotent — every fill of a tile writes the identical
+// bytes — and guarded by an atomic claim state, so concurrent
+// first-touches of the same tile are race-clean: one claims and fills,
+// the rest spin until the fill is published. Views from Interpolate are
+// fully materialised up front and skip the claim checks.
+//
+// Nothing on the codec path touches a tile any more: the encoder and
+// decoder fetch prediction bytes with HalfPelBlock on the reference plane
+// (Block is that same function), and the searchers' half-pel probes fuse
+// the interpolation into the SAD kernel. The tiled view is what the tests
+// use as the materialised oracle and what the benchmark harness probes as
+// a layer (SADHalfPel, PhaseRect).
 type Interpolated struct {
 	W, H int // dimensions of the half-pel grid (2× source)
 
@@ -173,10 +178,6 @@ func (ip *Interpolated) Release() {
 	}
 	interpPool(interpKey{ip.W / 2, ip.H / 2}).Put(ip)
 }
-
-// Src returns the source plane the view interpolates — the integer phase
-// of the half-pel grid. Nil after Release.
-func (ip *Interpolated) Src() *Plane { return ip.src }
 
 // phase identifiers, used to pick the fill rule.
 const (
@@ -428,37 +429,66 @@ func (ip *Interpolated) AtClamped(hx, hy int) uint8 {
 }
 
 // Block copies the w×h prediction block whose top-left corner sits at
-// half-pel position (hx, hy) into dst (row-major, len ≥ w*h). Successive
-// block samples are one full pel apart, i.e. 2 grid positions — so the
-// whole block reads a single phase, as contiguous rows. Out-of-range
-// reads replicate the edge; positions within the HalfPelApron border (the
-// chroma-vector overshoot) stay on the row-copy fast path.
+// half-pel position (hx, hy) into dst (row-major, len ≥ w*h). It is
+// HalfPelBlock on the view's source plane: the samples are computed from
+// the source directly and no tile is touched.
 func (ip *Interpolated) Block(dst []uint8, hx, hy, w, h int) {
+	HalfPelBlock(dst, ip.src, hx, hy, w, h)
+}
+
+// HalfPelBlock writes into dst (row-major, len ≥ w*h) the w×h prediction
+// block whose top-left corner sits at half-pel position (hx, hy) of p —
+// even coordinates are integer positions, successive block samples are one
+// full pel apart — computing each sample from p by the rules Interpolate
+// documents. The whole block has one phase, the parity of its anchor, so a
+// row is a plain copy (integer phase) or one word-parallel pass over one
+// (b, c) or two (d) source rows; nothing is materialised besides dst. It
+// is the one prediction fetch of the encoder and decoder, and what
+// Interpolated.Block returns.
+//
+// While every source sample the block reads lies within p's apron the
+// rows are read straight from the padded storage, which must hold the
+// edge-replicated values (ReplicateApron) — a chroma vector derived from a
+// legal luma vector overshoots the plane by at most one sample. Anything
+// further out (vectors of a corrupt stream, tight planes at the border)
+// takes the per-sample edge-clamped route; both produce the bytes
+// Interpolated.AtClamped reports for the same positions.
+func HalfPelBlock(dst []uint8, p *Plane, hx, hy, w, h int) {
+	px, py := hx&1, hy&1
 	x0, y0 := hx>>1, hy>>1
-	ph := ip.phaseOf(hx&1, hy&1)
-	if ph == nil {
-		if ip.src.InBounds(x0, y0, w, h) {
-			for y := 0; y < h; y++ {
-				o := (y0+y)*ip.src.Stride + x0
-				copy(dst[y*w:y*w+w], ip.src.Pix[o:o+w])
+	a := p.apron
+	if x0 < -a || y0 < -a || x0+w+px > p.W+a || y0+h+py > p.H+a {
+		// (A + B + C + D + 2) >> 2 with B, C, D collapsing onto A along an
+		// integer axis is every phase's rule at once: (2A + 2B + 2) >> 2 =
+		// (A + B + 1) >> 1, and (4A + 2) >> 2 = A.
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				sx, sy := x0+x, y0+y
+				sum := int(p.AtClamped(sx, sy)) + int(p.AtClamped(sx+px, sy)) +
+					int(p.AtClamped(sx, sy+py)) + int(p.AtClamped(sx+px, sy+py))
+				dst[y*w+x] = uint8((sum + 2) >> 2)
 			}
-			return
 		}
-	} else {
-		p := ph.plane
-		pw, phh := ip.W/2, ip.H/2
-		if x0 >= -p.apron && y0 >= -p.apron && x0+w <= pw+p.apron && y0+h <= phh+p.apron {
-			ip.ensure(ph, x0, y0, x0+w-1, y0+h-1)
-			for y := 0; y < h; y++ {
-				copy(dst[y*w:y*w+w], p.padRow(y0 + y)[p.apron+x0:p.apron+x0+w])
-			}
-			return
-		}
+		return
 	}
-	// Far out of range (corrupt-stream motion vectors): per-sample clamp.
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			dst[y*w+x] = ip.AtClamped(hx+2*x, hy+2*y)
+	pix, stride := p.Pix, p.Stride
+	if a > 0 {
+		pix = p.buf
+	}
+	o := (y0+a)*stride + a + x0
+	for y := 0; y < h; y, o = y+1, o+stride {
+		d := dst[y*w : y*w+w]
+		r0 := pix[o : o+w+px]
+		switch {
+		case py == 0 && px == 0:
+			copy(d, r0)
+		case py == 0:
+			avgRowUp(d, r0[:w], r0[1:])
+		case px == 0:
+			avgRowUp(d, r0, pix[o+stride:o+stride+w])
+		default:
+			r1 := pix[o+stride : o+stride+w+1]
+			quadRowUp(d, r0[:w], r0[1:], r1[:w], r1[1:])
 		}
 	}
 }

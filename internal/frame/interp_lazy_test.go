@@ -205,13 +205,19 @@ func TestConcurrentFirstTouch(t *testing.T) {
 }
 
 // TestInterpFillStatsAdvance sanity-checks the bytes-touched counters:
-// touching one block advances them by at most a few tiles, far less than
-// a full-grid build.
+// materialising one block's phase samples through PhaseRect — the access
+// that still fills tiles; Block computes from the source plane and fills
+// none — advances them by at most a few tiles, far less than a full-grid
+// build.
 func TestInterpFillStatsAdvance(t *testing.T) {
 	src := noisyPaddedPlane(64, 64, MinInterpApron, 11)
-	t0, b0 := InterpFillStats()
 	ip := InterpolateLazy(src)
-	ip.Block(make([]uint8, 64), 33, 33, 8, 8) // one diagonal-phase block
+	t0, b0 := InterpFillStats()
+	ip.Block(make([]uint8, 64), 33, 33, 8, 8)
+	if t1, b1 := InterpFillStats(); t1 != t0 || b1 != b0 {
+		t.Fatalf("Block filled %d tiles (%d bytes), want none", t1-t0, b1-b0)
+	}
+	ip.PhaseRect(33, 33, 8, 8) // one diagonal-phase block
 	t1, b1 := InterpFillStats()
 	ip.Release()
 	tiles, bytes := t1-t0, b1-b0

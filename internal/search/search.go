@@ -41,6 +41,15 @@ type Input struct {
 	// carries that history — which is the ladder's points/block saving.
 	Seed LayerSeed
 
+	// IntraSAD, when HasIntraSAD is set, is metrics.IntraSAD of the Cur
+	// block — handed over by a caller that needs the value itself (the
+	// encoder's intra/inter decision), so a searcher that also uses it
+	// (ACBM's conditions 1–2) does not compute it again. The flag is
+	// explicit because 0 is a legal value (a flat block); searchers fall
+	// back to their own call when it is unset.
+	IntraSAD    int
+	HasIntraSAD bool
+
 	// Collect, when non-nil, accumulates the SAD of every evaluated
 	// candidate for the SAD_deviation statistic of the Fig. 4 study.
 	Collect *metrics.Deviation
