@@ -11,6 +11,10 @@
 #                       wait and the engine's writer hand-off are only
 #                       proven free of live-lock where nothing else can
 #                       run the row, or the writer, they wait for
+#   make fuzz-smoke   — every native Fuzz* target in the tree (found with
+#                       `go test -list`, so a new one is picked up by
+#                       being written) fuzzed for 3 s each: `go test`
+#                       alone only replays the seed corpora
 #   make bench-check  — vet + test the bench/ module (BENCHMARK.json's
 #                       harness). It is a module of its own, outside the
 #                       root ./..., so only this target notices when a
@@ -70,7 +74,7 @@ GO ?= go
 # The X-smoke targets are built by the one %-smoke pattern rule below, so
 # they must stay out of .PHONY (make skips implicit rules for phony
 # targets); FORCE keeps them, and the bin/% builds, always out of date.
-.PHONY: build test sched-one-p bench-check bench-smoke bench-speed bench-rate ratchet-pin bench-serve bench-cluster bench-qos bench-ladder ci FORCE
+.PHONY: build test sched-one-p fuzz-smoke bench-check bench-smoke bench-speed bench-rate ratchet-pin bench-serve bench-cluster bench-qos bench-ladder ci FORCE
 
 build:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -85,6 +89,14 @@ test: build
 
 sched-one-p:
 	GOMAXPROCS=1 $(GO) test -count=1 -timeout 5m -run 'Parallel|Pipeline|Pool|Ladder|Wavefront|Engine|Stream|Session|MaxFrames|GoroutineLeak' ./internal/codec/ ./internal/server/
+
+fuzz-smoke:
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "== $$pkg $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 3s $$pkg; \
+		done; \
+	done
 
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
@@ -131,6 +143,6 @@ bench-qos: bin/vcodecd
 bench-ladder:
 	$(GO) run ./cmd/vload -ladder -json BENCH_ladder.json
 
-ci: test bench-check bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
+ci: test fuzz-smoke bench-check bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
 
 FORCE:

@@ -86,6 +86,23 @@
 //     16. The per-candidate Legal/SADCapped loop survives where each
 //     candidate's exact SAD is the product (Input.Collect), for
 //     PixelDecimation and non-16×16 blocks, and as the test oracle.
+//   - search.PBM — which ACBM runs on every macroblock — pays per block
+//     the same way. One generator gathers the zero, causal spatial and
+//     temporal (or ladder-seed) predictors (mvfield.AppendPredictors is
+//     the one statement of Fig. 2's neighbourhood), snaps them to full
+//     pel, clamps them into the ±Range ∩ frame rectangle computed once,
+//     and drops repeats, as packed metrics.Offsets in first-seen order.
+//     For macroblocks the set, stable-sorted by L1, is one
+//     metrics.SADBestFew call (SADBest's kernels and winner-only
+//     contract; the ≤ 16-entry list travels by value, so it stays on the
+//     caller's stack and PBM stays stateless and shared by every lane).
+//     The integer descent is a sequential walk — each probe is taken from
+//     the current best, which moves inside a step — so it is not batched:
+//     a probe is a rectangle compare, a scan of the packed visited list
+//     and a one-candidate call with the bar at bestSAD+1. The per-point
+//     fold over the same generator serves Collect, PixelDecimation and
+//     other block shapes, and TestPBMBatchMatchesPerPoint/FuzzPBMBatch
+//     hold both to a from-the-paper reference.
 //   - internal/bitstream runs word-at-a-time: the Writer gathers bits in
 //     a 64-bit accumulator and the entropy layer packs whole syntax
 //     elements — Exp-Golomb codes, (run, level, last) TCOEF events, MVD

@@ -193,6 +193,15 @@ type FrameStats struct {
 	InterMBs     int
 	Inter4VMBs   int // inter MBs that used four-vector prediction
 	SkipMBs      int
+	// The adaptive searcher's decision mix over this frame's macroblocks
+	// (search.Result.Class; all zero for searchers that do not classify):
+	// ACBM accepted the predictive vector on Easy (condition 1) and
+	// GoodMatch (condition 2) blocks and ran the full search on Critical
+	// ones. Summed in phase 2 from per-macroblock results, like every
+	// count here, so identical across Workers × Pipeline × Pool.
+	EasyBlocks      int
+	GoodMatchBlocks int
+	CriticalBlocks  int
 	// The residual path's traffic over the 8×8 blocks of skip and inter
 	// macroblocks (six each): GatedBlocks were proved all-zero by the
 	// zero-block gate from their residual energy and never transformed;
@@ -245,6 +254,18 @@ func (s *SequenceStats) BitrateKbps() float64 {
 		fps = 30
 	}
 	return float64(s.TotalBits()) * fps / float64(len(s.Frames)) / 1000
+}
+
+// DecisionMix returns the sequence totals of the adaptive searcher's
+// per-frame class counts — core.ACBM.Stats' Easy/GoodMatch/CriticalCnt as
+// the stream's statistics carry them.
+func (s *SequenceStats) DecisionMix() (easy, goodMatch, critical int) {
+	for _, f := range s.Frames {
+		easy += f.EasyBlocks
+		goodMatch += f.GoodMatchBlocks
+		critical += f.CriticalBlocks
+	}
+	return easy, goodMatch, critical
 }
 
 // AvgSearchPointsPerMB returns the mean candidate positions per macroblock

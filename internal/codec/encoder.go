@@ -43,8 +43,9 @@ type mbResult struct {
 	four   bool       // inter: four-vector (Annex F) macroblock
 	mv     mvfield.MV // inter 1V: the macroblock vector
 	subMV  [4]mvfield.MV
-	points int     // candidate positions evaluated (Table 1 metric)
-	coded  [6]bool // inter: per-block coded flags (Y0..Y3, Cb, Cr)
+	points int          // candidate positions evaluated (Table 1 metric)
+	class  search.Class // how an adaptive searcher resolved the block
+	coded  [6]bool      // inter: per-block coded flags (Y0..Y3, Cb, Cr)
 	// gated counts, for skip and inter macroblocks, the blocks the
 	// zero-block gate settled without a transform (codeInterBlock); the
 	// other 6−gated were transformed, rowOnly of them by the row pass
@@ -546,6 +547,14 @@ func (e *Encoder) writeFrameBody(j *frameJob) FrameStats {
 				r := &j.results[mby*cols+mbx]
 				e.writeInterMB(r, j.curField, mbx, mby)
 				fs.SearchPoints += r.points
+				switch r.class {
+				case search.ClassEasy:
+					fs.EasyBlocks++
+				case search.ClassGoodMatch:
+					fs.GoodMatchBlocks++
+				case search.ClassCritical:
+					fs.CriticalBlocks++
+				}
 				switch r.mode {
 				case mbSkip:
 					fs.SkipMBs++
@@ -690,7 +699,7 @@ func (e *Encoder) refreshReference(recon *frame.Frame) {
 func (e *Encoder) analyzeIntraMB(src, recon *frame.Frame, mbx, mby int, r *mbResult) {
 	r.mode = mbIntra
 	r.four = false
-	r.points = 0
+	r.points, r.class = 0, search.Unclassified
 	x, y := 16*mbx, 16*mby
 	var cur, rec dct.Block
 	code := func(p, rp *frame.Plane, bx, by int, levels *dct.Block) bool {
@@ -756,7 +765,7 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, sc *mbScratch, src, recon *f
 	// variation is clearly below the best matching error.
 	if intraSAD < res.SAD-e.cfg.IntraBias {
 		e.analyzeIntraMB(src, recon, mbx, mby, r)
-		r.points = res.Points
+		r.points, r.class = res.Points, res.Class
 		curField.Set(mbx, mby, mvfield.Zero)
 		return
 	}
@@ -785,7 +794,7 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, sc *mbScratch, src, recon *f
 		}
 		if sum8 < res.SAD-e.cfg.Inter4VBias {
 			e.analyzeInter4VMB(sc, src, recon, mbx, mby, subMV, r)
-			r.points = pts
+			r.points, r.class = pts, res.Class
 			curField.Set(mbx, mby, avgMV(subMV))
 			return
 		}
@@ -797,7 +806,7 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, sc *mbScratch, src, recon *f
 	// reconstruction — its prediction — is the same either way.
 	e.codeInterBlocks(sc, r, src, recon, mbx, mby, [4]mvfield.MV{mv, mv, mv, mv}, chromaMV(mv))
 
-	r.points = pts
+	r.points, r.class = pts, res.Class
 	r.four = false
 	r.mv = mv
 	if mv == mvfield.Zero && r.coded == [6]bool{} {

@@ -5,7 +5,10 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/frame"
+	"repro/internal/search"
+	"repro/internal/video"
 )
 
 // goldenFrames builds a fixed synthetic input that depends only on this
@@ -73,6 +76,54 @@ func TestGoldenStreamsDecode(t *testing.T) {
 		}
 		if len(frames) != 3 {
 			t.Fatalf("mode %v: decoded %d frames", mode, len(frames))
+		}
+	}
+}
+
+// Content goldens. goldenFrames above has no real motion, so the format
+// goldens barely exercise the searchers; these pin what the searchers
+// *decide* on moving content — stream digest and total search points for
+// scene-engine clips (QCIF, 12 frames, seed 2005, Qp 24) under the three
+// searchers of the paper. A search change that claims to be bit-exact
+// must leave every row untouched.
+var contentGoldens = []struct {
+	profile  video.Profile
+	searcher string
+	digest   string
+	points   int
+}{
+	{video.Carphone, "ACBM", "9bae48e7af3b3db6589c78a030a8479fe528cf1df6c388e1cc1708ee370829ff", 25918},
+	{video.Carphone, "PBM", "037772dddb7939bef77c1a092631cc6a95d9a86ac71bf3434f149e61aedf3f15", 14044},
+	{video.Carphone, "FSBM", "065086ecb0a2b7327ef470350051c70d856d1d9684a2dfc151b68343813e2b1e", 859329},
+	{video.Foreman, "ACBM", "e659ac590f4ae593e0bb95b04f30cf56d8fb9b2a56ca19fe3aede45bedb49380", 91973},
+	{video.Foreman, "PBM", "3fa0ee4edebf6994611609aa9d7e75f2a6b23fc0bae2f55058c6c4b05e56106a", 13522},
+	{video.Foreman, "FSBM", "86d5f00a598ad3c6a5923258a60603ab895e67ad286f495620240588b8debd95", 859540},
+}
+
+func contentSearcher(name string) search.Searcher {
+	switch name {
+	case "ACBM":
+		return core.New(core.DefaultParams)
+	case "PBM":
+		return &search.PBM{}
+	}
+	return &search.FSBM{}
+}
+
+func TestGoldenContentStreams(t *testing.T) {
+	for _, g := range contentGoldens {
+		frames := video.Generate(g.profile, frame.QCIF, 12, 2005)
+		stats, bs, err := EncodeSequence(Config{Qp: 24, Searcher: contentSearcher(g.searcher)}, frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points := 0
+		for _, f := range stats.Frames {
+			points += f.SearchPoints
+		}
+		sum := sha256.Sum256(bs)
+		if got := hex.EncodeToString(sum[:]); got != g.digest || points != g.points {
+			t.Errorf("%v/%s: digest %s points %d, want %s %d", g.profile, g.searcher, got, points, g.digest, g.points)
 		}
 	}
 }

@@ -57,9 +57,9 @@ import (
 //
 // Determinism: the set of field entries visible to a macroblock equals
 // exactly the causal set the sequential raster scan would have computed
-// (Candidates reads only the four neighbours above), so every mbResult —
-// and with it the serial entropy pass — is bit-identical for any lane
-// count ≥ 1 and for all three executors below.
+// (mvfield.AppendPredictors reads only the left neighbour and the three
+// above), so every mbResult — and with it the serial entropy pass — is
+// bit-identical for any lane count ≥ 1 and for all three executors below.
 
 // waitSpins is how many loads a blocked row spends before it starts
 // yielding. The row above is usually within a macroblock of publishing, so

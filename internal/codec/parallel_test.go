@@ -261,3 +261,59 @@ func TestWorkerCountForkers(t *testing.T) {
 		t.Fatalf("sequential non-Forker encode undecodable: %v", err)
 	}
 }
+
+// TestDecisionMixMatchesACBMStats holds FrameStats' decision mix to the
+// searcher's own account of it: over the whole executor matrix — inline,
+// private workers, workers + pipeline, shared pool — the per-frame
+// Easy/GoodMatch/Critical counts must sum to core.ACBM.Stats() exactly
+// (intra-decided macroblocks of P-frames included: ACBM classified them
+// before the mode decision overruled the vector), cover every P-frame
+// macroblock, stay zero on I-frames, and be the same numbers, frame by
+// frame, in every mode. A searcher that does not classify reports zeros.
+func TestDecisionMixMatchesACBMStats(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
+	frames := video.Generate(video.Carphone, frame.QCIF, 7, 2005)
+	var ref *SequenceStats
+	for _, cfg := range []Config{
+		{Workers: 1},
+		{Workers: 4},
+		{Workers: 4, Pipeline: true},
+		{Pool: pool},
+	} {
+		acbm := core.New(core.DefaultParams)
+		cfg.Qp, cfg.IntraPeriod, cfg.AdvancedPrediction, cfg.Searcher = 24, 4, true, acbm
+		stats, _, err := EncodeSequence(cfg, frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		easy, good, crit := stats.DecisionMix()
+		want := acbm.Stats()
+		if easy != want.Easy || good != want.GoodMatch || crit != want.CriticalCnt {
+			t.Errorf("workers=%d pipeline=%v pool=%v: decision mix %d/%d/%d, ACBM stats %d/%d/%d",
+				cfg.Workers, cfg.Pipeline, cfg.Pool != nil, easy, good, crit, want.Easy, want.GoodMatch, want.CriticalCnt)
+		}
+		if easy == 0 || good == 0 || crit == 0 {
+			t.Errorf("degenerate mix %d/%d/%d: the clip no longer exercises every class", easy, good, crit)
+		}
+		for i, f := range stats.Frames {
+			n := f.EasyBlocks + f.GoodMatchBlocks + f.CriticalBlocks
+			if f.Type == IFrame && n != 0 || f.Type == PFrame && n != f.Macroblocks {
+				t.Errorf("frame %d (%v): %d classified blocks of %d macroblocks", i, f.Type, n, f.Macroblocks)
+			}
+		}
+		if ref == nil {
+			ref = stats
+		} else if !reflect.DeepEqual(stats, ref) {
+			t.Errorf("workers=%d pipeline=%v pool=%v: stats differ from the inline encode", cfg.Workers, cfg.Pipeline, cfg.Pool != nil)
+		}
+	}
+
+	stats, _, err := EncodeSequence(Config{Qp: 24, Searcher: &search.PBM{}}, frames[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if easy, good, crit := stats.DecisionMix(); easy+good+crit != 0 {
+		t.Errorf("PBM reported a decision mix %d/%d/%d", easy, good, crit)
+	}
+}

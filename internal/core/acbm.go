@@ -202,13 +202,13 @@ func (a *ACBM) SearchTrace(in *search.Input) (search.Result, Trace) {
 	a.stats.Blocks++
 	switch {
 	case tr.Cond1:
-		tr.Decision = AcceptedEasy
+		tr.Decision, pbmRes.Class = AcceptedEasy, search.ClassEasy
 		a.stats.Easy++
 	case tr.Cond2:
-		tr.Decision = AcceptedGoodMatch
+		tr.Decision, pbmRes.Class = AcceptedGoodMatch, search.ClassGoodMatch
 		a.stats.GoodMatch++
 	default:
-		tr.Decision = Critical
+		tr.Decision, pbmRes.Class = Critical, search.ClassCritical
 		a.stats.CriticalCnt++
 	}
 	if tr.Decision != Critical {
@@ -226,6 +226,6 @@ func (a *ACBM) SearchTrace(in *search.Input) (search.Result, Trace) {
 	if pbmRes.SAD < fsbmRes.SAD {
 		best = pbmRes
 	}
-	best.Points = total
+	best.Points, best.Class = total, search.ClassCritical
 	return best, tr
 }

@@ -52,6 +52,9 @@ import (
 //     best, else -1 and best unchanged): a tier may drop a candidate as
 //     soon as its partial sum reaches the running minimum, at any row
 //     granularity
+//   - sadBestFew: sadBest over cands[:n], 1 ≤ n ≤ FewCands, the list
+//     passed by value so the caller's array stays on its stack (see
+//     SADBestFew); same kernels, same contract
 //   - sse: sum of squared differences behind SSE; w%8 == 0,
 //     w·h ≤ sseMaxSamples (so 32-bit lane sums cannot overflow), both
 //     blocks in-plane. Exact integer arithmetic: no rounding rule, no
@@ -75,7 +78,8 @@ type kernelTable struct {
 
 	ring func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) [9]int
 
-	sadBest func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (idx, sad int)
+	sadBest    func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (idx, sad int)
+	sadBestFew func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (idx, sad int)
 
 	sse func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int
 }
@@ -205,6 +209,9 @@ func scalarTable() *kernelTable {
 		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
 			return sadBestBy(sadCappedScalar, cur, cx, cy, ref, rx, ry, 16, 16, cands, clip, best)
 		},
+		sadBestFew: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {
+			return sadBestBy(sadCappedScalar, cur, cx, cy, ref, rx, ry, 16, 16, cands[:n], clip, best)
+		},
 		sse: sseScalar,
 	}
 }
@@ -227,6 +234,9 @@ func swarTable() *kernelTable {
 		ring:      sadHalfPelRingSWAR,
 		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
 			return sadBestBy(sadCappedSWAR, cur, cx, cy, ref, rx, ry, 16, 16, cands, clip, best)
+		},
+		sadBestFew: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {
+			return sadBestBy(sadCappedSWAR, cur, cx, cy, ref, rx, ry, 16, 16, cands[:n], clip, best)
 		},
 		sse: sseScalar, // squares do not fit SWAR's 16-bit lanes
 	}

@@ -211,6 +211,10 @@ func sse2Table() *kernelTable {
 			return sadBest16SSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
 				&cands[0], len(cands), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
 		},
+		sadBestFew: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {
+			return sadBest16SSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
+				&cands[0], n, clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
+		},
 		sse: func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 			return sseBlkSSE2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, w, h)
 		},
@@ -232,8 +236,11 @@ func sse2Table() *kernelTable {
 // after every row. sadCapped has to keep that fold: the value it returns
 // on early exit is the cumulative sum at the exact row the cap was
 // crossed (TestSADCappedEarlyExitRowValues pins it on every tier), so it
-// cannot check less often. The full search no longer pays for it — it
-// goes through sadBest, whose contract defines only the winner.
+// cannot check less often. Nothing hot pays for it any more: the full
+// search goes through sadBest, and PBM's predictor set and descent probes
+// through sadBestFew, whose contract defines only the winner — no
+// benchmark workload's hot path calls single-candidate sadCapped, so a
+// wider tier for it is no longer a target (ROADMAP item 4(c)).
 func avx2Table() *kernelTable {
 	t := *sse2Table()
 	t.name = "avx2"
@@ -252,6 +259,10 @@ func avx2Table() *kernelTable {
 	t.sadBest = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
 		return sadBest16AVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
 			&cands[0], len(cands), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
+	}
+	t.sadBestFew = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {
+		return sadBest16AVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
+			&cands[0], n, clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
 	}
 	t.sse = func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 		return sseBlkAVX2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, w, h)

@@ -27,7 +27,7 @@ func spiralTable(r int) []Offset {
 func sadBestOracle(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int, cands []Offset, clip Rect, best int) (int, int) {
 	idx := -1
 	for i, c := range cands {
-		if !clip.contains(c) {
+		if !clip.Contains(c) {
 			continue
 		}
 		if s := sadScalar(cur, cx, cy, ref, rx+int(c.DX), ry+int(c.DY), w, h); s < best {
@@ -53,6 +53,16 @@ func checkSADBest(t *testing.T, what string, cur *frame.Plane, cx, cy int, ref *
 	if gotIdx != wantIdx || gotSAD != wantSAD {
 		t.Fatalf("%s: anchor (%d,%d) clip %+v best %d: got (idx %d, sad %d), want (idx %d, sad %d)",
 			what, rx, ry, clip, best, gotIdx, gotSAD, wantIdx, wantSAD)
+	}
+	// SADBestFew carries the head of the same list by value and must name
+	// the same winner for it.
+	var few [FewCands]Offset
+	n := copy(few[:], cands)
+	wantIdx, wantSAD = sadBestOracle(cur, cx, cy, ref, rx, ry, w, h, cands[:n], clip, best)
+	gotIdx, gotSAD = SADBestFew(cur, cx, cy, ref, rx, ry, w, h, few, n, clip, best)
+	if gotIdx != wantIdx || gotSAD != wantSAD {
+		t.Fatalf("%s: SADBestFew(%d) anchor (%d,%d) clip %+v best %d: got (idx %d, sad %d), want (idx %d, sad %d)",
+			what, n, rx, ry, clip, best, gotIdx, gotSAD, wantIdx, wantSAD)
 	}
 }
 

@@ -86,49 +86,55 @@ func (f *Field) MedianPredictor(bx, by int) MV {
 	return Median(left, up, upRight)
 }
 
-// Candidates returns the spatio-temporal predictor set for block (bx, by),
-// following Fig. 2 of the paper: the causal spatial neighbours from the
-// current frame (mv1..mv4 — left, up-left, up, up-right; mv5..mv8 are not
-// yet computed), the collocated vector and its eight neighbours from the
-// previous frame, and the zero vector. prev may be nil (first P-frame); the
-// result is deduplicated and always non-empty.
-func (f *Field) Candidates(prev *Field, bx, by int) []MV {
-	return f.AppendCandidates(make([]MV, 0, 14), prev, bx, by)
-}
+// MaxPredictors is the size of the Fig. 2 neighbourhood: four causal
+// spatial neighbours and the 3×3 temporal group.
+const MaxPredictors = 13
 
-// AppendCandidates is Candidates appending into dst, so per-block callers
-// (the PBM inner loop runs once per macroblock) can reuse a
-// stack-allocated buffer instead of allocating. The candidate set is at
-// most 14 vectors, deduplicated by linear scan.
-func (f *Field) AppendCandidates(dst []MV, prev *Field, bx, by int) []MV {
-	out := dst
-	add := func(m MV) {
-		for _, v := range out {
-			if v == m {
-				return
-			}
-		}
-		out = append(out, m)
+// AppendPredictors appends the spatio-temporal neighbourhood of block
+// (bx, by), following Fig. 2 of the paper, to dst: the causal spatial
+// neighbours from the current frame (mv1..mv4 — left, up-left, up,
+// up-right; mv5..mv8 are not yet computed), then the collocated vector and
+// its eight neighbours from the previous frame in raster order — at most
+// MaxPredictors vectors. prev may be nil (first P-frame). Unknown blocks
+// are skipped; the vectors are raw — neither deduplicated nor joined by
+// the zero vector, which is Candidates' (and PBM's) business. This is the
+// one statement of the neighbourhood; it runs once per macroblock, hence
+// straight-line, with no closure and no allocation when dst has room.
+func (f *Field) AppendPredictors(dst []MV, prev *Field, bx, by int) []MV {
+	if f.Known(bx-1, by) {
+		dst = append(dst, f.mv[by*f.Cols+bx-1])
 	}
-	add(Zero)
-	// Spatial neighbours in the current frame (causal only).
-	for _, d := range [][2]int{{-1, 0}, {-1, -1}, {0, -1}, {1, -1}} {
-		nx, ny := bx+d[0], by+d[1]
-		if f.Known(nx, ny) {
-			add(f.At(nx, ny))
+	for nx := bx - 1; nx <= bx+1; nx++ {
+		if f.Known(nx, by-1) {
+			dst = append(dst, f.mv[(by-1)*f.Cols+nx])
 		}
 	}
-	// Temporal neighbours: collocated block and its 8-neighbourhood in the
-	// previous frame's field.
 	if prev != nil {
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				nx, ny := bx+dx, by+dy
+		for ny := by - 1; ny <= by+1; ny++ {
+			for nx := bx - 1; nx <= bx+1; nx++ {
 				if prev.Known(nx, ny) {
-					add(prev.At(nx, ny))
+					dst = append(dst, prev.mv[ny*prev.Cols+nx])
 				}
 			}
 		}
+	}
+	return dst
+}
+
+// Candidates returns the predictor set for block (bx, by): the zero vector
+// followed by AppendPredictors' neighbourhood, deduplicated in first-seen
+// order. It is always non-empty and at most MaxPredictors+1 long.
+func (f *Field) Candidates(prev *Field, bx, by int) []MV {
+	all := f.AppendPredictors(append(make([]MV, 0, MaxPredictors+1), Zero), prev, bx, by)
+	out := all[:0] // compacted in place: the write index never passes the read index
+next:
+	for _, m := range all {
+		for _, v := range out {
+			if v == m {
+				continue next
+			}
+		}
+		out = append(out, m)
 	}
 	return out
 }

@@ -127,3 +127,49 @@ func TestSmoothness(t *testing.T) {
 		t.Fatalf("smoothness = %v, want 1.0", got)
 	}
 }
+
+// TestAppendPredictorsOrder pins the gather order — left, up-left, up,
+// up-right, then the temporal 3×3 in raster order — because PBM breaks
+// exact (SAD, L1) ties toward the first-seen predictor, and checks that
+// unknown and out-of-field blocks are skipped without deduplication.
+func TestAppendPredictorsOrder(t *testing.T) {
+	f, prev := NewField(3, 3), NewField(3, 3)
+	for by := 0; by < 3; by++ {
+		for bx := 0; bx < 3; bx++ {
+			prev.Set(bx, by, FromFullPel(10+bx, 10+by))
+		}
+	}
+	f.Set(0, 0, FromFullPel(1, 0))
+	f.Set(1, 0, FromFullPel(2, 0))
+	f.Set(2, 0, FromFullPel(3, 0))
+	f.Set(0, 1, FromFullPel(4, 0))
+	want := []MV{FromFullPel(4, 0), FromFullPel(1, 0), FromFullPel(2, 0), FromFullPel(3, 0)}
+	for by := 0; by < 3; by++ {
+		for bx := 0; bx < 3; bx++ {
+			want = append(want, FromFullPel(10+bx, 10+by))
+		}
+	}
+	var buf [MaxPredictors]MV
+	got := f.AppendPredictors(buf[:0], prev, 1, 1)
+	if len(got) != len(want) {
+		t.Fatalf("got %d predictors, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("predictor %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+
+	// Corner block, duplicate vectors, an unknown temporal entry.
+	g, gp := NewField(2, 2), NewField(2, 2)
+	gp.Set(0, 0, Zero)
+	gp.Set(1, 0, Zero)
+	gp.Set(1, 1, FromFullPel(1, 1))
+	got = g.AppendPredictors(buf[:0], gp, 0, 0)
+	if len(got) != 3 || got[0] != Zero || got[1] != Zero || got[2] != FromFullPel(1, 1) {
+		t.Fatalf("corner predictors = %v", got)
+	}
+	if got = g.AppendPredictors(buf[:0], nil, 0, 0); len(got) != 0 {
+		t.Fatalf("fresh field, no prev: %v", got)
+	}
+}

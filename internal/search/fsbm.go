@@ -59,10 +59,7 @@ func (f *FSBM) Search(in *Input) Result {
 // its area is the point count, and metrics.SADBest returns the first
 // strictly-best candidate of the spiral table inside it.
 func fullSearchBatch(in *Input) (best mvfield.MV, bestSAD, pts int) {
-	clip := metrics.Rect{
-		MinX: max(-in.Range, -in.BX), MaxX: min(in.Range, in.Ref.W-in.W-in.BX),
-		MinY: max(-in.Range, -in.BY), MaxY: min(in.Range, in.Ref.H-in.H-in.BY),
-	}
+	clip := in.window()
 	offs := spiralOffsets(in.Range)
 	i, sad := metrics.SADBest(in.Cur, in.BX, in.BY, in.Ref, in.BX, in.BY, in.W, in.H, offs, clip, math.MaxInt)
 	if i < 0 {

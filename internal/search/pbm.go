@@ -1,6 +1,11 @@
 package search
 
-import "repro/internal/mvfield"
+import (
+	"math"
+
+	"repro/internal/metrics"
+	"repro/internal/mvfield"
+)
 
 // PBM is the predictive block matching algorithm of §2.2, following the
 // complexity-bounded scheme of Chimienti et al. the paper uses [9]:
@@ -13,6 +18,10 @@ import "repro/internal/mvfield"
 // The refinement budget bounds the worst-case complexity; the default
 // matches the "very low computational cost" regime of the paper
 // (a few tens of candidates per macroblock versus FSBM's 969).
+//
+// PBM holds configuration only: it is stateless, Fork returns the receiver
+// and every lane of a parallel encode calls the same instance. What a
+// search needs beyond its Input lives on Search's stack.
 type PBM struct {
 	// MaxRefineSteps bounds the integer-pel descent (default 4).
 	MaxRefineSteps int
@@ -23,6 +32,18 @@ type PBM struct {
 // DefaultRefineSteps is the integer refinement budget used in the paper's
 // operating point.
 const DefaultRefineSteps = 4
+
+// maxPBMCandidates bounds step 1's probe set: the zero vector plus the
+// Fig. 2 neighbourhood (with a cross-layer seed: zero + 4 spatial +
+// MaxSeeds, which is smaller). It must fit SADBestFew's list.
+const maxPBMCandidates = mvfield.MaxPredictors + 1
+
+var _ [metrics.FewCands - maxPBMCandidates]struct{}
+
+// pbmProbeCap is the probe list Search keeps on its stack: the candidates
+// plus four descent probes for each of eight refinement steps. A larger
+// MaxRefineSteps still works — the list grows onto the heap.
+const pbmProbeCap = maxPBMCandidates + 4*8
 
 // Name implements Searcher.
 func (p *PBM) Name() string { return "PBM" }
@@ -38,15 +59,157 @@ func (p *PBM) refineSteps() int {
 // when present) to gather predictors; with no context it degrades to a
 // small search around the zero vector.
 //
-// The probe set is tiny (a handful of predictors plus the bounded
-// descent), so visited candidates are deduplicated with a linear scan
-// over a stack-allocated list instead of a map, and losing candidates are
+// One generator (pbmCandidates) produces the step-1 probe set; two
+// evaluators consume it, and which one runs depends only on what the
+// input is, as in FSBM.Search. Macroblocks pay per block: the predictor
+// set is one best-of-candidates kernel call and every descent probe one
+// more, against a window computed once. The per-point fold remains where
+// the individual SADs are the product (Collect), where the kernel does not
+// apply (PixelDecimation, other block shapes, a block outside the frame),
+// and as the oracle the batch route is tested against
+// (TestPBMBatchMatchesPerPoint).
+func (p *PBM) Search(in *Input) Result {
+	win := in.window()
+	return p.search(in, win, in.W == 16 && in.H == 16 && in.Collect == nil && !in.PixelDecimation && !win.Empty())
+}
+
+// search is Search with the evaluator named by the caller (batch must be
+// false for inputs the kernel route does not apply to).
+func (p *PBM) search(in *Input, win metrics.Rect, batch bool) Result {
+	var buf [pbmProbeCap]metrics.Offset
+	probes := in.pbmCandidates(buf[:0], win)
+	var best mvfield.MV
+	var bestSAD, pts int
+	if batch {
+		best, bestSAD, pts = pbmBatch(in, win, probes, p.refineSteps())
+	} else {
+		best, bestSAD, pts = pbmPerPoint(in, probes, p.refineSteps())
+	}
+	if !p.NoHalfPel {
+		mv, sad, extra := refineHalfPel(in, best, bestSAD)
+		best, bestSAD, pts = mv, sad, pts+extra
+	}
+	return Result{MV: best, SAD: bestSAD, Points: pts}
+}
+
+// pbmCandidates appends step 1's probe set to dst (at most
+// maxPBMCandidates positions): the zero vector, the causal spatial
+// predictors and the temporal ones — or, with a cross-layer seed, the seed
+// candidates in their place: the upper rung's field encodes the same
+// history at higher accuracy, and ≤ 4 seeds stand in for ≤ 9 temporal
+// probes. Predictors are probes on the integer grid: each is snapped to
+// full pel (truncating, like MV.FullPel), clamped into win — the same
+// vector ClampMV-then-snap yields, since truncation is monotone and both
+// of ClampMV's intervals contain zero — and dropped if an earlier one
+// landed on the same position. The order is first-seen, which is what
+// breaks exact (SAD, L1) ties.
+func (in *Input) pbmCandidates(dst []metrics.Offset, win metrics.Rect) []metrics.Offset {
+	var buf [maxPBMCandidates]mvfield.MV
+	raw := append(buf[:0], mvfield.Zero)
+	switch {
+	case in.CurField != nil && in.Seed != nil:
+		raw = in.CurField.AppendPredictors(raw, nil, in.MBX, in.MBY)
+		sv, k := in.Seed.Seeds(in.MBX, in.MBY)
+		raw = append(raw, sv[:k]...)
+	case in.CurField != nil:
+		raw = in.CurField.AppendPredictors(raw, in.PrevField, in.MBX, in.MBY)
+	}
+	for _, m := range raw {
+		fx, fy := m.FullPel()
+		o := metrics.Offset{
+			DX: int16(min(max(fx, win.MinX), win.MaxX)),
+			DY: int16(min(max(fy, win.MinY), win.MaxY)),
+		}
+		if !probed(dst, o) {
+			dst = append(dst, o)
+		}
+	}
+	return dst
+}
+
+// probed reports whether o is in list — a linear scan over packed 4-byte
+// positions; the list is a few dozen entries at most.
+func probed(list []metrics.Offset, o metrics.Offset) bool {
+	for _, v := range list {
+		if v == o {
+			return true
+		}
+	}
+	return false
+}
+
+// offsetL1 is the L1 length of a full-pel displacement (half of its MV's).
+func offsetL1(o metrics.Offset) int {
+	return max(int(o.DX), -int(o.DX)) + max(int(o.DY), -int(o.DY))
+}
+
+// descentSteps is the small diamond of the integer descent, in probe
+// order.
+var descentSteps = [4]metrics.Offset{{DX: 1}, {DX: -1}, {DY: 1}, {DY: -1}}
+
+// pbmBatch evaluates the candidates in probes, then the descent, through
+// metrics.SADBestFew; probes is the visited list and grows with every
+// descent probe.
+//
+// Step 1 is one call. better() orders candidates by (SAD, L1, first-seen);
+// stable-sorted by L1, a later candidate is never shorter than the
+// incumbent, so the winner is the first strictly-smallest SAD — SADBest's
+// whole contract, the argument spiral.go makes for the full search.
+//
+// The descent is a sequential walk and stays one: each probe is taken from
+// the current best, which moves inside a step, so the four probes of a
+// step are not known in advance. What each probe costs is a rectangle
+// compare (win is ±Range ∩ frame, so inside it means in range and legal),
+// a scan of the packed probe list, and a one-candidate kernel call with
+// the bar at bestSAD+1: a loser comes back -1, a tie comes back exact and
+// wins only on the shorter vector.
+func pbmBatch(in *Input, win metrics.Rect, probes []metrics.Offset, steps int) (mvfield.MV, int, int) {
+	var few [metrics.FewCands]metrics.Offset
+	n := copy(few[:], probes)
+	for i := 1; i < n; i++ {
+		o, l := few[i], offsetL1(few[i])
+		j := i
+		for ; j > 0 && offsetL1(few[j-1]) > l; j-- {
+			few[j] = few[j-1]
+		}
+		few[j] = o
+	}
+	i, bestSAD := metrics.SADBestFew(in.Cur, in.BX, in.BY, in.Ref, in.BX, in.BY, 16, 16, few, n, win, math.MaxInt)
+	best := few[i]
+
+	for step := 0; step < steps; step++ {
+		improved := false
+		for _, d := range descentSteps {
+			o := metrics.Offset{DX: best.DX + d.DX, DY: best.DY + d.DY}
+			if !win.Contains(o) || probed(probes, o) {
+				continue
+			}
+			probes = append(probes, o)
+			few[0] = o
+			if hit, s := metrics.SADBestFew(in.Cur, in.BX, in.BY, in.Ref, in.BX, in.BY, 16, 16, few, 1, win, bestSAD+1); hit == 0 &&
+				(s < bestSAD || offsetL1(o) < offsetL1(best)) {
+				best, bestSAD, improved = o, s, true
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return offsetMV(best), bestSAD, len(probes)
+}
+
+// pbmPerPoint evaluates the candidates and the descent one candidate at a
+// time through Input.SAD/SADCapped, so Collect sees every SAD and any
+// block shape or sampling works.
+//
+// Visited candidates are deduplicated with a linear scan over a
+// stack-allocated list instead of a map, and losing candidates are
 // evaluated with the early-terminating capped SAD — the winner and its
 // exact SAD (and therefore the bitstream) are unchanged: a capped probe
 // is only ever truncated when it already exceeds the incumbent, and a
 // probe that ties the incumbent is returned exactly (no prefix of its
 // rows can exceed the cap).
-func (p *PBM) Search(in *Input) Result {
+func pbmPerPoint(in *Input, cands []metrics.Offset, steps int) (mvfield.MV, int, int) {
 	var visited visitedSet
 	pts := 0
 	eval := func(mv mvfield.MV, cap int) (int, bool) {
@@ -61,39 +224,9 @@ func (p *PBM) Search(in *Input) Result {
 		return in.SADCapped(mv, cap), true
 	}
 
-	// Step 1: predictor candidates. Predictors are full-pel rounded: the
-	// integer search stage operates on the full-pel grid only. With a
-	// cross-layer seed the temporal predictors are replaced by the seed
-	// candidates: the upper rung's field encodes the same history at
-	// higher accuracy, and ≤ 4 seeds stand in for ≤ 9 temporal probes
-	// (zero + 4 spatial + 4 seeds still fits cbuf).
-	var cbuf [14]mvfield.MV
-	cands := cbuf[:0]
-	switch {
-	case in.CurField != nil && in.Seed != nil:
-		cands = in.CurField.AppendCandidates(cands, nil, in.MBX, in.MBY)
-		sv, n := in.Seed.Seeds(in.MBX, in.MBY)
-		for _, m := range sv[:n] {
-			dup := false
-			for _, v := range cands {
-				if v == m {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				cands = append(cands, m)
-			}
-		}
-	case in.CurField != nil:
-		cands = in.CurField.AppendCandidates(cands, in.PrevField, in.MBX, in.MBY)
-	default:
-		cands = append(cands, mvfield.Zero)
-	}
 	best, bestSAD := mvfield.Zero, -1
-	for _, c := range cands {
-		c = in.ClampMV(c)
-		c = mvfield.FromFullPel(c.X/2, c.Y/2) // snap to integer pel
+	for _, o := range cands {
+		c := offsetMV(o)
 		s, ok := eval(c, bestSAD)
 		if !ok {
 			continue
@@ -103,18 +236,18 @@ func (p *PBM) Search(in *Input) Result {
 		}
 	}
 	if bestSAD < 0 {
-		// All predictors were illegal/duplicates of illegal positions:
-		// fall back to the zero vector.
+		// Every predictor was illegal (the block is not inside the
+		// frame): fall back to the zero vector.
 		best = mvfield.Zero
 		bestSAD = in.SAD(best)
 		pts++
 	}
 
-	// Step 2/3: bounded small-diamond descent on the integer grid.
-	for step := 0; step < p.refineSteps(); step++ {
+	// Bounded small-diamond descent on the integer grid.
+	for step := 0; step < steps; step++ {
 		improved := false
-		for _, d := range [4]mvfield.MV{{X: 2}, {X: -2}, {Y: 2}, {Y: -2}} {
-			mv := best.Add(d)
+		for _, d := range descentSteps {
+			mv := best.Add(offsetMV(d))
 			if mv.Linf() > 2*in.Range {
 				continue
 			}
@@ -127,11 +260,5 @@ func (p *PBM) Search(in *Input) Result {
 			break
 		}
 	}
-
-	// Final half-pel refinement.
-	if !p.NoHalfPel {
-		mv, sad, extra := refineHalfPel(in, best, bestSAD)
-		best, bestSAD, pts = mv, sad, pts+extra
-	}
-	return Result{MV: best, SAD: bestSAD, Points: pts}
+	return best, bestSAD, pts
 }

@@ -61,11 +61,24 @@ type Input struct {
 	PixelDecimation bool
 }
 
+// Class says how an adaptive searcher resolved a block — the decision mix
+// that swings ACBM's cost between PBM's and FSBM's. Searchers that make no
+// such decision leave it Unclassified.
+type Class uint8
+
+const (
+	Unclassified   Class = iota
+	ClassEasy            // ACBM condition 1: predictive vector accepted
+	ClassGoodMatch       // ACBM condition 2: predictive vector accepted
+	ClassCritical        // both conditions failed: full search ran
+)
+
 // Result is the outcome of one block search.
 type Result struct {
 	MV     mvfield.MV // best motion vector, half-pel units
 	SAD    int        // its matching error
 	Points int        // candidate positions evaluated (Table 1 metric)
+	Class  Class      // how an adaptive searcher decided; zero otherwise
 }
 
 // Searcher is a block-matching motion estimation algorithm.
@@ -84,6 +97,18 @@ func (in *Input) Legal(mv mvfield.MV) bool {
 	return hx >= 0 && hy >= 0 &&
 		hx+2*(in.W-1) <= 2*(in.Ref.W-1) &&
 		hy+2*(in.H-1) <= 2*(in.Ref.H-1)
+}
+
+// window returns the legal full-pel displacements of the block as one
+// rectangle: ±Range clipped to the frame. A full-pel candidate is inside
+// exactly when it is within range and Legal, so batch searchers compute
+// this once per block instead of testing both per point. It is empty when
+// the block itself is not inside the frame.
+func (in *Input) window() metrics.Rect {
+	return metrics.Rect{
+		MinX: max(-in.Range, -in.BX), MaxX: min(in.Range, in.Ref.W-in.W-in.BX),
+		MinY: max(-in.Range, -in.BY), MaxY: min(in.Range, in.Ref.H-in.H-in.BY),
+	}
 }
 
 // ClampMV limits mv to the search range and to legal positions, moving it
