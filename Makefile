@@ -15,6 +15,13 @@
 #                       `go test -list`, so a new one is picked up by
 #                       being written) fuzzed for 3 s each: `go test`
 #                       alone only replays the seed corpora
+#   make fma-check    — cross-compile internal/dct and internal/codec for
+#                       arm64 with -gcflags=-S (no network, no arm64 host
+#                       needed) and fail on any fused multiply-add
+#                       attributed to them: the goldens pin multiply,
+#                       round, add, round, and arm64 fuses x*y + z into
+#                       one rounding wherever an explicit float64(x*y)
+#                       conversion does not forbid it
 #   make bench-check  — vet + test the bench/ module (BENCHMARK.json's
 #                       harness). It is a module of its own, outside the
 #                       root ./..., so only this target notices when a
@@ -74,7 +81,7 @@ GO ?= go
 # The X-smoke targets are built by the one %-smoke pattern rule below, so
 # they must stay out of .PHONY (make skips implicit rules for phony
 # targets); FORCE keeps them, and the bin/% builds, always out of date.
-.PHONY: build test sched-one-p fuzz-smoke bench-check bench-smoke bench-speed bench-rate ratchet-pin bench-serve bench-cluster bench-qos bench-ladder ci FORCE
+.PHONY: build test sched-one-p fuzz-smoke fma-check bench-check bench-smoke bench-speed bench-rate ratchet-pin bench-serve bench-cluster bench-qos bench-ladder ci FORCE
 
 build:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -97,6 +104,14 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 3s $$pkg; \
 		done; \
 	done
+
+fma-check:
+	@fused="$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/dct ./internal/codec 2>&1 \
+		| grep -E 'internal/(dct|codec)/[^/)]+\)[[:space:]]+FN?M(ADD|SUB)[SD]' || true)"; \
+	if [ -n "$$fused" ]; then \
+		echo "fused multiply-add in the arm64 build of internal/dct or internal/codec:"; \
+		echo "$$fused"; exit 1; fi; \
+	echo "fma-check: no fused multiply-add in the arm64 build of internal/dct, internal/codec"
 
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
@@ -143,6 +158,6 @@ bench-qos: bin/vcodecd
 bench-ladder:
 	$(GO) run ./cmd/vload -ladder -json BENCH_ladder.json
 
-ci: test fuzz-smoke bench-check bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
+ci: test fuzz-smoke fma-check bench-check bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
 
 FORCE:

@@ -413,7 +413,7 @@ func BenchmarkHalfPelBlock8x8(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Walk the anchors so the source rows are not one hot line.
 				x, y := 8*(i%20), 8*(i/20%16)
-				frame.HalfPelBlock(dst[:], ref, 2*x+ph&1, 2*y+ph>>1, 8, 8)
+				frame.HalfPelBlock(dst[:], 8, ref, 2*x+ph&1, 2*y+ph>>1, 8, 8)
 			}
 		})
 	}

@@ -26,18 +26,28 @@
 //     every position a legal candidate or a chroma-derived vector can
 //     reach is backed by real edge-replicated memory and no hot loop
 //     branches on the frame border.
-//   - Motion compensation reads the reference plane and nothing else:
-//     frame.HalfPelBlock writes one block's prediction at its half-pel
-//     anchor straight from the padded plane — a row copy for the integer
-//     phase, one word-parallel pass over one (b, c) or two (d) source
-//     rows otherwise — so a block costs the 64 samples it uses and the
-//     codec holds no half-pel state between macroblocks. The phase-split,
+//   - Motion compensation reads the reference plane and writes the frame
+//     being reconstructed, and touches nothing else: codec.predictInterMB
+//     fetches a macroblock's prediction — one 16×16 luma block when its
+//     vectors agree, four 8×8 otherwise, 8×8 per chroma plane — straight
+//     into the reconstruction through metrics.PredictBlock, an entry of
+//     the kernel table below. Its definition and scalar tier is
+//     frame.HalfPelBlock: one block at its half-pel anchor from the padded
+//     plane, a row copy for the integer phase, one word-parallel pass over
+//     one (b, c) or two (d) source rows otherwise; the amd64 tier is a row
+//     move, PAVGB or the word-widened diagonal per 16-byte row. An uncoded
+//     block is finished the moment it is predicted; a coded one reads its
+//     prediction back from the same coordinates. A kernel writes exactly
+//     its w×h window — the neighbouring bytes belong to macroblocks other
+//     wavefront lanes own — and the codec holds no prediction buffer and
+//     no half-pel state between macroblocks. The phase-split,
 //     tile-by-tile half-pel view (frame.Interpolated: b/c/d phase planes
 //     filled frame.TileSize² samples at a time on first touch, behind an
 //     atomic per-tile claim) is still there, reached only through
 //     PhaseRect/At: the tests use it as the materialised oracle
-//     HalfPelBlock is differentially pinned against, and bench/ probes it
-//     as a layer. Nothing on the encode or decode path touches a tile.
+//     HalfPelBlock and PredictBlock are differentially pinned against,
+//     and bench/ probes it as a layer. Nothing on the encode or decode
+//     path touches a tile.
 //   - internal/metrics runs the SAD family through a runtime-dispatched
 //     kernel table with four tiers: scalar (the differential-test
 //     reference), SWAR (8 pixels per uint64 load, split into 16-bit
@@ -113,25 +123,36 @@
 //     fast path; every reordering preserves the reference kernels'
 //     floating-point operation order, so int32(math.Round) outputs are
 //     bit-identical (enforced by differential tests against the kept
-//     reference kernels).
-//   - The inter residual path matches its traffic. At the paper's
-//     operating points nearly every inter block quantises to nothing, so
-//     codec.codeInterBlock first takes the block's residual energy on
-//     plane bytes (metrics.SSE, one more entry of the kernel table:
-//     PMADDWD squares on amd64) — against a window of the reference plane
-//     for full-pel vectors, against a fetched 8×8 byte tile for half-pel
-//     ones — and compares it with dct.InterZeroBound(Qp) = k²−k,
-//     k = 2·Qp + Qp/2 the edge of QuantizeInter's dead zone. The DCT
-//     basis is orthonormal, so no coefficient can exceed the residual's
-//     L2 norm: at or below the bound every coefficient rounds inside the
-//     dead zone, the block is provably uncoded, and it is reconstructed
-//     by a byte copy of its prediction without being widened, transformed
-//     or quantised. Only blocks above the bound take the int32 load →
-//     Forward → QuantizeInter → dequantise → Inverse → clamp route. The
-//     gate is exact, not a heuristic — bitstreams are byte-identical with
-//     and without it — and codec.FrameStats reports its traffic per frame
-//     (GatedBlocks / TransformedBlocks / CodedBlocks). The per-frame PSNR
-//     statistics sum their squared error through the same kernel.
+//     reference kernels). Every product that feeds a sum is wrapped in an
+//     explicit float64 conversion, the language's barrier against fusing
+//     x*y + z into one rounding: arm64 would fuse, amd64 does not, and the
+//     pinned streams are the unfused ones (`make fma-check` cross-compiles
+//     and greps).
+//   - The inter residual path matches its traffic, and pays per
+//     macroblock. At the paper's operating points nearly every inter
+//     block quantises to nothing, so after predicting the macroblock in
+//     place codec.codeInterBlock takes each block's residual energy on
+//     plane bytes — source against reconstruction at the same
+//     coordinates, whatever the vectors were (metrics.SSE, one more entry
+//     of the kernel table: PMADDWD squares on amd64) — and compares it
+//     with dct.InterZeroBound(Qp) = k²−k, k = 2·Qp + Qp/2 the edge of
+//     QuantizeInter's dead zone. The DCT basis is orthonormal, so no
+//     coefficient can exceed the residual's L2 norm: at or below the
+//     bound every coefficient rounds inside the dead zone, the block is
+//     provably uncoded, and it is already reconstructed. A block above
+//     the bound takes the forward transform's row pass straight from the
+//     two byte blocks (metrics.ResidualRows, a table entry too: one
+//     float64 lane per output coefficient, separate multiply and add in
+//     the scalar code's order, so the seventy-two results carry the same
+//     bits on every tier), dct.QuantizeInterRows applies the same bound
+//     per coefficient column and runs the column pass only where a level
+//     can be non-zero, and only a block that keeps a level — about one in
+//     a hundred — is widened to int32, dequantised, inverse-transformed
+//     and clamped. Every exit is exact, not a heuristic — bitstreams are
+//     byte-identical with and without it — and codec.FrameStats reports
+//     the traffic per frame (GatedBlocks / TransformedBlocks /
+//     RowOnlyBlocks / CodedBlocks). The per-frame PSNR statistics sum
+//     their squared error through the same SSE kernel.
 //   - internal/codec analyses macroblocks on a barrier-free wavefront
 //     (codec.Config.Workers): motion estimation, mode decision,
 //     transform/quantisation and reconstruction run a macroblock row per

@@ -33,161 +33,113 @@ func storeBlock(p *frame.Plane, x, y int, b *dct.Block) {
 	}
 }
 
-// predWindow locates the 8×8 motion-compensated prediction for the block
-// anchored at (x, y) with vector mv (half-pel units) as bytes, without
-// widening a sample: it returns a plane and the anchor of the prediction
-// inside it. ref is the reference plane itself. A full-pel vector whose
-// block stays inside it returns a window of ref (that covers every skip
-// block and most chroma vectors); every other vector has
-// frame.HalfPelBlock compute the sixty-four samples from ref into tile — a
-// tight 8×8 plane the caller owns — and returns that. No half-pel state
-// outlives the call and nothing here claims a tile of the frame package's
-// materialised half-pel view, so concurrent analysis lanes share only the
-// read-only reference. Encoder and decoder both predict through here, so
-// they cannot disagree on a sample.
-func predWindow(tile, ref *frame.Plane, x, y int, mv mvfield.MV) (p *frame.Plane, px, py int) {
-	if mv.X&1 == 0 && mv.Y&1 == 0 {
-		sx, sy := x+mv.X/2, y+mv.Y/2
-		if ref.InBounds(sx, sy, 8, 8) {
-			return ref, sx, sy
+// predictInterMB writes the motion-compensated prediction of inter
+// macroblock (mbx, mby) straight into recon, the frame being
+// reconstructed, from the reference ref: the luma as one 16×16 fetch when
+// the four vectors agree (every one-vector and skipped macroblock) and as
+// four 8×8 fetches otherwise, each chroma plane as one 8×8 fetch at cmv.
+// Vectors are in half-pel units. metrics.PredictBlock computes
+// frame.HalfPelBlock's samples and writes exactly the window it is given,
+// so a macroblock's analysis still touches only its own 16×16 luma and 8×8
+// chroma region of recon — the wavefront's write rule — and reads only
+// the read-only reference.
+//
+// After this call every block of the macroblock is finished if it turns out
+// uncoded (its reconstruction is its prediction), and a coded block's
+// prediction is what recon holds at the block's own coordinates, whatever
+// the vectors were. Encoder and decoder both predict through here and
+// both finish coded blocks with reconCodedBlock, so they cannot disagree
+// on a sample.
+func predictInterMB(recon, ref *frame.Frame, mbx, mby int, lumaMV [4]mvfield.MV, cmv mvfield.MV) {
+	x, y := 16*mbx, 16*mby
+	if mv := lumaMV[0]; mv == lumaMV[1] && mv == lumaMV[2] && mv == lumaMV[3] {
+		metrics.PredictBlock(recon.Y, x, y, ref.Y, 2*x+mv.X, 2*y+mv.Y, 16, 16)
+	} else {
+		for i, off := range lumaBlockOffsets {
+			bx, by := x+off[0], y+off[1]
+			metrics.PredictBlock(recon.Y, bx, by, ref.Y, 2*bx+lumaMV[i].X, 2*by+lumaMV[i].Y, 8, 8)
 		}
 	}
-	frame.HalfPelBlock(tile.Pix, ref, 2*x+mv.X, 2*y+mv.Y, 8, 8)
-	return tile, 0, 0
+	cx, cy := 8*mbx, 8*mby
+	metrics.PredictBlock(recon.Cb, cx, cy, ref.Cb, 2*cx+cmv.X, 2*cy+cmv.Y, 8, 8)
+	metrics.PredictBlock(recon.Cr, cx, cy, ref.Cr, 2*cx+cmv.X, 2*cy+cmv.Y, 8, 8)
 }
 
-// tilePlane wraps buf as the tight 8×8 plane predWindow fills.
-func tilePlane(buf *[64]uint8) frame.Plane {
-	return frame.Plane{W: 8, H: 8, Stride: 8, Pix: buf[:]}
-}
-
-// predBlock fetches the 8×8 motion-compensated prediction for the block
-// anchored at (x, y) with vector mv (half-pel units), widened into b.
-func predBlock(b *dct.Block, ref *frame.Plane, x, y int, mv mvfield.MV) {
-	var buf [64]uint8
-	tile := tilePlane(&buf)
-	pp, px, py := predWindow(&tile, ref, x, y, mv)
-	loadBlock(b, pp, px, py)
-}
-
-// copyBlock copies the 8×8 samples of src anchored at (sx, sy) to dst at
-// (x, y).
-func copyBlock(dst *frame.Plane, x, y int, src *frame.Plane, sx, sy int) {
-	for r := 0; r < 8; r++ {
-		copy(dst.Pix[(y+r)*dst.Stride+x:(y+r)*dst.Stride+x+8],
-			src.Pix[(sy+r)*src.Stride+sx:(sy+r)*src.Stride+sx+8])
+// reconCodedBlock finishes a coded inter block in place: p holds the
+// block's prediction at (x, y) (predictInterMB) and receives prediction +
+// dequantised, inverse-transformed levels, clamped to 8 bits. This is the
+// only place an inter block is widened to a dct.Block.
+func reconCodedBlock(p *frame.Plane, x, y int, levels *dct.Block, qp int) {
+	var pred, coef dct.Block
+	loadBlock(&pred, p, x, y)
+	dct.DequantizeInter(&coef, levels, qp)
+	dct.Inverse(&coef, &coef)
+	for i := range pred {
+		pred[i] += coef[i]
 	}
-}
-
-// storePredBlock writes the motion-compensated prediction for an uncoded
-// block straight into p as bytes. The reconstruction of an uncoded block
-// is exactly its prediction and prediction samples are already 8-bit, so
-// this equals predBlock + reconInterBlock(coded=false) + storeBlock while
-// skipping both int32 conversions and the clamp.
-func storePredBlock(p *frame.Plane, x, y int, ref *frame.Plane, mv mvfield.MV) {
-	var buf [64]uint8
-	tile := tilePlane(&buf)
-	pp, px, py := predWindow(&tile, ref, x, y, mv)
-	copyBlock(p, x, y, pp, px, py)
-}
-
-// encodeInterBlock transforms and quantises the residual cur−pred. It
-// returns whether any quantised level is non-zero and how many coefficient
-// columns needed their column pass (dct.ForwardQuantizeInter).
-func encodeInterBlock(levels *dct.Block, cur, pred *dct.Block, qp int) (coded bool, liveCols int) {
-	var resid dct.Block
-	for i := range resid {
-		resid[i] = cur[i] - pred[i]
-	}
-	return dct.ForwardQuantizeInter(levels, &resid, qp)
+	storeBlock(p, x, y, &pred)
 }
 
 // mbScratch is the state one analysis worker reuses across macroblocks,
 // so that neither the search problem nor the residual path allocates per
-// macroblock: the searcher's Input, and the tile predWindow fills for
-// half-pel vectors. Both are handed to code the compiler cannot see
-// through (the Searcher interface, the metrics kernel table), so they
-// must live on the heap once rather than on a stack per call.
+// macroblock: the searcher's Input, and the row pass of a block being
+// transformed. Both are handed to code the compiler cannot see through
+// (the Searcher interface, the metrics kernel table), so they must live on
+// the heap once rather than on a stack per call.
 type mbScratch struct {
-	in      search.Input
-	tile    frame.Plane // tight 8×8 view of tileBuf
-	tileBuf [64]uint8
-}
-
-// init points the tile at its buffer; call it once the scratch has its
-// final address.
-func (sc *mbScratch) init() {
-	sc.tile = tilePlane(&sc.tileBuf)
+	in   search.Input
+	rows dct.RowPass
 }
 
 // codeInterBlock runs the residual path for block i of an inter
-// macroblock: the 8×8 samples of src at (x, y), predicted from the
-// reference plane ref with vector mv, reconstructed into recon. It sets
-// r.coded[i] and, for a coded block, r.levels[i]; the levels of an uncoded
-// block are never read.
+// macroblock whose prediction predictInterMB has already written into
+// recon: the 8×8 samples of src at (x, y) against the 8×8 bytes of recon
+// at the same coordinates. It sets r.coded[i] and, for a coded block,
+// r.levels[i]; the levels of an uncoded block are never read.
 //
 // The path matches its traffic, one route with early exits. The residual
 // energy is taken on plane bytes first, and a block at or below
 // dct.InterZeroBound is provably all-zero after Forward + QuantizeInter
 // (see the bound's derivation), so its outcome — uncoded, reconstruction =
-// prediction — is recorded with a byte copy and nothing is widened,
-// transformed or quantised. A block above the bound is loaded into
-// dct.Blocks and transformed by dct.ForwardQuantizeInter, which applies
-// the same bound per coefficient column after the row pass and runs the
-// column pass only where a level can be non-zero; most survivors end
-// there, uncoded, after half a transform. Only a block that keeps a level
-// is dequantised, inverse-transformed and clamped. Each exit changes
-// which work is done, never its result: coded flags, levels and every
-// reconstructed sample equal what the full route alone would produce.
-func (e *Encoder) codeInterBlock(sc *mbScratch, r *mbResult, i int, src, recon *frame.Plane, x, y int, ref *frame.Plane, mv mvfield.MV) {
-	pp, px, py := predWindow(&sc.tile, ref, x, y, mv)
-	if metrics.SSE(src, x, y, pp, px, py, 8, 8) <= dct.InterZeroBound(e.curQp) {
+// the prediction already in place — is recorded and nothing is widened,
+// transformed, quantised or copied. A block above the bound takes the
+// forward transform's row pass straight from the two byte blocks
+// (metrics.ResidualRows) and dct.QuantizeInterRows applies the same bound
+// per coefficient column, running the column pass only where a level can
+// be non-zero; most survivors end there, uncoded, after half a transform.
+// Only a block that keeps a level is dequantised, inverse-transformed and
+// clamped (reconCodedBlock). Each exit changes which work is done, never
+// its result: coded flags, levels and every reconstructed sample equal
+// what the full route alone would produce.
+func (e *Encoder) codeInterBlock(sc *mbScratch, r *mbResult, i int, src, recon *frame.Plane, x, y int) {
+	if metrics.SSE(src, x, y, recon, x, y, 8, 8) <= dct.InterZeroBound(e.curQp) {
 		r.coded[i] = false
 		r.gated++
-		copyBlock(recon, x, y, pp, px, py)
 		return
 	}
-	var cur, pred dct.Block
-	loadBlock(&cur, src, x, y)
-	loadBlock(&pred, pp, px, py)
-	coded, liveCols := encodeInterBlock(&r.levels[i], &cur, &pred, e.curQp)
+	metrics.ResidualRows(&sc.rows, src, x, y, recon, x, y)
+	coded, liveCols := dct.QuantizeInterRows(&r.levels[i], &sc.rows, e.curQp)
 	r.coded[i] = coded
 	if liveCols == 0 {
 		r.rowOnly++
 	}
-	if !coded {
-		copyBlock(recon, x, y, pp, px, py)
-		return
+	if coded {
+		reconCodedBlock(recon, x, y, &r.levels[i], e.curQp)
 	}
-	reconInterBlock(&cur, &pred, &r.levels[i], true, e.curQp) // cur is spent: reuse it
-	storeBlock(recon, x, y, &cur)
 }
 
-// codeInterBlocks runs codeInterBlock over the six blocks of macroblock
-// (mbx, mby): the four luma blocks with their own vectors (all equal for
-// a one-vector macroblock) and both chroma blocks with cmv.
+// codeInterBlocks predicts macroblock (mbx, mby) in place and runs
+// codeInterBlock over its six blocks: the four luma blocks with their own
+// vectors (all equal for a one-vector macroblock) and both chroma blocks
+// with cmv.
 func (e *Encoder) codeInterBlocks(sc *mbScratch, r *mbResult, src, recon *frame.Frame, mbx, mby int, lumaMV [4]mvfield.MV, cmv mvfield.MV) {
+	predictInterMB(recon, e.recon, mbx, mby, lumaMV, cmv)
 	r.gated, r.rowOnly = 0, 0
 	for i, off := range lumaBlockOffsets {
-		e.codeInterBlock(sc, r, i, src.Y, recon.Y, 16*mbx+off[0], 16*mby+off[1], e.recon.Y, lumaMV[i])
+		e.codeInterBlock(sc, r, i, src.Y, recon.Y, 16*mbx+off[0], 16*mby+off[1])
 	}
-	e.codeInterBlock(sc, r, 4, src.Cb, recon.Cb, 8*mbx, 8*mby, e.recon.Cb, cmv)
-	e.codeInterBlock(sc, r, 5, src.Cr, recon.Cr, 8*mbx, 8*mby, e.recon.Cr, cmv)
-}
-
-// reconInterBlock reconstructs an inter block from its prediction and
-// quantised levels (coded == false means all-zero levels).
-func reconInterBlock(out, pred, levels *dct.Block, coded bool, qp int) {
-	if !coded {
-		*out = *pred
-		return
-	}
-	var coef dct.Block
-	dct.DequantizeInter(&coef, levels, qp)
-	dct.Inverse(&coef, &coef)
-	for i := range out {
-		out[i] = pred[i] + coef[i]
-	}
+	e.codeInterBlock(sc, r, 4, src.Cb, recon.Cb, 8*mbx, 8*mby)
+	e.codeInterBlock(sc, r, 5, src.Cr, recon.Cr, 8*mbx, 8*mby)
 }
 
 // encodeIntraBlock transforms and quantises raw samples.
@@ -228,6 +180,18 @@ func chromaMV(mv mvfield.MV) mvfield.MV {
 		return 0
 	}
 	return mvfield.MV{X: h(mv.X), Y: h(mv.Y)}
+}
+
+// mbBlock locates block i of macroblock (mbx, mby) in f, in coding order:
+// the four luma blocks, then Cb, then Cr.
+func mbBlock(f *frame.Frame, mbx, mby, i int) (p *frame.Plane, x, y int) {
+	switch i {
+	case 4:
+		return f.Cb, 8 * mbx, 8 * mby
+	case 5:
+		return f.Cr, 8 * mbx, 8 * mby
+	}
+	return f.Y, 16*mbx + lumaBlockOffsets[i][0], 16*mby + lumaBlockOffsets[i][1]
 }
 
 // lumaBlockOffsets are the four 8×8 luma blocks of a macroblock in coding

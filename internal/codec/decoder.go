@@ -292,18 +292,12 @@ func (d *Decoder) decodeInterFrame(qp int) (*frame.Frame, error) {
 }
 
 func (d *Decoder) decodeInterMB(recon *frame.Frame, curField *mvfield.Field, qp, mbx, mby int) error {
-	x, y := 16*mbx, 16*mby
-	cx, cy := 8*mbx, 8*mby
 	cod, err := d.sr.Flag(sctxCOD)
 	if err != nil {
 		return err
 	}
-	if cod { // skip: the reconstruction is the zero-MV prediction, copied as bytes
-		for _, off := range lumaBlockOffsets {
-			storePredBlock(recon.Y, x+off[0], y+off[1], d.recon.Y, mvfield.Zero)
-		}
-		storePredBlock(recon.Cb, cx, cy, d.recon.Cb, mvfield.Zero)
-		storePredBlock(recon.Cr, cx, cy, d.recon.Cr, mvfield.Zero)
+	if cod { // skip: the reconstruction is the zero-MV prediction
+		predictInterMB(recon, d.recon, mbx, mby, [4]mvfield.MV{}, mvfield.Zero)
 		curField.Set(mbx, mby, mvfield.Zero)
 		return nil
 	}
@@ -341,36 +335,30 @@ func (d *Decoder) decodeInterMB(recon *frame.Frame, curField *mvfield.Field, qp,
 			return err
 		}
 	}
-	cmv := chromaMV(mv)
-	var levels, pred, rec dct.Block
-	codeBlock := func(p *frame.Plane, bx, by int, ref *frame.Plane, bmv mvfield.MV, c bool) error {
-		if !c { // uncoded: reconstruction = prediction, copied as bytes
-			storePredBlock(p, bx, by, ref, bmv)
-			return nil
+	if err := d.reconInterMB(recon, qp, mbx, mby, [4]mvfield.MV{mv, mv, mv, mv}, chromaMV(mv), coded); err != nil {
+		return err
+	}
+	curField.Set(mbx, mby, mv)
+	return nil
+}
+
+// reconInterMB reconstructs one inter macroblock whose vectors and coded
+// flags have been parsed: the prediction goes straight into recon
+// (predictInterMB, shared with the encoder), which finishes every uncoded
+// block, and each coded block reads its coefficients and is finished in
+// place.
+func (d *Decoder) reconInterMB(recon *frame.Frame, qp, mbx, mby int, lumaMV [4]mvfield.MV, cmv mvfield.MV, coded [6]bool) error {
+	predictInterMB(recon, d.recon, mbx, mby, lumaMV, cmv)
+	var levels dct.Block // readCoeffs writes all sixty-four
+	for i, c := range coded {
+		if !c {
+			continue
 		}
 		if err := readCoeffs(d.sr, &levels); err != nil {
-			return err
+			return fmt.Errorf("codec: inter block %d: %w", i, err)
 		}
-		predBlock(&pred, ref, bx, by, bmv)
-		reconInterBlock(&rec, &pred, &levels, true, qp)
-		storeBlock(p, bx, by, &rec)
-		return nil
+		p, x, y := mbBlock(recon, mbx, mby, i)
+		reconCodedBlock(p, x, y, &levels, qp)
 	}
-	for i, off := range lumaBlockOffsets {
-		levels = dct.Block{}
-		if err := codeBlock(recon.Y, x+off[0], y+off[1], d.recon.Y, mv, coded[i]); err != nil {
-			return err
-		}
-	}
-	levels = dct.Block{}
-	if err := codeBlock(recon.Cb, cx, cy, d.recon.Cb, cmv, coded[4]); err != nil {
-		return err
-	}
-	levels = dct.Block{}
-	if err := codeBlock(recon.Cr, cx, cy, d.recon.Cr, cmv, coded[5]); err != nil {
-		return err
-	}
-
-	curField.Set(mbx, mby, mv)
 	return nil
 }

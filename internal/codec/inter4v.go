@@ -1,9 +1,6 @@
 package codec
 
 import (
-	"fmt"
-
-	"repro/internal/dct"
 	"repro/internal/frame"
 	"repro/internal/mvfield"
 	"repro/internal/search"
@@ -108,8 +105,6 @@ func (e *Encoder) analyzeInter4VMB(sc *mbScratch, src, recon *frame.Frame, mbx, 
 // decodeInter4VMB mirrors codeInter4VMB after the inter4v flag has been
 // consumed.
 func (d *Decoder) decodeInter4VMB(recon *frame.Frame, curField *mvfield.Field, qp, mbx, mby int) error {
-	x, y := 16*mbx, 16*mby
-	cx, cy := 8*mbx, 8*mby
 	pred := curField.MedianPredictor(mbx, mby)
 	var subMV [4]mvfield.MV
 	for i := range subMV {
@@ -132,36 +127,9 @@ func (d *Decoder) decodeInter4VMB(recon *frame.Frame, curField *mvfield.Field, q
 		}
 	}
 	avg := avgMV(subMV)
-	cmv := chromaMV(avg)
-	var levels, pred8, rec dct.Block
-	codeBlock := func(p *frame.Plane, bx, by int, ref *frame.Plane, bmv mvfield.MV, c bool) error {
-		if !c { // uncoded: reconstruction = prediction, copied as bytes
-			storePredBlock(p, bx, by, ref, bmv)
-			return nil
-		}
-		if err := readCoeffs(d.sr, &levels); err != nil {
-			return err
-		}
-		predBlock(&pred8, ref, bx, by, bmv)
-		reconInterBlock(&rec, &pred8, &levels, true, qp)
-		storeBlock(p, bx, by, &rec)
-		return nil
-	}
-	for i, off := range lumaBlockOffsets {
-		levels = dct.Block{}
-		if err := codeBlock(recon.Y, x+off[0], y+off[1], d.recon.Y, subMV[i], coded[i]); err != nil {
-			return fmt.Errorf("codec: 4v luma block %d: %w", i, err)
-		}
-	}
-	levels = dct.Block{}
-	if err := codeBlock(recon.Cb, cx, cy, d.recon.Cb, cmv, coded[4]); err != nil {
+	if err := d.reconInterMB(recon, qp, mbx, mby, subMV, chromaMV(avg), coded); err != nil {
 		return err
 	}
-	levels = dct.Block{}
-	if err := codeBlock(recon.Cr, cx, cy, d.recon.Cr, cmv, coded[5]); err != nil {
-		return err
-	}
-
 	curField.Set(mbx, mby, avg)
 	return nil
 }

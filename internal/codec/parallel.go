@@ -202,7 +202,6 @@ func (e *Encoder) analyzeFrame(src, recon *frame.Frame, curField *mvfield.Field,
 	lanes := make([]analysisLane, min(n, rows))
 	fork := !intra && e.forker != nil // a nil forker only ever runs one lane
 	for i := range lanes {
-		lanes[i].sc.init()
 		lanes[i].s = e.cfg.Searcher
 		if fork {
 			lanes[i].s = e.forker.Fork()

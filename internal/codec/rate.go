@@ -128,7 +128,7 @@ func (rc *rateController) settle(actualBits int) {
 		if *p <= 0 {
 			*p = obs
 		} else {
-			*p = 0.5**p + 0.5*obs
+			*p = float64(0.5**p) + float64(0.5*obs) // explicit roundings: no FMA on any GOARCH
 		}
 	}
 }

@@ -14,9 +14,10 @@
 //
 // InterZeroBound (quant.go) is the energy below which an inter residual is
 // certain to quantise to nothing; the encoder uses it to leave such blocks
-// untransformed, and ForwardQuantizeInter applies the same bound per
-// coefficient column after the row pass, so a surviving block runs the
-// column pass only where a level can be non-zero.
+// untransformed, and ForwardQuantizeInter (= ForwardRows, then
+// QuantizeInterRows) applies the same bound per coefficient column after
+// the row pass, so a surviving block runs the column pass only where a
+// level can be non-zero.
 package dct
 
 import "math"
@@ -56,15 +57,22 @@ func init() {
 // dot8 is the length-8 inner product accumulated left to right — the same
 // association (((a0+a1)+a2)+…) the reference kernels' += loops produce, so
 // results are bit-identical.
+//
+// Each product is wrapped in an explicit float64 conversion: the language
+// spec lets a compiler fuse x*y + z into one rounding (arm64, ppc64 and
+// s390x do) unless a conversion pins the product's own rounding, and the
+// pinned bitstreams are the unfused ones — multiply, round, add, round,
+// which is also what the vector row pass in internal/metrics executes. The
+// conversion is free where nothing fuses (amd64).
 func dot8(a, b *[BlockSize]float64) float64 {
-	s := a[0] * b[0]
-	s += a[1] * b[1]
-	s += a[2] * b[2]
-	s += a[3] * b[3]
-	s += a[4] * b[4]
-	s += a[5] * b[5]
-	s += a[6] * b[6]
-	s += a[7] * b[7]
+	s := float64(a[0] * b[0])
+	s += float64(a[1] * b[1])
+	s += float64(a[2] * b[2])
+	s += float64(a[3] * b[3])
+	s += float64(a[4] * b[4])
+	s += float64(a[5] * b[5])
+	s += float64(a[6] * b[6])
+	s += float64(a[7] * b[7])
 	return s
 }
 
@@ -98,58 +106,88 @@ func Forward(dst, src *Block) {
 	}
 }
 
-// ForwardQuantizeInter is Forward followed by QuantizeInter at qp, fused so
-// that a block pays only for the coefficient columns that can hold a
-// non-zero level: levels receives exactly the sixty-four values the two
-// calls would produce. coded reports whether any of them is non-zero (the
-// scan a caller would otherwise run), live how many of the eight columns
-// needed their column pass — 0 means the block was settled by half a
-// transform. levels and resid may alias.
-//
-// The row pass is Forward's, unchanged, and accumulates per column u the
-// energy E_u = Σ_y tmp[y][u]² of the intermediate. The column pass maps
-// tmp[·][u] to F(u, ·) through the orthonormal 1-D basis, so every
-// coefficient of the column obeys |F(u, v)| ≤ √E_u — the Cauchy–Schwarz
-// step of InterZeroBound's derivation, applied to one column rather than
-// the whole block. From there the argument is that derivation's word for
-// word: E_u ≤ InterZeroBound(qp) = k²−k puts all eight |F(u, v)| below
-// k−½, each rounds to an integer inside the dead zone, and the column is
-// eight zero levels without a column pass, with the same margin (> 1/(8k)
-// ≥ 0.0016 coefficient units) over the float kernel's error (~1e-11;
-// E_u's own rounding error is of that order too). The shared bound is
-// tied to the quantiser by TestInterZeroBoundFollowsQuantizer. A column
-// above the bound runs Forward's dot8 products in Forward's order, then
-// QuantizeInter's rule, so its levels are bit-identical to the two-call
-// route's.
-func ForwardQuantizeInter(levels, resid *Block, qp int) (coded bool, live int) {
-	qp = ClampQp(qp)
-	bound := float64(InterZeroBound(qp))
-	half, step := int32(qp/2), int32(2*qp)
-	var tmp [BlockSize][BlockSize]float64 // tmp[y][u]
-	var energy [BlockSize]float64         // energy[u] = Σ_y tmp[y][u]²
+// RowPass is the forward transform between its two passes: the row-pass
+// intermediate Tmp[y][u] = Σ_x resid[y][x]·basis[u][x] and, per coefficient
+// column u, its energy Energy[u] = Σ_y Tmp[y][u]², both accumulated left to
+// right with every product and every sum rounded on its own. ForwardRows is
+// the definition; the kernel tiers behind metrics.ResidualRows produce the
+// same seventy-two float64 bit patterns from the two byte blocks directly.
+type RowPass struct {
+	Tmp    [BlockSize][BlockSize]float64
+	Energy [BlockSize]float64
+}
+
+// RowBasis returns the transposed basis, RowBasis()[x][u] = c(u)/2 ·
+// cos((2x+1)uπ/16): for one input sample x, the contiguous vector of its
+// weights in the eight outputs u — the operand layout of a row pass that
+// keeps one lane per output coefficient. Read-only.
+func RowBasis() *[BlockSize][BlockSize]float64 { return &cosTableT }
+
+// ForwardRows runs Forward's row pass over resid into rp, accumulating the
+// column energies on the way.
+func ForwardRows(rp *RowPass, resid *Block) {
+	rp.Energy = [BlockSize]float64{}
 	var rowF [BlockSize]float64
 	for y := 0; y < BlockSize; y++ {
 		row := resid[y*BlockSize : y*BlockSize+BlockSize]
 		for x, v := range row {
 			rowF[x] = float64(v)
 		}
-		trow := &tmp[y]
+		trow := &rp.Tmp[y]
 		for u := 0; u < BlockSize; u++ {
 			t := dot8(&rowF, &cosTable[u])
 			trow[u] = t
-			energy[u] += t * t
+			rp.Energy[u] += float64(t * t)
 		}
 	}
+}
+
+// ForwardQuantizeInter is Forward followed by QuantizeInter at qp, fused so
+// that a block pays only for the coefficient columns that can hold a
+// non-zero level: levels receives exactly the sixty-four values the two
+// calls would produce. coded reports whether any of them is non-zero (the
+// scan a caller would otherwise run), live how many of the eight columns
+// needed their column pass — 0 means the block was settled by half a
+// transform. levels and resid may alias. It is ForwardRows followed by
+// QuantizeInterRows; the encoder takes the row pass from
+// metrics.ResidualRows instead and calls the second half itself.
+func ForwardQuantizeInter(levels, resid *Block, qp int) (coded bool, live int) {
+	var rp RowPass
+	ForwardRows(&rp, resid)
+	return QuantizeInterRows(levels, &rp, qp)
+}
+
+// QuantizeInterRows finishes a forward transform from its row pass and
+// quantises it with QuantizeInter's rule, running the column pass only
+// where a level can be non-zero.
+//
+// The column pass maps Tmp[·][u] to F(u, ·) through the orthonormal 1-D
+// basis, so every coefficient of the column obeys |F(u, v)| ≤ √E_u — the
+// Cauchy–Schwarz step of InterZeroBound's derivation, applied to one column
+// rather than the whole block. From there the argument is that
+// derivation's word for word: E_u ≤ InterZeroBound(qp) = k²−k puts all
+// eight |F(u, v)| below k−½, each rounds to an integer inside the dead
+// zone, and the column is eight zero levels without a column pass, with the
+// same margin (> 1/(8k) ≥ 0.0016 coefficient units) over the float kernel's
+// error (~1e-11; E_u's own rounding error is of that order too). The shared
+// bound is tied to the quantiser by TestInterZeroBoundFollowsQuantizer. A
+// column above the bound runs Forward's dot8 products in Forward's order,
+// then QuantizeInter's rule, so its levels are bit-identical to the
+// two-call route's.
+func QuantizeInterRows(levels *Block, rp *RowPass, qp int) (coded bool, live int) {
+	qp = ClampQp(qp)
+	bound := float64(InterZeroBound(qp))
+	half, step := int32(qp/2), int32(2*qp)
 	*levels = Block{}
 	var colF [BlockSize]float64
 	var nz int32
 	for u := 0; u < BlockSize; u++ {
-		if energy[u] <= bound {
+		if rp.Energy[u] <= bound {
 			continue
 		}
 		live++
 		for y := 0; y < BlockSize; y++ {
-			colF[y] = tmp[y][u]
+			colF[y] = rp.Tmp[y][u]
 		}
 		// Products first, quantiser second: interleaved, the integer divide
 		// stalls the float pipeline and a fully live block runs ~15 % slower.

@@ -2,10 +2,13 @@ package experiment
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
 
+	"repro/internal/dct"
 	"repro/internal/frame"
 	"repro/internal/metrics"
 )
@@ -13,8 +16,10 @@ import (
 // DispatchReport renders the SAD kernel dispatch state (detected CPU
 // features, registered tiers, the active tier) and runs a one-shot
 // sanity probe: every registered tier computes SAD, SADCapped, IntraSAD,
-// the half-pel phases, a SADBest window scan and the residual-energy SSE
-// on a fixed block and must agree with the scalar reference bit-for-bit. It is the cheap
+// the half-pel phases, a SADBest window scan, the residual-energy SSE, the
+// prediction fetch (both block shapes, all four phases, destination guard
+// band included) and the residual row pass (every float64 bit pattern) on
+// a fixed block and must agree with the scalar reference bit-for-bit. It is the cheap
 // CI-time version of the full differential suite in internal/metrics —
 // catching a machine whose dispatch picked a broken tier (or silently
 // fell back to scalar) before any benchmark numbers get trusted. The
@@ -69,6 +74,20 @@ func DispatchReport() (string, error) {
 	return b.String(), nil
 }
 
+// predictProbe fetches an n×n prediction at each of the four half-pel
+// phases of ref into one strided destination and hashes the whole of it,
+// so a tier that computes a wrong sample or writes a byte outside a
+// window changes the value.
+func predictProbe(ref *frame.Plane, n int) int {
+	dst := &frame.Plane{W: 40, H: 40, Stride: 43, Pix: make([]uint8, 43*40)}
+	for ph := 0; ph < 4; ph++ {
+		metrics.PredictBlock(dst, (ph&1)*(dst.W-n), (ph>>1)*(dst.H-n), ref, 2*9+ph&1, 2*7+ph>>1, n, n)
+	}
+	h := fnv.New32a()
+	h.Write(dst.Pix)
+	return int(h.Sum32())
+}
+
 // probeKernelTiers runs the fixed probe block through every tier and
 // appends one ok/mismatch line per tier.
 func probeKernelTiers(b *strings.Builder) []string {
@@ -115,6 +134,23 @@ func probeKernelTiers(b *strings.Builder) []string {
 			return idx<<20 | sad
 		}},
 		{"sse8x8", func() int { return metrics.SSE(cur, 8, 8, ref, 9, 7, 8, 8) }},
+		{"predict16", func() int { return predictProbe(ref, 16) }},
+		{"predict8", func() int { return predictProbe(ref, 8) }},
+		{"residualRows", func() int {
+			var rp dct.RowPass
+			metrics.ResidualRows(&rp, cur, 8, 8, ref, 9, 7)
+			h := fnv.New32a()
+			put := func(vs []float64) {
+				for _, v := range vs {
+					fmt.Fprintf(h, "%016x", math.Float64bits(v))
+				}
+			}
+			put(rp.Energy[:])
+			for y := range rp.Tmp {
+				put(rp.Tmp[y][:])
+			}
+			return int(h.Sum32())
+		}},
 	}
 
 	want := make([]int, len(probes))

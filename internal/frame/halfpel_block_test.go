@@ -13,7 +13,7 @@ func checkHalfPelBlock(t testing.TB, p *Plane, view *Interpolated, dst []uint8, 
 	for i := range dst {
 		dst[i] = 0xA5 // a stale sample must not pass for a computed one
 	}
-	HalfPelBlock(dst, p, hx, hy, w, h)
+	HalfPelBlock(dst, w, p, hx, hy, w, h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if got, want := dst[y*w+x], view.AtClamped(hx+2*x, hy+2*y); got != want {

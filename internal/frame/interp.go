@@ -433,18 +433,21 @@ func (ip *Interpolated) AtClamped(hx, hy int) uint8 {
 // HalfPelBlock on the view's source plane: the samples are computed from
 // the source directly and no tile is touched.
 func (ip *Interpolated) Block(dst []uint8, hx, hy, w, h int) {
-	HalfPelBlock(dst, ip.src, hx, hy, w, h)
+	HalfPelBlock(dst, w, ip.src, hx, hy, w, h)
 }
 
-// HalfPelBlock writes into dst (row-major, len ≥ w*h) the w×h prediction
-// block whose top-left corner sits at half-pel position (hx, hy) of p —
-// even coordinates are integer positions, successive block samples are one
-// full pel apart — computing each sample from p by the rules Interpolate
+// HalfPelBlock writes into dst — rows dstStride apart, len ≥
+// (h−1)·dstStride + w, so dst may be a window of a plane being
+// reconstructed as well as a tight w×h tile — the w×h prediction block
+// whose top-left corner sits at half-pel position (hx, hy) of p: even
+// coordinates are integer positions, successive block samples are one full
+// pel apart, and each sample is computed from p by the rules Interpolate
 // documents. The whole block has one phase, the parity of its anchor, so a
 // row is a plain copy (integer phase) or one word-parallel pass over one
-// (b, c) or two (d) source rows; nothing is materialised besides dst. It
-// is the one prediction fetch of the encoder and decoder, and what
-// Interpolated.Block returns.
+// (b, c) or two (d) source rows; nothing but the w×h window of dst is
+// written. It is the definition of the encoder's and decoder's prediction
+// fetch (metrics.PredictBlock: this function is its scalar tier and what
+// every vector tier is pinned to), and what Interpolated.Block returns.
 //
 // While every source sample the block reads lies within p's apron the
 // rows are read straight from the padded storage, which must hold the
@@ -453,11 +456,10 @@ func (ip *Interpolated) Block(dst []uint8, hx, hy, w, h int) {
 // further out (vectors of a corrupt stream, tight planes at the border)
 // takes the per-sample edge-clamped route; both produce the bytes
 // Interpolated.AtClamped reports for the same positions.
-func HalfPelBlock(dst []uint8, p *Plane, hx, hy, w, h int) {
+func HalfPelBlock(dst []uint8, dstStride int, p *Plane, hx, hy, w, h int) {
 	px, py := hx&1, hy&1
 	x0, y0 := hx>>1, hy>>1
-	a := p.apron
-	if x0 < -a || y0 < -a || x0+w+px > p.W+a || y0+h+py > p.H+a {
+	if !p.InApron(x0, y0, w+px, h+py) {
 		// (A + B + C + D + 2) >> 2 with B, C, D collapsing onto A along an
 		// integer axis is every phase's rule at once: (2A + 2B + 2) >> 2 =
 		// (A + B + 1) >> 1, and (4A + 2) >> 2 = A.
@@ -466,18 +468,14 @@ func HalfPelBlock(dst []uint8, p *Plane, hx, hy, w, h int) {
 				sx, sy := x0+x, y0+y
 				sum := int(p.AtClamped(sx, sy)) + int(p.AtClamped(sx+px, sy)) +
 					int(p.AtClamped(sx, sy+py)) + int(p.AtClamped(sx+px, sy+py))
-				dst[y*w+x] = uint8((sum + 2) >> 2)
+				dst[y*dstStride+x] = uint8((sum + 2) >> 2)
 			}
 		}
 		return
 	}
-	pix, stride := p.Pix, p.Stride
-	if a > 0 {
-		pix = p.buf
-	}
-	o := (y0+a)*stride + a + x0
-	for y := 0; y < h; y, o = y+1, o+stride {
-		d := dst[y*w : y*w+w]
+	pix, stride := p.PixFrom(x0, y0), p.Stride
+	for y, o := 0, 0; y < h; y, o = y+1, o+stride {
+		d := dst[y*dstStride : y*dstStride+w]
 		r0 := pix[o : o+w+px]
 		switch {
 		case py == 0 && px == 0:

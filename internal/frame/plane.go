@@ -214,6 +214,25 @@ func (p *Plane) InBounds(x, y, w, h int) bool {
 	return x >= 0 && y >= 0 && x+w <= p.W && y+h <= p.H
 }
 
+// InApron reports whether the w×h block anchored at (x, y) lies inside the
+// plane widened by its apron on every side — the region PixFrom can
+// address. For a tight plane that is InBounds.
+func (p *Plane) InApron(x, y, w, h int) bool {
+	a := p.apron
+	return x >= -a && y >= -a && x+w <= p.W+a && y+h <= p.H+a
+}
+
+// PixFrom returns the plane's storage from sample (x, y) onward, rows
+// Stride apart. Unlike Pix it reaches the apron: (x, y) may lie up to
+// Apron() samples outside the plane (InApron), where the bytes are the
+// edge-replicated samples once ReplicateApron has run.
+func (p *Plane) PixFrom(x, y int) []uint8 {
+	if p.apron == 0 {
+		return p.Pix[y*p.Stride+x:]
+	}
+	return p.buf[(y+p.apron)*p.Stride+p.apron+x:]
+}
+
 // ErrSizeMismatch is returned by operations that require equally sized planes.
 var ErrSizeMismatch = errors.New("frame: plane size mismatch")
 

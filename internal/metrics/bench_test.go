@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dct"
 	"repro/internal/frame"
 )
 
@@ -149,6 +150,39 @@ func BenchmarkKernelSSE8x8(b *testing.B) {
 			sink += SSE(cur, 32, 16, ref, 33+i%4, 17, 8, 8)
 		}
 		benchSink = sink
+	})
+}
+
+// BenchmarkKernelPredict16x16 is the prediction fetch of a one-vector
+// macroblock's luma, per half-pel phase, into a strided destination — what
+// the encoder and decoder pay per inter macroblock before anything else.
+func BenchmarkKernelPredict16x16(b *testing.B) {
+	_, ref := benchPlanes()
+	dst := frame.NewPlanePadded(352, 64, 16)
+	for ph, name := range []string{"int", "b", "c", "d"} {
+		b.Run(name, func(b *testing.B) {
+			benchEachISA(b, func(b *testing.B) {
+				b.SetBytes(16 * 16)
+				for i := 0; i < b.N; i++ {
+					x := 16 * (i % 20)
+					PredictBlock(dst, x, 16, ref, 2*(x+3)+ph&1, 2*17+ph>>1, 16, 16)
+				}
+				benchSink = int(dst.At(0, 16))
+			})
+		})
+	}
+}
+
+// BenchmarkKernelResidualRows is the forward transform's row pass on one
+// surviving 8×8 block, bytes in, seventy-two float64s out.
+func BenchmarkKernelResidualRows(b *testing.B) {
+	cur, ref := benchPlanes()
+	rp := new(dct.RowPass)
+	benchEachISA(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ResidualRows(rp, cur, 32, 16, ref, 33+i%4, 17)
+		}
+		benchSink = int(rp.Energy[0])
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/dct"
 	"repro/internal/frame"
 )
 
@@ -60,6 +61,19 @@ import (
 //     blocks in-plane. Exact integer arithmetic: no rounding rule, no
 //     early exit, nothing for a tier to get subtly wrong except a lane
 //     fold
+//   - predict: the prediction fetch behind PredictBlock; w ∈ {8, 16},
+//     h ≥ 1, every source sample inside ref's apron, the destination
+//     window inside dst. Writes the w×h window and not one byte beside it
+//     (a wider store would land in a neighbouring macroblock another
+//     wavefront lane owns, and the race detector cannot see assembly
+//     stores — the guard-band test is what holds this)
+//   - residualRows: the row pass behind ResidualRows; both 8×8 blocks
+//     in-plane. One rounding per multiply and per add, in
+//     dct.ForwardRows' order: all seventy-two float64 results equal the
+//     scalar tier's bit for bit. Unlike ring's nine ints they travel
+//     through an out-pointer: 576 bytes cost more to copy than the vector
+//     kernel takes, so the caller owns long-lived storage instead
+//     (ResidualRows)
 type kernelTable struct {
 	name string
 
@@ -82,6 +96,9 @@ type kernelTable struct {
 	sadBestFew func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (idx, sad int)
 
 	sse func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int
+
+	predict      func(dst *frame.Plane, dx, dy int, ref *frame.Plane, hx, hy, w, h int)
+	residualRows func(rp *dct.RowPass, a *frame.Plane, ax, ay int, b *frame.Plane, bx, by int)
 }
 
 // activeKernels is the table every exported SAD entry point reads. It is
@@ -212,7 +229,9 @@ func scalarTable() *kernelTable {
 		sadBestFew: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {
 			return sadBestBy(sadCappedScalar, cur, cx, cy, ref, rx, ry, 16, 16, cands[:n], clip, best)
 		},
-		sse: sseScalar,
+		sse:          sseScalar,
+		predict:      predictScalar,
+		residualRows: residualRowsScalar,
 	}
 }
 
@@ -239,6 +258,10 @@ func swarTable() *kernelTable {
 			return sadBestBy(sadCappedSWAR, cur, cx, cy, ref, rx, ry, 16, 16, cands[:n], clip, best)
 		},
 		sse: sseScalar, // squares do not fit SWAR's 16-bit lanes
+		// frame.HalfPelBlock is word-parallel Go already, and a uint64 holds
+		// no float64 lanes.
+		predict:      predictScalar,
+		residualRows: residualRowsScalar,
 	}
 }
 

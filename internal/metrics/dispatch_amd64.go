@@ -2,7 +2,10 @@
 
 package metrics
 
-import "repro/internal/frame"
+import (
+	"repro/internal/dct"
+	"repro/internal/frame"
+)
 
 // This file provides the amd64 kernel tiers: SSE2 (architectural
 // baseline — every amd64 CPU has it) built on PSADBW, the packed
@@ -96,6 +99,23 @@ func sseBlkSSE2(a *byte, aStride int, b *byte, bStride int, w, h int) int
 
 //go:noescape
 func sseBlkAVX2(a *byte, aStride int, b *byte, bStride int, w, h int) int
+
+// predictBlkSSE2 (residual_amd64.s) writes the w×h prediction block, w = 8
+// or 16, from ref — the integer anchor, possibly inside the apron — into
+// dst; phase bit 0 is the horizontal half-pel offset, bit 1 the vertical
+// one. It writes the w×h window of dst and nothing else.
+//
+//go:noescape
+func predictBlkSSE2(dst *byte, dstStride int, ref *byte, refStride int, w, h, phase int)
+
+// residualRowsSSE2/AVX2 run dct.ForwardRows over the residual a − b of two
+// 8×8 byte blocks; basis is dct.RowBasis().
+//
+//go:noescape
+func residualRowsSSE2(a *byte, aStride int, b *byte, bStride int, basis *[8][8]float64, out *dct.RowPass)
+
+//go:noescape
+func residualRowsAVX2(a *byte, aStride int, b *byte, bStride int, basis *[8][8]float64, out *dct.RowPass)
 
 //go:noescape
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -218,6 +238,12 @@ func sse2Table() *kernelTable {
 		sse: func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 			return sseBlkSSE2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, w, h)
 		},
+		predict: func(dst *frame.Plane, dx, dy int, ref *frame.Plane, hx, hy, w, h int) {
+			predictBlkSSE2(pix(dst, dx, dy), dst.Stride, &ref.PixFrom(hx>>1, hy>>1)[0], ref.Stride, w, h, hx&1|hy&1<<1)
+		},
+		residualRows: func(rp *dct.RowPass, a *frame.Plane, ax, ay int, b *frame.Plane, bx, by int) {
+			residualRowsSSE2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, dct.RowBasis(), rp)
+		},
 	}
 }
 
@@ -225,10 +251,12 @@ func sse2Table() *kernelTable {
 // tiers as long as each one is bit-exact — and replaces with true 256-bit
 // kernels: plain SAD, IntraSAD, the H/V half-pel probes, sadBest (the
 // full-search scan: cur block resident in eight YMM registers, two ref
-// rows per VPSADBW) and sse (sixteen squared differences per VPMADDWD;
-// the 8-wide residual block takes two rows per iteration).
+// rows per VPSADBW), sse (sixteen squared differences per VPMADDWD; the
+// 8-wide residual block takes two rows per iteration) and residualRows
+// (four float64 lanes per register: a row's eight outputs in two).
 //
-// Still SSE2 under this name: the single-candidate capped kernels
+// Still SSE2 under this name: predict, whose widest row is one 16-byte
+// register either way; the single-candidate capped kernels
 // (sadCapped, hpH/V/DCapped), the diagonal hpD and the ring. That is a
 // gap, not a verdict that wider lanes do not pay — measured on an AVX2
 // host the capped 16×16 SAD costs 46 ns against 19 ns for the uncapped
@@ -266,6 +294,9 @@ func avx2Table() *kernelTable {
 	}
 	t.sse = func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 		return sseBlkAVX2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, w, h)
+	}
+	t.residualRows = func(rp *dct.RowPass, a *frame.Plane, ax, ay int, b *frame.Plane, bx, by int) {
+		residualRowsAVX2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, dct.RowBasis(), rp)
 	}
 	return &t
 }
