@@ -8,9 +8,11 @@
 #                       every kernel-tier swap), then sched-one-p
 #   make sched-one-p  — the scheduler, engine and session suites on one P
 #                       (GOMAXPROCS=1): the wavefront's spin-then-yield
-#                       wait and the engine's writer hand-off are only
-#                       proven free of live-lock where nothing else can
-#                       run the row, or the writer, they wait for
+#                       wait, the pool workers' idle spin, the caller
+#                       lane's join and the engine's writer hand-off are
+#                       only proven free of live-lock where nothing else
+#                       can run the row, the task or the writer they wait
+#                       for
 #   make fuzz-smoke   — every native Fuzz* target in the tree (found with
 #                       `go test -list`, so a new one is picked up by
 #                       being written) fuzzed for 3 s each: `go test`
@@ -95,7 +97,7 @@ test: build
 	$(MAKE) sched-one-p
 
 sched-one-p:
-	GOMAXPROCS=1 $(GO) test -count=1 -timeout 5m -run 'Parallel|Pipeline|Pool|Ladder|Wavefront|Engine|Stream|Session|MaxFrames|GoroutineLeak' ./internal/codec/ ./internal/server/
+	GOMAXPROCS=1 $(GO) test -count=1 -timeout 5m -run 'Parallel|Pipeline|Pool|PoolIdleWorkersPark|DefaultPoolFixedSize|CallerLaneProgressBehindBusyPool|Observer|Ladder|Wavefront|Engine|Stream|Session|MaxFrames|GoroutineLeak' ./internal/codec/ ./internal/server/
 
 fuzz-smoke:
 	@set -e; for pkg in $$($(GO) list ./...); do \

@@ -324,9 +324,15 @@ func BenchmarkEncodeSequence_Workers4(b *testing.B)          { benchEncodeSequen
 func BenchmarkEncodeSequence_Workers4_Pipeline(b *testing.B) { benchEncodeSequence(b, 4, true) }
 
 // BenchmarkEncodeCIF is the scheduler's regression signal inside the root
-// module: ACBM on Carphone CIF at Qp 24, where a macroblock costs ~3 µs and
-// any per-macroblock hand-off shows. workers2 and pool2 must beat serial on
-// a two-core host; BENCHMARK.json's parallel_cif is the gated form.
+// module: ACBM on Carphone CIF at Qp 24, where a macroblock costs ~1 µs and
+// any per-macroblock hand-off shows. workers2, workers2+pipeline (the
+// parallel_cif shape) and pool2 must beat serial on a two-core host;
+// BENCHMARK.json's parallel_cif is the gated form. Re-checked at PR 24
+// (-benchtime 100x -cpu 2, three runs alternating with the parent commit's
+// on a 2-vCPU VM whose speed drifts 15 % — compare within a run): serial
+// 1 400/1 480/1 268 frames/s, workers2 2 320/2 423/1 841, workers2+pipeline
+// 2 164/2 099/1 468, pool2 2 307/1 775/1 463; the parent read serial
+// 1 425/1 357/1 144, workers2 1 793/1 431/1 463, pool2 1 694/1 438/1 615.
 func BenchmarkEncodeCIF(b *testing.B) {
 	frames := video.Generate(video.Carphone, frame.CIF, 12, 1)
 	pool := codec.NewPool(2)
@@ -337,6 +343,7 @@ func BenchmarkEncodeCIF(b *testing.B) {
 	}{
 		{"serial", codec.Config{Workers: 1}},
 		{"workers2", codec.Config{Workers: 2}},
+		{"workers2+pipeline", codec.Config{Workers: 2, Pipeline: true}},
 		{"pool2", codec.Config{Pool: pool}},
 	} {
 		b.Run(m.name, func(b *testing.B) {

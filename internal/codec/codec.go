@@ -85,24 +85,27 @@ type Config struct {
 	// value, with or without rate control (the frame-lag controller never
 	// waits on the in-flight frame's bits).
 	Pipeline bool
-	// Pool, when non-nil, runs macroblock analysis on a shared worker
-	// pool instead of Workers frame-private goroutines. This is the
-	// multi-session serving mode (cmd/vcodecd): N concurrent encoder
-	// sessions share one machine-sized pool, interleaving at macroblock-
-	// row granularity, instead of oversubscribing the host with N×Workers
-	// goroutines. The wavefront, its invariants and the output bits are
-	// those of the private-worker executor (one row runner serves both);
-	// Workers is ignored while Pool is set. The Searcher must implement
+	// Pool, when non-nil, runs macroblock analysis on this shared worker
+	// pool: every lane of a frame is a chain of row tasks on it and the
+	// session goroutine only waits for the frame, so the analysis
+	// parallelism of all sessions sharing the pool together is capped at
+	// its size. This is the multi-session serving mode (cmd/vcodecd): N
+	// concurrent encoder sessions interleave on one machine-sized pool at
+	// macroblock-row granularity instead of oversubscribing the host N
+	// times. The wavefront, its invariants and the output bits are those
+	// of every other executor (one row runner serves them all); Workers is
+	// ignored while Pool is set. The Searcher must implement
 	// search.Forker (all searchers this module provides do); otherwise
 	// the pool is dropped and the session analyses sequentially on its
 	// own goroutine.
 	Pool *Pool
-	// Priority is the session's scheduling class on a shared Pool: live
+	// Priority is the session's scheduling class on the pool its row tasks
+	// run on — Pool, or the process-default pool behind Workers>1: live
 	// (the zero value) row tasks dispatch ahead of batch tasks, so a live
 	// session preempts batch sessions at the row boundary while batch
 	// retains an anti-starvation share (see Pool). Priority never reaches
 	// the analysis results, so it cannot change a single output bit.
-	// Ignored without Pool.
+	// Without effect on a session that analyses inline.
 	Priority Priority
 	// Observer, when non-nil, receives per-frame phase timings (analysis
 	// wall clock, shared-pool queue wait, entropy wall clock, encoded
@@ -114,17 +117,22 @@ type Config struct {
 	// pre-observer code (the alloc-ceiling and overhead-guard tests pin
 	// both properties).
 	Observer FrameObserver
-	// Workers sets how many lanes analyse macroblocks concurrently
+	// Workers bounds how many lanes analyse macroblocks concurrently
 	// (motion estimation, mode decision, transform/quantisation and
 	// reconstruction; a lane runs whole macroblock rows, each row
-	// trailing the one above by two macroblocks — see parallel.go. The
-	// calling goroutine is one of the lanes, so Workers−1 goroutines are
-	// started per frame, and never more lanes than the frame has rows.
+	// trailing the one above by two macroblocks — see parallel.go.
 	// Entropy coding stays serial, so the bitstream and all statistics
 	// are bit-identical for every worker count). 0 selects GOMAXPROCS, 1
-	// analyses inline on the caller. Parallel analysis requires the
-	// Searcher to implement search.Forker — its frame-granular fork/join
-	// protocol runs at every worker count, so stateful searchers
+	// analyses inline on the caller. Above 1 the calling goroutine is
+	// lane 0 and the other lanes are row-task chains on a process-lifetime
+	// default pool — GOMAXPROCS workers, started on first use, shared by
+	// every session that names no Pool — so no goroutine is started per
+	// frame or per session, and a frame runs on at most min(Workers, that
+	// pool's size, its rows) lanes: at most, because a pool lane helps only
+	// when a worker is free. The caller never waits for one that is not;
+	// behind a busy pool it runs every row itself. Parallel analysis
+	// requires the Searcher to implement search.Forker — its frame-granular
+	// fork/join protocol runs at every worker count, so stateful searchers
 	// (core.Budgeted) stay deterministic; searchers without it are
 	// clamped to 1.
 	Workers int

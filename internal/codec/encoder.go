@@ -164,6 +164,9 @@ type Encoder struct {
 	recon     *frame.Frame // reference: last reconstructed frame
 	prevField *mvfield.Field
 	frames    int
+	// lanes is the per-lane analysis state (analyzeFrame): the scratch is
+	// kept across frames, the searcher forked and joined within each.
+	lanes []analysisLane
 
 	// Cumulative wall clock per phase. In pipelined encodes the two
 	// fields are owned by different goroutines (analysis by the caller,
@@ -171,8 +174,8 @@ type Encoder struct {
 	analysisTime time.Duration
 	entropyTime  time.Duration
 
-	// obsWaitNs/obsStallNs accumulate the current frame's shared-pool
-	// queue wait (summed across row tasks, and the worst single task).
+	// obsWaitNs/obsStallNs accumulate the current frame's pool queue
+	// wait (summed across row tasks, and the worst single task).
 	// Pool workers add via noteQueueWait; the session goroutine drains
 	// both with Swap(0) when it reports the frame to cfg.Observer. Only
 	// touched when an Observer is attached.

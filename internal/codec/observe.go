@@ -18,11 +18,12 @@ import "time"
 // overhead below measurement noise (the bench-smoke guard enforces it).
 type FrameObserver interface {
 	// FrameAnalyzed reports frame index's phase-1 outcome: analysis wall
-	// clock, the summed shared-pool queue wait across the frame's row
-	// tasks — each measured from the task's own submission, when it was
-	// ready to run, to its pick-up — and the worst single task's wait
-	// (both zero outside Pool mode), whether the frame was coded intra,
-	// and the quantiser used.
+	// clock, the summed pool queue wait across the frame's row tasks —
+	// each measured from the task's own submission, when it was ready to
+	// run, to its pick-up, and counted once it claimed a row — and the
+	// worst single task's wait (both zero for a frame analysed inline;
+	// Workers>1 frames wait on the default pool, Config.Pool frames on
+	// theirs), whether the frame was coded intra, and the quantiser used.
 	FrameAnalyzed(index int, wall, queueWait, maxStall time.Duration, intra bool, qp int)
 	// FrameWritten reports frame index's phase-2 outcome: entropy-coding
 	// wall clock and encoded size in bits.
@@ -32,7 +33,8 @@ type FrameObserver interface {
 // noteQueueWait accumulates one row task's queue wait into the current
 // frame's counters: the sum, and a CAS-max for the worst single task
 // (the preemption-stall signal). Called concurrently by pool workers,
-// once per task; drained by Swap(0) at the frame's FrameAnalyzed callback.
+// once per task that claimed a row — so before that row, and the frame,
+// finished; drained by Swap(0) at the frame's FrameAnalyzed callback.
 func (e *Encoder) noteQueueWait(d time.Duration) {
 	ns := int64(d)
 	e.obsWaitNs.Add(ns)

@@ -73,14 +73,15 @@ func TestObserverByteIdentity(t *testing.T) {
 	}
 }
 
-// TestObserverQueueWaitOnPool checks the shared-pool queue-wait channel.
-// Its unit is the row task: each task reports the time from its own
-// submission — the moment it was ready to run — to its pick-up by a pool
-// worker, so a frame's sum covers one wait per row task and the stall is
-// the worst of them (never more than the sum). Pool-mode frames report a
-// wait (a task always spends some measurable time between submit and
-// pick-up) and private-worker frames report exactly zero (the signal only
-// exists under a shared pool).
+// TestObserverQueueWaitOnPool checks the pool queue-wait channel. Its unit
+// is the row task: each task that claims a row reports the time from its
+// own submission — the moment it was ready to run — to its pick-up by a
+// pool worker, so a frame's sum covers one wait per row a chain ran and
+// the stall is the worst of them (never more than the sum). Frames on a
+// shared Config.Pool report a wait (a task always spends some measurable
+// time between submit and pick-up); so do Workers=2 frames, whose chains
+// wait on the process-default pool; Workers=1 frames run inline, submit
+// nothing and report exactly zero.
 func TestObserverQueueWaitOnPool(t *testing.T) {
 	frames := parallelFrames(3)
 	pool := NewPool(2)
@@ -106,16 +107,32 @@ func TestObserverQueueWaitOnPool(t *testing.T) {
 		t.Error("pool-mode encode reported zero queue wait on every frame")
 	}
 
-	rec = obs.NewFlightRecorder("private", obs.Meta{}, 0)
-	_, _, err = EncodeSequence(Config{
-		Qp: 16, Searcher: core.New(core.DefaultParams), Workers: 2, Observer: rec,
-	}, frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range rec.Snapshot().Events {
-		if ev.QueueWaitMs != 0 || ev.StallMs != 0 {
-			t.Errorf("private-worker frame %d reports pool wait %v/%v", ev.Index, ev.QueueWaitMs, ev.StallMs)
+	// One worker in the default pool (a one-CPU host) leaves Workers=2
+	// nobody to hand a chain to: it runs inline too.
+	for _, workers := range []int{1, 2} {
+		want := workers > 1 && defaultPool().Size() > 1
+		sawWait = false
+		// A chain only reports once it claims a row, and on a busy host the
+		// caller can finish a whole QCIF clip first: give it a few clips.
+		for try := 0; try == 0 || try < 50 && sawWait != want; try++ {
+			rec = obs.NewFlightRecorder("default", obs.Meta{}, 0)
+			_, _, err = EncodeSequence(Config{
+				Qp: 16, Searcher: core.New(core.DefaultParams), Workers: workers, Observer: rec,
+			}, frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range rec.Snapshot().Events {
+				if ev.QueueWaitMs > 0 {
+					sawWait = true
+				}
+				if ev.StallMs > ev.QueueWaitMs {
+					t.Errorf("workers=%d frame %d: max stall %v exceeds summed wait %v", workers, ev.Index, ev.StallMs, ev.QueueWaitMs)
+				}
+			}
+		}
+		if sawWait != want {
+			t.Errorf("workers=%d: queue wait reported = %v, want %v", workers, sawWait, want)
 		}
 	}
 }

@@ -59,7 +59,15 @@ import (
 // exactly the causal set the sequential raster scan would have computed
 // (mvfield.AppendPredictors reads only the left neighbour and the three
 // above), so every mbResult — and with it the serial entropy pass — is
-// bit-identical for any lane count ≥ 1 and for all three executors below.
+// bit-identical for any lane count ≥ 1 and for both executors below.
+//
+// Executors: two, and this file starts no goroutine. Inline, the caller
+// runs every row. Otherwise lanes are chains of row tasks on a Pool whose
+// workers outlive the frame and stay hot between frames (pool.go): the
+// process-default pool with the caller as lane 0 for plain Workers>1, the
+// session's Config.Pool with the caller parked. Nothing here starts a
+// goroutine per frame because one reaches its first row ~100 µs after its
+// `go` — a quarter of a CIF P-frame at the paper's operating points.
 
 // waitSpins is how many loads a blocked row spends before it starts
 // yielding. The row above is usually within a macroblock of publishing, so
@@ -81,38 +89,94 @@ type wavefront struct {
 	cols, rows int
 	deps       bool         // false for intra frames: rows are independent
 	next       atomic.Int32 // rows claimed so far
+	left       atomic.Int32 // rows not yet finished; the join waits for 0
 	done       []rowProgress
+	run        func(lane, mbx, mby int)
+
+	// joined is released by the row that takes left to 0, for a caller that
+	// is not a lane and parks for the frame.
+	joined sync.WaitGroup
+
+	// What the chains need (unused by an inline frame).
+	pool   *Pool
+	pri    Priority
+	onWait func(time.Duration)
 }
 
-// runRows is the body of a lane: it claims and runs rows until limit of
-// them ran or none is left, and reports whether unclaimed rows remain.
-func (w *wavefront) runRows(lane, limit int, run func(lane, mbx, mby int)) bool {
-	for ; limit > 0; limit-- {
-		y := int(w.next.Add(1)) - 1
-		if y >= w.rows {
-			return false
-		}
-		var above *atomic.Int32
-		if w.deps && y > 0 {
-			above = &w.done[y-1].n
-		}
-		seen := int32(0) // last value read from above: most steps need no load
-		for x := 0; x < w.cols; x++ {
-			if need := int32(min(x+2, w.cols)); above != nil && seen < need {
-				for spins := 0; ; spins++ {
-					if seen = above.Load(); seen >= need {
-						break
-					}
-					if spins >= waitSpins {
-						runtime.Gosched()
-					}
+// claim returns the next unclaimed row, or -1 when every row has been
+// claimed (each running on some lane, or finished).
+func (w *wavefront) claim() int {
+	if y := int(w.next.Add(1)) - 1; y < w.rows {
+		return y
+	}
+	return -1
+}
+
+// runRow runs the macroblocks of claimed row y left to right on lane,
+// each once the row above is two macroblocks ahead.
+func (w *wavefront) runRow(lane, y int) {
+	var above *atomic.Int32
+	if w.deps && y > 0 {
+		above = &w.done[y-1].n
+	}
+	seen := int32(0) // last value read from above: most steps need no load
+	for x := 0; x < w.cols; x++ {
+		if need := int32(min(x+2, w.cols)); above != nil && seen < need {
+			for spins := 0; ; spins++ {
+				if seen = above.Load(); seen >= need {
+					break
+				}
+				if spins >= waitSpins {
+					runtime.Gosched()
 				}
 			}
-			run(lane, x, y)
-			w.done[y].n.Store(int32(x + 1))
 		}
+		w.run(lane, x, y)
+		w.done[y].n.Store(int32(x + 1))
 	}
-	return int(w.next.Load()) < w.rows
+	if w.left.Add(-1) == 0 {
+		w.joined.Done()
+	}
+}
+
+// chain is one pool lane of a frame: a sequence of tasks, each of which
+// claims and runs one row and, while unclaimed rows remain, submits its
+// successor — so the lane never has two tasks, and the pool never holds
+// more of a frame than its lanes.
+type chain struct {
+	w     *wavefront
+	lane  int
+	ready time.Time // written before each submit, read by the task it starts
+	task  func()    // c.step, bound once
+}
+
+// submit enqueues the chain's next task: the first from the session
+// goroutine, every later one from the task before it.
+func (c *chain) submit(first bool) {
+	w := c.w
+	if w.onWait != nil {
+		c.ready = time.Now()
+	}
+	w.pool.enqueue(w.pri, c.task, first)
+}
+
+// step is the chain's task. A task that finds every row claimed — the
+// other lanes got there while it sat in the queue — reports nothing and
+// touches neither its lane's state nor the frame: the join may already
+// have returned.
+func (c *chain) step() {
+	w := c.w
+	y := w.claim()
+	if y < 0 {
+		return
+	}
+	if w.onWait != nil {
+		w.onWait(time.Since(c.ready))
+	}
+	w.runRow(c.lane, y)
+	if int(w.next.Load()) < w.rows {
+		c.submit(false)
+	}
 }
 
 // runWavefront calls run(lane, mbx, mby) exactly once for every macroblock
@@ -122,58 +186,64 @@ func (w *wavefront) runRows(lane, limit int, run func(lane, mbx, mby int)) bool 
 // calls for its left, up-left, up and up-right neighbours returned; all
 // calls happen before runWavefront returns.
 //
-// One row runner serves three executors. lanes = 1: the caller runs every
-// row inline. pool == nil: lanes−1 frame-private goroutines plus the
-// caller itself, which would otherwise only park in the join. Otherwise
-// each lane is a chain of tasks on the shared pool — a task runs one row
-// and, while rows remain, submits its successor — so a session never has
-// more than lanes ≤ pool.Size() tasks queued or running, concurrent
-// sessions interleave FIFO at row grain, and the caller, not being a pool
-// worker, only waits. onWait, when non-nil, receives each pool task's
-// time from its submission (the moment it was ready to run) to pick-up.
-func runWavefront(cols, rows int, deps bool, lanes int, pool *Pool, pri Priority, onWait func(time.Duration), run func(lane, mbx, mby int)) {
-	w := &wavefront{cols: cols, rows: rows, deps: deps, done: make([]rowProgress, rows)}
-	var wg sync.WaitGroup
-	if pool == nil {
-		for lane := 1; lane < lanes; lane++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w.runRows(lane, rows, run)
-			}()
-		}
-		w.runRows(0, rows, run)
-		wg.Wait()
-		return
+// One row runner serves two executors, and no goroutine is started here.
+// Inline (caller set, lanes = 1): the caller claims and runs every row.
+// Pool chains: each pool lane is a chain of tasks on pool — a task runs one
+// row and, while rows remain, submits its successor — so a frame never has
+// more than lanes tasks queued or running and concurrent sessions
+// interleave FIFO at row grain. With caller set the calling goroutine is
+// lane 0 and lanes−1 chains help it (the process-default pool behind plain
+// Workers>1); without, all lanes are chains and the caller, not being a
+// pool worker, parks until the last row finishes (a shared Config.Pool:
+// analysis parallelism stays capped at the pool size).
+//
+// Who may wait on what. A running row waits (spinning, then yielding — it
+// never parks) only on the row above, which was claimed before it and is
+// therefore running or done, never queued. A caller lane claims rows until
+// none is left, so when it reaches the join every unfinished row is running
+// on a pool worker, and it waits for those the same way. Neither wait can
+// be for a task still in the queue: a chain that is never picked up — the
+// pool saturated by other sessions — costs the frame its help, not its
+// progress, and the task it leaves behind claims nothing when it finally
+// runs. onWait, when non-nil, receives the time from submission (the
+// moment it was ready to run) to pick-up of each task that claimed a row.
+func runWavefront(cols, rows int, deps bool, lanes int, pool *Pool, caller bool, pri Priority, onWait func(time.Duration), run func(lane, mbx, mby int)) {
+	w := &wavefront{
+		cols: cols, rows: rows, deps: deps, done: make([]rowProgress, rows), run: run,
+		pool: pool, pri: pri, onWait: onWait,
 	}
-	wg.Add(lanes)
-	for lane := 0; lane < lanes; lane++ {
-		var ready time.Time // written before each submit, read by the task it starts
-		var task func()
-		submit := func() {
-			if onWait != nil {
-				ready = time.Now()
-			}
-			pool.submit(pri, task)
-		}
-		task = func() {
-			if onWait != nil {
-				onWait(time.Since(ready))
-			}
-			if w.runRows(lane, 1, run) {
-				submit()
-			} else {
-				wg.Done()
-			}
-		}
-		submit()
+	w.left.Store(int32(rows))
+	w.joined.Add(1)
+	first := 0
+	if caller {
+		first = 1
 	}
-	wg.Wait()
+	for lane := first; lane < lanes; lane++ {
+		c := &chain{w: w, lane: lane}
+		c.task = c.step
+		c.submit(true)
+	}
+	if !caller {
+		w.joined.Wait()
+	} else {
+		for y := w.claim(); y >= 0; y = w.claim() {
+			w.runRow(0, y)
+		}
+		for spins := 0; w.left.Load() > 0; spins++ {
+			if spins >= waitSpins {
+				runtime.Gosched()
+			}
+		}
+	}
+	// A task left behind in the queue must not pin the frame's buffers
+	// through the callback. Only a task that claims a row reads it, and
+	// every such read happened before left reached zero.
+	w.run = nil
 }
 
-// analysisLane is the state one lane owns for a frame: its forked searcher
-// and scratch, padded so neighbouring lanes' per-macroblock writes stay on
-// their own cache lines.
+// analysisLane is the state one lane owns: its forked searcher for the
+// frame and its scratch, padded so neighbouring lanes' per-macroblock
+// writes stay on their own cache lines.
 type analysisLane struct {
 	s  search.Searcher
 	sc mbScratch
@@ -181,9 +251,10 @@ type analysisLane struct {
 }
 
 // analyzeFrame fills results (and recon, and curField for P-frames) for
-// every macroblock of src: Config.Workers lanes, or the shared pool's
-// width when Config.Pool is set. Intra frames have no cross-macroblock
-// dependencies, so their rows never wait.
+// every macroblock of src on up to Config.Workers lanes — the caller plus
+// chains on the process-default pool — or, when Config.Pool is set, on
+// that pool's width with the caller waiting. Intra frames have no
+// cross-macroblock dependencies, so their rows never wait.
 //
 // Every worker count — the inline Workers=1 included — runs the
 // frame-granular fork/join protocol: searchers with per-frame control
@@ -192,14 +263,23 @@ type analysisLane struct {
 // bitstream would depend on Config.Workers. Fork identity does not affect
 // a search result — forks share the parent's parameters and differ only
 // in their additively merged statistics — so any lane may run any row.
+// The lane scratch itself lives on the Encoder across frames.
 func (e *Encoder) analyzeFrame(src, recon *frame.Frame, curField *mvfield.Field, results []mbResult, intra bool) {
 	cols, rows := e.size.MacroblockCols(), e.size.MacroblockRows()
-	n := e.cfg.Workers
-	if e.cfg.Pool != nil {
-		n = e.cfg.Pool.Size()
+	pool, n := e.cfg.Pool, e.cfg.Workers
+	caller := pool == nil
+	switch {
+	case !caller:
+		n = pool.Size()
+	case n > 1:
+		pool = defaultPool()
+		n = min(n, pool.Size())
 	}
 	// A row is the unit of work, so lanes beyond the row count would idle.
-	lanes := make([]analysisLane, min(n, rows))
+	if n = min(n, rows); len(e.lanes) != n {
+		e.lanes = make([]analysisLane, n)
+	}
+	lanes := e.lanes
 	fork := !intra && e.forker != nil // a nil forker only ever runs one lane
 	for i := range lanes {
 		lanes[i].s = e.cfg.Searcher
@@ -211,7 +291,7 @@ func (e *Encoder) analyzeFrame(src, recon *frame.Frame, curField *mvfield.Field,
 	if e.cfg.Observer != nil {
 		onWait = e.noteQueueWait
 	}
-	runWavefront(cols, rows, !intra, len(lanes), e.cfg.Pool, e.cfg.Priority, onWait, func(lane, mbx, mby int) {
+	runWavefront(cols, rows, !intra, n, pool, caller, e.cfg.Priority, onWait, func(lane, mbx, mby int) {
 		r := &results[mby*cols+mbx]
 		if intra {
 			e.analyzeIntraMB(src, recon, mbx, mby, r)

@@ -246,9 +246,12 @@ func TestEncodeStreamEmitError(t *testing.T) {
 }
 
 // expectNoLeakedGoroutines snapshots the goroutine count and returns a
-// check that fails t unless the count settles back to it.
+// check that fails t unless the count settles back to it. The
+// process-default pool is started first: its workers outlive every
+// session by design, and the check is about what a session started.
 func expectNoLeakedGoroutines(t *testing.T) func() {
 	t.Helper()
+	defaultPool()
 	before := runtime.NumGoroutine()
 	return func() {
 		t.Helper()

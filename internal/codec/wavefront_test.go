@@ -22,13 +22,16 @@ import (
 // happen to look right. It yields mid-macroblock so lanes interleave
 // differently on every run.
 func TestWavefrontRespectsDependencies(t *testing.T) {
+	// lanes includes the caller when it is one: caller2/pool2 is the caller
+	// plus one chain, caller3/pool1 has more chains than workers to run them.
 	type executor struct {
 		name        string
 		lanes, pool int
+		caller      bool
 	}
 	executors := []executor{
-		{"inline", 1, 0}, {"go2", 2, 0}, {"go3", 3, 0}, {"go8", 8, 0},
-		{"pool1", 0, 1}, {"pool3", 0, 3},
+		{"inline", 1, 0, true}, {"caller2/pool2", 2, 2, true}, {"caller3/pool1", 3, 1, true}, {"caller8/pool3", 8, 3, true},
+		{"pool1", 1, 1, false}, {"pool3", 3, 3, false},
 	}
 	grids := [][2]int{{1, 1}, {1, 9}, {11, 1}, {2, 3}, {11, 9}, {22, 18}}
 	for _, ex := range executors {
@@ -37,7 +40,6 @@ func TestWavefrontRespectsDependencies(t *testing.T) {
 		if ex.pool > 0 {
 			pool = NewPool(ex.pool)
 			defer pool.Close()
-			lanes = ex.pool
 		}
 		for _, g := range grids {
 			for _, deps := range []bool{true, false} {
@@ -45,7 +47,7 @@ func TestWavefrontRespectsDependencies(t *testing.T) {
 				name := fmt.Sprintf("%s/%dx%d/deps=%v", ex.name, cols, rows, deps)
 				ran := make([]int, cols*rows) // completed calls per macroblock
 				inLane := make([]int, lanes)  // calls in flight per lane
-				runWavefront(cols, rows, deps, lanes, pool, PriorityLive, nil, func(lane, x, y int) {
+				runWavefront(cols, rows, deps, lanes, pool, ex.caller, PriorityLive, nil, func(lane, x, y int) {
 					if lane < 0 || lane >= lanes {
 						t.Errorf("%s: (%d,%d) ran on lane %d of %d", name, x, y, lane, lanes)
 						return

@@ -114,6 +114,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g("vcodecd_rate_target_kbps_total", "counter", "sum of kbps targets across rate-controlled sessions", float64(s.m.rateTargetMilliKbps.Load())/1000)
 	g("vcodecd_rate_achieved_kbps_total", "counter", "sum of achieved kbps across rate-controlled sessions", float64(s.m.rateAchievedMilliKbps.Load())/1000)
 	g("vcodecd_pool_workers", "gauge", "shared analysis pool size", s.pool.Size())
+	// The pool's idle policy (codec.Pool: spin briefly, then park). Parks
+	// flat while frames flow means the lanes are staying hot; CPU on an
+	// idle-looking daemon with parks still rising is workers spinning out
+	// their bound between sparse frames.
+	ps := s.pool.Stats()
+	g("vcodecd_pool_parks_total", "counter", "times a pool worker gave up its idle spin and parked", ps.Parks)
+	g("vcodecd_pool_spin_pickups_total", "counter", "row tasks taken by a pool worker still in its idle spin (wake-ups avoided)", ps.SpinPickups)
 	g("vcodecd_draining", "gauge", "1 while graceful shutdown is draining sessions", draining)
 
 	live, batch := s.sched.countsByClass()

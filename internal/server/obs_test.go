@@ -304,3 +304,30 @@ func TestTraceOfPinnedSession(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolIdlePolicyMetrics: the pool's idle-policy counters reach
+// /metrics as counters with metadata, and a served session moves them — a
+// worker that ran a row task either found it spinning or was woken from a
+// park it had counted.
+func TestPoolIdlePolicyMetrics(t *testing.T) {
+	frames := video.Generate(video.Foreman, frame.SQCIF, 4, 7)
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/encode?qp=16&me=acbm", "video/x-yuv4mpeg", bytes.NewReader(y4mBody(t, frames)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readPackets(t, resp.Body)
+	resp.Body.Close()
+	samples, types := parseExposition(t, scrapeMetrics(t, ts.URL))
+	var moved float64
+	for _, name := range []string{"vcodecd_pool_parks_total", "vcodecd_pool_spin_pickups_total"} {
+		v, ok := samples[name]
+		if !ok || types[name] != "counter" {
+			t.Errorf("%s: present=%v TYPE %q, want a counter", name, ok, types[name])
+		}
+		moved += v
+	}
+	if moved == 0 {
+		t.Error("a session ran on the pool and neither parks nor spin pick-ups moved")
+	}
+}

@@ -16,14 +16,15 @@
 //
 // # Scheduler fairness invariants
 //
-// All admitted sessions share one codec.Pool sized to the machine, not
-// Config.Workers goroutines per session. Sessions interleave on the pool
-// at macroblock-row granularity: a session keeps at most pool-size row
-// tasks queued or running (a finished row submits its successor; a frame
-// is never pre-queued), so an admitted session's next row is at most one
-// task per competing lane from the head of its class's queue — fair-share
-// by FIFO queue position within a priority tier, with run-ahead bounded
-// by construction. Sessions carry ?priority=live|batch: live tasks
+// All admitted sessions share one codec.Pool sized to the machine, and a
+// session goroutine is never an analysis lane itself: it parks while the
+// pool runs its frame, so analysis parallelism is the pool's size whatever
+// the session count. Sessions interleave on the pool at macroblock-row
+// granularity: a frame keeps at most pool-size row tasks queued or running
+// (a finished row submits its successor; a frame is never pre-queued), so
+// an admitted session's next row is at most one task per competing lane
+// from the head of its class's queue — fair-share by FIFO queue position
+// within a priority tier, with run-ahead bounded by construction. Sessions carry ?priority=live|batch: live tasks
 // dispatch first (preempting batch at the row boundary), and batch keeps
 // a guaranteed anti-starvation share of dispatches (see codec.Pool). The
 // closed-loop QoS controller (qos.go) degrades batch one level ahead of
@@ -39,6 +40,11 @@
 // analysis tasks, whose one wait — for the row above, which is always
 // running on another worker or done — spins then yields (documented
 // deadlock-free in codec.Pool), and enqueueing a successor never blocks.
+// A worker with nothing to run parks on the pool's cond — after a bounded
+// yield-spin while frames follow one another closely enough for that to
+// pay (codec.Pool's idle policy; /metrics exports vcodecd_pool_parks_total
+// and vcodecd_pool_spin_pickups_total), at once under camera-rate traffic
+// or none, so an idle daemon uses no CPU.
 // Admission waits (queue) block only the waiting request's goroutine and
 // are bounded by MaxQueued; beyond that /encode fails fast with 503.
 package server
