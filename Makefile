@@ -31,39 +31,22 @@
 #   make bench-smoke  — 1-iteration pass over every benchmark so bench
 #                       code cannot rot, the SAD kernel dispatch sanity
 #                       check (logs the detected ISA, probes every tier
-#                       for bit-identity with scalar), the perf ratchet
-#                       (serial ns/frame vs BENCH_ratchet.json — fails
-#                       on a step regression), a quick rate-experiment
-#                       run (compiles and exercises the frame-lag
-#                       controller on every push), and the
+#                       for bit-identity with scalar), and the
 #                       allocation-regression check (fails loudly if
 #                       EncodeFrame allocs/frame climb above the ceilings
 #                       pinned in internal/codec/alloc_test.go for the
-#                       serial, Workers=2 and Pool(2) executors)
-#   make bench-speed  — regenerate BENCH_speed.json (ns/frame, fps,
-#                       points/block for each searcher × worker count)
-#   make ratchet-pin  — re-pin BENCH_ratchet.json baselines on this host
-#                       (run after a deliberate perf change, commit the
-#                       result)
-#   make bench-rate   — regenerate BENCH_rate.json (kbps tracking error +
-#                       ns/frame for rate-controlled encodes: serial vs
-#                       workers vs pipelined vs shared pool, per searcher)
+#                       serial, Workers=2 and Pool(2) executors). Speed
+#                       itself is measured only by bench/run.sh
+#                       (BENCHMARK.json)
 #   make serve-smoke  — boot vcodecd on a random port, run a verified
 #                       vload burst, require a clean SIGTERM drain
-#   make bench-serve  — regenerate BENCH_serve.json (throughput and
-#                       first-packet/per-frame latency × session count)
 #   make cluster-smoke— boot 2 vcodecd + vcodec-gateway on random ports,
 #                       verified vload burst, kill one backend mid-run,
 #                       burst again (must still verify), clean drain
-#   make bench-cluster— regenerate BENCH_cluster.json (chaos scenarios
-#                       against a self-hosted gateway topology, every
-#                       session byte-verified)
 #   make qos-smoke    — boot vcodecd with a tight QoS loop, byte-verify
 #                       the pinned degradation rungs, overload it with a
 #                       mixed-priority burst (must degrade, not truncate
 #                       or 503), require restore to level 0, clean drain
-#   make bench-qos    — regenerate BENCH_qos.json (per-level cost table +
-#                       overload ramp under the closed-loop controller)
 #   make obs-smoke    — boot vcodecd, run a vload burst, fetch a session's
 #                       flight-recorder trace by its trailer ID, assert
 #                       the per-frame timeline matches the stream, check
@@ -73,17 +56,14 @@
 #                       rung to byte-match a pinned offline
 #                       `vcodec encode -ladder` run and decode cleanly,
 #                       check the plane-pool counters, clean drain
-#   make bench-ladder — regenerate BENCH_ladder.json (simulcast ladder
-#                       vs N independent encodes: wall-clock speedup,
-#                       per-rung points/MB with and without cross-layer
-#                       seeding, rung-0 bit-identity gate)
+#   make ci           — every target above, in that order
 
 GO ?= go
 
 # The X-smoke targets are built by the one %-smoke pattern rule below, so
 # they must stay out of .PHONY (make skips implicit rules for phony
 # targets); FORCE keeps them, and the bin/% builds, always out of date.
-.PHONY: build test sched-one-p fuzz-smoke fma-check bench-check bench-smoke bench-speed bench-rate ratchet-pin bench-serve bench-cluster bench-qos bench-ladder ci FORCE
+.PHONY: build test sched-one-p fuzz-smoke fma-check bench-check bench-smoke ci FORCE
 
 build:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -121,23 +101,12 @@ bench-check:
 bench-smoke:
 	$(GO) run ./cmd/acbmbench -experiment dispatch
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) run ./cmd/acbmbench -experiment ratchet -frames 30
-	$(GO) run ./cmd/acbmbench -experiment rate -frames 6 -size sqcif
 	$(GO) test -run TestEncodeFrameAllocCeiling -count=1 -v ./internal/codec/
 	$(GO) test -run TestRecorderOverheadGuard -count=1 -v ./internal/codec/
 
-bench-speed:
-	$(GO) run ./cmd/acbmbench -experiment speed -frames 30 -json BENCH_speed.json
-
-ratchet-pin:
-	$(GO) run ./cmd/acbmbench -experiment ratchet -frames 30 -update-ratchet
-
-bench-rate:
-	$(GO) run ./cmd/acbmbench -experiment rate -frames 30 -json BENCH_rate.json
-
-# Every binary a smoke script or a bench target runs, built from this
-# checkout each time (go build is itself incremental). .PRECIOUS: as
-# prerequisites of a pattern rule they would be deleted as intermediates.
+# Every binary a smoke script runs, built from this checkout each time (go
+# build is itself incremental). .PRECIOUS: as prerequisites of a pattern
+# rule they would be deleted as intermediates.
 .PRECIOUS: bin/%
 bin/%: FORCE
 	@mkdir -p bin
@@ -147,18 +116,6 @@ bin/%: FORCE
 # daemons and tools, then run scripts/X_smoke.sh against them.
 %-smoke: bin/vcodecd bin/vcodec-gateway bin/vload bin/vcodec bin/seqgen FORCE
 	BIN=bin sh scripts/$*_smoke.sh
-
-bench-serve:
-	$(GO) run ./cmd/vload -selfhost -sessions 1,4,8 -frames 30 -size qcif -qp 16 -me acbm -verify -json BENCH_serve.json
-
-bench-cluster:
-	$(GO) run ./cmd/vload -chaos -sessions 8 -frames 24 -size qcif -qp 16 -me acbm -backends 2 -json BENCH_cluster.json
-
-bench-qos: bin/vcodecd
-	$(GO) run ./cmd/vload -qos -qp 16 -me acbm -daemon bin/vcodecd -json BENCH_qos.json
-
-bench-ladder:
-	$(GO) run ./cmd/vload -ladder -json BENCH_ladder.json
 
 ci: test fuzz-smoke fma-check bench-check bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
 

@@ -90,15 +90,15 @@ func TestCLISeqgenSingleFramePGM(t *testing.T) {
 	}
 }
 
-func TestCLIMvstudyCSV(t *testing.T) {
+func TestCLIAcbmbenchFig4CSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	mvstudy := buildTool(t, "mvstudy")
+	acbmbench := buildTool(t, "acbmbench")
 	csv := filepath.Join(t.TempDir(), "fig4.csv")
-	out := runTool(t, mvstudy, "-profile", "foreman", "-csv", csv)
+	out := runTool(t, acbmbench, "-experiment", "fig4", "-size", "sqcif", "-csv", csv)
 	if !strings.Contains(out, "Figure 4 study") {
-		t.Fatalf("mvstudy output: %s", out)
+		t.Fatalf("acbmbench fig4 output: %s", out)
 	}
 	data, err := os.ReadFile(csv)
 	if err != nil {

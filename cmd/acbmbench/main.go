@@ -1,32 +1,28 @@
 // Command acbmbench regenerates the paper's evaluation artifacts: the
 // Fig. 4 preliminary study, the Figs. 5/6 rate-distortion curves and the
-// Table 1 complexity numbers, plus the §4 headline summary.
+// Table 1 complexity numbers, plus the §4 headline summary. Speed is not
+// measured here: bench/ (BENCHMARK.json) is the one measurement stack.
 //
 // Usage:
 //
-//	acbmbench -experiment all            # everything (a few minutes)
+//	acbmbench -experiment all            # every paper experiment (a few minutes)
 //	acbmbench -experiment table1         # Table 1 only
 //	acbmbench -experiment fig5           # RD curves, QCIF@30fps
 //	acbmbench -experiment fig6           # RD curves, QCIF@10fps
 //	acbmbench -experiment fig4           # the MV-error study
+//	acbmbench -experiment fig4 -csv points.csv
+//	                                     # …and its raw scatter points
 //	acbmbench -experiment headline       # §4 claims
 //	acbmbench -frames 30 -qps 30,24,18   # reduced sweep for quick runs
 //	acbmbench -alpha 2000 -beta 4        # explore the quality/cost knobs
-//	acbmbench -experiment speed -json BENCH_speed.json
-//	                                     # encoder wall-clock: ns/frame, fps,
-//	                                     # the analysis/entropy phase split and
-//	                                     # points/MB per searcher × GOMAXPROCS ×
-//	                                     # workers × pipeline on/off, with the
-//	                                     # host CPU + active SAD kernel ISA
-//	acbmbench -experiment dispatch       # kernel dispatch sanity: detected CPU
-//	                                     # features, registered tiers, one-shot
-//	                                     # bit-identity probe per tier
-//	acbmbench -experiment ratchet        # serial ns/frame vs the checked-in
-//	                                     # BENCH_ratchet.json band (CI gate);
-//	                                     # -update-ratchet re-pins the baselines
+//	acbmbench -experiment dispatch       # kernel dispatch sanity (by name only,
+//	                                     # not in all): detected CPU features,
+//	                                     # registered tiers, one-shot bit-identity
+//	                                     # probe per tier
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -43,23 +39,18 @@ import (
 
 func main() {
 	var (
-		expName       = flag.String("experiment", "all", "experiment to run: fig4|fig5|fig6|table1|headline|map|hw|pareto|loss|seeds|speed|rate|dispatch|ratchet|all")
-		frames        = flag.Int("frames", experiment.DefaultFrames, "sequence length at 30 fps")
-		sizeName      = flag.String("size", "qcif", "frame format: sqcif|qcif|cif")
-		seed          = flag.Uint64("seed", experiment.DefaultSeed, "texture seed")
-		qpsArg        = flag.String("qps", "", "comma-separated Qp list (default 30,28,...,16)")
-		alpha         = flag.Int("alpha", core.DefaultParams.Alpha, "ACBM α parameter")
-		beta          = flag.Int("beta", core.DefaultParams.Beta, "ACBM β parameter")
-		gammaNum      = flag.Int("gamma-num", core.DefaultParams.GammaNum, "ACBM γ numerator")
-		gammaDen      = flag.Int("gamma-den", core.DefaultParams.GammaDen, "ACBM γ denominator")
-		workers       = flag.Int("workers", 0, "encoder worker goroutines for the speed/rate experiments (0 = default sweep)")
-		gmps          = flag.Int("gomaxprocs", 0, "speed experiment: sweep GOMAXPROCS {1, n} (0 = default {1, NumCPU})")
-		ratchetPath   = flag.String("ratchet", experiment.DefaultRatchetPath, "ratchet experiment: path of the checked-in baseline file")
-		updateRatchet = flag.Bool("update-ratchet", false, "ratchet experiment: re-pin the baselines from this run instead of checking")
-		kbps          = flag.Float64("kbps", 0, "rate experiment: target bitrate in kbit/s (0 = default 80)")
-		jsonPath      = flag.String("json", "", "write the speed/rate experiment result to this JSON file (e.g. BENCH_speed.json, BENCH_rate.json)")
-		cpuProf       = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file (go tool pprof)")
-		memProf       = flag.String("memprofile", "", "write a heap profile (after the experiments) to this file")
+		expName  = flag.String("experiment", "all", "experiment to run: fig4|fig5|fig6|table1|headline|map|hw|pareto|loss|seeds|dispatch|all")
+		frames   = flag.Int("frames", experiment.DefaultFrames, "sequence length at 30 fps")
+		sizeName = flag.String("size", "qcif", "frame format: sqcif|qcif|cif")
+		seed     = flag.Uint64("seed", experiment.DefaultSeed, "texture seed")
+		qpsArg   = flag.String("qps", "", "comma-separated Qp list (default 30,28,...,16)")
+		alpha    = flag.Int("alpha", core.DefaultParams.Alpha, "ACBM α parameter")
+		beta     = flag.Int("beta", core.DefaultParams.Beta, "ACBM β parameter")
+		gammaNum = flag.Int("gamma-num", core.DefaultParams.GammaNum, "ACBM γ numerator")
+		gammaDen = flag.Int("gamma-den", core.DefaultParams.GammaDen, "ACBM γ denominator")
+		csvPath  = flag.String("csv", "", "fig4: also write the raw (Intra_SAD, SAD_deviation, error) scatter points to this CSV file")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file (go tool pprof)")
+		memProf  = flag.String("memprofile", "", "write a heap profile (after the experiments) to this file")
 	)
 	flag.Parse()
 
@@ -129,7 +120,10 @@ func main() {
 			fmt.Print(experiment.FormatMVStudy(res))
 			fmt.Println()
 			fmt.Print(experiment.FormatMVStudyPanels(res, 56, 10))
-			return nil
+			if *csvPath == "" {
+				return nil
+			}
+			return writeScatterCSV(*csvPath, res)
 		})
 	}
 	if want("map") {
@@ -246,122 +240,14 @@ func main() {
 			return nil
 		})
 	}
-	if want("speed") {
-		ran = true
-		run("Encoder speed (GOMAXPROCS × workers × pipeline matrix, SIMD SAD)", func() error {
-			cfg := experiment.SpeedConfig{
-				Profile: video.Foreman, Size: size, Frames: *frames, Seed: *seed,
-			}
-			if *workers > 0 {
-				cfg.Workers = []int{1, *workers}
-				if *workers == 1 {
-					cfg.Workers = []int{1}
-				}
-			}
-			if *gmps > 0 {
-				cfg.GoMaxProcs = []int{1, *gmps}
-				if *gmps == 1 {
-					cfg.GoMaxProcs = []int{1}
-				}
-			}
-			res, err := experiment.RunSpeed(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiment.FormatSpeed(res))
-			if *jsonPath != "" {
-				if err := res.WriteJSON(*jsonPath); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *jsonPath)
-			}
-			return nil
-		})
-	}
-	if want("rate") {
-		ran = true
-		run("Rate control under parallelism (frame-lag controller)", func() error {
-			res, err := experiment.RunRate(experiment.RateConfig{
-				Profile: video.Foreman, Size: size, Frames: *frames, Seed: *seed,
-				TargetKbps: *kbps, Workers: *workers,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiment.FormatRate(res))
-			// Only the dedicated invocation writes the artifact, so an
-			// `-experiment all -json …` run cannot clobber BENCH_speed.json.
-			if *jsonPath != "" && *expName == "rate" {
-				if err := res.WriteJSON(*jsonPath); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *jsonPath)
-			}
-			return nil
-		})
-	}
-	if want("dispatch") {
+	// A probe of this host's kernel tiers, not a paper experiment: it runs
+	// only when asked for by name.
+	if *expName == "dispatch" {
 		ran = true
 		run("SAD kernel dispatch sanity", func() error {
 			report, err := experiment.DispatchReport()
 			fmt.Print(report)
 			return err
-		})
-	}
-	// The ratchet is a CI gate, not a report: it exits non-zero on a
-	// perf regression, so it only runs when asked for by name — an
-	// `-experiment all` run must not fail on a slow machine.
-	if *expName == "ratchet" {
-		ran = true
-		title := "Perf ratchet: serial ns/frame vs " + *ratchetPath
-		if *updateRatchet {
-			title = "Perf ratchet: re-pinning " + *ratchetPath
-		}
-		run(title, func() error {
-			cfg := experiment.SpeedConfig{
-				Profile: video.Foreman, Size: size, Frames: *frames, Seed: *seed,
-				GoMaxProcs: []int{1}, Workers: []int{1},
-			}
-			res, err := experiment.RunSpeed(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiment.FormatSpeed(res))
-			if *updateRatchet {
-				r, err := experiment.RatchetFromSpeed(res, cfg)
-				if err != nil {
-					return err
-				}
-				if err := r.WriteJSON(*ratchetPath); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s (tolerance %.0f%%, cross-host ×%.1f)\n",
-					*ratchetPath, 100*r.Tolerance, r.CrossHostMultiplier)
-				return nil
-			}
-			r, err := experiment.LoadRatchet(*ratchetPath)
-			if err != nil {
-				return err
-			}
-			outcomes, err := r.Check(res)
-			if err != nil {
-				return err
-			}
-			failed := 0
-			for _, o := range outcomes {
-				fmt.Println(o)
-				if !o.OK {
-					failed++
-				}
-			}
-			if len(outcomes) > 0 && outcomes[0].CrossHost {
-				fmt.Printf("warning: baselines were pinned on %q (ISA %s), this host is %q (ISA %s) — band widened ×%.1f\n",
-					r.Host.CPUModel, r.Host.KernelISA, res.Host.CPUModel, res.Host.KernelISA, r.CrossHostMultiplier)
-			}
-			if failed > 0 {
-				return fmt.Errorf("%d searcher(s) regressed past the ratchet band", failed)
-			}
-			return nil
 		})
 	}
 	if !ran {
@@ -385,6 +271,31 @@ func parseQps(arg string) ([]int, error) {
 		qps = append(qps, v)
 	}
 	return qps, nil
+}
+
+// writeScatterCSV dumps the Fig. 4 study's raw scatter points for
+// external plotting, one row per (profile, global MV, macroblock) sample.
+func writeScatterCSV(path string, res *experiment.MVStudyResult) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	// bufio.Writer keeps the first write error and Flush returns it.
+	w := bufio.NewWriter(f)
+	fmt.Fprintln(w, "profile,intra_sad,sad_deviation,sad_min,error")
+	for _, s := range res.Samples {
+		fmt.Fprintf(w, "%s,%d,%d,%d,%d\n",
+			strings.ReplaceAll(s.Profile.String(), " ", ""), s.IntraSAD, s.Deviation, s.SADMin, s.Err)
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d scatter points to %s\n", len(res.Samples), path)
+	return nil
 }
 
 // flushProfiles finalises any -cpuprofile/-memprofile outputs. It runs

@@ -1,12 +1,10 @@
-package experiment
+package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -16,18 +14,18 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/video"
 )
 
-// ServeConfig configures the serving benchmark: cmd/vload drives M
-// concurrent encode sessions against a running vcodecd and measures what
-// a client of the "variable bandwidth channel" deployment cares about —
-// time to first packet (stream startup) and per-frame packet cadence —
-// across a sweep of session counts. The JSON artifact (BENCH_serve.json)
-// is the serving counterpart of BENCH_speed.json.
+// ServeConfig configures a load run: M concurrent encode sessions against
+// a running vcodecd or gateway, measuring what a client of the "variable
+// bandwidth channel" deployment cares about — time to first packet
+// (stream startup) and per-frame packet cadence — across a sweep of
+// session counts.
 type ServeConfig struct {
 	// URL is the daemon base URL, e.g. http://127.0.0.1:8323.
 	URL string
@@ -89,7 +87,7 @@ func (c ServeConfig) withDefaults() ServeConfig {
 		c.Qp = 16
 	}
 	if c.Seed == 0 {
-		c.Seed = DefaultSeed
+		c.Seed = experiment.DefaultSeed
 	}
 	if c.Searcher == "" {
 		c.Searcher = "acbm"
@@ -105,51 +103,41 @@ func (c ServeConfig) withDefaults() ServeConfig {
 
 // ServePoint is one session-count measurement.
 type ServePoint struct {
-	Sessions         int     `json:"sessions"`
-	FramesPerSession int     `json:"frames_per_session"`
-	TotalFrames      int     `json:"total_frames"`
-	WallSeconds      float64 `json:"wall_seconds"`
+	Sessions    int
+	TotalFrames int
+	WallSeconds float64
 	// FramesPerSec is aggregate serving throughput: frames streamed by
 	// all sessions over the sweep's wall clock.
-	FramesPerSec float64 `json:"frames_per_sec"`
-	BytesOut     int64   `json:"bytes_out"`
+	FramesPerSec float64
 	// FirstPacketMs* is the time from sending the request to receiving
 	// the first frame packet (stream startup latency), across sessions.
-	FirstPacketMsP50 float64 `json:"first_packet_ms_p50"`
-	FirstPacketMsP99 float64 `json:"first_packet_ms_p99"`
+	FirstPacketMsP50 float64
+	FirstPacketMsP99 float64
 	// FrameMs* is the gap between consecutive frame packets (steady-state
 	// per-frame latency), across all sessions' samples.
-	FrameMsP50 float64 `json:"frame_ms_p50"`
-	FrameMsP99 float64 `json:"frame_ms_p99"`
-	Errors     int     `json:"errors"`
-	// Retries503 counts client re-submissions after a 503, honoring its
-	// Retry-After (only with ServeConfig.Retry503).
-	Retries503 int  `json:"retries_503,omitempty"`
-	Verified   bool `json:"verified,omitempty"`
+	FrameMsP50 float64
+	FrameMsP99 float64
+	Errors     int
+	Verified   bool
 	// QosFinalLevels histograms the sessions by the QoS level their
 	// stream ended at (X-Vcodec-Qos-Level trailer): index L counts the
 	// sessions that finished at level L.
-	QosFinalLevels []int `json:"qos_final_levels,omitempty"`
-	// QosTransitions totals the mid-stream level changes actuated across
-	// all sessions (X-Vcodec-Qos-Transitions trailer).
-	QosTransitions int `json:"qos_transitions,omitempty"`
+	QosFinalLevels []int
 	// Worst names the point's slowest session by trace ID, with its
 	// per-frame timeline fetched from the flight recorder.
-	Worst *WorstSession `json:"worst_session,omitempty"`
+	Worst *WorstSession
 }
 
-// ServeResult is the full serving report, serialisable to
-// BENCH_serve.json.
+// ServeResult is the full serving report.
 type ServeResult struct {
-	URL       string       `json:"url"`
-	Profile   string       `json:"profile"`
-	Size      string       `json:"size"`
-	Frames    int          `json:"frames_per_session"`
-	Qp        int          `json:"qp"`
-	Searcher  string       `json:"searcher"`
-	Entropy   string       `json:"entropy,omitempty"`
-	GoMaxProc int          `json:"gomaxprocs"`
-	Points    []ServePoint `json:"points"`
+	URL       string
+	Profile   string
+	Size      string
+	Frames    int
+	Qp        int
+	Searcher  string
+	GoMaxProc int
+	Points    []ServePoint
 }
 
 // sessionSample is one client's observations.
@@ -158,10 +146,7 @@ type sessionSample struct {
 	frameGaps   []time.Duration
 	wall        time.Duration // request sent → stream drained
 	frames      int
-	bytes       int64
-	retries503  int
 	qosLevel    int      // final QoS level (trailer)
-	qosChanges  int      // mid-stream level transitions (trailer)
 	traceID     string   // X-Vcodec-Trace trailer — flight-recorder key
 	backend     string   // X-Vcodec-Backend trailer (gateway runs)
 	attempts    int      // X-Vcodec-Attempts trailer (gateway runs)
@@ -211,7 +196,6 @@ func RunServe(cfg ServeConfig) (*ServeResult, error) {
 		Frames:    cfg.Frames,
 		Qp:        cfg.Qp,
 		Searcher:  cfg.Searcher,
-		Entropy:   cfg.Entropy,
 		GoMaxProc: runtime.GOMAXPROCS(0),
 	}
 	client := &http.Client{} // no timeout: sessions are long-lived streams
@@ -290,25 +274,21 @@ func runServePoint(client *http.Client, urls []string, upload []byte, n int, cfg
 	wall := time.Since(start)
 
 	pt := &ServePoint{
-		Sessions:         n,
-		FramesPerSession: cfg.Frames,
-		WallSeconds:      wall.Seconds(),
+		Sessions:    n,
+		WallSeconds: wall.Seconds(),
 	}
 	var firsts, gaps []time.Duration
 	levels := make([]int, server.MaxQosLevel+1)
 	for i := range samples {
 		s := &samples[i]
-		pt.Retries503 += s.retries503
 		if s.err != nil {
 			pt.Errors++
 			continue
 		}
 		pt.TotalFrames += s.frames
-		pt.BytesOut += s.bytes
 		if s.qosLevel >= 0 && s.qosLevel <= server.MaxQosLevel {
 			levels[s.qosLevel]++
 		}
-		pt.QosTransitions += s.qosChanges
 		firsts = append(firsts, s.firstPacket)
 		gaps = append(gaps, s.frameGaps...)
 	}
@@ -395,7 +375,6 @@ func runSession(client *http.Client, url string, upload []byte, keep bool, cfg S
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			s.retries503++
 			time.Sleep(delay)
 			begin = time.Now() // startup latency is per accepted submission
 			continue
@@ -420,7 +399,6 @@ func runSession(client *http.Client, url string, upload []byte, keep bool, cfg S
 			return s
 		}
 		now := time.Now()
-		s.bytes += int64(len(data))
 		if keep {
 			s.packets = append(s.packets, data)
 		}
@@ -437,7 +415,6 @@ func runSession(client *http.Client, url string, upload []byte, keep bool, cfg S
 	}
 	s.wall = time.Since(begin)
 	s.qosLevel, _ = strconv.Atoi(resp.Trailer.Get("X-Vcodec-Qos-Level"))
-	s.qosChanges, _ = strconv.Atoi(resp.Trailer.Get("X-Vcodec-Qos-Transitions"))
 	s.traceID = resp.Trailer.Get(obs.TraceIDHeader)
 	s.backend = resp.Trailer.Get("X-Vcodec-Backend")
 	s.attempts, _ = strconv.Atoi(resp.Trailer.Get("X-Vcodec-Attempts"))
@@ -470,15 +447,6 @@ func quantileMs(d []time.Duration, q float64) float64 {
 		i = len(sorted) - 1
 	}
 	return float64(sorted[i].Nanoseconds()) / 1e6
-}
-
-// WriteJSON writes the result to path (pretty-printed, trailing newline).
-func (r *ServeResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // FormatServe renders the result as an aligned text table.

@@ -1,4 +1,4 @@
-package experiment
+package main
 
 import (
 	"encoding/json"
@@ -14,21 +14,21 @@ import (
 // with the per-frame timeline pulled back from the serving node's flight
 // recorder while the session is still in the completed ring.
 type WorstSession struct {
-	TraceID string `json:"trace_id"`
+	TraceID string
 	// Backend is where the session ran (X-Vcodec-Backend trailer; empty
 	// when the load generator talked to a vcodecd directly).
-	Backend string `json:"backend,omitempty"`
+	Backend string
 	// Attempts is the gateway dispatch count (1 when direct).
-	Attempts      int     `json:"attempts,omitempty"`
-	WallMs        float64 `json:"wall_ms"`
-	FirstPacketMs float64 `json:"first_packet_ms"`
-	GapP99Ms      float64 `json:"gap_p99_ms"`
+	Attempts      int
+	WallMs        float64
+	FirstPacketMs float64
+	GapP99Ms      float64
 	// Timeline is the per-frame phase breakdown from
 	// /debug/vcodec/trace; empty if the record had already aged out (or,
 	// under chaos, the serving backend died).
-	Timeline []obs.FrameEvent `json:"timeline,omitempty"`
+	Timeline []obs.FrameEvent
 	// DroppedFrames counts timeline entries lost to ring wrap.
-	DroppedFrames int `json:"dropped_frames,omitempty"`
+	DroppedFrames int
 }
 
 // fetchTimeline resolves a trace ID against the endpoints' debug

@@ -6,11 +6,11 @@
 // stand-ins for the paper's test sequences, and harnesses that regenerate
 // every table and figure of the evaluation.
 //
-// The library lives under internal/ (see DESIGN.md for the system
-// inventory); runnable entry points are the examples/ programs and the
-// cmd/acbmbench, cmd/mvstudy, cmd/seqgen, cmd/vcodec, cmd/vcodecd and
-// cmd/vload tools. The benchmarks in bench_test.go regenerate the paper's
-// Table 1 and Figures 4-6.
+// The library lives under internal/ (see DESIGN.md for the substitutions
+// and the design invariants); runnable entry points are the examples/
+// programs and the cmd/acbmbench, cmd/seqgen, cmd/vcodec, cmd/vcodecd,
+// cmd/vcodec-gateway and cmd/vload tools. The benchmarks in bench_test.go
+// regenerate the paper's Table 1 and Figures 4-6.
 //
 // # Performance architecture
 //
@@ -190,21 +190,15 @@
 //     them additively in Join and servos once per frame. Both therefore
 //     keep the wavefront, the pipeline and the shared pool fully
 //     parallel, with bitstreams pinned byte-identical across Workers ×
-//     Pipeline × Pool by golden -race tests; `make bench-rate` writes
-//     BENCH_rate.json (kbps tracking error, ns/frame per mode).
+//     Pipeline × Pool by golden -race tests.
 //
-// `make bench-speed` (or `acbmbench -experiment speed -json
-// BENCH_speed.json`) records the encoder's speed trajectory —
-// ns/frame, fps, the analysis/entropy phase split, points/block,
-// allocs/frame and the half-pel bytes actually materialised per frame —
-// across the full GOMAXPROCS × workers × pipeline matrix, per searcher.
-// Each point carries the GOMAXPROCS and kernel ISA it ran under, and the
-// artifact embeds the host (CPU model, core count, registered kernel
-// tiers), so a number is never divorced from the machine that produced
-// it. BENCH_ratchet.json pins per-searcher serial ns/frame baselines;
-// `make bench-smoke` re-measures and fails CI past a tolerance band
-// (widened automatically on a different CPU), and `make ratchet-pin`
-// re-pins after a deliberate perf change. For ad-hoc investigation,
+// Speed is measured in one place: bench/ (its own module, declared by
+// BENCHMARK.json) runs five workloads at the operating points Table 1
+// cares about — end-to-end frames/s, frame-latency percentiles, bytes,
+// PSNR and peak RSS, plus per-layer numbers from SAD kernel to gateway
+// relay — and a change is judged by alternating parent/change runs of
+// bench/run.sh on one host, never against a pinned absolute number. For
+// ad-hoc investigation,
 // `acbmbench -cpuprofile/-memprofile` write pprof profiles of any
 // experiment, and `vcodecd -pprof addr` serves net/http/pprof for live
 // sessions.
@@ -244,10 +238,10 @@
 //     -url round-robins), reporting aggregate throughput plus
 //     first-packet and per-frame latency percentiles, optionally
 //     byte-verifying the served stream against the offline encoder and
-//     optionally honoring 503 Retry-After (-retry-after).
-//     `make bench-serve` writes the artifact (BENCH_serve.json) and
-//     `make serve-smoke` gates CI on boot → verified burst → clean
-//     drain. See examples/serve for the walkthrough.
+//     optionally honoring 503 Retry-After (-retry-after); a failed,
+//     errored or short stream fails the run. `make serve-smoke` gates CI
+//     on boot → verified burst → clean drain. See examples/serve for the
+//     walkthrough.
 //   - internal/gateway (cmd/vcodec-gateway) makes N vcodecd backends one
 //     system: health-aware least-loaded routing off each backend's
 //     /healthz + /metrics, bounded retries with capped-exponential
@@ -259,15 +253,13 @@
 //     trailer — never a truncated stream with a 200. The gateway
 //     re-exposes /healthz and /metrics (per-backend breaker/routing
 //     state) and drains gracefully on SIGTERM, gateway before backends.
-//   - internal/gateway/chaos is the fault injector behind the cluster
-//     benchmark: TCP proxies in front of each backend inject latency,
-//     stalls, connection resets and mid-stream kills. `vload -chaos`
-//     (make bench-cluster → BENCH_cluster.json) runs the named scenarios
-//     — baseline, degraded-latency, backend-crash, partition, high-load
-//     — against a self-hosted gateway topology with every session
-//     byte-verified end to end, and `make cluster-smoke` gates CI on
-//     boot → verified burst → kill a backend mid-run → still-verified
-//     burst → clean drain.
+//   - internal/gateway/chaos is the gateway tests' fault injector: a TCP
+//     proxy in front of a backend stalls traffic or kills every
+//     established connection mid-stream, which is how
+//     TestGatewayMidStreamKillExplicitError and TestGatewayStallWatchdog
+//     prove the commit-point contract. `make cluster-smoke` gates CI on
+//     the real thing: boot → verified burst → SIGKILL a backend mid-run →
+//     still-verified burst → clean drain.
 //   - internal/server/qos.go closes the loop under overload: a
 //     controller ticks every Config.QosInterval, folds per-phase
 //     latency EWMAs, queue depth and session counts into one load
@@ -286,11 +278,10 @@
 //     the offline encoder under server.ApplyQosLevel — the hook the
 //     verified benchmarks use. Admission 503s scale Retry-After with
 //     queue depth and degradation level, the gateway's poller prefers
-//     less-degraded backends on load ties, and `vload -qos` (make
-//     bench-qos → BENCH_qos.json) prices each rung offline (PSNR, kbps,
-//     encode time) then ramps mixed-priority sessions past saturation —
-//     zero truncated streams, full quality restored after the ramp;
-//     `make qos-smoke` gates CI on the same contract.
+//     less-degraded backends on load ties, and `make qos-smoke` gates CI
+//     on the contract: pinned rungs byte-verified, a mixed-priority
+//     overload with zero truncated streams, full quality restored after
+//     it.
 //   - internal/obs is the always-on flight recorder behind the serving
 //     layer's observability: every session gets a trace ID (minted at
 //     the gateway — or accepted from the client's X-Vcodec-Trace header
@@ -331,10 +322,7 @@
 //     per-rung frames/PSNR/kbps, the flight recorder tags events by
 //     rung, and /metrics exports plane-pool hit/miss counters per size
 //     class (ladder sessions churn downscaled planes hardest). `make
-//     bench-ladder` writes BENCH_ladder.json — ladder vs N independent
-//     encodes (wall-clock speedup, bounded by 1 + Σ4⁻ʳ on one core;
-//     rung concurrency lifts it on multicore hosts) plus per-rung
-//     seeded-vs-unseeded points/MB — and `make ladder-smoke` gates CI
-//     on serve → split → byte-match the offline ladder → decode every
-//     rung → clean drain.
+//     ladder-smoke` gates CI on serve → split → byte-match the offline
+//     ladder → decode every rung → clean drain; what seeding saves is
+//     recorded in ROADMAP item 2(ii).
 package repro

@@ -34,8 +34,10 @@
 //	curl -s http://localhost:8320/healthz          # per-backend view
 //	curl -s http://localhost:8320/metrics | grep gateway_backend_up
 //	go run ./cmd/vload -url http://localhost:8320 -sessions 8 -verify
-//	go run ./cmd/vload -chaos -json BENCH_cluster.json   # chaos scenarios
 //	kill -TERM %3 && kill -TERM %1 %2             # gateway, then backends
+//
+// (`make cluster-smoke` scripts this with a backend SIGKILLed mid-burst:
+// the next verified burst must still pass, through failover.)
 //
 // Under overload the daemon does not let latency grow without bound: a
 // closed-loop controller steps sessions down a degradation ladder
@@ -49,7 +51,7 @@
 //	curl -sN --data-binary @f.y4m \
 //	    'http://localhost:8323/encode?qp=16&me=acbm&qoslevel=2' > f2.pkt
 //	curl -s http://localhost:8323/healthz | grep -o '"qos_level":[0-9]*'
-//	go run ./cmd/vload -qos -json BENCH_qos.json    # overload ramp
+//	go run ./cmd/vload -url http://localhost:8323 -sessions 1 -qoslevel 2 -verify
 //
 // One upload can also fan out to a simulcast ABR ladder — N renditions
 // from one ingest, each lower rung's motion search seeded from the rung

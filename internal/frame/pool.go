@@ -174,9 +174,9 @@ func (f *Frame) ReplicateAprons() {
 
 // Half-pel materialisation counters: how many tiles (and sample bytes) of
 // half-pel phase planes were actually computed. With the lazy tiled view
-// these track the working set the interpolation really touches — the
-// bytes-touched metric of BENCH_speed.json — instead of the full 3×W×H a
-// per-frame eager build would pay.
+// these track the working set the interpolation really touches — bench/'s
+// frame.halfpel_bytes_per_frame — instead of the full 3×W×H a per-frame
+// eager build would pay.
 var (
 	interpTiles atomic.Uint64
 	interpBytes atomic.Uint64

@@ -1,10 +1,9 @@
 // Package chaos injects transport faults between a gateway and its
-// backends. A Proxy is a TCP relay listening on a loopback port and
-// forwarding to one real backend; the Plan in force — settable at
-// runtime, mid-connection — decides what the relay does to the traffic:
-// add latency, stall it, reset connections after a byte budget, refuse
-// new ones, or go dark entirely. KillActive cuts every established
-// connection at once, the mid-stream backend-crash case.
+// backends for the gateway's tests. A Proxy is a TCP relay listening on a
+// loopback port and forwarding to one real backend; the Plan in force —
+// settable at runtime, mid-connection — can stall the traffic (a
+// partition that keeps sockets open), and KillActive cuts every
+// established connection at once, the mid-stream backend-crash case.
 //
 // The proxy operates below HTTP on purpose: the failures it produces are
 // the ones a real network or a crashed peer produces (RST, silence,
@@ -14,7 +13,6 @@
 package chaos
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -22,20 +20,10 @@ import (
 
 // Plan is the fault set in force. The zero Plan forwards faithfully.
 type Plan struct {
-	// Latency is added before each forwarded chunk, both directions —
-	// a slow, but correct, network path.
-	Latency time.Duration
 	// Stall freezes forwarding (established connections carry no bytes)
 	// while set — a partition that keeps sockets open. Clearing the plan
 	// un-freezes connections that are still alive.
 	Stall bool
-	// ResetAfterBytes, when positive, resets a connection (RST, not FIN)
-	// once that many backend→client bytes have crossed it — a peer dying
-	// mid-response.
-	ResetAfterBytes int64
-	// RefuseNew rejects new connections immediately — a down listener —
-	// while leaving established ones alone.
-	RefuseNew bool
 }
 
 // Proxy is one fault-injecting TCP relay in front of one backend.
@@ -130,10 +118,6 @@ func (p *Proxy) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		if p.Plan().RefuseNew {
-			abort(client)
-			continue
-		}
 		backend, err := net.DialTimeout("tcp", p.target, 2*time.Second)
 		if err != nil {
 			abort(client)
@@ -154,8 +138,8 @@ func (p *Proxy) acceptLoop() {
 	}
 }
 
-// relay pumps both directions until either side dies or the plan resets
-// the connection.
+// relay pumps both directions until either side dies or KillActive/Close
+// resets the connection.
 func (p *Proxy) relay(client, backend net.Conn) {
 	defer p.wg.Done()
 	defer func() {
@@ -168,30 +152,21 @@ func (p *Proxy) relay(client, backend net.Conn) {
 	}()
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); p.pump(backend, client, false) }()
-	go func() { defer wg.Done(); p.pump(client, backend, true) }()
+	go func() { defer wg.Done(); p.pump(backend, client) }()
+	go func() { defer wg.Done(); p.pump(client, backend) }()
 	wg.Wait()
 }
 
-// pump copies src→dst chunk by chunk, applying the plan at each boundary.
-// counted marks the backend→client direction, the one ResetAfterBytes
-// meters.
-func (p *Proxy) pump(dst, src net.Conn, counted bool) {
+// pump copies src→dst chunk by chunk, holding each chunk while the plan
+// stalls.
+func (p *Proxy) pump(dst, src net.Conn) {
 	buf := make([]byte, 32<<10)
-	var moved int64
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			for {
-				plan := p.Plan()
-				if !plan.Stall {
-					if plan.Latency > 0 {
-						time.Sleep(plan.Latency)
-					}
-					break
-				}
-				// Stalled: hold the bytes, keep the sockets. Poll so a
-				// cleared plan (partition healed) resumes the stream.
+			// Stalled: hold the bytes, keep the sockets. Poll so a cleared
+			// plan (partition healed) resumes the stream.
+			for p.Plan().Stall {
 				time.Sleep(10 * time.Millisecond)
 				if p.closedConn(src) {
 					return
@@ -199,12 +174,6 @@ func (p *Proxy) pump(dst, src net.Conn, counted bool) {
 			}
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return
-			}
-			moved += int64(n)
-			if counted {
-				if lim := p.Plan().ResetAfterBytes; lim > 0 && moved >= lim {
-					return // defer aborts both sides: RST mid-response
-				}
 			}
 		}
 		if err != nil {
@@ -219,40 +188,4 @@ func (p *Proxy) closedConn(c net.Conn) bool {
 	defer p.mu.Unlock()
 	_, ok := p.conns[c]
 	return !ok || p.done
-}
-
-// Fleet is a set of proxies fronting a set of backends, addressed by
-// index — the shape chaos scenarios script against.
-type Fleet struct {
-	Proxies []*Proxy
-}
-
-// NewFleet builds one proxy per backend target.
-func NewFleet(targets []string) (*Fleet, error) {
-	f := &Fleet{}
-	for _, t := range targets {
-		pr, err := New(t)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("chaos: proxy for %s: %w", t, err)
-		}
-		f.Proxies = append(f.Proxies, pr)
-	}
-	return f, nil
-}
-
-// URLs lists the proxies' base URLs in target order.
-func (f *Fleet) URLs() []string {
-	out := make([]string, len(f.Proxies))
-	for i, pr := range f.Proxies {
-		out[i] = pr.URL()
-	}
-	return out
-}
-
-// Close shuts every proxy down.
-func (f *Fleet) Close() {
-	for _, pr := range f.Proxies {
-		pr.Close()
-	}
 }

@@ -238,8 +238,8 @@ func tableScene(seed uint64) *Scene {
 	}
 }
 
-// ProfileByName parses the CLI vocabulary shared by cmd/seqgen,
-// cmd/mvstudy and cmd/vload's -profile flags.
+// ProfileByName parses the CLI vocabulary shared by cmd/seqgen and
+// cmd/vload's -profile flags.
 func ProfileByName(name string) (Profile, error) {
 	switch strings.ToLower(name) {
 	case "carphone":
