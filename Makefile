@@ -13,6 +13,12 @@
 #                       only proven free of live-lock where nothing else
 #                       can run the row, the task or the writer they wait
 #                       for
+#   make test-386     — the whole suite built for GOARCH=386 (runs on an
+#                       amd64 host, no download): the leg where int is 32
+#                       bits and the kernel table has only its scalar and
+#                       SWAR tiers (dispatch_other.go), so the goldens and
+#                       identity tests prove the bits do not depend on
+#                       either
 #   make fuzz-smoke   — every native Fuzz* target in the tree (found with
 #                       `go test -list`, so a new one is picked up by
 #                       being written) fuzzed for 3 s each: `go test`
@@ -63,7 +69,7 @@ GO ?= go
 # The X-smoke targets are built by the one %-smoke pattern rule below, so
 # they must stay out of .PHONY (make skips implicit rules for phony
 # targets); FORCE keeps them, and the bin/% builds, always out of date.
-.PHONY: build test sched-one-p fuzz-smoke fma-check bench-check bench-smoke ci FORCE
+.PHONY: build test sched-one-p test-386 fuzz-smoke fma-check bench-check bench-smoke ci FORCE
 
 build:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -78,6 +84,9 @@ test: build
 
 sched-one-p:
 	GOMAXPROCS=1 $(GO) test -count=1 -timeout 5m -run 'Parallel|Pipeline|Pool|PoolIdleWorkersPark|DefaultPoolFixedSize|CallerLaneProgressBehindBusyPool|Observer|Ladder|Wavefront|Engine|Stream|Session|MaxFrames|GoroutineLeak' ./internal/codec/ ./internal/server/
+
+test-386:
+	GOARCH=386 $(GO) test ./...
 
 fuzz-smoke:
 	@set -e; for pkg in $$($(GO) list ./...); do \
@@ -117,6 +126,6 @@ bin/%: FORCE
 %-smoke: bin/vcodecd bin/vcodec-gateway bin/vload bin/vcodec bin/seqgen FORCE
 	BIN=bin sh scripts/$*_smoke.sh
 
-ci: test fuzz-smoke fma-check bench-check bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
+ci: test test-386 fuzz-smoke fma-check bench-check bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
 
 FORCE:

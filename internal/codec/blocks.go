@@ -83,28 +83,58 @@ func reconCodedBlock(p *frame.Plane, x, y int, levels *dct.Block, qp int) {
 // mbScratch is the state one analysis worker reuses across macroblocks,
 // so that neither the search problem nor the residual path allocates per
 // macroblock: the searcher's Input, and the row pass of a block being
-// transformed. Both are handed to code the compiler cannot see through
-// (the Searcher interface, the metrics kernel table), so they must live on
-// the heap once rather than on a stack per call.
+// transformed (inter survivors and intra blocks alike). Both are handed to
+// code the compiler cannot see through (the Searcher interface, the
+// metrics kernel table), so they must live on the heap once rather than on
+// a stack per call.
 type mbScratch struct {
 	in   search.Input
 	rows dct.RowPass
 }
 
-// codeInterBlock runs the residual path for block i of an inter
-// macroblock whose prediction predictInterMB has already written into
-// recon: the 8×8 samples of src at (x, y) against the 8×8 bytes of recon
-// at the same coordinates. It sets r.coded[i] and, for a coded block,
-// r.levels[i]; the levels of an uncoded block are never read.
+// zeroBlock is the 8×8 block of zeros an intra block's samples are taken
+// against, so that metrics.ResidualRows — the residual path's row-pass
+// kernel — runs the intra transform's row pass too. Read-only, shared by
+// every lane.
+var zeroBlock = frame.NewPlane(8, 8)
+
+// codeInterBlocks predicts macroblock (mbx, mby) in place — the four luma
+// blocks with their own vectors (all equal for a one-vector macroblock),
+// both chroma blocks with cmv — and runs the residual path over its six
+// blocks. It sets r.coded and, for a coded block, r.levels[i]; the levels
+// of an uncoded block are never read.
 //
-// The path matches its traffic, one route with early exits. The residual
-// energy is taken on plane bytes first, and a block at or below
+// The path matches its traffic, one route with early exits. The six
+// residual energies are taken on plane bytes first, in one
+// metrics.MacroblockSSE call once the prediction is in place. That is exact
+// for every block, not just the first: coding block i writes only block i
+// of recon, and no other block's energy reads it. A block at or below
 // dct.InterZeroBound is provably all-zero after Forward + QuantizeInter
 // (see the bound's derivation), so its outcome — uncoded, reconstruction =
 // the prediction already in place — is recorded and nothing is widened,
-// transformed, quantised or copied. A block above the bound takes the
-// forward transform's row pass straight from the two byte blocks
-// (metrics.ResidualRows) and dct.QuantizeInterRows applies the same bound
+// transformed, quantised or copied. The rest take codeInterBlock.
+func (e *Encoder) codeInterBlocks(sc *mbScratch, r *mbResult, src, recon *frame.Frame, mbx, mby int, lumaMV [4]mvfield.MV, cmv mvfield.MV) {
+	predictInterMB(recon, e.recon, mbx, mby, lumaMV, cmv)
+	energy := metrics.MacroblockSSE(src, recon, mbx, mby)
+	bound := dct.InterZeroBound(e.curQp)
+	r.gated, r.rowOnly = 0, 0
+	for i, en := range energy {
+		if en <= bound {
+			r.coded[i] = false
+			r.gated++
+			continue
+		}
+		sp, x, y := mbBlock(src, mbx, mby, i)
+		rp, _, _ := mbBlock(recon, mbx, mby, i)
+		e.codeInterBlock(sc, r, i, sp, rp, x, y)
+	}
+}
+
+// codeInterBlock finishes block i of an inter macroblock that survived the
+// zero-block gate: the 8×8 samples of src at (x, y) against the prediction
+// predictInterMB left in recon at the same coordinates. The block takes
+// the forward transform's row pass straight from the two byte blocks
+// (metrics.ResidualRows) and dct.QuantizeInterRows applies the gate's bound
 // per coefficient column, running the column pass only where a level can
 // be non-zero; most survivors end there, uncoded, after half a transform.
 // Only a block that keeps a level is dequantised, inverse-transformed and
@@ -112,11 +142,6 @@ type mbScratch struct {
 // its result: coded flags, levels and every reconstructed sample equal
 // what the full route alone would produce.
 func (e *Encoder) codeInterBlock(sc *mbScratch, r *mbResult, i int, src, recon *frame.Plane, x, y int) {
-	if metrics.SSE(src, x, y, recon, x, y, 8, 8) <= dct.InterZeroBound(e.curQp) {
-		r.coded[i] = false
-		r.gated++
-		return
-	}
 	metrics.ResidualRows(&sc.rows, src, x, y, recon, x, y)
 	coded, liveCols := dct.QuantizeInterRows(&r.levels[i], &sc.rows, e.curQp)
 	r.coded[i] = coded
@@ -128,42 +153,11 @@ func (e *Encoder) codeInterBlock(sc *mbScratch, r *mbResult, i int, src, recon *
 	}
 }
 
-// codeInterBlocks predicts macroblock (mbx, mby) in place and runs
-// codeInterBlock over its six blocks: the four luma blocks with their own
-// vectors (all equal for a one-vector macroblock) and both chroma blocks
-// with cmv.
-func (e *Encoder) codeInterBlocks(sc *mbScratch, r *mbResult, src, recon *frame.Frame, mbx, mby int, lumaMV [4]mvfield.MV, cmv mvfield.MV) {
-	predictInterMB(recon, e.recon, mbx, mby, lumaMV, cmv)
-	r.gated, r.rowOnly = 0, 0
-	for i, off := range lumaBlockOffsets {
-		e.codeInterBlock(sc, r, i, src.Y, recon.Y, 16*mbx+off[0], 16*mby+off[1])
-	}
-	e.codeInterBlock(sc, r, 4, src.Cb, recon.Cb, 8*mbx, 8*mby)
-	e.codeInterBlock(sc, r, 5, src.Cr, recon.Cr, 8*mbx, 8*mby)
-}
-
-// encodeIntraBlock transforms and quantises raw samples.
-func encodeIntraBlock(levels *dct.Block, cur *dct.Block, qp int) {
-	var coef dct.Block
-	dct.Forward(&coef, cur)
-	dct.QuantizeIntra(levels, &coef, qp)
-}
-
 // reconIntraBlock reconstructs an intra block from quantised levels.
 func reconIntraBlock(out, levels *dct.Block, qp int) {
 	var coef dct.Block
 	dct.DequantizeIntra(&coef, levels, qp)
 	dct.Inverse(out, &coef)
-}
-
-// acCoded reports whether any AC coefficient (index > 0) is non-zero.
-func acCoded(levels *dct.Block) bool {
-	for i := 1; i < len(levels); i++ {
-		if levels[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // chromaMV derives the chroma-plane motion vector from a luma vector,

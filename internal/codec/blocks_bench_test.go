@@ -108,3 +108,50 @@ func BenchmarkCodeInterBlocks(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAnalyzeIntraMB times the intra route of one macroblock — six
+// row passes against the zero block, the DC column and the AC columns
+// above dct.IntraZeroBound, dequantisation, inverse transform and store —
+// per content class. ns/op is ns per macroblock.
+//
+//   - carphone: the first frame of the Carphone clip at Qp 30, the I-frame
+//     every adaptive_serial cell opens with.
+//   - flat: mid-grey; every AC column is settled by its row-pass energy.
+//   - noise: uniform random samples; every column runs.
+func BenchmarkAnalyzeIntraMB(b *testing.B) {
+	const qp = 30
+	size := frame.QCIF
+	cols, rows := size.MacroblockCols(), size.MacroblockRows()
+	e := NewEncoder(Config{Qp: qp, Searcher: core.New(core.DefaultParams), Workers: 1})
+	e.curQp = qp
+	recon := frame.GetFramePadded(size, frame.MinInterpApron, frame.MinInterpApron)
+	defer recon.Release()
+	fill := func(fn func(x, y int) uint8) *frame.Frame {
+		f := frame.NewFrame(size)
+		for _, p := range []*frame.Plane{f.Y, f.Cb, f.Cr} {
+			for y := 0; y < p.H; y++ {
+				for x := 0; x < p.W; x++ {
+					p.Set(x, y, fn(x, y))
+				}
+			}
+		}
+		return f
+	}
+	cases := []struct {
+		name string
+		src  *frame.Frame
+	}{
+		{"carphone", video.Generate(video.Carphone, size, 1, 7)[0]},
+		{"flat", fill(func(x, y int) uint8 { return 128 })},
+		{"noise", fill(func(x, y int) uint8 { return uint8(uint32(x*7919+y*104729) * 2654435761 >> 13) })},
+	}
+	var sc mbScratch
+	var r mbResult
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.analyzeIntraMB(&sc, c.src, recon, i%cols, i/cols%rows, &r)
+			}
+		})
+	}
+}

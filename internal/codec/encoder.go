@@ -699,24 +699,25 @@ func (e *Encoder) refreshReference(recon *frame.Frame) {
 // analyzeIntraMB transforms, quantises and reconstructs the six intra
 // blocks of MB (mbx, mby), leaving the levels — and the per-block AC-coded
 // flags, so the write phase never re-scans the coefficients — in r.
-func (e *Encoder) analyzeIntraMB(src, recon *frame.Frame, mbx, mby int, r *mbResult) {
+//
+// The transform is the inter survivors' route: the row pass from the
+// kernel table (metrics.ResidualRows of the samples against zeroBlock,
+// into the lane's scratch), then dct.QuantizeIntraRows, which runs column
+// 0 (it holds DC) and only the AC columns whose row-pass energy exceeds
+// dct.IntraZeroBound. The levels are Forward + QuantizeIntra's.
+func (e *Encoder) analyzeIntraMB(sc *mbScratch, src, recon *frame.Frame, mbx, mby int, r *mbResult) {
 	r.mode = mbIntra
 	r.four = false
 	r.points, r.class = 0, search.Unclassified
-	x, y := 16*mbx, 16*mby
-	var cur, rec dct.Block
-	code := func(p, rp *frame.Plane, bx, by int, levels *dct.Block) bool {
-		loadBlock(&cur, p, bx, by)
-		encodeIntraBlock(levels, &cur, e.curQp)
-		reconIntraBlock(&rec, levels, e.curQp)
-		storeBlock(rp, bx, by, &rec)
-		return acCoded(levels)
+	var rec dct.Block
+	for i := range r.levels {
+		p, x, y := mbBlock(src, mbx, mby, i)
+		metrics.ResidualRows(&sc.rows, p, x, y, zeroBlock, 0, 0)
+		r.coded[i], _ = dct.QuantizeIntraRows(&r.levels[i], &sc.rows, e.curQp)
+		reconIntraBlock(&rec, &r.levels[i], e.curQp)
+		rp, _, _ := mbBlock(recon, mbx, mby, i)
+		storeBlock(rp, x, y, &rec)
 	}
-	for i, off := range lumaBlockOffsets {
-		r.coded[i] = code(src.Y, recon.Y, x+off[0], y+off[1], &r.levels[i])
-	}
-	r.coded[4] = code(src.Cb, recon.Cb, 8*mbx, 8*mby, &r.levels[4])
-	r.coded[5] = code(src.Cr, recon.Cr, 8*mbx, 8*mby, &r.levels[5])
 }
 
 // writeIntraMB serialises the six intra blocks analysed into r. DC is an
@@ -767,7 +768,7 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, sc *mbScratch, src, recon *f
 	// Mode decision (TMN-style): intra wins when the block's internal
 	// variation is clearly below the best matching error.
 	if intraSAD < res.SAD-e.cfg.IntraBias {
-		e.analyzeIntraMB(src, recon, mbx, mby, r)
+		e.analyzeIntraMB(sc, src, recon, mbx, mby, r)
 		r.points, r.class = res.Points, res.Class
 		curField.Set(mbx, mby, mvfield.Zero)
 		return

@@ -138,24 +138,28 @@ func TestObserverQueueWaitOnPool(t *testing.T) {
 }
 
 // TestRecorderOverheadGuard bounds the flight recorder's cost: the
-// best-of-3 per-frame encode time with a live recorder attached must be
-// within 1ms/frame of the nil-observer baseline. The recorder does a
-// handful of atomic stores per frame (~tens of ns), so this absolute
-// bound holds with orders of magnitude to spare while staying immune to
-// scheduler noise; it exists to catch an accidental allocation or lock
-// creeping into the observe path. Run by make bench-smoke.
+// best-of-5 per-frame encode time with a live recorder attached may exceed
+// the nil-observer baseline by at most a quarter of that baseline, or
+// 200µs if that is more. The recorder does a handful of atomic stores per
+// frame (~tens of ns), so the bound holds with orders of magnitude to
+// spare while staying immune to scheduler noise; it exists to catch an
+// accidental allocation or lock creeping into the observe path. The bound
+// is relative so that it means the same on every kernel tier and GOARCH —
+// an absolute one tripped on the pure-Go 386 leg, where a frame takes
+// ~7ms — and the floor keeps a sub-millisecond frame's scheduler jitter
+// from reading as overhead. Run by make bench-smoke.
 func TestRecorderOverheadGuard(t *testing.T) {
 	if raceEnabled {
 		// The race detector slows the encoder ~20x and adds several ms of
-		// per-run jitter, swamping the 1ms absolute bound. The guard is a
-		// perf check, not a correctness check — TestObserverByteIdentity
-		// and TestRecorderConcurrent cover the raced paths.
+		// per-run jitter. The guard is a perf check, not a correctness
+		// check — TestObserverByteIdentity and TestRecorderConcurrent cover
+		// the raced paths.
 		t.Skip("wall-clock overhead bound is noise under -race")
 	}
 	frames := video.Generate(video.Foreman, frame.SQCIF, 8, 7)
 	encode := func(ob FrameObserver) time.Duration {
 		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 5; i++ {
 			start := time.Now()
 			if _, _, err := EncodeSequence(Config{
 				Qp: 16, Searcher: core.New(core.DefaultParams), Workers: 2, Observer: ob,
@@ -170,8 +174,10 @@ func TestRecorderOverheadGuard(t *testing.T) {
 	}
 	baseline := encode(nil)
 	recorded := encode(obs.NewFlightRecorder("guard", obs.Meta{}, 0))
-	if overhead := recorded - baseline; overhead > time.Millisecond {
-		t.Errorf("recorder overhead %v/frame exceeds 1ms bound (nil %v, recorder %v)",
-			overhead, baseline, recorded)
+	bound := max(baseline/4, 200*time.Microsecond)
+	t.Logf("nil %v/frame, recorder %v/frame, bound %v", baseline, recorded, bound)
+	if overhead := recorded - baseline; overhead > bound {
+		t.Errorf("recorder overhead %v/frame exceeds the %v bound (nil %v, recorder %v)",
+			overhead, bound, baseline, recorded)
 	}
 }

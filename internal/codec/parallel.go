@@ -292,11 +292,10 @@ func (e *Encoder) analyzeFrame(src, recon *frame.Frame, curField *mvfield.Field,
 		onWait = e.noteQueueWait
 	}
 	runWavefront(cols, rows, !intra, n, pool, caller, e.cfg.Priority, onWait, func(lane, mbx, mby int) {
-		r := &results[mby*cols+mbx]
+		r, l := &results[mby*cols+mbx], &lanes[lane]
 		if intra {
-			e.analyzeIntraMB(src, recon, mbx, mby, r)
+			e.analyzeIntraMB(&l.sc, src, recon, mbx, mby, r)
 		} else {
-			l := &lanes[lane]
 			e.analyzeInterMB(l.s, &l.sc, src, recon, curField, mbx, mby, r)
 		}
 	})

@@ -17,7 +17,8 @@
 // untransformed, and ForwardQuantizeInter (= ForwardRows, then
 // QuantizeInterRows) applies the same bound per coefficient column after
 // the row pass, so a surviving block runs the column pass only where a
-// level can be non-zero.
+// level can be non-zero. QuantizeIntraRows does the same for intra blocks
+// with IntraZeroBound, QuantizeIntra's edge.
 package dct
 
 import "math"
@@ -197,6 +198,50 @@ func QuantizeInterRows(levels *Block, rp *RowPass, qp int) (coded bool, live int
 		}
 		for v := 0; v < BlockSize; v++ {
 			l := quantInterCoef(c[v], half, step)
+			levels[v*BlockSize+u] = l
+			nz |= l
+		}
+	}
+	return nz != 0, live
+}
+
+// QuantizeIntraRows is QuantizeInterRows for intra blocks: it finishes a
+// forward transform of raw samples from its row pass and quantises it with
+// QuantizeIntra's rules, running the column pass only where a level can be
+// non-zero. levels receives exactly the sixty-four values Forward followed
+// by QuantizeIntra would produce; ac reports whether any AC level (index
+// > 0) is non-zero, live how many of the eight columns ran.
+//
+// Column 0 always runs: it holds the DC coefficient, whose /8 rule never
+// yields zero. A column u ≥ 1 with E_u ≤ IntraZeroBound(qp) is eight zero
+// levels without a column pass (see the bound's derivation); the others run
+// Forward's dot8 products in Forward's order, then QuantizeIntra's rule.
+func QuantizeIntraRows(levels *Block, rp *RowPass, qp int) (ac bool, live int) {
+	qp = ClampQp(qp)
+	bound := float64(IntraZeroBound(qp))
+	step := int32(2 * qp)
+	*levels = Block{}
+	var colF [BlockSize]float64
+	var nz int32
+	for u := 0; u < BlockSize; u++ {
+		if u > 0 && rp.Energy[u] <= bound {
+			continue
+		}
+		live++
+		for y := 0; y < BlockSize; y++ {
+			colF[y] = rp.Tmp[y][u]
+		}
+		var c [BlockSize]int32
+		for v := 0; v < BlockSize; v++ {
+			c[v] = int32(math.Round(dot8(&colF, &cosTable[v])))
+		}
+		v0 := 0
+		if u == 0 {
+			levels[0] = quantIntraDC(c[0])
+			v0 = 1
+		}
+		for v := v0; v < BlockSize; v++ {
+			l := quantIntraAC(c[v], step)
 			levels[v*BlockSize+u] = l
 			nz |= l
 		}

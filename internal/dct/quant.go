@@ -96,28 +96,63 @@ func InterZeroBound(qp int) int {
 func QuantizeIntra(dst, src *Block, qp int) {
 	qp = ClampQp(qp)
 	step := int32(2 * qp)
-	for i, c := range src {
-		if i == 0 {
-			dc := (c + 4) / 8
-			if dc < 1 {
-				dc = 1
-			}
-			if dc > 254 {
-				dc = 254
-			}
-			dst[0] = dc
-			continue
-		}
-		neg := c < 0
-		if neg {
-			c = -c
-		}
-		l := c / step
-		if neg {
-			l = -l
-		}
-		dst[i] = clampLevel(l)
+	dst[0] = quantIntraDC(src[0])
+	for i := 1; i < len(src); i++ {
+		dst[i] = quantIntraAC(src[i], step)
 	}
+}
+
+// quantIntraDC and quantIntraAC are QuantizeIntra's two rules, step =
+// 2·Qp; QuantizeIntra and QuantizeIntraRows both apply them, so they cannot
+// drift apart.
+func quantIntraDC(c int32) int32 {
+	dc := (c + 4) / 8
+	if dc < 1 {
+		dc = 1
+	}
+	if dc > 254 {
+		dc = 254
+	}
+	return dc
+}
+
+func quantIntraAC(c, step int32) int32 {
+	neg := c < 0
+	if neg {
+		c = -c
+	}
+	l := c / step
+	if neg {
+		l = -l
+	}
+	return clampLevel(l)
+}
+
+// IntraZeroBound returns the largest energy E_u of a coefficient column of
+// the forward transform's row pass (RowPass.Energy[u]) for which every
+// coefficient of that column is guaranteed an AC level 0 under
+// QuantizeIntra at qp. QuantizeIntraRows uses it to skip the column pass of
+// such columns u ≥ 1 (column 0 holds the DC coefficient, whose rule has no
+// zero). As with InterZeroBound the test is sufficient, never necessary.
+//
+// Derivation — InterZeroBound's, with QuantizeIntra's edge (change them
+// together; TestIntraZeroBoundFollowsQuantizer recomputes it from
+// QuantizeIntra):
+//
+//   - QuantizeIntra maps an AC |c| to |c|/(2Qp), truncated: level 0 exactly
+//     when |c| < k, with k = 2·Qp — on integers, |c| ≤ k−1.
+//   - Forward rounds each real coefficient F to the nearest integer (half
+//     away from zero), so |c| ≤ k−1 exactly when |F| < k − ½.
+//   - The column pass maps column u of the row-pass intermediate through the
+//     orthonormal 1-D basis, so by Cauchy–Schwarz |F(u, v)| ≤ √E_u for
+//     every v.
+//   - So E_u < (k−½)² = k² − k + ¼ suffices; E_u ≤ k² − k leaves the same
+//     margin as the inter bound (> 1/(8k) coefficient units, against a
+//     float error of order 1e-11).
+func IntraZeroBound(qp int) int {
+	qp = ClampQp(qp)
+	k := 2 * qp
+	return k*k - k
 }
 
 // DequantizeInter reconstructs inter coefficients from levels using the

@@ -15,11 +15,13 @@ import (
 
 // DispatchReport renders the SAD kernel dispatch state (detected CPU
 // features, registered tiers, the active tier) and runs a one-shot
-// sanity probe: every registered tier computes SAD, SADCapped, IntraSAD,
-// the half-pel phases, a SADBest window scan, the residual-energy SSE, the
-// prediction fetch (both block shapes, all four phases, destination guard
-// band included) and the residual row pass (every float64 bit pattern) on
-// a fixed block and must agree with the scalar reference bit-for-bit. It is the cheap
+// sanity probe: every registered tier computes SAD, SADCapped, IntraSAD
+// (the fused 16×16 kernel over a grid of anchors, and an 8×8 block), the
+// half-pel phases and ring, a SADBest window scan, the residual-energy SSE,
+// the zero-block gate's six energies per macroblock, the prediction fetch
+// (both block shapes, all four phases, destination guard band included) and
+// the residual row pass (every float64 bit pattern) on fixed blocks and
+// must agree with the scalar reference bit-for-bit. It is the cheap
 // CI-time version of the full differential suite in internal/metrics —
 // catching a machine whose dispatch picked a broken tier (or silently
 // fell back to scalar) before any benchmark numbers get trusted. The
@@ -88,6 +90,16 @@ func predictProbe(ref *frame.Plane, n int) int {
 	return int(h.Sum32())
 }
 
+// hashInts folds a probe's values into one int, so a probe covering many
+// calls still compares as one value.
+func hashInts(vs ...int) int {
+	h := fnv.New32a()
+	for _, v := range vs {
+		fmt.Fprintf(h, "%d,", v)
+	}
+	return int(h.Sum32())
+}
+
 // probeKernelTiers runs the fixed probe block through every tier and
 // appends one ok/mismatch line per tier.
 func probeKernelTiers(b *strings.Builder) []string {
@@ -98,6 +110,19 @@ func probeKernelTiers(b *strings.Builder) []string {
 		return p
 	}
 	cur, ref := mk(), mk()
+	frameOf := func(stride int) *frame.Frame {
+		f := &frame.Frame{}
+		for i, pp := range []**frame.Plane{&f.Y, &f.Cb, &f.Cr} {
+			w, h, s := 48, 32, stride
+			if i > 0 {
+				w, h, s = 24, 16, stride/2
+			}
+			*pp = &frame.Plane{W: w, H: h, Stride: s, Pix: make([]uint8, s*h)}
+			rng.Read((*pp).Pix)
+		}
+		return f
+	}
+	srcF, recF := frameOf(48), frameOf(62)
 	// A ±8 window around (9, 7) in raster order; the plane's top edge
 	// clips its first row away, so the in-kernel rectangle test runs too.
 	var window []metrics.Offset
@@ -116,7 +141,18 @@ func probeKernelTiers(b *strings.Builder) []string {
 		{"sad16x16", func() int { return metrics.SAD(cur, 8, 8, ref, 9, 7, 16, 16) }},
 		{"sad12x8", func() int { return metrics.SAD(cur, 3, 5, ref, 6, 2, 12, 8) }},
 		{"sadCapped", func() int { return metrics.SADCapped(cur, 8, 8, ref, 9, 7, 16, 16, 700) }},
-		{"intraSAD", func() int { return metrics.IntraSAD(cur, 8, 8, 16, 16) }},
+		{"intraSAD16", func() int {
+			// The fused mean + Σ|p−µ| kernel at every 16×16 anchor of a
+			// grid that reaches all four plane corners.
+			var sums []int
+			for y := 0; y <= cur.H-16; y += 4 {
+				for x := 0; x <= cur.W-16; x += 4 {
+					sums = append(sums, metrics.IntraSAD(cur, x, y, 16, 16))
+				}
+			}
+			return hashInts(sums...)
+		}},
+		{"intraSAD8x8", func() int { return metrics.IntraSAD(cur, 3, 5, 8, 8) }},
 		{"halfPelH", func() int { return metrics.SADHalfPelPlane(cur, 8, 8, ref, 19, 14, 16, 16) }},
 		{"halfPelV", func() int { return metrics.SADHalfPelPlane(cur, 8, 8, ref, 18, 15, 16, 16) }},
 		{"halfPelD", func() int { return metrics.SADHalfPelPlane(cur, 8, 8, ref, 19, 15, 16, 16) }},
@@ -133,7 +169,19 @@ func probeKernelTiers(b *strings.Builder) []string {
 			idx, sad := metrics.SADBest(cur, 8, 8, ref, 9, 7, 16, 16, window, clip, 1<<30)
 			return idx<<20 | sad
 		}},
-		{"sse8x8", func() int { return metrics.SSE(cur, 8, 8, ref, 9, 7, 8, 8) }},
+		{"sse8x8", func() int { return int(metrics.SSE(cur, 8, 8, ref, 9, 7, 8, 8)) }},
+		{"gateMB", func() int {
+			// The zero-block gate's six energies, every macroblock of two
+			// 48×32 frames whose planes have different strides.
+			var sums []int
+			for mby := 0; mby < 2; mby++ {
+				for mbx := 0; mbx < 3; mbx++ {
+					e := metrics.MacroblockSSE(srcF, recF, mbx, mby)
+					sums = append(sums, e[:]...)
+				}
+			}
+			return hashInts(sums...)
+		}},
 		{"predict16", func() int { return predictProbe(ref, 16) }},
 		{"predict8", func() int { return predictProbe(ref, 8) }},
 		{"residualRows", func() int {

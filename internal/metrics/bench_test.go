@@ -138,16 +138,32 @@ func BenchmarkKernelSADBest16x16(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelSSE8x8 is the zero-block gate's cost per residual block:
-// one 8×8 energy on plane bytes, in place of a load, a float DCT and a
-// quantiser pass.
+// BenchmarkKernelSSE8x8 is one 8×8 energy on plane bytes through the
+// generic SSE entry — what the zero-block gate paid per block before it took
+// a whole macroblock per call (BenchmarkKernelGateMB).
 func BenchmarkKernelSSE8x8(b *testing.B) {
 	cur, ref := benchPlanes()
 	benchEachISA(b, func(b *testing.B) {
 		b.SetBytes(8 * 8)
-		var sink int
+		var sink int64
 		for i := 0; i < b.N; i++ {
 			sink += SSE(cur, 32, 16, ref, 33+i%4, 17, 8, 8)
+		}
+		benchSink = int(sink)
+	})
+}
+
+// BenchmarkKernelGateMB is the zero-block gate's cost per macroblock: the
+// six 8×8 energies of MacroblockSSE, source against a strided, apron-padded
+// reconstruction as in the encoder.
+func BenchmarkKernelGateMB(b *testing.B) {
+	src, rec := gateFrames(rand.New(rand.NewSource(1234)), frame.QCIF)
+	benchEachISA(b, func(b *testing.B) {
+		b.SetBytes(6 * 8 * 8)
+		var sink int
+		for i := 0; i < b.N; i++ {
+			e := MacroblockSSE(src, rec, 1+i%9, 1+i/9%7)
+			sink += e[0] + e[5]
 		}
 		benchSink = sink
 	})

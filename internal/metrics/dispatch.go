@@ -31,11 +31,12 @@ import (
 // family. Callers (the exported functions in sad.go) validate the
 // geometry before dispatching:
 //
-//   - sad, planeSum: w%8 == 0, w ≤ 256, block in-plane
+//   - sad: w%8 == 0, w ≤ 256, block in-plane
 //   - sadCapped: w%8 == 0, w·h ≤ 256; must fold and early-exit on the
 //     cumulative sum after every row, returning the exact per-row
 //     early-termination value of sadCappedScalar
-//   - intraSAD: like sad, with µ precomputed by the caller
+//   - intraSAD: like sad; Σ|p−µ| with µ the block's Mean, which the tier
+//     derives itself (the AVX2 16×16 kernel reads the block once for both)
 //   - hpH/hpV/hpD (+Capped): fused half-pel probes anchored at the
 //     integer position (rx, ry); phase offsets are implied by the slot.
 //     w%8 == 0; uncapped w ≤ 256, capped w·h ≤ 256; rows rx..rx+w(+1)
@@ -61,6 +62,10 @@ import (
 //     blocks in-plane. Exact integer arithmetic: no rounding rule, no
 //     early exit, nothing for a tier to get subtly wrong except a lane
 //     fold
+//   - mbSSE: the six 8×8 block energies of one macroblock behind
+//     MacroblockSSE, in coding order, BY VALUE like ring; both frames the
+//     same size, macroblock in-frame, each frame's Cb and Cr sharing a
+//     stride
 //   - predict: the prediction fetch behind PredictBlock; w ∈ {8, 16},
 //     h ≥ 1, every source sample inside ref's apron, the destination
 //     window inside dst. Writes the w×h window and not one byte beside it
@@ -79,8 +84,7 @@ type kernelTable struct {
 
 	sad       func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int
 	sadCapped func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int
-	planeSum  func(p *frame.Plane, x, y, w, h int) int
-	intraSAD  func(p *frame.Plane, x, y, w, h, mu int) int
+	intraSAD  func(p *frame.Plane, x, y, w, h int) int
 
 	hpH func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int
 	hpV func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int
@@ -95,7 +99,8 @@ type kernelTable struct {
 	sadBest    func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (idx, sad int)
 	sadBestFew func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (idx, sad int)
 
-	sse func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int
+	sse   func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int
+	mbSSE func(a, b *frame.Frame, mbx, mby int) [6]int
 
 	predict      func(dst *frame.Plane, dx, dy int, ref *frame.Plane, hx, hy, w, h int)
 	residualRows func(rp *dct.RowPass, a *frame.Plane, ax, ay int, b *frame.Plane, bx, by int)
@@ -202,8 +207,7 @@ func scalarTable() *kernelTable {
 		name:      "scalar",
 		sad:       sadScalar,
 		sadCapped: sadCappedScalar,
-		planeSum:  planeSumScalar,
-		intraSAD:  intraSADMuScalar,
+		intraSAD:  intraSADScalar,
 		hpH: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
 			return sadHalfPelPlaneScalar(cur, cx, cy, ref, 2*rx+1, 2*ry, w, h)
 		},
@@ -229,7 +233,8 @@ func scalarTable() *kernelTable {
 		sadBestFew: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {
 			return sadBestBy(sadCappedScalar, cur, cx, cy, ref, rx, ry, 16, 16, cands[:n], clip, best)
 		},
-		sse:          sseScalar,
+		sse:          sseStripScalar,
+		mbSSE:        macroblockSSEScalar,
 		predict:      predictScalar,
 		residualRows: residualRowsScalar,
 	}
@@ -242,8 +247,9 @@ func swarTable() *kernelTable {
 		name:      "swar",
 		sad:       sadSWAR,
 		sadCapped: sadCappedSWAR,
-		planeSum:  planeSumSWAR,
-		intraSAD:  intraSADSWAR,
+		intraSAD: func(p *frame.Plane, x, y, w, h int) int {
+			return intraSADSWAR(p, x, y, w, h, meanOf(planeSumSWAR(p, x, y, w, h), w, h))
+		},
 		hpH:       sadHalfPelH,
 		hpV:       sadHalfPelV,
 		hpD:       sadHalfPelD,
@@ -257,7 +263,9 @@ func swarTable() *kernelTable {
 		sadBestFew: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {
 			return sadBestBy(sadCappedSWAR, cur, cx, cy, ref, rx, ry, 16, 16, cands[:n], clip, best)
 		},
-		sse: sseScalar, // squares do not fit SWAR's 16-bit lanes
+		// Squares do not fit SWAR's 16-bit lanes.
+		sse:   sseStripScalar,
+		mbSSE: macroblockSSEScalar,
 		// frame.HalfPelBlock is word-parallel Go already, and a uint64 holds
 		// no float64 lanes.
 		predict:      predictScalar,

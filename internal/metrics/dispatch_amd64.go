@@ -66,11 +66,20 @@ func sadHpDCappedBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, 
 //go:noescape
 func sadHpRingBlkSSE2(cur *byte, curStride int, refTop *byte, refStride int, w, h int, out *[9]int)
 
+// sadHpRingBlkAVX2 is sadHpRingBlkSSE2 for w = 16 (h ≤ 16), every
+// reference row loaded once.
+//
+//go:noescape
+func sadHpRingBlkAVX2(cur *byte, curStride int, refTop *byte, refStride int, h int, out *[9]int)
+
 //go:noescape
 func sadBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
 
+// intraSAD16AVX2 returns IntraSAD of the 16×16 block at p: the mean and
+// Σ|p−µ| from one load of the block.
+//
 //go:noescape
-func intraSADBlkAVX2(p *byte, stride, w, h, mu int) int
+func intraSAD16AVX2(p *byte, stride int) int
 
 //go:noescape
 func sadHpHBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
@@ -99,6 +108,13 @@ func sseBlkSSE2(a *byte, aStride int, b *byte, bStride int, w, h int) int
 
 //go:noescape
 func sseBlkAVX2(a *byte, aStride int, b *byte, bStride int, w, h int) int
+
+// macroblockSSEAVX2 writes the six 8×8 block energies of the macroblock
+// whose luma starts at aY/bY and chroma at aCb, aCr / bCb, bCr to out, in
+// coding order.
+//
+//go:noescape
+func macroblockSSEAVX2(aY *byte, aYStride int, bY *byte, bYStride int, aCb, aCr *byte, aCStride int, bCb, bCr *byte, bCStride int, out *[6]int)
 
 // predictBlkSSE2 (residual_amd64.s) writes the w×h prediction block, w = 8
 // or 16, from ref — the integer anchor, possibly inside the apron — into
@@ -198,12 +214,7 @@ func sse2Table() *kernelTable {
 		sadCapped: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
 			return sadCappedBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h, cap)
 		},
-		planeSum: func(p *frame.Plane, x, y, w, h int) int {
-			return planeSumBlkSSE2(pix(p, x, y), p.Stride, w, h)
-		},
-		intraSAD: func(p *frame.Plane, x, y, w, h, mu int) int {
-			return intraSADBlkSSE2(pix(p, x, y), p.Stride, w, h, mu)
-		},
+		intraSAD: intraSADSSE2,
 		hpH: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
 			return sadHpHBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h)
 		},
@@ -222,11 +233,7 @@ func sse2Table() *kernelTable {
 		hpDCapped: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
 			return sadHpDCappedBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h, cap)
 		},
-		ring: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) (out [9]int) {
-			sadHpRingBlkSSE2(pix(cur, cx, cy), cur.Stride,
-				pix(ref, rx-1, ry-1), ref.Stride, w, h, &out)
-			return out
-		},
+		ring: ringSSE2,
 		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
 			return sadBest16SSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
 				&cands[0], len(cands), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
@@ -235,8 +242,9 @@ func sse2Table() *kernelTable {
 			return sadBest16SSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
 				&cands[0], n, clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
 		},
-		sse: func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
-			return sseBlkSSE2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, w, h)
+		sse: sseSSE2,
+		mbSSE: func(a, b *frame.Frame, mbx, mby int) [6]int {
+			return macroblockSSEBy(sseSSE2, a, b, mbx, mby)
 		},
 		predict: func(dst *frame.Plane, dx, dy int, ref *frame.Plane, hx, hy, w, h int) {
 			predictBlkSSE2(pix(dst, dx, dy), dst.Stride, &ref.PixFrom(hx>>1, hy>>1)[0], ref.Stride, w, h, hx&1|hy&1<<1)
@@ -247,36 +255,70 @@ func sse2Table() *kernelTable {
 	}
 }
 
+func intraSADSSE2(p *frame.Plane, x, y, w, h int) int {
+	q := pix(p, x, y)
+	return intraSADBlkSSE2(q, p.Stride, w, h, meanOf(planeSumBlkSSE2(q, p.Stride, w, h), w, h))
+}
+
+func ringSSE2(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) (out [9]int) {
+	sadHpRingBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx-1, ry-1), ref.Stride, w, h, &out)
+	return out
+}
+
+func sseSSE2(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
+	return sseBlkSSE2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, w, h)
+}
+
 // avx2Table starts from the SSE2 table — entries may come from different
 // tiers as long as each one is bit-exact — and replaces with true 256-bit
-// kernels: plain SAD, IntraSAD, the H/V half-pel probes, sadBest (the
-// full-search scan: cur block resident in eight YMM registers, two ref
-// rows per VPSADBW), sse (sixteen squared differences per VPMADDWD; the
-// 8-wide residual block takes two rows per iteration) and residualRows
-// (four float64 lanes per register: a row's eight outputs in two).
+// kernels: plain SAD; IntraSAD of the 16×16 macroblock (mean and Σ|p−µ|
+// from one load of the block); the H/V half-pel probes; the 16-wide ring
+// (one reference row per YMM register in word lanes, each of the h+2 rows
+// loaded once, the vertical and diagonal pair sums each shared by the two
+// current rows they serve); sadBest (the full-search scan: cur block
+// resident in eight YMM registers, two ref rows per VPSADBW); sse (sixteen
+// squared differences per VPMADDWD; the 8-wide residual block takes two
+// rows per iteration); mbSSE (the zero-block gate's six energies from one
+// 16-wide luma pass and one Cb|Cr pass) and residualRows (four float64
+// lanes per register: a row's eight outputs in two).
 //
-// Still SSE2 under this name: predict, whose widest row is one 16-byte
-// register either way; the single-candidate capped kernels
-// (sadCapped, hpH/V/DCapped), the diagonal hpD and the ring. That is a
-// gap, not a verdict that wider lanes do not pay — measured on an AVX2
-// host the capped 16×16 SAD costs 46 ns against 19 ns for the uncapped
-// AVX2 SAD, and nearly all of the difference is the fold-and-compare
-// after every row. sadCapped has to keep that fold: the value it returns
-// on early exit is the cumulative sum at the exact row the cap was
-// crossed (TestSADCappedEarlyExitRowValues pins it on every tier), so it
-// cannot check less often. Nothing hot pays for it any more: the full
-// search goes through sadBest, and PBM's predictor set and descent probes
-// through sadBestFew, whose contract defines only the winner — no
-// benchmark workload's hot path calls single-candidate sadCapped, so a
-// wider tier for it is no longer a target (ROADMAP item 4(c)).
+// SSE2 under this name, each for a stated reason:
+//   - predict: its widest row is one 16-byte register either way.
+//   - IntraSAD of other shapes, and the 8-wide ring: nothing on the encode
+//     path asks for them (the encoder searches and refines 16×16
+//     macroblocks; Advanced Prediction's 8×8 refinement probes one
+//     position at a time).
+//   - hpD, and the single-candidate capped kernels sadCapped and
+//     hpH/V/DCapped. sadCapped has to keep its per-row fold: the value it
+//     returns on early exit is the cumulative sum at the exact row the cap
+//     was crossed (TestSADCappedEarlyExitRowValues pins it on every tier),
+//     and the fold-and-compare after every row, not the lane width, is
+//     most of its cost (46 ns against 19 ns for the uncapped AVX2 SAD).
+//     The full search goes through sadBest, PBM's predictor set and
+//     descent probes through sadBestFew, and the refinement of every block
+//     whose whole ring is in-plane through the ring. What is left is the
+//     refinement of edge macroblocks, one hpH/V/DCapped probe at a time:
+//     6 % of an adaptive_serial frame at PR 26, more than the ring — a
+//     route question (ROADMAP, "Decided against": widening the ring onto
+//     the apron), not a lane-width one.
 func avx2Table() *kernelTable {
 	t := *sse2Table()
 	t.name = "avx2"
 	t.sad = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
 		return sadBlkAVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h)
 	}
-	t.intraSAD = func(p *frame.Plane, x, y, w, h, mu int) int {
-		return intraSADBlkAVX2(pix(p, x, y), p.Stride, w, h, mu)
+	t.intraSAD = func(p *frame.Plane, x, y, w, h int) int {
+		if w == 16 && h == 16 {
+			return intraSAD16AVX2(pix(p, x, y), p.Stride)
+		}
+		return intraSADSSE2(p, x, y, w, h)
+	}
+	t.ring = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) (out [9]int) {
+		if w != 16 {
+			return ringSSE2(cur, cx, cy, ref, rx, ry, w, h)
+		}
+		sadHpRingBlkAVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx-1, ry-1), ref.Stride, h, &out)
+		return out
 	}
 	t.hpH = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
 		return sadHpHBlkAVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h)
@@ -294,6 +336,13 @@ func avx2Table() *kernelTable {
 	}
 	t.sse = func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 		return sseBlkAVX2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, w, h)
+	}
+	t.mbSSE = func(a, b *frame.Frame, mbx, mby int) (e [6]int) {
+		x, y, cx, cy := 16*mbx, 16*mby, 8*mbx, 8*mby
+		macroblockSSEAVX2(pix(a.Y, x, y), a.Y.Stride, pix(b.Y, x, y), b.Y.Stride,
+			pix(a.Cb, cx, cy), pix(a.Cr, cx, cy), a.Cb.Stride,
+			pix(b.Cb, cx, cy), pix(b.Cr, cx, cy), b.Cb.Stride, &e)
+		return e
 	}
 	t.residualRows = func(rp *dct.RowPass, a *frame.Plane, ax, ay int, b *frame.Plane, bx, by int) {
 		residualRowsAVX2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, dct.RowBasis(), rp)

@@ -121,6 +121,17 @@ func TestKernelTiersMatchScalar(t *testing.T) {
 					if got, want := IntraSAD(cur, cx, cy, w, h), intraSADScalar(cur, cx, cy, w, h); got != want {
 						t.Fatalf("IntraSAD w=%d h=%d: got %d want %d", w, h, got, want)
 					}
+					// The ring wherever it is legal: the AVX2 tier's 16-wide
+					// kernel at every height it accepts.
+					if w%8 == 0 && w*h <= 256 && rx >= 1 && ry >= 1 && rx+w <= ref.W-1 && ry+h <= ref.H-1 {
+						ring := [9]int{4: -1}
+						SADHalfPelRing(cur, cx, cy, ref, rx, ry, w, h, &ring)
+						want := sadHalfPelRingScalar(cur, cx, cy, ref, rx, ry, w, h)
+						want[4] = -1
+						if ring != want {
+							t.Fatalf("SADHalfPelRing w=%d h=%d at (%d,%d): got %v want %v", w, h, rx, ry, ring, want)
+						}
+					}
 					// Caps spanning "exit at first row" to "never exit",
 					// pinning both the exit decision and the exact
 					// cumulative value returned at the exit row.
@@ -180,6 +191,79 @@ func TestRingAcrossISAs(t *testing.T) {
 							t.Fatalf("ring w=%d h=%d (%d,%d) slot(%d,%d): got %d want %d", w, h, rx, ry, dx, dy, got, want)
 						}
 					}
+				}
+			}
+		}
+	})
+}
+
+// TestKernelTiersIntraSADFused pins every tier's IntraSAD — which derives
+// µ itself, the AVX2 16×16 kernel from the one load of the block it also
+// sums |p−µ| over — to the two-step definition: Mean, then Σ|p−µ| at that
+// µ by the scalar loop. The contents put Σp on and beside the rounding
+// edge of µ: flat blocks, one sample off a flat block in either direction
+// (Σ = 256µ ± 1), Σ = 256µ + 127/128/129 (the tie rounds up), the
+// extremes, and random texture.
+func TestKernelTiersIntraSADFused(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	p := paddedPlane(rng, 40, 36, 9)
+	set := func(fn func(x, y int) int) {
+		for y := 0; y < 16; y++ {
+			for x := 0; x < 16; x++ {
+				p.Set(5+x, 3+y, uint8(fn(x, y)))
+			}
+		}
+	}
+	type pattern struct {
+		name string
+		fn   func(x, y int) int
+	}
+	var patterns []pattern
+	for _, v := range []int{0, 1, 127, 128, 254, 255} {
+		v := v
+		patterns = append(patterns, pattern{"flat", func(x, y int) int { return v }})
+	}
+	for _, v := range []int{1, 100, 254} {
+		for _, d := range []int{-1, 1} {
+			v, d := v, d
+			patterns = append(patterns, pattern{"nudged", func(x, y int) int {
+				if x == 7 && y == 9 {
+					return v + d
+				}
+				return v
+			}})
+		}
+	}
+	// Σ = 256·60 + 128 exactly — the tie, which rounds µ up to 61 — and one
+	// either side of it, carried by a single outlier so that Σ|p−µ| differs
+	// between µ = 60 and 61 (spread evenly, the two would tie and hide a
+	// rounding slip).
+	for _, outlier := range []int{187, 188, 189} {
+		outlier := outlier
+		patterns = append(patterns, pattern{"tie", func(x, y int) int {
+			if x == 11 && y == 4 {
+				return outlier
+			}
+			return 60
+		}})
+	}
+	patterns = append(patterns,
+		pattern{"checker", func(x, y int) int { return 255 * ((x + y) & 1) }},
+		pattern{"ramp", func(x, y int) int { return 16*x + y }})
+	for i := 0; i < 20; i++ {
+		patterns = append(patterns, pattern{"random", func(x, y int) int { return rng.Intn(256) }})
+	}
+	withEachISA(t, func(t *testing.T, isa string) {
+		for _, pt := range patterns {
+			set(pt.fn)
+			for _, at := range [][2]int{{5, 3}, {0, 0}, {24, 20}, {13, 7}} {
+				x, y := at[0], at[1]
+				want := intraSADMuScalar(p, x, y, 16, 16, (planeSumScalar(p, x, y, 16, 16)+128)/256)
+				if got := IntraSAD(p, x, y, 16, 16); got != want {
+					t.Fatalf("%s at (%d,%d): IntraSAD %d, Mean + Σ|p−µ| %d", pt.name, x, y, got, want)
+				}
+				if got := intraSADMuScalar(p, x, y, 16, 16, Mean(p, x, y, 16, 16)); got != want {
+					t.Fatalf("%s at (%d,%d): Mean disagrees with (Σ+128)/256", pt.name, x, y)
 				}
 			}
 		}

@@ -668,13 +668,17 @@ func SADHalfPelPlaneDecimated(cur *frame.Plane, cx, cy int, ref *frame.Plane, hx
 }
 
 // Mean returns the average sample value of the w×h block of p anchored at
-// (x, y), rounded to nearest.
+// (x, y), rounded to nearest — IntraSAD's µ. The encoder never asks for it
+// on its own (every IntraSAD tier derives µ inside the call), so it is the
+// scalar sum: the definition the tiers are tested against.
 func Mean(p *frame.Plane, x, y, w, h int) int {
-	if w%8 != 0 || w > 256 {
-		return (planeSumScalar(p, x, y, w, h) + w*h/2) / (w * h)
-	}
-	return (kernels().planeSum(p, x, y, w, h) + w*h/2) / (w * h)
+	return meanOf(planeSumScalar(p, x, y, w, h), w, h)
 }
+
+// meanOf is Mean's rounding of a w×h block's sample sum — the one statement
+// of it, which every IntraSAD tier that derives µ itself goes through (the
+// AVX2 16×16 kernel hard-codes its 256-sample case: (sum+128)>>8).
+func meanOf(sum, w, h int) int { return (sum + w*h/2) / (w * h) }
 
 // planeSumScalar is the scalar reference for the block sample sum.
 func planeSumScalar(p *frame.Plane, x, y, w, h int) int {
@@ -713,13 +717,14 @@ func planeSumSWAR(p *frame.Plane, x, y, w, h int) int {
 
 // IntraSAD returns Σ|p−µ| over the w×h block of p anchored at (x, y),
 // where µ is the block mean — the texture measure introduced in §3.1 of
-// the paper. High values indicate highly textured blocks.
+// the paper. High values indicate highly textured blocks. µ is Mean's: the
+// table tiers derive it themselves, so the 16×16 macroblock — the only
+// shape the encoder asks for — is read once on the AVX2 tier.
 func IntraSAD(p *frame.Plane, x, y, w, h int) int {
-	mu := Mean(p, x, y, w, h)
 	if w%8 != 0 || w > 256 {
-		return intraSADMuScalar(p, x, y, w, h, mu)
+		return intraSADScalar(p, x, y, w, h)
 	}
-	return kernels().intraSAD(p, x, y, w, h, mu)
+	return kernels().intraSAD(p, x, y, w, h)
 }
 
 // intraSADMuScalar is the scalar reference for Σ|p−µ| at a given µ.
@@ -764,24 +769,5 @@ func intraSADSWAR(p *frame.Plane, x, y, w, h, mu int) int {
 
 // intraSADScalar is the scalar reference for IntraSAD.
 func intraSADScalar(p *frame.Plane, x, y, w, h int) int {
-	sum := 0
-	mean := 0
-	for yy := 0; yy < h; yy++ {
-		row := p.Pix[(y+yy)*p.Stride+x : (y+yy)*p.Stride+x+w]
-		for _, v := range row {
-			mean += int(v)
-		}
-	}
-	mu := (mean + w*h/2) / (w * h)
-	for yy := 0; yy < h; yy++ {
-		row := p.Pix[(y+yy)*p.Stride+x : (y+yy)*p.Stride+x+w]
-		for _, v := range row {
-			d := int(v) - mu
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
-	}
-	return sum
+	return intraSADMuScalar(p, x, y, w, h, meanOf(planeSumScalar(p, x, y, w, h), w, h))
 }

@@ -753,6 +753,169 @@ chunk:
 	MOVQ AX, 64(R8)
 	RET
 
+// The AVX2 ring, w = 16: one reference row's 16 samples per YMM register,
+// widened to words (VPMOVZXBW), and every one of the h+2 reference rows
+// loaded once — at the three column offsets anchor−1 / anchor / anchor+1 —
+// then slid through the registers. For the row pair (j, j+1) the kernel
+// forms the vertical probe value (VPAVGW of the anchor columns, exactly
+// (a+b+1)>>1) and the two diagonal ones ((hl_j + hl_{j+1} + 2) >> 2 from
+// the carried horizontal pair sums hl = left+anchor, hr = anchor+right) and
+// compares each against BOTH current rows it serves: as B/BL/BR of cur row
+// j and as T/TL/TR of cur row j+1. L and R ((left+anchor+1)>>1, VPAVGW)
+// are compared against the row they were loaded with.
+//
+// |pred − cur| accumulates in word lanes (VPSUBW/VPABSW/VPADDW): at most
+// h·255 ≤ 16·255 per lane, since w·h ≤ 256. The eight accumulators fold
+// once at the end (VPMADDWD by ones, then VPHADDD across probes).
+//
+// Registers: Y0 = +2 per word (then ones for the fold); Y1 = anchor column
+// of the newest reference row; Y2/Y3 = its left/right pair sums hl/hr;
+// Y4 = the previous current row, Y5 = this one; Y6/Y7 scratch; Y8–Y15 the
+// ring in slot order TL, T, TR, L, R, BL, B, BR.
+
+// RING_ACC1 adds |Y7 − cur| to acc (clobbers Y7).
+#define RING_ACC1(cur, acc) \
+	VPSUBW cur, Y7, Y7; \
+	VPABSW Y7, Y7; \
+	VPADDW Y7, acc, acc
+
+// RING_ACC2 adds |Y7 − curT| to accT and |Y7 − curB| to accB (clobbers
+// Y6, Y7).
+#define RING_ACC2(curT, accT, curB, accB) \
+	VPSUBW curT, Y7, Y6; \
+	VPABSW Y6, Y6; \
+	VPADDW Y6, accT, accT; \
+	VPSUBW curB, Y7, Y7; \
+	VPABSW Y7, Y7; \
+	VPADDW Y7, accB, accB
+
+// RING_V loads the anchor column of the row at SI: the vertical probe value
+// between it and the carried row goes to Y7, the row itself to Y1.
+#define RING_V \
+	VPMOVZXBW 1(SI), Y6; \
+	VPAVGW Y6, Y1, Y7; \
+	VMOVDQA Y6, Y1
+
+// RING_STRAIGHT loads the side column off (0 left, 2 right) of the row at
+// SI into Y6 and adds its straight probe against this current row to acc.
+#define RING_STRAIGHT(off, acc) \
+	VPMOVZXBW off(SI), Y6; \
+	VPAVGW Y6, Y1, Y7; \
+	VPSUBW Y5, Y7, Y7; \
+	VPABSW Y7, Y7; \
+	VPADDW Y7, acc, acc
+
+// RING_DIAG turns the side column in Y6 into its pair sum, leaves the
+// diagonal probe value against the carried pair sum H in Y7 and carries the
+// new pair sum in H.
+#define RING_DIAG(H) \
+	VPADDW Y1, Y6, Y6; \
+	VPADDW Y6, H, Y7; \
+	VMOVDQA Y6, H; \
+	VPADDW Y0, Y7, Y7; \
+	VPSRLW $2, Y7, Y7
+
+// func sadHpRingBlkAVX2(cur *byte, curStride int, refTop *byte, refStride int, h int, out *[9]int)
+TEXT ·sadHpRingBlkAVX2(SB), NOSPLIT, $0-48
+	MOVQ cur+0(FP), DI
+	MOVQ curStride+8(FP), CX
+	MOVQ refTop+16(FP), SI
+	MOVQ refStride+24(FP), DX
+	MOVQ h+32(FP), R9
+	MOVQ $0x0002000200020002, AX
+	VMOVQ AX, X0
+	VPBROADCASTQ X0, Y0
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	VPXOR Y10, Y10, Y10
+	VPXOR Y11, Y11, Y11
+	VPXOR Y12, Y12, Y12
+	VPXOR Y13, Y13, Y13
+	VPXOR Y14, Y14, Y14
+	VPXOR Y15, Y15, Y15
+
+	// Reference row −1: only carried state.
+	VPMOVZXBW 1(SI), Y1
+	VPMOVZXBW (SI), Y2
+	VPADDW Y1, Y2, Y2
+	VPMOVZXBW 2(SI), Y3
+	VPADDW Y1, Y3, Y3
+	ADDQ DX, SI
+
+	// Current row 0: no row above it, so T-side probes only.
+	VPMOVZXBW (DI), Y5
+	RING_V
+	RING_ACC1(Y5, Y9)
+	RING_STRAIGHT(0, Y11)
+	RING_DIAG(Y2)
+	RING_ACC1(Y5, Y8)
+	RING_STRAIGHT(2, Y12)
+	RING_DIAG(Y3)
+	RING_ACC1(Y5, Y10)
+	VMOVDQA Y5, Y4
+	ADDQ CX, DI
+	ADDQ DX, SI
+	DECQ R9
+	JZ   last
+
+row:
+	VPMOVZXBW (DI), Y5
+	RING_V
+	RING_ACC2(Y5, Y9, Y4, Y14)
+	RING_STRAIGHT(0, Y11)
+	RING_DIAG(Y2)
+	RING_ACC2(Y5, Y8, Y4, Y13)
+	RING_STRAIGHT(2, Y12)
+	RING_DIAG(Y3)
+	RING_ACC2(Y5, Y10, Y4, Y15)
+	VMOVDQA Y5, Y4
+	ADDQ CX, DI
+	ADDQ DX, SI
+	DECQ R9
+	JNZ  row
+
+last:
+	// Reference row h: the B-side probes of the last current row.
+	RING_V
+	RING_ACC1(Y4, Y14)
+	VPMOVZXBW (SI), Y6
+	RING_DIAG(Y2)
+	RING_ACC1(Y4, Y13)
+	VPMOVZXBW 2(SI), Y6
+	RING_DIAG(Y3)
+	RING_ACC1(Y4, Y15)
+
+	// Fold: words → dwords (VPMADDWD by ones), then VPHADDD gathers four
+	// probes per register, lane halves added, widened to the int slots.
+	MOVQ $0x0001000100010001, AX
+	VMOVQ AX, X0
+	VPBROADCASTQ X0, Y0
+	VPMADDWD Y0, Y8, Y8
+	VPMADDWD Y0, Y9, Y9
+	VPMADDWD Y0, Y10, Y10
+	VPMADDWD Y0, Y11, Y11
+	VPMADDWD Y0, Y12, Y12
+	VPMADDWD Y0, Y13, Y13
+	VPMADDWD Y0, Y14, Y14
+	VPMADDWD Y0, Y15, Y15
+	MOVQ out+40(FP), R8
+	VPHADDD Y9, Y8, Y6
+	VPHADDD Y11, Y10, Y7
+	VPHADDD Y7, Y6, Y6       // TL, T, TR, L per lane
+	VEXTRACTI128 $1, Y6, X7
+	VPADDD X7, X6, X6
+	VPMOVZXDQ X6, Y6
+	VMOVDQU Y6, (R8)         // slots 0..3
+	VPHADDD Y13, Y12, Y6
+	VPHADDD Y15, Y14, Y7
+	VPHADDD Y7, Y6, Y6       // R, BL, B, BR per lane
+	VEXTRACTI128 $1, Y6, X7
+	VPADDD X7, X6, X6
+	VPMOVZXDQ X6, Y6
+	VMOVDQU Y6, 40(R8)       // slots 5..8; the centre slot 4 is not written
+	VZEROUPPER
+	RET
+
 // func sadBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
 TEXT ·sadBlkAVX2(SB), NOSPLIT, $0-56
 	MOVQ cur+0(FP), DI
@@ -840,85 +1003,89 @@ fold:
 	MOVQ AX, ret+48(FP)
 	RET
 
-// func intraSADBlkAVX2(p *byte, stride, w, h, mu int) int
-TEXT ·intraSADBlkAVX2(SB), NOSPLIT, $0-48
+// func intraSAD16AVX2(p *byte, stride int) int
+//
+// IntraSAD of one 16×16 block in one call: the sixteen rows are loaded
+// once, two per YMM register, and stay there. VPSADBW against zero sums
+// them; µ = (Σ + 128) >> 8 is Mean's round-to-nearest for 256 samples;
+// VPSADBW against the µ splat then sums |p − µ| from the same registers.
+TEXT ·intraSAD16AVX2(SB), NOSPLIT, $0-24
 	MOVQ p+0(FP), DI
 	MOVQ stride+8(FP), CX
-	MOVQ w+16(FP), BX
-	MOVQ h+24(FP), R9
-	MOVQ mu+32(FP), AX
-	MOVQ $0x0101010101010101, R8
-	IMULQ R8, AX
-	VMOVQ AX, X5            // µ splat, low quadword (8-byte tails)
-	VPBROADCASTQ X5, Y4     // µ splat, all 32 bytes (X4 = low 16)
-	VPXOR Y7, Y7, Y7
-	CMPQ BX, $16
-	JEQ  w16
-
-row:
-	XORQ AX, AX
-
-chunk32:
-	LEAQ 32(AX), R8
-	CMPQ R8, BX
-	JGT  tail16
-	VMOVDQU (DI)(AX*1), Y0
-	VPSADBW Y4, Y0, Y0
-	VPADDQ  Y0, Y7, Y7
-	MOVQ R8, AX
-	JMP  chunk32
-
-tail16:
-	LEAQ 16(AX), R8
-	CMPQ R8, BX
-	JGT  tail8
-	VMOVDQU (DI)(AX*1), X0
-	VPSADBW X4, X0, X0
-	VPADDQ  Y0, Y7, Y7
-	MOVQ R8, AX
-
-tail8:
-	CMPQ AX, BX
-	JGE  rowdone
-	VMOVQ (DI)(AX*1), X0
-	VPSADBW X5, X0, X0
-	VPADDQ  Y0, Y7, Y7
-
-rowdone:
-	ADDQ CX, DI
-	DECQ R9
-	JNZ  row
-	JMP  fold
-
-w16:
-	MOVQ R9, R10
-	SHRQ $1, R10
-	JZ   w16odd
-
-w16pair:
 	VMOVDQU (DI), X0
 	VINSERTI128 $1, (DI)(CX*1), Y0, Y0
-	VPSADBW Y4, Y0, Y0
-	VPADDQ  Y0, Y7, Y7
 	LEAQ (DI)(CX*2), DI
-	DECQ R10
-	JNZ  w16pair
+	VMOVDQU (DI), X1
+	VINSERTI128 $1, (DI)(CX*1), Y1, Y1
+	LEAQ (DI)(CX*2), DI
+	VMOVDQU (DI), X2
+	VINSERTI128 $1, (DI)(CX*1), Y2, Y2
+	LEAQ (DI)(CX*2), DI
+	VMOVDQU (DI), X3
+	VINSERTI128 $1, (DI)(CX*1), Y3, Y3
+	LEAQ (DI)(CX*2), DI
+	VMOVDQU (DI), X4
+	VINSERTI128 $1, (DI)(CX*1), Y4, Y4
+	LEAQ (DI)(CX*2), DI
+	VMOVDQU (DI), X5
+	VINSERTI128 $1, (DI)(CX*1), Y5, Y5
+	LEAQ (DI)(CX*2), DI
+	VMOVDQU (DI), X6
+	VINSERTI128 $1, (DI)(CX*1), Y6, Y6
+	LEAQ (DI)(CX*2), DI
+	VMOVDQU (DI), X7
+	VINSERTI128 $1, (DI)(CX*1), Y7, Y7
 
-w16odd:
-	TESTQ $1, R9
-	JZ    fold
-	VMOVDQU (DI), X0
-	VPSADBW X4, X0, X0
-	VPADDQ  Y0, Y7, Y7
+	// Σp: four quadword partial sums per register, all added up.
+	VPXOR   Y15, Y15, Y15
+	VPSADBW Y15, Y0, Y8
+	VPSADBW Y15, Y1, Y9
+	VPSADBW Y15, Y2, Y10
+	VPSADBW Y15, Y3, Y11
+	VPADDQ  Y9, Y8, Y8
+	VPADDQ  Y11, Y10, Y10
+	VPSADBW Y15, Y4, Y9
+	VPSADBW Y15, Y5, Y11
+	VPADDQ  Y9, Y8, Y8
+	VPADDQ  Y11, Y10, Y10
+	VPSADBW Y15, Y6, Y9
+	VPSADBW Y15, Y7, Y11
+	VPADDQ  Y9, Y8, Y8
+	VPADDQ  Y11, Y10, Y10
+	VPADDQ  Y10, Y8, Y8
+	VEXTRACTI128 $1, Y8, X9
+	VPADDQ  X9, X8, X8
+	VPSHUFD $0xEE, X8, X9
+	VPADDQ  X9, X8, X8
+	VMOVQ   X8, AX
+	ADDQ    $128, AX
+	SHRQ    $8, AX
+	VMOVD   AX, X9
+	VPBROADCASTB X9, Y9     // µ in all 32 bytes
 
-fold:
-	VEXTRACTI128 $1, Y7, X0
-	VPADDQ  X7, X0, X0
+	// Σ|p − µ| from the registers already loaded.
+	VPSADBW Y9, Y0, Y0
+	VPSADBW Y9, Y1, Y1
+	VPSADBW Y9, Y2, Y2
+	VPSADBW Y9, Y3, Y3
+	VPSADBW Y9, Y4, Y4
+	VPSADBW Y9, Y5, Y5
+	VPSADBW Y9, Y6, Y6
+	VPSADBW Y9, Y7, Y7
+	VPADDQ  Y1, Y0, Y0
+	VPADDQ  Y3, Y2, Y2
+	VPADDQ  Y5, Y4, Y4
+	VPADDQ  Y7, Y6, Y6
+	VPADDQ  Y2, Y0, Y0
+	VPADDQ  Y6, Y4, Y4
+	VPADDQ  Y4, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDQ  X1, X0, X0
 	VPSHUFD $0xEE, X0, X1
 	VPADDQ  X1, X0, X0
-	VMOVQ X0, AX
+	VMOVQ   X0, AX
 	VZEROUPPER
-	MOVQ AX, ret+40(FP)
+	MOVQ AX, ret+16(FP)
 	RET
 
 // func sadHpHBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
@@ -1399,6 +1566,85 @@ fold:
 	VMOVD X0, AX
 	VZEROUPPER
 	MOVQ AX, ret+48(FP)
+	RET
+
+// func macroblockSSEAVX2(aY *byte, aYStride int, bY *byte, bYStride int, aCb, aCr *byte, aCStride int, bCb, bCr *byte, bCStride int, out *[6]int)
+//
+// The six 8×8 block energies of one macroblock in one pass. A 16-wide luma
+// row widens to sixteen words; VPMADDWD squares the differences and pair-sums
+// them into eight dwords, of which 0–3 (the low lane) belong to the left
+// block and 4–7 to the right one. Rows 0–7 accumulate in Y6, rows 8–15 in
+// Y7. Chroma takes the Cb row in the low lane and the Cr row in the high lane
+// of Y5. A block's energy is at most 64·255² < 2^31, so no lane widens.
+TEXT ·macroblockSSEAVX2(SB), NOSPLIT, $0-88
+	MOVQ aY+0(FP), DI
+	MOVQ aYStride+8(FP), CX
+	MOVQ bY+16(FP), SI
+	MOVQ bYStride+24(FP), DX
+	MOVQ aCb+32(FP), R12
+	MOVQ aCr+40(FP), R13
+	MOVQ aCStride+48(FP), AX
+	MOVQ bCb+56(FP), R14
+	MOVQ bCr+64(FP), BX
+	MOVQ bCStride+72(FP), R8
+	MOVQ CX, R10             // offset of luma row 8, either plane
+	SHLQ $3, R10
+	MOVQ DX, R11
+	SHLQ $3, R11
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	MOVQ $8, R9
+
+row:
+	VPMOVZXBW (DI), Y0
+	VPMOVZXBW (SI), Y1
+	VPSUBW   Y1, Y0, Y0
+	VPMADDWD Y0, Y0, Y0
+	VPADDD   Y0, Y6, Y6
+	VPMOVZXBW (DI)(R10*1), Y2
+	VPMOVZXBW (SI)(R11*1), Y3
+	VPSUBW   Y3, Y2, Y2
+	VPMADDWD Y2, Y2, Y2
+	VPADDD   Y2, Y7, Y7
+	VMOVQ    (R12), X0
+	VPINSRQ  $1, (R13), X0, X0
+	VMOVQ    (R14), X1
+	VPINSRQ  $1, (BX), X1, X1
+	VPMOVZXBW X0, Y0
+	VPMOVZXBW X1, Y1
+	VPSUBW   Y1, Y0, Y0
+	VPMADDWD Y0, Y0, Y0
+	VPADDD   Y0, Y5, Y5
+	ADDQ CX, DI
+	ADDQ DX, SI
+	ADDQ AX, R12
+	ADDQ AX, R13
+	ADDQ R8, R14
+	ADDQ R8, BX
+	DECQ R9
+	JNZ  row
+
+	// Per lane: [top, bottom, chroma, chroma] — low lane left/Cb, high
+	// lane right/Cr.
+	VPHADDD Y7, Y6, Y0
+	VPHADDD Y5, Y5, Y1
+	VPHADDD Y1, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	MOVQ out+80(FP), R8
+	VMOVD   X0, AX
+	MOVQ AX, 0(R8)
+	VMOVD   X1, AX
+	MOVQ AX, 8(R8)
+	VPEXTRD $1, X0, AX
+	MOVQ AX, 16(R8)
+	VPEXTRD $1, X1, AX
+	MOVQ AX, 24(R8)
+	VPEXTRD $2, X0, AX
+	MOVQ AX, 32(R8)
+	VPEXTRD $2, X1, AX
+	MOVQ AX, 40(R8)
+	VZEROUPPER
 	RET
 
 // func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
