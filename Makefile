@@ -63,13 +63,17 @@
 #                       `vcodec encode -ladder` run and decode cleanly,
 #                       check the plane-pool counters, clean drain
 #   make ci           — every target above, in that order
+#   make loc          — non-test, non-comment lines of .go and .s files per
+#                       package and for the module (bench/ is its own
+#                       module and is left out): the count simplicity
+#                       changes are measured by. A report, not a gate
 
 GO ?= go
 
 # The X-smoke targets are built by the one %-smoke pattern rule below, so
 # they must stay out of .PHONY (make skips implicit rules for phony
 # targets); FORCE keeps them, and the bin/% builds, always out of date.
-.PHONY: build test sched-one-p test-386 fuzz-smoke fma-check bench-check bench-smoke ci FORCE
+.PHONY: build test sched-one-p test-386 fuzz-smoke fma-check bench-check bench-smoke ci loc FORCE
 
 build:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -125,6 +129,14 @@ bin/%: FORCE
 # daemons and tools, then run scripts/X_smoke.sh against them.
 %-smoke: bin/vcodecd bin/vcodec-gateway bin/vload bin/vcodec bin/seqgen FORCE
 	BIN=bin sh scripts/$*_smoke.sh
+
+# A line counts unless it is blank or starts with // (after indentation).
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | { total=0; \
+		while read -r pkg dir; do \
+			n=$$(cat $$(ls $$dir/*.go $$dir/*.s 2>/dev/null | grep -v '_test\.go$$') /dev/null | grep -cvE '^\s*(//|$$)'); \
+			printf '%7d  %s\n' $$n $$pkg; total=$$((total + n)); \
+		done; printf '%7d  %s\n' $$total 'module (bench/ excluded)'; }
 
 ci: test test-386 fuzz-smoke fma-check bench-check bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
 

@@ -173,14 +173,13 @@ func BenchmarkAblation_FastSearch_FourStep(b *testing.B) {
 
 // --- Micro-benchmarks: the hot kernels -------------------------------------
 
-func benchPlanes() (cur, ref *frame.Plane, ip *frame.Interpolated) {
+func benchPlanes() (cur, ref *frame.Plane) {
 	f := video.Generate(video.Foreman, frame.QCIF, 2, 1)
-	cur, ref = f[1].Y, f[0].Y
-	return cur, ref, frame.Interpolate(ref)
+	return f[1].Y, f[0].Y
 }
 
 func BenchmarkSAD16x16(b *testing.B) {
-	cur, ref, _ := benchPlanes()
+	cur, ref := benchPlanes()
 	b.SetBytes(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -188,17 +187,21 @@ func BenchmarkSAD16x16(b *testing.B) {
 	}
 }
 
+// BenchmarkSADHalfPel16x16 times the per-probe refinement route of an edge
+// macroblock: the three lower ring probes around the integer winner (78, 65),
+// each capped at the winner's SAD as refineHalfPel caps them.
 func BenchmarkSADHalfPel16x16(b *testing.B) {
-	cur, _, ip := benchPlanes()
+	cur, ref := benchPlanes()
+	cap := metrics.SAD(cur, 80, 64, ref, 78, 65, 16, 16)
 	b.SetBytes(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.SADHalfPel(cur, 80, 64, ip, 155+i%3, 131, 16, 16)
+		metrics.SADHalfPelPlaneCapped(cur, 80, 64, ref, 155+i%3, 131, 16, 16, cap)
 	}
 }
 
 func BenchmarkIntraSAD16x16(b *testing.B) {
-	cur, _, _ := benchPlanes()
+	cur, _ := benchPlanes()
 	b.SetBytes(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -207,7 +210,7 @@ func BenchmarkIntraSAD16x16(b *testing.B) {
 }
 
 func BenchmarkInterpolateQCIF(b *testing.B) {
-	_, ref, _ := benchPlanes()
+	_, ref := benchPlanes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		frame.Interpolate(ref)
@@ -235,7 +238,7 @@ func BenchmarkDCT8x8Inverse(b *testing.B) {
 }
 
 func benchSearchBlock(b *testing.B, s search.Searcher) {
-	cur, ref, _ := benchPlanes()
+	cur, ref := benchPlanes()
 	in := &search.Input{
 		Cur: cur, Ref: ref,
 		BX: 80, BY: 64, W: 16, H: 16, Range: 15, Qp: 16,
@@ -391,7 +394,7 @@ func BenchmarkEncodeStream(b *testing.B) {
 // pays it — prediction bytes come from frame.HalfPelBlock, below — so this
 // is the cost of the tiled view as bench/ probes it.
 func BenchmarkInterpolateLazyFirstTouch(b *testing.B) {
-	_, ref, _ := benchPlanes()
+	_, ref := benchPlanes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ip := frame.InterpolateLazy(ref)
@@ -409,7 +412,7 @@ func BenchmarkInterpolateLazyFirstTouch(b *testing.B) {
 // a is the integer copy, b and c average two source rows or columns, d
 // four samples.
 func BenchmarkHalfPelBlock8x8(b *testing.B) {
-	_, tight, _ := benchPlanes()
+	_, tight := benchPlanes()
 	ref := frame.NewPlanePadded(tight.W, tight.H, frame.MinInterpApron)
 	ref.CopyBlock(0, 0, tight, 0, 0, tight.W, tight.H)
 	ref.ReplicateApron()
@@ -470,7 +473,7 @@ func BenchmarkForwardQuantizeInter(b *testing.B) {
 // candidates and losing candidates abort within a few rows. Reports
 // effective throughput over all candidate block bytes.
 func BenchmarkSADCapped_Spiral(b *testing.B) {
-	cur, ref, _ := benchPlanes()
+	cur, ref := benchPlanes()
 	in := &search.Input{
 		Cur: cur, Ref: ref,
 		BX: 80, BY: 64, W: 16, H: 16, Range: 15, Qp: 16,
@@ -580,22 +583,6 @@ func benchmarkEntropy(b *testing.B, mode codec.EntropyMode) {
 func BenchmarkEntropy_ExpGolomb(b *testing.B)  { benchmarkEntropy(b, codec.EntropyExpGolomb) }
 func BenchmarkEntropy_Arithmetic(b *testing.B) { benchmarkEntropy(b, codec.EntropyArith) }
 
-func BenchmarkAblation_PixelDecimation(b *testing.B) {
-	base := video.Generate(video.Foreman, frame.QCIF, benchFrames, experiment.DefaultSeed)
-	frames := video.Decimate(base, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats, _, err := codec.EncodeSequence(codec.Config{
-			Qp: 18, FPS: 10, PixelDecimation: true,
-		}, frames)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(stats.AvgPSNRY(), "PSNR-dB")
-		b.ReportMetric(stats.BitrateKbps(), "kbit/s")
-	}
-}
-
 func BenchmarkAblation_SensorNoiseMissAmerica(b *testing.B) {
 	// The realism knob: camera noise raises the SAD floor and with it
 	// ACBM's complexity on easy content (toward the paper's numbers).
@@ -613,15 +600,6 @@ func BenchmarkAblation_SensorNoiseMissAmerica(b *testing.B) {
 		}
 		b.ReportMetric(stats.AvgSearchPointsPerMB(), "positions/MB")
 		b.ReportMetric(100*acbm.Stats().FSBMRate(), "critical%")
-	}
-}
-
-func BenchmarkSATD16x16(b *testing.B) {
-	cur, ref, _ := benchPlanes()
-	b.SetBytes(256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		metrics.SATD(cur, 80, 64, ref, 77+i%5, 66, 16, 16)
 	}
 }
 

@@ -95,7 +95,7 @@
 //     for the call and test the running minimum only after rows 8 and
 //     16. The per-candidate Legal/SADCapped loop survives where each
 //     candidate's exact SAD is the product (Input.Collect), for
-//     PixelDecimation and non-16×16 blocks, and as the test oracle.
+//     non-16×16 blocks, and as the test oracle.
 //   - search.PBM — which ACBM runs on every macroblock — pays per block
 //     the same way. One generator gathers the zero, causal spatial and
 //     temporal (or ladder-seed) predictors (mvfield.AppendPredictors is
@@ -110,8 +110,8 @@
 //     the current best, which moves inside a step — so it is not batched:
 //     a probe is a rectangle compare, a scan of the packed visited list
 //     and a one-candidate call with the bar at bestSAD+1. The per-point
-//     fold over the same generator serves Collect, PixelDecimation and
-//     other block shapes, and TestPBMBatchMatchesPerPoint/FuzzPBMBatch
+//     fold over the same generator serves Collect and other block
+//     shapes, and TestPBMBatchMatchesPerPoint/FuzzPBMBatch
 //     hold both to a from-the-paper reference.
 //   - internal/bitstream runs word-at-a-time: the Writer gathers bits in
 //     a 64-bit accumulator and the entropy layer packs whole syntax

@@ -58,10 +58,6 @@ type Config struct {
 	// Inter4VBias is the SAD margin the four-vector mode must win by
 	// (default 300, covering the three extra MVD costs).
 	Inter4VBias int
-	// PixelDecimation evaluates motion search candidates on a 4:1
-	// subsampled grid (the fast-ME family of the paper's refs [6-8]);
-	// it composes with any Searcher.
-	PixelDecimation bool
 	// Deblock enables the in-loop deblocking filter (an H.263 Annex J
 	// counterpart) applied to every reconstruction before it becomes a
 	// reference. The flag is carried in each frame header, so the decoder

@@ -761,7 +761,6 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, sc *mbScratch, src, recon *f
 		MBX: mbx, MBY: mby,
 		Seed:     e.curSeed,
 		IntraSAD: intraSAD, HasIntraSAD: true,
-		PixelDecimation: e.cfg.PixelDecimation,
 	}
 	res := s.Search(in)
 
@@ -790,7 +789,6 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, sc *mbScratch, src, recon *f
 				Cur: src.Y, Ref: e.recon.Y,
 				BX: x + off[0], BY: y + off[1], W: 8, H: 8,
 				Range: e.cfg.SearchRange, Qp: e.curQp,
-				PixelDecimation: e.cfg.PixelDecimation,
 			}
 			smv, ssad, spts := refineSubBlock(in, mv)
 			subMV[i], pts = smv, pts+spts

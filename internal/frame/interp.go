@@ -38,7 +38,7 @@ import (
 // (Block is that same function), and the searchers' half-pel probes fuse
 // the interpolation into the SAD kernel. The tiled view is what the tests
 // use as the materialised oracle and what the benchmark harness probes as
-// a layer (SADHalfPel, PhaseRect).
+// a layer (PhaseRect, Release, InterpFillStats).
 type Interpolated struct {
 	W, H int // dimensions of the half-pel grid (2× source)
 

@@ -84,13 +84,24 @@ func BenchmarkKernelIntraSAD16x16(b *testing.B) {
 	})
 }
 
+// refineCaps returns, per anchor (33+j, 17), the integer SAD the
+// half-pel probes around it are capped at — the cap refineHalfPel passes to
+// an edge macroblock's per-probe route.
+func refineCaps(cur, ref *frame.Plane) (caps [4]int) {
+	for j := range caps {
+		caps[j] = SAD(cur, 32, 16, ref, 33+j, 17, 16, 16)
+	}
+	return caps
+}
+
 func BenchmarkKernelHalfPelH16x16(b *testing.B) {
 	cur, ref := benchPlanes()
+	caps := refineCaps(cur, ref)
 	benchEachISA(b, func(b *testing.B) {
 		b.SetBytes(16 * 16)
 		var sink int
 		for i := 0; i < b.N; i++ {
-			sink += SADHalfPelPlane(cur, 32, 16, ref, 2*(33+i%4)+1, 2*17, 16, 16)
+			sink += SADHalfPelPlaneCapped(cur, 32, 16, ref, 2*(33+i%4)+1, 2*17, 16, 16, caps[i%4])
 		}
 		benchSink = sink
 	})
@@ -98,11 +109,12 @@ func BenchmarkKernelHalfPelH16x16(b *testing.B) {
 
 func BenchmarkKernelHalfPelD16x16(b *testing.B) {
 	cur, ref := benchPlanes()
+	caps := refineCaps(cur, ref)
 	benchEachISA(b, func(b *testing.B) {
 		b.SetBytes(16 * 16)
 		var sink int
 		for i := 0; i < b.N; i++ {
-			sink += SADHalfPelPlane(cur, 32, 16, ref, 2*(33+i%4)+1, 2*17+1, 16, 16)
+			sink += SADHalfPelPlaneCapped(cur, 32, 16, ref, 2*(33+i%4)+1, 2*17+1, 16, 16, caps[i%4])
 		}
 		benchSink = sink
 	})

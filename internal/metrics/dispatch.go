@@ -37,10 +37,12 @@ import (
 //     early-termination value of sadCappedScalar
 //   - intraSAD: like sad; Σ|p−µ| with µ the block's Mean, which the tier
 //     derives itself (the AVX2 16×16 kernel reads the block once for both)
-//   - hpH/hpV/hpD (+Capped): fused half-pel probes anchored at the
-//     integer position (rx, ry); phase offsets are implied by the slot.
-//     w%8 == 0; uncapped w ≤ 256, capped w·h ≤ 256; rows rx..rx+w(+1)
-//     and ry..ry+h(+1) in-plane per the phase
+//   - hpHCapped/hpVCapped/hpDCapped: fused half-pel probes anchored at
+//     the integer position (rx, ry); phase offsets are implied by the
+//     slot. w%8 == 0, w·h ≤ 256; rows rx..rx+w(+1) and ry..ry+h(+1)
+//     in-plane per the phase; per-row early exit like sadCapped. They are
+//     the only single-probe half-pel kernels: SADHalfPelPlane runs them
+//     with cap = math.MaxInt, where the exact sum is returned
 //   - ring: all 8 half-pel neighbours of (rx, ry) in one pass,
 //     w%8 == 0, w·h ≤ 256, whole ring in-plane. Returns the probe
 //     array BY VALUE with the centre slot zero — an out-pointer through
@@ -85,10 +87,6 @@ type kernelTable struct {
 	sad       func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int
 	sadCapped func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int
 	intraSAD  func(p *frame.Plane, x, y, w, h int) int
-
-	hpH func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int
-	hpV func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int
-	hpD func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int
 
 	hpHCapped func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int
 	hpVCapped func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int
@@ -208,15 +206,6 @@ func scalarTable() *kernelTable {
 		sad:       sadScalar,
 		sadCapped: sadCappedScalar,
 		intraSAD:  intraSADScalar,
-		hpH: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-			return sadHalfPelPlaneScalar(cur, cx, cy, ref, 2*rx+1, 2*ry, w, h)
-		},
-		hpV: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-			return sadHalfPelPlaneScalar(cur, cx, cy, ref, 2*rx, 2*ry+1, w, h)
-		},
-		hpD: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-			return sadHalfPelPlaneScalar(cur, cx, cy, ref, 2*rx+1, 2*ry+1, w, h)
-		},
 		hpHCapped: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
 			return sadHalfPelPlaneCappedScalar(cur, cx, cy, ref, 2*rx+1, 2*ry, w, h, cap)
 		},
@@ -250,9 +239,6 @@ func swarTable() *kernelTable {
 		intraSAD: func(p *frame.Plane, x, y, w, h int) int {
 			return intraSADSWAR(p, x, y, w, h, meanOf(planeSumSWAR(p, x, y, w, h), w, h))
 		},
-		hpH:       sadHalfPelH,
-		hpV:       sadHalfPelV,
-		hpD:       sadHalfPelD,
 		hpHCapped: sadHalfPelHCapped,
 		hpVCapped: sadHalfPelVCapped,
 		hpDCapped: sadHalfPelDCapped,

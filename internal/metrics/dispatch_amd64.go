@@ -42,15 +42,6 @@ func planeSumBlkSSE2(p *byte, stride, w, h int) int
 func intraSADBlkSSE2(p *byte, stride, w, h, mu int) int
 
 //go:noescape
-func sadHpHBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
-
-//go:noescape
-func sadHpVBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
-
-//go:noescape
-func sadHpDBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
-
-//go:noescape
 func sadHpHCappedBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h, cap int) int
 
 //go:noescape
@@ -80,12 +71,6 @@ func sadBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int) in
 //
 //go:noescape
 func intraSAD16AVX2(p *byte, stride int) int
-
-//go:noescape
-func sadHpHBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
-
-//go:noescape
-func sadHpVBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
 
 // sadBest16SSE2/AVX2 scan n ≥ 1 candidates for the 16×16 block at cur and
 // return the first strictly-best index below best, or -1. Candidates
@@ -215,15 +200,6 @@ func sse2Table() *kernelTable {
 			return sadCappedBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h, cap)
 		},
 		intraSAD: intraSADSSE2,
-		hpH: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-			return sadHpHBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h)
-		},
-		hpV: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-			return sadHpVBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h)
-		},
-		hpD: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-			return sadHpDBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h)
-		},
 		hpHCapped: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
 			return sadHpHCappedBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h, cap)
 		},
@@ -272,15 +248,15 @@ func sseSSE2(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 // avx2Table starts from the SSE2 table — entries may come from different
 // tiers as long as each one is bit-exact — and replaces with true 256-bit
 // kernels: plain SAD; IntraSAD of the 16×16 macroblock (mean and Σ|p−µ|
-// from one load of the block); the H/V half-pel probes; the 16-wide ring
-// (one reference row per YMM register in word lanes, each of the h+2 rows
-// loaded once, the vertical and diagonal pair sums each shared by the two
-// current rows they serve); sadBest (the full-search scan: cur block
-// resident in eight YMM registers, two ref rows per VPSADBW); sse (sixteen
-// squared differences per VPMADDWD; the 8-wide residual block takes two
-// rows per iteration); mbSSE (the zero-block gate's six energies from one
-// 16-wide luma pass and one Cb|Cr pass) and residualRows (four float64
-// lanes per register: a row's eight outputs in two).
+// from one load of the block); the 16-wide ring (one reference row per YMM
+// register in word lanes, each of the h+2 rows loaded once, the vertical
+// and diagonal pair sums each shared by the two current rows they serve);
+// sadBest (the full-search scan: cur block resident in eight YMM
+// registers, two ref rows per VPSADBW); sse (sixteen squared differences
+// per VPMADDWD; the 8-wide residual block takes two rows per iteration);
+// mbSSE (the zero-block gate's six energies from one 16-wide luma pass and
+// one Cb|Cr pass) and residualRows (four float64 lanes per register: a
+// row's eight outputs in two).
 //
 // SSE2 under this name, each for a stated reason:
 //   - predict: its widest row is one 16-byte register either way.
@@ -288,19 +264,18 @@ func sseSSE2(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 //     path asks for them (the encoder searches and refines 16×16
 //     macroblocks; Advanced Prediction's 8×8 refinement probes one
 //     position at a time).
-//   - hpD, and the single-candidate capped kernels sadCapped and
-//     hpH/V/DCapped. sadCapped has to keep its per-row fold: the value it
-//     returns on early exit is the cumulative sum at the exact row the cap
-//     was crossed (TestSADCappedEarlyExitRowValues pins it on every tier),
-//     and the fold-and-compare after every row, not the lane width, is
-//     most of its cost (46 ns against 19 ns for the uncapped AVX2 SAD).
-//     The full search goes through sadBest, PBM's predictor set and
-//     descent probes through sadBestFew, and the refinement of every block
-//     whose whole ring is in-plane through the ring. What is left is the
-//     refinement of edge macroblocks, one hpH/V/DCapped probe at a time:
-//     6 % of an adaptive_serial frame at PR 26, more than the ring — a
-//     route question (ROADMAP, "Decided against": widening the ring onto
-//     the apron), not a lane-width one.
+//   - the single-candidate capped kernels sadCapped and hpH/V/DCapped.
+//     sadCapped has to keep its per-row fold: the value it returns on early
+//     exit is the cumulative sum at the exact row the cap was crossed
+//     (TestSADCappedEarlyExitRowValues pins it on every tier), and the
+//     fold-and-compare after every row, not the lane width, is most of its
+//     cost (46 ns against 19 ns for the uncapped AVX2 SAD). The full search
+//     goes through sadBest, PBM's predictor set and descent probes through
+//     sadBestFew, and the refinement of every block whose whole ring is
+//     in-plane through the ring. What is left is the refinement of edge
+//     macroblocks, one hpH/V/DCapped probe at a time (about 6 % of an
+//     adaptive_serial frame) — a route question (widening the ring onto the
+//     apron), not a lane-width one.
 func avx2Table() *kernelTable {
 	t := *sse2Table()
 	t.name = "avx2"
@@ -319,12 +294,6 @@ func avx2Table() *kernelTable {
 		}
 		sadHpRingBlkAVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx-1, ry-1), ref.Stride, h, &out)
 		return out
-	}
-	t.hpH = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-		return sadHpHBlkAVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h)
-	}
-	t.hpV = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-		return sadHpVBlkAVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h)
 	}
 	t.sadBest = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
 		return sadBest16AVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,

@@ -143,7 +143,9 @@ func TestKernelTiersMatchScalar(t *testing.T) {
 					}
 					// All three half-pel phases, uncapped and capped —
 					// H.263 rounding ((a+b+1)>>1, (a+b+c+d+2)>>2) must
-					// survive each tier's arithmetic exactly.
+					// survive each tier's arithmetic exactly. The uncapped
+					// entry runs the capped kernels at cap = math.MaxInt
+					// up to 256 samples and the scalar route past them.
 					for _, d := range [][2]int{{1, 0}, {0, 1}, {1, 1}} {
 						hx, hy := 2*rx+d[0], 2*ry+d[1]
 						if got, want := SADHalfPelPlane(cur, cx, cy, ref, hx, hy, w, h), sadHalfPelPlaneScalar(cur, cx, cy, ref, hx, hy, w, h); got != want {

@@ -36,6 +36,23 @@ func TestAvgQuadLanes(t *testing.T) {
 	}
 }
 
+// sadHalfPelView is the half-pel SAD read off a materialised view: every
+// prediction sample comes from Interpolated.AtClamped (edge replication
+// beyond the grid). It is the oracle the fused kernels are pinned against.
+func sadHalfPelView(cur *frame.Plane, cx, cy int, ref *frame.Interpolated, hx, hy, w, h int) int {
+	sum := 0
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			d := int(cur.At(cx+x, cy+y)) - int(ref.AtClamped(hx+2*x, hy+2*y))
+			if d < 0 {
+				d = -d
+			}
+			sum += d
+		}
+	}
+	return sum
+}
+
 // TestSADHalfPelPlaneMatchesScalar sweeps phases, widths and anchors
 // (interior and border) comparing the fused SWAR kernels against the
 // scalar clamped reference.
@@ -81,7 +98,7 @@ func TestSADHalfPelPlaneMatchesGrid(t *testing.T) {
 				for dx := -2; dx <= 2; dx++ {
 					hx, hy := 2*cx+dx, 2*cy+dy
 					got := SADHalfPelPlane(cur, cx, cy, ref, hx, hy, 16, 16)
-					want := SADHalfPel(cur, cx, cy, ip, hx, hy, 16, 16)
+					want := sadHalfPelView(cur, cx, cy, ip, hx, hy, 16, 16)
 					if got != want {
 						t.Fatalf("fused (%d,%d)+(%d,%d): got %d, grid %d", cx, cy, dx, dy, got, want)
 					}
@@ -162,22 +179,6 @@ func TestHalfPelAtPlaneMatchesInterpolated(t *testing.T) {
 			if got, want := halfPelAtPlane(ref, hx, hy), ip.AtClamped(hx, hy); got != want {
 				t.Fatalf("halfPelAtPlane(%d,%d) = %d, want %d", hx, hy, got, want)
 			}
-		}
-	}
-}
-
-// TestSADHalfPelPlaneDecimatedMatches pins the decimated fused variant to
-// the grid-based one.
-func TestSADHalfPelPlaneDecimatedMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	cur := paddedPlane(rng, 32, 32, 0)
-	ref := paddedPlane(rng, 32, 32, 0)
-	ip := frame.Interpolate(ref)
-	for _, dh := range [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {-1, 2}, {33, 9}} {
-		got := SADHalfPelPlaneDecimated(cur, 8, 8, ref, 16+dh[0], 16+dh[1], 16, 16)
-		want := SADHalfPelDecimated(cur, 8, 8, ip, 16+dh[0], 16+dh[1], 16, 16)
-		if got != want {
-			t.Fatalf("decimated at %v: got %d want %d", dh, got, want)
 		}
 	}
 }

@@ -15,8 +15,9 @@
 package metrics
 
 import (
+	"math"
+
 	"repro/internal/frame"
-	"repro/internal/mvfield"
 )
 
 // swarRowGroup returns how many rows of width w can accumulate in the
@@ -210,169 +211,21 @@ func sadCappedScalar(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, 
 	return sum
 }
 
-// SADHalfPel returns the SAD between the w×h block of cur anchored at
-// (cx, cy) and the prediction taken from the half-pel interpolated
-// reference at grid position (hx, hy) = full-pel anchor ×2 plus the motion
-// vector in half-pel units. The whole block reads one phase of the view
-// (block samples are two grid positions apart), so interior positions run
-// the same contiguous SWAR kernel as integer SAD over the — lazily
-// materialised — phase plane.
-func SADHalfPel(cur *frame.Plane, cx, cy int, ref *frame.Interpolated, hx, hy, w, h int) int {
-	if hx >= 0 && hy >= 0 && hx+2*(w-1) < ref.W && hy+2*(h-1) < ref.H {
-		p, x0, y0 := ref.PhaseRect(hx, hy, w, h)
-		return SAD(cur, cx, cy, p, x0, y0, w, h)
-	}
-	return sadHalfPelClamped(cur, cx, cy, ref, hx, hy, w, h)
-}
-
-// sadHalfPelClamped handles positions beyond the grid, with edge
-// replication. It is the scalar reference for SADHalfPel; codec search
-// never reaches it (legal candidates are interior).
-func sadHalfPelClamped(cur *frame.Plane, cx, cy int, ref *frame.Interpolated, hx, hy, w, h int) int {
-	sum := 0
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			d := int(cur.At(cx+x, cy+y)) - int(ref.AtClamped(hx+2*x, hy+2*y))
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
-	}
-	return sum
-}
-
-// sadHalfPelScalar is the scalar reference for SADHalfPel.
-func sadHalfPelScalar(cur *frame.Plane, cx, cy int, ref *frame.Interpolated, hx, hy, w, h int) int {
-	return sadHalfPelClamped(cur, cx, cy, ref, hx, hy, w, h)
-}
-
-// SADMV returns the SAD for candidate motion vector mv (half-pel units)
-// applied to the w×h block of cur anchored at (bx, by), matching against
-// the interpolated reference.
-func SADMV(cur *frame.Plane, bx, by int, ref *frame.Interpolated, mv mvfield.MV, w, h int) int {
-	return SADHalfPel(cur, bx, by, ref, 2*bx+mv.X, 2*by+mv.Y, w, h)
-}
-
 // SADHalfPelPlane evaluates a half-pel candidate directly against the
 // integer reference plane, fusing the H.263 bilinear interpolation
-// (rounding up) into the SWAR difference kernel: no half-pel sample is
-// ever materialised. It is bit-identical to SADHalfPel over an
-// interpolated view of ref, and it is what the searchers' refinement
-// steps use — a probe costs two or four row loads instead of a grid
-// build. (hx, hy) is the block's half-pel anchor; positions beyond the
-// plane replicate the edge (scalar path — legal candidates never need it).
+// (rounding up) into the difference kernel: no half-pel sample is ever
+// materialised. (hx, hy) is the block's half-pel anchor; positions beyond
+// the plane replicate the edge (scalar path — legal candidates never need
+// it). Integer phases run SAD. Half-pel phases run SADHalfPelPlaneCapped
+// with cap = math.MaxInt, which returns the exact sum: the searchers probe
+// half-pel positions through the ring or with a cap, so one capped probe
+// family per tier serves both.
 func SADHalfPelPlane(cur *frame.Plane, cx, cy int, ref *frame.Plane, hx, hy, w, h int) int {
-	px, py := hx&1, hy&1
 	x0, y0 := hx>>1, hy>>1
-	if x0 >= 0 && y0 >= 0 && x0+w+px <= ref.W && y0+h+py <= ref.H {
-		if px == 0 && py == 0 {
-			return SAD(cur, cx, cy, ref, x0, y0, w, h)
-		}
-		if w%8 == 0 && w <= 256 {
-			k := kernels()
-			switch {
-			case py == 0:
-				return k.hpH(cur, cx, cy, ref, x0, y0, w, h)
-			case px == 0:
-				return k.hpV(cur, cx, cy, ref, x0, y0, w, h)
-			default:
-				return k.hpD(cur, cx, cy, ref, x0, y0, w, h)
-			}
-		}
+	if hx&1 == 0 && hy&1 == 0 && x0 >= 0 && y0 >= 0 && x0+w <= ref.W && y0+h <= ref.H {
+		return SAD(cur, cx, cy, ref, x0, y0, w, h)
 	}
-	return sadHalfPelPlaneScalar(cur, cx, cy, ref, hx, hy, w, h)
-}
-
-// sadHalfPelH fuses the horizontal half-pel interpolation b = (A+B+1)>>1
-// into the SWAR SAD: per 8 pixels, two overlapping reference loads are
-// averaged lane-wise against the current block.
-func sadHalfPelH(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-	sum := 0
-	group := swarRowGroup(w)
-	for g0 := 0; g0 < h; g0 += group {
-		g1 := g0 + group
-		if g1 > h {
-			g1 = h
-		}
-		var acc uint64
-		for y := g0; y < g1; y++ {
-			co := (cy+y)*cur.Stride + cx
-			ro := (ry+y)*ref.Stride + rx
-			c := cur.Pix[co : co+w]
-			r := ref.Pix[ro : ro+w+1]
-			for x := 0; x+8 <= w; x += 8 {
-				cc := load8(c[x:])
-				a := load8(r[x:])
-				b := load8(r[x+1:])
-				acc += absDiffLanes(cc&laneLo, avgLanes(a&laneLo, b&laneLo)) +
-					absDiffLanes((cc>>8)&laneLo, avgLanes((a>>8)&laneLo, (b>>8)&laneLo))
-			}
-		}
-		sum += foldLanes(acc)
-	}
-	return sum
-}
-
-// sadHalfPelV fuses the vertical half-pel interpolation c = (A+C+1)>>1.
-func sadHalfPelV(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-	sum := 0
-	group := swarRowGroup(w)
-	for g0 := 0; g0 < h; g0 += group {
-		g1 := g0 + group
-		if g1 > h {
-			g1 = h
-		}
-		var acc uint64
-		for y := g0; y < g1; y++ {
-			co := (cy+y)*cur.Stride + cx
-			ro := (ry+y)*ref.Stride + rx
-			c := cur.Pix[co : co+w]
-			r0 := ref.Pix[ro : ro+w]
-			r1 := ref.Pix[ro+ref.Stride : ro+ref.Stride+w]
-			for x := 0; x+8 <= w; x += 8 {
-				cc := load8(c[x:])
-				a := load8(r0[x:])
-				b := load8(r1[x:])
-				acc += absDiffLanes(cc&laneLo, avgLanes(a&laneLo, b&laneLo)) +
-					absDiffLanes((cc>>8)&laneLo, avgLanes((a>>8)&laneLo, (b>>8)&laneLo))
-			}
-		}
-		sum += foldLanes(acc)
-	}
-	return sum
-}
-
-// sadHalfPelD fuses the diagonal interpolation d = (A+B+C+D+2)>>2.
-func sadHalfPelD(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-	sum := 0
-	group := swarRowGroup(w)
-	for g0 := 0; g0 < h; g0 += group {
-		g1 := g0 + group
-		if g1 > h {
-			g1 = h
-		}
-		var acc uint64
-		for y := g0; y < g1; y++ {
-			co := (cy+y)*cur.Stride + cx
-			ro := (ry+y)*ref.Stride + rx
-			c := cur.Pix[co : co+w]
-			r0 := ref.Pix[ro : ro+w+1]
-			r1 := ref.Pix[ro+ref.Stride : ro+ref.Stride+w+1]
-			for x := 0; x+8 <= w; x += 8 {
-				cc := load8(c[x:])
-				a := load8(r0[x:])
-				b := load8(r0[x+1:])
-				cv := load8(r1[x:])
-				dv := load8(r1[x+1:])
-				acc += absDiffLanes(cc&laneLo, quadLanes(a&laneLo, b&laneLo, cv&laneLo, dv&laneLo)) +
-					absDiffLanes((cc>>8)&laneLo,
-						quadLanes((a>>8)&laneLo, (b>>8)&laneLo, (cv>>8)&laneLo, (dv>>8)&laneLo))
-			}
-		}
-		sum += foldLanes(acc)
-	}
-	return sum
+	return SADHalfPelPlaneCapped(cur, cx, cy, ref, hx, hy, w, h, math.MaxInt)
 }
 
 // SADHalfPelPlaneCapped is SADHalfPelPlane with SADCapped's early
@@ -573,7 +426,7 @@ func sadHalfPelRingSWAR(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, 
 
 // halfPelAtPlane computes one half-pel grid sample directly from the
 // integer plane with edge replication — the scalar reference for the
-// fused kernels, matching Interpolated.AtClamped exactly.
+// fused kernels: H.263 rounding, (a+b+1)>>1 and (a+b+c+d+2)>>2.
 func halfPelAtPlane(ref *frame.Plane, hx, hy int) uint8 {
 	if hx < 0 {
 		hx = 0
@@ -614,57 +467,6 @@ func sadHalfPelPlaneScalar(cur *frame.Plane, cx, cy int, ref *frame.Plane, hx, h
 		}
 	}
 	return sum
-}
-
-// SADDecimated returns the SAD over a 4:1 pixel-decimated grid (samples
-// where x and y are both even), scaled by 4 to stay comparable with full
-// SAD values — the pixel-decimation strategy of the fast-ME family the
-// paper cites as [6–8]. Both blocks must lie inside their planes.
-func SADDecimated(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-	sum := 0
-	for y := 0; y < h; y += 2 {
-		c := cur.Pix[(cy+y)*cur.Stride+cx : (cy+y)*cur.Stride+cx+w]
-		r := ref.Pix[(ry+y)*ref.Stride+rx : (ry+y)*ref.Stride+rx+w]
-		for x := 0; x < w; x += 2 {
-			d := int(c[x]) - int(r[x])
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
-	}
-	return 4 * sum
-}
-
-// SADHalfPelDecimated is SADDecimated against the interpolated reference.
-func SADHalfPelDecimated(cur *frame.Plane, cx, cy int, ref *frame.Interpolated, hx, hy, w, h int) int {
-	sum := 0
-	for y := 0; y < h; y += 2 {
-		for x := 0; x < w; x += 2 {
-			d := int(cur.At(cx+x, cy+y)) - int(ref.AtClamped(hx+2*x, hy+2*y))
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
-	}
-	return 4 * sum
-}
-
-// SADHalfPelPlaneDecimated is SADHalfPelDecimated with the interpolation
-// fused against the integer plane (bit-identical values, no grid).
-func SADHalfPelPlaneDecimated(cur *frame.Plane, cx, cy int, ref *frame.Plane, hx, hy, w, h int) int {
-	sum := 0
-	for y := 0; y < h; y += 2 {
-		for x := 0; x < w; x += 2 {
-			d := int(cur.At(cx+x, cy+y)) - int(halfPelAtPlane(ref, hx+2*x, hy+2*y))
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
-	}
-	return 4 * sum
 }
 
 // Mean returns the average sample value of the w×h block of p anchored at

@@ -200,191 +200,6 @@ rowdone:
 	MOVQ AX, ret+40(FP)
 	RET
 
-// func sadHpHBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
-TEXT ·sadHpHBlkSSE2(SB), NOSPLIT, $0-56
-	MOVQ cur+0(FP), DI
-	MOVQ curStride+8(FP), CX
-	MOVQ ref+16(FP), SI
-	MOVQ refStride+24(FP), DX
-	MOVQ w+32(FP), BX
-	MOVQ h+40(FP), R9
-	PXOR X7, X7
-
-row:
-	XORQ AX, AX
-
-chunk16:
-	LEAQ 16(AX), R8
-	CMPQ R8, BX
-	JGT  tail8
-	MOVOU (SI)(AX*1), X1
-	MOVOU 1(SI)(AX*1), X2
-	PAVGB X2, X1
-	MOVOU (DI)(AX*1), X0
-	PSADBW X1, X0
-	PADDQ  X0, X7
-	MOVQ R8, AX
-	JMP  chunk16
-
-tail8:
-	CMPQ AX, BX
-	JGE  rowdone
-	MOVQ (SI)(AX*1), X1
-	MOVQ 1(SI)(AX*1), X2
-	PAVGB X2, X1
-	MOVQ (DI)(AX*1), X0
-	PSADBW X1, X0
-	PADDQ  X0, X7
-
-rowdone:
-	ADDQ CX, DI
-	ADDQ DX, SI
-	DECQ R9
-	JNZ  row
-
-	PSHUFD $0xEE, X7, X0
-	PADDQ  X0, X7
-	MOVQ X7, AX
-	MOVQ AX, ret+48(FP)
-	RET
-
-// func sadHpVBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
-TEXT ·sadHpVBlkSSE2(SB), NOSPLIT, $0-56
-	MOVQ cur+0(FP), DI
-	MOVQ curStride+8(FP), CX
-	MOVQ ref+16(FP), SI
-	MOVQ refStride+24(FP), DX
-	MOVQ w+32(FP), BX
-	MOVQ h+40(FP), R9
-	PXOR X7, X7
-
-row:
-	LEAQ (SI)(DX*1), R12 // row below
-	XORQ AX, AX
-
-chunk16:
-	LEAQ 16(AX), R8
-	CMPQ R8, BX
-	JGT  tail8
-	MOVOU (SI)(AX*1), X1
-	MOVOU (R12)(AX*1), X2
-	PAVGB X2, X1
-	MOVOU (DI)(AX*1), X0
-	PSADBW X1, X0
-	PADDQ  X0, X7
-	MOVQ R8, AX
-	JMP  chunk16
-
-tail8:
-	CMPQ AX, BX
-	JGE  rowdone
-	MOVQ (SI)(AX*1), X1
-	MOVQ (R12)(AX*1), X2
-	PAVGB X2, X1
-	MOVQ (DI)(AX*1), X0
-	PSADBW X1, X0
-	PADDQ  X0, X7
-
-rowdone:
-	ADDQ CX, DI
-	ADDQ DX, SI
-	DECQ R9
-	JNZ  row
-
-	PSHUFD $0xEE, X7, X0
-	PADDQ  X0, X7
-	MOVQ X7, AX
-	MOVQ AX, ret+48(FP)
-	RET
-
-// func sadHpDBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
-TEXT ·sadHpDBlkSSE2(SB), NOSPLIT, $0-56
-	MOVQ cur+0(FP), DI
-	MOVQ curStride+8(FP), CX
-	MOVQ ref+16(FP), SI
-	MOVQ refStride+24(FP), DX
-	MOVQ w+32(FP), BX
-	MOVQ h+40(FP), R9
-	PXOR X7, X7
-	PXOR X6, X6          // zero, for byte→word widening
-	MOVQ $0x0002000200020002, R8
-	MOVQ R8, X5
-	PUNPCKLQDQ X5, X5    // rounding bias +2 in every word lane
-
-row:
-	LEAQ (SI)(DX*1), R12 // row below
-	XORQ AX, AX
-
-chunk16:
-	LEAQ 16(AX), R8
-	CMPQ R8, BX
-	JGT  tail8
-	MOVOU (SI)(AX*1), X0   // a: top row, x
-	MOVOU 1(SI)(AX*1), X1  // b: top row, x+1
-	MOVOU (R12)(AX*1), X2  // c: bottom row, x
-	MOVOU 1(R12)(AX*1), X3 // d: bottom row, x+1
-	MOVO X0, X8
-	PUNPCKLBW X6, X0       // a low words
-	PUNPCKHBW X6, X8       // a high words
-	MOVO X1, X9
-	PUNPCKLBW X6, X9
-	PADDW X9, X0
-	PUNPCKHBW X6, X1
-	PADDW X1, X8
-	MOVO X2, X9
-	PUNPCKLBW X6, X9
-	PADDW X9, X0
-	PUNPCKHBW X6, X2
-	PADDW X2, X8
-	MOVO X3, X9
-	PUNPCKLBW X6, X9
-	PADDW X9, X0
-	PUNPCKHBW X6, X3
-	PADDW X3, X8
-	PADDW X5, X0
-	PADDW X5, X8
-	PSRLW $2, X0
-	PSRLW $2, X8
-	PACKUSWB X8, X0        // 16 diagonal half-pel bytes
-	MOVOU (DI)(AX*1), X1
-	PSADBW X1, X0
-	PADDQ  X0, X7
-	MOVQ R8, AX
-	JMP  chunk16
-
-tail8:
-	CMPQ AX, BX
-	JGE  rowdone
-	MOVQ (SI)(AX*1), X0
-	PUNPCKLBW X6, X0
-	MOVQ 1(SI)(AX*1), X1
-	PUNPCKLBW X6, X1
-	PADDW X1, X0
-	MOVQ (R12)(AX*1), X1
-	PUNPCKLBW X6, X1
-	PADDW X1, X0
-	MOVQ 1(R12)(AX*1), X1
-	PUNPCKLBW X6, X1
-	PADDW X1, X0
-	PADDW X5, X0
-	PSRLW $2, X0
-	PACKUSWB X6, X0        // low 8 probe bytes, high half zero
-	MOVQ (DI)(AX*1), X1
-	PSADBW X1, X0
-	PADDQ  X0, X7
-
-rowdone:
-	ADDQ CX, DI
-	ADDQ DX, SI
-	DECQ R9
-	JNZ  row
-
-	PSHUFD $0xEE, X7, X0
-	PADDQ  X0, X7
-	MOVQ X7, AX
-	MOVQ AX, ret+48(FP)
-	RET
-
 // func sadHpHCappedBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h, cap int) int
 TEXT ·sadHpHCappedBlkSSE2(SB), NOSPLIT, $0-64
 	MOVQ cur+0(FP), DI
@@ -1086,129 +901,6 @@ TEXT ·intraSAD16AVX2(SB), NOSPLIT, $0-24
 	VMOVQ   X0, AX
 	VZEROUPPER
 	MOVQ AX, ret+16(FP)
-	RET
-
-// func sadHpHBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
-TEXT ·sadHpHBlkAVX2(SB), NOSPLIT, $0-56
-	MOVQ cur+0(FP), DI
-	MOVQ curStride+8(FP), CX
-	MOVQ ref+16(FP), SI
-	MOVQ refStride+24(FP), DX
-	MOVQ w+32(FP), BX
-	MOVQ h+40(FP), R9
-	VPXOR Y7, Y7, Y7
-
-row:
-	XORQ AX, AX
-
-chunk32:
-	LEAQ 32(AX), R8
-	CMPQ R8, BX
-	JGT  tail16
-	VMOVDQU (SI)(AX*1), Y1
-	VPAVGB 1(SI)(AX*1), Y1, Y1
-	VMOVDQU (DI)(AX*1), Y0
-	VPSADBW Y1, Y0, Y0
-	VPADDQ  Y0, Y7, Y7
-	MOVQ R8, AX
-	JMP  chunk32
-
-tail16:
-	LEAQ 16(AX), R8
-	CMPQ R8, BX
-	JGT  tail8
-	VMOVDQU (SI)(AX*1), X1
-	VPAVGB 1(SI)(AX*1), X1, X1
-	VMOVDQU (DI)(AX*1), X0
-	VPSADBW X1, X0, X0
-	VPADDQ  Y0, Y7, Y7
-	MOVQ R8, AX
-
-tail8:
-	CMPQ AX, BX
-	JGE  rowdone
-	VMOVQ (SI)(AX*1), X1
-	VMOVQ 1(SI)(AX*1), X2
-	VPAVGB X2, X1, X1
-	VMOVQ (DI)(AX*1), X0
-	VPSADBW X1, X0, X0
-	VPADDQ  Y0, Y7, Y7
-
-rowdone:
-	ADDQ CX, DI
-	ADDQ DX, SI
-	DECQ R9
-	JNZ  row
-
-	VEXTRACTI128 $1, Y7, X0
-	VPADDQ  X7, X0, X0
-	VPSHUFD $0xEE, X0, X1
-	VPADDQ  X1, X0, X0
-	VMOVQ X0, AX
-	VZEROUPPER
-	MOVQ AX, ret+48(FP)
-	RET
-
-// func sadHpVBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
-TEXT ·sadHpVBlkAVX2(SB), NOSPLIT, $0-56
-	MOVQ cur+0(FP), DI
-	MOVQ curStride+8(FP), CX
-	MOVQ ref+16(FP), SI
-	MOVQ refStride+24(FP), DX
-	MOVQ w+32(FP), BX
-	MOVQ h+40(FP), R9
-	VPXOR Y7, Y7, Y7
-
-row:
-	LEAQ (SI)(DX*1), R12
-	XORQ AX, AX
-
-chunk32:
-	LEAQ 32(AX), R8
-	CMPQ R8, BX
-	JGT  tail16
-	VMOVDQU (SI)(AX*1), Y1
-	VPAVGB (R12)(AX*1), Y1, Y1
-	VMOVDQU (DI)(AX*1), Y0
-	VPSADBW Y1, Y0, Y0
-	VPADDQ  Y0, Y7, Y7
-	MOVQ R8, AX
-	JMP  chunk32
-
-tail16:
-	LEAQ 16(AX), R8
-	CMPQ R8, BX
-	JGT  tail8
-	VMOVDQU (SI)(AX*1), X1
-	VPAVGB (R12)(AX*1), X1, X1
-	VMOVDQU (DI)(AX*1), X0
-	VPSADBW X1, X0, X0
-	VPADDQ  Y0, Y7, Y7
-	MOVQ R8, AX
-
-tail8:
-	CMPQ AX, BX
-	JGE  rowdone
-	VMOVQ (SI)(AX*1), X1
-	VMOVQ (R12)(AX*1), X2
-	VPAVGB X2, X1, X1
-	VMOVQ (DI)(AX*1), X0
-	VPSADBW X1, X0, X0
-	VPADDQ  Y0, Y7, Y7
-
-rowdone:
-	ADDQ CX, DI
-	ADDQ DX, SI
-	DECQ R9
-	JNZ  row
-
-	VEXTRACTI128 $1, Y7, X0
-	VPADDQ  X7, X0, X0
-	VPSHUFD $0xEE, X0, X1
-	VPADDQ  X1, X0, X0
-	VMOVQ X0, AX
-	VZEROUPPER
-	MOVQ AX, ret+48(FP)
 	RET
 
 // Best-of-candidates kernels (the sadBest table entry). Shared shape:

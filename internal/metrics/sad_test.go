@@ -105,9 +105,11 @@ func TestSADHalfPelIntegerPositionsMatchSAD(t *testing.T) {
 	for _, mv := range []mvfield.MV{{X: 0, Y: 0}, {X: 2, Y: 4}, {X: -6, Y: 2}, {X: 8, Y: -8}} {
 		fx, fy := mv.FullPel()
 		want := SAD(cur, 16, 16, ref, 16+fx, 16+fy, 16, 16)
-		got := SADMV(cur, 16, 16, ip, mv, 16, 16)
-		if got != want {
-			t.Fatalf("SADMV(%v) = %d, want %d", mv, got, want)
+		if got := SADHalfPelPlane(cur, 16, 16, ref, 32+mv.X, 32+mv.Y, 16, 16); got != want {
+			t.Fatalf("SADHalfPelPlane(%v) = %d, want %d", mv, got, want)
+		}
+		if got := sadHalfPelView(cur, 16, 16, ip, 32+mv.X, 32+mv.Y, 16, 16); got != want {
+			t.Fatalf("view SAD(%v) = %d, want %d", mv, got, want)
 		}
 	}
 }
@@ -132,7 +134,7 @@ func TestSADHalfPelShiftRecovery(t *testing.T) {
 	for dy := -2; dy <= 2; dy++ {
 		for dx := -2; dx <= 2; dx++ {
 			mv := mvfield.MV{X: dx, Y: dy}
-			s := SADMV(cur, 24, 24, ip, mv, 16, 16)
+			s := SADHalfPelPlane(cur, 24, 24, ref, 48+mv.X, 48+mv.Y, 16, 16)
 			if s < best {
 				best, bestMV = s, mv
 			}

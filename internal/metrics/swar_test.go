@@ -60,12 +60,12 @@ func TestSWARMatchesScalar(t *testing.T) {
 						if got, want := IntraSAD(cur, cx, cy, w, h), intraSADScalar(cur, cx, cy, w, h); got != want {
 							t.Fatalf("IntraSAD pad=%d w=%d h=%d (%d,%d): got %d want %d", pad, w, h, cx, cy, got, want)
 						}
-						// Half-pel: exercise both the aligned fast path and
+						// Half-pel: exercise both the in-plane kernels and
 						// the clamped fallback (odd phases, borders).
 						for _, d := range [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {-3, -3}, {2*ref.W - 2*w - 1, 0}} {
 							hx, hy := 2*rx+d[0], 2*ry+d[1]
-							if got, want := SADHalfPel(cur, cx, cy, ip, hx, hy, w, h), sadHalfPelScalar(cur, cx, cy, ip, hx, hy, w, h); got != want {
-								t.Fatalf("SADHalfPel pad=%d w=%d h=%d h(%d,%d): got %d want %d", pad, w, h, hx, hy, got, want)
+							if got, want := SADHalfPelPlane(cur, cx, cy, ref, hx, hy, w, h), sadHalfPelView(cur, cx, cy, ip, hx, hy, w, h); got != want {
+								t.Fatalf("SADHalfPelPlane pad=%d w=%d h=%d h(%d,%d): got %d want %d", pad, w, h, hx, hy, got, want)
 							}
 						}
 					}
@@ -141,8 +141,8 @@ func FuzzSADSWAR(f *testing.F) {
 		}
 		ip := frame.Interpolate(ref)
 		hx, hy := 2*rx+int(rySel)%3-1, 2*ry+int(rxSel)%3-1
-		if got, want := SADHalfPel(cur, cx, cy, ip, hx, hy, w, h), sadHalfPelScalar(cur, cx, cy, ip, hx, hy, w, h); got != want {
-			t.Fatalf("SADHalfPel(%d,%d): got %d want %d", hx, hy, got, want)
+		if got, want := SADHalfPelPlane(cur, cx, cy, ref, hx, hy, w, h), sadHalfPelView(cur, cx, cy, ip, hx, hy, w, h); got != want {
+			t.Fatalf("SADHalfPelPlane(%d,%d): got %d want %d", hx, hy, got, want)
 		}
 	})
 }

@@ -32,12 +32,12 @@ func (f *FSBM) Name() string {
 //
 // Macroblocks hand the whole window to one best-of-candidates kernel call.
 // The per-point scan remains where the individual SADs are the product
-// (Collect), where the kernel does not apply (PixelDecimation, other block
-// shapes), and as the oracle the kernel path is tested against.
+// (Collect), where the kernel does not apply (other block shapes), and as
+// the oracle the kernel path is tested against.
 func (f *FSBM) Search(in *Input) Result {
 	var best mvfield.MV
 	var bestSAD, pts int
-	if in.W == 16 && in.H == 16 && in.Collect == nil && !in.PixelDecimation {
+	if in.W == 16 && in.H == 16 && in.Collect == nil {
 		best, bestSAD, pts = fullSearchBatch(in)
 	} else {
 		best, bestSAD, pts = fullSearchPerPoint(in)

@@ -65,12 +65,11 @@ func (p *PBM) refineSteps() int {
 // set is one best-of-candidates kernel call and every descent probe one
 // more, against a window computed once. The per-point fold remains where
 // the individual SADs are the product (Collect), where the kernel does not
-// apply (PixelDecimation, other block shapes, a block outside the frame),
-// and as the oracle the batch route is tested against
-// (TestPBMBatchMatchesPerPoint).
+// apply (other block shapes, a block outside the frame), and as the oracle
+// the batch route is tested against (TestPBMBatchMatchesPerPoint).
 func (p *PBM) Search(in *Input) Result {
 	win := in.window()
-	return p.search(in, win, in.W == 16 && in.H == 16 && in.Collect == nil && !in.PixelDecimation && !win.Empty())
+	return p.search(in, win, in.W == 16 && in.H == 16 && in.Collect == nil && !win.Empty())
 }
 
 // search is Search with the evaluator named by the caller (batch must be

@@ -53,12 +53,6 @@ type Input struct {
 	// Collect, when non-nil, accumulates the SAD of every evaluated
 	// candidate for the SAD_deviation statistic of the Fig. 4 study.
 	Collect *metrics.Deviation
-
-	// PixelDecimation, when true, evaluates candidates on a 4:1
-	// subsampled pixel grid (scaled ×4 to keep SAD magnitudes
-	// comparable) — the orthogonal fast-ME strategy of the papers the
-	// introduction cites as [6–8]. It composes with any search pattern.
-	PixelDecimation bool
 }
 
 // Class says how an adaptive searcher resolved a block — the decision mix
@@ -126,8 +120,8 @@ func (in *Input) ClampMV(mv mvfield.MV) mvfield.MV {
 		}
 		return v
 	}
-	mv.X = c(mv.X, -2*in.BX, 2*(in.Ref.W-in.W-in.BX)+1)
-	mv.Y = c(mv.Y, -2*in.BY, 2*(in.Ref.H-in.H-in.BY)+1)
+	mv.X = c(mv.X, -2*in.BX, 2*(in.Ref.W-in.W-in.BX))
+	mv.Y = c(mv.Y, -2*in.BY, 2*(in.Ref.H-in.H-in.BY))
 	return mv
 }
 
@@ -136,16 +130,10 @@ func (in *Input) ClampMV(mv mvfield.MV) mvfield.MV {
 // reading the same plane. The candidate must be Legal.
 func (in *Input) SAD(mv mvfield.MV) int {
 	var s int
-	switch {
-	case in.PixelDecimation && mv.IsFullPel():
-		fx, fy := mv.FullPel()
-		s = metrics.SADDecimated(in.Cur, in.BX, in.BY, in.Ref, in.BX+fx, in.BY+fy, in.W, in.H)
-	case in.PixelDecimation:
-		s = metrics.SADHalfPelPlaneDecimated(in.Cur, in.BX, in.BY, in.Ref, 2*in.BX+mv.X, 2*in.BY+mv.Y, in.W, in.H)
-	case mv.IsFullPel():
+	if mv.IsFullPel() {
 		fx, fy := mv.FullPel()
 		s = metrics.SAD(in.Cur, in.BX, in.BY, in.Ref, in.BX+fx, in.BY+fy, in.W, in.H)
-	default:
+	} else {
 		s = metrics.SADHalfPelPlane(in.Cur, in.BX, in.BY, in.Ref, 2*in.BX+mv.X, 2*in.BY+mv.Y, in.W, in.H)
 	}
 	if in.Collect != nil {
@@ -159,7 +147,7 @@ func (in *Input) SAD(mv mvfield.MV) int {
 // Collect still records the exact SAD when enabled (the Fig. 4 study
 // needs unbiased deviations).
 func (in *Input) SADCapped(mv mvfield.MV, cap int) int {
-	if in.Collect != nil || in.PixelDecimation || cap < 0 {
+	if in.Collect != nil || cap < 0 {
 		return in.SAD(mv)
 	}
 	if mv.IsFullPel() {
@@ -223,8 +211,7 @@ func refineHalfPel(in *Input, center mvfield.MV, centerSAD int) (mvfield.MV, int
 	// fused pass that shares the current block and reference rows across
 	// all eight probes; the selection below replays the same scan order and
 	// tie-breaks as the per-probe loop, so the outcome is identical.
-	if center.IsFullPel() && in.Collect == nil && !in.PixelDecimation &&
-		in.W%8 == 0 && in.W*in.H <= 256 &&
+	if center.IsFullPel() && in.Collect == nil && in.W%8 == 0 && in.W*in.H <= 256 &&
 		in.Legal(center.Add(mvfield.MV{X: -1, Y: -1})) &&
 		in.Legal(center.Add(mvfield.MV{X: 1, Y: 1})) {
 		fx, fy := center.FullPel()
