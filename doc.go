@@ -90,10 +90,13 @@
 //     it and returns the first strictly-best candidate. That kernel's
 //     contract defines only the winner — in ascending-L1 order the
 //     tie-break reduces to strict <, so a tier may abandon a losing
-//     candidate at any row granularity without changing index or SAD —
-//     which lets the AVX2 tier keep the cur block in eight YMM registers
-//     for the call and test the running minimum only after rows 8 and
-//     16. The per-candidate Legal/SADCapped loop survives where each
+//     candidate as soon as any lower bound on its SAD reaches the running
+//     minimum without changing index or SAD — which lets the AVX2 tier
+//     keep the cur block in eight YMM registers for the call, test the
+//     running minimum only after rows 8 and 16, and skip unread every
+//     candidate whose 4×4-sum successive-elimination bound has already
+//     reached it (most of a ±15 window on camera content; Points, the
+//     window's area, do not change). The per-candidate Legal/SADCapped loop survives where each
 //     candidate's exact SAD is the product (Input.Collect), for
 //     non-16×16 blocks, and as the test oracle.
 //   - search.PBM — which ACBM runs on every macroblock — pays per block

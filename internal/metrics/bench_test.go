@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dct"
 	"repro/internal/frame"
+	"repro/internal/video"
 )
 
 // Kernel microbenchmarks, one sub-benchmark per registered ISA tier —
@@ -133,20 +134,48 @@ func BenchmarkKernelHalfPelRing16x16(b *testing.B) {
 }
 
 // BenchmarkKernelSADBest16x16 scans a whole ±15 window (961 candidates)
-// per op. The planes are noise, so no candidate is much better than the
-// rest and few leave at the first check: close to the worst case.
+// per op, in the spiral order of the full search.
+//
+//   - noise: no candidate is much better than the rest, so few leave at
+//     the first row check and the successive-elimination bound removes
+//     almost nothing: close to the worst case.
+//   - camera: the interior macroblocks of two consecutive Foreman QCIF
+//     frames, one per op in turn — the content the full search meets.
 func BenchmarkKernelSADBest16x16(b *testing.B) {
-	cur, ref := benchPlanes()
 	cands := spiralTable(15)
 	clip := Rect{MinX: -15, MinY: -15, MaxX: 15, MaxY: 15}
-	benchEachISA(b, func(b *testing.B) {
-		b.SetBytes(int64(len(cands)) * 16 * 16)
-		var sink int
-		for i := 0; i < b.N; i++ {
-			idx, sad := SADBest(cur, 32, 24, ref, 33+i%4, 24, 16, 16, cands, clip, 1<<30)
-			sink += idx + sad
+	b.Run("noise", func(b *testing.B) {
+		cur, ref := benchPlanes()
+		benchEachISA(b, func(b *testing.B) {
+			b.SetBytes(int64(len(cands)) * 16 * 16)
+			var sink int
+			for i := 0; i < b.N; i++ {
+				idx, sad := SADBest(cur, 32, 24, ref, 33+i%4, 24, 16, 16, cands, clip, 1<<30)
+				sink += idx + sad
+			}
+			benchSink = sink
+		})
+	})
+	b.Run("camera", func(b *testing.B) {
+		seq := video.Generate(video.Foreman, frame.QCIF, 2, 7)
+		cur, ref := seq[1].Y, seq[0].Y
+		// Macroblocks whose ±15 window lies inside the frame.
+		var mbs [][2]int
+		for y := 16; y+16+15 <= cur.H; y += 16 {
+			for x := 16; x+16+15 <= cur.W; x += 16 {
+				mbs = append(mbs, [2]int{x, y})
+			}
 		}
-		benchSink = sink
+		benchEachISA(b, func(b *testing.B) {
+			b.SetBytes(int64(len(cands)) * 16 * 16)
+			var sink int
+			for i := 0; i < b.N; i++ {
+				mb := mbs[i%len(mbs)]
+				idx, sad := SADBest(cur, mb[0], mb[1], ref, mb[0], mb[1], 16, 16, cands, clip, 1<<30)
+				sink += idx + sad
+			}
+			benchSink = sink
+		})
 	})
 }
 

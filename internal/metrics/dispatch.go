@@ -54,8 +54,10 @@ import (
 //     in-plane.
 //     Only the winner is defined (first strictly-smallest SAD below
 //     best, else -1 and best unchanged): a tier may drop a candidate as
-//     soon as its partial sum reaches the running minimum, at any row
-//     granularity
+//     soon as any lower bound on its SAD reaches the running minimum — a
+//     partial sum at any row granularity, or (AVX2) a successive-
+//     elimination bound computed before the candidate is read. It reads
+//     nothing outside the cur block and the in-clip candidate blocks
 //   - sadBestFew: sadBest over cands[:n], 1 ≤ n ≤ FewCands, the list
 //     passed by value so the caller's array stays on its stack (see
 //     SADBestFew); same kernels, same contract

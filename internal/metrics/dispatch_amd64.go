@@ -3,6 +3,8 @@
 package metrics
 
 import (
+	"math"
+
 	"repro/internal/dct"
 	"repro/internal/frame"
 )
@@ -83,6 +85,28 @@ func sadBest16SSE2(cur *byte, curStride int, ref *byte, refStride int, cands *Of
 
 //go:noescape
 func sadBest16AVX2(cur *byte, curStride int, ref *byte, refStride int, cands *Offset, n int, minX, minY, maxX, maxY int, best int) (idx, sad int)
+
+// sadBestMSEA16AVX2 is sadBest16AVX2 behind an exact successive-elimination
+// pass: a candidate whose 4×4-sum lower bound on its SAD has reached the
+// running minimum is skipped unread. Only for windows mseaFits accepts.
+//
+//go:noescape
+func sadBestMSEA16AVX2(cur *byte, curStride int, ref *byte, refStride int, cands *Offset, n int, minX, minY, maxX, maxY int, best int) (idx, sad int)
+
+// mseaFits reports whether sadBestMSEA16AVX2 takes n candidates over clip:
+// its grids hold a 32×32 window and one mask bit per candidate for 1024,
+// its first box-sum chunk needs sixteen positions (spanX+12) in a row, and
+// its candidate filter subtracts the clip origin in 16-bit lanes, where a
+// far origin could wrap an out-of-clip int16 displacement into the clip.
+// Every other window takes sadBest16AVX2 — the ±15 full search always fits.
+func mseaFits(n int, clip Rect) bool {
+	const maxSpan, maxCands = 32, 1024
+	const maxOrigin = math.MaxInt16 - maxSpan
+	spanX, spanY := clip.MaxX-clip.MinX+1, clip.MaxY-clip.MinY+1
+	return spanX >= 4 && spanX <= maxSpan && spanY <= maxSpan && n <= maxCands &&
+		clip.MinX >= -maxOrigin && clip.MinX <= maxOrigin &&
+		clip.MinY >= -maxOrigin && clip.MinY <= maxOrigin
+}
 
 // sseBlkSSE2/AVX2 return Σ(a−b)² over a w×h block, w·h ≤ sseMaxSamples:
 // bytes widen to words, PMADDWD squares and pair-sums the differences
@@ -252,8 +276,12 @@ func sseSSE2(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 // register in word lanes, each of the h+2 rows loaded once, the vertical
 // and diagonal pair sums each shared by the two current rows they serve);
 // sadBest (the full-search scan: cur block resident in eight YMM
-// registers, two ref rows per VPSADBW); sse (sixteen squared differences
-// per VPMADDWD; the 8-wide residual block takes two rows per iteration);
+// registers, two ref rows per VPSADBW; for the windows mseaFits accepts —
+// every ±15 one — behind an exact 4×4-sum successive-elimination pass
+// whose grids live on the kernel's stack, so most candidates are never
+// read; the winner, its SAD and Points stay the plain scan's); sse
+// (sixteen squared differences per VPMADDWD; the 8-wide residual block
+// takes two rows per iteration);
 // mbSSE (the zero-block gate's six energies from one 16-wide luma pass and
 // one Cb|Cr pass) and residualRows (four float64 lanes per register: a
 // row's eight outputs in two).
@@ -296,7 +324,12 @@ func avx2Table() *kernelTable {
 		return out
 	}
 	t.sadBest = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
-		return sadBest16AVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
+		c, r := pix(cur, cx, cy), pix(ref, rx+clip.MinX, ry+clip.MinY)
+		if mseaFits(len(cands), clip) {
+			return sadBestMSEA16AVX2(c, cur.Stride, r, ref.Stride,
+				&cands[0], len(cands), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
+		}
+		return sadBest16AVX2(c, cur.Stride, r, ref.Stride,
 			&cands[0], len(cands), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
 	}
 	t.sadBestFew = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {

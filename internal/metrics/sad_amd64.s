@@ -912,23 +912,27 @@ TEXT ·intraSAD16AVX2(SB), NOSPLIT, $0-24
 //   - BX holds the running minimum, R14 the winner's index (−1: none);
 //     a candidate is abandoned once its partial sum has reached BX — it
 //     can no longer be strictly better. The sum is checked after rows 8
-//     and 16: on camera content ~3/4 of a window's candidates would
-//     leave after 4 rows, a branch the predictor cannot learn, whereas
-//     ~98% leave after 8, and the mispredictions cost more than the
-//     four extra rows (measured: 8/16 is ~25% faster than 4/8/12/16)
+//     and 16. In the plain scan 74.5 % of a window's candidates leave
+//     after 8 rows on the fullsearch_serial cells and 53.7 % on ACBM's
+//     critical blocks; a check after 4 rows is a branch the predictor
+//     cannot learn, and its mispredictions cost more than the four extra
+//     rows (measured: 8/16 is ~25% faster than 4/8/12/16)
 //   - candidates are (dx, dy int16) pairs, 4 bytes each
 
-// SADBEST_NEXT_CAND loads candidate AX, skips it when outside the clip,
-// and leaves DI at its first ref row.
-#define SADBEST_NEXT_CAND \
+// SADBEST_CLIP_CAND loads candidate AX as (dx−minX, dy−minY) into
+// (DI, CX) and jumps to skip when it is outside the clip.
+#define SADBEST_CLIP_CAND(skip) \
 	MOVWQSX (R8)(AX*4), DI; \
 	MOVWQSX 2(R8)(AX*4), CX; \
 	SUBQ R10, DI; \
 	SUBQ R11, CX; \
 	CMPQ DI, R12; \
-	JHI  next; \
+	JHI  skip; \
 	CMPQ CX, R13; \
-	JHI  next; \
+	JHI  skip
+
+// SADBEST_CAND_ADDR turns (DI, CX) into DI = the candidate's first ref row.
+#define SADBEST_CAND_ADDR \
 	IMULQ DX, CX; \
 	ADDQ SI, DI; \
 	ADDQ CX, DI
@@ -955,15 +959,15 @@ TEXT ·intraSAD16AVX2(SB), NOSPLIT, $0-24
 	LEAQ (DI)(DX*2), DI
 
 // SADBEST_CHECK_AVX2 folds a copy of Y0 into CX and abandons the
-// candidate when the sum has reached BX.
-#define SADBEST_CHECK_AVX2 \
+// candidate (jumps to skip) when the sum has reached BX.
+#define SADBEST_CHECK_AVX2(skip) \
 	VEXTRACTI128 $1, Y0, X1; \
 	VPADDQ  X1, X0, X1; \
 	VPSHUFD $0xEE, X1, X2; \
 	VPADDQ  X2, X1, X1; \
 	VMOVQ X1, CX; \
 	CMPQ CX, BX; \
-	JGE  next
+	JGE  skip
 
 // func sadBest16AVX2(cur *byte, curStride int, ref *byte, refStride int, cands *Offset, n int, minX, minY, maxX, maxY int, best int) (idx, sad int)
 TEXT ·sadBest16AVX2(SB), NOSPLIT, $0-104
@@ -998,14 +1002,15 @@ TEXT ·sadBest16AVX2(SB), NOSPLIT, $0-104
 	JLE  done
 
 loop:
-	SADBEST_NEXT_CAND
+	SADBEST_CLIP_CAND(next)
+	SADBEST_CAND_ADDR
 	VPXOR Y0, Y0, Y0
 	SADBEST_ROWS4_AVX2(Y4, Y5)
 	SADBEST_ROWS4_AVX2(Y6, Y7)
-	SADBEST_CHECK_AVX2
+	SADBEST_CHECK_AVX2(next)
 	SADBEST_ROWS4_AVX2(Y8, Y9)
 	SADBEST_ROWS4_AVX2(Y10, Y11)
-	SADBEST_CHECK_AVX2
+	SADBEST_CHECK_AVX2(next)
 	MOVQ CX, BX
 	MOVQ AX, R14
 
@@ -1013,6 +1018,413 @@ next:
 	INCQ AX
 	CMPQ AX, R9
 	JLT  loop
+
+done:
+	VZEROUPPER
+	MOVQ R14, idx+88(FP)
+	MOVQ BX, sad+96(FP)
+	RET
+
+// Successive elimination (MSEA over 4×4 sub-blocks) in front of the same
+// scan. For a candidate, split both blocks into sixteen 4×4 sub-blocks
+// with sums C_k (cur) and R_k (ref); since |Σ a − Σ b| ≤ Σ |a − b| per
+// sub-block,
+//
+//	bound = Σ_k |C_k − R_k| ≤ SAD,
+//
+// so a candidate whose bound has reached the running minimum cannot be
+// strictly better and is skipped before any of its rows is loaded. The
+// winner and its SAD are those of the plain scan. Three passes:
+//
+//   - box sums: B[y][x] = the 4×4 sum of the reference at (x, y) of the
+//     candidate area (the union of the in-clip candidate blocks,
+//     (spanX+15) × (spanY+15) pixels), x < spanX+12, y < spanY+12. Each
+//     column chunk of sixteen word lanes adds four zero-extended byte
+//     loads per row (the horizontal 4-sum) into a running vertical sum,
+//     minus the horizontal sum of four rows back (kept in a 4-slot
+//     ring). The last chunk starts at spanX+12−16, so its last byte is the
+//     area's last column: no byte outside the area is read.
+//   - bounds: for every window position, sixteen VPSUBW/VPABSW/VPADDW
+//     terms against broadcast C_k, sixteen positions per register. The
+//     bound is at most 16·4080 = 65280, so word lanes hold it exactly.
+//   - the scan (described at scan: below): the rows of sadBest16AVX2 for
+//     the candidates a vector filter and a per-candidate bound test leave.
+//
+// Everything lives in this frame (a split-checked Go frame, not NOSPLIT:
+// it is larger than the nosplit limit): B (47 rows of 48 words; rows
+// −3..−1 take the ring's warm-up stores), the ring, the sixteen C_k, the
+// bounds (32 rows of 32 words, plus the 4 bytes the filter's dword gather
+// may read past the last one), lane numbers 0..7 and the filter's mask
+// bytes (one bit per candidate, 1024 at most, plus a zero word). mseaFits
+// (dispatch_amd64.go) sends only the windows these sizes hold.
+#define MSEA_B 0
+#define MSEA_RING 4512
+#define MSEA_C 4640
+#define MSEA_BND 4672
+#define MSEA_IOTA 6728
+#define MSEA_MASKS 6760
+
+// MSEA_CUR_SUMS sets xd to C_{j,0..3}, the four 4×4 sums of the cur rows
+// 4j..4j+3 held in ya (rows 4j, 4j+1) and yb (rows 4j+2, 4j+3). Y1 holds
+// bytes of 1 and Y2 words of 1; ya and yb are clobbered.
+#define MSEA_CUR_SUMS(ya, xa, yb, xd) \
+	VPMADDUBSW Y1, ya, ya; \
+	VPMADDUBSW Y1, yb, yb; \
+	VPADDW     yb, ya, ya; \
+	VPMADDWD   Y2, ya, ya; \
+	VEXTRACTI128 $1, ya, xd; \
+	VPADDD     xa, xd, xd
+
+// MSEA_TERM adds |c − B| for the sixteen positions at off(R9) to Y0.
+#define MSEA_TERM(off, c) \
+	VPSUBW off(R9), c, Y2; \
+	VPABSW Y2, Y2; \
+	VPADDW Y2, Y0, Y0
+
+// MSEA_TERM2 is MSEA_TERM for thirty-two positions: off(R9) into Y0,
+// off+32(R9) into Y1.
+#define MSEA_TERM2(off, c) \
+	VPSUBW off(R9), c, Y2; \
+	VPSUBW off+32(R9), c, Y3; \
+	VPABSW Y2, Y2; \
+	VPABSW Y3, Y3; \
+	VPADDW Y2, Y0, Y0; \
+	VPADDW Y3, Y1, Y1
+
+// func sadBestMSEA16AVX2(cur *byte, curStride int, ref *byte, refStride int, cands *Offset, n int, minX, minY, maxX, maxY int, best int) (idx, sad int)
+TEXT ·sadBestMSEA16AVX2(SB), 0, $6896-104
+	// C_k, k = 4j+i for the sub-block at (4i, 4j), as sixteen words.
+	MOVQ cur+0(FP), DI
+	MOVQ curStride+8(FP), CX
+	SADBEST_LOAD_CUR2(X4, Y4)
+	SADBEST_LOAD_CUR2(X5, Y5)
+	SADBEST_LOAD_CUR2(X6, Y6)
+	SADBEST_LOAD_CUR2(X7, Y7)
+	SADBEST_LOAD_CUR2(X8, Y8)
+	SADBEST_LOAD_CUR2(X9, Y9)
+	SADBEST_LOAD_CUR2(X10, Y10)
+	SADBEST_LOAD_CUR2(X11, Y11)
+	VPCMPEQB Y0, Y0, Y0
+	VPABSB   Y0, Y1
+	VPABSW   Y0, Y2
+	MSEA_CUR_SUMS(Y4, X4, Y5, X12)
+	MSEA_CUR_SUMS(Y6, X6, Y7, X13)
+	MSEA_CUR_SUMS(Y8, X8, Y9, X14)
+	MSEA_CUR_SUMS(Y10, X10, Y11, X15)
+	VPACKSSDW X13, X12, X12
+	VPACKSSDW X15, X14, X14
+	VMOVDQU   X12, MSEA_C(SP)
+	VMOVDQU   X14, MSEA_C+16(SP)
+
+	// Box sums, one column chunk at a time: R9 = the next chunk's start,
+	// R10 = spanX+12 positions per row, CX rows of pixels.
+	MOVQ ref+16(FP), SI
+	MOVQ refStride+24(FP), DX
+	MOVQ maxX+64(FP), R12
+	SUBQ minX+48(FP), R12
+	MOVQ maxY+72(FP), R13
+	SUBQ minY+56(FP), R13
+	LEAQ 13(R12), R10
+	XORQ R9, R9
+
+boxchunk:
+	LEAQ    -16(R10), AX
+	CMPQ    R9, AX
+	CMOVQLT R9, AX
+	LEAQ    (SI)(AX*1), DI
+	LEAQ    MSEA_B(SP)(AX*2), R11
+	LEAQ    16(R13), CX
+	XORQ    BX, BX
+	VPXOR   Y3, Y3, Y3
+	VMOVDQU Y3, MSEA_RING(SP)
+	VMOVDQU Y3, MSEA_RING+32(SP)
+	VMOVDQU Y3, MSEA_RING+64(SP)
+	VMOVDQU Y3, MSEA_RING+96(SP)
+
+boxrow:
+	VPMOVZXBW (DI), Y0
+	VPMOVZXBW 1(DI), Y1
+	VPADDW    Y1, Y0, Y0
+	VPMOVZXBW 2(DI), Y1
+	VPADDW    Y1, Y0, Y0
+	VPMOVZXBW 3(DI), Y1
+	VPADDW    Y1, Y0, Y0
+	VPADDW    Y0, Y3, Y3
+	VPSUBW    MSEA_RING(SP)(BX*1), Y3, Y3
+	VMOVDQU   Y0, MSEA_RING(SP)(BX*1)
+	VMOVDQU   Y3, (R11)
+	ADDQ      $32, BX
+	ANDQ      $127, BX
+	ADDQ      DX, DI
+	ADDQ      $96, R11
+	DECQ      CX
+	JNZ       boxrow
+	ADDQ      $16, R9
+	CMPQ      R9, R10
+	JLT       boxchunk
+
+	// Bounds, one window row per iteration: R9 = B row v, R11 = bound row
+	// v. C_0..C_11 stay in Y4..Y15; C_12..C_15 are broadcast per use.
+	VPBROADCASTW MSEA_C+0(SP), Y4
+	VPBROADCASTW MSEA_C+2(SP), Y5
+	VPBROADCASTW MSEA_C+4(SP), Y6
+	VPBROADCASTW MSEA_C+6(SP), Y7
+	VPBROADCASTW MSEA_C+8(SP), Y8
+	VPBROADCASTW MSEA_C+10(SP), Y9
+	VPBROADCASTW MSEA_C+12(SP), Y10
+	VPBROADCASTW MSEA_C+14(SP), Y11
+	VPBROADCASTW MSEA_C+16(SP), Y12
+	VPBROADCASTW MSEA_C+18(SP), Y13
+	VPBROADCASTW MSEA_C+20(SP), Y14
+	VPBROADCASTW MSEA_C+22(SP), Y15
+	LEAQ MSEA_B+3*96(SP), R9
+	LEAQ MSEA_BND(SP), R11
+	LEAQ 1(R13), CX
+	CMPQ R12, $15
+	JHI  bound2
+
+bound1:
+	VPXOR Y0, Y0, Y0
+	MSEA_TERM(0, Y4)
+	MSEA_TERM(8, Y5)
+	MSEA_TERM(16, Y6)
+	MSEA_TERM(24, Y7)
+	MSEA_TERM(384, Y8)
+	MSEA_TERM(392, Y9)
+	MSEA_TERM(400, Y10)
+	MSEA_TERM(408, Y11)
+	MSEA_TERM(768, Y12)
+	MSEA_TERM(776, Y13)
+	MSEA_TERM(784, Y14)
+	MSEA_TERM(792, Y15)
+	VPBROADCASTW MSEA_C+24(SP), Y3
+	MSEA_TERM(1152, Y3)
+	VPBROADCASTW MSEA_C+26(SP), Y3
+	MSEA_TERM(1160, Y3)
+	VPBROADCASTW MSEA_C+28(SP), Y3
+	MSEA_TERM(1168, Y3)
+	VPBROADCASTW MSEA_C+30(SP), Y3
+	MSEA_TERM(1176, Y3)
+	VMOVDQU Y0, (R11)
+	ADDQ    $96, R9
+	ADDQ    $64, R11
+	DECQ    CX
+	JNZ     bound1
+	JMP     scan
+
+bound2:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	MSEA_TERM2(0, Y4)
+	MSEA_TERM2(8, Y5)
+	MSEA_TERM2(16, Y6)
+	MSEA_TERM2(24, Y7)
+	MSEA_TERM2(384, Y8)
+	MSEA_TERM2(392, Y9)
+	MSEA_TERM2(400, Y10)
+	MSEA_TERM2(408, Y11)
+	MSEA_TERM2(768, Y12)
+	MSEA_TERM2(776, Y13)
+	MSEA_TERM2(784, Y14)
+	MSEA_TERM2(792, Y15)
+	// Y2 and Y3 are the terms' scratch, so C_12..C_15 borrow Y4, and C_0
+	// returns to it for the next row.
+	VPBROADCASTW MSEA_C+24(SP), Y4
+	MSEA_TERM2(1152, Y4)
+	VPBROADCASTW MSEA_C+26(SP), Y4
+	MSEA_TERM2(1160, Y4)
+	VPBROADCASTW MSEA_C+28(SP), Y4
+	MSEA_TERM2(1168, Y4)
+	VPBROADCASTW MSEA_C+30(SP), Y4
+	MSEA_TERM2(1176, Y4)
+	VPBROADCASTW MSEA_C+0(SP), Y4
+	VMOVDQU Y0, (R11)
+	VMOVDQU Y1, 32(R11)
+	ADDQ    $96, R9
+	ADDQ    $64, R11
+	DECQ    CX
+	JNZ     bound2
+
+	// The scan, in three steps:
+	//   - first: the scan of sadBest16AVX2 up to and including the first
+	//     in-clip candidate (AX), whose SAD sets the filter's threshold;
+	//   - filter: eight candidates per step (the last step a masked load,
+	//     so nothing past cands[n−1] is read); a lane survives when it is
+	//     a candidate, in clip and its gathered bound is below the
+	//     threshold (Y15, clamped to [0, 65536]); one mask byte per step
+	//     into MSEA_MASKS;
+	//   - survivors: the candidates after AX whose bits are set, in order,
+	//     64 per mask word, each re-tested against the running minimum
+	//     (which only drops) before its rows are loaded.
+	// Y12 = (minX, minY) and Y13 = (spanX−1, spanY−1) as word pairs; Y14 =
+	// word pairs (1, 32), so VPMADDWD turns (dx−minX, dy−minY) into the
+	// bound's index.
+scan:
+	MOVQ cur+0(FP), DI
+	MOVQ curStride+8(FP), CX
+	SADBEST_LOAD_CUR2(X4, Y4)
+	SADBEST_LOAD_CUR2(X5, Y5)
+	SADBEST_LOAD_CUR2(X6, Y6)
+	SADBEST_LOAD_CUR2(X7, Y7)
+	SADBEST_LOAD_CUR2(X8, Y8)
+	SADBEST_LOAD_CUR2(X9, Y9)
+	SADBEST_LOAD_CUR2(X10, Y10)
+	SADBEST_LOAD_CUR2(X11, Y11)
+	MOVQ cands+32(FP), R8
+	MOVQ n+40(FP), R9
+	MOVQ minX+48(FP), R10
+	MOVQ minY+56(FP), R11
+	MOVQ best+80(FP), BX
+	MOVQ $-1, R14
+	XORQ AX, AX
+
+first:
+	CMPQ AX, R9
+	JGE  done
+	SADBEST_CLIP_CAND(firstout)
+	SADBEST_CAND_ADDR
+	VPXOR Y0, Y0, Y0
+	SADBEST_ROWS4_AVX2(Y4, Y5)
+	SADBEST_ROWS4_AVX2(Y6, Y7)
+	SADBEST_CHECK_AVX2(filter)
+	SADBEST_ROWS4_AVX2(Y8, Y9)
+	SADBEST_ROWS4_AVX2(Y10, Y11)
+	SADBEST_CHECK_AVX2(filter)
+	MOVQ CX, BX
+	MOVQ AX, R14
+	JMP  filter
+
+firstout:
+	INCQ AX
+	JMP  first
+
+	// DI = the step's first candidate; CX, R12, R13 scratch.
+filter:
+	MOVQ    R11, CX
+	SHLQ    $16, CX
+	MOVWLZX R10, DI
+	ORQ     DI, CX
+	VMOVD   CX, X12
+	VPBROADCASTD X12, Y12
+	SHLQ    $16, R13
+	ORQ     R12, R13
+	VMOVD   R13, X13
+	VPBROADCASTD X13, Y13
+	MOVL    $0x200001, CX
+	VMOVD   CX, X14
+	VPBROADCASTD X14, Y14
+	MOVQ    BX, CX
+	MOVQ    $65536, DI
+	CMPQ    CX, DI
+	CMOVQGT DI, CX
+	XORQ    DI, DI
+	TESTQ   CX, CX
+	CMOVQLT DI, CX
+	VMOVD   CX, X15
+	VPBROADCASTD X15, Y15
+	MOVQ $0x100000000, CX
+	MOVQ CX, MSEA_IOTA(SP)
+	MOVQ $0x300000002, CX
+	MOVQ CX, MSEA_IOTA+8(SP)
+	MOVQ $0x500000004, CX
+	MOVQ CX, MSEA_IOTA+16(SP)
+	MOVQ $0x700000006, CX
+	MOVQ CX, MSEA_IOTA+24(SP)
+	XORQ DI, DI
+
+step:
+	MOVQ R9, R12
+	SUBQ DI, R12
+	JLE  filtered
+	VPCMPEQD Y3, Y3, Y3
+	CMPQ R12, $8
+	JGE  full
+	VMOVD    R12, X3
+	VPBROADCASTD X3, Y3
+	VPCMPGTD MSEA_IOTA(SP), Y3, Y3
+
+full:
+	VPMASKMOVD (R8)(DI*4), Y3, Y0
+	VPSUBW   Y12, Y0, Y0
+	VPMINUW  Y13, Y0, Y1
+	VPCMPEQD Y0, Y1, Y1
+	VPAND    Y3, Y1, Y1
+	VPMADDWD Y14, Y0, Y0
+	VMOVDQU  Y1, Y3
+	VPXOR    Y2, Y2, Y2
+	VPGATHERDD Y3, MSEA_BND(SP)(Y0*2), Y2
+	VPSLLD   $16, Y2, Y2
+	VPSRLD   $16, Y2, Y2
+	VPCMPGTD Y2, Y15, Y2
+	VPAND    Y1, Y2, Y2
+	VMOVMSKPS Y2, R13
+	MOVQ     DI, R12
+	SHRQ     $3, R12
+	MOVB     R13, MSEA_MASKS(SP)(R12*1)
+	ADDQ     $8, DI
+	JMP      step
+
+filtered:
+	// Zero the mask bytes after the last step, so the last mask word
+	// names no candidate past n.
+	SHRQ $3, DI
+	MOVQ $0, MSEA_MASKS(SP)(DI*1)
+
+	// Survivors. AX = the base of the mask word in R15; R12 = the
+	// candidate, (DI, CX) = its (dx−minX, dy−minY).
+	INCQ AX
+	MOVQ AX, CX
+	ANDQ $63, CX
+	SUBQ CX, AX
+	MOVQ AX, R12
+	SHRQ $3, R12
+	MOVQ MSEA_MASKS(SP)(R12*1), R15
+	MOVQ $-1, DI
+	SHLQ CX, DI
+	ANDQ DI, R15
+
+word:
+	TESTQ R15, R15
+	JZ    nextword
+
+loop:
+	BSFQ    R15, R12
+	LEAQ    -1(R15), DI
+	ANDQ    DI, R15
+	ADDQ    AX, R12
+	MOVWQSX (R8)(R12*4), DI
+	MOVWQSX 2(R8)(R12*4), CX
+	SUBQ    R10, DI
+	SUBQ    R11, CX
+	MOVQ    CX, R13
+	SHLQ    $5, R13
+	ADDQ    DI, R13
+	MOVWQZX MSEA_BND(SP)(R13*2), R13
+	CMPQ    R13, BX
+	JGE     next
+	SADBEST_CAND_ADDR
+	VPXOR Y0, Y0, Y0
+	SADBEST_ROWS4_AVX2(Y4, Y5)
+	SADBEST_ROWS4_AVX2(Y6, Y7)
+	SADBEST_CHECK_AVX2(next)
+	SADBEST_ROWS4_AVX2(Y8, Y9)
+	SADBEST_ROWS4_AVX2(Y10, Y11)
+	SADBEST_CHECK_AVX2(next)
+	MOVQ CX, BX
+	MOVQ R12, R14
+
+next:
+	TESTQ R15, R15
+	JNZ   loop
+
+nextword:
+	ADDQ $64, AX
+	CMPQ AX, R9
+	JGE  done
+	MOVQ AX, R12
+	SHRQ $3, R12
+	MOVQ MSEA_MASKS(SP)(R12*1), R15
+	JMP  word
 
 done:
 	VZEROUPPER
@@ -1043,12 +1455,12 @@ done:
 	PADDQ  X1, X0; \
 	LEAQ (DI)(DX*2), DI
 
-#define SADBEST_CHECK_SSE2 \
+#define SADBEST_CHECK_SSE2(skip) \
 	PSHUFD $0xEE, X0, X1; \
 	PADDQ  X0, X1; \
 	MOVQ X1, CX; \
 	CMPQ CX, BX; \
-	JGE  next
+	JGE  skip
 
 // func sadBest16SSE2(cur *byte, curStride int, ref *byte, refStride int, cands *Offset, n int, minX, minY, maxX, maxY int, best int) (idx, sad int)
 TEXT ·sadBest16SSE2(SB), NOSPLIT, $256-104
@@ -1086,14 +1498,15 @@ copyrow:
 	JLE  done
 
 loop:
-	SADBEST_NEXT_CAND
+	SADBEST_CLIP_CAND(next)
+	SADBEST_CAND_ADDR
 	PXOR X0, X0
 	SADBEST_ROWS4_SSE2(0)
 	SADBEST_ROWS4_SSE2(64)
-	SADBEST_CHECK_SSE2
+	SADBEST_CHECK_SSE2(next)
 	SADBEST_ROWS4_SSE2(128)
 	SADBEST_ROWS4_SSE2(192)
-	SADBEST_CHECK_SSE2
+	SADBEST_CHECK_SSE2(next)
 	MOVQ CX, BX
 	MOVQ AX, R14
 
