@@ -30,9 +30,10 @@
 //
 // A closed-loop QoS controller ticks every -qos-interval, compares the
 // observed per-frame analysis latency against -qos-target-ms, and under
-// sustained overload steps sessions down a degradation ladder (higher
-// Qp, cheaper motion search, smaller complexity budget) instead of
-// letting latency grow without bound; quality is restored with
+// sustained overload steps sessions down a degradation ladder (ACBM's
+// α/γ thresholds relaxed so fewer blocks reach full search, then higher
+// Qp) instead of letting latency grow without bound; no level swaps the
+// searcher or forces an intra frame, and quality is restored with
 // hysteresis once load subsides. Batch-priority sessions
 // (?priority=batch) degrade first and are scheduled behind live work;
 // ?qoslevel=N pins a session at a fixed level, exempt from the

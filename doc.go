@@ -266,14 +266,16 @@
 //   - internal/server/qos.go closes the loop under overload: a
 //     controller ticks every Config.QosInterval, folds per-phase
 //     latency EWMAs, queue depth and session counts into one load
-//     score, and steps sessions down an explicit degradation ladder —
-//     Qp up, ACBM swapped for the cheap PBM searcher at the next intra
-//     boundary, complexity budget shrunk — instead of letting latency
-//     grow without bound; hysteresis (consecutive calm ticks, a dwell
-//     time, and a cost projection) restores quality without
-//     oscillating. Actuations apply at frame hand-off on the session
-//     goroutine, so every stream stays deterministic under Workers ×
-//     Pipeline × Pool; a session's actual level travels in the
+//     score, and steps sessions down an explicit degradation ladder
+//     built on the paper's own cost/quality dial — ACBM's α/γ
+//     thresholds relaxed (×2, then ×8; a budgeted session's target
+//     shrunk), then Qp up — instead of letting latency grow without
+//     bound; hysteresis (consecutive calm ticks below a low water mark
+//     and a dwell time) restores quality without oscillating. No level
+//     swaps the searcher or forces an intra frame. Actuations apply at
+//     frame hand-off on the session goroutine, so every stream stays
+//     deterministic under Workers × Pipeline × Pool; a session's
+//     actual level travels in the
 //     X-Vcodec-Qos-Level/-Transitions trailers. ?priority=batch
 //     sessions degrade one level deeper and are scheduled behind live
 //     work (with an anti-starvation share); ?qoslevel=N pins a session

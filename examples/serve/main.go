@@ -41,10 +41,10 @@
 //
 // Under overload the daemon does not let latency grow without bound: a
 // closed-loop controller steps sessions down a degradation ladder
-// (higher Qp, cheaper motion search, smaller complexity budget) and
-// restores them with hysteresis once load subsides. Batch-priority
-// sessions degrade first and queue behind live ones; a pinned session
-// is exempt and byte-reproducible:
+// (ACBM's α/γ thresholds relaxed, then higher Qp) and restores them
+// with hysteresis once load subsides. Batch-priority sessions degrade
+// first and queue behind live ones; a pinned session is exempt and
+// byte-reproducible:
 //
 //	curl -sN --data-binary @f.y4m \
 //	    'http://localhost:8323/encode?qp=16&me=acbm&priority=batch' > f.pkt
@@ -263,10 +263,10 @@ func main() {
 		resp2.Trailer.Get(gateway.TrailerAttempts))
 
 	// 6. The QoS ladder: ?qoslevel=2 pins this session two rungs down
-	//    (higher Qp, the cheap PBM searcher, a shrunken complexity
-	//    budget). The pin exempts it from the closed-loop controller, so
-	//    its bytes are exactly the offline encoder's at that level — the
-	//    same determinism claim as step 4, one degradation rung lower.
+	//    (ACBM's α/γ thresholds ×8 and Qp+3). The pin exempts it from the
+	//    closed-loop controller, so its bytes are exactly the offline
+	//    encoder's at that level — the same determinism claim as step 4,
+	//    one degradation rung lower.
 	//    Adaptive sessions get the same treatment dynamically: under
 	//    overload the controller steps them down (batch priority first),
 	//    the X-Vcodec-Qos-Level trailer reports where each stream ended,

@@ -135,14 +135,9 @@ type Encoder struct {
 	curQp int             // quantiser for the current frame
 	rc    *rateController // nil unless Config.TargetKbps > 0
 	// qpOffset is the QoS degradation offset added on top of the base
-	// quantiser (cfg.Qp or the rate controller's plan) each frame; it and
-	// pendingSearcher are written only by applyActuation on the session
-	// goroutine between frames (see Actuation).
+	// quantiser (cfg.Qp or the rate controller's plan) each frame, written
+	// only by applyActuation on the session goroutine between frames.
 	qpOffset int
-	// pendingSearcher, when non-nil, replaces cfg.Searcher at the next
-	// frame's analysis, forcing that frame intra so the swap never reads
-	// another searcher's motion-field assumptions.
-	pendingSearcher search.Searcher
 	// curSeed is the cross-layer motion seed for the current frame's
 	// analysis (simulcast ladder: the rung above's scaled field). Set by
 	// the ladder driver on the analysis goroutine before analyzeFrameJob
@@ -379,19 +374,6 @@ func (e *Encoder) analyzeFrameJob(f *frame.Frame) (*frameJob, error) {
 	start := time.Now()
 	intra := e.frames == 0 ||
 		(e.cfg.IntraPeriod > 0 && e.frames%e.cfg.IntraPeriod == 0)
-	if e.pendingSearcher != nil {
-		// An actuated searcher swap lands here: the frame is forced intra
-		// (no motion search, motion field reset), so the incoming searcher
-		// never observes state the outgoing one produced.
-		intra = true
-		e.cfg.Searcher = e.pendingSearcher
-		e.forker, _ = e.cfg.Searcher.(search.Forker)
-		if e.forker == nil {
-			e.cfg.Workers = 1
-			e.cfg.Pool = nil
-		}
-		e.pendingSearcher = nil
-	}
 	cols, rows := e.size.MacroblockCols(), e.size.MacroblockRows()
 	j := &frameJob{index: e.frames, src: f, intra: intra, qp: e.curQp, prevRef: e.recon}
 	// The reconstruction is drawn (unzeroed) from the size-bucketed frame

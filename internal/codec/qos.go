@@ -1,14 +1,10 @@
 package codec
 
-import (
-	"sync/atomic"
-
-	"repro/internal/search"
-)
+import "sync/atomic"
 
 // budgetScaler is implemented by searchers whose complexity budget can be
-// rescaled between frames (core.Budgeted). Declared structurally so codec
-// does not depend on core.
+// rescaled between frames (core.ACBM, core.Budgeted). Declared
+// structurally so codec does not depend on core.
 type budgetScaler interface {
 	ScaleBudget(scale float64)
 }
@@ -22,25 +18,19 @@ type budgetScaler interface {
 // entropy state — so an actuated stream stays deterministic for a given
 // actuation-by-frame-index schedule and byte-identical across Workers ×
 // Pipeline × Pool, and race-clean against the pipeline writer goroutine.
+// Neither field changes the searcher or the frame type: an actuation
+// never forces an intra frame.
 type Actuation struct {
 	// QpOffset is added to the session's base quantiser (Config.Qp, or
 	// the rate controller's planned value) from the next frame on,
 	// clamped to the legal range. It is absolute, not cumulative:
 	// restoring quality means actuating a smaller offset.
 	QpOffset int
-	// Searcher, when non-nil, replaces the motion estimator. The swap is
-	// only state-clean at an intra boundary — intra frames run no motion
-	// search and reset the motion field — so the next frame is forced
-	// intra when the searcher actually changes. Passing the currently
-	// installed searcher is a no-op (no forced intra), which lets a
-	// controller state its target tier every actuation without caring
-	// what is installed. The frame header is self-describing, so the
-	// stream stays decodable.
-	Searcher search.Searcher
-	// BudgetScale, when positive, rescales the complexity budget of a
-	// budget-controlled searcher (core.Budgeted) to BudgetScale × its
-	// constructed target. Safe between frames: the budget thresholds are
-	// frozen per frame at Fork. Ignored for searchers without a budget.
+	// BudgetScale, when positive, turns the searcher's own complexity
+	// dial to BudgetScale × its constructed setting: core.ACBM relaxes
+	// α/γ by 1/BudgetScale, core.Budgeted retargets its positions/MB.
+	// Safe between frames: thresholds are frozen per frame at Fork.
+	// Ignored for searchers without a dial.
 	BudgetScale float64
 }
 
@@ -56,17 +46,8 @@ func (s *EncodeStream) Actuate(a Actuation) {
 // goroutine between frames (EncodeFrame calls it before analysis).
 func (e *Encoder) applyActuation(a Actuation) {
 	e.qpOffset = a.QpOffset
-	target := e.cfg.Searcher
-	if a.Searcher != nil {
-		if a.Searcher != e.cfg.Searcher {
-			e.pendingSearcher = a.Searcher
-		}
-		target = a.Searcher
-	}
-	if a.BudgetScale > 0 {
-		if bs, ok := target.(budgetScaler); ok {
-			bs.ScaleBudget(a.BudgetScale)
-		}
+	if bs, ok := e.cfg.Searcher.(budgetScaler); ok && a.BudgetScale > 0 {
+		bs.ScaleBudget(a.BudgetScale)
 	}
 }
 

@@ -10,25 +10,36 @@ import (
 	"repro/internal/search"
 )
 
+// actuatedSearchers are the searchers with a complexity dial, each built
+// fresh per encode: plain ACBM (α/γ relaxed by 1/scale) and the budget
+// servo (target scaled).
+var actuatedSearchers = []struct {
+	name string
+	make func(t *testing.T) search.Searcher
+}{
+	{"acbm", func(*testing.T) search.Searcher { return core.New(core.DefaultParams) }},
+	{"budgeted", func(t *testing.T) search.Searcher {
+		b, err := core.NewBudgeted(150, core.DefaultParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}},
+}
+
 // encodeActuatedPackets encodes a fixed sequence through EncodeStream with
 // a fixed actuation-by-frame-index schedule — the determinism contract a
-// serving-layer QoS controller relies on. The schedule exercises every
-// Actuation field: a budget rescale with no searcher change (frame 2), a
-// swap to the cheap searcher tier (frame 4, forces intra), and a full
-// restoration (frame 7, forces intra again).
-func encodeActuatedPackets(t *testing.T, mut func(cfg *Config)) ([][]byte, *SequenceStats) {
+// serving-layer QoS controller relies on. The schedule exercises both
+// Actuation fields: the dial halved with the quantiser up (frame 2), the
+// dial at an eighth (frame 4), and a full restoration (frame 7).
+func encodeActuatedPackets(t *testing.T, s search.Searcher, mut func(cfg *Config)) ([][]byte, *SequenceStats) {
 	t.Helper()
-	orig, err := core.NewBudgeted(150, core.DefaultParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cheap := &search.PBM{}
-	cfg := Config{Qp: 14, Searcher: orig, Workers: 1}
+	cfg := Config{Qp: 14, Searcher: s, Workers: 1}
 	mut(&cfg)
 	sched := map[int]Actuation{
-		2: {QpOffset: 2, Searcher: orig, BudgetScale: 0.5},
-		4: {QpOffset: 4, Searcher: cheap},
-		7: {QpOffset: 0, Searcher: orig, BudgetScale: 1},
+		2: {QpOffset: 2, BudgetScale: 0.5},
+		4: {QpOffset: 4, BudgetScale: 0.125},
+		7: {QpOffset: 0, BudgetScale: 1},
 	}
 	var pkts [][]byte
 	es := NewEncodeStream(cfg, func(p Packet) error {
@@ -56,69 +67,73 @@ func encodeActuatedPackets(t *testing.T, mut func(cfg *Config)) ([][]byte, *Sequ
 // because actuations are consumed at frame hand-off on the session
 // goroutine — never mid-frame, never on a worker.
 func TestActuationByteIdenticalAcrossModes(t *testing.T) {
-	refPkts, refStats := encodeActuatedPackets(t, func(cfg *Config) {})
-
-	// The schedule's observable shape on the reference: the searcher swap
-	// (frame 4) and the restoration (frame 7) force intra frames; the
-	// same-searcher budget rescale (frame 2) does not. QpOffset is
-	// absolute on top of the base quantiser.
-	wantQp := []int{14, 14, 16, 16, 18, 18, 18, 14, 14, 14}
-	for i, fs := range refStats.Frames {
-		wantType := PFrame
-		if i == 0 || i == 4 || i == 7 {
-			wantType = IFrame
-		}
-		if fs.Type != wantType {
-			t.Errorf("frame %d: type %v, want %v", i, fs.Type, wantType)
-		}
-		if fs.Qp != wantQp[i] {
-			t.Errorf("frame %d: qp %d, want %d", i, fs.Qp, wantQp[i])
-		}
-	}
-
-	// The actuated packet stream stays decodable end to end.
-	dec, err := NewPacketDecoder(refPkts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pkt := range refPkts[1:] {
-		if _, err := dec.DecodePacket(pkt); err != nil {
-			t.Fatalf("decoding actuated frame %d: %v", i, err)
-		}
-	}
-
 	pool := NewPool(3)
 	defer pool.Close()
-	for _, mode := range []struct {
-		name string
-		mut  func(cfg *Config)
-	}{
-		{"workers=4", func(cfg *Config) { cfg.Workers = 4 }},
-		{"pipeline", func(cfg *Config) { cfg.Workers = 4; cfg.Pipeline = true }},
-		{"pool", func(cfg *Config) { cfg.Workers = 4; cfg.Pool = pool }},
-		{"pool+pipeline+batch", func(cfg *Config) {
-			cfg.Workers = 4
-			cfg.Pool = pool
-			cfg.Pipeline = true
-			cfg.Priority = PriorityBatch
-		}},
-	} {
-		pkts, _ := encodeActuatedPackets(t, mode.mut)
-		if len(pkts) != len(refPkts) {
-			t.Errorf("%s: %d packets, want %d", mode.name, len(pkts), len(refPkts))
-			continue
-		}
-		for i := range pkts {
-			if !bytes.Equal(pkts[i], refPkts[i]) {
-				t.Errorf("%s: packet %d differs from serial reference (%d vs %d bytes)",
-					mode.name, i, len(pkts[i]), len(refPkts[i]))
+	for _, sc := range actuatedSearchers {
+		t.Run(sc.name, func(t *testing.T) {
+			refPkts, refStats := encodeActuatedPackets(t, sc.make(t), func(cfg *Config) {})
+
+			// The schedule's observable shape on the reference: no actuation
+			// forces an intra frame — only frame 0 is one. QpOffset is
+			// absolute on top of the base quantiser.
+			wantQp := []int{14, 14, 16, 16, 18, 18, 18, 14, 14, 14}
+			for i, fs := range refStats.Frames {
+				wantType := PFrame
+				if i == 0 {
+					wantType = IFrame
+				}
+				if fs.Type != wantType {
+					t.Errorf("frame %d: type %v, want %v", i, fs.Type, wantType)
+				}
+				if fs.Qp != wantQp[i] {
+					t.Errorf("frame %d: qp %d, want %d", i, fs.Qp, wantQp[i])
+				}
 			}
-		}
+
+			// The actuated packet stream stays decodable end to end.
+			dec, err := NewPacketDecoder(refPkts[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, pkt := range refPkts[1:] {
+				if _, err := dec.DecodePacket(pkt); err != nil {
+					t.Fatalf("decoding actuated frame %d: %v", i, err)
+				}
+			}
+
+			for _, mode := range []struct {
+				name string
+				mut  func(cfg *Config)
+			}{
+				{"workers=4", func(cfg *Config) { cfg.Workers = 4 }},
+				{"pipeline", func(cfg *Config) { cfg.Workers = 4; cfg.Pipeline = true }},
+				{"pool", func(cfg *Config) { cfg.Workers = 4; cfg.Pool = pool }},
+				{"pool+pipeline+batch", func(cfg *Config) {
+					cfg.Workers = 4
+					cfg.Pool = pool
+					cfg.Pipeline = true
+					cfg.Priority = PriorityBatch
+				}},
+			} {
+				pkts, _ := encodeActuatedPackets(t, sc.make(t), mode.mut)
+				if len(pkts) != len(refPkts) {
+					t.Errorf("%s: %d packets, want %d", mode.name, len(pkts), len(refPkts))
+					continue
+				}
+				for i := range pkts {
+					if !bytes.Equal(pkts[i], refPkts[i]) {
+						t.Errorf("%s: packet %d differs from serial reference (%d vs %d bytes)",
+							mode.name, i, len(pkts[i]), len(refPkts[i]))
+					}
+				}
+			}
+		})
 	}
 }
 
 // TestActuationLastWriteWins pins the mailbox semantics: multiple
-// Actuate calls between frames collapse to the last one.
+// Actuate calls between frames collapse to the last one, and the losing
+// call's budget scale never reaches the searcher.
 func TestActuationLastWriteWins(t *testing.T) {
 	acbm := core.New(core.DefaultParams)
 	var pkts [][]byte
@@ -130,8 +145,8 @@ func TestActuationLastWriteWins(t *testing.T) {
 	if err := es.EncodeFrame(frames[0]); err != nil {
 		t.Fatal(err)
 	}
-	es.Actuate(Actuation{QpOffset: 10, Searcher: &search.PBM{}})
-	es.Actuate(Actuation{QpOffset: 3, Searcher: acbm}) // wins
+	es.Actuate(Actuation{QpOffset: 10, BudgetScale: 0.125})
+	es.Actuate(Actuation{QpOffset: 3, BudgetScale: 1}) // wins
 	for _, f := range frames[1:] {
 		if err := es.EncodeFrame(f); err != nil {
 			t.Fatal(err)
@@ -145,7 +160,10 @@ func TestActuationLastWriteWins(t *testing.T) {
 		t.Errorf("frame 1 qp %d, want 19 (last actuation wins)", got)
 	}
 	if stats.Frames[1].Type != PFrame {
-		t.Error("frame 1 forced intra: the winning actuation kept the installed searcher")
+		t.Error("frame 1 forced intra: an actuation never changes the frame type")
+	}
+	if acbm.Params != core.DefaultParams {
+		t.Errorf("ACBM params %+v after the winning scale-1 actuation, want %+v", acbm.Params, core.DefaultParams)
 	}
 }
 

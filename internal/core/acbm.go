@@ -51,6 +51,20 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// scaled returns p with α and γ multiplied by f (β is untouched: it is the
+// quantiser's share of condition 1, not a cost knob). γ is scaled through
+// its numerator over a 16× finer denominator, keeping precision for f < 1.
+// f = 1 returns p exactly.
+func (p Params) scaled(f float64) Params {
+	if f == 1 {
+		return p
+	}
+	p.Alpha = int(float64(p.Alpha) * f)
+	p.GammaNum = int(float64(p.GammaNum*16) * f)
+	p.GammaDen *= 16
+	return p
+}
+
 // Decision classifies how ACBM resolved one block.
 type Decision int
 
@@ -135,6 +149,9 @@ type ACBM struct {
 	FSBM   search.FSBM
 
 	stats Stats
+	// base is Params as constructed, captured by the first ScaleBudget so
+	// later calls scale from it rather than from each other.
+	base Params
 }
 
 // New returns an ACBM searcher with the given parameters (zero Params
@@ -155,6 +172,26 @@ func (a *ACBM) Stats() Stats { return a.stats }
 // ResetStats clears the accumulated statistics.
 func (a *ACBM) ResetStats() { a.stats = Stats{} }
 
+// ScaleBudget sets the searcher's cost to scale × the constructed one on
+// the paper's own dial: α and γ are relaxed by 1/scale, so fewer blocks
+// pass on to full search (a QoS degradation passes scale < 1). The call is
+// absolute — scale 1 restores the constructed Params exactly — and must
+// come between frames: the encoder forks the searcher at each frame start,
+// and a fork keeps the Params in force when it was taken. Non-positive
+// scales are ignored.
+func (a *ACBM) ScaleBudget(scale float64) {
+	if scale <= 0 {
+		return
+	}
+	if a.base == (Params{}) {
+		a.base = a.Params
+		if a.base.GammaDen == 0 { // literal &ACBM{}: SearchTrace's default
+			a.base = DefaultParams
+		}
+	}
+	a.Params = a.base.scaled(1 / scale)
+}
+
 // Search implements search.Searcher.
 func (a *ACBM) Search(in *search.Input) search.Result {
 	r, _ := a.SearchTrace(in)
@@ -165,7 +202,7 @@ func (a *ACBM) Search(in *search.Input) search.Result {
 // parameters but owns its statistics, so each encoder worker can run ACBM
 // without synchronisation.
 func (a *ACBM) Fork() search.Searcher {
-	return &ACBM{Params: a.Params, PBM: a.PBM, FSBM: a.FSBM}
+	return &ACBM{Params: a.Params, PBM: a.PBM, FSBM: a.FSBM, base: a.base}
 }
 
 // Join implements search.Forker: it adds a forked instance's statistics

@@ -303,3 +303,66 @@ func TestIntraSADHandOver(t *testing.T) {
 		t.Fatalf("Trace.IntraSAD = %d with a handed-over 0", tr.IntraSAD)
 	}
 }
+
+// TestACBMScaleBudget pins the QoS dial on plain ACBM: ScaleBudget relaxes
+// α and γ by 1/scale from the constructed Params — absolutely, never
+// compounding — and scale 1 restores them exactly.
+func TestACBMScaleBudget(t *testing.T) {
+	p := Params{Alpha: 700, Beta: 6, GammaNum: 1, GammaDen: 3}
+	a := New(p)
+	for _, step := range []struct {
+		scale float64
+		want  Params
+	}{
+		{0.5, Params{Alpha: 1400, Beta: 6, GammaNum: 32, GammaDen: 48}},
+		{0.125, Params{Alpha: 5600, Beta: 6, GammaNum: 128, GammaDen: 48}},
+		{0, Params{Alpha: 5600, Beta: 6, GammaNum: 128, GammaDen: 48}},  // ignored
+		{-1, Params{Alpha: 5600, Beta: 6, GammaNum: 128, GammaDen: 48}}, // ignored
+		{1, p},
+	} {
+		a.ScaleBudget(step.scale)
+		if a.Params != step.want {
+			t.Fatalf("ScaleBudget(%g): params %+v, want %+v", step.scale, a.Params, step.want)
+		}
+	}
+
+	// The dial reaches the decision: condition 1's threshold is the
+	// relaxed α + β·Qp².
+	a.ScaleBudget(0.125)
+	ref := texturedPlane(96, 96, 11, 4, 160)
+	if _, tr := a.SearchTrace(newInput(ref, ref, 40, 40, 4)); tr.Threshold1 != 5600+6*16 {
+		t.Errorf("Threshold1 %d under ×8 thresholds, want %d", tr.Threshold1, 5600+6*16)
+	}
+
+	// A literal ACBM resolves to the defaults SearchTrace would use.
+	lit := &ACBM{}
+	lit.ScaleBudget(1)
+	if lit.Params != DefaultParams {
+		t.Errorf("literal ACBM at scale 1: %+v, want DefaultParams", lit.Params)
+	}
+	lit.ScaleBudget(0.5)
+	if lit.Params.Alpha != 2*DefaultParams.Alpha {
+		t.Errorf("literal ACBM at scale ½: α %d, want %d", lit.Params.Alpha, 2*DefaultParams.Alpha)
+	}
+}
+
+// TestACBMScaleBudgetForks: the encoder forks the searcher at each frame
+// start, so a fork taken after a scale inherits it and one taken before
+// does not; a fork's own ScaleBudget stays absolute to the constructed
+// Params.
+func TestACBMScaleBudgetForks(t *testing.T) {
+	a := New(DefaultParams)
+	before := a.Fork().(*ACBM)
+	a.ScaleBudget(0.125)
+	after := a.Fork().(*ACBM)
+	if before.Params != DefaultParams {
+		t.Errorf("fork taken before the scale: %+v, want DefaultParams", before.Params)
+	}
+	if after.Params != a.Params || after.Params.Alpha != 8*DefaultParams.Alpha {
+		t.Errorf("fork taken after the scale: %+v, want %+v", after.Params, a.Params)
+	}
+	after.ScaleBudget(1)
+	if after.Params != DefaultParams {
+		t.Errorf("fork restored to %+v, want DefaultParams", after.Params)
+	}
+}

@@ -34,24 +34,17 @@ import (
 //     bitstreams are byte-identical across all of them.
 //
 // Calling Search directly on a Budgeted (outside the encoder's fork/join
-// protocol) keeps the scan-order update cadence — the servo steps once
-// per Window blocks — but uses the same proportional step law as the
-// per-frame servo.
+// protocol) makes the block a frame of its own: one fork, one search, one
+// join, one servo step.
 type Budgeted struct {
 	// Target is the desired long-run average of candidate positions per
 	// block. Must be positive.
 	Target float64
 	// Base supplies the initial thresholds (DefaultParams if zero).
 	Base Params
-	// Window is the number of blocks between controller updates when
-	// Search is called directly, outside the per-frame fork/join protocol
-	// (default 32).
-	Window int
 
-	inner  ACBM
-	scale  float64 // multiplies α and γ; larger = fewer critical blocks
-	winPts int64
-	winCnt int
+	inner ACBM
+	scale float64 // multiplies α and γ; larger = fewer critical blocks
 
 	// Per-frame fork/join accounting. outstanding counts live forks; the
 	// frame totals accumulate across Joins and feed one servo step when
@@ -108,23 +101,8 @@ func (b *Budgeted) Stats() Stats { return b.inner.Stats() }
 // Scale returns the current threshold multiplier (diagnostic).
 func (b *Budgeted) Scale() float64 { return b.scale }
 
-func (b *Budgeted) window() int {
-	if b.Window > 0 {
-		return b.Window
-	}
-	return 32
-}
-
 // apply rebuilds the inner ACBM parameters from Base and scale.
-func (b *Budgeted) apply() {
-	p := b.Base
-	p.Alpha = int(float64(p.Alpha) * b.scale)
-	// Scale γ by adjusting the numerator; keep the denominator to retain
-	// precision for scales < 1.
-	p.GammaNum = int(float64(p.GammaNum*16) * b.scale)
-	p.GammaDen *= 16
-	b.inner.Params = p
-}
+func (b *Budgeted) apply() { b.inner.Params = b.Base.scaled(b.scale) }
 
 // adjust applies one multiplicative servo step from a measured
 // points-per-block average. The step is proportional to the overshoot
@@ -155,16 +133,12 @@ func (b *Budgeted) adjust(avg float64) {
 }
 
 // Search implements search.Searcher for direct (non-forked) use: the
-// servo steps once per Window blocks, in scan order, with the same
-// proportional step the per-frame path uses.
+// block is a one-block frame of the fork/join protocol, so the servo
+// steps after every call.
 func (b *Budgeted) Search(in *search.Input) search.Result {
-	res := b.inner.Search(in)
-	b.winPts += int64(res.Points)
-	b.winCnt++
-	if b.winCnt >= b.window() {
-		b.adjust(float64(b.winPts) / float64(b.winCnt))
-		b.winPts, b.winCnt = 0, 0
-	}
+	f := b.Fork()
+	res := f.Search(in)
+	b.Join(f)
 	return res
 }
 

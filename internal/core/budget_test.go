@@ -146,7 +146,6 @@ func TestBudgetedScaleBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Window = 4
 	ref := texturedPlane(96, 96, 5, 4, 160)
 	cur := texturedPlane(96, 96, 6, 4, 160)
 	for i := 0; i < 400; i++ {

@@ -1,8 +1,9 @@
 // Closed-loop QoS: under overload vcodecd trades quality for latency
 // instead of queueing or shedding. A periodic control loop computes a
 // load score from per-phase latency EWMAs and the scheduler's occupancy,
-// steps sessions through explicit degradation levels (quantiser up,
-// ACBM→PBM at a forced intra boundary, complexity budget down) and
+// steps sessions through explicit degradation levels (the searcher's own
+// complexity dial turned down — ACBM's α/γ thresholds relaxed, a
+// budgeted session's target shrunk — then the quantiser up) and
 // restores them symmetrically with hysteresis when load drops. Every
 // per-session actuation rides the codec's frame-lag contract
 // (codec.Actuation): it is applied at frame hand-off on the session
@@ -17,8 +18,6 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/core"
-	"repro/internal/search"
 )
 
 // QoS trailers: the session's final degradation level and how many level
@@ -30,33 +29,20 @@ const (
 	TrailerQosTransitions = "X-Vcodec-Qos-Transitions"
 )
 
-// QosLevelSpec is one degradation step. Levels are absolute, not
-// cumulative: a session actuated to level L encodes exactly as if it had
-// been admitted with ApplyQosLevel(cfg, L).
-type QosLevelSpec struct {
-	// QpOffset is added to the session's base quantiser.
-	QpOffset int
-	// CheapSearcher swaps expensive motion estimators (ACBM, FSBM,
-	// RCFSBM) to PBM — the ~6× analysis-cost lever. Already-cheap
-	// estimators are left alone.
-	CheapSearcher bool
-	// BudgetScale multiplies a budget-controlled session's
-	// (core.Budgeted) complexity target instead of the searcher swap:
-	// the budget is that session's explicit complexity knob.
-	BudgetScale float64
-	// cost is the level's relative analysis cost, used to project
-	// whether a restoration would immediately re-breach the high water
-	// mark (anti-oscillation).
-	cost float64
-}
-
-// qosLevels is the degradation ladder. Level 0 is the session's
-// requested quality.
-var qosLevels = []QosLevelSpec{
-	{QpOffset: 0, CheapSearcher: false, BudgetScale: 1, cost: 1},
-	{QpOffset: 2, CheapSearcher: false, BudgetScale: 1, cost: 0.9},
-	{QpOffset: 4, CheapSearcher: true, BudgetScale: 0.5, cost: 0.25},
-	{QpOffset: 6, CheapSearcher: true, BudgetScale: 0.25, cost: 0.2},
+// qosLevels is the degradation ladder, one actuation per level: the
+// searcher's complexity dial first (codec.Actuation.BudgetScale: ACBM's
+// α/γ thresholds ×2, then ×8), the quantiser last. Searchers without a
+// dial (FSBM, RCFSBM, the fixed-pattern searches) degrade by QpOffset
+// only. Level 0 is the session's requested quality and an exact no-op.
+// Levels are absolute, not cumulative, and every entry states both
+// fields, so actuating a level is idempotent and restoring one is
+// symmetric. At ×8 ACBM sends no block of the test clips to full search:
+// the bottom rung streams PBM's bytes at Qp+6 (TestQosLadder).
+var qosLevels = []codec.Actuation{
+	{BudgetScale: 1, QpOffset: 0},
+	{BudgetScale: 1.0 / 2, QpOffset: 0},
+	{BudgetScale: 1.0 / 8, QpOffset: 3},
+	{BudgetScale: 1.0 / 8, QpOffset: 6},
 }
 
 // MaxQosLevel is the deepest degradation level (levels are 0..MaxQosLevel).
@@ -68,8 +54,8 @@ var qosMaxStep = MaxQosLevel + 1
 
 // Controller tuning. Degradation is immediate (one breached tick; two
 // steps at once far past saturation) and restoration is slow (sustained
-// low score, a dwell after any change, and a cost projection that must
-// clear the high water mark) — degrade fast, restore carefully.
+// low score and a dwell after any change) — degrade fast, restore
+// carefully.
 const (
 	qosHighWater    = 1.0 // score above: degrade
 	qosLowWater     = 0.5 // score below: restoration pressure
@@ -95,36 +81,19 @@ func levelForStep(step int, batch bool) int {
 	return l
 }
 
-// expensiveSearcher reports whether s is one of the estimators the
-// CheapSearcher degradation replaces with PBM.
-func expensiveSearcher(s search.Searcher) bool {
-	switch s.(type) {
-	case *core.ACBM, *search.FSBM, *search.RCFSBM:
-		return true
-	}
-	return false
-}
-
 // ApplyQosLevel degrades cfg to the given level: the quantiser offset is
-// added (the codec clamps), a budget-controlled searcher's target is
-// rescaled, and otherwise an expensive searcher is swapped to PBM. It is
-// the offline-verifiable meaning of a level: a session pinned (or
-// actuated, with zero further transitions) at level L streams bytes
-// identical to EncodePackets with ApplyQosLevel(cfg, L). Out-of-range
-// levels are clamped.
+// added (the codec clamps) and the searcher's complexity dial, if it has
+// one, is set to the level's scale — in place, on cfg.Searcher, exactly
+// as a mid-stream actuation would. It is the offline-verifiable meaning
+// of a level: a session pinned (or actuated, with zero further
+// transitions) at level L streams bytes identical to EncodePackets with
+// ApplyQosLevel(cfg, L). Level 0 leaves cfg and its searcher as
+// constructed. Out-of-range levels are clamped.
 func ApplyQosLevel(cfg codec.Config, level int) codec.Config {
-	if level < 0 {
-		level = 0
-	}
-	if level > MaxQosLevel {
-		level = MaxQosLevel
-	}
-	spec := qosLevels[level]
-	cfg.Qp += spec.QpOffset
-	if b, ok := cfg.Searcher.(*core.Budgeted); ok {
-		b.ScaleBudget(spec.BudgetScale)
-	} else if spec.CheapSearcher && expensiveSearcher(cfg.Searcher) {
-		cfg.Searcher = &search.PBM{}
+	a := qosLevels[min(max(level, 0), MaxQosLevel)]
+	cfg.Qp += a.QpOffset
+	if s, ok := cfg.Searcher.(interface{ ScaleBudget(float64) }); ok {
+		s.ScaleBudget(a.BudgetScale)
 	}
 	return cfg
 }
@@ -329,14 +298,15 @@ func (c *qosController) auditSnapshot() []QosAuditEntry {
 // given load score and returns the new global step. Degradation is
 // immediate — one tick above the high water mark steps up, two steps
 // when the score is twice the mark — while restoration needs
-// qosRestoreTicks consecutive ticks below the low water mark, a dwell of
-// qosDwellTicks since the last change, and a cost projection showing the
-// restored step would not immediately re-breach the high water mark.
-// The asymmetry is the no-oscillation argument: under sustained load the
-// projection holds the degraded level steady instead of flapping around
-// the expensive/cheap searcher boundary. Callers other than the control
-// loop (the deterministic unit test) drive it with synthetic scores;
-// c.mu must be held.
+// qosRestoreTicks consecutive ticks below the low water mark and a dwell
+// of qosDwellTicks since the last change. The low water mark is the
+// no-oscillation argument: only the analysis term of the score scales
+// with a level's cost, so a one-step restore multiplies the score by at
+// most the adjacent levels' cost ratio r, and a score below qosLowWater
+// cannot re-breach qosHighWater while r < qosHighWater/qosLowWater = 2
+// (the ladder's measured r stays below 1.8). Callers other than the
+// control loop (the deterministic unit test) drive it with synthetic
+// scores; c.mu must be held.
 func (c *qosController) stepOn(score float64) int {
 	c.sinceChange++
 	switch {
@@ -353,14 +323,10 @@ func (c *qosController) stepOn(score float64) int {
 	case score < qosLowWater:
 		c.downRun++
 		if c.step > 0 && c.downRun >= qosRestoreTicks && c.sinceChange >= qosDwellTicks {
-			ratio := qosLevels[levelForStep(c.step-1, true)].cost /
-				qosLevels[levelForStep(c.step, true)].cost
-			if score*ratio < 0.9*qosHighWater {
-				c.step--
-				c.downRun = 0
-				c.sinceChange = 0
-				c.restores.Add(1)
-			}
+			c.step--
+			c.downRun = 0
+			c.sinceChange = 0
+			c.restores.Add(1)
 		}
 	default:
 		c.downRun = 0
@@ -393,23 +359,6 @@ func (c *qosController) snapshot() (liveLevel, batchLevel int, perLevel [2][]int
 	}
 	c.mu.Unlock()
 	return liveLevel, batchLevel, perLevel
-}
-
-// qosActuationFor builds the codec actuation realising a level for a
-// session: the absolute quantiser offset, the searcher tier (the
-// original estimator or the shared-per-session cheap PBM; a
-// budget-controlled session keeps its searcher and rescales the budget
-// instead) — always stated in full, so actuations are idempotent and
-// restoration is symmetric.
-func qosActuationFor(level int, orig search.Searcher, cheap *search.PBM) codec.Actuation {
-	spec := qosLevels[level]
-	a := codec.Actuation{QpOffset: spec.QpOffset, Searcher: orig}
-	if _, ok := orig.(*core.Budgeted); ok {
-		a.BudgetScale = spec.BudgetScale
-	} else if spec.CheapSearcher && expensiveSearcher(orig) {
-		a.Searcher = cheap
-	}
-	return a
 }
 
 // retryAfterSeconds scales the admission 503's Retry-After with how

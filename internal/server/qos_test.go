@@ -13,15 +13,17 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/frame"
+	"repro/internal/search"
 	"repro/internal/video"
 )
 
 // TestQosControllerStepTrajectory drives the hysteresis state machine
 // with a synthetic load-score trajectory and pins every transition:
 // degradation is immediate (two steps past 2× the high water mark),
-// restoration needs sustained low scores plus the dwell, the projection
-// guard refuses restorations that would re-breach, and a middle-band
-// tick resets the restore run. Deterministic: no ticker, no clock.
+// restoration needs a run of qosRestoreTicks scores below the low water
+// mark plus a qosDwellTicks dwell since the last change — and nothing
+// else — and a middle-band tick resets the restore run. Deterministic:
+// no ticker, no clock.
 func TestQosControllerStepTrajectory(t *testing.T) {
 	c := &qosController{}
 	traj := []struct {
@@ -39,29 +41,26 @@ func TestQosControllerStepTrajectory(t *testing.T) {
 		{0.4, 4, "low, run 1 (dwell 3)"},
 		{0.4, 4, "low, run 2"},
 		{0.4, 4, "low, run 3"},
-		{0.4, 3, "run 4, dwell 6: restore; same cost tier projects clear"},
+		{0.4, 3, "run 4, dwell 6: restore"},
 		{0.4, 3, "run restarts after the change"},
 		{0.4, 3, "run 2"},
 		{0.7, 3, "middle band resets the restore run"},
 		{0.4, 3, "run 1 again"},
 		{0.4, 3, "run 2"},
 		{0.4, 3, "run 3"},
-		{0.4, 2, "run 4, dwell 7: restore (0.4*1.25 < 0.9)"},
-		{0.45, 2, "run 1 (dwell 1)"},
-		{0.45, 2, "run 2"},
-		{0.45, 2, "run 3"},
-		{0.45, 2, "run 4, dwell 4: dwell not served"},
-		{0.45, 2, "dwell 5"},
-		{0.45, 2, "dwell 6 served — but projection blocks: 0.45*3.6 re-breaches"},
-		{0.45, 2, "holds: no oscillation at the searcher-cost cliff"},
-		{0.45, 2, "holds"},
-		{0.1, 1, "truly idle: projection clears (0.1*3.6), restore"},
-		{0.1, 1, "run 1"},
+		{0.4, 2, "run 4, dwell 7: restore"},
+		{0.49, 2, "run 1 (dwell 1)"},
+		{0.49, 2, "run 2"},
+		{0.49, 2, "run 3"},
+		{0.49, 2, "run 4, dwell 4: dwell not served"},
+		{0.49, 2, "run 5, dwell 5"},
+		{0.49, 1, "run 6, dwell 6: restore — just under the low water mark is enough"},
+		{0.5, 1, "at the low water mark: middle band, run resets (dwell 1)"},
+		{0.1, 1, "run 1 (dwell 2)"},
 		{0.1, 1, "run 2"},
 		{0.1, 1, "run 3"},
-		{0.1, 1, "run 4, dwell 4"},
-		{0.1, 1, "dwell 5"},
-		{0.1, 0, "dwell 6: restored to full quality"},
+		{0.1, 1, "run 4, dwell 5: dwell not served"},
+		{0.1, 0, "run 5, dwell 6: restored to full quality"},
 		{0.1, 0, "stays restored"},
 	}
 	for i, tc := range traj {
@@ -129,8 +128,8 @@ func TestRetryAfterSeconds(t *testing.T) {
 // TestQosPinnedLevelsByteIdenticalOffline is the offline-verifiability
 // gate: a session pinned at QoS level L streams packets byte-identical
 // to the offline encoder with ApplyQosLevel(cfg, L) — for every level,
-// for both priority classes, and for the budget-controlled profile whose
-// degradation is a budget rescale instead of a searcher swap.
+// for both priority classes, and for the budget-controlled profile, whose
+// dial rescales its positions/MB target rather than ACBM's thresholds.
 func TestQosPinnedLevelsByteIdenticalOffline(t *testing.T) {
 	frames := video.Generate(video.Foreman, frame.SQCIF, 6, 7)
 	body := y4mBody(t, frames)
@@ -181,8 +180,8 @@ func TestQosPinnedLevelsByteIdenticalOffline(t *testing.T) {
 			codec.Config{Qp: 14, FPS: 30, Searcher: core.New(core.DefaultParams), Workers: 1}, level)
 	}
 
-	// Budget-controlled profile: level 2 rescales the complexity target
-	// (ScaleBudget 0.5) instead of swapping the searcher.
+	// Budget-controlled profile: level 2 scales the complexity target to
+	// an eighth.
 	bd, err := core.NewBudgeted(150, core.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
@@ -242,6 +241,25 @@ func TestQosDegradeUnderLoadAndRestore(t *testing.T) {
 		}
 	}
 
+	// No degradation step costs an intra frame: the session's flight
+	// record shows frame 0 as its only intra frame, actuations and all.
+	rec := s.obs.Lookup(resp.Trailer.Get(TrailerTrace)).Snapshot()
+	if len(rec.Events) != len(frames) {
+		t.Fatalf("flight record holds %d frames, want %d", len(rec.Events), len(frames))
+	}
+	actuated := 0
+	for _, ev := range rec.Events {
+		if ev.Intra != (ev.Index == 0) {
+			t.Errorf("frame %d (qos level %d): intra=%v, want only frame 0 intra", ev.Index, ev.QosLevel, ev.Intra)
+		}
+		if ev.Actuated {
+			actuated++
+		}
+	}
+	if actuated == 0 {
+		t.Error("flight record marks no actuated frame")
+	}
+
 	// Load is gone: the idle decay must walk the controller back to step
 	// 0 (4 low ticks + 6-tick dwell per step at a 2ms interval).
 	deadline := time.Now().Add(10 * time.Second)
@@ -281,5 +299,98 @@ func TestQosDegradeUnderLoadAndRestore(t *testing.T) {
 		if !strings.Contains(string(mtBody), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestQosLevelZeroIsNoOp: ApplyQosLevel(cfg, 0) leaves the quantiser and
+// the searcher's dial exactly as constructed — the property that keeps a
+// qoslevel=0 stream (every benchmark pins it) byte-identical to an
+// un-degraded encode — and so does returning to level 0 from the bottom
+// rung, since every level is absolute.
+func TestQosLevelZeroIsNoOp(t *testing.T) {
+	p := core.Params{Alpha: 700, Beta: 6, GammaNum: 1, GammaDen: 3}
+	acbm := core.New(p)
+	bd, err := core.NewBudgeted(150, core.DefaultParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []codec.Config{{Qp: 16, Searcher: acbm}, {Qp: 16, Searcher: bd}} {
+		for _, level := range []int{0, MaxQosLevel, 0} {
+			cfg := ApplyQosLevel(s, level)
+			if level == 0 && cfg.Qp != 16 {
+				t.Errorf("%s at level 0: qp %d, want 16", s.Searcher.Name(), cfg.Qp)
+			}
+		}
+	}
+	if acbm.Params != p {
+		t.Errorf("ACBM params %+v after level 0, want %+v as constructed", acbm.Params, p)
+	}
+	if bd.Target != 150 {
+		t.Errorf("budget target %g after level 0, want 150 as constructed", bd.Target)
+	}
+}
+
+// TestQosLadder pins what each level buys on two cells, one search-bound
+// (Foreman at Qp 16) and one residual-bound (Carphone at Qp 24), every
+// level pinned through ApplyQosLevel on plain ACBM. By the encoder's own
+// counters each level does less work than the level above it: strictly
+// fewer search points or strictly fewer transformed blocks, and neither
+// more than 2 % above the level above. The bottom rung is PBM at Qp+6 byte
+// for byte: at ×8 thresholds no block goes on to full search.
+func TestQosLadder(t *testing.T) {
+	for _, cell := range []struct {
+		name    string
+		profile video.Profile
+		qp      int
+	}{
+		{"foreman@16", video.Foreman, 16},
+		{"carphone@24", video.Carphone, 24},
+	} {
+		t.Run(cell.name, func(t *testing.T) {
+			frames := video.Generate(cell.profile, frame.QCIF, 20, 7)
+			encode := func(cfg codec.Config) ([][]byte, *codec.SequenceStats) {
+				t.Helper()
+				pkts, st, err := codec.EncodePackets(cfg, frames)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pkts, st
+			}
+			var prevPts, prevTB int
+			var bottom [][]byte
+			for level := 0; level <= MaxQosLevel; level++ {
+				pkts, st := encode(ApplyQosLevel(codec.Config{
+					Qp: cell.qp, FPS: 30, Searcher: core.New(core.DefaultParams), Workers: 1,
+				}, level))
+				pts, tb, crit := 0, 0, 0
+				for _, fs := range st.Frames {
+					pts += fs.SearchPoints
+					tb += fs.TransformedBlocks
+					crit += fs.CriticalBlocks
+				}
+				t.Logf("level %d: %d points, %d transformed blocks, %d critical, %d bytes, PSNR-Y %.3f",
+					level, pts, tb, crit, len(bytes.Join(pkts, nil)), st.AvgPSNRY())
+				if level > 0 {
+					if pts >= prevPts && tb >= prevTB {
+						t.Errorf("level %d does no less work than level %d: points %d ≥ %d, transformed %d ≥ %d",
+							level, level-1, pts, prevPts, tb, prevTB)
+					}
+					if 50*pts > 51*prevPts || 50*tb > 51*prevTB {
+						t.Errorf("level %d exceeds level %d by more than 2 %%: points %d vs %d, transformed %d vs %d",
+							level, level-1, pts, prevPts, tb, prevTB)
+					}
+				}
+				prevPts, prevTB, bottom = pts, tb, pkts
+			}
+			pbm, _ := encode(codec.Config{Qp: cell.qp + 6, FPS: 30, Searcher: &search.PBM{}, Workers: 1})
+			if len(pbm) != len(bottom) {
+				t.Fatalf("bottom rung %d packets, PBM %d", len(bottom), len(pbm))
+			}
+			for i := range pbm {
+				if !bytes.Equal(bottom[i], pbm[i]) {
+					t.Fatalf("bottom rung packet %d differs from PBM at Qp %d", i, cell.qp+6)
+				}
+			}
+		})
 	}
 }

@@ -328,7 +328,6 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 		qs = s.qos.register(opts.batch)
 		defer s.qos.unregister(qs)
 	}
-	origSearcher, cheapSearcher := cfg.Searcher, &search.PBM{}
 
 	// The response streams while the request body is still being read;
 	// HTTP/1 needs full-duplex explicitly enabled (no-op error on HTTP/2).
@@ -447,7 +446,7 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 		// schedule it actually received.
 		if qs != nil {
 			if t := int(qs.target.Load()); t != qosLevel {
-				es.Actuate(qosActuationFor(t, origSearcher, cheapSearcher))
+				es.Actuate(qosLevels[t])
 				rec.FrameActuated(frames, t)
 				qosLevel = t
 				qs.applied.Store(int32(t))
