@@ -50,6 +50,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -115,11 +116,20 @@ func runEncode(args []string) error {
 	if *budget < 0 {
 		return fmt.Errorf("encode: -budget must be positive (got %g)", *budget)
 	}
-	searcher, err := makeSearcher(*me, *alpha, *beta, *budget)
+	params := core.DefaultParams
+	params.Alpha, params.Beta = *alpha, *beta
+	newSearcher := func() (search.Searcher, error) {
+		s, err := core.NewSearcher(*me, params, *budget)
+		if errors.Is(err, core.ErrBudgetNeedsACBM) {
+			err = fmt.Errorf("-budget requires -me acbm (the budget servos ACBM's thresholds; got -me %s)", *me)
+		}
+		return s, err
+	}
+	searcher, err := newSearcher()
 	if err != nil {
 		return err
 	}
-	mode, err := parseEntropy(*entropy)
+	mode, err := codec.ParseEntropyMode(*entropy)
 	if err != nil {
 		return err
 	}
@@ -149,9 +159,7 @@ func runEncode(args []string) error {
 		if *kbps > 0 {
 			return fmt.Errorf("encode: -kbps is per-rung in a ladder (use -ladder WxH@kbps)")
 		}
-		return encodeLadder(cfg, *ladder, *out, stream.Frames, func() (search.Searcher, error) {
-			return makeSearcher(*me, *alpha, *beta, *budget)
-		})
+		return encodeLadder(cfg, *ladder, *out, stream.Frames, newSearcher)
 	}
 	var (
 		stats *codec.SequenceStats
@@ -472,37 +480,6 @@ func packetInfo(name string, data []byte) error {
 	fmt.Printf("%s: %v, packets, %d frame packets (%d dropped%s), %d payload bytes, %d bytes\n",
 		name, dec.Size(), frames, dropped, extra, payload, len(data))
 	return nil
-}
-
-// makeSearcher resolves -me via the shared name table; only ACBM takes
-// the CLI's α/β overrides and the -budget complexity cap, so it is
-// special-cased ahead of the lookup.
-func makeSearcher(name string, alpha, beta int, budget float64) (search.Searcher, error) {
-	if strings.ToLower(name) == "acbm" {
-		p := core.DefaultParams
-		p.Alpha, p.Beta = alpha, beta
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		if budget > 0 {
-			return core.NewBudgeted(budget, p)
-		}
-		return core.New(p), nil
-	}
-	if budget > 0 {
-		return nil, fmt.Errorf("-budget requires -me acbm (the budget servos ACBM's thresholds; got -me %s)", name)
-	}
-	return core.SearcherByName(name)
-}
-
-func parseEntropy(name string) (codec.EntropyMode, error) {
-	switch strings.ToLower(name) {
-	case "expgolomb", "eg", "":
-		return codec.EntropyExpGolomb, nil
-	case "arith", "arithmetic", "sac":
-		return codec.EntropyArith, nil
-	}
-	return 0, fmt.Errorf("unknown entropy backend %q", name)
 }
 
 func fatal(err error) {

@@ -214,18 +214,13 @@ func RunServe(cfg ServeConfig) (*ServeResult, error) {
 // is the codec's own guarantee).
 func offlineConfig(cfg ServeConfig) (codec.Config, error) {
 	scfg := codec.Config{Qp: cfg.Qp, FPS: 30, Workers: 1, TargetKbps: cfg.Kbps}
-	switch cfg.Entropy {
-	case "", "expgolomb", "eg":
-	case "arith", "arithmetic", "sac":
-		scfg.Entropy = codec.EntropyArith
-	default:
-		return scfg, fmt.Errorf("unknown entropy %q", cfg.Entropy)
-	}
-	s, err := core.SearcherByName(cfg.Searcher)
-	if err != nil {
+	var err error
+	if scfg.Entropy, err = codec.ParseEntropyMode(cfg.Entropy); err != nil {
 		return scfg, err
 	}
-	scfg.Searcher = s
+	if scfg.Searcher, err = core.SearcherByName(cfg.Searcher); err != nil {
+		return scfg, err
+	}
 	if cfg.QosPin != "" {
 		// A pinned session's bytes are the offline encoder's at that
 		// level — the server's documented qoslevel contract.

@@ -122,3 +122,19 @@ func TestEntropyModeString(t *testing.T) {
 		t.Fatal("entropy mode names wrong")
 	}
 }
+
+// TestParseEntropyMode pins the one entropy-name table the CLI, vcodecd and
+// vload share: every accepted spelling, case-insensitive, and a refusal.
+func TestParseEntropyMode(t *testing.T) {
+	for name, want := range map[string]EntropyMode{
+		"": EntropyExpGolomb, "expgolomb": EntropyExpGolomb, "EG": EntropyExpGolomb,
+		"arith": EntropyArith, "Arithmetic": EntropyArith, "sac": EntropyArith,
+	} {
+		if got, err := ParseEntropyMode(name); err != nil || got != want {
+			t.Errorf("ParseEntropyMode(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseEntropyMode("huffman"); err == nil {
+		t.Error("unknown backend accepted")
+	}
+}

@@ -2,7 +2,9 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/frame"
@@ -106,6 +108,86 @@ func TestPacketReaderCorruptLength(t *testing.T) {
 	if _, _, err := pr.ReadPacket(); err == nil {
 		t.Fatal("implausible record length accepted")
 	}
+}
+
+// TestPacketIndexBound: a record indexed past math.MaxInt32 is refused on
+// every GOARCH — with a 32-bit int, 1<<32 would wrap onto the header packet
+// and 1<<32+1 onto frame 0 — by both readers, and the writer refuses the
+// indices an int can hold in that range.
+func TestPacketIndexBound(t *testing.T) {
+	for _, c := range []struct {
+		idx uint64
+		ok  bool
+	}{{math.MaxInt32, true}, {1 << 31, false}, {1 << 32, false}, {1<<32 + 1, false}} {
+		rec := binary.AppendUvarint(nil, c.idx)
+		rec = append(binary.AppendUvarint(rec, 1), 0xaa)
+		idx, _, err := NewPacketReader(bytes.NewReader(rec)).ReadPacket()
+		if (err == nil) != c.ok || err == nil && uint64(idx) != c.idx {
+			t.Errorf("index %d: PacketReader returned %d, %v", c.idx, idx, err)
+		}
+		_, idx, _, err = NewLadderPacketReader(bytes.NewReader(append([]byte{0}, rec...))).ReadPacket()
+		if (err == nil) != c.ok || err == nil && uint64(idx) != c.idx {
+			t.Errorf("index %d: LadderPacketReader returned %d, %v", c.idx, idx, err)
+		}
+		if c.idx <= math.MaxInt { // an int can carry it to the writer
+			if err := NewPacketWriter(io.Discard).WritePacket(int(c.idx), nil); (err == nil) != c.ok {
+				t.Errorf("index %d: WritePacket returned %v", c.idx, err)
+			}
+		}
+	}
+}
+
+// FuzzPacketReader feeds arbitrary bytes to PacketReader (ladder false) or
+// LadderPacketReader (ladder true; it wraps the plain reader). Whatever the
+// input, reading must not panic, every accepted record must be within the
+// bounds the readers promise, and reading must end — in an error or io.EOF —
+// within one record per input byte.
+func FuzzPacketReader(f *testing.F) {
+	// Seeds from a small coarse clip: the fuzzer minimises every new input it
+	// finds, and that costs time in proportion to the input's size.
+	pkts, _, err := EncodePackets(Config{Qp: 31}, video.Generate(video.Foreman, frame.SQCIF, 3, 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var plain, ladder bytes.Buffer
+	pw, lw := NewPacketWriter(&plain), NewLadderPacketWriter(&ladder)
+	for i, p := range pkts {
+		if err := pw.WritePacket(i, p); err != nil {
+			f.Fatal(err)
+		}
+		if err := lw.WritePacket(i%2, i, p); err != nil {
+			f.Fatal(err)
+		}
+	}
+	stream := plain.Bytes()
+	f.Add(stream, false)
+	f.Add(ladder.Bytes(), true)
+	f.Add(stream[:len(stream)-5], false)                                  // truncated final record
+	f.Add(append([]byte{0x00}, bytes.Repeat([]byte{0x80}, 11)...), false) // corrupt length varint
+	f.Add([]byte{0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, false)  // oversize length
+	f.Add([]byte{0x01, 0x00, 0x80, 0x80, 0x80, 0x80, 0x01, 0x01}, true)   // ladder: a 1<<28-byte length, one byte sent
+	f.Fuzz(func(t *testing.T, b []byte, ladder bool) {
+		pr, lr := NewPacketReader(bytes.NewReader(b)), NewLadderPacketReader(bytes.NewReader(b))
+		for n := 0; ; n++ {
+			if n > len(b) {
+				t.Fatalf("%d records from %d bytes", n, len(b))
+			}
+			var rung, idx int
+			var data []byte
+			var err error
+			if ladder {
+				rung, idx, data, err = lr.ReadPacket()
+			} else {
+				idx, data, err = pr.ReadPacket()
+			}
+			if err != nil {
+				return
+			}
+			if rung < 0 || rung > maxLadderRung || idx < 0 || idx > maxPacketIndex || len(data) > maxFramedPacket {
+				t.Fatalf("record %d accepted out of bounds: rung %d, index %d, %d bytes", n, rung, idx, len(data))
+			}
+		}
+	})
 }
 
 // TestPacketStreamFaultTolerance is the decoder-side contract the

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Packet framing: the packetized transport needs a container when packets
@@ -22,6 +23,14 @@ import (
 // maxFramedPacket caps a record's payload so a corrupt length field
 // cannot force a multi-gigabyte allocation.
 const maxFramedPacket = 1 << 28
+
+// payloadChunk is how far ahead of the bytes read a payload buffer grows.
+const payloadChunk = 1 << 20
+
+// maxPacketIndex is the largest packet index either side accepts: the
+// largest int on every GOARCH, so a reader never wraps an index into
+// another packet's (a 32-bit int(1<<32) is 0, the header packet).
+const maxPacketIndex = math.MaxInt32
 
 // PacketWriter frames packets onto an io.Writer.
 type PacketWriter struct {
@@ -44,8 +53,8 @@ func (pw *PacketWriter) WritePacket(index int, data []byte) error {
 // writeRecord appends the plain record fields to hdr — empty, or a ladder
 // record's rung tag — and writes header and payload.
 func (pw *PacketWriter) writeRecord(hdr []byte, index int, data []byte) error {
-	if index < 0 {
-		return fmt.Errorf("codec: negative packet index %d", index)
+	if index < 0 || index > maxPacketIndex {
+		return fmt.Errorf("codec: packet index %d out of range [0, %d]", index, maxPacketIndex)
 	}
 	hdr = binary.AppendUvarint(hdr, uint64(index))
 	hdr = binary.AppendUvarint(hdr, uint64(len(data)))
@@ -82,15 +91,22 @@ func (pr *PacketReader) ReadPacket() (index int, data []byte, err error) {
 		}
 		return 0, nil, fmt.Errorf("codec: reading packet length: %w", err)
 	}
-	if idx > 1<<32 || size > maxFramedPacket {
+	if idx > maxPacketIndex || size > maxFramedPacket {
 		return 0, nil, fmt.Errorf("codec: implausible packet record (index %d, %d bytes)", idx, size)
 	}
-	data = make([]byte, size)
-	if _, err := io.ReadFull(pr.br, data); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	// The length is trusted only as far as bytes arrive: the payload grows
+	// at most payloadChunk at a time, so a corrupt length ahead of a short
+	// stream costs what the stream holds, not maxFramedPacket.
+	data = make([]byte, 0, min(size, payloadChunk))
+	for uint64(len(data)) < size {
+		n := len(data)
+		data = append(data, make([]byte, min(size-uint64(n), payloadChunk))...)
+		if _, err := io.ReadFull(pr.br, data[n:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, fmt.Errorf("codec: reading packet payload: %w", err)
 		}
-		return 0, nil, fmt.Errorf("codec: reading packet payload: %w", err)
 	}
 	return int(idx), data, nil
 }

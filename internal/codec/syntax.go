@@ -3,6 +3,7 @@ package codec
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 
 	"repro/internal/arith"
 	"repro/internal/bitstream"
@@ -27,6 +28,20 @@ func (m EntropyMode) String() string {
 		return "arith"
 	}
 	return "expgolomb"
+}
+
+// ParseEntropyMode maps an entropy backend's name onto its mode: the
+// vocabulary of cmd/vcodec's -entropy flag, vcodecd's entropy= query
+// parameter and vload's config, case-insensitive, empty meaning the
+// default.
+func ParseEntropyMode(name string) (EntropyMode, error) {
+	switch strings.ToLower(name) {
+	case "", "expgolomb", "eg":
+		return EntropyExpGolomb, nil
+	case "arith", "arithmetic", "sac":
+		return EntropyArith, nil
+	}
+	return 0, fmt.Errorf("unknown entropy backend %q", name)
 }
 
 // Syntax element contexts. The Exp-Golomb backend ignores them; the

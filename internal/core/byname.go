@@ -1,16 +1,46 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"repro/internal/search"
 )
 
+// ErrBudgetNeedsACBM is NewSearcher's refusal of a budget for a searcher
+// other than ACBM: the budget servos ACBM's thresholds.
+var ErrBudgetNeedsACBM = errors.New("budget requires the ACBM searcher")
+
+// NewSearcher builds the motion estimator named name (SearcherByName's
+// vocabulary) for one encode. ACBM takes p, and a positive budget wraps it
+// in the positions/MB servo (NewBudgeted); any other searcher with a
+// positive budget is refused with ErrBudgetNeedsACBM.
+func NewSearcher(name string, p Params, budget float64) (search.Searcher, error) {
+	switch strings.ToLower(name) {
+	case "", "acbm":
+		if budget <= 0 {
+			if err := p.Validate(); err != nil {
+				return nil, err
+			}
+			return New(p), nil
+		}
+		b, err := NewBudgeted(budget, p)
+		if err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	if budget > 0 {
+		return nil, fmt.Errorf("%w (got me=%q)", ErrBudgetNeedsACBM, name)
+	}
+	return SearcherByName(name)
+}
+
 // SearcherByName builds a motion estimator from its CLI name — the
 // shared vocabulary of cmd/vcodec's -me flag, vcodecd's ?me= query
 // parameter and vload's benchmark config. ACBM uses DefaultParams;
-// callers needing custom α/β construct core.New directly.
+// NewSearcher takes custom α/β and a budget.
 func SearcherByName(name string) (search.Searcher, error) {
 	switch strings.ToLower(name) {
 	case "", "acbm":

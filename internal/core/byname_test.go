@@ -1,0 +1,38 @@
+package core
+
+import (
+	"errors"
+	"testing"
+)
+
+// TestNewSearcherBudgetRule pins the one constructor the CLI and vcodecd
+// build searchers with: ACBM takes its Params, a budget wraps it in the
+// servo, and a budget on any other searcher is refused.
+func TestNewSearcherBudgetRule(t *testing.T) {
+	p := DefaultParams
+	p.Alpha = 7
+	if s, err := NewSearcher("ACBM", p, 0); err != nil || s.(*ACBM).Params != p {
+		t.Errorf("acbm: %v, %v", s, err)
+	}
+	for _, name := range []string{"", "acbm"} {
+		if s, err := NewSearcher(name, p, 150); err != nil || s.(*Budgeted).Base != p {
+			t.Errorf("%q with budget: %v, %v", name, s, err)
+		}
+	}
+	if s, err := NewSearcher("fsbm", p, 0); err != nil || s.Name() != "FSBM" {
+		t.Errorf("fsbm: %v, %v", s, err)
+	}
+	if _, err := NewSearcher("fsbm", p, 150); !errors.Is(err, ErrBudgetNeedsACBM) {
+		t.Errorf("fsbm with budget: %v, want ErrBudgetNeedsACBM", err)
+	}
+	bad := p
+	bad.GammaDen = 0
+	for _, budget := range []float64{0, 150} {
+		if _, err := NewSearcher("acbm", bad, budget); err == nil {
+			t.Errorf("invalid Params accepted with budget %g", budget)
+		}
+	}
+	if _, err := NewSearcher("nope", p, 0); err == nil {
+		t.Error("unknown searcher accepted")
+	}
+}

@@ -111,8 +111,7 @@ func downscaleSWAR(dst, src *Plane) {
 	}
 }
 
-// pack4 collapses four 16-bit lanes (values ≤ 0xff) into four bytes — the
-// inverse of the metrics kernels' unpack4.
+// pack4 collapses four 16-bit lanes (values ≤ 0xff) into four bytes.
 func pack4(x uint64) uint32 {
 	x = (x | x>>8) & 0x0000ffff0000ffff
 	return uint32(x | x>>16)

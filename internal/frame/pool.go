@@ -14,41 +14,12 @@ import (
 // A single sync.Pool mixing every size would hand a QCIF-sized buffer to a
 // CIF request (forcing a reallocation) and vice versa — with concurrent
 // vcodecd sessions at mixed resolutions the sessions would thrash each
-// other's buffers. Buffers are therefore pooled per exact capacity class
-// and planes per (W, H, apron) class; the pools are safe for concurrent
-// use and never zero recycled memory (every consumer fully overwrites the
-// samples it reads: reconstruction planes are written macroblock by
-// macroblock, aprons are replicated at reference hand-off, and half-pel
-// tiles are guarded by their claim state).
-
-// bufPools holds one sync.Pool of []uint8 per exact capacity.
-var bufPools sync.Map // int → *sync.Pool
-
-func bufPool(n int) *sync.Pool {
-	if p, ok := bufPools.Load(n); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := bufPools.LoadOrStore(n, &sync.Pool{})
-	return p.(*sync.Pool)
-}
-
-// getBuf returns an n-byte slice with unspecified contents, recycled when
-// possible.
-func getBuf(n int) []uint8 {
-	if v := bufPool(n).Get(); v != nil {
-		return (*v.(*[]uint8))[:n]
-	}
-	return make([]uint8, n)
-}
-
-// putBuf recycles a buffer obtained from getBuf.
-func putBuf(b []uint8) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:cap(b)]
-	bufPool(len(b)).Put(&b)
-}
+// other's buffers. Planes are therefore pooled whole per (W, H, apron)
+// class; the pools are safe for concurrent use and never zero recycled
+// memory (every consumer fully overwrites the samples it reads:
+// reconstruction planes are written macroblock by macroblock, aprons are
+// replicated at reference hand-off, and half-pel tiles are guarded by their
+// claim state).
 
 // planeKey is the pool bucket for recycled planes.
 type planeKey struct{ w, h, apron int }
@@ -121,10 +92,10 @@ func GetPlanePadded(w, h, apron int) *Plane {
 	}
 	b.misses.Add(1)
 	if apron <= 0 {
-		return &Plane{W: w, H: h, Stride: w, Pix: getBuf(w * h)}
+		return &Plane{W: w, H: h, Stride: w, Pix: make([]uint8, w*h)}
 	}
 	stride := w + 2*apron
-	return planeFromPadded(getBuf(stride*(h+2*apron)), w, h, apron)
+	return planeFromPadded(make([]uint8, stride*(h+2*apron)), w, h, apron)
 }
 
 // ReleasePlane recycles a plane obtained from GetPlanePadded (or any plane

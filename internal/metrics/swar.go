@@ -55,14 +55,6 @@ func quadLanes(a, b, c, d uint64) uint64 {
 	return ((a + b + c + d + 2*laneOnes) >> 2) & laneLo
 }
 
-// unpack4 spreads the four bytes of v into the 16-bit lanes of a uint64.
-func unpack4(v uint32) uint64 {
-	x := uint64(v)
-	x = (x | x<<16) & 0x0000ffff0000ffff
-	x = (x | x<<8) & laneLo
-	return x
-}
-
 // load8 reads 8 bytes little-endian. binary.LittleEndian.Uint64 is an
 // intrinsic (one MOVQ on amd64); the wrapper keeps call sites short enough
 // for the inliner.

@@ -47,11 +47,7 @@ func (f *FSBM) Search(in *Input) Result {
 		// blocks since (0,0) is always legal); report the zero vector.
 		return Result{MV: mvfield.Zero, SAD: in.SAD(mvfield.Zero), Points: 1}
 	}
-	if !f.NoHalfPel {
-		mv, sad, extra := refineHalfPel(in, best, bestSAD)
-		best, bestSAD, pts = mv, sad, pts+extra
-	}
-	return Result{MV: best, SAD: bestSAD, Points: pts}
+	return finish(in, best, bestSAD, pts, f.NoHalfPel)
 }
 
 // fullSearchBatch is the integer full search as one kernel call: the legal

@@ -77,18 +77,11 @@ func (p *PBM) Search(in *Input) Result {
 func (p *PBM) search(in *Input, win metrics.Rect, batch bool) Result {
 	var buf [pbmProbeCap]metrics.Offset
 	probes := in.pbmCandidates(buf[:0], win)
-	var best mvfield.MV
-	var bestSAD, pts int
-	if batch {
-		best, bestSAD, pts = pbmBatch(in, win, probes, p.refineSteps())
-	} else {
-		best, bestSAD, pts = pbmPerPoint(in, probes, p.refineSteps())
+	if !batch {
+		return pbmPerPoint(in, probes, p.refineSteps(), p.NoHalfPel)
 	}
-	if !p.NoHalfPel {
-		mv, sad, extra := refineHalfPel(in, best, bestSAD)
-		best, bestSAD, pts = mv, sad, pts+extra
-	}
-	return Result{MV: best, SAD: bestSAD, Points: pts}
+	best, bestSAD, pts := pbmBatch(in, win, probes, p.refineSteps())
+	return finish(in, best, bestSAD, pts, p.NoHalfPel)
 }
 
 // pbmCandidates appends step 1's probe set to dst (at most
@@ -197,67 +190,23 @@ func pbmBatch(in *Input, win metrics.Rect, probes []metrics.Offset, steps int) (
 	return offsetMV(best), bestSAD, len(probes)
 }
 
-// pbmPerPoint evaluates the candidates and the descent one candidate at a
-// time through Input.SAD/SADCapped, so Collect sees every SAD and any
-// block shape or sampling works.
-//
-// Visited candidates are deduplicated with a linear scan over a
-// stack-allocated list instead of a map, and losing candidates are
-// evaluated with the early-terminating capped SAD — the winner and its
-// exact SAD (and therefore the bitstream) are unchanged: a capped probe
-// is only ever truncated when it already exceeds the incumbent, and a
-// probe that ties the incumbent is returned exactly (no prefix of its
-// rows can exceed the cap).
-func pbmPerPoint(in *Input, cands []metrics.Offset, steps int) (mvfield.MV, int, int) {
-	var visited visitedSet
-	pts := 0
-	eval := func(mv mvfield.MV, cap int) (int, bool) {
-		if !in.Legal(mv) || visited.seen(mv) {
-			return 0, false
-		}
-		visited.add(mv)
-		pts++
-		if cap < 0 {
-			return in.SAD(mv), true
-		}
-		return in.SADCapped(mv, cap), true
-	}
-
-	best, bestSAD := mvfield.Zero, -1
+// pbmPerPoint evaluates the candidates and the descent one at a time on a
+// probe, so Collect sees every SAD and any block shape works. The descent
+// walks: each probe is taken from the current best, which moves inside a
+// step, and a step that moves nothing ends it.
+func pbmPerPoint(in *Input, cands []metrics.Offset, steps int, noHalfPel bool) Result {
+	p := newProbe(in)
 	for _, o := range cands {
-		c := offsetMV(o)
-		s, ok := eval(c, bestSAD)
-		if !ok {
-			continue
-		}
-		if bestSAD < 0 || better(s, c, bestSAD, best) {
-			best, bestSAD = c, s
-		}
+		p.try(offsetMV(o))
 	}
-	if bestSAD < 0 {
-		// Every predictor was illegal (the block is not inside the
-		// frame): fall back to the zero vector.
-		best = mvfield.Zero
-		bestSAD = in.SAD(best)
-		pts++
-	}
-
-	// Bounded small-diamond descent on the integer grid.
 	for step := 0; step < steps; step++ {
-		improved := false
+		start := p.best
 		for _, d := range descentSteps {
-			mv := best.Add(offsetMV(d))
-			if mv.Linf() > 2*in.Range {
-				continue
-			}
-			s, ok := eval(mv, bestSAD)
-			if ok && better(s, mv, bestSAD, best) {
-				best, bestSAD, improved = mv, s, true
-			}
+			p.try(p.best.Add(offsetMV(d)))
 		}
-		if !improved {
+		if p.best == start {
 			break
 		}
 	}
-	return best, bestSAD, pts
+	return p.result(noHalfPel)
 }

@@ -1,8 +1,12 @@
 // Package search implements block-matching motion search algorithms over
 // the frame substrate: the exhaustive FSBM and predictive PBM algorithms
-// the paper builds on, the shared half-pel refinement step, and classical
-// fast-search baselines (TSS, 4SS, diamond, cross-diamond) referenced in
-// the paper's related work.
+// the paper builds on, the shared half-pel refinement step, and the
+// classical fast-search baselines of the paper's related work (TSS, NTSS,
+// 4SS, DS, CDS, HEXBS). The fast searches are pattern schedules over one
+// probe loop (probe.go): each Search body lists its patterns — squares,
+// diamonds, a cross, a hexagon — and when to repeat or stop, and the probe
+// owns the incumbent, the visited set, the point count, the range and
+// legality skips, the tie-break and the half-pel finish.
 //
 // Every searcher reports the number of candidate positions it evaluated —
 // the computational-complexity metric of the paper's Table 1.
@@ -155,37 +159,6 @@ func (in *Input) SADCapped(mv mvfield.MV, cap int) int {
 		return metrics.SADCapped(in.Cur, in.BX, in.BY, in.Ref, in.BX+fx, in.BY+fy, in.W, in.H, cap)
 	}
 	return metrics.SADHalfPelPlaneCapped(in.Cur, in.BX, in.BY, in.Ref, 2*in.BX+mv.X, 2*in.BY+mv.Y, in.W, in.H, cap)
-}
-
-// visitedSet deduplicates the small candidate sets of the predictive
-// searchers. The probe budget is a few dozen positions, so a linear scan
-// over a stack-allocated array beats a per-block map allocation; an
-// overflow map keeps the semantics exact for oversized refinement budgets.
-type visitedSet struct {
-	n    int
-	mvs  [48]mvfield.MV
-	over map[mvfield.MV]bool
-}
-
-func (v *visitedSet) seen(mv mvfield.MV) bool {
-	for i := 0; i < v.n; i++ {
-		if v.mvs[i] == mv {
-			return true
-		}
-	}
-	return v.over != nil && v.over[mv]
-}
-
-func (v *visitedSet) add(mv mvfield.MV) {
-	if v.n < len(v.mvs) {
-		v.mvs[v.n] = mv
-		v.n++
-		return
-	}
-	if v.over == nil {
-		v.over = make(map[mvfield.MV]bool, 16)
-	}
-	v.over[mv] = true
 }
 
 // better reports whether (sad, mv) improves on (bestSAD, bestMV), breaking

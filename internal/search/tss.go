@@ -12,49 +12,38 @@ type TSS struct {
 // Name implements Searcher.
 func (t *TSS) Name() string { return "TSS" }
 
-// Search implements Searcher.
+// Search implements Searcher: the square at each halving step around the
+// previous step's winner.
 func (t *TSS) Search(in *Input) Result {
-	var visited visitedSet
-	pts := 0
-	eval := func(mv mvfield.MV) (int, bool) {
-		if !in.Legal(mv) || visited.seen(mv) {
-			return 0, false
-		}
-		visited.add(mv)
-		pts++
-		return in.SAD(mv), true
+	p := newProbe(in)
+	for step := firstStep(in.Range); step >= 1; step /= 2 {
+		sq := square(step)
+		p.around(p.best, sq[:])
 	}
+	return p.result(t.NoHalfPel)
+}
 
-	// Initial step: the largest power of two ≤ max(Range/2, 1).
+// firstStep is the three-step searches' initial step: the largest power of
+// two ≤ max((Range+1)/2, 1).
+func firstStep(rng int) int {
 	step := 1
-	for 2*step <= (in.Range+1)/2 {
+	for 2*step <= (rng+1)/2 {
 		step *= 2
 	}
-	best := mvfield.Zero
-	bestSAD := in.SAD(best)
-	visited.add(best)
-	pts++
-	for step >= 1 {
-		center := best
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 {
-					continue
-				}
-				mv := center.Add(mvfield.FromFullPel(dx*step, dy*step))
-				if mv.Linf() > 2*in.Range {
-					continue
-				}
-				if s, ok := eval(mv); ok && better(s, mv, bestSAD, best) {
-					best, bestSAD = mv, s
-				}
+	return step
+}
+
+// square is the 8-neighbour ring at ±step full pels in raster order, the
+// pattern of TSS, NTSS and 4SS.
+func square(step int) (sq [8]mvfield.MV) {
+	i := 0
+	for dy := -1; dy <= 1; dy++ {
+		for dx := -1; dx <= 1; dx++ {
+			if dx != 0 || dy != 0 {
+				sq[i] = mvfield.FromFullPel(dx*step, dy*step)
+				i++
 			}
 		}
-		step /= 2
 	}
-	if !t.NoHalfPel {
-		mv, sad, extra := refineHalfPel(in, best, bestSAD)
-		best, bestSAD, pts = mv, sad, pts+extra
-	}
-	return Result{MV: best, SAD: bestSAD, Points: pts}
+	return sq
 }

@@ -619,28 +619,18 @@ func parseSessionConfig(q url.Values) (codec.Config, sessionOpts, error) {
 	if cfg.Qp < 1 || cfg.Qp > 31 {
 		return cfg, opts, fmt.Errorf("qp %d out of range 1..31", cfg.Qp)
 	}
-	if cfg.Searcher, err = core.SearcherByName(q.Get("me")); err != nil {
-		return cfg, opts, err
-	}
+	var budget float64
 	if v := q.Get("budget"); v != "" {
-		target, e := strconv.ParseFloat(v, 64)
-		if e != nil || target <= 0 {
+		if budget, err = strconv.ParseFloat(v, 64); err != nil || budget <= 0 {
 			return cfg, opts, fmt.Errorf("bad budget=%q (want positive positions/MB)", v)
 		}
-		if me := strings.ToLower(q.Get("me")); me != "" && me != "acbm" {
-			return cfg, opts, fmt.Errorf("budget requires the ACBM searcher (got me=%q)", q.Get("me"))
-		}
-		if cfg.Searcher, e = core.NewBudgeted(target, core.DefaultParams); e != nil {
-			return cfg, opts, e
-		}
 	}
-	switch strings.ToLower(q.Get("entropy")) {
-	case "", "expgolomb", "eg":
-		cfg.Entropy = codec.EntropyExpGolomb
-	case "arith", "arithmetic", "sac":
-		cfg.Entropy = codec.EntropyArith
-	default:
-		return cfg, opts, fmt.Errorf("unknown entropy backend %q", q.Get("entropy"))
+	me := q.Get("me")
+	if cfg.Searcher, err = core.NewSearcher(me, core.DefaultParams, budget); err != nil {
+		return cfg, opts, err
+	}
+	if cfg.Entropy, err = codec.ParseEntropyMode(q.Get("entropy")); err != nil {
+		return cfg, opts, err
 	}
 	if v := q.Get("ladder"); v != "" {
 		specs, e := codec.ParseLadderSpec(v)
@@ -651,22 +641,10 @@ func parseSessionConfig(q url.Values) (codec.Config, sessionOpts, error) {
 			return cfg, opts, fmt.Errorf("kbps is per-rung in a ladder session (use ladder=WxH@kbps)")
 		}
 		opts.ladder = specs
-		// Rebuild the searcher per rung from the same query parameters the
+		// Rebuild the searcher per rung from the same parameters the
 		// single-session path used — fresh instances, identical config.
-		meName, budgetV := q.Get("me"), q.Get("budget")
 		opts.newSearcher = func() (search.Searcher, error) {
-			if budgetV != "" {
-				target, e := strconv.ParseFloat(budgetV, 64)
-				if e != nil {
-					return nil, fmt.Errorf("bad budget=%q", budgetV)
-				}
-				b, e := core.NewBudgeted(target, core.DefaultParams)
-				if e != nil {
-					return nil, e
-				}
-				return b, nil
-			}
-			return core.SearcherByName(meName)
+			return core.NewSearcher(me, core.DefaultParams, budget)
 		}
 	}
 	return cfg, opts, nil

@@ -8,29 +8,6 @@
 // move-then-search setup of the paper's Fig. 4 study.
 package video
 
-// rng is a deterministic xorshift64* generator. Sequences depend only on
-// their seed, never on global state, so every experiment is reproducible.
-type rng struct{ s uint64 }
-
-func newRNG(seed uint64) *rng {
-	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
-	}
-	return &rng{seed}
-}
-
-func (r *rng) next() uint64 {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return r.s * 2685821657736338717
-}
-
-// float returns a uniform value in [0, 1).
-func (r *rng) float() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
-}
-
 // hash2 maps lattice coordinates to a uniform value in [0, 1), mixing in
 // the seed. It is stateless: the same (seed, x, y) always yields the same
 // value, which lets noise be sampled at arbitrary subpixel positions.
