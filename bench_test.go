@@ -640,27 +640,6 @@ func BenchmarkParetoSweepMini(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_AdvancedPrediction(b *testing.B) {
-	// Four-vector prediction on the zoom/divergent-motion sequence.
-	frames := video.Generate(video.TableTennis, frame.QCIF, 12, experiment.DefaultSeed)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats, _, err := codec.EncodeSequence(codec.Config{
-			Qp: 10, AdvancedPrediction: true,
-		}, frames)
-		if err != nil {
-			b.Fatal(err)
-		}
-		used := 0
-		for _, f := range stats.Frames {
-			used += f.Inter4VMBs
-		}
-		b.ReportMetric(stats.AvgPSNRY(), "PSNR-dB")
-		b.ReportMetric(stats.BitrateKbps(), "kbit/s")
-		b.ReportMetric(float64(used), "4V-MBs")
-	}
-}
-
 func BenchmarkMultiSeedMissAmerica(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st, err := experiment.MultiSeedTable1(video.MissAmerica, 1, 16, 10, []uint64{1, 2, 3})
@@ -669,17 +648,5 @@ func BenchmarkMultiSeedMissAmerica(b *testing.B) {
 		}
 		b.ReportMetric(st.Mean, "mean-positions/MB")
 		b.ReportMetric(st.StdDev, "stddev")
-	}
-}
-
-func BenchmarkAblation_Deblocking(b *testing.B) {
-	frames := video.Generate(video.Foreman, frame.QCIF, 10, experiment.DefaultSeed)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats, _, err := codec.EncodeSequence(codec.Config{Qp: 24, Deblock: true}, frames)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(stats.AvgPSNRY(), "PSNR-dB")
 	}
 }

@@ -159,6 +159,9 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 	}
 	rejects("-kbps must be positive", "encode", "-i", "x.y4m", "-o", "x.acbm", "-kbps", "-5")
 	rejects("-budget must be positive", "encode", "-i", "x.y4m", "-o", "x.acbm", "-budget", "-1")
+	rejects("-kbps must be positive", "encode", "-i", "x.y4m", "-o", "x.acbm", "-kbps", "NaN")
+	rejects("-budget must be positive", "encode", "-i", "x.y4m", "-o", "x.acbm", "-budget", "NaN")
+	rejects("-budget must be positive", "encode", "-i", "x.y4m", "-o", "x.acbm", "-budget", "Inf")
 	rejects("-budget requires -me acbm", "encode", "-i", "x.y4m", "-o", "x.acbm", "-budget", "150", "-me", "fsbm")
 }
 

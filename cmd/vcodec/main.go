@@ -28,8 +28,8 @@
 // controllers decide each frame's parameters before analysis and observe
 // results after entropy coding, so rate- and budget-controlled encodes
 // parallelise fully and the bits are identical for every such setting.
-// Invalid combinations (negative targets, -budget with a non-ACBM
-// estimator) are rejected up front.
+// Invalid combinations (negative, NaN or infinite targets, -budget with a
+// non-ACBM estimator) are rejected up front.
 //
 // -packets (all three subcommands) switches to the packetized transport:
 // each frame is an independently parseable record (uvarint index, uvarint
@@ -54,6 +54,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -110,10 +111,11 @@ func runEncode(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("encode: -i and -o are required")
 	}
-	if *kbps < 0 {
+	// !(x >= 0) refuses NaN too, which x < 0 would let through.
+	if !(*kbps >= 0) || math.IsInf(*kbps, 1) {
 		return fmt.Errorf("encode: -kbps must be positive (got %g)", *kbps)
 	}
-	if *budget < 0 {
+	if !(*budget >= 0) || math.IsInf(*budget, 1) {
 		return fmt.Errorf("encode: -budget must be positive (got %g)", *budget)
 	}
 	params := core.DefaultParams

@@ -22,14 +22,14 @@
 //     replicated apron sized to the motion range plus the half-pel margin
 //     (padded stride, Pix windowed into the padded buffer). The apron is
 //     replicated exactly once per frame, when a reconstruction becomes
-//     the prediction reference (refreshReference, after deblocking), so
+//     the prediction reference (refreshReference), so
 //     every position a legal candidate or a chroma-derived vector can
 //     reach is backed by real edge-replicated memory and no hot loop
 //     branches on the frame border.
 //   - Motion compensation reads the reference plane and writes the frame
 //     being reconstructed, and touches nothing else: codec.predictInterMB
-//     fetches a macroblock's prediction — one 16×16 luma block when its
-//     vectors agree, four 8×8 otherwise, 8×8 per chroma plane — straight
+//     fetches a macroblock's prediction — one 16×16 luma block and one
+//     8×8 block per chroma plane — straight
 //     into the reconstruction through metrics.PredictBlock, an entry of
 //     the kernel table below. Its definition and scalar tier is
 //     frame.HalfPelBlock: one block at its half-pel anchor from the padded

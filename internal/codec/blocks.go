@@ -35,31 +35,23 @@ func storeBlock(p *frame.Plane, x, y int, b *dct.Block) {
 
 // predictInterMB writes the motion-compensated prediction of inter
 // macroblock (mbx, mby) straight into recon, the frame being
-// reconstructed, from the reference ref: the luma as one 16×16 fetch when
-// the four vectors agree (every one-vector and skipped macroblock) and as
-// four 8×8 fetches otherwise, each chroma plane as one 8×8 fetch at cmv.
-// Vectors are in half-pel units. metrics.PredictBlock computes
-// frame.HalfPelBlock's samples and writes exactly the window it is given,
-// so a macroblock's analysis still touches only its own 16×16 luma and 8×8
-// chroma region of recon — the wavefront's write rule — and reads only
-// the read-only reference.
+// reconstructed, from the reference ref: the luma as one 16×16 fetch at
+// mv, each chroma plane as one 8×8 fetch at chromaMV(mv). Vectors are in
+// half-pel units. metrics.PredictBlock computes frame.HalfPelBlock's
+// samples and writes exactly the window it is given, so a macroblock's
+// analysis still touches only its own 16×16 luma and 8×8 chroma region of
+// recon — the wavefront's write rule — and reads only the read-only
+// reference.
 //
 // After this call every block of the macroblock is finished if it turns out
 // uncoded (its reconstruction is its prediction), and a coded block's
-// prediction is what recon holds at the block's own coordinates, whatever
-// the vectors were. Encoder and decoder both predict through here and
-// both finish coded blocks with reconCodedBlock, so they cannot disagree
-// on a sample.
-func predictInterMB(recon, ref *frame.Frame, mbx, mby int, lumaMV [4]mvfield.MV, cmv mvfield.MV) {
+// prediction is what recon holds at the block's own coordinates. Encoder
+// and decoder both predict through here and both finish coded blocks with
+// reconCodedBlock, so they cannot disagree on a sample.
+func predictInterMB(recon, ref *frame.Frame, mbx, mby int, mv mvfield.MV) {
 	x, y := 16*mbx, 16*mby
-	if mv := lumaMV[0]; mv == lumaMV[1] && mv == lumaMV[2] && mv == lumaMV[3] {
-		metrics.PredictBlock(recon.Y, x, y, ref.Y, 2*x+mv.X, 2*y+mv.Y, 16, 16)
-	} else {
-		for i, off := range lumaBlockOffsets {
-			bx, by := x+off[0], y+off[1]
-			metrics.PredictBlock(recon.Y, bx, by, ref.Y, 2*bx+lumaMV[i].X, 2*by+lumaMV[i].Y, 8, 8)
-		}
-	}
+	metrics.PredictBlock(recon.Y, x, y, ref.Y, 2*x+mv.X, 2*y+mv.Y, 16, 16)
+	cmv := chromaMV(mv)
 	cx, cy := 8*mbx, 8*mby
 	metrics.PredictBlock(recon.Cb, cx, cy, ref.Cb, 2*cx+cmv.X, 2*cy+cmv.Y, 8, 8)
 	metrics.PredictBlock(recon.Cr, cx, cy, ref.Cr, 2*cx+cmv.X, 2*cy+cmv.Y, 8, 8)
@@ -98,11 +90,9 @@ type mbScratch struct {
 // every lane.
 var zeroBlock = frame.NewPlane(8, 8)
 
-// codeInterBlocks predicts macroblock (mbx, mby) in place — the four luma
-// blocks with their own vectors (all equal for a one-vector macroblock),
-// both chroma blocks with cmv — and runs the residual path over its six
-// blocks. It sets r.coded and, for a coded block, r.levels[i]; the levels
-// of an uncoded block are never read.
+// codeInterBlocks predicts macroblock (mbx, mby) in place at mv and runs
+// the residual path over its six blocks. It sets r.coded and, for a coded
+// block, r.levels[i]; the levels of an uncoded block are never read.
 //
 // The path matches its traffic, one route with early exits. The six
 // residual energies are taken on plane bytes first, in one
@@ -113,8 +103,8 @@ var zeroBlock = frame.NewPlane(8, 8)
 // (see the bound's derivation), so its outcome — uncoded, reconstruction =
 // the prediction already in place — is recorded and nothing is widened,
 // transformed, quantised or copied. The rest take codeInterBlock.
-func (e *Encoder) codeInterBlocks(sc *mbScratch, r *mbResult, src, recon *frame.Frame, mbx, mby int, lumaMV [4]mvfield.MV, cmv mvfield.MV) {
-	predictInterMB(recon, e.recon, mbx, mby, lumaMV, cmv)
+func (e *Encoder) codeInterBlocks(sc *mbScratch, r *mbResult, src, recon *frame.Frame, mbx, mby int, mv mvfield.MV) {
+	predictInterMB(recon, e.recon, mbx, mby, mv)
 	energy := metrics.MacroblockSSE(src, recon, mbx, mby)
 	bound := dct.InterZeroBound(e.curQp)
 	r.gated, r.rowOnly = 0, 0

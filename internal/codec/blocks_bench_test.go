@@ -23,8 +23,6 @@ import (
 //     stays below it: six row passes, no column pass.
 //   - coded: a ±60 checkerboard; every block is transformed, quantised,
 //     dequantised, inverse-transformed and stored.
-//   - fourV: gated again, but with four different luma vectors, one per
-//     half-pel phase — four 8×8 fetches in place of one 16×16.
 func BenchmarkCodeInterBlocks(b *testing.B) {
 	const qp = 30
 	size := frame.QCIF
@@ -37,17 +35,15 @@ func BenchmarkCodeInterBlocks(b *testing.B) {
 	recon := frame.GetFramePadded(size, frame.MinInterpApron, frame.MinInterpApron)
 	defer recon.Release()
 
-	one := func(mv mvfield.MV) [4]mvfield.MV { return [4]mvfield.MV{mv, mv, mv, mv} }
-	phases := [4]mvfield.MV{{}, {X: 1}, {Y: 1}, {X: 1, Y: 1}}
-	// predicted renders the source whose residual against vectors mvs is
+	// predicted renders the source whose residual against vector mv is
 	// delta(x, y) everywhere (clamped to 8 bits).
-	predicted := func(mvs [4]mvfield.MV, delta func(x, y int) int) *frame.Frame {
+	predicted := func(mv mvfield.MV, delta func(x, y int) int) *frame.Frame {
 		src := frame.NewFrame(size)
 		padded := frame.GetFramePadded(size, frame.MinInterpApron, frame.MinInterpApron)
 		defer padded.Release()
 		for mby := 0; mby < rows; mby++ {
 			for mbx := 0; mbx < cols; mbx++ {
-				predictInterMB(padded, ref, mbx, mby, mvs, chromaMV(avgMV(mvs)))
+				predictInterMB(padded, ref, mbx, mby, mv)
 			}
 		}
 		for _, pl := range [][2]*frame.Plane{{src.Y, padded.Y}, {src.Cb, padded.Cb}, {src.Cr, padded.Cr}} {
@@ -61,38 +57,36 @@ func BenchmarkCodeInterBlocks(b *testing.B) {
 	}
 	cases := []struct {
 		name                   string
-		mvs                    [4]mvfield.MV
+		mv                     mvfield.MV
 		delta                  func(x, y int) int
 		gated, rowOnly, nCoded int
 	}{
-		{"gated", one(mvfield.MV{X: 2, Y: -2}), func(x, y int) int { return 0 }, 6, 0, 0},
-		{"rowonly", one(mvfield.MV{X: 2, Y: -2}), func(x, y int) int {
+		{"gated", mvfield.MV{X: 2, Y: -2}, func(x, y int) int { return 0 }, 6, 0, 0},
+		{"rowonly", mvfield.MV{X: 2, Y: -2}, func(x, y int) int {
 			if x%8 == 3 {
 				return 40 - 80*(y&1)
 			}
 			return 0
 		}, 0, 6, 0},
-		{"coded", one(mvfield.MV{X: 2, Y: -2}), func(x, y int) int { return 60 - 120*((x+y)&1) }, 0, 0, 6},
-		{"fourV", phases, func(x, y int) int { return 0 }, 6, 0, 0},
+		{"coded", mvfield.MV{X: 2, Y: -2}, func(x, y int) int { return 60 - 120*((x+y)&1) }, 0, 0, 6},
 	}
 	var sc mbScratch
 	var r mbResult
 	for _, c := range cases {
-		src := predicted(c.mvs, c.delta)
-		cmv := chromaMV(avgMV(c.mvs))
+		src := predicted(c.mv, c.delta)
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Interior macroblocks, so saturation at the frame's dark and
 				// bright extremes is the same every run.
 				mbx, mby := 1+i%(cols-2), 1+i/(cols-2)%(rows-2)
-				e.codeInterBlocks(&sc, &r, src, recon, mbx, mby, c.mvs, cmv)
+				e.codeInterBlocks(&sc, &r, src, recon, mbx, mby, c.mv)
 			}
 			b.StopTimer()
 			// Every interior macroblock must take the named exit, or the
 			// number is not the one the name promises.
 			for mby := 1; mby < rows-1; mby++ {
 				for mbx := 1; mbx < cols-1; mbx++ {
-					e.codeInterBlocks(&sc, &r, src, recon, mbx, mby, c.mvs, cmv)
+					e.codeInterBlocks(&sc, &r, src, recon, mbx, mby, c.mv)
 					coded := 0
 					for _, cd := range r.coded {
 						if cd {

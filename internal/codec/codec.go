@@ -50,19 +50,6 @@ type Config struct {
 	// (default) or adaptive binary arithmetic coding (the counterpart of
 	// H.263 Annex E).
 	Entropy EntropyMode
-	// AdvancedPrediction enables the four-vector inter mode (one motion
-	// vector per 8×8 luma block, as in H.263 Annex F without OBMC): the
-	// encoder refines four sub-block vectors around the macroblock vector
-	// and uses them when they beat the single vector by Inter4VBias.
-	AdvancedPrediction bool
-	// Inter4VBias is the SAD margin the four-vector mode must win by
-	// (default 300, covering the three extra MVD costs).
-	Inter4VBias int
-	// Deblock enables the in-loop deblocking filter (an H.263 Annex J
-	// counterpart) applied to every reconstruction before it becomes a
-	// reference. The flag is carried in each frame header, so the decoder
-	// follows automatically.
-	Deblock bool
 	// TargetKbps, when positive, enables frame-level rate control: the
 	// quantiser is servoed around Config.Qp so the output rate tracks
 	// this target at Config.FPS. 0 keeps the constant Qp of the paper's
@@ -144,9 +131,6 @@ func (c Config) withDefaults() Config {
 	if c.IntraBias == 0 {
 		c.IntraBias = DefaultIntraBias
 	}
-	if c.Inter4VBias == 0 {
-		c.Inter4VBias = 300
-	}
 	if c.FPS <= 0 {
 		c.FPS = 30
 	}
@@ -195,7 +179,6 @@ type FrameStats struct {
 	Macroblocks  int
 	IntraMBs     int
 	InterMBs     int
-	Inter4VMBs   int // inter MBs that used four-vector prediction
 	SkipMBs      int
 	// The adaptive searcher's decision mix over this frame's macroblocks
 	// (search.Result.Class; all zero for searchers that do not classify):
@@ -289,13 +272,14 @@ func (s *SequenceStats) AvgSearchPointsPerMB() float64 {
 	return float64(pts) / float64(mbs)
 }
 
-// validateSize checks the frame format is codable (16-divisible luma).
+// validateSize checks the frame format is codable (positive, 16-divisible
+// luma).
 func validateSize(s frame.Size) error {
+	if s.W <= 0 || s.H <= 0 {
+		return fmt.Errorf("codec: frame size %v is not positive", s)
+	}
 	if s.W%16 != 0 || s.H%16 != 0 {
 		return fmt.Errorf("codec: luma size %v not divisible into 16x16 macroblocks", s)
-	}
-	if s.W == 0 || s.H == 0 {
-		return fmt.Errorf("codec: empty frame size")
 	}
 	return nil
 }

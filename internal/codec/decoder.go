@@ -17,7 +17,6 @@ type Decoder struct {
 	mode    EntropyMode
 	pending bool // a continuation flag has been consumed and a frame follows
 	eos     bool
-	deblock bool // current frame's in-loop filter flag
 	err     error
 
 	recon *frame.Frame
@@ -119,11 +118,13 @@ func (d *Decoder) DecodeFrame() (*frame.Frame, error) {
 	if qp < dct.MinQp || qp > dct.MaxQp {
 		return nil, fmt.Errorf("codec: illegal Qp %d", qp)
 	}
-	dbBit, err := d.sr.Bits(1)
+	reserved, err := d.sr.Bits(1)
 	if err != nil {
-		return nil, fmt.Errorf("codec: reading deblock flag: %w", err)
+		return nil, fmt.Errorf("codec: reading reserved frame-header bit: %w", err)
 	}
-	d.deblock = dbBit == 1
+	if reserved != 0 {
+		return nil, fmt.Errorf("codec: reserved frame-header bit set (deblocking is not supported)")
+	}
 	if tbit == 0 {
 		return d.decodeIntraFrame(qp)
 	}
@@ -168,14 +169,11 @@ func (d *Decoder) newRecon() *frame.Frame {
 	return frame.GetFramePadded(d.size, frame.MinInterpApron, frame.MinInterpApron)
 }
 
-// refreshReference mirrors the encoder: deblock, replicate the plane
-// aprons, install the frame as the reference, and retire the previous
-// reference to the frame pool (callers only ever receive clones, so
-// nothing references it).
-func (d *Decoder) refreshReference(recon *frame.Frame, qp int) {
-	if d.deblock {
-		deblockFrame(recon, qp)
-	}
+// refreshReference mirrors the encoder: replicate the plane aprons,
+// install the frame as the reference, and retire the previous reference
+// to the frame pool (callers only ever receive clones, so nothing
+// references it).
+func (d *Decoder) refreshReference(recon *frame.Frame) {
 	recon.ReplicateAprons()
 	old := d.recon
 	d.recon = recon
@@ -227,7 +225,7 @@ func (d *Decoder) decodeIntraFrame(qp int) (*frame.Frame, error) {
 			}
 		}
 	}
-	d.refreshReference(recon, qp)
+	d.refreshReference(recon)
 	return recon.Clone(), nil
 }
 
@@ -287,7 +285,7 @@ func (d *Decoder) decodeInterFrame(qp int) (*frame.Frame, error) {
 			}
 		}
 	}
-	d.refreshReference(recon, qp)
+	d.refreshReference(recon)
 	return recon.Clone(), nil
 }
 
@@ -297,7 +295,7 @@ func (d *Decoder) decodeInterMB(recon *frame.Frame, curField *mvfield.Field, qp,
 		return err
 	}
 	if cod { // skip: the reconstruction is the zero-MV prediction
-		predictInterMB(recon, d.recon, mbx, mby, [4]mvfield.MV{}, mvfield.Zero)
+		predictInterMB(recon, d.recon, mbx, mby, mvfield.Zero)
 		curField.Set(mbx, mby, mvfield.Zero)
 		return nil
 	}
@@ -314,10 +312,13 @@ func (d *Decoder) decodeInterMB(recon *frame.Frame, curField *mvfield.Field, qp,
 		return err
 	}
 	if fourV {
-		return d.decodeInter4VMB(recon, curField, qp, mbx, mby)
+		return fmt.Errorf("codec: reserved four-vector flag set (advanced prediction is not supported)")
 	}
 
-	// Inter: MVD against the median predictor, CBP, coefficients.
+	// Inter: MVD against the median predictor, CBP, coefficients. The
+	// prediction goes straight into recon (predictInterMB, shared with the
+	// encoder), which finishes every uncoded block; each coded block reads
+	// its coefficients and is finished in place.
 	predMV := curField.MedianPredictor(mbx, mby)
 	dx, err := d.sr.SE(sctxMVX)
 	if err != nil {
@@ -335,20 +336,8 @@ func (d *Decoder) decodeInterMB(recon *frame.Frame, curField *mvfield.Field, qp,
 			return err
 		}
 	}
-	if err := d.reconInterMB(recon, qp, mbx, mby, [4]mvfield.MV{mv, mv, mv, mv}, chromaMV(mv), coded); err != nil {
-		return err
-	}
 	curField.Set(mbx, mby, mv)
-	return nil
-}
-
-// reconInterMB reconstructs one inter macroblock whose vectors and coded
-// flags have been parsed: the prediction goes straight into recon
-// (predictInterMB, shared with the encoder), which finishes every uncoded
-// block, and each coded block reads its coefficients and is finished in
-// place.
-func (d *Decoder) reconInterMB(recon *frame.Frame, qp, mbx, mby int, lumaMV [4]mvfield.MV, cmv mvfield.MV, coded [6]bool) error {
-	predictInterMB(recon, d.recon, mbx, mby, lumaMV, cmv)
+	predictInterMB(recon, d.recon, mbx, mby, mv)
 	var levels dct.Block // readCoeffs writes all sixty-four
 	for i, c := range coded {
 		if !c {

@@ -40,9 +40,7 @@ const (
 // mbResult captures everything phase 2 needs from phase 1.
 type mbResult struct {
 	mode   mbMode
-	four   bool       // inter: four-vector (Annex F) macroblock
-	mv     mvfield.MV // inter 1V: the macroblock vector
-	subMV  [4]mvfield.MV
+	mv     mvfield.MV   // inter: the macroblock vector
 	points int          // candidate positions evaluated (Table 1 metric)
 	class  search.Class // how an adaptive searcher resolved the block
 	coded  [6]bool      // inter: per-block coded flags (Y0..Y3, Cb, Cr)
@@ -294,7 +292,7 @@ func (e *Encoder) Reconstruction() *frame.Frame {
 type frameJob struct {
 	index    int            // frame number within the sequence
 	src      *frame.Frame   // source frame (PSNR); must not change until written
-	recon    *frame.Frame   // this frame's deblocked reconstruction (PSNR)
+	recon    *frame.Frame   // this frame's reconstruction (PSNR)
 	results  []mbResult     // per-macroblock analysis output (pooled)
 	curField *mvfield.Field // P-frames: final motion field for MVD prediction
 	intra    bool
@@ -332,12 +330,7 @@ func jobCost(results []mbResult) int {
 		case mbIntra:
 			cost += 8 // mode flags + six 8-bit DC terms
 		case mbInter:
-			cost += 4 // COD/mode flags + CBP
-			if r.four {
-				cost += 12 // three extra MVD pairs
-			} else {
-				cost += 4
-			}
+			cost += 8 // COD/mode flags + CBP + one MVD pair
 		}
 		for b := range r.levels {
 			if !r.coded[b] {
@@ -391,7 +384,7 @@ func (e *Encoder) analyzeFrameJob(f *frame.Frame) (*frameJob, error) {
 		e.refreshReference(recon)
 		e.prevField = j.curField
 	}
-	j.recon = e.recon // the deblocked reconstruction
+	j.recon = e.recon
 	if e.rc != nil {
 		j.cost = jobCost(j.results)
 	}
@@ -545,9 +538,6 @@ func (e *Encoder) writeFrameBody(j *frameJob) FrameStats {
 					fs.SkipMBs++
 				case mbInter:
 					fs.InterMBs++
-					if r.four {
-						fs.Inter4VMBs++
-					}
 				case mbIntra:
 					fs.IntraMBs++
 					continue
@@ -631,11 +621,7 @@ func (e *Encoder) writeFrameHeader(t FrameType, qp int) {
 		e.sw.Bits(1, 1)
 	}
 	e.sw.Bits(uint64(qp), 5)
-	if e.cfg.Deblock {
-		e.sw.Bits(1, 1)
-	} else {
-		e.sw.Bits(0, 1)
-	}
+	e.sw.Bits(0, 1) // reserved, always 0: the decoder refuses a set bit
 }
 
 // writeCoeffs serialises a block's quantised levels as (run, level, last)
@@ -664,16 +650,12 @@ func writeCoeffs(sw symWriter, b *dct.Block) {
 	}
 }
 
-// refreshReference installs recon as the prediction reference: the
-// in-loop filter runs first, then the plane aprons are replicated — the
-// once-per-frame moment border memory is refreshed, after which analysis
-// of the next frame may read the apron freely. That is all a reference
-// needs: motion search and compensation both compute half-pel samples
-// from these planes on demand.
+// refreshReference installs recon as the prediction reference: the plane
+// aprons are replicated — the once-per-frame moment border memory is
+// refreshed, after which analysis of the next frame may read the apron
+// freely. That is all a reference needs: motion search and compensation
+// both compute half-pel samples from these planes on demand.
 func (e *Encoder) refreshReference(recon *frame.Frame) {
-	if e.cfg.Deblock {
-		deblockFrame(recon, e.curQp)
-	}
 	recon.ReplicateAprons()
 	e.recon = recon
 }
@@ -689,7 +671,6 @@ func (e *Encoder) refreshReference(recon *frame.Frame) {
 // dct.IntraZeroBound. The levels are Forward + QuantizeIntra's.
 func (e *Encoder) analyzeIntraMB(sc *mbScratch, src, recon *frame.Frame, mbx, mby int, r *mbResult) {
 	r.mode = mbIntra
-	r.four = false
 	r.points, r.class = 0, search.Unclassified
 	var rec dct.Block
 	for i := range r.levels {
@@ -734,8 +715,7 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, sc *mbScratch, src, recon *f
 	// and is ACBM's evidence for conditions 1–2: computed once, here, and
 	// handed to the searcher.
 	intraSAD := metrics.IntraSAD(src.Y, x, y, 16, 16)
-	in := &sc.in
-	*in = search.Input{
+	sc.in = search.Input{
 		Cur: src.Y, Ref: e.recon.Y,
 		BX: x, BY: y, W: 16, H: 16,
 		Range: e.cfg.SearchRange, Qp: e.curQp,
@@ -744,7 +724,7 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, sc *mbScratch, src, recon *f
 		Seed:     e.curSeed,
 		IntraSAD: intraSAD, HasIntraSAD: true,
 	}
-	res := s.Search(in)
+	res := s.Search(&sc.in)
 
 	// Mode decision (TMN-style): intra wins when the block's internal
 	// variation is clearly below the best matching error.
@@ -755,45 +735,15 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, sc *mbScratch, src, recon *f
 		return
 	}
 
-	mv := res.MV
-	pts := res.Points
-
-	// Advanced prediction: refine one vector per 8×8 luma block around
-	// the macroblock vector and take the four-vector mode when the summed
-	// matching error wins by the configured bias.
-	if e.cfg.AdvancedPrediction {
-		var subMV [4]mvfield.MV
-		sum8 := 0
-		for i, off := range lumaBlockOffsets {
-			// The macroblock search result is already extracted, so the
-			// scratch Input is free to describe the 8×8 sub-problems.
-			*in = search.Input{
-				Cur: src.Y, Ref: e.recon.Y,
-				BX: x + off[0], BY: y + off[1], W: 8, H: 8,
-				Range: e.cfg.SearchRange, Qp: e.curQp,
-			}
-			smv, ssad, spts := refineSubBlock(in, mv)
-			subMV[i], pts = smv, pts+spts
-			sum8 += ssad
-		}
-		if sum8 < res.SAD-e.cfg.Inter4VBias {
-			e.analyzeInter4VMB(sc, src, recon, mbx, mby, subMV, r)
-			r.points, r.class = pts, res.Class
-			curField.Set(mbx, mby, avgMV(subMV))
-			return
-		}
-	}
-
 	// Code and reconstruct all six blocks, then let the skip decision see
 	// the coded-block pattern. Reconstruction need not wait for it: a
 	// skipped macroblock has no coded block, so each block's
 	// reconstruction — its prediction — is the same either way.
-	e.codeInterBlocks(sc, r, src, recon, mbx, mby, [4]mvfield.MV{mv, mv, mv, mv}, chromaMV(mv))
+	e.codeInterBlocks(sc, r, src, recon, mbx, mby, res.MV)
 
-	r.points, r.class = pts, res.Class
-	r.four = false
-	r.mv = mv
-	if mv == mvfield.Zero && r.coded == [6]bool{} {
+	r.points, r.class = res.Points, res.Class
+	r.mv = res.MV
+	if r.mv == mvfield.Zero && r.coded == [6]bool{} {
 		r.mode = mbSkip
 	} else {
 		r.mode = mbInter
@@ -816,19 +766,11 @@ func (e *Encoder) writeInterMB(r *mbResult, curField *mvfield.Field, mbx, mby in
 		e.writeIntraMB(r)
 		return
 	}
-	e.sw.Flag(sctxCOD, false)      // coded
-	e.sw.Flag(sctxMode, false)     // inter
-	e.sw.Flag(sctxInter4V, r.four) // one or four vectors
-	pred := curField.MedianPredictor(mbx, mby)
-	if r.four {
-		for _, mv := range r.subMV {
-			d := mv.Sub(pred)
-			e.sw.MVD(int32(d.X), int32(d.Y))
-		}
-	} else {
-		d := r.mv.Sub(pred)
-		e.sw.MVD(int32(d.X), int32(d.Y))
-	}
+	e.sw.Flag(sctxCOD, false)     // coded
+	e.sw.Flag(sctxMode, false)    // inter
+	e.sw.Flag(sctxInter4V, false) // reserved: the decoder refuses true
+	d := r.mv.Sub(curField.MedianPredictor(mbx, mby))
+	e.sw.MVD(int32(d.X), int32(d.Y))
 	for _, c := range r.coded {
 		e.sw.Flag(sctxCBP, c)
 	}

@@ -2,7 +2,6 @@ package codec
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"testing"
 
@@ -11,61 +10,24 @@ import (
 	"repro/internal/video"
 )
 
-// zoomOutClip renders n frames of a smooth texture shrinking towards the
-// frame centre. Content at the border came from further out in the
-// previous frame, so border macroblocks want vectors pointing outwards —
-// which Legal allows the inner 8×8 blocks of a macroblock but not the
-// outer ones. That divergence is what four-vector mode is for, and the
-// averaged vector it hands the chroma planes then reads past the plane
-// edge, into the reference's apron.
-func zoomOutClip(size frame.Size, n int) []*frame.Frame {
-	tex := func(u, v float64) uint8 {
-		s := 128 + 50*math.Sin(u/5.3) + 40*math.Sin(v/4.1+u/17) + 30*math.Sin((u+v)/2.9)
-		return frame.ClampU8(int(s))
-	}
-	frames := make([]*frame.Frame, n)
-	for t := range frames {
-		f := frame.NewFrame(size)
-		scale := 1 + 0.03*float64(t)
-		fill := func(p *frame.Plane, sub float64) {
-			cx, cy := float64(p.W)/2, float64(p.H)/2
-			for y := 0; y < p.H; y++ {
-				for x := 0; x < p.W; x++ {
-					p.Set(x, y, tex(sub*(cx+(float64(x)-cx)*scale), sub*(cy+(float64(y)-cy)*scale)))
-				}
-			}
-		}
-		fill(f.Y, 1)
-		fill(f.Cb, 2)
-		fill(f.Cr, 2)
-		frames[t] = f
-	}
-	return frames
-}
-
 // inPlaceCoverage counts, over the P-frames of one encode, the macroblock
 // shapes the in-place prediction route distinguishes.
 type inPlaceCoverage struct {
-	oneVector, fourVector, skip, intraInP int
-	// chromaApron counts inter macroblocks whose chroma fetch reads at
-	// least one sample outside the reference plane.
-	chromaApron int
+	oneVector, skip, intraInP int
 	// gated/rowOnly/coded are the residual path's three exits.
 	gated, rowOnly, coded int
 }
 
 // TestInPlacePredictionRoute drives the predict-in-place residual route
 // through every macroblock shape it distinguishes — one 16×16 fetch
-// (one-vector and skipped macroblocks), four 8×8 fetches (four-vector
-// mode), no fetch at all (intra macroblocks inside a P-frame), chroma
-// fetches that reach the reference's apron — and through every exit of the
-// residual path, under each executor: inline, private workers, workers +
-// pipeline, shared pool. Every run must produce the inline run's bytes and
-// its whole FrameStats (the Gated/Transformed/RowOnly/Coded traffic
-// included), and the decoder, which predicts through the same function
-// from vectors it parsed, must reproduce every frame's reconstruction byte
-// for byte. Each clip asserts it still exercises what it is in the table
-// for.
+// (one-vector and skipped macroblocks), no fetch at all (intra macroblocks
+// inside a P-frame) — and through every exit of the residual path, under
+// each executor: inline, private workers, workers + pipeline, shared pool.
+// Every run must produce the inline run's bytes and its whole FrameStats
+// (the Gated/Transformed/RowOnly/Coded traffic included), and the decoder,
+// which predicts through the same function from vectors it parsed, must
+// reproduce every frame's reconstruction byte for byte. Each clip asserts
+// it still exercises what it is in the table for.
 func TestInPlacePredictionRoute(t *testing.T) {
 	cut := append(video.Generate(video.Carphone, frame.SQCIF, 3, 5), video.Generate(video.TableTennis, frame.SQCIF, 3, 5)...)
 	clips := []struct {
@@ -78,12 +40,8 @@ func TestInPlacePredictionRoute(t *testing.T) {
 			func(c inPlaceCoverage) bool {
 				return c.oneVector > 0 && c.skip > 0 && c.gated > 0 && c.rowOnly > 0 && c.coded > 0
 			}},
-		{"four-vector", video.Generate(video.TableTennis, frame.SQCIF, 5, 1), Config{Qp: 8, AdvancedPrediction: true},
-			func(c inPlaceCoverage) bool { return c.fourVector > 0 && c.oneVector > 0 && c.coded > 0 }},
-		{"intra in P", cut, Config{Qp: 16, AdvancedPrediction: true},
+		{"intra in P", cut, Config{Qp: 16},
 			func(c inPlaceCoverage) bool { return c.intraInP > 0 && c.oneVector > 0 }},
-		{"chroma reaches the apron", zoomOutClip(frame.SQCIF, 4), Config{Qp: 6, AdvancedPrediction: true, Deblock: true},
-			func(c inPlaceCoverage) bool { return c.chromaApron > 0 && c.fourVector > 0 }},
 	}
 	pool := NewPool(2)
 	defer pool.Close()
@@ -95,7 +53,6 @@ func TestInPlacePredictionRoute(t *testing.T) {
 			// The inline reference, driven phase by phase so the analysis
 			// results can be inspected before they are recycled.
 			e := NewEncoder(cfg)
-			cols := clip.frames[0].Size().MacroblockCols()
 			var cov inPlaceCoverage
 			var recons []*frame.Frame
 			for _, f := range clip.frames {
@@ -107,25 +64,13 @@ func TestInPlacePredictionRoute(t *testing.T) {
 					if j.intra {
 						break
 					}
-					r := &j.results[idx]
-					switch {
-					case r.mode == mbIntra:
+					switch j.results[idx].mode {
+					case mbIntra:
 						cov.intraInP++
-						continue
-					case r.mode == mbSkip:
+					case mbSkip:
 						cov.skip++
-					case r.four:
-						cov.fourVector++
 					default:
 						cov.oneVector++
-					}
-					cmv := chromaMV(r.mv)
-					if r.four {
-						cmv = chromaMV(avgMV(r.subMV))
-					}
-					hx, hy := 16*(idx%cols)+cmv.X, 16*(idx/cols)+cmv.Y
-					if !j.prevRef.Cb.InBounds(hx>>1, hy>>1, 8+hx&1, 8+hy&1) {
-						cov.chromaApron++
 					}
 				}
 				recons = append(recons, j.recon.Clone())

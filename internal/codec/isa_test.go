@@ -21,7 +21,7 @@ func TestBitstreamIdenticalAcrossKernelISAs(t *testing.T) {
 	frames := parallelFrames(4)
 	encode := func(workers int) []byte {
 		acbm := core.New(core.DefaultParams)
-		cfg := Config{Qp: 14, AdvancedPrediction: true, IntraPeriod: 3,
+		cfg := Config{Qp: 14, IntraPeriod: 3,
 			Searcher: acbm, Workers: workers}
 		_, bs, err := EncodeSequence(cfg, frames)
 		if err != nil {

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,6 +43,16 @@ type RungSpec struct {
 	TargetKbps float64
 }
 
+// ParseKbps parses a Config.TargetKbps value — /encode?kbps= and a ladder
+// rung's @kbps: a finite number ≥ 0, 0 meaning constant quantiser.
+func ParseKbps(s string) (float64, error) {
+	kbps, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(kbps >= 0) || math.IsInf(kbps, 1) {
+		return 0, fmt.Errorf("codec: bad bitrate %q (want finite kbit/s ≥ 0)", s)
+	}
+	return kbps, nil
+}
+
 // ParseLadderSpec parses the "WxH@kbps,WxH@kbps,..." vocabulary shared by
 // /encode?ladder= and the CLI -ladder flags. The @kbps part is optional
 // (constant-quantiser rung). The parsed chain is validated: top rung
@@ -63,8 +74,8 @@ func ParseLadderSpec(s string) ([]RungSpec, error) {
 		}
 		spec := RungSpec{Size: frame.Size{W: w, H: h}}
 		if hasKbps {
-			kbps, err := strconv.ParseFloat(kbpsStr, 64)
-			if err != nil || kbps < 0 {
+			kbps, err := ParseKbps(kbpsStr)
+			if err != nil {
 				return nil, fmt.Errorf("codec: bad ladder rung bitrate %q", kbpsStr)
 			}
 			spec.TargetKbps = kbps

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/frame"
@@ -168,11 +169,44 @@ func TestParseLadderSpec(t *testing.T) {
 		"64x64,32x32@x", // bad bitrate
 		"65x64",         // not macroblock-aligned
 		"64",            // not WxH
+		"-32x-32,-16x-16",
+		"-16x32",
+		"64x64@NaN",
+		"64x64@Inf",
+		"64x64@+inf",
+		"64x64@1e400", // overflows to +Inf
 	} {
 		if _, err := ParseLadderSpec(bad); err == nil {
 			t.Errorf("ParseLadderSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseLadderSpec holds ParseLadderSpec to its contract on arbitrary
+// input (seed corpus: testdata/fuzz/FuzzParseLadderSpec): it never panics,
+// and every chain it accepts is one the encoder can run — positive,
+// macroblock-aligned sizes, each rung exactly half the one above, and
+// every bitrate finite and ≥ 0.
+func FuzzParseLadderSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		specs, err := ParseLadderSpec(s)
+		if err != nil {
+			return
+		}
+		for i, r := range specs {
+			if r.Size.W <= 0 || r.Size.H <= 0 || r.Size.W%16 != 0 || r.Size.H%16 != 0 {
+				t.Fatalf("%q: rung %d has size %v", s, i, r.Size)
+			}
+			if i > 0 {
+				if up := specs[i-1].Size; 2*r.Size.W != up.W || 2*r.Size.H != up.H {
+					t.Fatalf("%q: rung %d (%v) is not half of %v", s, i, r.Size, up)
+				}
+			}
+			if !(r.TargetKbps >= 0) || math.IsInf(r.TargetKbps, 1) {
+				t.Fatalf("%q: rung %d has bitrate %v", s, i, r.TargetKbps)
+			}
+		}
+	})
 }
 
 // TestLadderPacketFraming round-trips rung-tagged records.

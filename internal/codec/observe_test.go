@@ -18,7 +18,7 @@ import (
 func TestObserverByteIdentity(t *testing.T) {
 	frames := parallelFrames(6)
 	cfgs := []Config{
-		{Qp: 14, AdvancedPrediction: true, IntraPeriod: 3},
+		{Qp: 14, IntraPeriod: 3},
 		{Qp: 16, TargetKbps: 80, FPS: 30},
 	}
 	for _, base := range cfgs {

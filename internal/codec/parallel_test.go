@@ -65,8 +65,8 @@ func encodeWith(t *testing.T, workers int, cfg Config) ([]byte, *SequenceStats, 
 // also certify the scheduling.
 func TestParallelEncoderBitIdentical(t *testing.T) {
 	for _, cfg := range []Config{
-		{Qp: 14, AdvancedPrediction: true, IntraPeriod: 3},
-		{Qp: 22, Entropy: EntropyArith, Deblock: true},
+		{Qp: 14, IntraPeriod: 3},
+		{Qp: 22, Entropy: EntropyArith},
 	} {
 		refBS, refStats, refACBM := encodeWith(t, 1, cfg)
 		for _, workers := range []int{2, 4, 7} {
@@ -148,13 +148,13 @@ func TestPipelineBitIdentical(t *testing.T) {
 
 // TestPipelineModesAndRateControl covers the pipeline's edge configs: the
 // arithmetic entropy backend (whose coder state spans frame boundaries),
-// intra periods, deblocking — and rate control, where the pipeline must
+// intra periods — and rate control, where the pipeline must
 // degrade to serial and still match exactly.
 func TestPipelineModesAndRateControl(t *testing.T) {
 	frames := parallelFrames(6)
 	for _, cfg := range []Config{
-		{Qp: 14, AdvancedPrediction: true, IntraPeriod: 3},
-		{Qp: 22, Entropy: EntropyArith, Deblock: true},
+		{Qp: 14, IntraPeriod: 3},
+		{Qp: 22, Entropy: EntropyArith},
 		{Qp: 16, TargetKbps: 80, FPS: 30},
 	} {
 		serial := cfg
@@ -282,7 +282,7 @@ func TestDecisionMixMatchesACBMStats(t *testing.T) {
 		{Pool: pool},
 	} {
 		acbm := core.New(core.DefaultParams)
-		cfg.Qp, cfg.IntraPeriod, cfg.AdvancedPrediction, cfg.Searcher = 24, 4, true, acbm
+		cfg.Qp, cfg.IntraPeriod, cfg.Searcher = 24, 4, acbm
 		stats, _, err := EncodeSequence(cfg, frames)
 		if err != nil {
 			t.Fatal(err)

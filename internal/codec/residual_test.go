@@ -49,13 +49,10 @@ func TestZeroBlockGateRate(t *testing.T) {
 					continue
 				}
 				mbx, mby := idx%cols, idx/cols
-				lumaMV, cmv := [4]mvfield.MV{r.mv, r.mv, r.mv, r.mv}, chromaMV(r.mv)
-				if r.four {
-					lumaMV, cmv = r.subMV, chromaMV(avgMV(r.subMV))
-				}
+				cmv := chromaMV(r.mv)
 				same := [6]bool{4: exact(f.Cb, rcb, 8*mbx, 8*mby, cmv), 5: exact(f.Cr, rcr, 8*mbx, 8*mby, cmv)}
 				for i, off := range lumaBlockOffsets {
-					same[i] = exact(f.Y, ry, 16*mbx+off[0], 16*mby+off[1], lumaMV[i])
+					same[i] = exact(f.Y, ry, 16*mbx+off[0], 16*mby+off[1], r.mv)
 				}
 				for i, s := range same {
 					blocks++

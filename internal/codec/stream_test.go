@@ -45,7 +45,7 @@ func TestPacketsPipelineBitIdentical(t *testing.T) {
 	}{
 		{"acbm", Config{Qp: 14, Searcher: core.New(core.DefaultParams)}},
 		{"fsbm-arith", Config{Qp: 16, Searcher: &search.FSBM{}, Entropy: EntropyArith}},
-		{"pbm-ap-deblock", Config{Qp: 12, Searcher: &search.PBM{}, AdvancedPrediction: true, Deblock: true, IntraPeriod: 4}},
+		{"pbm-gop", Config{Qp: 12, Searcher: &search.PBM{}, IntraPeriod: 4}},
 	}
 	for _, p := range profiles {
 		cfg := p.cfg

@@ -57,7 +57,7 @@ const (
 	sctxLevel          // TCOEF level (SE)
 	sctxMVX            // MV difference x (SE)
 	sctxMVY            // MV difference y (SE)
-	sctxInter4V        // advanced-prediction (four-vector) flag
+	sctxInter4V        // reserved four-vector flag, always false
 	numSctx
 )
 

@@ -58,10 +58,11 @@ type Budgeted struct {
 	baseTarget float64
 }
 
-// NewBudgeted returns a controller targeting the given positions/MB.
+// NewBudgeted returns a controller targeting the given positions/MB, which
+// must be finite and positive.
 func NewBudgeted(target float64, base Params) (*Budgeted, error) {
-	if target <= 0 {
-		return nil, fmt.Errorf("core: budget target must be positive, got %g", target)
+	if !(target > 0) || math.IsInf(target, 1) {
+		return nil, fmt.Errorf("core: budget target must be finite and positive, got %g", target)
 	}
 	if base == (Params{}) {
 		base = DefaultParams

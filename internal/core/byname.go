@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/search"
@@ -15,8 +16,12 @@ var ErrBudgetNeedsACBM = errors.New("budget requires the ACBM searcher")
 // NewSearcher builds the motion estimator named name (SearcherByName's
 // vocabulary) for one encode. ACBM takes p, and a positive budget wraps it
 // in the positions/MB servo (NewBudgeted); any other searcher with a
-// positive budget is refused with ErrBudgetNeedsACBM.
+// positive budget is refused with ErrBudgetNeedsACBM. A budget that is NaN
+// or infinite is refused for every searcher.
 func NewSearcher(name string, p Params, budget float64) (search.Searcher, error) {
+	if math.IsNaN(budget) || math.IsInf(budget, 0) {
+		return nil, fmt.Errorf("core: budget must be finite, got %g", budget)
+	}
 	switch strings.ToLower(name) {
 	case "", "acbm":
 		if budget <= 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -34,5 +35,17 @@ func TestNewSearcherBudgetRule(t *testing.T) {
 	}
 	if _, err := NewSearcher("nope", p, 0); err == nil {
 		t.Error("unknown searcher accepted")
+	}
+	// NaN fails every comparison, so a "budget <= 0" test lets it through
+	// to a servo whose scale turns NaN after one frame.
+	for _, budget := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, name := range []string{"acbm", "fsbm"} {
+			if _, err := NewSearcher(name, p, budget); err == nil {
+				t.Errorf("%s with budget %g accepted", name, budget)
+			}
+		}
+		if _, err := NewBudgeted(budget, p); err == nil {
+			t.Errorf("NewBudgeted(%g) accepted", budget)
+		}
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/mvfield"
+	"repro/internal/ratedist"
 	"repro/internal/video"
 )
 
@@ -187,6 +189,58 @@ func TestACBMPSNRGapToFSBMPinned(t *testing.T) {
 			t.Errorf("%v: ACBM − FSBM PSNR %+.4f dB, pinned %+.3f ±%.3f", p, gap, gaps[p], tolDB)
 		}
 	}
+}
+
+// TestArithmeticCodingBDRate pins the verdict that keeps the arithmetic
+// entropy mode (the Annex E counterpart): its BD-rate against Exp-Golomb —
+// the mean rate change at equal PSNR, −ratedist.AvgRateSavings — for ACBM
+// at default parameters on QCIF, 30 frames, seed 2005, Qp {10, 13, 16,
+// 20, 24}. The two modes code the same symbols, so PSNR is identical and
+// every point is a pure rate saving. Each clip is pinned to ±0.05 points;
+// DESIGN.md §1 records the numbers.
+func TestArithmeticCodingBDRate(t *testing.T) {
+	defer ClearCache()
+	pinned := map[video.Profile]float64{
+		video.MissAmerica: -32.66,
+		video.Carphone:    -33.62,
+		video.Foreman:     -39.86,
+		video.TableTennis: -36.40,
+	}
+	const tol = 0.05
+	qps := []int{10, 13, 16, 20, 24}
+	modes := []codec.EntropyMode{codec.EntropyExpGolomb, codec.EntropyArith}
+	points := make([]ratedist.Point, len(video.Profiles)*len(modes)*len(qps))
+	err := forEachIndex(len(points), func(i int) error {
+		p, mode, qp := video.Profiles[i/(len(modes)*len(qps))], modes[i/len(qps)%len(modes)], qps[i%len(qps)]
+		stats, _, err := codec.EncodeSequence(codec.Config{
+			Qp: qp, Searcher: core.New(core.DefaultParams), Entropy: mode, Workers: 1,
+		}, Frames(p, frame.QCIF, 30, DefaultSeed))
+		if err != nil {
+			return err
+		}
+		points[i] = ratedist.Point{RateKbps: stats.BitrateKbps(), PSNR: stats.AvgPSNRY(), Qp: qp}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mean float64
+	for i, p := range video.Profiles {
+		clip := points[i*len(modes)*len(qps):]
+		eg := ratedist.Curve{Name: "expgolomb", Points: clip[:len(qps)]}
+		arith := ratedist.Curve{Name: "arith", Points: clip[len(qps) : 2*len(qps)]}
+		saving, err := ratedist.AvgRateSavings(&arith, &eg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bd := -100 * saving
+		mean += bd / float64(len(video.Profiles))
+		t.Logf("%v: BD-rate %+.2f %%", p, bd)
+		if math.Abs(bd-pinned[p]) > tol {
+			t.Errorf("%v: arithmetic coding BD-rate %+.3f %%, pinned %+.2f ±%.2f", p, bd, pinned[p], tol)
+		}
+	}
+	t.Logf("mean BD-rate %+.2f %%", mean)
 }
 
 func TestRunTable1CellAccessors(t *testing.T) {

@@ -171,7 +171,7 @@ func TestKernelTiersGateMatchScalar(t *testing.T) {
 // FuzzKernelTiersGate drives arbitrary content through every tier's gate
 // the way the encoder produces it: the reconstruction holds a prediction
 // written in place by PredictBlock — one 16×16 luma fetch, or four 8×8
-// fetches with their own vectors (a four-vector macroblock) — at any
+// fetches with their own vectors (the width chroma fetches take) — at any
 // macroblock of the frame, edges included, against a source of arbitrary
 // stride.
 func FuzzKernelTiersGate(f *testing.F) {

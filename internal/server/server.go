@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -555,12 +556,14 @@ type sessionOpts struct {
 }
 
 // parseSessionConfig maps /encode query parameters onto a codec.Config:
-// qp, me (searcher), entropy, gop, range, ap, deblock, kbps (target
-// bitrate; frame-lag rate control) and budget (target motion-search
-// positions/MB; the ACBM complexity servo). Rate profiles run at full
-// pool parallelism — nothing here degrades the session to serial. The
-// serving-layer parameters ride alongside: priority (live|batch pool
-// tier) and qoslevel (pin the session at one degradation level).
+// qp, me (searcher), entropy, gop, range, kbps (target bitrate, finite and
+// ≥ 0; frame-lag rate control), budget (target motion-search positions/MB,
+// finite and > 0; the ACBM complexity servo) and ladder (simulcast rungs,
+// codec.ParseLadderSpec). Rate profiles run at full pool parallelism —
+// nothing here degrades the session to serial. The serving-layer
+// parameters ride alongside: priority (live|batch pool tier) and qoslevel
+// (pin the session at one degradation level). Unknown parameters are
+// ignored.
 func parseSessionConfig(q url.Values) (codec.Config, sessionOpts, error) {
 	cfg := codec.Config{Qp: 16}
 	opts := sessionOpts{pinned: -1}
@@ -590,25 +593,12 @@ func parseSessionConfig(q url.Values) (codec.Config, sessionOpts, error) {
 		}
 		return n
 	}
-	boolArg := func(name string) bool {
-		v := q.Get(name)
-		if v == "" {
-			return false
-		}
-		b, e := strconv.ParseBool(v)
-		if e != nil && err == nil {
-			err = fmt.Errorf("bad %s=%q", name, v)
-		}
-		return b
-	}
 	cfg.Qp = intArg("qp", 16)
 	cfg.SearchRange = intArg("range", 0)
 	cfg.IntraPeriod = intArg("gop", 0)
-	cfg.AdvancedPrediction = boolArg("ap")
-	cfg.Deblock = boolArg("deblock")
 	if v := q.Get("kbps"); v != "" {
-		kbps, e := strconv.ParseFloat(v, 64)
-		if e != nil || kbps < 0 {
+		kbps, e := codec.ParseKbps(v)
+		if e != nil {
 			return cfg, opts, fmt.Errorf("bad kbps=%q", v)
 		}
 		cfg.TargetKbps = kbps
@@ -621,7 +611,7 @@ func parseSessionConfig(q url.Values) (codec.Config, sessionOpts, error) {
 	}
 	var budget float64
 	if v := q.Get("budget"); v != "" {
-		if budget, err = strconv.ParseFloat(v, 64); err != nil || budget <= 0 {
+		if budget, err = strconv.ParseFloat(v, 64); err != nil || !(budget > 0) || math.IsInf(budget, 1) {
 			return cfg, opts, fmt.Errorf("bad budget=%q (want positive positions/MB)", v)
 		}
 	}

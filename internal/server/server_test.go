@@ -336,7 +336,10 @@ func TestBudgetSessionParam(t *testing.T) {
 		}
 	}
 
-	for _, q := range []string{"budget=0", "budget=-5", "budget=abc", "budget=150&me=fsbm", "kbps=-1", "kbps=abc"} {
+	for _, q := range []string{
+		"budget=0", "budget=-5", "budget=abc", "budget=150&me=fsbm", "kbps=-1", "kbps=abc",
+		"budget=NaN", "budget=Inf", "budget=NaN&me=fsbm", "kbps=NaN", "kbps=Inf", "kbps=-Inf",
+	} {
 		resp, err := http.Post(ts.URL+"/encode?"+q, "video/x-yuv4mpeg", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
