@@ -62,7 +62,14 @@
 #                       rung to byte-match a pinned offline
 #                       `vcodec encode -ladder` run and decode cleanly,
 #                       check the plane-pool counters, clean drain
-#   make ci           — every target above, in that order
+#   make profile-adaptive — CPU profile of BenchmarkEncodeAdaptiveCells
+#                       (adaptive_serial's eight cells through
+#                       codec.Encoder, Workers=1, GOMAXPROCS=1, 5 s)
+#                       written to prof/adaptive.cpu.prof beside its test
+#                       binary; read it with the pprof line it prints. A
+#                       report, not a gate, and not part of ci
+#   make ci           — every target above except profile-adaptive, in
+#                       that order
 #   make loc          — non-test, non-comment lines of .go and .s files per
 #                       package and for the module (bench/ is its own
 #                       module and is left out): the count simplicity
@@ -73,7 +80,7 @@ GO ?= go
 # The X-smoke targets are built by the one %-smoke pattern rule below, so
 # they must stay out of .PHONY (make skips implicit rules for phony
 # targets); FORCE keeps them, and the bin/% builds, always out of date.
-.PHONY: build test sched-one-p test-386 fuzz-smoke fma-check bench-check bench-smoke ci loc FORCE
+.PHONY: build test sched-one-p test-386 fuzz-smoke fma-check bench-check bench-smoke profile-adaptive ci loc FORCE
 
 build:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -116,6 +123,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run TestEncodeFrameAllocCeiling -count=1 -v ./internal/codec/
 	$(GO) test -run TestRecorderOverheadGuard -count=1 -v ./internal/codec/
+
+profile-adaptive:
+	@mkdir -p prof
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '^BenchmarkEncodeAdaptiveCells$$' -benchtime 5s \
+		-o prof/repro.test -cpuprofile prof/adaptive.cpu.prof .
+	@echo "$(GO) tool pprof -top -focus EncodeFrame prof/repro.test prof/adaptive.cpu.prof"
 
 # Every binary a smoke script runs, built from this checkout each time (go
 # build is itself incremental). .PRECIOUS: as prerequisites of a pattern

@@ -9,6 +9,7 @@ package repro
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/codec"
@@ -187,9 +188,11 @@ func BenchmarkSAD16x16(b *testing.B) {
 	}
 }
 
-// BenchmarkSADHalfPel16x16 times the per-probe refinement route of an edge
-// macroblock: the three lower ring probes around the integer winner (78, 65),
-// each capped at the winner's SAD as refineHalfPel caps them.
+// BenchmarkSADHalfPel16x16 times refineHalfPel's per-probe route — taken
+// only for Collect and for references whose apron cannot hold the ring, so
+// no encoder macroblock, edge ones included, pays it: the three lower ring
+// probes around the integer winner (78, 65), each capped at the winner's
+// SAD as that route caps them.
 func BenchmarkSADHalfPel16x16(b *testing.B) {
 	cur, ref := benchPlanes()
 	cap := metrics.SAD(cur, 80, 64, ref, 78, 65, 16, 16)
@@ -320,6 +323,45 @@ func benchEncodeSequence(b *testing.B, workers int, pipeline bool) {
 	}
 	b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
+
+// BenchmarkEncodeAdaptiveCells is the profiling entry point for
+// BENCHMARK.json's adaptive_serial workload: its eight cells — the four
+// clips × Qp {30, 24}, ACBM at the default parameters, QCIF, 60 frames (one
+// intra frame in sixty), seed 7 — each through a fresh codec.Encoder with
+// Workers=1. Reports frames/s. `make profile-adaptive` runs it at
+// GOMAXPROCS=1 and writes its CPU profile; a split taken from a shorter
+// clip or a lower Qp overstates intra and understates search. The clips
+// are generated once per process, outside the timer, and the profile's
+// pprof line focuses on the encoder so their generation drops out of it.
+func BenchmarkEncodeAdaptiveCells(b *testing.B) {
+	clips := adaptiveClips()
+	b.ResetTimer()
+	frames := 0
+	for i := 0; i < b.N; i++ {
+		for _, clip := range clips {
+			for _, qp := range []int{30, 24} {
+				enc := codec.NewEncoder(codec.Config{Qp: qp, Searcher: core.New(core.DefaultParams), Workers: 1})
+				for _, f := range clip {
+					if _, err := enc.EncodeFrame(f); err != nil {
+						b.Fatal(err)
+					}
+				}
+				enc.Bitstream()
+				frames += len(clip)
+			}
+		}
+	}
+	b.ReportMetric(float64(frames)/b.Elapsed().Seconds(), "frames/s")
+}
+
+// adaptiveClips are adaptive_serial's four QCIF clips, 60 frames, seed 7.
+var adaptiveClips = sync.OnceValue(func() [][]*frame.Frame {
+	clips := make([][]*frame.Frame, len(video.Profiles))
+	for i, p := range video.Profiles {
+		clips[i] = video.Generate(p, frame.QCIF, 60, 7)
+	}
+	return clips
+})
 
 func BenchmarkEncodeSequence_Serial(b *testing.B)            { benchEncodeSequence(b, 1, false) }
 func BenchmarkEncodeSequence_Pipeline(b *testing.B)          { benchEncodeSequence(b, 1, true) }

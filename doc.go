@@ -104,15 +104,19 @@
 //     temporal (or ladder-seed) predictors (mvfield.AppendPredictors is
 //     the one statement of Fig. 2's neighbourhood), snaps them to full
 //     pel, clamps them into the ±Range ∩ frame rectangle computed once,
-//     and drops repeats, as packed metrics.Offsets in first-seen order.
+//     and drops repeats — one bit each in a visited bitmap over the ±15
+//     window, a list scan for wider ranges — as packed metrics.Offsets in
+//     first-seen order.
 //     For macroblocks the set, stable-sorted by L1, is one
 //     metrics.SADBestFew call (SADBest's kernels and winner-only
 //     contract; the ≤ 16-entry list travels by value, so it stays on the
 //     caller's stack and PBM stays stateless and shared by every lane).
 //     The integer descent is a sequential walk — each probe is taken from
 //     the current best, which moves inside a step — so it is not batched:
-//     a probe is a rectangle compare, a scan of the packed visited list
-//     and a one-candidate call with the bar at bestSAD+1. The per-point
+//     a probe is a rectangle compare, a visited-set lookup and a
+//     one-candidate call with the bar at bestSAD+1. The half-pel ring
+//     serves edge macroblocks too, reading the reference's apron and
+//     keeping only the legal slots. The per-point
 //     fold over the same generator serves Collect and other block
 //     shapes, and TestPBMBatchMatchesPerPoint/FuzzPBMBatch
 //     hold both to a from-the-paper reference.

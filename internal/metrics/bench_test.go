@@ -86,8 +86,9 @@ func BenchmarkKernelIntraSAD16x16(b *testing.B) {
 }
 
 // refineCaps returns, per anchor (33+j, 17), the integer SAD the
-// half-pel probes around it are capped at — the cap refineHalfPel passes to
-// an edge macroblock's per-probe route.
+// half-pel probes around it are capped at — the cap refineHalfPel's
+// per-probe route (Collect, and references too narrowly padded for the
+// ring) passes.
 func refineCaps(cur, ref *frame.Plane) (caps [4]int) {
 	for j := range caps {
 		caps[j] = SAD(cur, 32, 16, ref, 33+j, 17, 16, 16)

@@ -44,8 +44,13 @@ import (
 //     the only single-probe half-pel kernels: SADHalfPelPlane runs them
 //     with cap = math.MaxInt, where the exact sum is returned
 //   - ring: all 8 half-pel neighbours of (rx, ry) in one pass,
-//     w%8 == 0, w·h ≤ 256, whole ring in-plane. Returns the probe
-//     array BY VALUE with the centre slot zero — an out-pointer through
+//     w%8 == 0, w·h ≤ 256, the (w+2)×(h+2) window from (rx−1, ry−1)
+//     inside ref's apron (InApron), read through PixFrom and nothing
+//     beside it (the scalar tier clamps to the plane instead) — an edge
+//     block's ring reaches the apron, and its
+//     off-plane slots are the edge-replicated values the scalar tier's
+//     clamping computes. Returns the probe array BY VALUE with the
+//     centre slot zero — an out-pointer through
 //     an indirect call would escape the caller's stack array to the
 //     heap on every refinement; the exported SADHalfPelRing restores
 //     the caller's centre slot to honour its contract

@@ -261,7 +261,7 @@ func intraSADSSE2(p *frame.Plane, x, y, w, h int) int {
 }
 
 func ringSSE2(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) (out [9]int) {
-	sadHpRingBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx-1, ry-1), ref.Stride, w, h, &out)
+	sadHpRingBlkSSE2(pix(cur, cx, cy), cur.Stride, &ref.PixFrom(rx-1, ry-1)[0], ref.Stride, w, h, &out)
 	return out
 }
 
@@ -299,11 +299,11 @@ func sseSSE2(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 //     fold-and-compare after every row, not the lane width, is most of its
 //     cost (46 ns against 19 ns for the uncapped AVX2 SAD). The full search
 //     goes through sadBest, PBM's predictor set and descent probes through
-//     sadBestFew, and the refinement of every block whose whole ring is
-//     in-plane through the ring. What is left is the refinement of edge
-//     macroblocks, one hpH/V/DCapped probe at a time (about 6 % of an
-//     adaptive_serial frame) — a route question (widening the ring onto the
-//     apron), not a lane-width one.
+//     sadBestFew, and the half-pel refinement of every macroblock of an
+//     encode, edge ones included, through the ring, which reads the
+//     reference's apron. The capped single probes serve only planes
+//     without an apron wide enough for the ring and Collect's per-point
+//     studies, which no timed path runs.
 func avx2Table() *kernelTable {
 	t := *sse2Table()
 	t.name = "avx2"
@@ -320,7 +320,7 @@ func avx2Table() *kernelTable {
 		if w != 16 {
 			return ringSSE2(cur, cx, cy, ref, rx, ry, w, h)
 		}
-		sadHpRingBlkAVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx-1, ry-1), ref.Stride, h, &out)
+		sadHpRingBlkAVX2(pix(cur, cx, cy), cur.Stride, &ref.PixFrom(rx-1, ry-1)[0], ref.Stride, h, &out)
 		return out
 	}
 	t.sadBest = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {

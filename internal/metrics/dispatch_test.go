@@ -165,11 +165,38 @@ func TestKernelTiersMatchScalar(t *testing.T) {
 
 // TestRingAcrossISAs checks the fused ring kernel of every tier against
 // eight independent scalar probes, and that the centre slot is left
-// untouched.
+// untouched: on a tight plane where the whole ring is in-plane, and on a
+// plane with the one-sample replicated apron the ring needs at anchors on
+// every edge and corner, where the slots whose probes leave the plane —
+// legal or not, every slot is checked — must read the apron as the scalar
+// reference's edge replication does.
 func TestRingAcrossISAs(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	cur := paddedPlane(rng, 64, 40, 7)
 	ref := paddedPlane(rng, 64, 40, 3)
+	edge := frame.NewPlanePadded(64, 40, 1)
+	rng.Read(edge.Pix)
+	edge.ReplicateApron()
+	check := func(t *testing.T, ref *frame.Plane, cx, cy, rx, ry, w, h int) {
+		t.Helper()
+		ring := [9]int{4: -12345}
+		SADHalfPelRing(cur, cx, cy, ref, rx, ry, w, h, &ring)
+		if ring[4] != -12345 {
+			t.Fatalf("ring centre slot overwritten: %d", ring[4])
+		}
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				if dx == 0 && dy == 0 {
+					continue
+				}
+				want := sadHalfPelPlaneScalar(cur, cx, cy, ref, 2*rx+dx, 2*ry+dy, w, h)
+				if got := ring[(dy+1)*3+dx+1]; got != want {
+					t.Fatalf("ring w=%d h=%d apron=%d (%d,%d) slot(%d,%d): got %d want %d",
+						w, h, ref.Apron(), rx, ry, dx, dy, got, want)
+				}
+			}
+		}
+	}
 	withEachISA(t, func(t *testing.T, isa string) {
 		for _, sz := range [][2]int{{8, 8}, {16, 16}, {16, 8}, {8, 16}, {24, 8}} {
 			w, h := sz[0], sz[1]
@@ -178,22 +205,14 @@ func TestRingAcrossISAs(t *testing.T) {
 				if cx+w > cur.W || cy+h > cur.H || rx+w > ref.W-1 || ry+h > ref.H-1 {
 					continue
 				}
-				ring := [9]int{4: -12345}
-				SADHalfPelRing(cur, cx, cy, ref, rx, ry, w, h, &ring)
-				if ring[4] != -12345 {
-					t.Fatalf("ring centre slot overwritten: %d", ring[4])
-				}
-				for dy := -1; dy <= 1; dy++ {
-					for dx := -1; dx <= 1; dx++ {
-						if dx == 0 && dy == 0 {
-							continue
-						}
-						want := sadHalfPelPlaneScalar(cur, cx, cy, ref, 2*rx+dx, 2*ry+dy, w, h)
-						if got := ring[(dy+1)*3+dx+1]; got != want {
-							t.Fatalf("ring w=%d h=%d (%d,%d) slot(%d,%d): got %d want %d", w, h, rx, ry, dx, dy, got, want)
-						}
-					}
-				}
+				check(t, ref, cx, cy, rx, ry, w, h)
+			}
+			right, bottom := edge.W-w, edge.H-h
+			for _, a := range [][2]int{
+				{0, 0}, {0, 11}, {0, bottom}, {13, 0}, {right, 0},
+				{right, 7}, {right, bottom}, {21, bottom},
+			} {
+				check(t, edge, 3, 2, a[0], a[1], w, h)
 			}
 		}
 	})

@@ -365,9 +365,15 @@ func sadHalfPelPlaneCappedScalar(cur *frame.Plane, cx, cy int, ref *frame.Plane,
 // the refinement loop. Values are bit-identical to SADHalfPelPlane at the
 // corresponding positions.
 //
-// Preconditions: w%8 == 0, w*h ≤ 256, and the whole ring in-plane
-// (rx ≥ 1, ry ≥ 1, rx+w ≤ ref.W-1, ry+h ≤ ref.H-1 — implied by all eight
-// probes being legal).
+// Preconditions: w%8 == 0, w*h ≤ 256, and the ring's window — rows ry−1
+// to ry+h, columns rx−1 to rx+w — inside ref's apron,
+// ref.InApron(rx-1, ry-1, w+2, h+2); the vector tiers read it through
+// PixFrom and nothing beside it. On a tight plane that is the whole ring
+// in-plane (all eight probes legal). On a padded plane an edge block's
+// ring may reach the apron: the slots whose probes leave the plane then
+// read the edge-replicated samples and, once ReplicateApron has run, still
+// equal SADHalfPelPlane at their positions; a searcher keeps only the
+// legal ones.
 func SADHalfPelRing(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int, out *[9]int) {
 	// The table kernels return by value: passing out through the
 	// indirect call would make the caller's stack array escape to the
@@ -380,13 +386,14 @@ func SADHalfPelRing(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h
 // sadHalfPelRingSWAR is the SWAR tier of SADHalfPelRing.
 func sadHalfPelRingSWAR(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) (out [9]int) {
 	var aTL, aT, aTR, aL, aR, aBL, aB, aBR uint64
+	top := ref.PixFrom(rx-1, ry-1)
 	for y := 0; y < h; y++ {
 		co := (cy+y)*cur.Stride + cx
-		ro := (ry+y)*ref.Stride + rx - 1
+		ro := y * ref.Stride
 		c := cur.Pix[co : co+w]
-		rm := ref.Pix[ro-ref.Stride : ro-ref.Stride+w+2]
-		r0 := ref.Pix[ro : ro+w+2]
-		rp := ref.Pix[ro+ref.Stride : ro+ref.Stride+w+2]
+		rm := top[ro : ro+w+2]
+		r0 := top[ro+ref.Stride : ro+ref.Stride+w+2]
+		rp := top[ro+2*ref.Stride : ro+2*ref.Stride+w+2]
 		for x := 0; x+8 <= w; x += 8 {
 			cc := load8(c[x:])
 			cL, cH := cc&laneLo, (cc>>8)&laneLo

@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/mvfield"
@@ -76,26 +77,29 @@ func (p *PBM) Search(in *Input) Result {
 // false for inputs the kernel route does not apply to).
 func (p *PBM) search(in *Input, win metrics.Rect, batch bool) Result {
 	var buf [pbmProbeCap]metrics.Offset
-	probes := in.pbmCandidates(buf[:0], win)
+	seen := visited{scan: in.Range > visitRange || win.Empty()}
+	probes := in.pbmCandidates(buf[:0], win, &seen)
 	if !batch {
 		return pbmPerPoint(in, probes, p.refineSteps(), p.NoHalfPel)
 	}
-	best, bestSAD, pts := pbmBatch(in, win, probes, p.refineSteps())
+	best, bestSAD, pts := pbmBatch(in, win, probes, &seen, p.refineSteps())
 	return finish(in, best, bestSAD, pts, p.NoHalfPel)
 }
 
 // pbmCandidates appends step 1's probe set to dst (at most
-// maxPBMCandidates positions): the zero vector, the causal spatial
-// predictors and the temporal ones — or, with a cross-layer seed, the seed
-// candidates in their place: the upper rung's field encodes the same
-// history at higher accuracy, and ≤ 4 seeds stand in for ≤ 9 temporal
-// probes. Predictors are probes on the integer grid: each is snapped to
-// full pel (truncating, like MV.FullPel), clamped into win — the same
-// vector ClampMV-then-snap yields, since truncation is monotone and both
-// of ClampMV's intervals contain zero — and dropped if an earlier one
-// landed on the same position. The order is first-seen, which is what
-// breaks exact (SAD, L1) ties.
-func (in *Input) pbmCandidates(dst []metrics.Offset, win metrics.Rect) []metrics.Offset {
+// maxPBMCandidates positions), recording each in seen: the zero vector, the
+// causal spatial predictors and the temporal ones — or, with a cross-layer
+// seed, the seed candidates in their place: the upper rung's field encodes
+// the same history at higher accuracy, and ≤ 4 seeds stand in for ≤ 9
+// temporal probes. Predictors are probes on the integer grid: each is
+// snapped to full pel (truncating, like MV.FullPel), clamped into win —
+// the same vector ClampMV-then-snap yields, since truncation is monotone
+// and both of ClampMV's intervals contain zero — and dropped if an earlier
+// one landed on the same position. The order is first-seen, which is what
+// breaks exact (SAD, L1) ties. Every position is written to the next slot
+// and kept by advancing past it only when it was new, so on the bitmap
+// route the loop has no data-dependent branch.
+func (in *Input) pbmCandidates(dst []metrics.Offset, win metrics.Rect, seen *visited) []metrics.Offset {
 	var buf [maxPBMCandidates]mvfield.MV
 	raw := append(buf[:0], mvfield.Zero)
 	switch {
@@ -106,28 +110,52 @@ func (in *Input) pbmCandidates(dst []metrics.Offset, win metrics.Rect) []metrics
 	case in.CurField != nil:
 		raw = in.CurField.AppendPredictors(raw, in.PrevField, in.MBX, in.MBY)
 	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(raw))[:n+len(raw)]
 	for _, m := range raw {
 		fx, fy := m.FullPel()
 		o := metrics.Offset{
 			DX: int16(min(max(fx, win.MinX), win.MaxX)),
 			DY: int16(min(max(fy, win.MinY), win.MaxY)),
 		}
-		if !probed(dst, o) {
-			dst = append(dst, o)
-		}
+		dst[n] = o
+		n += seen.add(dst[:n], o)
 	}
-	return dst
+	return dst[:n]
 }
 
-// probed reports whether o is in list — a linear scan over packed 4-byte
-// positions; the list is a few dozen entries at most.
-func probed(list []metrics.Offset, o metrics.Offset) bool {
-	for _, v := range list {
-		if v == o {
-			return true
+// visitRange is the largest Range whose window the visited bitmap covers:
+// ±15 is 31² = 961 positions, one bit each in sixteen words.
+const visitRange = 15
+
+// visited is PBM's visited set for one block. A window within ±visitRange
+// keeps it as a bitmap on Search's stack, zeroed per block; a wider Range,
+// or an empty window (whose clamped positions need not lie within ±Range),
+// looks positions up in the probe list instead. Only the Input picks the
+// route, and both give the same answers.
+type visited struct {
+	bits [(2*visitRange+1)*(2*visitRange+1)/64 + 1]uint64
+	scan bool
+}
+
+// add returns 1 if o was not yet visited and 0 if it was. list holds the
+// positions visited so far, o not among them, and the caller keeps o by
+// appending it there: the scan route looks o up in list, the bitmap route
+// marks o's bit and never reads list.
+func (v *visited) add(list []metrics.Offset, o metrics.Offset) int {
+	if v.scan {
+		for _, p := range list {
+			if p == o {
+				return 0
+			}
 		}
+		return 1
 	}
-	return false
+	i := uint(int(o.DY)+visitRange)*(2*visitRange+1) + uint(int(o.DX)+visitRange)
+	w, s := i/64%uint(len(v.bits)), i%64 // the modulo only spares a bounds check
+	was := v.bits[w] >> s & 1
+	v.bits[w] |= 1 << s
+	return int(was ^ 1)
 }
 
 // offsetL1 is the L1 length of a full-pel displacement (half of its MV's).
@@ -140,8 +168,8 @@ func offsetL1(o metrics.Offset) int {
 var descentSteps = [4]metrics.Offset{{DX: 1}, {DX: -1}, {DY: 1}, {DY: -1}}
 
 // pbmBatch evaluates the candidates in probes, then the descent, through
-// metrics.SADBestFew; probes is the visited list and grows with every
-// descent probe.
+// metrics.SADBestFew; probes, already recorded in seen, grows with every
+// descent probe, and its length is Points.
 //
 // Step 1 is one call. better() orders candidates by (SAD, L1, first-seen);
 // stable-sorted by L1, a later candidate is never shorter than the
@@ -152,10 +180,10 @@ var descentSteps = [4]metrics.Offset{{DX: 1}, {DX: -1}, {DY: 1}, {DY: -1}}
 // the current best, which moves inside a step, so the four probes of a
 // step are not known in advance. What each probe costs is a rectangle
 // compare (win is ±Range ∩ frame, so inside it means in range and legal),
-// a scan of the packed probe list, and a one-candidate kernel call with
-// the bar at bestSAD+1: a loser comes back -1, a tie comes back exact and
-// wins only on the shorter vector.
-func pbmBatch(in *Input, win metrics.Rect, probes []metrics.Offset, steps int) (mvfield.MV, int, int) {
+// a visited-set lookup (one bit on the bitmap route), and a one-candidate
+// kernel call with the bar at bestSAD+1: a loser comes back -1, a tie
+// comes back exact and wins only on the shorter vector.
+func pbmBatch(in *Input, win metrics.Rect, probes []metrics.Offset, seen *visited, steps int) (mvfield.MV, int, int) {
 	var few [metrics.FewCands]metrics.Offset
 	n := copy(few[:], probes)
 	for i := 1; i < n; i++ {
@@ -173,7 +201,7 @@ func pbmBatch(in *Input, win metrics.Rect, probes []metrics.Offset, steps int) (
 		improved := false
 		for _, d := range descentSteps {
 			o := metrics.Offset{DX: best.DX + d.DX, DY: best.DY + d.DY}
-			if !win.Contains(o) || probed(probes, o) {
+			if !win.Contains(o) || seen.add(probes, o) == 0 {
 				continue
 			}
 			probes = append(probes, o)

@@ -14,7 +14,8 @@ import (
 // referencePBM is PBM as §2.2 states it and as it ran before the batch
 // route existed, written for obviousness: its own reading of the Fig. 2
 // neighbourhood, ClampMV and Legal per point, a map for the visited set,
-// exact SADs throughout. Both of PBM.Search's evaluators are held to it.
+// its own half-pel loop (no ring), exact SADs throughout. Both of
+// PBM.Search's evaluators are held to it.
 func referencePBM(p *PBM, in *Input) Result {
 	visited := map[mvfield.MV]bool{}
 	pts := 0
@@ -74,8 +75,19 @@ func referencePBM(p *PBM, in *Input) Result {
 		}
 	}
 	if !p.NoHalfPel {
-		mv, sad, extra := refineHalfPel(in, best, bestSAD)
-		best, bestSAD, pts = mv, sad, pts+extra
+		center := best
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				mv := center.Add(mvfield.MV{X: dx, Y: dy})
+				if dx == 0 && dy == 0 || !in.Legal(mv) {
+					continue
+				}
+				pts++
+				if s := in.SAD(mv); better(s, mv, bestSAD, best) {
+					best, bestSAD = mv, s
+				}
+			}
+		}
 	}
 	return Result{MV: best, SAD: bestSAD, Points: pts}
 }
@@ -94,11 +106,15 @@ var pbmTexture = sync.OnceValue(func() *frame.Plane { return texturedPlane(pbmTe
 // budget, half-pel, context — so a table can enumerate them and the fuzzer
 // can flip them; seed draws everything else: the motion, the noise, the
 // block, and motion fields with unknown entries and vectors far outside
-// the window.
+// the window. Odd seeds search an encoder-shaped reference — a Range+1
+// apron, replicated — on which border and corner blocks refine on the
+// ring through the apron; even seeds a tight plane, on which they refine
+// one probe at a time. Ranges 16 and 24 outgrow the visited bitmap and
+// take the list scan.
 func pbmProblem(seed uint64, shape uint16) (*PBM, *Input, string) {
 	r := rand.New(rand.NewPCG(seed, 0x2005))
 	content := int(shape&3) % 3
-	rng := []int{7, 15}[shape>>2&1]
+	rng := []int{7, 15, 16, 24}[shape>>2&1|shape>>7&2]
 	steps := []int{1, 4, 8, 12}[shape>>3&3] // 12 outgrows Search's stack probe list
 	p := &PBM{MaxRefineSteps: steps, NoHalfPel: shape>>5&1 == 1}
 	ctx := int(shape >> 6 & 3) // 0 none, 1 spatial only, 2 spatial+temporal, 3 spatial+seed
@@ -121,6 +137,14 @@ func pbmProblem(seed uint64, shape uint16) (*PBM, *Input, string) {
 		for i := r.IntN(40); i > 0; i-- {
 			cur.Set(r.IntN(pbmTestW), r.IntN(pbmTestH), uint8(r.IntN(256)))
 		}
+	}
+	apron := 0
+	if seed&1 == 1 {
+		apron = rng + 1
+		padded := frame.NewPlanePadded(pbmTestW, pbmTestH, apron)
+		padded.CopyBlock(0, 0, ref, 0, 0, pbmTestW, pbmTestH)
+		padded.ReplicateApron()
+		ref = padded
 	}
 
 	randMV := func() mvfield.MV {
@@ -159,8 +183,8 @@ func pbmProblem(seed uint64, shape uint16) (*PBM, *Input, string) {
 	if ctx == 3 {
 		in.Seed = &FieldSeed{Field: randField(2*pbmTestCols, 2*pbmTestRows), Shift: 1}
 	}
-	name := fmt.Sprintf("seed=%d shape=%#x content=%d range=%d steps=%d nohalf=%v ctx=%d mb=(%d,%d)",
-		seed, shape, content, rng, steps, p.NoHalfPel, ctx, in.MBX, in.MBY)
+	name := fmt.Sprintf("seed=%d shape=%#x content=%d range=%d apron=%d steps=%d nohalf=%v ctx=%d mb=(%d,%d)",
+		seed, shape, content, rng, apron, steps, p.NoHalfPel, ctx, in.MBX, in.MBY)
 	return p, in, name
 }
 
@@ -183,13 +207,15 @@ func checkPBMProblem(t *testing.T, seed uint64, shape uint16) {
 // not: the batch route (one SADBest call for the predictor set, one per
 // descent probe), the per-point fold and the reference must agree on
 // vector, SAD and Points for every shape — textured, flat and periodic
-// (tie-heavy) content, Range 7 and 15, descent budgets 1/4/8 (8 can fill
-// the stack probe list, 14 + 32 entries) and 12 (the list may outgrow it
-// and must stay exact), half-pel on and off, no context / spatial / spatio-temporal /
-// seeded predictors — over random motion, border and corner blocks and
-// fields with unknown entries and out-of-window vectors, on every kernel
-// tier. A descent that evaluates a step as the four neighbours of its
-// start point — not a sequential walk — fails here within the first
+// (tie-heavy) content, Range 7 and 15 (the visited bitmap) and 16 and 24
+// (the list scan), descent budgets 1/4/8 (8 can fill the stack probe list,
+// 14 + 32 entries) and 12 (the list may outgrow it and must stay exact),
+// half-pel on and off, no context / spatial / spatio-temporal / seeded
+// predictors — over random motion, border and corner blocks (refined on the
+// ring through the apron for odd seeds, one probe at a time for even ones)
+// and fields with unknown entries and out-of-window vectors, on every
+// kernel tier. A descent that evaluates a step as the four neighbours of
+// its start point — not a sequential walk — fails here within the first
 // shapes (see CHANGES.md, PR 22) while passing every golden.
 func TestPBMBatchMatchesPerPoint(t *testing.T) {
 	for _, isa := range metrics.KernelISAs() {
@@ -197,7 +223,7 @@ func TestPBMBatchMatchesPerPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for shape := uint16(0); shape < 256; shape++ {
+		for shape := uint16(0); shape < 512; shape++ {
 			if shape&3 == 3 {
 				continue // the low two bits pick the content; 3 repeats 0
 			}
@@ -216,6 +242,7 @@ func FuzzPBMBatch(f *testing.F) {
 	f.Add(uint64(2005), uint16(0x95)) // flat, range 15, 8 steps, spatio-temporal
 	f.Add(uint64(22), uint16(0xce))   // periodic, range 15, 4 steps, seeded
 	f.Add(uint64(3), uint16(0x7a))    // periodic, 12 steps, no half-pel
+	f.Add(uint64(41), uint16(0x190))  // textured, range 16 (list scan), 8 steps, spatio-temporal
 	f.Fuzz(func(t *testing.T, seed uint64, shape uint16) {
 		checkPBMProblem(t, seed, shape)
 	})

@@ -171,50 +171,45 @@ func better(sad int, mv mvfield.MV, bestSAD int, bestMV mvfield.MV) bool {
 	return mv.L1() < bestMV.L1()
 }
 
-// refineHalfPel evaluates the 8 half-pel neighbours of center and returns
-// the best position along with the number of candidates evaluated. This is
-// the refinement step shared by every integer-precision searcher (H.263
-// half-pel motion). Probes run the capped fused kernels: a losing
-// neighbour aborts within a few rows, and the returned bestSAD is always
-// exact (truncation only happens above the incumbent; ties fold to the
-// exact value).
+// refineHalfPel evaluates the Legal ones among the 8 half-pel neighbours of
+// center and returns the best position along with the number of candidates
+// evaluated. This is the refinement step shared by every integer-precision
+// searcher (H.263 half-pel motion).
+//
+// A full-pel centre whose ±1 neighbourhood lies inside the reference's
+// apron — every macroblock of an encode, whose luma apron is SearchRange+1,
+// and on a tight plane every block whose ring is in-plane — scores all
+// eight neighbours up front in one fused ring pass that shares the current
+// block and reference rows across the probes; an edge block's ring reads
+// the replicated apron for the neighbours it may not use, and the loop
+// skips those as it skips them on the per-probe route. Otherwise — for
+// Collect (which records every SAD), half-pel centres, other block shapes
+// and planes whose apron cannot hold the ring — each neighbour is probed
+// with the capped fused kernels: a loser aborts within a few rows, and the
+// returned bestSAD is always exact (truncation only happens above the
+// incumbent; ties fold to the exact value), so both routes pick the same
+// neighbour.
 func refineHalfPel(in *Input, center mvfield.MV, centerSAD int) (mvfield.MV, int, int) {
 	best, bestSAD, pts := center, centerSAD, 0
-	// Interior blocks (the vast majority) evaluate the whole ring with one
-	// fused pass that shares the current block and reference rows across
-	// all eight probes; the selection below replays the same scan order and
-	// tie-breaks as the per-probe loop, so the outcome is identical.
-	if center.IsFullPel() && in.Collect == nil && in.W%8 == 0 && in.W*in.H <= 256 &&
-		in.Legal(center.Add(mvfield.MV{X: -1, Y: -1})) &&
-		in.Legal(center.Add(mvfield.MV{X: 1, Y: 1})) {
-		fx, fy := center.FullPel()
-		var ring [9]int
+	fx, fy := center.FullPel()
+	var ring [9]int
+	onRing := center.IsFullPel() && in.Collect == nil && in.W%8 == 0 && in.W*in.H <= 256 &&
+		in.Ref.InApron(in.BX+fx-1, in.BY+fy-1, in.W+2, in.H+2)
+	if onRing {
 		metrics.SADHalfPelRing(in.Cur, in.BX, in.BY, in.Ref, in.BX+fx, in.BY+fy, in.W, in.H, &ring)
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 {
-					continue
-				}
-				mv := center.Add(mvfield.MV{X: dx, Y: dy})
-				pts++
-				if s := ring[(dy+1)*3+dx+1]; better(s, mv, bestSAD, best) {
-					best, bestSAD = mv, s
-				}
-			}
-		}
-		return best, bestSAD, pts
 	}
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
-			if dx == 0 && dy == 0 {
-				continue
-			}
 			mv := center.Add(mvfield.MV{X: dx, Y: dy})
-			if !in.Legal(mv) {
+			if dx == 0 && dy == 0 || !in.Legal(mv) {
 				continue
 			}
 			pts++
-			if s := in.SADCapped(mv, bestSAD); better(s, mv, bestSAD, best) {
+			s := ring[(dy+1)*3+dx+1]
+			if !onRing {
+				s = in.SADCapped(mv, bestSAD)
+			}
+			if better(s, mv, bestSAD, best) {
 				best, bestSAD = mv, s
 			}
 		}
