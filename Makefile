@@ -23,13 +23,14 @@
 #                       `go test -list`, so a new one is picked up by
 #                       being written) fuzzed for 3 s each: `go test`
 #                       alone only replays the seed corpora
-#   make fma-check    — cross-compile internal/dct and internal/codec for
-#                       arm64 with -gcflags=-S (no network, no arm64 host
-#                       needed) and fail on any fused multiply-add
-#                       attributed to them: the goldens pin multiply,
-#                       round, add, round, and arm64 fuses x*y + z into
-#                       one rounding wherever an explicit float64(x*y)
-#                       conversion does not forbid it
+#   make fma-check    — cross-compile internal/dct, internal/codec and
+#                       internal/metrics (the kernel table's scalar tiers
+#                       of the transform) for arm64 with -gcflags=-S (no
+#                       network, no arm64 host needed) and fail on any
+#                       fused multiply-add attributed to them: the goldens
+#                       pin multiply, round, add, round, and arm64 fuses
+#                       x*y + z into one rounding wherever an explicit
+#                       float64(x*y) conversion does not forbid it
 #   make bench-check  — vet + test the bench/ module (BENCHMARK.json's
 #                       harness). It is a module of its own, outside the
 #                       root ./..., so only this target notices when a
@@ -41,7 +42,8 @@
 #                       allocation-regression check (fails loudly if
 #                       EncodeFrame allocs/frame climb above the ceilings
 #                       pinned in internal/codec/alloc_test.go for the
-#                       serial, Workers=2 and Pool(2) executors). Speed
+#                       serial, Workers=2 and Pool(2) executors, or
+#                       DecodeFrame's above the decoder's). Speed
 #                       itself is measured only by bench/run.sh
 #                       (BENCHMARK.json)
 #   make serve-smoke  — boot vcodecd on a random port, run a verified
@@ -68,8 +70,11 @@
 #                       written to prof/adaptive.cpu.prof beside its test
 #                       binary; read it with the pprof line it prints. A
 #                       report, not a gate, and not part of ci
-#   make ci           — every target above except profile-adaptive, in
-#                       that order
+#   make profile-fullsearch — the same for BenchmarkEncodeFullsearchCells
+#                       (fullsearch_serial's three cells), written to
+#                       prof/fullsearch.cpu.prof
+#   make ci           — every target above except the two profile ones,
+#                       in that order
 #   make loc          — non-test, non-comment lines of .go and .s files per
 #                       package and for the module (bench/ is its own
 #                       module and is left out): the count simplicity
@@ -80,7 +85,7 @@ GO ?= go
 # The X-smoke targets are built by the one %-smoke pattern rule below, so
 # they must stay out of .PHONY (make skips implicit rules for phony
 # targets); FORCE keeps them, and the bin/% builds, always out of date.
-.PHONY: build test sched-one-p test-386 fuzz-smoke fma-check bench-check bench-smoke profile-adaptive ci loc FORCE
+.PHONY: build test sched-one-p test-386 fuzz-smoke fma-check bench-check bench-smoke profile-adaptive profile-fullsearch ci loc FORCE
 
 build:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -108,12 +113,12 @@ fuzz-smoke:
 	done
 
 fma-check:
-	@fused="$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/dct ./internal/codec 2>&1 \
-		| grep -E 'internal/(dct|codec)/[^/)]+\)[[:space:]]+FN?M(ADD|SUB)[SD]' || true)"; \
+	@fused="$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/dct ./internal/codec ./internal/metrics 2>&1 \
+		| grep -E 'internal/(dct|codec|metrics)/[^/)]+\)[[:space:]]+FN?M(ADD|SUB)[SD]' || true)"; \
 	if [ -n "$$fused" ]; then \
-		echo "fused multiply-add in the arm64 build of internal/dct or internal/codec:"; \
+		echo "fused multiply-add in the arm64 build of internal/dct, internal/codec or internal/metrics:"; \
 		echo "$$fused"; exit 1; fi; \
-	echo "fma-check: no fused multiply-add in the arm64 build of internal/dct, internal/codec"
+	echo "fma-check: no fused multiply-add in the arm64 build of internal/dct, internal/codec, internal/metrics"
 
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
@@ -121,7 +126,7 @@ bench-check:
 bench-smoke:
 	$(GO) run ./cmd/acbmbench -experiment dispatch
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) test -run TestEncodeFrameAllocCeiling -count=1 -v ./internal/codec/
+	$(GO) test -run 'TestEncodeFrameAllocCeiling|TestDecodeFrameAllocCeiling' -count=1 -v ./internal/codec/
 	$(GO) test -run TestRecorderOverheadGuard -count=1 -v ./internal/codec/
 
 profile-adaptive:
@@ -129,6 +134,12 @@ profile-adaptive:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '^BenchmarkEncodeAdaptiveCells$$' -benchtime 5s \
 		-o prof/repro.test -cpuprofile prof/adaptive.cpu.prof .
 	@echo "$(GO) tool pprof -top -focus EncodeFrame prof/repro.test prof/adaptive.cpu.prof"
+
+profile-fullsearch:
+	@mkdir -p prof
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '^BenchmarkEncodeFullsearchCells$$' -benchtime 5s \
+		-o prof/repro.test -cpuprofile prof/fullsearch.cpu.prof .
+	@echo "$(GO) tool pprof -top -focus EncodeFrame prof/repro.test prof/fullsearch.cpu.prof"
 
 # Every binary a smoke script runs, built from this checkout each time (go
 # build is itself incremental). .PRECIOUS: as prerequisites of a pattern

@@ -363,6 +363,48 @@ var adaptiveClips = sync.OnceValue(func() [][]*frame.Frame {
 	return clips
 })
 
+// BenchmarkEncodeFullsearchCells is BenchmarkEncodeAdaptiveCells for
+// BENCHMARK.json's fullsearch_serial workload: its three cells — FSBM on
+// Foreman and on Carphone, ACBM at the default parameters on Foreman, all
+// at Qp 16, QCIF, 80 frames, seed 7 — each through a fresh codec.Encoder
+// with Workers=1. Reports frames/s. `make profile-fullsearch` runs it at
+// GOMAXPROCS=1 and writes its CPU profile.
+func BenchmarkEncodeFullsearchCells(b *testing.B) {
+	clips := fullsearchClips()
+	cells := []struct {
+		clip     []*frame.Frame
+		searcher func() search.Searcher
+	}{
+		{clips[0], func() search.Searcher { return &search.FSBM{} }},
+		{clips[1], func() search.Searcher { return &search.FSBM{} }},
+		{clips[0], func() search.Searcher { return core.New(core.DefaultParams) }},
+	}
+	b.ResetTimer()
+	frames := 0
+	for i := 0; i < b.N; i++ {
+		for _, c := range cells {
+			enc := codec.NewEncoder(codec.Config{Qp: 16, Searcher: c.searcher(), Workers: 1})
+			for _, f := range c.clip {
+				if _, err := enc.EncodeFrame(f); err != nil {
+					b.Fatal(err)
+				}
+			}
+			enc.Bitstream()
+			frames += len(c.clip)
+		}
+	}
+	b.ReportMetric(float64(frames)/b.Elapsed().Seconds(), "frames/s")
+}
+
+// fullsearchClips are fullsearch_serial's two QCIF clips, Foreman and
+// Carphone, 80 frames, seed 7.
+var fullsearchClips = sync.OnceValue(func() [][]*frame.Frame {
+	return [][]*frame.Frame{
+		video.Generate(video.Foreman, frame.QCIF, 80, 7),
+		video.Generate(video.Carphone, frame.QCIF, 80, 7),
+	}
+})
+
 func BenchmarkEncodeSequence_Serial(b *testing.B)            { benchEncodeSequence(b, 1, false) }
 func BenchmarkEncodeSequence_Pipeline(b *testing.B)          { benchEncodeSequence(b, 1, true) }
 func BenchmarkEncodeSequence_Workers4(b *testing.B)          { benchEncodeSequence(b, 4, false) }

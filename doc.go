@@ -151,11 +151,13 @@
 //     two byte blocks (metrics.ResidualRows, a table entry too: one
 //     float64 lane per output coefficient, separate multiply and add in
 //     the scalar code's order, so the seventy-two results carry the same
-//     bits on every tier), dct.QuantizeInterRows applies the same bound
-//     per coefficient column and runs the column pass only where a level
-//     can be non-zero, and only a block that keeps a level — about one in
-//     a hundred — is widened to int32, dequantised, inverse-transformed
-//     and clamped. Every exit is exact, not a heuristic — bitstreams are
+//     bits on every tier), metrics.ColQuant (dct.QuantizeInterRows on the
+//     kernel table) applies the same bound per coefficient column and
+//     runs the column pass only where a level can be non-zero, and only a
+//     block that keeps a level — about one in a hundred — is dequantised,
+//     inverse-transformed, added to its prediction and clamped, in one
+//     more table call (metrics.InverseAdd, which intra blocks and the
+//     decoder take too). Every exit is exact, not a heuristic — bitstreams are
 //     byte-identical with and without it — and codec.FrameStats reports
 //     the traffic per frame (GatedBlocks / TransformedBlocks /
 //     RowOnlyBlocks / CodedBlocks). The per-frame PSNR statistics sum

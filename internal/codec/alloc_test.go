@@ -57,3 +57,41 @@ func TestEncodeFrameAllocCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeFrameAllocCeiling pins the decoder's allocations per QCIF
+// frame, the decoder's own setup included: 11.7 measured, over twelve
+// Foreman frames (the frame handed to the caller, the motion field of a P
+// frame, the reader's state). The ceiling fails loudly on anything per
+// macroblock or per block: a block of levels escaping to the heap through
+// the kernel table's indirect call (metrics.InverseAdd), which a per-call
+// stack dct.Block would do, costs one object per intra macroblock (99 in
+// a QCIF intra frame, ~8 a frame over this clip) plus one per coded
+// inter macroblock.
+func TestDecodeFrameAllocCeiling(t *testing.T) {
+	frames := video.Generate(video.Foreman, frame.QCIF, 12, 77)
+	_, data, err := EncodeSequence(Config{Qp: 16, Searcher: &search.PBM{}, Workers: 1}, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		d, err := NewDecoder(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d.More() {
+			f, err := d.DecodeFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Release()
+		}
+	}
+	run() // warm the size-bucketed pools
+	const ceiling = 15
+	perFrame := testing.AllocsPerRun(3, run) / float64(len(frames))
+	t.Logf("allocs/frame = %.1f (ceiling %d)", perFrame, ceiling)
+	if perFrame > ceiling {
+		t.Errorf("DecodeFrame allocates %.1f objects/frame, above the pinned ceiling of %d — "+
+			"a block or macroblock buffer has started to escape to the heap", perFrame, ceiling)
+	}
+}

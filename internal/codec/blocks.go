@@ -13,26 +13,6 @@ import (
 // sides, which is what makes the decoder bit-identical to the encoder's
 // reference loop.
 
-// loadBlock copies the 8×8 samples of p anchored at (x, y) into b.
-func loadBlock(b *dct.Block, p *frame.Plane, x, y int) {
-	for r := 0; r < 8; r++ {
-		row := p.Pix[(y+r)*p.Stride+x : (y+r)*p.Stride+x+8]
-		for c := 0; c < 8; c++ {
-			b[r*8+c] = int32(row[c])
-		}
-	}
-}
-
-// storeBlock writes b (clamped to 8-bit) into p at (x, y).
-func storeBlock(p *frame.Plane, x, y int, b *dct.Block) {
-	for r := 0; r < 8; r++ {
-		row := p.Pix[(y+r)*p.Stride+x : (y+r)*p.Stride+x+8]
-		for c := 0; c < 8; c++ {
-			row[c] = frame.ClampU8(int(b[r*8+c]))
-		}
-	}
-}
-
 // predictInterMB writes the motion-compensated prediction of inter
 // macroblock (mbx, mby) straight into recon, the frame being
 // reconstructed, from the reference ref: the luma as one 16×16 fetch at
@@ -59,17 +39,12 @@ func predictInterMB(recon, ref *frame.Frame, mbx, mby int, mv mvfield.MV) {
 
 // reconCodedBlock finishes a coded inter block in place: p holds the
 // block's prediction at (x, y) (predictInterMB) and receives prediction +
-// dequantised, inverse-transformed levels, clamped to 8 bits. This is the
-// only place an inter block is widened to a dct.Block.
+// dequantised, inverse-transformed levels, clamped to 8 bits — one
+// metrics.InverseAdd over the block's own window. levels crosses the kernel
+// table's indirect call, so it must be long-lived storage (mbResult.levels,
+// the decoder's scratch block), never a stack block per call.
 func reconCodedBlock(p *frame.Plane, x, y int, levels *dct.Block, qp int) {
-	var pred, coef dct.Block
-	loadBlock(&pred, p, x, y)
-	dct.DequantizeInter(&coef, levels, qp)
-	dct.Inverse(&coef, &coef)
-	for i := range pred {
-		pred[i] += coef[i]
-	}
-	storeBlock(p, x, y, &pred)
+	metrics.InverseAdd(p, x, y, p, x, y, levels, qp, false)
 }
 
 // mbScratch is the state one analysis worker reuses across macroblocks,
@@ -78,7 +53,9 @@ func reconCodedBlock(p *frame.Plane, x, y int, levels *dct.Block, qp int) {
 // transformed (inter survivors and intra blocks alike). Both are handed to
 // code the compiler cannot see through (the Searcher interface, the
 // metrics kernel table), so they must live on the heap once rather than on
-// a stack per call.
+// a stack per call. The levels the column pass writes and the
+// reconstruction reads are the macroblock result's, which is long-lived
+// already.
 type mbScratch struct {
 	in   search.Input
 	rows dct.RowPass
@@ -86,8 +63,9 @@ type mbScratch struct {
 
 // zeroBlock is the 8×8 block of zeros an intra block's samples are taken
 // against, so that metrics.ResidualRows — the residual path's row-pass
-// kernel — runs the intra transform's row pass too. Read-only, shared by
-// every lane.
+// kernel — runs the intra transform's row pass too, and the prediction
+// metrics.InverseAdd adds to an intra block's reconstruction. Read-only,
+// shared by every lane and by the decoder.
 var zeroBlock = frame.NewPlane(8, 8)
 
 // codeInterBlocks predicts macroblock (mbx, mby) in place at mv and runs
@@ -124,16 +102,17 @@ func (e *Encoder) codeInterBlocks(sc *mbScratch, r *mbResult, src, recon *frame.
 // zero-block gate: the 8×8 samples of src at (x, y) against the prediction
 // predictInterMB left in recon at the same coordinates. The block takes
 // the forward transform's row pass straight from the two byte blocks
-// (metrics.ResidualRows) and dct.QuantizeInterRows applies the gate's bound
-// per coefficient column, running the column pass only where a level can
-// be non-zero; most survivors end there, uncoded, after half a transform.
-// Only a block that keeps a level is dequantised, inverse-transformed and
-// clamped (reconCodedBlock). Each exit changes which work is done, never
-// its result: coded flags, levels and every reconstructed sample equal
-// what the full route alone would produce.
+// (metrics.ResidualRows) and metrics.ColQuant — dct.QuantizeInterRows on
+// the kernel table — applies the gate's bound per coefficient column,
+// running the column pass only where a level can be non-zero; most
+// survivors end there, uncoded, after half a transform. Only a block that
+// keeps a level is dequantised, inverse-transformed and clamped
+// (reconCodedBlock). Each exit changes which work is done, never its
+// result: coded flags, levels and every reconstructed sample equal what
+// the full route alone would produce.
 func (e *Encoder) codeInterBlock(sc *mbScratch, r *mbResult, i int, src, recon *frame.Plane, x, y int) {
 	metrics.ResidualRows(&sc.rows, src, x, y, recon, x, y)
-	coded, liveCols := dct.QuantizeInterRows(&r.levels[i], &sc.rows, e.curQp)
+	coded, liveCols := metrics.ColQuant(&r.levels[i], &sc.rows, e.curQp, false)
 	r.coded[i] = coded
 	if liveCols == 0 {
 		r.rowOnly++
@@ -141,13 +120,6 @@ func (e *Encoder) codeInterBlock(sc *mbScratch, r *mbResult, i int, src, recon *
 	if coded {
 		reconCodedBlock(recon, x, y, &r.levels[i], e.curQp)
 	}
-}
-
-// reconIntraBlock reconstructs an intra block from quantised levels.
-func reconIntraBlock(out, levels *dct.Block, qp int) {
-	var coef dct.Block
-	dct.DequantizeIntra(&coef, levels, qp)
-	dct.Inverse(out, &coef)
 }
 
 // chromaMV derives the chroma-plane motion vector from a luma vector,

@@ -6,6 +6,7 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/dct"
 	"repro/internal/frame"
+	"repro/internal/metrics"
 	"repro/internal/mvfield"
 )
 
@@ -20,6 +21,10 @@ type Decoder struct {
 	err     error
 
 	recon *frame.Frame
+	// levels is the block being reconstructed. metrics.InverseAdd takes it
+	// through the kernel table's indirect call, which would move a stack
+	// block to the heap on every call.
+	levels dct.Block
 }
 
 // NewDecoder parses the sequence header of data.
@@ -231,13 +236,11 @@ func (d *Decoder) decodeIntraFrame(qp int) (*frame.Frame, error) {
 
 func (d *Decoder) decodeIntraMB(recon *frame.Frame, qp, mbx, mby int) error {
 	x, y := 16*mbx, 16*mby
-	var levels, rec dct.Block
 	decode := func(p *frame.Plane, bx, by int) error {
-		if err := d.readIntraBlock(&levels); err != nil {
+		if err := d.readIntraBlock(&d.levels); err != nil {
 			return err
 		}
-		reconIntraBlock(&rec, &levels, qp)
-		storeBlock(p, bx, by, &rec)
+		metrics.InverseAdd(p, bx, by, zeroBlock, 0, 0, &d.levels, qp, true)
 		return nil
 	}
 	for _, off := range lumaBlockOffsets {
@@ -338,16 +341,16 @@ func (d *Decoder) decodeInterMB(recon *frame.Frame, curField *mvfield.Field, qp,
 	}
 	curField.Set(mbx, mby, mv)
 	predictInterMB(recon, d.recon, mbx, mby, mv)
-	var levels dct.Block // readCoeffs writes all sixty-four
 	for i, c := range coded {
 		if !c {
 			continue
 		}
-		if err := readCoeffs(d.sr, &levels); err != nil {
+		// readCoeffs writes all sixty-four levels.
+		if err := readCoeffs(d.sr, &d.levels); err != nil {
 			return fmt.Errorf("codec: inter block %d: %w", i, err)
 		}
 		p, x, y := mbBlock(recon, mbx, mby, i)
-		reconCodedBlock(p, x, y, &levels, qp)
+		reconCodedBlock(p, x, y, &d.levels, qp)
 	}
 	return nil
 }

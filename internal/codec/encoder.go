@@ -666,20 +666,20 @@ func (e *Encoder) refreshReference(recon *frame.Frame) {
 //
 // The transform is the inter survivors' route: the row pass from the
 // kernel table (metrics.ResidualRows of the samples against zeroBlock,
-// into the lane's scratch), then dct.QuantizeIntraRows, which runs column
-// 0 (it holds DC) and only the AC columns whose row-pass energy exceeds
-// dct.IntraZeroBound. The levels are Forward + QuantizeIntra's.
+// into the lane's scratch), then metrics.ColQuant's intra rule
+// (dct.QuantizeIntraRows on the kernel table), which runs column 0 (it
+// holds DC) and only the AC columns whose row-pass energy exceeds
+// dct.IntraZeroBound. The levels are Forward + QuantizeIntra's. The
+// reconstruction is metrics.InverseAdd over zeroBlock, as the decoder's.
 func (e *Encoder) analyzeIntraMB(sc *mbScratch, src, recon *frame.Frame, mbx, mby int, r *mbResult) {
 	r.mode = mbIntra
 	r.points, r.class = 0, search.Unclassified
-	var rec dct.Block
 	for i := range r.levels {
 		p, x, y := mbBlock(src, mbx, mby, i)
 		metrics.ResidualRows(&sc.rows, p, x, y, zeroBlock, 0, 0)
-		r.coded[i], _ = dct.QuantizeIntraRows(&r.levels[i], &sc.rows, e.curQp)
-		reconIntraBlock(&rec, &r.levels[i], e.curQp)
+		r.coded[i], _ = metrics.ColQuant(&r.levels[i], &sc.rows, e.curQp, true)
 		rp, _, _ := mbBlock(recon, mbx, mby, i)
-		storeBlock(rp, x, y, &rec)
+		metrics.InverseAdd(rp, x, y, zeroBlock, 0, 0, &r.levels[i], e.curQp, true)
 	}
 }
 

@@ -19,6 +19,15 @@
 // the row pass, so a surviving block runs the column pass only where a
 // level can be non-zero. QuantizeIntraRows does the same for intra blocks
 // with IntraZeroBound, QuantizeIntra's edge.
+//
+// The encoder and decoder run none of the float code here directly: the
+// kernel table in internal/metrics holds the residual row pass
+// (ResidualRows), the column pass with the quantiser (ColQuant) and the
+// reconstruction (InverseAdd), whose scalar tiers are ForwardRows,
+// QuantizeInterRows / QuantizeIntraRows and Dequantize* + Inverse, and
+// whose vector tiers reproduce their bits over RowBasis and Basis. This
+// package is their definition and the tests' oracle; Forward, Inverse and
+// QuantizeInter also serve the benchmark harness's per-layer replay.
 package dct
 
 import "math"
@@ -124,6 +133,12 @@ type RowPass struct {
 // keeps one lane per output coefficient. Read-only.
 func RowBasis() *[BlockSize][BlockSize]float64 { return &cosTableT }
 
+// Basis returns the basis itself, Basis()[u][x] = c(u)/2 · cos((2x+1)uπ/16):
+// for one coefficient u, the contiguous vector of its weights in the eight
+// samples x — the operand layout of an inverse row pass that keeps one lane
+// per output sample. Read-only.
+func Basis() *[BlockSize][BlockSize]float64 { return &cosTable }
+
 // ForwardRows runs Forward's row pass over resid into rp, accumulating the
 // column energies on the way.
 func ForwardRows(rp *RowPass, resid *Block) {
@@ -150,8 +165,8 @@ func ForwardRows(rp *RowPass, resid *Block) {
 // scan a caller would otherwise run), live how many of the eight columns
 // needed their column pass — 0 means the block was settled by half a
 // transform. levels and resid may alias. It is ForwardRows followed by
-// QuantizeInterRows; the encoder takes the row pass from
-// metrics.ResidualRows instead and calls the second half itself.
+// QuantizeInterRows; the encoder takes both halves from the kernel table
+// (metrics.ResidualRows, metrics.ColQuant).
 func ForwardQuantizeInter(levels, resid *Block, qp int) (coded bool, live int) {
 	var rp RowPass
 	ForwardRows(&rp, resid)

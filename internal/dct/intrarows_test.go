@@ -58,6 +58,9 @@ func checkIntraRows(t *testing.T, what string, blk *Block) {
 		if live != wantLive {
 			t.Fatalf("%s qp %d: %d live columns, want %d (block %v)", what, qp, live, wantLive, *blk)
 		}
+		if RowPassCheck != nil {
+			RowPassCheck(t, what, &rp, qp, true)
+		}
 	}
 }
 

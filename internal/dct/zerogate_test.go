@@ -97,6 +97,11 @@ func checkFused(t *testing.T, what string, resid, want *Block, colE *[BlockSize]
 	if live != wantLive {
 		t.Fatalf("%s qp %d: %d live columns, want %d (resid %v)", what, qp, live, wantLive, *resid)
 	}
+	if RowPassCheck != nil {
+		var rp RowPass
+		ForwardRows(&rp, resid)
+		RowPassCheck(t, what, &rp, qp, false)
+	}
 }
 
 // TestInterZeroBoundFollowsQuantizer recomputes the bound from

@@ -19,9 +19,11 @@ import (
 // (the fused 16×16 kernel over a grid of anchors, and an 8×8 block), the
 // half-pel phases and ring, a SADBest window scan, the residual-energy SSE,
 // the zero-block gate's six energies per macroblock, the prediction fetch
-// (both block shapes, all four phases, destination guard band included) and
-// the residual row pass (every float64 bit pattern) on fixed blocks and
-// must agree with the scalar reference bit-for-bit. It is the cheap
+// (both block shapes, all four phases, destination guard band included),
+// the residual row pass (every float64 bit pattern), the column pass with
+// the quantiser (levels, nz, live; inter and intra) and the reconstruction
+// (in place and over zeros) on fixed blocks and must agree with the scalar
+// reference bit-for-bit. It is the cheap
 // CI-time version of the full differential suite in internal/metrics —
 // catching a machine whose dispatch picked a broken tier (or silently
 // fell back to scalar) before any benchmark numbers get trusted. The
@@ -132,6 +134,9 @@ func probeKernelTiers(b *strings.Builder) []string {
 		}
 	}
 	clip := metrics.Rect{MinX: -8, MinY: -7, MaxX: 8, MaxY: 8}
+	// The transform entries take their blocks through pointers, long-lived
+	// here as in the encoder; zero is an intra block's prediction.
+	rows, levels, zero := new(dct.RowPass), new(dct.Block), frame.NewPlane(8, 8)
 
 	type probe struct {
 		name string
@@ -197,6 +202,41 @@ func probeKernelTiers(b *strings.Builder) []string {
 			for y := range rp.Tmp {
 				put(rp.Tmp[y][:])
 			}
+			return int(h.Sum32())
+		}},
+		{"colQuant", func() int {
+			// One residual and one sample block, finished at three quantisers.
+			var vals []int
+			for _, intra := range []bool{false, true} {
+				if intra {
+					metrics.ResidualRows(rows, cur, 8, 8, zero, 0, 0)
+				} else {
+					metrics.ResidualRows(rows, cur, 8, 8, ref, 9, 7)
+				}
+				for _, qp := range []int{2, 9, 30} {
+					nz, live := metrics.ColQuant(levels, rows, qp, intra)
+					if nz {
+						live = -live - 1
+					}
+					vals = append(vals, live)
+					for _, l := range levels {
+						vals = append(vals, int(l))
+					}
+				}
+			}
+			return hashInts(vals...)
+		}},
+		{"inverseAdd", func() int {
+			// The levels of a dense block, reconstructed in place over a
+			// copy of ref and, intra, over zeros into the copy's corner.
+			for i := range levels {
+				levels[i] = int32(i%7 - 3)
+			}
+			dst := &frame.Plane{W: ref.W, H: ref.H, Stride: ref.Stride, Pix: append([]uint8(nil), ref.Pix...)}
+			metrics.InverseAdd(dst, 9, 7, dst, 9, 7, levels, 11, false)
+			metrics.InverseAdd(dst, 0, 0, zero, 0, 0, levels, 11, true)
+			h := fnv.New32a()
+			h.Write(dst.Pix)
 			return int(h.Sum32())
 		}},
 	}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -242,6 +243,75 @@ func BenchmarkKernelResidualRows(b *testing.B) {
 		}
 		benchSink = int(rp.Energy[0])
 	})
+}
+
+// BenchmarkKernelColQuant is the column pass and quantiser of one inter
+// block at Qp 16 with 0, 1, 4 or 8 of its eight coefficient columns above
+// the zero bound (the row-pass energies are set to pick them; the
+// intermediate is a real residual's). ns/op is ns per block; the scalar
+// tier is the dct package's QuantizeInterRows.
+func BenchmarkKernelColQuant(b *testing.B) {
+	rng := rand.New(rand.NewSource(1234))
+	var resid dct.Block
+	for i := range resid {
+		resid[i] = int32(rng.Intn(121) - 60)
+	}
+	levels := new(dct.Block)
+	for _, live := range []int{0, 1, 4, 8} {
+		rp := new(dct.RowPass)
+		dct.ForwardRows(rp, &resid)
+		for u := range rp.Energy {
+			if u >= live {
+				rp.Energy[u] = 0
+			}
+		}
+		b.Run(fmt.Sprintf("live%d", live), func(b *testing.B) {
+			benchEachISA(b, func(b *testing.B) {
+				sink := 0
+				for i := 0; i < b.N; i++ {
+					_, n := ColQuant(levels, rp, 16, false)
+					sink += n
+				}
+				benchSink = sink
+			})
+		})
+	}
+}
+
+// BenchmarkKernelInverseAdd is the reconstruction of one coded inter block
+// in place at Qp 16: a DC-only block, a sparse one (three low-frequency
+// levels) and a dense one (every level non-zero). ns/op is ns per block;
+// the scalar tier is dequantise + dct.Inverse + add + clamp.
+func BenchmarkKernelInverseAdd(b *testing.B) {
+	_, ref := benchPlanes()
+	dst := frame.NewPlanePadded(352, 64, 16)
+	copy(dst.Pix, ref.Pix)
+	rng := rand.New(rand.NewSource(99))
+	dense := new(dct.Block)
+	for i := range dense {
+		dense[i] = int32(rng.Intn(7) - 3)
+		if dense[i] == 0 {
+			dense[i] = 1
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		levels *dct.Block
+	}{
+		{"dc", &dct.Block{0: 3}},
+		{"sparse", &dct.Block{0: -2, 1: 1, 8: 2}},
+		{"dense", dense},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			benchEachISA(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					x := 8 * (i % 40)
+					InverseAdd(dst, x, 16, dst, x, 16, c.levels, 16, false)
+				}
+				benchSink = int(dst.At(0, 16))
+			})
+		})
+	}
 }
 
 // benchSink defeats dead-code elimination of the benchmark bodies.

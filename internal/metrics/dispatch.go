@@ -88,6 +88,20 @@ import (
 //     through an out-pointer: 576 bytes cost more to copy than the vector
 //     kernel takes, so the caller owns long-lived storage instead
 //     (ResidualRows)
+//   - colQuant: the column pass and quantiser behind ColQuant, finishing a
+//     block from its row pass: dct.QuantizeInterRows' (or, intra,
+//     QuantizeIntraRows') levels, nz and live. A column whose row-pass
+//     energy is at or below the zero bound is never computed; the others
+//     round one multiply and one add at a time in dct.dot8's order, and
+//     round to integers half away from zero exactly
+//   - inverseAdd: the reconstruction behind InverseAdd — dequantise,
+//     dct.Inverse, add the 8×8 prediction, frame.ClampU8 — both blocks
+//     in-plane, the prediction possibly the destination window itself.
+//     Same rounding rules as colQuant; zero terms of all-zero coefficient
+//     rows and columns may be skipped (they change only a zero's sign).
+//     Writes the 8×8 window and not one byte beside it, like predict. Both
+//     entries take the block of levels through a pointer, which the
+//     indirect call makes escape: the caller owns long-lived storage
 type kernelTable struct {
 	name string
 
@@ -109,6 +123,8 @@ type kernelTable struct {
 
 	predict      func(dst *frame.Plane, dx, dy int, ref *frame.Plane, hx, hy, w, h int)
 	residualRows func(rp *dct.RowPass, a *frame.Plane, ax, ay int, b *frame.Plane, bx, by int)
+	colQuant     func(levels *dct.Block, rp *dct.RowPass, qp int, intra bool) (nz bool, live int)
+	inverseAdd   func(dst *frame.Plane, dx, dy int, pred *frame.Plane, px, py int, levels *dct.Block, qp int, intra bool)
 }
 
 // activeKernels is the table every exported SAD entry point reads. It is
@@ -233,6 +249,8 @@ func scalarTable() *kernelTable {
 		mbSSE:        macroblockSSEScalar,
 		predict:      predictScalar,
 		residualRows: residualRowsScalar,
+		colQuant:     colQuantScalar,
+		inverseAdd:   inverseAddScalar,
 	}
 }
 
@@ -263,6 +281,8 @@ func swarTable() *kernelTable {
 		// no float64 lanes.
 		predict:      predictScalar,
 		residualRows: residualRowsScalar,
+		colQuant:     colQuantScalar,
+		inverseAdd:   inverseAddScalar,
 	}
 }
 

@@ -142,6 +142,22 @@ func residualRowsSSE2(a *byte, aStride int, b *byte, bStride int, basis *[8][8]f
 //go:noescape
 func residualRowsAVX2(a *byte, aStride int, b *byte, bStride int, basis *[8][8]float64, out *dct.RowPass)
 
+// colQuantAVX2 (transform_amd64.s) runs the column pass and quantiser of
+// the columns whose row-pass energy exceeds bound (and, intra, column 0)
+// over rp into levels, which it zeroes first; basis is dct.RowBasis(),
+// half and step the quantiser's (half = 0 for intra, whose DC slot takes
+// the /8 rule). nz is non-zero when any level — for intra any AC level —
+// is; live counts the columns run.
+//
+//go:noescape
+func colQuantAVX2(levels *dct.Block, rp *dct.RowPass, basis *[8][8]float64, bound, half, step float64, intra int) (nz, live int)
+
+// inverseAddAVX2 reconstructs the 8×8 block at dst from levels at qp
+// (already clamped) and the prediction at pred; basis is dct.Basis().
+//
+//go:noescape
+func inverseAddAVX2(dst *byte, dstStride int, pred *byte, predStride int, levels *dct.Block, basis *[8][8]float64, qp, intra int)
+
 //go:noescape
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -252,7 +268,30 @@ func sse2Table() *kernelTable {
 		residualRows: func(rp *dct.RowPass, a *frame.Plane, ax, ay int, b *frame.Plane, bx, by int) {
 			residualRowsSSE2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, dct.RowBasis(), rp)
 		},
+		colQuant:   colQuantScalar,
+		inverseAdd: inverseAddScalar,
 	}
+}
+
+// colQuantVec adapts colQuantAVX2 to the table: the zero bound
+// QuantizeInterRows or QuantizeIntraRows tests each column's row-pass
+// energy against, and the quantiser's half and step.
+func colQuantVec(levels *dct.Block, rp *dct.RowPass, qp int, intra bool) (bool, int) {
+	qp = dct.ClampQp(qp)
+	bound, half, in := dct.InterZeroBound(qp), qp/2, 0
+	if intra {
+		bound, half, in = dct.IntraZeroBound(qp), 0, 1
+	}
+	nz, live := colQuantAVX2(levels, rp, dct.RowBasis(), float64(bound), float64(half), float64(2*qp), in)
+	return nz != 0, live
+}
+
+func inverseAddVec(dst *frame.Plane, dx, dy int, pred *frame.Plane, px, py int, levels *dct.Block, qp int, intra bool) {
+	in := 0
+	if intra {
+		in = 1
+	}
+	inverseAddAVX2(pix(dst, dx, dy), dst.Stride, pix(pred, px, py), pred.Stride, levels, dct.Basis(), dct.ClampQp(qp), in)
 }
 
 func intraSADSSE2(p *frame.Plane, x, y, w, h int) int {
@@ -283,8 +322,15 @@ func sseSSE2(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 // (sixteen squared differences per VPMADDWD; the 8-wide residual block
 // takes two rows per iteration);
 // mbSSE (the zero-block gate's six energies from one 16-wide luma pass and
-// one Cb|Cr pass) and residualRows (four float64 lanes per register: a
-// row's eight outputs in two).
+// one Cb|Cr pass), residualRows (four float64 lanes per register: a
+// row's eight outputs in two), colQuant (one pass per live column, lanes
+// across v, the quantiser in float) and inverseAdd (int32-lane
+// dequantiser, both inverse passes skipping all-zero coefficient rows and
+// columns, four output rows in flight, one 8-byte store per row).
+//
+// The SSE2 table's colQuant and inverseAdd are the scalar tier's: its
+// 128-bit float ops have no ROUNDPD (SSE4.1), which the exact rounding
+// uses, and the encoder's hosts have AVX2.
 //
 // SSE2 under this name, each for a stated reason:
 //   - predict: its widest row is one 16-byte register either way.
@@ -349,5 +395,7 @@ func avx2Table() *kernelTable {
 	t.residualRows = func(rp *dct.RowPass, a *frame.Plane, ax, ay int, b *frame.Plane, bx, by int) {
 		residualRowsAVX2(pix(a, ax, ay), a.Stride, pix(b, bx, by), b.Stride, dct.RowBasis(), rp)
 	}
+	t.colQuant = colQuantVec
+	t.inverseAdd = inverseAddVec
 	return &t
 }

@@ -5,6 +5,7 @@ import (
 	"syscall"
 	"testing"
 
+	"repro/internal/dct"
 	"repro/internal/frame"
 )
 
@@ -66,6 +67,35 @@ func TestSADBestReadsOnlyItsWindow(t *testing.T) {
 					checkSADBest(t, "guarded", oracle, cur, 0, 0, ref, rx, ry, 16, 16, cands, clip, best)
 				}
 			})
+		})
+	}
+}
+
+// TestInverseAddReadsOnlyItsWindow holds every tier's reconstruction to its
+// 8×8 prediction: the prediction block is the plane before a guard page,
+// its last byte the one before it, read from a separate plane and in place
+// (the inter route, which also writes that block). The destination window
+// is checked against the scalar tier's.
+func TestInverseAddReadsOnlyItsWindow(t *testing.T) {
+	_, planeBefore := guardedPlanes(t)
+	pred := planeBefore(8, 8)
+	orig := append([]uint8(nil), pred.Pix...)
+	levels := &dct.Block{0: 5, 1: -3, 9: 2, 63: 1}
+	for _, intra := range []bool{false, true} {
+		want := frame.NewPlane(8, 8)
+		inverseAddScalar(want, 0, 0, pred, 0, 0, levels, 12, intra)
+		withEachISA(t, func(t *testing.T, isa string) {
+			dst := frame.NewPlane(8, 8)
+			InverseAdd(dst, 0, 0, pred, 0, 0, levels, 12, intra)
+			if string(dst.Pix) != string(want.Pix) {
+				t.Fatalf("guarded prediction, intra %v: got %v want %v", intra, dst.Pix, want.Pix)
+			}
+			InverseAdd(pred, 0, 0, pred, 0, 0, levels, 12, intra)
+			got := append([]uint8(nil), pred.Pix...)
+			copy(pred.Pix, orig)
+			if string(got) != string(want.Pix) {
+				t.Fatalf("guarded in place, intra %v: got %v want %v", intra, got, want.Pix)
+			}
 		})
 	}
 }
