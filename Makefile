@@ -35,6 +35,10 @@
 #                       harness). It is a module of its own, outside the
 #                       root ./..., so only this target notices when a
 #                       change here stops it building
+#   make claims       — the paper's claims table (experiment.Claims) on
+#                       every seed of experiment.Seeds: one PASS/FAIL
+#                       line per (row, seed), failing on any FAIL
+#                       (6 s on a 2-vCPU host, build cached)
 #   make bench-smoke  — 1-iteration pass over every benchmark so bench
 #                       code cannot rot, the SAD kernel dispatch sanity
 #                       check (logs the detected ISA, probes every tier
@@ -85,7 +89,7 @@ GO ?= go
 # The X-smoke targets are built by the one %-smoke pattern rule below, so
 # they must stay out of .PHONY (make skips implicit rules for phony
 # targets); FORCE keeps them, and the bin/% builds, always out of date.
-.PHONY: build test sched-one-p test-386 fuzz-smoke fma-check bench-check bench-smoke profile-adaptive profile-fullsearch ci loc FORCE
+.PHONY: build test sched-one-p test-386 fuzz-smoke fma-check bench-check claims bench-smoke profile-adaptive profile-fullsearch ci loc FORCE
 
 build:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -122,6 +126,9 @@ fma-check:
 
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+
+claims:
+	$(GO) run ./cmd/acbmbench -experiment seeds
 
 bench-smoke:
 	$(GO) run ./cmd/acbmbench -experiment dispatch
@@ -162,6 +169,6 @@ loc:
 			printf '%7d  %s\n' $$n $$pkg; total=$$((total + n)); \
 		done; printf '%7d  %s\n' $$total 'module (bench/ excluded)'; }
 
-ci: test test-386 fuzz-smoke fma-check bench-check bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
+ci: test test-386 fuzz-smoke fma-check bench-check claims bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
 
 FORCE:

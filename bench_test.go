@@ -17,7 +17,6 @@ import (
 	"repro/internal/dct"
 	"repro/internal/experiment"
 	"repro/internal/frame"
-	"repro/internal/hwmodel"
 	"repro/internal/metrics"
 	"repro/internal/ratedist"
 	"repro/internal/search"
@@ -698,39 +697,5 @@ func BenchmarkRateControlEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(stats.BitrateKbps(), "kbit/s")
-	}
-}
-
-func BenchmarkHardwareModel(b *testing.B) {
-	w := hwmodel.Workload{MBsPerFrame: 99, FPS: 30, AvgPoints: 300, CriticalRate: 0.3, PBMPoints: 15}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hwmodel.Compare(w, hwmodel.DefaultTech, 15); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkParetoSweepMini(b *testing.B) {
-	grid := experiment.DefaultParamGrid()[:4]
-	for i := 0; i < b.N; i++ {
-		pts, err := experiment.RunPareto(experiment.ParetoConfig{
-			Profile: video.TableTennis, Size: frame.SQCIF, Frames: 8, Qp: 16, Grid: grid,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(pts[0].AvgPoints, "cheapest-positions/MB")
-	}
-}
-
-func BenchmarkMultiSeedMissAmerica(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		st, err := experiment.MultiSeedTable1(video.MissAmerica, 1, 16, 10, []uint64{1, 2, 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(st.Mean, "mean-positions/MB")
-		b.ReportMetric(st.StdDev, "stddev")
 	}
 }

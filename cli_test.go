@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/experiment"
 )
 
 // buildTool compiles one cmd into a temp dir and returns the binary path.
@@ -128,6 +129,34 @@ func TestCLIAcbmbenchMiniExperiments(t *testing.T) {
 	if !strings.Contains(out, "critical/FSBM") {
 		t.Fatalf("map output:\n%s", out)
 	}
+	out = runTool(t, acbmbench, "-experiment", "headline", "-size", "sqcif", "-frames", "8", "-qps", "30,16")
+	fig5, fig6 := strings.Index(out, "=== Figure 5: RD curves, SQCIF@30fps"), strings.Index(out, "=== Figure 6: RD curves, SQCIF@10fps")
+	if fig5 < 0 || fig6 < fig5 || !strings.Contains(out, "Foreman sequence, SQCIF@10fps") {
+		t.Fatalf("headline: want Figure 5 then Figure 6, titled SQCIF:\n%s", out)
+	}
+
+	// The claims table on every seed, at a testbed none of its pins hold
+	// on: one verdict per (row, seed), and a failing exit exactly when a
+	// verdict fails.
+	raw, err := exec.Command(acbmbench, "-experiment", "seeds", "-size", "sqcif", "-frames", "8", "-qps", "30,16").CombinedOutput()
+	out = string(raw)
+	want := 0
+	for _, c := range experiment.Claims {
+		if c.Pinned {
+			want++
+		} else {
+			want += len(experiment.Seeds)
+		}
+	}
+	verdicts, failed := 0, strings.Contains(out, "\nFAIL ")
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "PASS ") || strings.HasPrefix(line, "FAIL ") {
+			verdicts++
+		}
+	}
+	if verdicts != want || (err != nil) != failed {
+		t.Fatalf("seeds: %d verdicts (want %d), exit %v, FAIL lines %v:\n%s", verdicts, want, err, failed, out)
+	}
 }
 
 func TestCLIRejectsBadFlags(t *testing.T) {
@@ -135,8 +164,13 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		t.Skip("short mode")
 	}
 	acbmbench := buildTool(t, "acbmbench")
-	if out, err := exec.Command(acbmbench, "-experiment", "nope").CombinedOutput(); err == nil {
-		t.Fatalf("unknown experiment accepted:\n%s", out)
+	for _, name := range []string{"nope", "pareto", "loss", "hw"} {
+		if out, err := exec.Command(acbmbench, "-experiment", name).CombinedOutput(); err == nil || !strings.Contains(string(out), "unknown experiment") {
+			t.Fatalf("unknown experiment %q accepted:\n%s", name, out)
+		}
+	}
+	if out, err := exec.Command(acbmbench, "-experiment", "table1", "-seed", "0").CombinedOutput(); err == nil || !strings.Contains(string(out), "-seed 0") {
+		t.Fatalf("-seed 0 accepted:\n%s", out)
 	}
 	if out, err := exec.Command(acbmbench, "-qps", "99").CombinedOutput(); err == nil {
 		t.Fatalf("illegal Qp accepted:\n%s", out)

@@ -1,18 +1,25 @@
 // Command acbmbench regenerates the paper's evaluation artifacts: the
 // Fig. 4 preliminary study, the Figs. 5/6 rate-distortion curves and the
-// Table 1 complexity numbers, plus the §4 headline summary. Speed is not
-// measured here: bench/ (BENCHMARK.json) is the one measurement stack.
+// Table 1 complexity numbers, plus the §4 headline summary, and checks
+// the paper's claims table (experiment.Claims) on every seed of
+// experiment.Seeds. Speed is not measured here: bench/ (BENCHMARK.json)
+// is the one measurement stack.
 //
 // Usage:
 //
 //	acbmbench -experiment all            # every paper experiment (a few minutes)
 //	acbmbench -experiment table1         # Table 1 only
-//	acbmbench -experiment fig5           # RD curves, QCIF@30fps
-//	acbmbench -experiment fig6           # RD curves, QCIF@10fps
+//	acbmbench -experiment fig5           # RD curves at 30 fps
+//	acbmbench -experiment fig6           # RD curves at 10 fps
 //	acbmbench -experiment fig4           # the MV-error study
 //	acbmbench -experiment fig4 -csv points.csv
 //	                                     # …and its raw scatter points
 //	acbmbench -experiment headline       # §4 claims
+//	acbmbench -experiment seeds          # every claim row on every seed: one
+//	                                     # PASS/FAIL line per (row, seed), exit 1
+//	                                     # on any FAIL; -size, -frames, -qps and
+//	                                     # α/β/γ replace every row's own setting,
+//	                                     # -seed does not apply
 //	acbmbench -frames 30 -qps 30,24,18   # reduced sweep for quick runs
 //	acbmbench -alpha 2000 -beta 4        # explore the quality/cost knobs
 //	acbmbench -experiment dispatch       # kernel dispatch sanity (by name only,
@@ -39,10 +46,10 @@ import (
 
 func main() {
 	var (
-		expName  = flag.String("experiment", "all", "experiment to run: fig4|fig5|fig6|table1|headline|map|hw|pareto|loss|seeds|dispatch|all")
+		expName  = flag.String("experiment", "all", "experiment to run: fig4|fig5|fig6|table1|headline|map|seeds|dispatch|all (seeds: the claims table on every seed)")
 		frames   = flag.Int("frames", experiment.DefaultFrames, "sequence length at 30 fps")
 		sizeName = flag.String("size", "qcif", "frame format: sqcif|qcif|cif")
-		seed     = flag.Uint64("seed", experiment.DefaultSeed, "texture seed")
+		seed     = flag.Uint64("seed", experiment.DefaultSeed, "texture seed (not 0)")
 		qpsArg   = flag.String("qps", "", "comma-separated Qp list (default 30,28,...,16)")
 		alpha    = flag.Int("alpha", core.DefaultParams.Alpha, "ACBM α parameter")
 		beta     = flag.Int("beta", core.DefaultParams.Beta, "ACBM β parameter")
@@ -87,6 +94,9 @@ func main() {
 		defer runFlushProfiles()
 	}
 
+	if *seed == 0 {
+		fatal(fmt.Errorf("-seed 0 is not a seed (the experiments read it as %d)", experiment.DefaultSeed))
+	}
 	size, err := frame.SizeByName(*sizeName)
 	if err != nil {
 		fatal(err)
@@ -100,7 +110,9 @@ func main() {
 		fatal(err)
 	}
 
+	ran := false
 	run := func(name string, f func() error) {
+		ran = true
 		fmt.Printf("=== %s ===\n", name)
 		if err := f(); err != nil {
 			fatal(err)
@@ -109,9 +121,7 @@ func main() {
 	}
 
 	want := func(name string) bool { return *expName == "all" || *expName == name }
-	ran := false
 	if want("fig4") {
-		ran = true
 		run("Figure 4: MV-error study", func() error {
 			res, err := experiment.RunMVStudy(experiment.MVStudyConfig{Size: size, Seed: *seed})
 			if err != nil {
@@ -127,7 +137,6 @@ func main() {
 		})
 	}
 	if want("map") {
-		ran = true
 		run("ACBM decision maps (frame 50, Qp 16)", func() error {
 			for _, prof := range video.Profiles {
 				dm, err := experiment.RunDecisionMap(prof, size, 50, params, *seed)
@@ -140,8 +149,7 @@ func main() {
 		})
 	}
 	var t1 *experiment.Table1Result
-	if want("table1") || want("headline") || want("hw") {
-		ran = true
+	if want("table1") || want("headline") {
 		run("Table 1: ACBM complexity", func() error {
 			t1, err = experiment.RunTable1(experiment.Table1Config{
 				Size: size, Frames: *frames, Qps: qps, Params: params, Seed: *seed,
@@ -153,70 +161,16 @@ func main() {
 			return nil
 		})
 	}
-	if want("pareto") {
-		ran = true
-		run("ACBM parameter sensitivity (Pareto sweep)", func() error {
-			for _, prof := range []video.Profile{video.Foreman, video.MissAmerica} {
-				cfg := experiment.ParetoConfig{
-					Profile: prof, Size: size, Frames: *frames, Qp: 16, Seed: *seed,
-				}
-				points, err := experiment.RunPareto(cfg)
-				if err != nil {
-					return err
-				}
-				fmt.Print(experiment.FormatPareto(cfg, points))
-				fmt.Println()
-			}
-			return nil
-		})
-	}
-	if want("seeds") {
-		ran = true
-		run("Table 1 replication across texture seeds", func() error {
-			out, err := experiment.FormatMultiSeed(1, 16, *frames, nil)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-			return nil
-		})
-	}
-	if want("loss") {
-		ran = true
-		run("Loss resilience (packetized transport, temporal concealment)", func() error {
-			cfg := experiment.ResilienceConfig{
-				Profile: video.Foreman, Size: size, Frames: *frames, Seed: *seed,
-			}
-			points, err := experiment.RunResilience(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiment.FormatResilience(cfg, points))
-			return nil
-		})
-	}
-	if want("hw") {
-		ran = true
-		run("§5 hardware architecture comparison", func() error {
-			hwQp := 16
-			if len(qps) > 0 {
-				hwQp = qps[len(qps)-1]
-			}
-			out, err := experiment.HardwareReport(t1, hwQp)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-			return nil
-		})
-	}
-	for figName, dec := range map[string]int{"fig5": 1, "fig6": 3} {
-		if !want(figName) && !want("headline") {
+	// A slice, not a map: Fig. 5 prints before Fig. 6.
+	for _, fig := range []struct {
+		name string
+		dec  int
+	}{{"fig5", 1}, {"fig6", 3}} {
+		if !want(fig.name) && !want("headline") {
 			continue
 		}
-		ran = true
-		label := map[int]string{1: "Figure 5: RD curves, QCIF@30fps", 3: "Figure 6: RD curves, QCIF@10fps"}[dec]
-		run(label, func() error {
+		dec := fig.dec
+		run(fmt.Sprintf("Figure %s: RD curves, %v@%dfps", fig.name[3:], size, 30/dec), func() error {
 			for _, prof := range video.Profiles {
 				cfg := experiment.RDConfig{
 					Profile: prof, Size: size, Frames: *frames,
@@ -226,9 +180,9 @@ func main() {
 				if err != nil {
 					return err
 				}
-				fmt.Print(experiment.FormatRDCurves(experiment.ProfileTitle(prof, dec), curves))
+				fmt.Print(experiment.FormatRDCurves(experiment.ProfileTitle(prof, size, dec), curves))
 				fmt.Println()
-				if want("headline") || *expName == "all" {
+				if want("headline") {
 					if h, err := experiment.ComputeHeadline(cfg, curves, t1); err == nil {
 						fmt.Println("headline:", h)
 					} else {
@@ -240,10 +194,28 @@ func main() {
 			return nil
 		})
 	}
+	if want("seeds") {
+		run("Claims table on every seed", func() error {
+			tb := experiment.Testbed{Qps: qps, Params: params}
+			flag.Visit(func(f *flag.Flag) {
+				switch f.Name {
+				case "size":
+					tb.Size = size
+				case "frames":
+					tb.Frames = *frames
+				}
+			})
+			fmt.Printf("%d rows, seeds %v, testbed %+v (zero fields: each row's own)\n",
+				len(experiment.Claims), experiment.Seeds, tb)
+			if n := experiment.VerifySeeds(os.Stdout, experiment.Claims, experiment.Seeds, tb); n > 0 {
+				return fmt.Errorf("%d (row, seed) verdicts FAIL", n)
+			}
+			return nil
+		})
+	}
 	// A probe of this host's kernel tiers, not a paper experiment: it runs
 	// only when asked for by name.
 	if *expName == "dispatch" {
-		ran = true
 		run("SAD kernel dispatch sanity", func() error {
 			report, err := experiment.DispatchReport()
 			fmt.Print(report)

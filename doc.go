@@ -10,7 +10,10 @@
 // and the design invariants); runnable entry points are the examples/
 // programs and the cmd/acbmbench, cmd/seqgen, cmd/vcodec, cmd/vcodecd,
 // cmd/vcodec-gateway and cmd/vload tools. The benchmarks in bench_test.go
-// regenerate the paper's Table 1 and Figures 4-6.
+// regenerate the paper's Table 1 and Figures 4-6, and the paper's claims
+// are the rows of one table, experiment.Claims: `go test` checks each row
+// on its own seed, `acbmbench -experiment seeds` (make claims) every
+// shape row on eight seeds.
 //
 // # Performance architecture
 //

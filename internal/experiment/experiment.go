@@ -2,7 +2,13 @@
 // preliminary study (move-then-search scatter of Intra_SAD vs
 // SAD_deviation by motion vector error), Table 1 (average search positions
 // per macroblock for ACBM), the Figs. 5/6 rate-distortion sweeps, and the
-// §4 headline claims derived from them.
+// §4 headline numbers derived from them.
+//
+// Claims is the one table of the paper's claims the repository gates:
+// each row names the claim, the experiment that measures it and the
+// comparison that decides it. `go test` checks every row on its own seed;
+// VerifySeeds (acbmbench -experiment seeds) checks the shape rows on every
+// seed of Seeds.
 package experiment
 
 import (
@@ -21,7 +27,8 @@ const (
 	DefaultSeed = 2005
 	// DefaultFrames is the sequence length at 30 fps.
 	DefaultFrames = 60
-	// DefaultRange is the paper's search range p=15.
+	// DefaultRange is the paper's search range p=15, the one every
+	// experiment searches (FSBMPoints assumes it).
 	DefaultRange = 15
 	// FSBMPoints is the paper's FSBM complexity reference: (2·15+1)²+8.
 	FSBMPoints = 969
@@ -74,21 +81,9 @@ func ClearCache() {
 // parallelise trivially; results stay deterministic because they are
 // stored by index.
 func forEachIndex(n int, fn func(i int) error) error {
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.NumCPU())
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}

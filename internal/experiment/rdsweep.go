@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/codec"
@@ -20,15 +21,12 @@ type RDConfig struct {
 	Frames     int // at 30 fps, before decimation
 	Decimation int // 1 = 30 fps (Fig. 5), 3 = 10 fps (Fig. 6)
 	Qps        []int
-	Range      int
 	Params     core.Params
 	Seed       uint64
 }
 
 func (c RDConfig) withDefaults() RDConfig {
-	if c.Size == (frame.Size{}) {
-		c.Size = frame.QCIF
-	}
+	c.Size = cmp.Or(c.Size, frame.QCIF)
 	if c.Frames <= 0 {
 		c.Frames = DefaultFrames
 	}
@@ -38,15 +36,8 @@ func (c RDConfig) withDefaults() RDConfig {
 	if len(c.Qps) == 0 {
 		c.Qps = DefaultQps
 	}
-	if c.Range <= 0 {
-		c.Range = DefaultRange
-	}
-	if c.Params == (core.Params{}) {
-		c.Params = core.DefaultParams
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
+	c.Params = cmp.Or(c.Params, core.DefaultParams)
+	c.Seed = cmp.Or(c.Seed, DefaultSeed)
 	return c
 }
 
@@ -75,43 +66,48 @@ func RDSweep(cfg RDConfig, algs []AlgorithmSpec) ([]ratedist.Curve, error) {
 	if len(algs) == 0 {
 		algs = DefaultAlgorithms()
 	}
+	stats, err := sweep(cfg, algs)
+	if err != nil {
+		return nil, err
+	}
+	curves := make([]ratedist.Curve, len(algs))
+	for i, alg := range algs {
+		curves[i].Name = alg.Name
+		for j, qp := range cfg.Qps {
+			st := stats[i*len(cfg.Qps)+j]
+			curves[i].Points = append(curves[i].Points, ratedist.Point{RateKbps: st.BitrateKbps(), PSNR: st.AvgPSNRY(), Qp: qp})
+		}
+		curves[i].Sort()
+	}
+	return curves, nil
+}
+
+// sweep encodes cfg's sequence once per (algorithm, Qp) and returns the
+// statistics in algorithm-major order.
+func sweep(cfg RDConfig, algs []AlgorithmSpec) ([]*codec.SequenceStats, error) {
+	cfg = cfg.withDefaults()
 	base := Frames(cfg.Profile, cfg.Size, cfg.Frames, cfg.Seed)
 	frames := video.Decimate(base, cfg.Decimation)
 	if len(frames) < 2 {
 		return nil, fmt.Errorf("experiment: decimation %d leaves %d frames", cfg.Decimation, len(frames))
 	}
-	fps := 30.0 / float64(cfg.Decimation)
-	curves := make([]ratedist.Curve, len(algs))
-	jobs := len(algs) * len(cfg.Qps)
-	points := make([]ratedist.Point, jobs)
-	err := forEachIndex(jobs, func(j int) error {
+	stats := make([]*codec.SequenceStats, len(algs)*len(cfg.Qps))
+	err := forEachIndex(len(stats), func(j int) error {
 		alg := algs[j/len(cfg.Qps)]
 		qp := cfg.Qps[j%len(cfg.Qps)]
-		stats, _, err := codec.EncodeSequence(codec.Config{
+		st, _, err := codec.EncodeSequence(codec.Config{
 			Qp:          qp,
-			SearchRange: cfg.Range,
+			SearchRange: DefaultRange,
 			Searcher:    alg.New(cfg.Params),
-			FPS:         fps,
+			FPS:         30.0 / float64(cfg.Decimation),
 		}, frames)
 		if err != nil {
 			return fmt.Errorf("experiment: %s qp %d: %w", alg.Name, qp, err)
 		}
-		points[j] = ratedist.Point{
-			RateKbps: stats.BitrateKbps(),
-			PSNR:     stats.AvgPSNRY(),
-			Qp:       qp,
-		}
+		stats[j] = st
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, alg := range algs {
-		curves[i].Name = alg.Name
-		curves[i].Points = append(curves[i].Points, points[i*len(cfg.Qps):(i+1)*len(cfg.Qps)]...)
-		curves[i].Sort()
-	}
-	return curves, nil
+	return stats, err
 }
 
 // FindCurve returns the curve with the given name.

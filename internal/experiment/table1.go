@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/video"
@@ -18,7 +17,6 @@ type Table1Config struct {
 	Frames      int   // sequence length at 30 fps (default 60)
 	Qps         []int // default DefaultQps (30..16)
 	Decimations []int // temporal subsampling factors; default {1, 3} = 30/10 fps
-	Range       int
 	Params      core.Params
 	Seed        uint64
 }
@@ -27,27 +25,11 @@ func (c Table1Config) withDefaults() Table1Config {
 	if len(c.Profiles) == 0 {
 		c.Profiles = video.Profiles
 	}
-	if c.Size == (frame.Size{}) {
-		c.Size = frame.QCIF
-	}
-	if c.Frames <= 0 {
-		c.Frames = DefaultFrames
-	}
-	if len(c.Qps) == 0 {
-		c.Qps = DefaultQps
-	}
 	if len(c.Decimations) == 0 {
 		c.Decimations = []int{1, 3}
 	}
-	if c.Range <= 0 {
-		c.Range = DefaultRange
-	}
-	if c.Params == (core.Params{}) {
-		c.Params = core.DefaultParams
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
+	d := RDConfig{Size: c.Size, Frames: c.Frames, Qps: c.Qps, Params: c.Params, Seed: c.Seed}.withDefaults()
+	c.Size, c.Frames, c.Qps, c.Params, c.Seed = d.Size, d.Frames, d.Qps, d.Params, d.Seed
 	return c
 }
 
@@ -55,8 +37,6 @@ func (c Table1Config) withDefaults() Table1Config {
 type Table1Cell struct {
 	AvgPoints float64 // the paper's reported number
 	FSBMRate  float64 // fraction of critical blocks
-	PSNRY     float64 // reconstruction quality at this operating point
-	RateKbps  float64
 }
 
 // Table1Result indexes cells by [profile][decimation][qp].
@@ -76,39 +56,19 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	}
 	for _, prof := range cfg.Profiles {
 		res.Cells[prof] = make(map[int]map[int]Table1Cell)
-		base := Frames(prof, cfg.Size, cfg.Frames, cfg.Seed)
 		for _, dec := range cfg.Decimations {
-			res.Cells[prof][dec] = make(map[int]Table1Cell)
-			frames := video.Decimate(base, dec)
-			if len(frames) < 2 {
-				return nil, fmt.Errorf("experiment: decimation %d leaves %d frames", dec, len(frames))
-			}
-			cells := make([]Table1Cell, len(cfg.Qps))
-			err := forEachIndex(len(cfg.Qps), func(i int) error {
-				qp := cfg.Qps[i]
-				acbm := core.New(cfg.Params)
-				stats, _, err := codec.EncodeSequence(codec.Config{
-					Qp:          qp,
-					SearchRange: cfg.Range,
-					Searcher:    acbm,
-					FPS:         30.0 / float64(dec),
-				}, frames)
-				if err != nil {
-					return fmt.Errorf("experiment: %v dec %d qp %d: %w", prof, dec, qp, err)
-				}
-				cells[i] = Table1Cell{
-					AvgPoints: stats.AvgSearchPointsPerMB(),
-					FSBMRate:  acbm.Stats().FSBMRate(),
-					PSNRY:     stats.AvgPSNRY(),
-					RateKbps:  stats.BitrateKbps(),
-				}
-				return nil
-			})
+			stats, err := sweep(RDConfig{Profile: prof, Size: cfg.Size, Frames: cfg.Frames, Decimation: dec,
+				Qps: cfg.Qps, Params: cfg.Params, Seed: cfg.Seed}, DefaultAlgorithms()[:1])
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("experiment: %v dec %d: %w", prof, dec, err)
 			}
+			res.Cells[prof][dec] = make(map[int]Table1Cell)
 			for i, qp := range cfg.Qps {
-				res.Cells[prof][dec][qp] = cells[i]
+				easy, good, critical := stats[i].DecisionMix()
+				res.Cells[prof][dec][qp] = Table1Cell{
+					AvgPoints: stats[i].AvgSearchPointsPerMB(),
+					FSBMRate:  core.Stats{Blocks: easy + good + critical, CriticalCnt: critical}.FSBMRate(),
+				}
 			}
 		}
 	}
@@ -117,15 +77,7 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 
 // Cell returns one entry.
 func (r *Table1Result) Cell(p video.Profile, dec, qp int) (Table1Cell, bool) {
-	m1, ok := r.Cells[p]
-	if !ok {
-		return Table1Cell{}, false
-	}
-	m2, ok := m1[dec]
-	if !ok {
-		return Table1Cell{}, false
-	}
-	c, ok := m2[qp]
+	c, ok := r.Cells[p][dec][qp] // a missing level reads as a nil map
 	return c, ok
 }
 
@@ -148,8 +100,8 @@ func (r *Table1Result) MaxReduction() float64 {
 
 // MeanPoints averages the table for one profile and decimation across Qp.
 func (r *Table1Result) MeanPoints(p video.Profile, dec int) float64 {
-	byQp, ok := r.Cells[p][dec]
-	if !ok || len(byQp) == 0 {
+	byQp := r.Cells[p][dec]
+	if len(byQp) == 0 {
 		return 0
 	}
 	sum := 0.0

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -60,34 +61,34 @@ func RunDecisionMap(prof video.Profile, size frame.Size, idx int, params core.Pa
 	if idx < 1 {
 		return nil, fmt.Errorf("experiment: decision map needs idx >= 1, got %d", idx)
 	}
-	if params == (core.Params{}) {
-		params = core.DefaultParams
-	}
-	if seed == 0 {
-		seed = DefaultSeed
-	}
+	params, seed = cmp.Or(params, core.DefaultParams), cmp.Or(seed, DefaultSeed)
 	sc := prof.Scene(seed)
 	ref := sc.Render(size, idx-1)
 	cur := sc.Render(size, idx)
 	cols, rows := size.MacroblockCols(), size.MacroblockRows()
 	dm := &DecisionMap{Cols: cols, Rows: rows, Decisions: make([]core.Decision, cols*rows)}
 	acbm := core.New(params)
-	fld := mvfield.NewField(cols, rows)
-	for mby := 0; mby < rows; mby++ {
-		for mbx := 0; mbx < cols; mbx++ {
-			in := &search.Input{
-				Cur: cur.Y, Ref: ref.Y,
-				BX: 16 * mbx, BY: 16 * mby, W: 16, H: 16,
-				Range: DefaultRange, Qp: 16,
-				CurField: fld, MBX: mbx, MBY: mby,
-			}
-			res, tr := acbm.SearchTrace(in)
-			fld.Set(mbx, mby, res.MV)
-			dm.Decisions[mby*cols+mbx] = tr.Decision
-		}
-	}
+	searchField(cur.Y, ref.Y, func(in *search.Input) mvfield.MV {
+		res, tr := acbm.SearchTrace(in)
+		dm.Decisions[in.MBY*cols+in.MBX] = tr.Decision
+		return res.MV
+	})
 	dm.Stats = acbm.Stats()
 	return dm, nil
+}
+
+// searchField estimates the motion of cur's 16×16 blocks against ref in
+// raster order at ±DefaultRange and Qp 16, each block by find, with the
+// field found so far as its spatial context.
+func searchField(cur, ref *frame.Plane, find func(in *search.Input) mvfield.MV) *mvfield.Field {
+	fld := mvfield.NewField((cur.W+15)/16, (cur.H+15)/16)
+	for mby := 0; mby < fld.Rows; mby++ {
+		for mbx := 0; mbx < fld.Cols; mbx++ {
+			fld.Set(mbx, mby, find(&search.Input{Cur: cur, Ref: ref, BX: 16 * mbx, BY: 16 * mby, W: 16, H: 16,
+				Range: DefaultRange, Qp: 16, CurField: fld, MBX: mbx, MBY: mby}))
+		}
+	}
+	return fld
 }
 
 // String renders the map: '.' easy, 'g' good-match, 'C' critical.
