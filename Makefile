@@ -9,10 +9,11 @@
 #   make sched-one-p  — the scheduler, engine and session suites on one P
 #                       (GOMAXPROCS=1): the wavefront's spin-then-yield
 #                       wait, the pool workers' idle spin, the caller
-#                       lane's join and the engine's writer hand-off are
-#                       only proven free of live-lock where nothing else
-#                       can run the row, the task or the writer they wait
-#                       for
+#                       lane's join, a session goroutine queued for a pool
+#                       slot and the engine's writer hand-off are only
+#                       proven free of live-lock where nothing else can
+#                       run the row, the task, the slot holder or the
+#                       writer they wait for
 #   make test-386     — the whole suite built for GOARCH=386 (runs on an
 #                       amd64 host, no download): the leg where int is 32
 #                       bits and the kernel table has only its scalar and
@@ -46,7 +47,9 @@
 #                       allocation-regression check (fails loudly if
 #                       EncodeFrame allocs/frame climb above the ceilings
 #                       pinned in internal/codec/alloc_test.go for the
-#                       serial, Workers=2 and Pool(2) executors, or
+#                       serial, Workers=2 and Pool(2) configurations at
+#                       QCIF and CIF and for three sessions on one
+#                       Pool(2), or
 #                       DecodeFrame's above the decoder's). Speed
 #                       itself is measured only by bench/run.sh
 #                       (BENCHMARK.json)
@@ -77,7 +80,11 @@
 #   make profile-fullsearch — the same for BenchmarkEncodeFullsearchCells
 #                       (fullsearch_serial's three cells), written to
 #                       prof/fullsearch.cpu.prof
-#   make ci           — every target above except the two profile ones,
+#   make profile-serve — the same for BenchmarkEncodePoolSessions
+#                       (serve_burst's codec shape: two QCIF ACBM sessions
+#                       at once on one Pool(2), Pipeline on) at
+#                       GOMAXPROCS=2, written to prof/serve.cpu.prof
+#   make ci           — every target above except the three profile ones,
 #                       in that order
 #   make loc          — non-test, non-comment lines of .go and .s files per
 #                       package and for the module (bench/ is its own
@@ -89,7 +96,7 @@ GO ?= go
 # The X-smoke targets are built by the one %-smoke pattern rule below, so
 # they must stay out of .PHONY (make skips implicit rules for phony
 # targets); FORCE keeps them, and the bin/% builds, always out of date.
-.PHONY: build test sched-one-p test-386 fuzz-smoke fma-check bench-check claims bench-smoke profile-adaptive profile-fullsearch ci loc FORCE
+.PHONY: build test sched-one-p test-386 fuzz-smoke fma-check bench-check claims bench-smoke profile-adaptive profile-fullsearch profile-serve ci loc FORCE
 
 build:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -147,6 +154,12 @@ profile-fullsearch:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '^BenchmarkEncodeFullsearchCells$$' -benchtime 5s \
 		-o prof/repro.test -cpuprofile prof/fullsearch.cpu.prof .
 	@echo "$(GO) tool pprof -top -focus EncodeFrame prof/repro.test prof/fullsearch.cpu.prof"
+
+profile-serve:
+	@mkdir -p prof
+	GOMAXPROCS=2 $(GO) test -run '^$$' -bench '^BenchmarkEncodePoolSessions$$' -benchtime 5s \
+		-o prof/repro.test -cpuprofile prof/serve.cpu.prof .
+	@echo "$(GO) tool pprof -top prof/repro.test prof/serve.cpu.prof"
 
 # Every binary a smoke script runs, built from this checkout each time (go
 # build is itself incremental). .PRECIOUS: as prerequisites of a pattern

@@ -10,6 +10,7 @@ package repro
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/codec"
@@ -389,6 +390,63 @@ func BenchmarkEncodeFullsearchCells(b *testing.B) {
 				}
 			}
 			enc.Bitstream()
+			frames += len(c.clip)
+		}
+	}
+	b.ReportMetric(float64(frames)/b.Elapsed().Seconds(), "frames/s")
+}
+
+// BenchmarkEncodePoolSessions is serve_burst's codec shape without HTTP:
+// two closed-loop sessions at once on one codec.Pool(2), as vcodecd runs
+// them (packets through codec.EncodeStream, Pipeline on), taking turns at
+// adaptive_serial's eight cells — the four QCIF clips × Qp {30, 24}, ACBM
+// at the default parameters, 60 frames, seed 7 — each through a fresh
+// stream. Reports frames/s over both sessions. It is the module's own
+// signal for the shared pool and its slots (`make bench-smoke` runs it
+// once); `make profile-serve` runs it at GOMAXPROCS=2 and writes its CPU
+// profile.
+func BenchmarkEncodePoolSessions(b *testing.B) {
+	clips := adaptiveClips()
+	pool := codec.NewPool(2)
+	defer pool.Close()
+	type cell struct {
+		clip []*frame.Frame
+		qp   int
+	}
+	var cells []cell
+	for _, clip := range clips {
+		for _, qp := range []int{30, 24} {
+			cells = append(cells, cell{clip, qp})
+		}
+	}
+	b.ResetTimer()
+	frames := 0
+	for i := 0; i < b.N; i++ {
+		var next atomic.Int32
+		var wg sync.WaitGroup
+		for s := 0; s < 2; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := int(next.Add(1)) - 1; k < len(cells); k = int(next.Add(1)) - 1 {
+					c := cells[k]
+					es := codec.NewEncodeStream(codec.Config{
+						Qp: c.qp, Searcher: core.New(core.DefaultParams), Pool: pool, Pipeline: true,
+					}, func(codec.Packet) error { return nil })
+					for _, f := range c.clip {
+						if err := es.EncodeFrame(f); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+					if _, err := es.Close(); err != nil {
+						b.Error(err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, c := range cells {
 			frames += len(c.clip)
 		}
 	}

@@ -80,7 +80,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8323", "listen address")
 		addrfile = flag.String("addrfile", "", "write the bound address to this file once listening")
-		pool     = flag.Int("pool", 0, "shared analysis pool workers (0 = GOMAXPROCS)")
+		pool     = flag.Int("pool", 0, "shared analysis pool size (0 = GOMAXPROCS): at most this many macroblock rows of all sessions run at once, each session's own goroutine included")
 		maxSess  = flag.Int("max-sessions", 8, "concurrent encode sessions")
 		maxQueue = flag.Int("max-queued", 32, "sessions allowed to wait for admission")
 		maxFrame = flag.Int("max-frames", 0, "per-session frame cap (0 = unlimited)")

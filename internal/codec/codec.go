@@ -68,27 +68,31 @@ type Config struct {
 	// value, with or without rate control (the frame-lag controller never
 	// waits on the in-flight frame's bits).
 	Pipeline bool
-	// Pool, when non-nil, runs macroblock analysis on this shared worker
-	// pool: every lane of a frame is a chain of row tasks on it and the
-	// session goroutine only waits for the frame, so the analysis
-	// parallelism of all sessions sharing the pool together is capped at
-	// its size. This is the multi-session serving mode (cmd/vcodecd): N
-	// concurrent encoder sessions interleave on one machine-sized pool at
-	// macroblock-row granularity instead of oversubscribing the host N
-	// times. The wavefront, its invariants and the output bits are those
-	// of every other executor (one row runner serves them all); Workers is
-	// ignored while Pool is set. The Searcher must implement
-	// search.Forker (all searchers this module provides do); otherwise
-	// the pool is dropped and the session analyses sequentially on its
-	// own goroutine.
+	// Pool, when non-nil, runs macroblock analysis under this shared
+	// pool's slots: the session goroutine is lane 0 of every frame and
+	// holds one of the pool's Size slots for each macroblock row it runs.
+	// A frame takes one lane per 64 macroblocks, up to Size (parallel.go,
+	// laneMBs); its helper lanes are row-task chains on the pool, each
+	// holding a slot while it runs a row. So all sessions sharing the pool
+	// together run at most Size rows at once. This is the multi-session
+	// serving mode (cmd/vcodecd): N concurrent encoder sessions interleave
+	// on one machine-sized pool at macroblock-row granularity instead of
+	// oversubscribing the host N times, and a QCIF session analyses on its
+	// own goroutine with no hand-off. The wavefront, its invariants and the
+	// output bits are those of every other configuration (one executor
+	// serves them all); Workers is ignored while Pool is set. The Searcher
+	// must implement search.Forker (all searchers this module provides
+	// do); otherwise the pool is dropped and the session analyses
+	// sequentially on its own goroutine.
 	Pool *Pool
-	// Priority is the session's scheduling class on the pool its row tasks
-	// run on — Pool, or the process-default pool behind Workers>1: live
-	// (the zero value) row tasks dispatch ahead of batch tasks, so a live
+	// Priority is the session's scheduling class on the pool its rows run
+	// on — Pool, or the process-default pool behind Workers>1: live (the
+	// zero value) rows are granted slots ahead of batch rows, so a live
 	// session preempts batch sessions at the row boundary while batch
 	// retains an anti-starvation share (see Pool). Priority never reaches
 	// the analysis results, so it cannot change a single output bit.
-	// Without effect on a session that analyses inline.
+	// Without effect on a session that analyses on one lane outside a
+	// Pool.
 	Priority Priority
 	// Observer, when non-nil, receives per-frame phase timings (analysis
 	// wall clock, shared-pool queue wait, entropy wall clock, encoded

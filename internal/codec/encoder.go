@@ -168,8 +168,8 @@ type Encoder struct {
 	entropyTime  time.Duration
 
 	// obsWaitNs/obsStallNs accumulate the current frame's pool queue
-	// wait (summed across row tasks, and the worst single task).
-	// Pool workers add via noteQueueWait; the session goroutine drains
+	// wait (summed across rows, and the worst single wait). Pool workers
+	// and lane 0 add via noteQueueWait; the session goroutine drains
 	// both with Swap(0) when it reports the frame to cfg.Observer. Only
 	// touched when an Observer is attached.
 	obsWaitNs  atomic.Int64

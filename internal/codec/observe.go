@@ -18,23 +18,25 @@ import "time"
 // overhead below measurement noise (the bench-smoke guard enforces it).
 type FrameObserver interface {
 	// FrameAnalyzed reports frame index's phase-1 outcome: analysis wall
-	// clock, the summed pool queue wait across the frame's row tasks —
-	// each measured from the task's own submission, when it was ready to
-	// run, to its pick-up, and counted once it claimed a row — and the
-	// worst single task's wait (both zero for a frame analysed inline;
-	// Workers>1 frames wait on the default pool, Config.Pool frames on
-	// theirs), whether the frame was coded intra, and the quantiser used.
+	// clock, the summed pool queue wait across the frame's rows — the time
+	// a ready row waited for the pool: a helper task's from its
+	// submission to its pick-up, the session goroutine's (lane 0 on a
+	// Config.Pool) from queuing for a slot to its grant, each counted once
+	// it claimed a row — and the worst single wait (both zero for a frame
+	// whose rows never waited, and always for one analysed inline),
+	// whether the frame was coded intra, and the quantiser used.
 	FrameAnalyzed(index int, wall, queueWait, maxStall time.Duration, intra bool, qp int)
 	// FrameWritten reports frame index's phase-2 outcome: entropy-coding
 	// wall clock and encoded size in bits.
 	FrameWritten(index int, wall time.Duration, bits int)
 }
 
-// noteQueueWait accumulates one row task's queue wait into the current
-// frame's counters: the sum, and a CAS-max for the worst single task
-// (the preemption-stall signal). Called concurrently by pool workers,
-// once per task that claimed a row — so before that row, and the frame,
-// finished; drained by Swap(0) at the frame's FrameAnalyzed callback.
+// noteQueueWait accumulates one row's queue wait into the current frame's
+// counters: the sum, and a CAS-max for the worst single wait (the
+// preemption-stall signal). Called concurrently by pool workers and the
+// session goroutine, once per wait that ended in a claimed row — so before
+// that row, and the frame, finished; drained by Swap(0) at the frame's
+// FrameAnalyzed callback.
 func (e *Encoder) noteQueueWait(d time.Duration) {
 	ns := int64(d)
 	e.obsWaitNs.Add(ns)

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -73,66 +74,97 @@ func TestObserverByteIdentity(t *testing.T) {
 	}
 }
 
-// TestObserverQueueWaitOnPool checks the pool queue-wait channel. Its unit
-// is the row task: each task that claims a row reports the time from its
-// own submission — the moment it was ready to run — to its pick-up by a
-// pool worker, so a frame's sum covers one wait per row a chain ran and
-// the stall is the worst of them (never more than the sum). Frames on a
-// shared Config.Pool report a wait (a task always spends some measurable
-// time between submit and pick-up); so do Workers=2 frames, whose chains
-// wait on the process-default pool; Workers=1 frames run inline, submit
-// nothing and report exactly zero.
+// TestObserverQueueWaitOnPool checks the pool queue-wait channel: the time
+// a ready row waited for the pool, summed per frame, with the worst single
+// wait as the stall (never more than the sum). Two sources feed it. A
+// helper chain's task reports the time from its submission — the moment it
+// was ready to run — to its pick-up by a worker, once it claims a row:
+// multiLaneSize frames, two lanes on Pool(2) and on the default pool
+// behind Workers=2, report a wait on some frame (a task always spends some
+// measurable time between submit and pick-up). The session goroutine,
+// lane 0, reports how long it queued for a slot of a shared pool: a QCIF
+// session on Pool(2), one lane, whose slots are held by long tasks
+// reports at least the time they were held on its first frame, and
+// exactly zero on every frame of an idle pool — as does every frame
+// analysed inline (Workers=1).
 func TestObserverQueueWaitOnPool(t *testing.T) {
-	frames := parallelFrames(3)
+	qcif := video.Generate(video.Carphone, frame.QCIF, 3, 7)
+	multi := parallelFrames(3)
 	pool := NewPool(2)
 	defer pool.Close()
-
-	rec := obs.NewFlightRecorder("pool", obs.Meta{}, 0)
-	_, _, err := EncodeSequence(Config{
-		Qp: 16, Searcher: core.New(core.DefaultParams), Pool: pool, Observer: rec,
-	}, frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawWait bool
-	for _, ev := range rec.Snapshot().Events {
-		if ev.QueueWaitMs > 0 {
-			sawWait = true
+	encode := func(name string, cfg Config, frames []*frame.Frame) []obs.FrameEvent {
+		rec := obs.NewFlightRecorder("wait", obs.Meta{}, 0)
+		cfg.Qp, cfg.Searcher, cfg.Observer = 16, core.New(core.DefaultParams), rec
+		if _, _, err := EncodeSequence(cfg, frames); err != nil {
+			t.Fatal(err)
 		}
-		if ev.StallMs > ev.QueueWaitMs {
-			t.Errorf("frame %d: max stall %v exceeds summed wait %v", ev.Index, ev.StallMs, ev.QueueWaitMs)
-		}
-	}
-	if !sawWait {
-		t.Error("pool-mode encode reported zero queue wait on every frame")
-	}
-
-	// One worker in the default pool (a one-CPU host) leaves Workers=2
-	// nobody to hand a chain to: it runs inline too.
-	for _, workers := range []int{1, 2} {
-		want := workers > 1 && defaultPool().Size() > 1
-		sawWait = false
-		// A chain only reports once it claims a row, and on a busy host the
-		// caller can finish a whole QCIF clip first: give it a few clips.
-		for try := 0; try == 0 || try < 50 && sawWait != want; try++ {
-			rec = obs.NewFlightRecorder("default", obs.Meta{}, 0)
-			_, _, err = EncodeSequence(Config{
-				Qp: 16, Searcher: core.New(core.DefaultParams), Workers: workers, Observer: rec,
-			}, frames)
-			if err != nil {
-				t.Fatal(err)
+		evs := rec.Snapshot().Events
+		for _, ev := range evs {
+			if ev.StallMs > ev.QueueWaitMs {
+				t.Errorf("%s frame %d: max stall %v exceeds summed wait %v", name, ev.Index, ev.StallMs, ev.QueueWaitMs)
 			}
-			for _, ev := range rec.Snapshot().Events {
+		}
+		return evs
+	}
+
+	// Every slot held: the session's first row queues until release.
+	release := hold(pool)
+	done := make(chan []obs.FrameEvent)
+	go func() { done <- encode("held pool", Config{Pool: pool}, qcif) }()
+	for queuedLanes(pool) == 0 {
+		runtime.Gosched()
+	}
+	queued := time.Now()
+	time.Sleep(5 * time.Millisecond)
+	held := time.Since(queued)
+	release()
+	evs := <-done
+	if got := time.Duration(evs[0].QueueWaitMs * float64(time.Millisecond)); got < held {
+		t.Errorf("frame 0 waited %v behind a held pool, reported %v", held, got)
+	}
+	if evs[0].StallMs <= 0 {
+		t.Errorf("frame 0 waited behind a held pool, max stall %v", evs[0].StallMs)
+	}
+
+	drain(pool)
+	for _, m := range []struct {
+		name   string
+		cfg    Config
+		frames []*frame.Frame
+	}{
+		{"idle pool", Config{Pool: pool}, qcif},
+		{"workers=1", Config{Workers: 1}, qcif},
+		{"workers=1/multi", Config{Workers: 1}, multi},
+	} {
+		for _, ev := range encode(m.name, m.cfg, m.frames) {
+			if ev.QueueWaitMs != 0 || ev.StallMs != 0 {
+				t.Errorf("%s frame %d: queue wait %v, stall %v, want exactly 0", m.name, ev.Index, ev.QueueWaitMs, ev.StallMs)
+			}
+		}
+	}
+
+	// Helper chains. One worker in the default pool (a one-CPU host)
+	// leaves Workers=2 one lane: no chain, no wait.
+	for _, m := range []struct {
+		name string
+		cfg  Config
+		want bool
+	}{
+		{"pool2/multi", Config{Pool: pool}, true},
+		{"workers=2/multi", Config{Workers: 2}, defaultPool().Size() > 1},
+	} {
+		sawWait := false
+		// A chain only reports once it claims a row, and on a busy host the
+		// caller can finish a whole clip first: give it a few clips.
+		for try := 0; try == 0 || try < 50 && sawWait != m.want; try++ {
+			for _, ev := range encode(m.name, m.cfg, multi) {
 				if ev.QueueWaitMs > 0 {
 					sawWait = true
 				}
-				if ev.StallMs > ev.QueueWaitMs {
-					t.Errorf("workers=%d frame %d: max stall %v exceeds summed wait %v", workers, ev.Index, ev.StallMs, ev.QueueWaitMs)
-				}
 			}
 		}
-		if sawWait != want {
-			t.Errorf("workers=%d: queue wait reported = %v, want %v", workers, sawWait, want)
+		if sawWait != m.want {
+			t.Errorf("%s: queue wait reported = %v, want %v", m.name, sawWait, m.want)
 		}
 	}
 }

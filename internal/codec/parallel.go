@@ -2,7 +2,6 @@ package codec
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,15 +58,28 @@ import (
 // exactly the causal set the sequential raster scan would have computed
 // (mvfield.AppendPredictors reads only the left neighbour and the three
 // above), so every mbResult — and with it the serial entropy pass — is
-// bit-identical for any lane count ≥ 1 and for both executors below.
+// bit-identical for any lane count ≥ 1, on any pool, with or without its
+// slots.
 //
-// Executors: two, and this file starts no goroutine. Inline, the caller
-// runs every row. Otherwise lanes are chains of row tasks on a Pool whose
-// workers outlive the frame and stay hot between frames (pool.go): the
-// process-default pool with the caller as lane 0 for plain Workers>1, the
-// session's Config.Pool with the caller parked. Nothing here starts a
+// Executor: one, and this file starts no goroutine. The caller — the
+// session goroutine — is lane 0 and runs rows until none is left to
+// claim; lanes 1.. are chains of row tasks on a Pool whose workers outlive
+// the frame and stay hot between frames (pool.go). Nothing here starts a
 // goroutine per frame because one reaches its first row ~100 µs after its
-// `go` — a quarter of a CIF P-frame at the paper's operating points.
+// `go` — a quarter of a CIF P-frame at the paper's operating points. On a
+// shared Config.Pool every lane holds one of the pool's slots per row,
+// lane 0 included, so all the pool's sessions together run at most Size
+// rows at once; plain Workers>1 takes its helpers from the process-default
+// pool and runs lane 0 outside its slots.
+//
+// Lanes on a shared pool (frameLanes): a helper lane costs a task
+// hand-off, often a worker wake, and a two-macroblock trail behind the row
+// above, and beside other sessions it costs more than it gains; a frame on
+// a Config.Pool takes one per laneMBs macroblocks (laneMBs states the
+// assumption and the measurement behind it). A QCIF serving session
+// therefore analyses on its own goroutine alone, with no hand-off, park or
+// spin-wait. On the default pool a frame takes min(Workers, pool size,
+// rows) lanes.
 
 // waitSpins is how many loads a blocked row spends before it starts
 // yielding. The row above is usually within a macroblock of publishing, so
@@ -84,6 +96,55 @@ type rowProgress struct {
 	_ [60]byte
 }
 
+// laneMBs is how many macroblocks a frame on a shared Config.Pool needs
+// per lane: it runs on at most max(1, macroblocks/laneMBs) of the pool's
+// lanes, so QCIF (99) gets one and CIF (396) up to six.
+//
+// The constant is a traffic assumption, not a measured crossover. A shared
+// pool exists to serve concurrent sessions, and beside one another a
+// second lane costs a session at every frame size; alone it pays at every
+// size. Measured on a 2-vCPU VM (ACBM at Qp 30/24 on the four profiles, 30
+// frames, seed 7; in-process A/B of two lanes against one in alternating
+// rounds, 11–15 rounds, ratio of the medians of µs per frame; CHANGES.md
+// lists the runs), the speed of two lanes relative to one:
+//
+//	size     MBs  one session,  one session,        two sessions on
+//	              Workers=2     Workers=2+Pipeline  Pool(2), Pipeline
+//	176×144   99  1.28×         1.20×               0.75×
+//	176×192  132  1.32×         1.39×               0.75×
+//	176×288  198  1.20×         –                   –
+//	352×144  198  1.32×         1.31×               0.82×
+//	352×192  264  1.27×         1.32×               0.82×
+//	352×288  396  1.31×         1.38×               0.82×
+//
+// So the rule assumes what the serving daemon sees: QCIF sessions, several
+// at once, which analyse on their own goroutines with no hand-off; larger
+// frames keep lanes on the bet that fewer of them share a pool at a time.
+// serve_burst (two unpaced QCIF sessions on Pool(2)) and fleet_live
+// (paced QCIF) are the workloads that check the QCIF half of the bet;
+// none contends larger frames. The process-default pool behind plain
+// Workers>1 — mostly one CLI encode per process — takes no such cap.
+const laneMBs = 64
+
+// frameLanes returns the pool a cols×rows frame takes its helper lanes
+// from and how many lanes, lane 0 included, it runs on, for a session
+// configured with pool (Config.Pool) and workers (Config.Workers). On a
+// shared pool that is one lane per laneMBs macroblocks, at most its size;
+// otherwise min(workers, the default pool's size), helpers from the
+// default pool. Never more than the frame has rows — a row is the unit of
+// work, so further lanes would idle — and at least one.
+func frameLanes(pool *Pool, workers, cols, rows int) (*Pool, int) {
+	n := workers
+	switch {
+	case pool != nil:
+		n = min(pool.Size(), cols*rows/laneMBs)
+	case n > 1:
+		pool = defaultPool()
+		n = min(n, pool.Size())
+	}
+	return pool, max(1, min(n, rows))
+}
+
 // wavefront is the schedule state of one frame's cols×rows grid.
 type wavefront struct {
 	cols, rows int
@@ -93,11 +154,7 @@ type wavefront struct {
 	done       []rowProgress
 	run        func(lane, mbx, mby int)
 
-	// joined is released by the row that takes left to 0, for a caller that
-	// is not a lane and parks for the frame.
-	joined sync.WaitGroup
-
-	// What the chains need (unused by an inline frame).
+	// What the chains need (unused by a one-lane frame).
 	pool   *Pool
 	pri    Priority
 	onWait func(time.Duration)
@@ -134,15 +191,13 @@ func (w *wavefront) runRow(lane, y int) {
 		w.run(lane, x, y)
 		w.done[y].n.Store(int32(x + 1))
 	}
-	if w.left.Add(-1) == 0 {
-		w.joined.Done()
-	}
+	w.left.Add(-1)
 }
 
-// chain is one pool lane of a frame: a sequence of tasks, each of which
-// claims and runs one row and, while unclaimed rows remain, submits its
-// successor — so the lane never has two tasks, and the pool never holds
-// more of a frame than its lanes.
+// chain is one helper lane of a frame: a sequence of pool tasks, each of
+// which claims and runs one row and, while unclaimed rows remain, submits
+// its successor — so the lane never has two tasks, and the pool never
+// holds more of a frame than its helper lanes.
 type chain struct {
 	w     *wavefront
 	lane  int
@@ -186,53 +241,68 @@ func (c *chain) step() {
 // calls for its left, up-left, up and up-right neighbours returned; all
 // calls happen before runWavefront returns.
 //
-// One row runner serves two executors, and no goroutine is started here.
-// Inline (caller set, lanes = 1): the caller claims and runs every row.
-// Pool chains: each pool lane is a chain of tasks on pool — a task runs one
-// row and, while rows remain, submits its successor — so a frame never has
-// more than lanes tasks queued or running and concurrent sessions
-// interleave FIFO at row grain. With caller set the calling goroutine is
-// lane 0 and lanes−1 chains help it (the process-default pool behind plain
-// Workers>1); without, all lanes are chains and the caller, not being a
-// pool worker, parks until the last row finishes (a shared Config.Pool:
-// analysis parallelism stays capped at the pool size).
+// The calling goroutine is lane 0: it claims and runs rows until none is
+// left, then waits for the rows still running elsewhere. Lanes 1.. are
+// chains of tasks on pool (nil when lanes is 1) — a task runs one row and,
+// while rows remain, submits its successor — so a frame never has more
+// than lanes−1 tasks queued or running and concurrent sessions interleave
+// FIFO at row grain. With slots set lane 0 takes one of pool's slots
+// before it claims each row and gives it back after the row (a shared
+// Config.Pool: all its sessions' rows together are capped at its size);
+// without, it runs outside them (the process-default pool behind plain
+// Workers>1, and the inline frame).
 //
 // Who may wait on what. A running row waits (spinning, then yielding — it
-// never parks) only on the row above, which was claimed before it and is
-// therefore running or done, never queued. A caller lane claims rows until
-// none is left, so when it reaches the join every unfinished row is running
-// on a pool worker, and it waits for those the same way. Neither wait can
-// be for a task still in the queue: a chain that is never picked up — the
-// pool saturated by other sessions — costs the frame its help, not its
-// progress, and the task it leaves behind claims nothing when it finally
-// runs. onWait, when non-nil, receives the time from submission (the
-// moment it was ready to run) to pick-up of each task that claimed a row.
-func runWavefront(cols, rows int, deps bool, lanes int, pool *Pool, caller bool, pri Priority, onWait func(time.Duration), run func(lane, mbx, mby int)) {
+// never parks) only on the row above, which was claimed before it by a
+// lane holding a slot, or by lane 0, and is therefore running or done,
+// never queued. Lane 0 claims rows until none is left, so when it reaches
+// the join every unfinished row is running on a pool worker, and it waits
+// for those the same way. Neither wait can be for a task still in the
+// queue: a chain that is never picked up — the pool saturated by other
+// sessions — costs the frame its help, not its progress, and the task it
+// leaves behind claims nothing when it finally runs. Lane 0 parks only in
+// acquire, holding no slot and no row. onWait, when non-nil, receives
+// each wait for the pool that ended in a claimed row: a task's from its
+// submission (the moment it was ready to run) to its pick-up, and lane 0's
+// from queuing for a slot to its grant.
+func runWavefront(cols, rows int, deps bool, lanes int, pool *Pool, slots bool, pri Priority, onWait func(time.Duration), run func(lane, mbx, mby int)) {
 	w := &wavefront{
 		cols: cols, rows: rows, deps: deps, done: make([]rowProgress, rows), run: run,
 		pool: pool, pri: pri, onWait: onWait,
 	}
 	w.left.Store(int32(rows))
-	w.joined.Add(1)
-	first := 0
-	if caller {
-		first = 1
-	}
-	for lane := first; lane < lanes; lane++ {
+	for lane := 1; lane < lanes; lane++ {
 		c := &chain{w: w, lane: lane}
 		c.task = c.step
 		c.submit(true)
 	}
-	if !caller {
-		w.joined.Wait()
-	} else {
-		for y := w.claim(); y >= 0; y = w.claim() {
+	var grant chan struct{}
+	if slots {
+		grant = make(chan struct{}, 1)
+	}
+	for y := 0; y >= 0; {
+		var waited time.Duration
+		if slots {
+			// Every row claimed: a slot taken now would only be given back,
+			// after queuing for it behind other sessions' rows.
+			if int(w.next.Load()) >= rows {
+				break
+			}
+			waited = pool.acquire(pri, grant)
+		}
+		if y = w.claim(); y >= 0 {
+			if waited > 0 && onWait != nil {
+				onWait(waited)
+			}
 			w.runRow(0, y)
 		}
-		for spins := 0; w.left.Load() > 0; spins++ {
-			if spins >= waitSpins {
-				runtime.Gosched()
-			}
+		if slots {
+			pool.release()
+		}
+	}
+	for spins := 0; w.left.Load() > 0; spins++ {
+		if spins >= waitSpins {
+			runtime.Gosched()
 		}
 	}
 	// A task left behind in the queue must not pin the frame's buffers
@@ -251,32 +321,24 @@ type analysisLane struct {
 }
 
 // analyzeFrame fills results (and recon, and curField for P-frames) for
-// every macroblock of src on up to Config.Workers lanes — the caller plus
-// chains on the process-default pool — or, when Config.Pool is set, on
-// that pool's width with the caller waiting. Intra frames have no
+// every macroblock of src on frameLanes lanes: the caller plus helper
+// chains, on Config.Pool when set (every row under one of its slots) and
+// otherwise on the process-default pool. Intra frames have no
 // cross-macroblock dependencies, so their rows never wait.
 //
-// Every worker count — the inline Workers=1 included — runs the
-// frame-granular fork/join protocol: searchers with per-frame control
-// state (core.Budgeted freezes its thresholds per frame and servos them
-// at the last Join) must see the same frame boundaries everywhere, or the
-// bitstream would depend on Config.Workers. Fork identity does not affect
-// a search result — forks share the parent's parameters and differ only
-// in their additively merged statistics — so any lane may run any row.
-// The lane scratch itself lives on the Encoder across frames.
+// Every lane count — one included — runs the frame-granular fork/join
+// protocol: searchers with per-frame control state (core.Budgeted freezes
+// its thresholds per frame and servos them at the last Join) must see the
+// same frame boundaries everywhere, or the bitstream would depend on the
+// lane count. Fork identity does not affect a search result — forks share
+// the parent's parameters and differ only in their additively merged
+// statistics — so any lane may run any row. The lane scratch itself lives
+// on the Encoder across frames.
 func (e *Encoder) analyzeFrame(src, recon *frame.Frame, curField *mvfield.Field, results []mbResult, intra bool) {
 	cols, rows := e.size.MacroblockCols(), e.size.MacroblockRows()
-	pool, n := e.cfg.Pool, e.cfg.Workers
-	caller := pool == nil
-	switch {
-	case !caller:
-		n = pool.Size()
-	case n > 1:
-		pool = defaultPool()
-		n = min(n, pool.Size())
-	}
-	// A row is the unit of work, so lanes beyond the row count would idle.
-	if n = min(n, rows); len(e.lanes) != n {
+	slots := e.cfg.Pool != nil
+	pool, n := frameLanes(e.cfg.Pool, e.cfg.Workers, cols, rows)
+	if len(e.lanes) != n {
 		e.lanes = make([]analysisLane, n)
 	}
 	lanes := e.lanes
@@ -291,7 +353,7 @@ func (e *Encoder) analyzeFrame(src, recon *frame.Frame, curField *mvfield.Field,
 	if e.cfg.Observer != nil {
 		onWait = e.noteQueueWait
 	}
-	runWavefront(cols, rows, !intra, n, pool, caller, e.cfg.Priority, onWait, func(lane, mbx, mby int) {
+	runWavefront(cols, rows, !intra, n, pool, slots, e.cfg.Priority, onWait, func(lane, mbx, mby int) {
 		r, l := &results[mby*cols+mbx], &lanes[lane]
 		if intra {
 			e.analyzeIntraMB(&l.sc, src, recon, mbx, mby, r)

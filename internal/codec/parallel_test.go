@@ -11,12 +11,18 @@ import (
 	"repro/internal/video"
 )
 
-// parallelFrames builds a seeded synthetic sequence with real motion, some
-// flat (skip-prone) area and a texture step, so every macroblock mode —
-// skip, inter, inter-4V, intra — shows up in the P-frames.
+// multiLaneSize is the test geometry of the parallel suites: 11×12
+// macroblocks, the smallest QCIF-wide frame the lane rule (frameLanes)
+// gives two lanes on a shared Config.Pool, where QCIF itself analyses on
+// one.
+var multiLaneSize = frame.Size{W: 176, H: 192}
+
+// parallelFrames builds a seeded synthetic multiLaneSize sequence with real
+// motion, some flat (skip-prone) area and a texture step, so every
+// macroblock mode — skip, inter, intra — shows up in the P-frames.
 func parallelFrames(n int) []*frame.Frame {
 	mk := func(t int) *frame.Frame {
-		f := frame.NewFrame(frame.QCIF)
+		f := frame.NewFrame(multiLaneSize)
 		for y := 0; y < f.Y.H; y++ {
 			for x := 0; x < f.Y.W; x++ {
 				switch {
@@ -56,6 +62,64 @@ func encodeWith(t *testing.T, workers int, cfg Config) ([]byte, *SequenceStats, 
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return bs, stats, acbm.Stats()
+}
+
+// TestLaneRule pins how many lanes a frame runs on. On a shared
+// Config.Pool: one per 64 macroblocks up to the pool's size — QCIF one
+// however large the pool, multiLaneSize and CIF two on Pool(2), CIF six at
+// most. Without one: min(Workers, the default pool's size), helpers from
+// the default pool, QCIF included. Never more lanes than rows, never fewer
+// than one.
+func TestLaneRule(t *testing.T) {
+	def := defaultPool().Size()
+	pools := map[int]*Pool{}
+	for _, n := range []int{1, 2, 8, 64} {
+		pools[n] = NewPool(n)
+		defer pools[n].Close()
+	}
+	for _, tc := range []struct {
+		size          frame.Size
+		pool, workers int // pool 0: no Config.Pool
+		want          int
+	}{
+		{frame.QCIF, 2, 0, 1}, {frame.QCIF, 8, 0, 1}, {frame.SQCIF, 8, 0, 1},
+		{multiLaneSize, 1, 0, 1}, {multiLaneSize, 2, 0, 2}, {multiLaneSize, 8, 0, 2},
+		{frame.CIF, 1, 0, 1}, {frame.CIF, 2, 0, 2}, {frame.CIF, 64, 0, 6},
+		{frame.Size{W: 16 * 64, H: 16}, 8, 0, 1}, // one row: one lane
+		{frame.QCIF, 2, 4, 1},                    // Workers is ignored beside a pool
+		{frame.QCIF, 0, 0, 1}, {frame.QCIF, 0, 1, 1},
+		{frame.QCIF, 0, 2, min(2, def)}, {frame.QCIF, 0, 64, min(9, def)},
+		{frame.SQCIF, 0, 64, min(6, def)},
+		{frame.CIF, 0, 4, min(4, def)},
+		{frame.Size{W: 16 * 64, H: 16}, 0, 4, 1},
+	} {
+		pool := pools[tc.pool]
+		cols, rows := tc.size.MacroblockCols(), tc.size.MacroblockRows()
+		got, n := frameLanes(pool, tc.workers, cols, rows)
+		if n != tc.want {
+			t.Errorf("%dx%d, pool %d, workers %d: %d lanes, want %d", tc.size.W, tc.size.H, tc.pool, tc.workers, n, tc.want)
+		}
+		switch {
+		case pool != nil && got != pool:
+			t.Errorf("%dx%d: helpers left Config.Pool", tc.size.W, tc.size.H)
+		case pool == nil && tc.workers > 1 && got != defaultPool():
+			t.Errorf("%dx%d, workers %d: helpers not on the default pool", tc.size.W, tc.size.H, tc.workers)
+		}
+	}
+}
+
+// encoderLanes encodes frames on a fresh encoder for cfg and returns how
+// many lanes its last frame ran on.
+func encoderLanes(t *testing.T, cfg Config, frames []*frame.Frame) int {
+	t.Helper()
+	e := NewEncoder(cfg)
+	for _, f := range frames {
+		if _, err := e.EncodeFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Bitstream()
+	return len(e.lanes)
 }
 
 // TestParallelEncoderBitIdentical is the golden guarantee of the wavefront
@@ -113,10 +177,11 @@ func TestParallelDecodesToSameFrames(t *testing.T) {
 // pipeline: for every Table 1 profile and for Workers ∈ {1, 4}, the
 // pipelined EncodeSequence must produce the byte-for-byte bitstream and
 // statistics of a sequential EncodeFrame loop. Run with -race in CI (see
-// Makefile) to also certify the analysis/entropy overlap.
+// Makefile) to also certify the analysis/entropy overlap. The clips are
+// multiLaneSize, so Workers=4 analyses on two lanes.
 func TestPipelineBitIdentical(t *testing.T) {
 	for _, prof := range video.Profiles {
-		frames := video.Generate(prof, frame.QCIF, 4, 7)
+		frames := video.Generate(prof, multiLaneSize, 4, 7)
 		// Serial reference: an explicit EncodeFrame loop.
 		ref := NewEncoder(Config{Qp: 16, Searcher: core.New(core.DefaultParams), Workers: 1})
 		for _, f := range frames {
@@ -217,7 +282,8 @@ func (n *noForkSearcher) Search(in *search.Input) search.Result { return n.f.Sea
 
 // TestWorkerCountForkers verifies that every searcher the module provides
 // — including the stateful core.Budgeted, whose per-frame servo now forks
-// — analyses in parallel, while an external searcher without Fork/Join is
+// — analyses in parallel, on min(Workers, the default pool's size) lanes,
+// while an external searcher without Fork/Join is
 // normalised to sequential analysis (Workers=1, no shared pool) at config
 // time.
 func TestWorkerCountForkers(t *testing.T) {
@@ -225,6 +291,7 @@ func TestWorkerCountForkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	frames := parallelFrames(2)
 	for _, tc := range []struct {
 		s    search.Searcher
 		want int
@@ -242,6 +309,10 @@ func TestWorkerCountForkers(t *testing.T) {
 		if got := e.cfg.Workers; got != tc.want {
 			t.Errorf("%s: Workers=%d, want %d", tc.s.Name(), got, tc.want)
 		}
+		wantLanes := min(tc.want, defaultPool().Size())
+		if got := encoderLanes(t, Config{Qp: 16, Searcher: tc.s, Workers: 5}, frames[:2]); got != wantLanes {
+			t.Errorf("%s: analysed on %d lanes, want %d", tc.s.Name(), got, wantLanes)
+		}
 	}
 	// The pool is likewise dropped for non-Forker searchers: the session
 	// encodes sequentially on its own goroutine instead.
@@ -251,7 +322,6 @@ func TestWorkerCountForkers(t *testing.T) {
 	if e.cfg.Pool != nil {
 		t.Error("non-Forker searcher kept the shared pool")
 	}
-	frames := parallelFrames(2)
 	for _, f := range frames {
 		if _, err := e.EncodeFrame(f); err != nil {
 			t.Fatal(err)

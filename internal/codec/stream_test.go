@@ -38,7 +38,7 @@ func packetsEqual(a, b [][]byte) bool {
 // (gated / transformed / coded blocks) merge additively from the
 // per-macroblock results, so scheduling cannot move them.
 func TestPacketsPipelineBitIdentical(t *testing.T) {
-	frames := video.Generate(video.Foreman, frame.SQCIF, 8, 3)
+	frames := video.Generate(video.Foreman, multiLaneSize, 8, 3) // two lanes at Workers=4
 	profiles := []struct {
 		name string
 		cfg  Config

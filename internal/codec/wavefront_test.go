@@ -22,16 +22,18 @@ import (
 // happen to look right. It yields mid-macroblock so lanes interleave
 // differently on every run.
 func TestWavefrontRespectsDependencies(t *testing.T) {
-	// lanes includes the caller when it is one: caller2/pool2 is the caller
-	// plus one chain, caller3/pool1 has more chains than workers to run them.
+	// lanes includes the caller, lane 0: caller2/pool2 is the caller plus
+	// one chain, caller3/pool1 has more chains than workers to run them, and
+	// the slots rows hold a pool slot on every lane, the caller's included
+	// (slots3/pool2 has more lanes than slots).
 	type executor struct {
 		name        string
 		lanes, pool int
-		caller      bool
+		slots       bool
 	}
 	executors := []executor{
-		{"inline", 1, 0, true}, {"caller2/pool2", 2, 2, true}, {"caller3/pool1", 3, 1, true}, {"caller8/pool3", 8, 3, true},
-		{"pool1", 1, 1, false}, {"pool3", 3, 3, false},
+		{"inline", 1, 0, false}, {"caller2/pool2", 2, 2, false}, {"caller3/pool1", 3, 1, false}, {"caller8/pool3", 8, 3, false},
+		{"slots1/pool1", 1, 1, true}, {"slots3/pool3", 3, 3, true}, {"slots3/pool2", 3, 2, true},
 	}
 	grids := [][2]int{{1, 1}, {1, 9}, {11, 1}, {2, 3}, {11, 9}, {22, 18}}
 	for _, ex := range executors {
@@ -47,7 +49,7 @@ func TestWavefrontRespectsDependencies(t *testing.T) {
 				name := fmt.Sprintf("%s/%dx%d/deps=%v", ex.name, cols, rows, deps)
 				ran := make([]int, cols*rows) // completed calls per macroblock
 				inLane := make([]int, lanes)  // calls in flight per lane
-				runWavefront(cols, rows, deps, lanes, pool, ex.caller, PriorityLive, nil, func(lane, x, y int) {
+				runWavefront(cols, rows, deps, lanes, pool, ex.slots, PriorityLive, nil, func(lane, x, y int) {
 					if lane < 0 || lane >= lanes {
 						t.Errorf("%s: (%d,%d) ran on lane %d of %d", name, x, y, lane, lanes)
 						return

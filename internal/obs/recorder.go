@@ -19,8 +19,8 @@ const DefaultRingFrames = 1024
 type frameSlot struct {
 	index      atomic.Int64 // frame number occupying the slot, -1 empty
 	readNs     atomic.Int64 // Y4M source-frame read
-	queueNs    atomic.Int64 // summed shared-pool queue wait across the frame's row tasks
-	stallNs    atomic.Int64 // worst single row task's queue wait (preemption stall)
+	queueNs    atomic.Int64 // summed shared-pool queue wait across the frame's rows
+	stallNs    atomic.Int64 // worst single row's queue wait (preemption stall)
 	analysisNs atomic.Int64
 	entropyNs  atomic.Int64
 	emitNs     atomic.Int64 // packet write + client flush

@@ -308,9 +308,11 @@ func TestTraceOfPinnedSession(t *testing.T) {
 // TestPoolIdlePolicyMetrics: the pool's idle-policy counters reach
 // /metrics as counters with metadata, and a served session moves them — a
 // worker that ran a row task either found it spinning or was woken from a
-// park it had counted.
+// park it had counted. The frames are 11×12 macroblocks, which the lane
+// rule gives a helper lane wherever the pool has two slots (QCIF runs on
+// the session goroutine alone and hands the workers nothing).
 func TestPoolIdlePolicyMetrics(t *testing.T) {
-	frames := video.Generate(video.Foreman, frame.SQCIF, 4, 7)
+	frames := video.Generate(video.Foreman, frame.Size{W: 176, H: 192}, 4, 7)
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Post(ts.URL+"/encode?qp=16&me=acbm", "video/x-yuv4mpeg", bytes.NewReader(y4mBody(t, frames)))
 	if err != nil {
@@ -329,5 +331,37 @@ func TestPoolIdlePolicyMetrics(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Error("a session ran on the pool and neither parks nor spin pick-ups moved")
+	}
+}
+
+// TestQueueWaitObservedEveryFrame: vcodecd_queue_wait_seconds observes
+// every analysed frame, the ones whose rows never waited for the pool
+// included, so its count equals vcodecd_analysis_seconds' and its
+// quantiles are over all frames. Three QCIF sessions on a pool of two
+// slots: some frames queue for a slot, most do not.
+func TestQueueWaitObservedEveryFrame(t *testing.T) {
+	const sessions, n = 3, 6
+	body := y4mBody(t, video.Generate(video.Carphone, frame.QCIF, n, 7))
+	_, ts := newTestServer(t, Config{PoolWorkers: 2})
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/encode?qp=16&me=acbm", "video/x-yuv4mpeg", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			readPackets(t, resp.Body)
+		}()
+	}
+	wg.Wait()
+	samples, _ := parseExposition(t, scrapeMetrics(t, ts.URL))
+	analysed := samples["vcodecd_analysis_seconds_count"]
+	waited := samples["vcodecd_queue_wait_seconds_count"]
+	if analysed != sessions*n || waited != analysed {
+		t.Errorf("vcodecd_analysis_seconds_count %v, vcodecd_queue_wait_seconds_count %v: want both %d", analysed, waited, sessions*n)
 	}
 }

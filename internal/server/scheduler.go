@@ -16,17 +16,19 @@
 //
 // # Scheduler fairness invariants
 //
-// All admitted sessions share one codec.Pool sized to the machine, and a
-// session goroutine is never an analysis lane itself: it parks while the
-// pool runs its frame, so analysis parallelism is the pool's size whatever
-// the session count. Sessions interleave on the pool at macroblock-row
-// granularity: a frame keeps at most pool-size row tasks queued or running
-// (a finished row submits its successor; a frame is never pre-queued), so
-// an admitted session's next row is at most one task per competing lane
-// from the head of its class's queue — fair-share by FIFO queue position
-// within a priority tier, with run-ahead bounded by construction. Sessions carry ?priority=live|batch: live tasks
-// dispatch first (preempting batch at the row boundary), and batch keeps
-// a guaranteed anti-starvation share of dispatches (see codec.Pool). The
+// All admitted sessions share one codec.Pool sized to the machine. A
+// session goroutine is lane 0 of its own frames and holds one of the
+// pool's slots for each macroblock row it runs; a frame large enough for
+// more lanes adds row tasks, each holding a slot while it runs. So at most
+// pool-size rows run at once whatever the session count, and a QCIF
+// session analyses on its own goroutine with no hand-off. Sessions
+// interleave on the pool at macroblock-row granularity: a slot is given
+// back after every row and granted at once to the next queued row — a
+// parked session goroutine or a task — fair-share by FIFO queue position
+// within a priority tier, with run-ahead bounded by construction.
+// Sessions carry ?priority=live|batch: live rows are granted first
+// (preempting batch at the row boundary), and batch keeps a guaranteed
+// anti-starvation share of grants (see codec.Pool). The
 // closed-loop QoS controller (qos.go) degrades batch one level ahead of
 // live under overload, same ordering, same rationale.
 //
@@ -38,8 +40,10 @@
 // backpressure, not buffering. Pool workers never block on a session's
 // client and never park on each other: they only run macroblock-row
 // analysis tasks, whose one wait — for the row above, which is always
-// running on another worker or done — spins then yields (documented
+// running under another slot or done — spins then yields (documented
 // deadlock-free in codec.Pool), and enqueueing a successor never blocks.
+// A session goroutine parks for a slot only while every slot is held by a
+// running row.
 // A worker with nothing to run parks on the pool's cond — after a bounded
 // yield-spin while frames follow one another closely enough for that to
 // pay (codec.Pool's idle policy; /metrics exports vcodecd_pool_parks_total

@@ -52,8 +52,10 @@ const (
 // Config sizes the serving layer.
 type Config struct {
 	// PoolWorkers is the shared analysis pool size (0 = GOMAXPROCS).
-	// This is the machine-wide analysis parallelism: sessions share it
-	// fairly instead of each spinning up its own worker set.
+	// This is the machine-wide analysis parallelism — at most this many
+	// macroblock rows of all sessions run at once, each session's own
+	// goroutine holding one slot per row it runs: sessions share it fairly
+	// instead of each spinning up its own worker set.
 	PoolWorkers int
 	// MaxSessions caps concurrently encoding sessions (default 8).
 	MaxSessions int
@@ -128,7 +130,7 @@ func newServerHists() serverHists {
 		analysis:    obs.NewHistogram("vcodecd_analysis_seconds", "per-frame macroblock-analysis wall clock"),
 		entropy:     obs.NewHistogram("vcodecd_entropy_seconds", "per-frame entropy-coding wall clock"),
 		emit:        obs.NewHistogram("vcodecd_emit_seconds", "per-packet write plus client flush"),
-		queueWait:   obs.NewHistogram("vcodecd_queue_wait_seconds", "per-frame shared-pool queue wait, summed over the frame's row tasks (each from its submission to pick-up)"),
+		queueWait:   obs.NewHistogram("vcodecd_queue_wait_seconds", "per-frame shared-pool queue wait summed over the frame's rows, observed for every frame (0 when none waited)"),
 	}
 }
 
@@ -527,10 +529,10 @@ type sessionObserver struct {
 
 func (o *sessionObserver) FrameAnalyzed(index int, wall, queueWait, maxStall time.Duration, intra bool, qp int) {
 	o.rec.FrameAnalyzed(index*o.rungs+o.rung, wall, queueWait, maxStall, intra, qp)
+	// Every frame, the ones that never queued included: the two histograms
+	// count the same frames, and a quantile of the wait is over all of them.
 	o.h.analysis.Observe(wall)
-	if queueWait > 0 {
-		o.h.queueWait.Observe(queueWait)
-	}
+	o.h.queueWait.Observe(queueWait)
 }
 
 func (o *sessionObserver) FrameWritten(index int, wall time.Duration, bits int) {
