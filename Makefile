@@ -49,9 +49,11 @@
 #                       pinned in internal/codec/alloc_test.go for the
 #                       serial, Workers=2 and Pool(2) configurations at
 #                       QCIF and CIF and for three sessions on one
-#                       Pool(2), or
-#                       DecodeFrame's above the decoder's). Speed
-#                       itself is measured only by bench/run.sh
+#                       Pool(2), DecodeFrame's above the decoder's, or
+#                       a served QCIF session's objects or bytes per
+#                       frame — Y4M ingest, encode and emit through the
+#                       handler — above internal/server/alloc_test.go's).
+#                       Speed itself is measured only by bench/run.sh
 #                       (BENCHMARK.json)
 #   make serve-smoke  — boot vcodecd on a random port, run a verified
 #                       vload burst, require a clean SIGTERM drain
@@ -140,7 +142,7 @@ claims:
 bench-smoke:
 	$(GO) run ./cmd/acbmbench -experiment dispatch
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) test -run 'TestEncodeFrameAllocCeiling|TestDecodeFrameAllocCeiling' -count=1 -v ./internal/codec/
+	$(GO) test -run 'TestEncodeFrameAllocCeiling|TestDecodeFrameAllocCeiling|TestServeFrameAllocCeiling' -count=1 -v ./internal/codec/ ./internal/server/
 	$(GO) test -run TestRecorderOverheadGuard -count=1 -v ./internal/codec/
 
 profile-adaptive:

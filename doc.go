@@ -338,5 +338,5 @@
 //     class (ladder sessions churn downscaled planes hardest). `make
 //     ladder-smoke` gates CI on serve → split → byte-match the offline
 //     ladder → decode every rung → clean drain; what seeding saves is
-//     recorded in ROADMAP item 2(ii).
+//     recorded under ROADMAP's "Decided against" and in DESIGN.md.
 package repro

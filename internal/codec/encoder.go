@@ -101,8 +101,14 @@ func putMBResults(rs []mbResult) {
 //
 // The source frame passed to EncodeFrame must not be mutated until its
 // frame is written (the next EncodeFrame's return at the latest, or the
-// finalise): PSNR statistics read it in phase 2. A Pipeline encoder owns
-// a goroutine until Bitstream (EncodeStream: Close) joins it.
+// finalise): PSNR statistics read it in phase 2. From then on the encoder
+// never reads it again, so a caller may recycle frame n — overwrite it,
+// or hand it back to the plane pools with Release — once EncodeFrame has
+// returned without error for frame n+1, and the last frame once Bitstream
+// (EncodeStream: Close) has returned. vcodecd's plain sessions recycle
+// their Y4M sources exactly there (TestSourceRecycledAfterNextFrame pins
+// the lifetime in both framings, inline and pipelined). A Pipeline
+// encoder owns a goroutine until Bitstream (EncodeStream: Close) joins it.
 type Encoder struct {
 	cfg  Config
 	size frame.Size

@@ -39,6 +39,10 @@ type Packet struct {
 // An emit error poisons the stream: no later frame is analysed or
 // written, every later EncodeFrame returns the error, and Close returns
 // it too.
+//
+// Source frames have the Encoder's lifetime: the caller may recycle frame
+// n once EncodeFrame has returned without error for frame n+1, and the
+// last frame once Close has returned.
 type EncodeStream struct{ e *Encoder }
 
 // NewEncodeStream starts a streaming session for cfg; packets are

@@ -492,3 +492,81 @@ func TestPacketFramingRoundTrip(t *testing.T) {
 		t.Fatal("negative index accepted")
 	}
 }
+
+// TestSourceRecycledAfterNextFrame pins the source lifetime vcodecd's
+// sessions recycle by: frame n is overwritten with a poison pattern the
+// moment EncodeFrame returns for frame n+1, and the last frame once the
+// session is finalised (Bitstream, Close). Bytes and per-frame statistics
+// (PSNR reads the source in phase 2) must equal an unpoisoned encode, in
+// both framings, inline and pipelined; under -race the writer's PSNR read
+// and the poison would be flagged if the lifetime were shorter.
+func TestSourceRecycledAfterNextFrame(t *testing.T) {
+	frames := video.Generate(video.Foreman, frame.QCIF, 6, 11)
+	poison := func(f *frame.Frame) {
+		for _, p := range []*frame.Plane{f.Y, f.Cb, f.Cr} {
+			for i := range p.Pix {
+				p.Pix[i] = uint8(0xA5 ^ i)
+			}
+		}
+	}
+	// encode runs one session over copies of frames, poisoning each copy
+	// at the end of its lifetime when recycle is set.
+	encode := func(cfg Config, packets, recycle bool) ([]byte, []FrameStats) {
+		src := make([]*frame.Frame, len(frames))
+		for i, f := range frames {
+			src[i] = f.Clone()
+		}
+		var out bytes.Buffer
+		var encodeFrame func(*frame.Frame) error
+		var finish func() []FrameStats
+		if packets {
+			s := NewEncodeStream(cfg, func(p Packet) error {
+				out.Write(p.Data)
+				return nil
+			})
+			encodeFrame = s.EncodeFrame
+			finish = func() []FrameStats {
+				st, err := s.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st.Frames
+			}
+		} else {
+			e := NewEncoder(cfg)
+			encodeFrame = func(f *frame.Frame) error { _, err := e.EncodeFrame(f); return err }
+			finish = func() []FrameStats {
+				out.Write(e.Bitstream())
+				return e.Stats().Frames
+			}
+		}
+		for i, f := range src {
+			if err := encodeFrame(f); err != nil {
+				t.Fatal(err)
+			}
+			if recycle && i > 0 {
+				poison(src[i-1])
+			}
+		}
+		stats := finish()
+		if recycle {
+			poison(src[len(src)-1])
+		}
+		return out.Bytes(), stats
+	}
+	for _, packets := range []bool{false, true} {
+		for _, pipeline := range []bool{false, true} {
+			name := fmt.Sprintf("packets=%v/pipeline=%v", packets, pipeline)
+			cfg := Config{Qp: 16, Searcher: core.New(core.DefaultParams), Workers: 1, Pipeline: pipeline}
+			want, wantStats := encode(cfg, packets, false)
+			cfg.Searcher = core.New(core.DefaultParams)
+			got, stats := encode(cfg, packets, true)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: recycling sources moved the bytes", name)
+			}
+			if !reflect.DeepEqual(stats, wantStats) {
+				t.Errorf("%s: recycling sources moved the statistics\n got %+v\nwant %+v", name, stats, wantStats)
+			}
+		}
+	}
+}

@@ -115,24 +115,31 @@ func GetFramePadded(s Size, lumaApron, chromaApron int) *Frame {
 	if s.W%2 != 0 || s.H%2 != 0 {
 		panic("frame: odd luma size for 4:2:0")
 	}
-	return &Frame{
-		Y:  GetPlanePadded(s.W, s.H, lumaApron),
-		Cb: GetPlanePadded(s.W/2, s.H/2, chromaApron),
-		Cr: GetPlanePadded(s.W/2, s.H/2, chromaApron),
-	}
+	f := framePool.Get().(*Frame)
+	f.Y = GetPlanePadded(s.W, s.H, lumaApron)
+	f.Cb = GetPlanePadded(s.W/2, s.H/2, chromaApron)
+	f.Cr = GetPlanePadded(s.W/2, s.H/2, chromaApron)
+	return f
 }
 
-// Release recycles the frame's planes into the size-bucketed pools. The
-// caller must guarantee nothing still references the frame, its planes or
-// their buffers. Safe to call on nil.
+// framePool recycles the Frame headers themselves, so a frame checkout
+// whose planes hit their pools allocates nothing.
+var framePool = sync.Pool{New: func() any { return new(Frame) }}
+
+// Release recycles the frame's planes into the size-bucketed pools and
+// the frame header into its own. The caller must guarantee nothing still
+// references the frame, its planes or their buffers: a later checkout may
+// hand out the same *Frame again. Safe to call on nil or on a frame
+// already released.
 func (f *Frame) Release() {
-	if f == nil {
+	if f == nil || f.Y == nil {
 		return
 	}
 	ReleasePlane(f.Y)
 	ReleasePlane(f.Cb)
 	ReleasePlane(f.Cr)
 	f.Y, f.Cb, f.Cr = nil, nil, nil
+	framePool.Put(f)
 }
 
 // ReplicateAprons refreshes the apron samples of all three planes (see

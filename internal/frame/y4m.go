@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -28,6 +29,11 @@ func (s *Y4MStream) FPS() float64 {
 // its samples are available. This is the streaming counterpart of ReadY4M
 // — a network server can start encoding frame 0 while frame 1 is still in
 // flight on the wire.
+//
+// Whatever the input, the reader holds no more than its buffer and the
+// frame it is filling: the header line and every FRAME line must fit the
+// buffer (maxY4MLine bytes, newline included), and a longer one is an
+// error rather than a buffer grown to hold it.
 type Y4MReader struct {
 	br     *bufio.Reader
 	size   Size
@@ -36,15 +42,31 @@ type Y4MReader struct {
 	frames int
 }
 
+// maxY4MLine bounds the Y4M header and FRAME lines: it is the reader's
+// bufio buffer size, so a line is scanned in place (bufio.Reader.ReadSlice)
+// and never copied. Real headers run under a hundred bytes.
+const maxY4MLine = 4096
+
+// readLine returns the next newline-terminated line of br, valid until the
+// next read. A line that does not fit br's buffer is an error: an upload
+// whose line never ends costs the buffer, not the upload.
+func readLine(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		return nil, fmt.Errorf("line longer than %d bytes", br.Size())
+	}
+	return line, err
+}
+
 // NewY4MReader parses the stream header of r. Only 4:2:0 chroma (C420,
 // C420jpeg, C420mpeg2, C420paldv or no C tag) is accepted.
 func NewY4MReader(r io.Reader) (*Y4MReader, error) {
-	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
+	br := bufio.NewReaderSize(r, maxY4MLine)
+	header, err := readLine(br)
 	if err != nil {
 		return nil, fmt.Errorf("frame: reading Y4M header: %w", err)
 	}
-	fields := strings.Fields(strings.TrimSpace(header))
+	fields := strings.Fields(string(header))
 	if len(fields) == 0 || fields[0] != "YUV4MPEG2" {
 		return nil, fmt.Errorf("frame: not a YUV4MPEG2 stream")
 	}
@@ -92,21 +114,31 @@ func (y *Y4MReader) FPS() float64 {
 	return float64(y.fpsNum) / float64(y.fpsDen)
 }
 
-// ReadFrame returns the next frame, or io.EOF at a clean end of stream.
+// ReadFrame returns the next frame, or io.EOF at a clean end of stream. A
+// failed read returns no frame.
+//
+// The frame's planes come from the size-bucketed plane pools (no apron),
+// and the FRAME marker is scanned in the reader's buffer, so a steady
+// stream whose frames are handed back allocates nothing per frame. The
+// caller owns the frame: it may keep it (the GC reclaims it like any
+// other), or recycle it with (*Frame).Release once nothing reads it —
+// vcodecd does so when the encoder's source lifetime ends (see
+// codec.Encoder).
 func (y *Y4MReader) ReadFrame() (*Frame, error) {
-	line, err := y.br.ReadString('\n')
-	if err == io.EOF && line == "" {
+	line, err := readLine(y.br)
+	if err == io.EOF && len(line) == 0 {
 		return nil, io.EOF
 	}
 	if err != nil {
-		return nil, fmt.Errorf("frame: reading FRAME marker: %w", err)
+		return nil, fmt.Errorf("frame: reading FRAME marker of frame %d: %w", y.frames, err)
 	}
-	if !strings.HasPrefix(line, "FRAME") {
-		return nil, fmt.Errorf("frame: expected FRAME marker, got %q", strings.TrimSpace(line))
+	if !bytes.HasPrefix(line, []byte("FRAME")) {
+		return nil, fmt.Errorf("frame: expected FRAME marker, got %q", bytes.TrimSpace(line))
 	}
-	f := NewFrame(y.size)
-	for _, p := range []*Plane{f.Y, f.Cb, f.Cr} {
-		if _, err := io.ReadFull(y.br, p.Pix); err != nil {
+	f := GetFramePadded(y.size, 0, 0)
+	for _, p := range [...]*Plane{f.Y, f.Cb, f.Cr} {
+		if _, err := io.ReadFull(y.br, p.Pix[:p.W*p.H]); err != nil {
+			f.Release() // partly filled, never handed out
 			return nil, fmt.Errorf("frame: reading frame %d samples: %w", y.frames, err)
 		}
 	}

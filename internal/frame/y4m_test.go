@@ -3,6 +3,7 @@ package frame
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -101,5 +102,127 @@ func TestY4MReaderStreamsIncrementally(t *testing.T) {
 	}
 	if _, err := y.ReadFrame(); err != io.EOF {
 		t.Fatalf("EOF expected, got %v", err)
+	}
+}
+
+// fillReader yields an endless run of one byte.
+type fillReader byte
+
+func (r fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
+}
+
+// TestY4MLinesBounded feeds a header line, and then a FRAME line, that
+// never ends: each must fail once the line outgrows the reader's buffer,
+// having allocated a bounded amount — not the 8 MiB the client sent.
+func TestY4MLinesBounded(t *testing.T) {
+	const tail = 8 << 20
+	for _, c := range []struct{ name, prefix string }{
+		{"header", "YUV4MPEG2 W16 H16 "},
+		{"frame-line", "YUV4MPEG2 W16 H16\nFRAME "},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			in := io.MultiReader(strings.NewReader(c.prefix), io.LimitReader(fillReader('x'), tail))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			y, err := NewY4MReader(in)
+			var f *Frame
+			if err == nil {
+				f, err = y.ReadFrame()
+			}
+			runtime.ReadMemStats(&after)
+			if err == nil || f != nil {
+				t.Fatalf("an endless %s line was accepted (frame %v)", c.name, f)
+			}
+			if !strings.Contains(err.Error(), "longer than") {
+				t.Errorf("error %q does not name the line bound", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+				t.Errorf("rejecting the line allocated %d bytes, want < 64 KiB", got)
+			}
+		})
+	}
+}
+
+// fuzzFrameCap bounds the frame FuzzY4MReader lets the reader allocate:
+// a header may declare up to 16384×16384 (~400 MB a frame), which the
+// reader would draw before finding the input short.
+const fuzzFrameCap = 4 << 20
+
+// FuzzY4MReader holds the streaming reader to its contract on arbitrary
+// input (seed corpus: testdata/fuzz/FuzzY4MReader): no panic, and every
+// ReadFrame returns either an error and no frame, or a frame of the
+// header's size whose samples the input actually held. Frames are
+// released as they are read, so the pooled path is the one fuzzed.
+func FuzzY4MReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		y, err := NewY4MReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		s := y.Size()
+		if s.W <= 0 || s.H <= 0 || s.W%2 != 0 || s.H%2 != 0 || s.W > 1<<14 || s.H > 1<<14 {
+			t.Fatalf("header accepted size %v", s)
+		}
+		frameBytes := s.W * s.H * 3 / 2
+		if frameBytes > fuzzFrameCap {
+			return
+		}
+		for n := 0; ; n++ {
+			f, err := y.ReadFrame()
+			if err != nil {
+				if f != nil {
+					t.Fatalf("frame %d: error %v with a frame", n, err)
+				}
+				return
+			}
+			if f.Size() != s || f.Cb.W != s.W/2 || f.Cb.H != s.H/2 || f.Cr.W != s.W/2 || f.Cr.H != s.H/2 {
+				t.Fatalf("frame %d: %v/%dx%d, header %v", n, f.Size(), f.Cb.W, f.Cb.H, s)
+			}
+			if (n+1)*(frameBytes+len("FRAME\n")) > len(data) {
+				t.Fatalf("frame %d read from %d input bytes", n, len(data))
+			}
+			f.Release()
+		}
+	})
+}
+
+// loopReader serves buf over and over, without allocating.
+type loopReader struct {
+	buf []byte
+	off int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, r.buf[r.off:])
+	r.off = (r.off + n) % len(r.buf)
+	return n, nil
+}
+
+// BenchmarkY4MReadFrame reads QCIF frames off an endless in-memory stream
+// and hands each back, as vcodecd's session loop does: in steady state
+// the reader allocates nothing per frame.
+func BenchmarkY4MReadFrame(b *testing.B) {
+	var clip bytes.Buffer
+	if err := WriteY4M(&clip, []*Frame{NewFrame(QCIF)}, 30, 1); err != nil {
+		b.Fatal(err)
+	}
+	header, rec, _ := bytes.Cut(clip.Bytes(), []byte("\n"))
+	y, err := NewY4MReader(io.MultiReader(bytes.NewReader(append(header, '\n')), &loopReader{buf: rec}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(rec)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		f, err := y.ReadFrame()
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.Release()
 	}
 }

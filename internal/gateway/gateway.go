@@ -466,7 +466,9 @@ func (g *Gateway) tryBackend(w http.ResponseWriter, r *http.Request, b *backend,
 	}
 
 	// Commit: relay headers and the first chunk. From here on the
-	// attempt is the session.
+	// attempt is the session, and the upload need not be kept for a
+	// retry.
+	body.commit()
 	b.sessionsRouted.Add(1)
 	routeDur := time.Since(begin)
 	g.m.routeNs.Add(routeDur.Nanoseconds())

@@ -23,7 +23,10 @@ import (
 //
 // An upload that outgrows the limit stops being re-dispatchable: the
 // consumed prefix is trimmed instead of retained (memory stays bounded,
-// the stream keeps flowing) and replayable turns false.
+// the stream keeps flowing) and replayable turns false. A committed
+// session is never re-dispatched either, so committing trims the same
+// way: from then on the buffer holds only bytes the reader pulled ahead
+// of the committed attempt.
 type replayUpload struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -32,7 +35,7 @@ type replayUpload struct {
 	buf      []byte // retained bytes [base, base+len(buf)) of the upload
 	base     int    // absolute offset of buf[0]
 	limit    int
-	overflow bool // trimming began; replay impossible
+	trim     bool // overflow or commit: consumed bytes are dropped, replay impossible
 	srcDone  bool
 	srcErr   error
 	wanted   bool // a consumer is waiting for bytes the buffer lacks
@@ -67,8 +70,8 @@ func (u *replayUpload) readLoop() {
 		u.mu.Lock()
 		if n > 0 {
 			u.buf = append(u.buf, chunk[:n]...)
-			if !u.overflow && u.base+len(u.buf) > u.limit {
-				u.overflow = true
+			if !u.trim && u.base+len(u.buf) > u.limit {
+				u.trim = true
 			}
 		}
 		if err != nil {
@@ -85,7 +88,7 @@ func (u *replayUpload) readLoop() {
 func (u *replayUpload) replayable() bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return !u.overflow
+	return !u.trim
 }
 
 // close ends the session: the reader goroutine exits (once any in-flight
@@ -122,18 +125,15 @@ func (a *attemptBody) Read(p []byte) (int, error) {
 			return 0, errAttemptClosed
 		}
 		if a.off < u.base {
-			// Only possible for a stale attempt racing the overflow trim;
+			// Only possible for a stale attempt racing the trim;
 			// stale attempts are closed, so this is a can't-happen guard.
 			return 0, errAttemptClosed
 		}
 		if a.off < u.base+len(u.buf) {
 			n := copy(p, u.buf[a.off-u.base:])
 			a.off += n
-			if u.overflow {
-				// Replay is off; drop the consumed prefix to bound memory.
-				cut := a.off - u.base
-				u.buf = u.buf[cut:]
-				u.base = a.off
+			if u.trim {
+				a.dropConsumed()
 			}
 			return n, nil
 		}
@@ -144,6 +144,24 @@ func (a *attemptBody) Read(p []byte) (int, error) {
 		u.cond.Broadcast() // wake the reader
 		u.cond.Wait()
 	}
+}
+
+// dropConsumed drops the bytes a has consumed from the buffer: replay is
+// off, so only a's unread tail is still needed. Called with u.mu held.
+func (a *attemptBody) dropConsumed() {
+	u := a.u
+	u.buf = u.buf[a.off-u.base:]
+	u.base = a.off
+}
+
+// commit makes a the session's only attempt: the upload stops being
+// replayable and the prefix a has consumed, and every byte it consumes
+// from now on, is dropped instead of retained.
+func (a *attemptBody) commit() {
+	a.u.mu.Lock()
+	a.u.trim = true
+	a.dropConsumed()
+	a.u.mu.Unlock()
 }
 
 // Close aborts the attempt: its pending and future Reads fail fast. Both

@@ -420,6 +420,12 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 		}
 	}
 
+	// A plain session recycles its source frames: the Encoder promises it
+	// is done reading frame n once EncodeFrame returns for frame n+1, and
+	// with every frame after finish, so frame n goes back to the plane
+	// pools then (prev). A ladder keeps its sources until Close, and an
+	// error path leaves them to the GC.
+	var prev *frame.Frame
 	frames := 0
 	var sessionErr error
 	for {
@@ -467,11 +473,18 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 		if s.qos != nil {
 			s.qos.observe(time.Since(encStart), 0)
 		}
+		if !ladder {
+			prev.Release()
+			prev = f
+		}
 		frames++
 	}
 	stats, closeErr := finish()
 	if sessionErr == nil {
 		sessionErr = closeErr
+	}
+	if sessionErr == nil {
+		prev.Release()
 	}
 	s.m.sessionNs.Add(time.Since(begin).Nanoseconds())
 
