@@ -40,10 +40,12 @@
 #                       every seed of experiment.Seeds: one PASS/FAIL
 #                       line per (row, seed), failing on any FAIL
 #                       (6 s on a 2-vCPU host, build cached)
-#   make bench-smoke  — 1-iteration pass over every benchmark so bench
-#                       code cannot rot, the SAD kernel dispatch sanity
-#                       check (logs the detected ISA, probes every tier
-#                       for bit-identity with scalar), and the
+#   make bench-smoke  — the kernel dispatch tests run verbose first, so the
+#                       log names the detected CPU features, the registered
+#                       tiers and the active one (and fails if dispatch
+#                       picked a tier the CPU lacks, or an override
+#                       degraded it); then a 1-iteration pass over every
+#                       benchmark so bench code cannot rot, and the
 #                       allocation-regression check (fails loudly if
 #                       EncodeFrame allocs/frame climb above the ceilings
 #                       pinned in internal/codec/alloc_test.go for the
@@ -55,24 +57,24 @@
 #                       handler — above internal/server/alloc_test.go's).
 #                       Speed itself is measured only by bench/run.sh
 #                       (BENCHMARK.json)
-#   make serve-smoke  — boot vcodecd on a random port, run a verified
-#                       vload burst, require a clean SIGTERM drain
-#   make cluster-smoke— boot 2 vcodecd + vcodec-gateway on random ports,
-#                       verified vload burst, kill one backend mid-run,
-#                       burst again (must still verify), clean drain
-#   make qos-smoke    — boot vcodecd with a tight QoS loop, byte-verify
-#                       the pinned degradation rungs, overload it with a
-#                       mixed-priority burst (must degrade, not truncate
-#                       or 503), require restore to level 0, clean drain
-#   make obs-smoke    — boot vcodecd, run a vload burst, fetch a session's
-#                       flight-recorder trace by its trailer ID, assert
-#                       the per-frame timeline matches the stream, check
-#                       the /metrics histograms, clean drain
-#   make ladder-smoke — boot vcodecd, run one /encode?ladder= session,
-#                       split the interleaved stream and require every
-#                       rung to byte-match a pinned offline
-#                       `vcodec encode -ladder` run and decode cleanly,
-#                       check the plane-pool counters, clean drain
+#   make X-smoke      — one row of TestDaemonSmoke (daemon_test.go), which
+#                       `go test ./...` runs whole: the real daemons on
+#                       random loopback ports, driven by vload and the
+#                       CLIs, each row in a fresh environment and ending
+#                       in a SIGTERM drain that must exit 0. X is one of
+#                         serve   — a verified vload burst
+#                         cluster — 2 vcodecd behind vcodec-gateway: a
+#                                   verified burst, SIGKILL backend 1, a
+#                                   verified -retry-after burst
+#                         qos     — the pinned levels 0–3 verified; an
+#                                   overload burst that must raise
+#                                   vcodecd_qos_degrades_total; then
+#                                   qos_level back at 0, restores risen
+#                         obs     — the flight recorder's session list and
+#                                   a trace by ID; the /metrics histograms
+#                         ladder  — /encode?ladder= split per rung and
+#                                   byte-equal to `vcodec encode -ladder`,
+#                                   each rung decoding; pool counters
 #   make profile-adaptive — CPU profile of BenchmarkEncodeAdaptiveCells
 #                       (adaptive_serial's eight cells through
 #                       codec.Encoder, Workers=1, GOMAXPROCS=1, 5 s)
@@ -86,8 +88,9 @@
 #                       (serve_burst's codec shape: two QCIF ACBM sessions
 #                       at once on one Pool(2), Pipeline on) at
 #                       GOMAXPROCS=2, written to prof/serve.cpu.prof
-#   make ci           — every target above except the three profile ones,
-#                       in that order
+#   make ci           — every target above except the three profile ones
+#                       and the X-smoke rows, in that order (`make test`
+#                       already runs the whole TestDaemonSmoke table)
 #   make loc          — non-test, non-comment lines of .go and .s files per
 #                       package and for the module (bench/ is its own
 #                       module and is left out): the count simplicity
@@ -95,10 +98,9 @@
 
 GO ?= go
 
-# The X-smoke targets are built by the one %-smoke pattern rule below, so
-# they must stay out of .PHONY (make skips implicit rules for phony
-# targets); FORCE keeps them, and the bin/% builds, always out of date.
-.PHONY: build test sched-one-p test-386 fuzz-smoke fma-check bench-check claims bench-smoke profile-adaptive profile-fullsearch profile-serve ci loc FORCE
+SMOKES := serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
+
+.PHONY: build test sched-one-p test-386 fuzz-smoke fma-check bench-check claims bench-smoke $(SMOKES) profile-adaptive profile-fullsearch profile-serve ci loc
 
 build:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -140,7 +142,7 @@ claims:
 	$(GO) run ./cmd/acbmbench -experiment seeds
 
 bench-smoke:
-	$(GO) run ./cmd/acbmbench -experiment dispatch
+	$(GO) test -run '^TestKernel(ISAFallbackOrder|DispatchSanity)$$' -count=1 -v ./internal/metrics/
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run 'TestEncodeFrameAllocCeiling|TestDecodeFrameAllocCeiling|TestServeFrameAllocCeiling' -count=1 -v ./internal/codec/ ./internal/server/
 	$(GO) test -run TestRecorderOverheadGuard -count=1 -v ./internal/codec/
@@ -163,18 +165,8 @@ profile-serve:
 		-o prof/repro.test -cpuprofile prof/serve.cpu.prof .
 	@echo "$(GO) tool pprof -top prof/repro.test prof/serve.cpu.prof"
 
-# Every binary a smoke script runs, built from this checkout each time (go
-# build is itself incremental). .PRECIOUS: as prerequisites of a pattern
-# rule they would be deleted as intermediates.
-.PRECIOUS: bin/%
-bin/%: FORCE
-	@mkdir -p bin
-	$(GO) build -o $@ ./cmd/$*
-
-# serve-smoke, cluster-smoke, qos-smoke, obs-smoke, ladder-smoke: build the
-# daemons and tools, then run scripts/X_smoke.sh against them.
-%-smoke: bin/vcodecd bin/vcodec-gateway bin/vload bin/vcodec bin/seqgen FORCE
-	BIN=bin sh scripts/$*_smoke.sh
+$(SMOKES):
+	$(GO) test -count=1 -run '^TestDaemonSmoke$$/^$(@:-smoke=)$$' .
 
 # A line counts unless it is blank or starts with // (after indentation).
 loc:
@@ -184,6 +176,4 @@ loc:
 			printf '%7d  %s\n' $$n $$pkg; total=$$((total + n)); \
 		done; printf '%7d  %s\n' $$total 'module (bench/ excluded)'; }
 
-ci: test test-386 fuzz-smoke fma-check bench-check claims bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
-
-FORCE:
+ci: test test-386 fuzz-smoke fma-check bench-check claims bench-smoke

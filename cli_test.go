@@ -1,33 +1,63 @@
 package repro
 
 // End-to-end tests of the command-line tools: each binary is built once
-// and driven through its primary flows against a temp directory.
+// per test process and driven through its primary flows against a temp
+// directory. The daemons' rows are in daemon_test.go.
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/experiment"
 )
 
-// buildTool compiles one cmd into a temp dir and returns the binary path.
+// toolDir holds the binaries buildTool compiles: one build per tool per
+// test process, removed when the tests end.
+var (
+	toolDir string
+	toolMu  sync.Mutex
+	tools   = map[string]string{}
+)
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "repro-tools-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	toolDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// buildTool returns the path of cmd/name compiled from this checkout,
+// building it on the first call in the test process.
 func buildTool(t *testing.T, name string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
+	toolMu.Lock()
+	defer toolMu.Unlock()
+	if bin, ok := tools[name]; ok {
+		return bin
+	}
+	bin := filepath.Join(toolDir, name)
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+name).CombinedOutput(); err != nil {
 		t.Fatalf("building %s: %v\n%s", name, err, out)
 	}
+	tools[name] = bin
 	return bin
 }
 
+// runTool execs bin, requires exit status 0 and returns its output,
+// which it logs on failure.
 func runTool(t *testing.T, bin string, args ...string) string {
 	t.Helper()
 	out, err := exec.Command(bin, args...).CombinedOutput()
@@ -164,7 +194,7 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		t.Skip("short mode")
 	}
 	acbmbench := buildTool(t, "acbmbench")
-	for _, name := range []string{"nope", "pareto", "loss", "hw"} {
+	for _, name := range []string{"nope", "pareto", "loss", "hw", "dispatch"} {
 		if out, err := exec.Command(acbmbench, "-experiment", name).CombinedOutput(); err == nil || !strings.Contains(string(out), "unknown experiment") {
 			t.Fatalf("unknown experiment %q accepted:\n%s", name, out)
 		}

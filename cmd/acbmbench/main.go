@@ -22,10 +22,6 @@
 //	                                     # -seed does not apply
 //	acbmbench -frames 30 -qps 30,24,18   # reduced sweep for quick runs
 //	acbmbench -alpha 2000 -beta 4        # explore the quality/cost knobs
-//	acbmbench -experiment dispatch       # kernel dispatch sanity (by name only,
-//	                                     # not in all): detected CPU features,
-//	                                     # registered tiers, one-shot bit-identity
-//	                                     # probe per tier
 package main
 
 import (
@@ -46,7 +42,7 @@ import (
 
 func main() {
 	var (
-		expName  = flag.String("experiment", "all", "experiment to run: fig4|fig5|fig6|table1|headline|map|seeds|dispatch|all (seeds: the claims table on every seed)")
+		expName  = flag.String("experiment", "all", "experiment to run: fig4|fig5|fig6|table1|headline|map|seeds|all (seeds: the claims table on every seed)")
 		frames   = flag.Int("frames", experiment.DefaultFrames, "sequence length at 30 fps")
 		sizeName = flag.String("size", "qcif", "frame format: sqcif|qcif|cif")
 		seed     = flag.Uint64("seed", experiment.DefaultSeed, "texture seed (not 0)")
@@ -211,15 +207,6 @@ func main() {
 				return fmt.Errorf("%d (row, seed) verdicts FAIL", n)
 			}
 			return nil
-		})
-	}
-	// A probe of this host's kernel tiers, not a paper experiment: it runs
-	// only when asked for by name.
-	if *expName == "dispatch" {
-		run("SAD kernel dispatch sanity", func() error {
-			report, err := experiment.DispatchReport()
-			fmt.Print(report)
-			return err
 		})
 	}
 	if !ran {

@@ -45,7 +45,7 @@
 // completion (bounded by -drain-timeout) before the process exits.
 //
 // -addrfile writes the bound address (useful with -addr 127.0.0.1:0) so
-// scripts can discover the random port; see `make serve-smoke`.
+// a client finds the random port, as TestDaemonSmoke's rows do.
 //
 // -pprof 127.0.0.1:6060 serves the net/http/pprof endpoints on a
 // separate debug listener (never on the serving address), so live

@@ -3,8 +3,8 @@
 // more endpoints (uploading a synthetic Y4M clip, streaming the packet
 // response) across a sweep of session counts and reports aggregate
 // throughput plus first-packet and per-frame latency percentiles. The
-// smoke scripts (scripts/*_smoke.sh) run it against real daemons; speed
-// claims are bench/'s (BENCHMARK.json), not vload's.
+// module's TestDaemonSmoke (daemon_test.go) runs it against real
+// daemons; speed claims are bench/'s (BENCHMARK.json), not vload's.
 //
 // Usage:
 //

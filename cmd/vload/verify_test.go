@@ -13,7 +13,7 @@ import (
 	"repro/internal/video"
 )
 
-// TestRunServeFailsClosed pins vload as the smoke legs' verifier: against
+// TestRunServeFailsClosed pins vload as TestDaemonSmoke's verifier: against
 // a handler that serves the offline encoder's own packets, the intact
 // stream passes, and each corruption below makes the run return an error
 // rather than a report.

@@ -66,9 +66,9 @@
 //     at runtime for tests. The dispatch contract is that every tier is
 //     bit-identical — SADCapped's per-row early-termination values
 //     included — so the active ISA can never change an encoded bit,
-//     only ns/frame; the per-ISA differential+fuzz suite, the encoder
-//     bitstream-identity test, and the bench-smoke dispatch probe all
-//     pin this. Half-pel candidates are evaluated by fused kernels
+//     only ns/frame; the per-ISA differential+fuzz suite and the encoder
+//     bitstream-identity test pin this, and TestKernelDispatchSanity
+//     (run verbose by bench-smoke) names the host's tier. Half-pel candidates are evaluated by fused kernels
 //     (SADHalfPelPlane, and the SADHalfPelRing batch that scores all 8
 //     neighbour phases in one pass) that apply the H.263 bilinear
 //     rounding inside the difference loop, directly against the integer
@@ -251,12 +251,14 @@
 //     first-packet and per-frame latency percentiles, optionally
 //     byte-verifying the served stream against the offline encoder and
 //     optionally honoring 503 Retry-After (-retry-after); a failed,
-//     errored or short stream fails the run. `make serve-smoke` gates CI
-//     on boot → verified burst → clean drain. See examples/serve for the
+//     errored or short stream fails the run. TestDaemonSmoke
+//     (daemon_test.go) drives the real daemons with it, one row per
+//     serving surface; its serve row (`make serve-smoke`) is boot →
+//     verified burst → clean drain. See examples/serve for the
 //     walkthrough.
 //   - internal/gateway (cmd/vcodec-gateway) makes N vcodecd backends one
 //     system: health-aware least-loaded routing off each backend's
-//     /healthz + /metrics, bounded retries with capped-exponential
+//     /healthz, bounded retries with capped-exponential
 //     jittered backoff, per-backend circuit breakers, and drain-aware
 //     rebalancing. The delivery contract is commit-point retry: a
 //     session may be re-dispatched (upload replayed from a buffer) only
@@ -269,9 +271,9 @@
 //     proxy in front of a backend stalls traffic or kills every
 //     established connection mid-stream, which is how
 //     TestGatewayMidStreamKillExplicitError and TestGatewayStallWatchdog
-//     prove the commit-point contract. `make cluster-smoke` gates CI on
-//     the real thing: boot → verified burst → SIGKILL a backend mid-run →
-//     still-verified burst → clean drain.
+//     prove the commit-point contract. TestDaemonSmoke's cluster row
+//     (`make cluster-smoke`) runs the real thing: boot → verified burst →
+//     SIGKILL a backend → still-verified burst → clean drain.
 //   - internal/server/qos.go closes the loop under overload: a
 //     controller ticks every Config.QosInterval, folds per-phase
 //     latency EWMAs, queue depth and session counts into one load
@@ -292,10 +294,11 @@
 //     the offline encoder under server.ApplyQosLevel — the hook the
 //     verified benchmarks use. Admission 503s scale Retry-After with
 //     queue depth and degradation level, the gateway's poller prefers
-//     less-degraded backends on load ties, and `make qos-smoke` gates CI
-//     on the contract: pinned rungs byte-verified, a mixed-priority
-//     overload with zero truncated streams, full quality restored after
-//     it.
+//     less-degraded backends on load ties, and TestDaemonSmoke's qos row
+//     (`make qos-smoke`) holds the daemon to the contract: pinned rungs
+//     byte-verified, a mixed-priority overload with zero truncated
+//     streams that must raise vcodecd_qos_degrades_total, and full
+//     quality restored after it, with vcodecd_qos_restores_total risen.
 //   - internal/obs is the always-on flight recorder behind the serving
 //     layer's observability: every session gets a trace ID (minted at
 //     the gateway — or accepted from the client's X-Vcodec-Trace header
@@ -313,8 +316,9 @@
 //     trace lookups fleet-wide), and pprof labels (vcodec_session/
 //     priority/searcher) on session goroutines so live profiles slice
 //     by session. vload names each point's slowest session by trace ID
-//     and dumps its timeline; `make obs-smoke` gates CI on burst →
-//     fetch-trace-by-ID → timeline-matches-stream → clean drain.
+//     and dumps its timeline; TestDaemonSmoke's obs row (`make
+//     obs-smoke`) runs burst → fetch-trace-by-ID → timeline-matches-stream
+//     → clean drain.
 //   - codec.EncodeLadder (vcodecd /encode?ladder=WxH@kbps,..., vcodec
 //     encode -ladder) is the simulcast ABR path: one upload fans out to
 //     N renditions that share ingest, the 2:1 downscale chain
@@ -335,8 +339,9 @@
 //     per-rung packet artifacts, the X-Vcodec-Rungs trailer carries
 //     per-rung frames/PSNR/kbps, the flight recorder tags events by
 //     rung, and /metrics exports plane-pool hit/miss counters per size
-//     class (ladder sessions churn downscaled planes hardest). `make
-//     ladder-smoke` gates CI on serve → split → byte-match the offline
-//     ladder → decode every rung → clean drain; what seeding saves is
+//     class (ladder sessions churn downscaled planes hardest).
+//     TestDaemonSmoke's ladder row (`make ladder-smoke`) runs serve →
+//     split → byte-match the offline ladder → decode every rung → clean
+//     drain; what seeding saves is
 //     recorded under ROADMAP's "Decided against" and in DESIGN.md.
 package repro

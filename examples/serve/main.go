@@ -36,8 +36,8 @@
 //	go run ./cmd/vload -url http://localhost:8320 -sessions 8 -verify
 //	kill -TERM %3 && kill -TERM %1 %2             # gateway, then backends
 //
-// (`make cluster-smoke` scripts this with a backend SIGKILLed mid-burst:
-// the next verified burst must still pass, through failover.)
+// (`make cluster-smoke` runs this with a backend SIGKILLed between
+// bursts: the next verified burst must still pass, through failover.)
 //
 // Under overload the daemon does not let latency grow without bound: a
 // closed-loop controller steps sessions down a degradation ladder

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/frame"
+	"repro/internal/leakcheck"
 	"repro/internal/search"
 	"repro/internal/video"
 )
@@ -245,23 +245,13 @@ func TestEncodeStreamEmitError(t *testing.T) {
 	}
 }
 
-// expectNoLeakedGoroutines snapshots the goroutine count and returns a
-// check that fails t unless the count settles back to it. The
-// process-default pool is started first: its workers outlive every
-// session by design, and the check is about what a session started.
+// expectNoLeakedGoroutines is leakcheck.Snapshot with the process-default
+// pool started first: its workers outlive every session by design, and the
+// check is about what a session started.
 func expectNoLeakedGoroutines(t *testing.T) func() {
 	t.Helper()
 	defaultPool()
-	before := runtime.NumGoroutine()
-	return func() {
-		t.Helper()
-		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("%d goroutines, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
-			}
-		}
-	}
+	return leakcheck.Snapshot(t)
 }
 
 // TestEngineNoGoroutineLeak: after the finalise nothing the engine or a

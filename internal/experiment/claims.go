@@ -178,17 +178,32 @@ var (
 		return RDSweep(RDConfig{Profile: video.Foreman, Size: cmp.Or(tb.Size, frame.QCIF), Frames: cmp.Or(tb.Frames, 36),
 			Decimation: 3, Qps: tb.qps(26, 20, 14), Params: tb.Params, Seed: seed}, nil)
 	}
-	// fieldRoughness is the smoothness (lower is smoother) of the fields
-	// FSBM and ACBM find between frames 1 and 2 of Foreman, QCIF.
-	fieldRoughness probe[[2]float64] = func(seed uint64, tb Testbed) ([2]float64, error) {
-		f := Frames(video.Foreman, cmp.Or(tb.Size, frame.QCIF), 3, seed)
-		var out [2]float64
-		for i, s := range []search.Searcher{&search.FSBM{}, core.New(cmp.Or(tb.Params, core.DefaultParams))} {
-			out[i] = searchField(f[2].Y, f[1].Y, func(in *search.Input) mvfield.MV { return s.Search(in).MV }).Smoothness()
+	// panRoughness is the roughness (mvfield.Field.Smoothness: lower is
+	// smoother) of the fields FSBM and ACBM find between consecutive
+	// frames of Foreman's abrupt pan — the final third of its 60 frames,
+	// QCIF — at Qp 30.
+	panRoughness probe[[]pairRoughness] = func(seed uint64, tb Testbed) ([]pairRoughness, error) {
+		n := cmp.Or(tb.Frames, DefaultFrames)
+		f := Frames(video.Foreman, cmp.Or(tb.Size, frame.QCIF), n, seed)
+		qp := slices.Max(tb.qps(30))
+		roughness := func(s search.Searcher, t int) float64 {
+			return searchField(f[t+1].Y, f[t].Y, qp, func(in *search.Input) mvfield.MV { return s.Search(in).MV }).Smoothness()
+		}
+		var out []pairRoughness
+		for t := 2 * n / 3; t+1 < n; t++ {
+			out = append(out, pairRoughness{From: t, FSBM: roughness(&search.FSBM{}, t),
+				ACBM: roughness(core.New(cmp.Or(tb.Params, core.DefaultParams)), t)})
 		}
 		return out, nil
 	}
 )
+
+// pairRoughness is the field roughness FSBM and ACBM give frame From+1
+// searched against frame From.
+type pairRoughness struct {
+	From       int
+	FSBM, ACBM float64
+}
 
 // atLowestQp returns a curve's point at its lowest Qp.
 func atLowestQp(c ratedist.Curve) ratedist.Point {
@@ -294,10 +309,18 @@ var Claims = []Claim{
 			s, err := ratedist.AvgRateSavings(&c[acbm], &c[pbm])
 			return s, "", err
 		})},
-	{ID: "acbm-field-smoother", Seed: 1, Want: atLeast(0),
-		Text: "FSBM's motion field is less coherent than ACBM's (§2.3, Foreman): FSBM's field roughness minus ACBM's",
-		Measure: row(&fieldRoughness, func(s [2]float64) (float64, string, error) {
-			return s[0] - s[1], fmt.Sprintf("FSBM %.4g, ACBM %.4g", s[0], s[1]), nil
+	// §2.3's smoothness claim holds on every pair of the pan on seven of
+	// the eight Seeds; on 31337 one pair's fields coincide (DESIGN.md §1).
+	// So the row pins this render's margin instead: a mistuned ACBM whose
+	// field drifts towards FSBM's fails it (TestFieldSmootherCatchesFullSearch).
+	{ID: "acbm-field-smoother", Seed: 1, Pinned: true, Want: atMost(-1.48),
+		Text: "ACBM's motion field is smoother than FSBM's on abrupt motion (§2.3, Foreman's pan, Qp 30): ACBM's field roughness minus FSBM's, worst frame pair",
+		Measure: row(&panRoughness, func(pairs []pairRoughness) (float64, string, error) {
+			if len(pairs) == 0 {
+				return 0, "", fmt.Errorf("experiment: no frame pair on this testbed")
+			}
+			w := slices.MaxFunc(pairs, func(a, b pairRoughness) int { return cmp.Compare(a.ACBM-a.FSBM, b.ACBM-b.FSBM) })
+			return w.ACBM - w.FSBM, fmt.Sprintf("frames %d→%d: ACBM %.4g, FSBM %.4g", w.From, w.From+1, w.ACBM, w.FSBM), nil
 		})},
 }
 

@@ -345,16 +345,21 @@ func TestRunDecisionMap(t *testing.T) {
 	}
 }
 
-// TestDispatchReportSane runs the CI-time dispatch sanity probe on the
-// real dispatch state of the machine running the tests.
-func TestDispatchReportSane(t *testing.T) {
-	report, err := DispatchReport()
-	if err != nil {
-		t.Fatalf("DispatchReport: %v\n%s", err, report)
-	}
-	for _, want := range []string{"kernel tiers:", "active tier:", "probe scalar ok", "probe swar   ok"} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
+// TestFieldSmootherCatchesFullSearch is the smoothness row's mutation
+// test: α = β = γ = 0 sends every block to full search, so ACBM's field
+// becomes FSBM's and the row must fail.
+func TestFieldSmootherCatchesFullSearch(t *testing.T) {
+	defer ClearCache()
+	for i := range Claims {
+		if c := &Claims[i]; c.ID == "acbm-field-smoother" {
+			r := &Run{Seed: c.Seed, Testbed: Testbed{Params: core.Params{GammaDen: 1}}}
+			if line, ok := c.Verify(r); ok {
+				t.Errorf("passes with every block sent to full search:\n%s", line)
+			} else {
+				t.Log(line)
+			}
+			return
 		}
 	}
+	t.Fatal("no acbm-field-smoother row")
 }

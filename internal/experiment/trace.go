@@ -68,7 +68,7 @@ func RunDecisionMap(prof video.Profile, size frame.Size, idx int, params core.Pa
 	cols, rows := size.MacroblockCols(), size.MacroblockRows()
 	dm := &DecisionMap{Cols: cols, Rows: rows, Decisions: make([]core.Decision, cols*rows)}
 	acbm := core.New(params)
-	searchField(cur.Y, ref.Y, func(in *search.Input) mvfield.MV {
+	searchField(cur.Y, ref.Y, 16, func(in *search.Input) mvfield.MV {
 		res, tr := acbm.SearchTrace(in)
 		dm.Decisions[in.MBY*cols+in.MBX] = tr.Decision
 		return res.MV
@@ -78,14 +78,14 @@ func RunDecisionMap(prof video.Profile, size frame.Size, idx int, params core.Pa
 }
 
 // searchField estimates the motion of cur's 16×16 blocks against ref in
-// raster order at ±DefaultRange and Qp 16, each block by find, with the
+// raster order at ±DefaultRange and qp, each block by find, with the
 // field found so far as its spatial context.
-func searchField(cur, ref *frame.Plane, find func(in *search.Input) mvfield.MV) *mvfield.Field {
+func searchField(cur, ref *frame.Plane, qp int, find func(in *search.Input) mvfield.MV) *mvfield.Field {
 	fld := mvfield.NewField((cur.W+15)/16, (cur.H+15)/16)
 	for mby := 0; mby < fld.Rows; mby++ {
 		for mbx := 0; mbx < fld.Cols; mbx++ {
 			fld.Set(mbx, mby, find(&search.Input{Cur: cur, Ref: ref, BX: 16 * mbx, BY: 16 * mby, W: 16, H: 16,
-				Range: DefaultRange, Qp: 16, CurField: fld, MBX: mbx, MBY: mby}))
+				Range: DefaultRange, Qp: qp, CurField: fld, MBX: mbx, MBY: mby}))
 		}
 	}
 	return fld

@@ -1,12 +1,9 @@
 package gateway
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +15,7 @@ import (
 //
 // Two failure detectors run side by side on purpose:
 //
-//   - The health poller (GET /healthz + /metrics every PollInterval)
+//   - The health poller (GET /healthz every PollInterval)
 //     catches a backend that is down, unreachable, or draining before any
 //     session is risked on it.
 //   - The circuit breaker catches a backend whose /healthz still answers
@@ -62,7 +59,6 @@ type backend struct {
 	// encodes at higher quality, and the placement spreads pressure away
 	// from the part of the fleet already trading quality for latency.
 	reportedQos int
-	lastPoll    time.Time
 	// consecFails/openUntil implement the breaker (guarded by mu).
 	consecFails int
 	openUntil   time.Time
@@ -164,10 +160,10 @@ type backendView struct {
 	Failures       int64  `json:"attempt_failures"`
 }
 
-// poll refreshes the backend's health view once: /healthz for liveness
-// and drain state, /metrics for the occupancy gauges. Both ride the same
-// short timeout — a backend that cannot answer its health endpoint inside
-// a poll interval is not one to trust with a session.
+// poll refreshes the backend's health view once from /healthz: liveness,
+// drain state, the occupancy gauges and the QoS level. It rides a short
+// timeout — a backend that cannot answer its health endpoint inside a
+// poll interval is not one to trust with a session.
 func (b *backend) poll(ctx context.Context, client *http.Client) {
 	alive, draining := false, false
 	active, queued, qos := 0, 0, 0
@@ -195,22 +191,12 @@ func (b *backend) poll(ctx context.Context, client *http.Client) {
 			resp.Body.Close()
 		}
 	}
-	if alive {
-		// /metrics corroborates the occupancy (and exercises the scrape
-		// path a real deployment monitors): prefer its gauges when they
-		// parse, keep the /healthz numbers when they don't.
-		if a, q, ok := b.scrapeMetrics(ctx, client); ok {
-			active, queued = a, q
-		}
-	}
-
 	b.mu.Lock()
 	b.alive = alive
 	b.draining = draining
 	b.reportedActive = active
 	b.reportedQueued = queued
 	b.reportedQos = qos
-	b.lastPoll = time.Now()
 	if !alive {
 		// A dead backend's breaker state is moot; reset it so recovery
 		// is judged fresh once /healthz answers again.
@@ -218,44 +204,4 @@ func (b *backend) poll(ctx context.Context, client *http.Client) {
 		b.openUntil = time.Time{}
 	}
 	b.mu.Unlock()
-}
-
-// scrapeMetrics pulls vcodecd_sessions_active/queued out of the backend's
-// Prometheus text exposition.
-func (b *backend) scrapeMetrics(ctx context.Context, client *http.Client) (active, queued int, ok bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/metrics", nil)
-	if err != nil {
-		return 0, 0, false
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, 0, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, false
-	}
-	gotA, gotQ := false, false
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, val, found := strings.Cut(line, " ")
-		if !found {
-			continue
-		}
-		n, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			continue
-		}
-		switch name {
-		case "vcodecd_sessions_active":
-			active, gotA = int(n), true
-		case "vcodecd_sessions_queued":
-			queued, gotQ = int(n), true
-		}
-	}
-	return active, queued, gotA && gotQ
 }

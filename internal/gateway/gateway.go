@@ -5,7 +5,7 @@
 // # Routing policy
 //
 // Every PollInterval the gateway polls each backend's /healthz (liveness,
-// drain state) and /metrics (occupancy gauges). A new session is
+// drain state, occupancy gauges, QoS level). A new session is
 // dispatched to the eligible backend — alive, not draining, circuit
 // breaker closed — with the least load, where load is the larger of the
 // gateway's own in-flight count for that backend and the backend's
@@ -62,7 +62,7 @@ import (
 type Config struct {
 	// Backends lists the vcodecd base URLs (e.g. http://10.0.0.7:8323).
 	Backends []string
-	// PollInterval is the health/metrics poll cadence (default 250ms).
+	// PollInterval is the /healthz poll cadence (default 250ms).
 	PollInterval time.Duration
 	// ConnectTimeout bounds one attempt's dial + response headers
 	// (default 2s).

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,9 +19,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/gateway/chaos"
+	"repro/internal/leakcheck"
 	"repro/internal/server"
 	"repro/internal/video"
 )
+
+// TestMain fails the suite, the chaos-proxy scenarios included, if any
+// goroutine a test started — a poller, a relay, a proxied connection —
+// outlives the tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // testConfig keeps the control loops fast enough for tests without
 // changing any semantics.
@@ -748,8 +755,7 @@ func TestGatewayConfig(t *testing.T) {
 }
 
 // fakeQosBackend is a health-endpoint-only backend reporting a fixed
-// occupancy and QoS degradation level (no /metrics, so the poller keeps
-// the /healthz numbers).
+// occupancy and QoS degradation level.
 func fakeQosBackend(t *testing.T, active, qosLevel int) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -814,5 +820,40 @@ func TestGatewayPrefersLessDegradedBackend(t *testing.T) {
 	waitEligible(t, g2, 2)
 	if b := g2.pick(nil); b.url != idleDegraded.URL {
 		t.Errorf("routed to %s, want idle %s (QoS is a tiebreak, not primary)", b.url, idleDegraded.URL)
+	}
+}
+
+// TestGatewayPollsHealthzOnly: /healthz carries every signal the router
+// reads, so across several polls the poller must never fetch the
+// backend's /metrics (which here disagrees with /healthz), and it routes
+// on /healthz's numbers.
+func TestGatewayPollsHealthzOnly(t *testing.T) {
+	var healthz, scrapes atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		healthz.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(map[string]any{
+			"status": "ok", "sessions_active": 2, "sessions_queued": 1, "qos_level": 1,
+		})
+	})
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		scrapes.Add(1)
+		fmt.Fprint(w, "vcodecd_sessions_active 9\nvcodecd_sessions_queued 9\n")
+	})
+	backend := httptest.NewServer(mux)
+	t.Cleanup(backend.Close)
+	g, _ := newGateway(t, testConfig(backend.URL))
+	waitEligible(t, g, 1)
+	for deadline := time.Now().Add(5 * time.Second); healthz.Load() < 5; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d /healthz polls in 5s, want 5", healthz.Load())
+		}
+	}
+	if n := scrapes.Load(); n != 0 {
+		t.Errorf("%d /metrics requests across %d polls, want 0", n, healthz.Load())
+	}
+	if load, qos := g.backends[0].load(), g.backends[0].qosLevel(); load != 3 || qos != 1 {
+		t.Errorf("load %d, qos level %d; want /healthz's 2+1 and 1", load, qos)
 	}
 }

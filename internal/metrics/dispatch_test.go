@@ -41,13 +41,25 @@ func TestKernelISAFallbackOrder(t *testing.T) {
 	}
 }
 
-// TestKernelDispatchSanity is the check bench-smoke runs in one-shot
-// form: the selected tier must be one the detected CPU features
-// actually support, and every advertised SIMD feature must have
-// produced its tier.
+// TestKernelDispatchSanity pins the dispatch state against the host: the
+// selected tier must be one the detected CPU features actually support,
+// every advertised SIMD feature must have produced its tier, and the
+// start-up pick must not have degraded (an override naming a tier this
+// host lacks). Run with -v it logs what this host dispatched to, so a run
+// whose numbers look off can be explained by its ISA; every tier's
+// bit-identity with scalar is the differential tests' (KernelTiers*).
 func TestKernelDispatchSanity(t *testing.T) {
 	feats := DetectedCPUFeatures()
 	isas := KernelISAs()
+	t.Logf("cpu features: %v", feats)
+	t.Logf("kernel tiers: %v (fallback order, best last)", isas)
+	t.Logf("active tier:  %s", ActiveKernelISA())
+	if env := os.Getenv(KernelEnvVar); env != "" {
+		t.Logf("env override: %s=%s", KernelEnvVar, env)
+	}
+	if note := KernelInitNote(); note != "" {
+		t.Errorf("kernel init degraded: %s", note)
+	}
 	have := func(list []string, s string) bool {
 		for _, v := range list {
 			if v == s {
@@ -65,8 +77,10 @@ func TestKernelDispatchSanity(t *testing.T) {
 			}
 		}
 	}
-	if have(feats, "avx2") && !have(isas, "avx2") {
-		t.Errorf("CPU advertises avx2 but no avx2 tier registered (isas %v)", isas)
+	for _, feat := range []string{"sse2", "avx2"} {
+		if have(feats, feat) && !have(isas, feat) {
+			t.Errorf("CPU advertises %s but no %s tier registered (isas %v)", feat, feat, isas)
+		}
 	}
 	if !have(isas, ActiveKernelISA()) {
 		t.Errorf("active ISA %q not among registered tiers %v", ActiveKernelISA(), isas)

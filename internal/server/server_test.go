@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/frame"
+	"repro/internal/leakcheck"
 	"repro/internal/video"
 )
 
@@ -794,7 +794,7 @@ func TestServerNoGoroutineLeak(t *testing.T) {
 	frames := video.Generate(video.Foreman, frame.Size{W: 64, H: 64}, 4, 7)
 	body := y4mBody(t, frames)
 	http.DefaultClient.CloseIdleConnections()
-	before := runtime.NumGoroutine()
+	check := leakcheck.Snapshot(t)
 
 	s := New(Config{MaxFramesPerSession: 3})
 	ts := httptest.NewServer(s.Handler())
@@ -817,10 +817,5 @@ func TestServerNoGoroutineLeak(t *testing.T) {
 	}
 	s.Close()
 	http.DefaultClient.CloseIdleConnections()
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
-		}
-	}
+	check()
 }
