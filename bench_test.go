@@ -18,7 +18,6 @@ import (
 	"repro/internal/dct"
 	"repro/internal/experiment"
 	"repro/internal/frame"
-	"repro/internal/metrics"
 	"repro/internal/ratedist"
 	"repro/internal/search"
 	"repro/internal/video"
@@ -177,39 +176,6 @@ func BenchmarkAblation_FastSearch_FourStep(b *testing.B) {
 func benchPlanes() (cur, ref *frame.Plane) {
 	f := video.Generate(video.Foreman, frame.QCIF, 2, 1)
 	return f[1].Y, f[0].Y
-}
-
-func BenchmarkSAD16x16(b *testing.B) {
-	cur, ref := benchPlanes()
-	b.SetBytes(256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		metrics.SAD(cur, 80, 64, ref, 77+i%5, 66, 16, 16)
-	}
-}
-
-// BenchmarkSADHalfPel16x16 times refineHalfPel's per-probe route — taken
-// only for Collect and for references whose apron cannot hold the ring, so
-// no encoder macroblock, edge ones included, pays it: the three lower ring
-// probes around the integer winner (78, 65), each capped at the winner's
-// SAD as that route caps them.
-func BenchmarkSADHalfPel16x16(b *testing.B) {
-	cur, ref := benchPlanes()
-	cap := metrics.SAD(cur, 80, 64, ref, 78, 65, 16, 16)
-	b.SetBytes(256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		metrics.SADHalfPelPlaneCapped(cur, 80, 64, ref, 155+i%3, 131, 16, 16, cap)
-	}
-}
-
-func BenchmarkIntraSAD16x16(b *testing.B) {
-	cur, _ := benchPlanes()
-	b.SetBytes(256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		metrics.IntraSAD(cur, 80, 64, 16, 16)
-	}
 }
 
 func BenchmarkInterpolateQCIF(b *testing.B) {
@@ -606,28 +572,6 @@ func BenchmarkForwardQuantizeInter(b *testing.B) {
 			dct.QuantizeInter(&levels, &coef, qp)
 		}
 	})
-}
-
-// BenchmarkSADCapped_Spiral measures the full search with the
-// centre-outward scan: the spiral visits near-zero vectors first, so
-// SADCapped's cap is near-minimal for almost all of the (2p+1)²
-// candidates and losing candidates abort within a few rows. Reports
-// effective throughput over all candidate block bytes.
-func BenchmarkSADCapped_Spiral(b *testing.B) {
-	cur, ref := benchPlanes()
-	in := &search.Input{
-		Cur: cur, Ref: ref,
-		BX: 80, BY: 64, W: 16, H: 16, Range: 15, Qp: 16,
-	}
-	f := &search.FSBM{NoHalfPel: true}
-	b.ResetTimer()
-	var pts int
-	for i := 0; i < b.N; i++ {
-		pts = f.Search(in).Points
-	}
-	b.ReportMetric(float64(pts), "points/block")
-	// Bytes a raster scan would read if no candidate terminated early.
-	b.ReportMetric(float64(pts)*256*float64(b.N)/1e6/b.Elapsed().Seconds(), "candidate-MB/s")
 }
 
 func BenchmarkDecodeSequence(b *testing.B) {

@@ -51,24 +51,27 @@
 //     HalfPelBlock and PredictBlock are differentially pinned against,
 //     and bench/ probes it as a layer. Nothing on the encode or decode
 //     path touches a tile.
-//   - internal/metrics runs the SAD family through a runtime-dispatched
-//     kernel table with four tiers: scalar (the differential-test
-//     reference), SWAR (8 pixels per uint64 load, split into 16-bit
-//     lanes), and on amd64 two Go-assembly tiers — SSE2 (PSADBW sums 16
-//     absolute differences per instruction into qword lanes; PAVGB is
-//     the exact H.263 (a+b+1)>>1 for straight half-pel phases; the
-//     diagonal (a+b+c+d+2)>>2 widens to words because no PAVGB
-//     composition reproduces its rounding) and AVX2 (32-pixel rows per
-//     VPSADBW step, 16-wide macroblocks packed two rows per YMM
-//     register). CPUID feature detection (OSXSAVE + XGETBV before any
-//     AVX2 claim) picks the best tier at init; VCODEC_SAD_KERNEL=
-//     scalar|swar|sse2|avx2 overrides it, and SetKernelISA swaps tiers
-//     at runtime for tests. The dispatch contract is that every tier is
-//     bit-identical — SADCapped's per-row early-termination values
-//     included — so the active ISA can never change an encoded bit,
-//     only ns/frame; the per-ISA differential+fuzz suite and the encoder
-//     bitstream-identity test pin this, and TestKernelDispatchSanity
-//     (run verbose by bench-smoke) names the host's tier. Half-pel candidates are evaluated by fused kernels
+//   - internal/metrics runs the kernels the encoder calls (IntraSAD, the
+//     half-pel ring, the best-of-candidates scans, the residual energies,
+//     the prediction fetch and the transform passes) through a
+//     runtime-dispatched kernel table with four tiers: scalar (the
+//     differential-test reference), SWAR (8 pixels per uint64 load, split
+//     into 16-bit lanes), and on amd64 two Go-assembly tiers — SSE2
+//     (PSADBW sums 16 absolute differences per instruction into qword
+//     lanes; the rings work in words because no PAVGB composition
+//     reproduces the diagonal (a+b+c+d+2)>>2) and AVX2 (16-wide
+//     macroblocks packed two rows per YMM register). CPUID feature
+//     detection (OSXSAVE + XGETBV before any AVX2 claim) picks the best
+//     tier at init; VCODEC_SAD_KERNEL=scalar|swar|sse2|avx2 overrides
+//     it, and SetKernelISA swaps tiers at runtime for tests. The dispatch
+//     contract is that every tier is bit-identical, so the active ISA can
+//     never change an encoded bit, only ns/frame; the per-ISA
+//     differential+fuzz suite and the encoder bitstream-identity test pin
+//     this, and TestKernelDispatchSanity (run verbose by bench-smoke)
+//     names the host's tier. Single-probe SAD (SAD, SADCapped,
+//     SADHalfPelPlane*), which only the fast searchers, RC-FSBM and
+//     per-point studies call, is not in the table: it runs SWAR on every
+//     host. Half-pel candidates are evaluated by fused kernels
 //     (SADHalfPelPlane, and the SADHalfPelRing batch that scores all 8
 //     neighbour phases in one pass) that apply the H.263 bilinear
 //     rounding inside the difference loop, directly against the integer

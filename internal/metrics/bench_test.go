@@ -10,8 +10,10 @@ import (
 	"repro/internal/video"
 )
 
-// Kernel microbenchmarks, one sub-benchmark per registered ISA tier —
-// the numbers behind the "SIMD ≥1.5× over SWAR" acceptance line:
+// Kernel microbenchmarks, one sub-benchmark per registered ISA tier for
+// the kernel table's entries — the numbers behind the "SIMD ≥1.5× over
+// SWAR" acceptance line — and one benchmark for each single-probe SAD
+// entry, which runs SWAR on every tier:
 //
 //	go test -run=- -bench 'Kernel' -benchmem ./internal/metrics/
 //
@@ -39,39 +41,33 @@ func benchEachISA(b *testing.B, fn func(b *testing.B)) {
 
 func BenchmarkKernelSAD16x16(b *testing.B) {
 	cur, ref := benchPlanes()
-	benchEachISA(b, func(b *testing.B) {
-		b.SetBytes(16 * 16)
-		var sink int
-		for i := 0; i < b.N; i++ {
-			sink += SAD(cur, 32, 16, ref, 33+i%4, 17, 16, 16)
-		}
-		benchSink = sink
-	})
+	b.SetBytes(16 * 16)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += SAD(cur, 32, 16, ref, 33+i%4, 17, 16, 16)
+	}
+	benchSink = sink
 }
 
 func BenchmarkKernelSAD8x8(b *testing.B) {
 	cur, ref := benchPlanes()
-	benchEachISA(b, func(b *testing.B) {
-		b.SetBytes(8 * 8)
-		var sink int
-		for i := 0; i < b.N; i++ {
-			sink += SAD(cur, 32, 16, ref, 33+i%4, 17, 8, 8)
-		}
-		benchSink = sink
-	})
+	b.SetBytes(8 * 8)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += SAD(cur, 32, 16, ref, 33+i%4, 17, 8, 8)
+	}
+	benchSink = sink
 }
 
 func BenchmarkKernelSADCapped16x16(b *testing.B) {
 	cur, ref := benchPlanes()
-	benchEachISA(b, func(b *testing.B) {
-		b.SetBytes(16 * 16)
-		var sink int
-		for i := 0; i < b.N; i++ {
-			// Cap high enough to never terminate: worst-case cost.
-			sink += SADCapped(cur, 32, 16, ref, 33+i%4, 17, 16, 16, 1<<30)
-		}
-		benchSink = sink
-	})
+	b.SetBytes(16 * 16)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		// Cap high enough to never terminate: worst-case cost.
+		sink += SADCapped(cur, 32, 16, ref, 33+i%4, 17, 16, 16, 1<<30)
+	}
+	benchSink = sink
 }
 
 func BenchmarkKernelIntraSAD16x16(b *testing.B) {
@@ -100,27 +96,23 @@ func refineCaps(cur, ref *frame.Plane) (caps [4]int) {
 func BenchmarkKernelHalfPelH16x16(b *testing.B) {
 	cur, ref := benchPlanes()
 	caps := refineCaps(cur, ref)
-	benchEachISA(b, func(b *testing.B) {
-		b.SetBytes(16 * 16)
-		var sink int
-		for i := 0; i < b.N; i++ {
-			sink += SADHalfPelPlaneCapped(cur, 32, 16, ref, 2*(33+i%4)+1, 2*17, 16, 16, caps[i%4])
-		}
-		benchSink = sink
-	})
+	b.SetBytes(16 * 16)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += SADHalfPelPlaneCapped(cur, 32, 16, ref, 2*(33+i%4)+1, 2*17, 16, 16, caps[i%4])
+	}
+	benchSink = sink
 }
 
 func BenchmarkKernelHalfPelD16x16(b *testing.B) {
 	cur, ref := benchPlanes()
 	caps := refineCaps(cur, ref)
-	benchEachISA(b, func(b *testing.B) {
-		b.SetBytes(16 * 16)
-		var sink int
-		for i := 0; i < b.N; i++ {
-			sink += SADHalfPelPlaneCapped(cur, 32, 16, ref, 2*(33+i%4)+1, 2*17+1, 16, 16, caps[i%4])
-		}
-		benchSink = sink
-	})
+	b.SetBytes(16 * 16)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += SADHalfPelPlaneCapped(cur, 32, 16, ref, 2*(33+i%4)+1, 2*17+1, 16, 16, caps[i%4])
+	}
+	benchSink = sink
 }
 
 func BenchmarkKernelHalfPelRing16x16(b *testing.B) {

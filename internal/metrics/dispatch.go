@@ -9,10 +9,10 @@ import (
 	"repro/internal/frame"
 )
 
-// The SAD family dispatches through a package-level function-pointer
-// table selected once at init from the host CPU: the fastest available
-// ISA wins, and every slower tier stays registered as a fallback
-// (avx2 → sse2 → swar → scalar). All tables are bit-identical by
+// The kernels an encode or decode runs dispatch through a package-level
+// function-pointer table selected once at init from the host CPU: the
+// fastest available ISA wins, and every slower tier stays registered as a
+// fallback (avx2 → sse2 → swar → scalar). All tables are bit-identical by
 // construction and by the differential/fuzz tests in dispatch_test.go —
 // which ISA is active can never change a SAD value, a search winner or
 // an encoded bit. The exported entry points in sad.go keep the guard
@@ -27,22 +27,13 @@ import (
 // archKernelTables (fastest last), and the differential tests pick it
 // up automatically via KernelISAs.
 
-// kernelTable is one ISA's implementation of the vector-eligible SAD
-// family. Callers (the exported functions in sad.go) validate the
-// geometry before dispatching:
+// kernelTable is one ISA's implementation of the vector-eligible kernels.
+// Callers (the exported functions in sad.go) validate the geometry before
+// dispatching:
 //
-//   - sad: w%8 == 0, w ≤ 256, block in-plane
-//   - sadCapped: w%8 == 0, w·h ≤ 256; must fold and early-exit on the
-//     cumulative sum after every row, returning the exact per-row
-//     early-termination value of sadCappedScalar
-//   - intraSAD: like sad; Σ|p−µ| with µ the block's Mean, which the tier
-//     derives itself (the AVX2 16×16 kernel reads the block once for both)
-//   - hpHCapped/hpVCapped/hpDCapped: fused half-pel probes anchored at
-//     the integer position (rx, ry); phase offsets are implied by the
-//     slot. w%8 == 0, w·h ≤ 256; rows rx..rx+w(+1) and ry..ry+h(+1)
-//     in-plane per the phase; per-row early exit like sadCapped. They are
-//     the only single-probe half-pel kernels: SADHalfPelPlane runs them
-//     with cap = math.MaxInt, where the exact sum is returned
+//   - intraSAD: w%8 == 0, w ≤ 256, block in-plane; Σ|p−µ| with µ the
+//     block's Mean, which the tier derives itself (the AVX2 16×16 kernel
+//     reads the block once for both)
 //   - ring: all 8 half-pel neighbours of (rx, ry) in one pass,
 //     w%8 == 0, w·h ≤ 256, the (w+2)×(h+2) window from (rx−1, ry−1)
 //     inside ref's apron (InApron), read through PixFrom and nothing
@@ -105,15 +96,8 @@ import (
 type kernelTable struct {
 	name string
 
-	sad       func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int
-	sadCapped func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int
-	intraSAD  func(p *frame.Plane, x, y, w, h int) int
-
-	hpHCapped func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int
-	hpVCapped func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int
-	hpDCapped func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int
-
-	ring func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) [9]int
+	intraSAD func(p *frame.Plane, x, y, w, h int) int
+	ring     func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) [9]int
 
 	sadBest    func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (idx, sad int)
 	sadBestFew func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (idx, sad int)
@@ -143,7 +127,9 @@ var kernelInitNote string
 
 // KernelEnvVar, when set to an ISA name (scalar, swar, sse2, avx2),
 // overrides the automatic pick at process start — the escape hatch for
-// pinning benchmarks and for triaging a suspect kernel in production.
+// pinning benchmarks and for triaging a suspect kernel in production. It
+// pins the table's kernels only: single-probe SAD runs SWAR on every host
+// whatever it names.
 const KernelEnvVar = "VCODEC_SAD_KERNEL"
 
 func kernels() *kernelTable { return activeKernels.Load() }
@@ -225,20 +211,9 @@ func (e *UnknownISAError) Error() string {
 // the ground truth every other tier is differential-tested against.
 func scalarTable() *kernelTable {
 	return &kernelTable{
-		name:      "scalar",
-		sad:       sadScalar,
-		sadCapped: sadCappedScalar,
-		intraSAD:  intraSADScalar,
-		hpHCapped: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
-			return sadHalfPelPlaneCappedScalar(cur, cx, cy, ref, 2*rx+1, 2*ry, w, h, cap)
-		},
-		hpVCapped: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
-			return sadHalfPelPlaneCappedScalar(cur, cx, cy, ref, 2*rx, 2*ry+1, w, h, cap)
-		},
-		hpDCapped: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
-			return sadHalfPelPlaneCappedScalar(cur, cx, cy, ref, 2*rx+1, 2*ry+1, w, h, cap)
-		},
-		ring: sadHalfPelRingScalar,
+		name:     "scalar",
+		intraSAD: intraSADScalar,
+		ring:     sadHalfPelRingScalar,
 		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
 			return sadBestBy(sadCappedScalar, cur, cx, cy, ref, rx, ry, 16, 16, cands, clip, best)
 		},
@@ -258,16 +233,11 @@ func scalarTable() *kernelTable {
 // fastest path, now the universal fallback beneath the per-ISA assembly.
 func swarTable() *kernelTable {
 	return &kernelTable{
-		name:      "swar",
-		sad:       sadSWAR,
-		sadCapped: sadCappedSWAR,
+		name: "swar",
 		intraSAD: func(p *frame.Plane, x, y, w, h int) int {
 			return intraSADSWAR(p, x, y, w, h, meanOf(planeSumSWAR(p, x, y, w, h), w, h))
 		},
-		hpHCapped: sadHalfPelHCapped,
-		hpVCapped: sadHalfPelVCapped,
-		hpDCapped: sadHalfPelDCapped,
-		ring:      sadHalfPelRingSWAR,
+		ring: sadHalfPelRingSWAR,
 		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
 			return sadBestBy(sadCappedSWAR, cur, cx, cy, ref, rx, ry, 16, 16, cands, clip, best)
 		},

@@ -22,35 +22,18 @@ import (
 // they are bit-identical to the scalar reference by construction — and
 // pinned to it by the differential and fuzz tests in dispatch_test.go.
 //
-// H.263 rounding notes:
-//   - horizontal/vertical half-pel (a+b+1)>>1 is exactly PAVGB
-//   - diagonal (a+b+c+d+2)>>2 is NOT a PAVGB composition (PAVGB of
-//     PAVGBs rounds twice); the diagonal kernels widen to 16-bit words,
-//     add the bias, shift, and pack back before PSADBW
+// H.263 rounding: the diagonal half-pel (a+b+c+d+2)>>2 is NOT a PAVGB
+// composition (PAVGB of PAVGBs rounds twice), so the ring kernels widen
+// to 16-bit words, where every phase is an add, a bias and a shift.
 
 // Assembly kernels (sad_amd64.s). All pointers address the first byte
 // of the block; rows advance by the stride. w%8 == 0, w ≥ 8, h ≥ 1.
 //
 //go:noescape
-func sadBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
-
-//go:noescape
-func sadCappedBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h, cap int) int
-
-//go:noescape
 func planeSumBlkSSE2(p *byte, stride, w, h int) int
 
 //go:noescape
 func intraSADBlkSSE2(p *byte, stride, w, h, mu int) int
-
-//go:noescape
-func sadHpHCappedBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h, cap int) int
-
-//go:noescape
-func sadHpVCappedBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h, cap int) int
-
-//go:noescape
-func sadHpDCappedBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h, cap int) int
 
 // sadHpRingBlkSSE2 takes refTop = &ref.Pix[(ry-1)*stride+rx-1] (the row
 // above the anchor, one column left) and writes the eight probe SADs to
@@ -64,9 +47,6 @@ func sadHpRingBlkSSE2(cur *byte, curStride int, refTop *byte, refStride int, w, 
 //
 //go:noescape
 func sadHpRingBlkAVX2(cur *byte, curStride int, refTop *byte, refStride int, h int, out *[9]int)
-
-//go:noescape
-func sadBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
 
 // intraSAD16AVX2 returns IntraSAD of the 16×16 block at p: the mean and
 // Σ|p−µ| from one load of the block.
@@ -232,24 +212,9 @@ func pix(p *frame.Plane, x, y int) *byte {
 
 func sse2Table() *kernelTable {
 	return &kernelTable{
-		name: "sse2",
-		sad: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-			return sadBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h)
-		},
-		sadCapped: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
-			return sadCappedBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h, cap)
-		},
+		name:     "sse2",
 		intraSAD: intraSADSSE2,
-		hpHCapped: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
-			return sadHpHCappedBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h, cap)
-		},
-		hpVCapped: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
-			return sadHpVCappedBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h, cap)
-		},
-		hpDCapped: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
-			return sadHpDCappedBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h, cap)
-		},
-		ring: ringSSE2,
+		ring:     ringSSE2,
 		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
 			return sadBest16SSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
 				&cands[0], len(cands), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
@@ -310,7 +275,7 @@ func sseSSE2(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 
 // avx2Table starts from the SSE2 table — entries may come from different
 // tiers as long as each one is bit-exact — and replaces with true 256-bit
-// kernels: plain SAD; IntraSAD of the 16×16 macroblock (mean and Σ|p−µ|
+// kernels: IntraSAD of the 16×16 macroblock (mean and Σ|p−µ|
 // from one load of the block); the 16-wide ring (one reference row per YMM
 // register in word lanes, each of the h+2 rows loaded once, the vertical
 // and diagonal pair sums each shared by the two current rows they serve);
@@ -336,26 +301,10 @@ func sseSSE2(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 //   - predict: its widest row is one 16-byte register either way.
 //   - IntraSAD of other shapes, and the 8-wide ring: nothing on the encode
 //     path asks for them (the encoder searches and refines 16×16
-//     macroblocks; Advanced Prediction's 8×8 refinement probes one
-//     position at a time).
-//   - the single-candidate capped kernels sadCapped and hpH/V/DCapped.
-//     sadCapped has to keep its per-row fold: the value it returns on early
-//     exit is the cumulative sum at the exact row the cap was crossed
-//     (TestSADCappedEarlyExitRowValues pins it on every tier), and the
-//     fold-and-compare after every row, not the lane width, is most of its
-//     cost (46 ns against 19 ns for the uncapped AVX2 SAD). The full search
-//     goes through sadBest, PBM's predictor set and descent probes through
-//     sadBestFew, and the half-pel refinement of every macroblock of an
-//     encode, edge ones included, through the ring, which reads the
-//     reference's apron. The capped single probes serve only planes
-//     without an apron wide enough for the ring and Collect's per-point
-//     studies, which no timed path runs.
+//     macroblocks only).
 func avx2Table() *kernelTable {
 	t := *sse2Table()
 	t.name = "avx2"
-	t.sad = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
-		return sadBlkAVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx, ry), ref.Stride, w, h)
-	}
 	t.intraSAD = func(p *frame.Plane, x, y, w, h int) int {
 		if w == 16 && h == 16 {
 			return intraSAD16AVX2(pix(p, x, y), p.Stride)

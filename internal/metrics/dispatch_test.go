@@ -106,7 +106,9 @@ func TestSetKernelISAUnknown(t *testing.T) {
 
 // TestKernelTiersMatchScalar is the central differential test: every
 // registered tier must return bit-identical values to the scalar
-// reference (and therefore to the SWAR tier) for the whole SAD family,
+// reference (and therefore to the SWAR tier) for the table's SSE,
+// IntraSAD and ring, and the single-probe SAD family, which runs SWAR
+// whatever tier is active, must too — checked once, not per tier —
 // across widths that exercise 16-byte chunks, 8-byte tails and the
 // scalar trailing columns, heights including the h=1 rows the capped
 // mixed-width path issues, unaligned strides, and caps that terminate
@@ -115,7 +117,7 @@ func TestKernelTiersMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cur := paddedPlane(rng, 72, 40, 5)
 	ref := paddedPlane(rng, 72, 40, 11)
-	withEachISA(t, func(t *testing.T, isa string) {
+	eachShape := func(fn func(cx, cy, rx, ry, w, h int)) {
 		for _, w := range []int{4, 8, 12, 16, 20, 24, 32, 48} {
 			for _, h := range []int{1, 2, 4, 8, 16} {
 				for _, off := range [][4]int{{0, 0, 1, 1}, {3, 2, 17, 9}, {21, 13, 5, 23}, {48, 24, 24, 24}} {
@@ -123,57 +125,63 @@ func TestKernelTiersMatchScalar(t *testing.T) {
 					if cx+w > cur.W || cy+h > cur.H || rx+w+1 > ref.W || ry+h+1 > ref.H {
 						continue
 					}
-					if got, want := SAD(cur, cx, cy, ref, rx, ry, w, h), sadScalar(cur, cx, cy, ref, rx, ry, w, h); got != want {
-						t.Fatalf("SAD w=%d h=%d: got %d want %d", w, h, got, want)
-					}
-					if got, want := SSE(cur, cx, cy, ref, rx, ry, w, h), sseScalar(cur, cx, cy, ref, rx, ry, w, h); got != want {
-						t.Fatalf("SSE w=%d h=%d: got %d want %d", w, h, got, want)
-					}
-					if got, want := Mean(cur, cx, cy, w, h), (planeSumScalar(cur, cx, cy, w, h)+w*h/2)/(w*h); got != want {
-						t.Fatalf("Mean w=%d h=%d: got %d want %d", w, h, got, want)
-					}
-					if got, want := IntraSAD(cur, cx, cy, w, h), intraSADScalar(cur, cx, cy, w, h); got != want {
-						t.Fatalf("IntraSAD w=%d h=%d: got %d want %d", w, h, got, want)
-					}
-					// The ring wherever it is legal: the AVX2 tier's 16-wide
-					// kernel at every height it accepts.
-					if w%8 == 0 && w*h <= 256 && rx >= 1 && ry >= 1 && rx+w <= ref.W-1 && ry+h <= ref.H-1 {
-						ring := [9]int{4: -1}
-						SADHalfPelRing(cur, cx, cy, ref, rx, ry, w, h, &ring)
-						want := sadHalfPelRingScalar(cur, cx, cy, ref, rx, ry, w, h)
-						want[4] = -1
-						if ring != want {
-							t.Fatalf("SADHalfPelRing w=%d h=%d at (%d,%d): got %v want %v", w, h, rx, ry, ring, want)
-						}
-					}
-					// Caps spanning "exit at first row" to "never exit",
-					// pinning both the exit decision and the exact
-					// cumulative value returned at the exit row.
-					full := sadScalar(cur, cx, cy, ref, rx, ry, w, h)
-					for _, cap := range []int{0, full / 4, full / 2, full - 1, full, 1 << 30} {
-						if got, want := SADCapped(cur, cx, cy, ref, rx, ry, w, h, cap), sadCappedScalar(cur, cx, cy, ref, rx, ry, w, h, cap); got != want {
-							t.Fatalf("SADCapped w=%d h=%d cap=%d: got %d want %d", w, h, cap, got, want)
-						}
-					}
-					// All three half-pel phases, uncapped and capped —
-					// H.263 rounding ((a+b+1)>>1, (a+b+c+d+2)>>2) must
-					// survive each tier's arithmetic exactly. The uncapped
-					// entry runs the capped kernels at cap = math.MaxInt
-					// up to 256 samples and the scalar route past them.
-					for _, d := range [][2]int{{1, 0}, {0, 1}, {1, 1}} {
-						hx, hy := 2*rx+d[0], 2*ry+d[1]
-						if got, want := SADHalfPelPlane(cur, cx, cy, ref, hx, hy, w, h), sadHalfPelPlaneScalar(cur, cx, cy, ref, hx, hy, w, h); got != want {
-							t.Fatalf("SADHalfPelPlane w=%d h=%d phase=%v: got %d want %d", w, h, d, got, want)
-						}
-						for _, cap := range []int{0, full / 2, 1 << 30} {
-							if got, want := SADHalfPelPlaneCapped(cur, cx, cy, ref, hx, hy, w, h, cap), sadHalfPelPlaneCappedScalar(cur, cx, cy, ref, hx, hy, w, h, cap); got != want {
-								t.Fatalf("SADHalfPelPlaneCapped w=%d h=%d phase=%v cap=%d: got %d want %d", w, h, d, cap, got, want)
-							}
-						}
-					}
+					fn(cx, cy, rx, ry, w, h)
 				}
 			}
 		}
+	}
+	eachShape(func(cx, cy, rx, ry, w, h int) {
+		if got, want := SAD(cur, cx, cy, ref, rx, ry, w, h), sadScalar(cur, cx, cy, ref, rx, ry, w, h); got != want {
+			t.Fatalf("SAD w=%d h=%d: got %d want %d", w, h, got, want)
+		}
+		// Caps spanning "exit at first row" to "never exit", pinning both
+		// the exit decision and the exact cumulative value returned at the
+		// exit row.
+		full := sadScalar(cur, cx, cy, ref, rx, ry, w, h)
+		for _, cap := range []int{0, full / 4, full / 2, full - 1, full, 1 << 30} {
+			if got, want := SADCapped(cur, cx, cy, ref, rx, ry, w, h, cap), sadCappedScalar(cur, cx, cy, ref, rx, ry, w, h, cap); got != want {
+				t.Fatalf("SADCapped w=%d h=%d cap=%d: got %d want %d", w, h, cap, got, want)
+			}
+		}
+		// All three half-pel phases, uncapped and capped — H.263 rounding
+		// ((a+b+1)>>1, (a+b+c+d+2)>>2) must survive the SWAR arithmetic
+		// exactly. The uncapped entry runs the capped kernels at cap =
+		// math.MaxInt up to 256 samples and the scalar route past them.
+		for _, d := range [][2]int{{1, 0}, {0, 1}, {1, 1}} {
+			hx, hy := 2*rx+d[0], 2*ry+d[1]
+			if got, want := SADHalfPelPlane(cur, cx, cy, ref, hx, hy, w, h), sadHalfPelPlaneScalar(cur, cx, cy, ref, hx, hy, w, h); got != want {
+				t.Fatalf("SADHalfPelPlane w=%d h=%d phase=%v: got %d want %d", w, h, d, got, want)
+			}
+			for _, cap := range []int{0, full / 2, 1 << 30} {
+				if got, want := SADHalfPelPlaneCapped(cur, cx, cy, ref, hx, hy, w, h, cap), sadHalfPelPlaneCappedScalar(cur, cx, cy, ref, hx, hy, w, h, cap); got != want {
+					t.Fatalf("SADHalfPelPlaneCapped w=%d h=%d phase=%v cap=%d: got %d want %d", w, h, d, cap, got, want)
+				}
+			}
+		}
+	})
+	withEachISA(t, func(t *testing.T, isa string) {
+		eachShape(func(cx, cy, rx, ry, w, h int) {
+			if got, want := SSE(cur, cx, cy, ref, rx, ry, w, h), sseScalar(cur, cx, cy, ref, rx, ry, w, h); got != want {
+				t.Fatalf("SSE w=%d h=%d: got %d want %d", w, h, got, want)
+			}
+			if got, want := Mean(cur, cx, cy, w, h), (planeSumScalar(cur, cx, cy, w, h)+w*h/2)/(w*h); got != want {
+				t.Fatalf("Mean w=%d h=%d: got %d want %d", w, h, got, want)
+			}
+			if got, want := IntraSAD(cur, cx, cy, w, h), intraSADScalar(cur, cx, cy, w, h); got != want {
+				t.Fatalf("IntraSAD w=%d h=%d: got %d want %d", w, h, got, want)
+			}
+			// The ring wherever it is legal: the AVX2 tier's 16-wide
+			// kernel at every height it accepts.
+			if w%8 == 0 && w*h <= 256 && rx >= 1 && ry >= 1 && rx+w <= ref.W-1 && ry+h <= ref.H-1 {
+				ring := [9]int{4: -1}
+				SADHalfPelRing(cur, cx, cy, ref, rx, ry, w, h, &ring)
+				want := sadHalfPelRingScalar(cur, cx, cy, ref, rx, ry, w, h)
+				want[4] = -1
+				if ring != want {
+					t.Fatalf("SADHalfPelRing w=%d h=%d at (%d,%d): got %v want %v", w, h, rx, ry, ring, want)
+				}
+			}
+		})
 	})
 }
 
@@ -307,8 +315,10 @@ func TestKernelTiersIntraSADFused(t *testing.T) {
 
 // TestSADCappedEarlyExitRowValues pins the early-termination value
 // itself: with a constant-difference block, the cap is crossed at a
-// known row and every tier must return exactly that row's cumulative
-// sum.
+// known row and SADCapped must return exactly that row's cumulative sum.
+// SADCapped runs SWAR whatever tier is active, so the subtests pin each
+// tier in turn and check that pinning one (VCODEC_SAD_KERNEL,
+// SetKernelISA) leaves the single-probe values alone.
 func TestSADCappedEarlyExitRowValues(t *testing.T) {
 	w, h := 16, 16
 	cur := &frame.Plane{W: w, H: h, Stride: w, Pix: make([]uint8, w*h)}
@@ -331,9 +341,9 @@ func TestSADCappedEarlyExitRowValues(t *testing.T) {
 	})
 }
 
-// FuzzKernelTiersSAD drives arbitrary pixels and geometry through every
-// registered tier and cross-checks the scalar reference for SAD,
-// SADCapped, Mean and IntraSAD.
+// FuzzKernelTiersSAD drives arbitrary pixels and geometry through SAD and
+// SADCapped (once: they run SWAR on every tier) and through every
+// registered tier's IntraSAD, and cross-checks the scalar references.
 func FuzzKernelTiersSAD(f *testing.F) {
 	f.Add([]byte("seedseedseedseedseedseedseedseed"), uint8(16), uint8(8), uint8(1), uint8(2), uint8(0), uint8(0), uint8(3), uint16(500))
 	f.Add(make([]byte, 64), uint8(4), uint8(4), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), uint16(0))
@@ -355,19 +365,17 @@ func FuzzKernelTiersSAD(f *testing.F) {
 		cx, cy := int(cxSel)%(pw-w+1), int(cySel)%(ph-h+1)
 		rx, ry := int(rxSel)%(pw-w+1), int(rySel)%(ph-h+1)
 		cap := int(cap16)
-		wantSAD := sadScalar(cur, cx, cy, ref, rx, ry, w, h)
-		wantCapped := sadCappedScalar(cur, cx, cy, ref, rx, ry, w, h, cap)
+		if got, want := SAD(cur, cx, cy, ref, rx, ry, w, h), sadScalar(cur, cx, cy, ref, rx, ry, w, h); got != want {
+			t.Errorf("SAD w=%d h=%d: got %d want %d", w, h, got, want)
+		}
+		if got, want := SADCapped(cur, cx, cy, ref, rx, ry, w, h, cap), sadCappedScalar(cur, cx, cy, ref, rx, ry, w, h, cap); got != want {
+			t.Errorf("SADCapped w=%d h=%d cap=%d: got %d want %d", w, h, cap, got, want)
+		}
 		wantIntra := intraSADScalar(cur, cx, cy, w, h)
 		for _, isa := range KernelISAs() {
 			restore, err := SetKernelISA(isa)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if got := SAD(cur, cx, cy, ref, rx, ry, w, h); got != wantSAD {
-				t.Errorf("%s SAD w=%d h=%d: got %d want %d", isa, w, h, got, wantSAD)
-			}
-			if got := SADCapped(cur, cx, cy, ref, rx, ry, w, h, cap); got != wantCapped {
-				t.Errorf("%s SADCapped w=%d h=%d cap=%d: got %d want %d", isa, w, h, cap, got, wantCapped)
 			}
 			if got := IntraSAD(cur, cx, cy, w, h); got != wantIntra {
 				t.Errorf("%s IntraSAD w=%d h=%d: got %d want %d", isa, w, h, got, wantIntra)
@@ -378,7 +386,8 @@ func FuzzKernelTiersSAD(f *testing.F) {
 }
 
 // FuzzKernelTiersHalfPel does the same for the fused half-pel kernels:
-// all three phases, capped and uncapped, plus the ring when legal.
+// all three phases, capped and uncapped (once), and every tier's ring
+// when legal.
 func FuzzKernelTiersHalfPel(f *testing.F) {
 	f.Add([]byte("halfpelhalfpelhalfpelhalfpel"), uint8(16), uint8(8), uint8(1), uint8(1), uint8(2), uint8(2), uint16(300))
 	f.Add(make([]byte, 96), uint8(8), uint8(8), uint8(0), uint8(0), uint8(1), uint8(1), uint16(0))
@@ -399,19 +408,19 @@ func FuzzKernelTiersHalfPel(f *testing.F) {
 		cx, cy := int(cxSel)%(pw-w+1), int(cySel)%(ph-h+1)
 		rx, ry := 1+int(rxSel)%(pw-w-1), 1+int(rySel)%(ph-h-1)
 		cap := int(cap16)
+		for _, d := range [][2]int{{1, 0}, {0, 1}, {1, 1}} {
+			hx, hy := 2*rx+d[0], 2*ry+d[1]
+			if got, want := SADHalfPelPlane(cur, cx, cy, ref, hx, hy, w, h), sadHalfPelPlaneScalar(cur, cx, cy, ref, hx, hy, w, h); got != want {
+				t.Errorf("hp phase=%v w=%d h=%d: got %d want %d", d, w, h, got, want)
+			}
+			if got, want := SADHalfPelPlaneCapped(cur, cx, cy, ref, hx, hy, w, h, cap), sadHalfPelPlaneCappedScalar(cur, cx, cy, ref, hx, hy, w, h, cap); got != want {
+				t.Errorf("hpCapped phase=%v w=%d h=%d cap=%d: got %d want %d", d, w, h, cap, got, want)
+			}
+		}
 		for _, isa := range KernelISAs() {
 			restore, err := SetKernelISA(isa)
 			if err != nil {
 				t.Fatal(err)
-			}
-			for _, d := range [][2]int{{1, 0}, {0, 1}, {1, 1}} {
-				hx, hy := 2*rx+d[0], 2*ry+d[1]
-				if got, want := SADHalfPelPlane(cur, cx, cy, ref, hx, hy, w, h), sadHalfPelPlaneScalar(cur, cx, cy, ref, hx, hy, w, h); got != want {
-					t.Errorf("%s hp phase=%v w=%d h=%d: got %d want %d", isa, d, w, h, got, want)
-				}
-				if got, want := SADHalfPelPlaneCapped(cur, cx, cy, ref, hx, hy, w, h, cap), sadHalfPelPlaneCappedScalar(cur, cx, cy, ref, hx, hy, w, h, cap); got != want {
-					t.Errorf("%s hpCapped phase=%v w=%d h=%d cap=%d: got %d want %d", isa, d, w, h, cap, got, want)
-				}
 			}
 			if w%8 == 0 && w*h <= 256 && rx+w <= ref.W-1 && ry+h <= ref.H-1 {
 				var ring [9]int

@@ -4,14 +4,18 @@
 // Fig. 4 study, and the Lagrangian cost J = D + λ·R used to compare motion
 // estimators.
 //
-// The SAD family dispatches through a per-ISA kernel table (dispatch.go):
-// architecture-specific assembly where available (PSADBW/VPSADBW on
-// amd64), word-parallel SWAR kernels (8 pixels per uint64 load) as the
-// portable vector tier, and the scalar loops as the reference
-// implementations the differential tests in swar_test.go and
-// dispatch_test.go compare every tier against. Blocks whose width is not
-// a multiple of 8 run the vector kernels over the widest multiple-of-8
-// body and finish the trailing columns scalar.
+// The kernels the encoder runs (IntraSAD, the half-pel ring, the
+// best-of-candidates scans, SSE and the transform path) dispatch through a
+// per-ISA kernel table (dispatch.go): architecture-specific assembly where
+// available (PSADBW/VPSADBW on amd64), word-parallel SWAR kernels (8 pixels
+// per uint64 load) as the portable vector tier, and the scalar loops as the
+// reference implementations the differential tests in swar_test.go and
+// dispatch_test.go compare every tier against. Single-probe SAD — SAD,
+// SADCapped, SADHalfPelPlane and SADHalfPelPlaneCapped — is not in the
+// table: no encode or decode path calls it, so it runs the SWAR kernels on
+// every host, whatever tier is active. Blocks whose width is not a multiple
+// of 8 run the vector kernels over the widest multiple-of-8 body and finish
+// the trailing columns scalar.
 package metrics
 
 import (
@@ -45,13 +49,13 @@ func SAD(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
 		// Vector body over the widest multiple-of-8 prefix, scalar over
 		// the trailing columns (chroma edge blocks: 4/12/20 wide). The
 		// sum is exact either way, so the split cannot change values.
-		return kernels().sad(cur, cx, cy, ref, rx, ry, wv, h) +
+		return sadSWAR(cur, cx, cy, ref, rx, ry, wv, h) +
 			sadScalar(cur, cx+wv, cy, ref, rx+wv, ry, w-wv, h)
 	}
-	return kernels().sad(cur, cx, cy, ref, rx, ry, w, h)
+	return sadSWAR(cur, cx, cy, ref, rx, ry, w, h)
 }
 
-// sadSWAR is the SWAR tier of SAD: w%8 == 0, w ≤ 256.
+// sadSWAR is SAD's vector kernel on every host: w%8 == 0, w ≤ 256.
 func sadSWAR(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) int {
 	sum := 0
 	group := swarRowGroup(w)
@@ -99,11 +103,11 @@ func sadScalar(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int)
 // necessarily the exact SAD) as soon as the running sum exceeds cap after
 // any row. Using it never changes which candidate wins a minimisation,
 // only how much work losing candidates cost. The early-termination value
-// itself is pinned: every tier returns the exact cumulative sum at the
-// row the cap was crossed, equal to sadCappedScalar's.
+// itself is pinned: it is the exact cumulative sum at the row the cap was
+// crossed, equal to sadCappedScalar's.
 func SADCapped(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
 	if w%8 == 0 && w*h <= 256 {
-		return kernels().sadCapped(cur, cx, cy, ref, rx, ry, w, h, cap)
+		return sadCappedSWAR(cur, cx, cy, ref, rx, ry, w, h, cap)
 	}
 	wv := w &^ 7
 	if wv == 0 || w > 256 || wv*h > 256 {
@@ -112,10 +116,9 @@ func SADCapped(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap
 	// Mixed width: vector body plus scalar trailing columns, row by row,
 	// folding the cumulative sum at every full row — the same early-exit
 	// points and values as the scalar reference.
-	k := kernels()
 	sum := 0
 	for y := 0; y < h; y++ {
-		sum += k.sad(cur, cx, cy+y, ref, rx, ry+y, wv, 1)
+		sum += sadSWAR(cur, cx, cy+y, ref, rx, ry+y, wv, 1)
 		c := cur.Pix[(cy+y)*cur.Stride+cx+wv : (cy+y)*cur.Stride+cx+w]
 		r := ref.Pix[(ry+y)*ref.Stride+rx+wv : (ry+y)*ref.Stride+rx+w]
 		for x, cv := range c {
@@ -132,8 +135,9 @@ func SADCapped(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap
 	return sum
 }
 
-// sadCappedSWAR is the SWAR tier of SADCapped: w%8 == 0, w·h ≤ 256. The
-// dominant 16-wide macroblock shape takes the unrolled path.
+// sadCappedSWAR is SADCapped's vector kernel on every host, and through
+// sadBestBy the SWAR tier's sadBest: w%8 == 0, w·h ≤ 256. The dominant
+// 16-wide macroblock shape takes the unrolled path.
 func sadCappedSWAR(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
 	if w == 16 {
 		return sadCapped16(cur, cx, cy, ref, rx, ry, h, cap)
@@ -219,7 +223,7 @@ func sadCappedScalar(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, 
 // it). Integer phases run SAD. Half-pel phases run SADHalfPelPlaneCapped
 // with cap = math.MaxInt, which returns the exact sum: the searchers probe
 // half-pel positions through the ring or with a cap, so one capped probe
-// family per tier serves both.
+// family serves both.
 func SADHalfPelPlane(cur *frame.Plane, cx, cy int, ref *frame.Plane, hx, hy, w, h int) int {
 	x0, y0 := hx>>1, hy>>1
 	if hx&1 == 0 && hy&1 == 0 && x0 >= 0 && y0 >= 0 && x0+w <= ref.W && y0+h <= ref.H {
@@ -246,14 +250,13 @@ func SADHalfPelPlaneCapped(cur *frame.Plane, cx, cy int, ref *frame.Plane, hx, h
 		// running sum is one fold away at every row — the same early-exit
 		// points as the scalar reference.
 		if w%8 == 0 && w*h <= 256 {
-			k := kernels()
 			switch {
 			case py == 0:
-				return k.hpHCapped(cur, cx, cy, ref, x0, y0, w, h, cap)
+				return sadHalfPelHCapped(cur, cx, cy, ref, x0, y0, w, h, cap)
 			case px == 0:
-				return k.hpVCapped(cur, cx, cy, ref, x0, y0, w, h, cap)
+				return sadHalfPelVCapped(cur, cx, cy, ref, x0, y0, w, h, cap)
 			default:
-				return k.hpDCapped(cur, cx, cy, ref, x0, y0, w, h, cap)
+				return sadHalfPelDCapped(cur, cx, cy, ref, x0, y0, w, h, cap)
 			}
 		}
 	}

@@ -11,109 +11,12 @@
 //     most one 8-byte tail. 8-byte tails load with MOVQ (zero-extended
 //     into the xmm register), so the high quadword contributes
 //     |0−0| = 0 — rows are never over-read.
-//   - Horizontal/vertical half-pel interpolation (a+b+1)>>1 is exactly
-//     PAVGB (H.263 rounding). Diagonal (a+b+c+d+2)>>2 is NOT: the
-//     diagonal kernels widen to 16-bit words (PUNPCKLBW/PUNPCKHBW with
-//     zero), add, bias, shift, and PACKUSWB back before the PSADBW.
-//   - Capped kernels fold the cumulative accumulator after every row
-//     (PSHUFD $0xEE folds high qword onto low) and compare against the
-//     cap — the same early-exit points and values as the scalar
-//     reference, which the differential tests pin.
-
-// func sadBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
-TEXT ·sadBlkSSE2(SB), NOSPLIT, $0-56
-	MOVQ cur+0(FP), DI
-	MOVQ curStride+8(FP), CX
-	MOVQ ref+16(FP), SI
-	MOVQ refStride+24(FP), DX
-	MOVQ w+32(FP), BX
-	MOVQ h+40(FP), R9
-	PXOR X7, X7
-
-row:
-	XORQ AX, AX
-
-chunk16:
-	LEAQ 16(AX), R8
-	CMPQ R8, BX
-	JGT  tail8
-	MOVOU (DI)(AX*1), X0
-	MOVOU (SI)(AX*1), X1
-	PSADBW X1, X0
-	PADDQ  X0, X7
-	MOVQ R8, AX
-	JMP  chunk16
-
-tail8:
-	CMPQ AX, BX
-	JGE  rowdone
-	MOVQ (DI)(AX*1), X0
-	MOVQ (SI)(AX*1), X1
-	PSADBW X1, X0
-	PADDQ  X0, X7
-
-rowdone:
-	ADDQ CX, DI
-	ADDQ DX, SI
-	DECQ R9
-	JNZ  row
-
-	PSHUFD $0xEE, X7, X0
-	PADDQ  X0, X7
-	MOVQ X7, AX
-	MOVQ AX, ret+48(FP)
-	RET
-
-// func sadCappedBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h, cap int) int
-TEXT ·sadCappedBlkSSE2(SB), NOSPLIT, $0-64
-	MOVQ cur+0(FP), DI
-	MOVQ curStride+8(FP), CX
-	MOVQ ref+16(FP), SI
-	MOVQ refStride+24(FP), DX
-	MOVQ w+32(FP), BX
-	MOVQ h+40(FP), R9
-	MOVQ cap+48(FP), R14
-	PXOR X7, X7
-	XORQ R13, R13
-
-row:
-	XORQ AX, AX
-
-chunk16:
-	LEAQ 16(AX), R8
-	CMPQ R8, BX
-	JGT  tail8
-	MOVOU (DI)(AX*1), X0
-	MOVOU (SI)(AX*1), X1
-	PSADBW X1, X0
-	PADDQ  X0, X7
-	MOVQ R8, AX
-	JMP  chunk16
-
-tail8:
-	CMPQ AX, BX
-	JGE  fold
-	MOVQ (DI)(AX*1), X0
-	MOVQ (SI)(AX*1), X1
-	PSADBW X1, X0
-	PADDQ  X0, X7
-
-fold:
-	// Cumulative running sum after this row; exit as soon as it
-	// exceeds the cap (same value the scalar reference returns).
-	PSHUFD $0xEE, X7, X0
-	PADDQ  X7, X0
-	MOVQ X0, R13
-	CMPQ R13, R14
-	JGT  done
-	ADDQ CX, DI
-	ADDQ DX, SI
-	DECQ R9
-	JNZ  row
-
-done:
-	MOVQ R13, ret+56(FP)
-	RET
+//   - The half-pel rings keep H.263 rounding exactly by working in
+//     16-bit words: (a+b+1)>>1 and (a+b+c+d+2)>>2 are adds and shifts
+//     there (a PAVGB of PAVGBs would round the diagonal twice).
+//   - The best-of-candidates scans fold a copy of the accumulator
+//     (PSHUFD $0xEE folds high qword onto low) every few rows and drop
+//     the candidate once its partial sum reaches the running minimum.
 
 // func planeSumBlkSSE2(p *byte, stride, w, h int) int
 TEXT ·planeSumBlkSSE2(SB), NOSPLIT, $0-40
@@ -198,206 +101,6 @@ rowdone:
 	PADDQ  X0, X7
 	MOVQ X7, AX
 	MOVQ AX, ret+40(FP)
-	RET
-
-// func sadHpHCappedBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h, cap int) int
-TEXT ·sadHpHCappedBlkSSE2(SB), NOSPLIT, $0-64
-	MOVQ cur+0(FP), DI
-	MOVQ curStride+8(FP), CX
-	MOVQ ref+16(FP), SI
-	MOVQ refStride+24(FP), DX
-	MOVQ w+32(FP), BX
-	MOVQ h+40(FP), R9
-	MOVQ cap+48(FP), R14
-	PXOR X7, X7
-	XORQ R13, R13
-
-row:
-	XORQ AX, AX
-
-chunk16:
-	LEAQ 16(AX), R8
-	CMPQ R8, BX
-	JGT  tail8
-	MOVOU (SI)(AX*1), X1
-	MOVOU 1(SI)(AX*1), X2
-	PAVGB X2, X1
-	MOVOU (DI)(AX*1), X0
-	PSADBW X1, X0
-	PADDQ  X0, X7
-	MOVQ R8, AX
-	JMP  chunk16
-
-tail8:
-	CMPQ AX, BX
-	JGE  fold
-	MOVQ (SI)(AX*1), X1
-	MOVQ 1(SI)(AX*1), X2
-	PAVGB X2, X1
-	MOVQ (DI)(AX*1), X0
-	PSADBW X1, X0
-	PADDQ  X0, X7
-
-fold:
-	PSHUFD $0xEE, X7, X0
-	PADDQ  X7, X0
-	MOVQ X0, R13
-	CMPQ R13, R14
-	JGT  done
-	ADDQ CX, DI
-	ADDQ DX, SI
-	DECQ R9
-	JNZ  row
-
-done:
-	MOVQ R13, ret+56(FP)
-	RET
-
-// func sadHpVCappedBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h, cap int) int
-TEXT ·sadHpVCappedBlkSSE2(SB), NOSPLIT, $0-64
-	MOVQ cur+0(FP), DI
-	MOVQ curStride+8(FP), CX
-	MOVQ ref+16(FP), SI
-	MOVQ refStride+24(FP), DX
-	MOVQ w+32(FP), BX
-	MOVQ h+40(FP), R9
-	MOVQ cap+48(FP), R14
-	PXOR X7, X7
-	XORQ R13, R13
-
-row:
-	LEAQ (SI)(DX*1), R12
-	XORQ AX, AX
-
-chunk16:
-	LEAQ 16(AX), R8
-	CMPQ R8, BX
-	JGT  tail8
-	MOVOU (SI)(AX*1), X1
-	MOVOU (R12)(AX*1), X2
-	PAVGB X2, X1
-	MOVOU (DI)(AX*1), X0
-	PSADBW X1, X0
-	PADDQ  X0, X7
-	MOVQ R8, AX
-	JMP  chunk16
-
-tail8:
-	CMPQ AX, BX
-	JGE  fold
-	MOVQ (SI)(AX*1), X1
-	MOVQ (R12)(AX*1), X2
-	PAVGB X2, X1
-	MOVQ (DI)(AX*1), X0
-	PSADBW X1, X0
-	PADDQ  X0, X7
-
-fold:
-	PSHUFD $0xEE, X7, X0
-	PADDQ  X7, X0
-	MOVQ X0, R13
-	CMPQ R13, R14
-	JGT  done
-	ADDQ CX, DI
-	ADDQ DX, SI
-	DECQ R9
-	JNZ  row
-
-done:
-	MOVQ R13, ret+56(FP)
-	RET
-
-// func sadHpDCappedBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h, cap int) int
-TEXT ·sadHpDCappedBlkSSE2(SB), NOSPLIT, $0-64
-	MOVQ cur+0(FP), DI
-	MOVQ curStride+8(FP), CX
-	MOVQ ref+16(FP), SI
-	MOVQ refStride+24(FP), DX
-	MOVQ w+32(FP), BX
-	MOVQ h+40(FP), R9
-	MOVQ cap+48(FP), R14
-	PXOR X7, X7
-	PXOR X6, X6
-	MOVQ $0x0002000200020002, R8
-	MOVQ R8, X5
-	PUNPCKLQDQ X5, X5
-	XORQ R13, R13
-
-row:
-	LEAQ (SI)(DX*1), R12
-	XORQ AX, AX
-
-chunk16:
-	LEAQ 16(AX), R8
-	CMPQ R8, BX
-	JGT  tail8
-	MOVOU (SI)(AX*1), X0
-	MOVOU 1(SI)(AX*1), X1
-	MOVOU (R12)(AX*1), X2
-	MOVOU 1(R12)(AX*1), X3
-	MOVO X0, X8
-	PUNPCKLBW X6, X0
-	PUNPCKHBW X6, X8
-	MOVO X1, X9
-	PUNPCKLBW X6, X9
-	PADDW X9, X0
-	PUNPCKHBW X6, X1
-	PADDW X1, X8
-	MOVO X2, X9
-	PUNPCKLBW X6, X9
-	PADDW X9, X0
-	PUNPCKHBW X6, X2
-	PADDW X2, X8
-	MOVO X3, X9
-	PUNPCKLBW X6, X9
-	PADDW X9, X0
-	PUNPCKHBW X6, X3
-	PADDW X3, X8
-	PADDW X5, X0
-	PADDW X5, X8
-	PSRLW $2, X0
-	PSRLW $2, X8
-	PACKUSWB X8, X0
-	MOVOU (DI)(AX*1), X1
-	PSADBW X1, X0
-	PADDQ  X0, X7
-	MOVQ R8, AX
-	JMP  chunk16
-
-tail8:
-	CMPQ AX, BX
-	JGE  fold
-	MOVQ (SI)(AX*1), X0
-	PUNPCKLBW X6, X0
-	MOVQ 1(SI)(AX*1), X1
-	PUNPCKLBW X6, X1
-	PADDW X1, X0
-	MOVQ (R12)(AX*1), X1
-	PUNPCKLBW X6, X1
-	PADDW X1, X0
-	MOVQ 1(R12)(AX*1), X1
-	PUNPCKLBW X6, X1
-	PADDW X1, X0
-	PADDW X5, X0
-	PSRLW $2, X0
-	PACKUSWB X6, X0
-	MOVQ (DI)(AX*1), X1
-	PSADBW X1, X0
-	PADDQ  X0, X7
-
-fold:
-	PSHUFD $0xEE, X7, X0
-	PADDQ  X7, X0
-	MOVQ X0, R13
-	CMPQ R13, R14
-	JGT  done
-	ADDQ CX, DI
-	ADDQ DX, SI
-	DECQ R9
-	JNZ  row
-
-done:
-	MOVQ R13, ret+56(FP)
 	RET
 
 // func sadHpRingBlkSSE2(cur *byte, curStride int, refTop *byte, refStride int, w, h int, out *[9]int)
@@ -729,93 +432,6 @@ last:
 	VPMOVZXDQ X6, Y6
 	VMOVDQU Y6, 40(R8)       // slots 5..8; the centre slot 4 is not written
 	VZEROUPPER
-	RET
-
-// func sadBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
-TEXT ·sadBlkAVX2(SB), NOSPLIT, $0-56
-	MOVQ cur+0(FP), DI
-	MOVQ curStride+8(FP), CX
-	MOVQ ref+16(FP), SI
-	MOVQ refStride+24(FP), DX
-	MOVQ w+32(FP), BX
-	MOVQ h+40(FP), R9
-	VPXOR Y7, Y7, Y7
-	CMPQ BX, $16
-	JEQ  w16
-
-row:
-	XORQ AX, AX
-
-chunk32:
-	LEAQ 32(AX), R8
-	CMPQ R8, BX
-	JGT  tail16
-	VMOVDQU (DI)(AX*1), Y0
-	VMOVDQU (SI)(AX*1), Y1
-	VPSADBW Y1, Y0, Y0
-	VPADDQ  Y0, Y7, Y7
-	MOVQ R8, AX
-	JMP  chunk32
-
-tail16:
-	LEAQ 16(AX), R8
-	CMPQ R8, BX
-	JGT  tail8
-	VMOVDQU (DI)(AX*1), X0
-	VMOVDQU (SI)(AX*1), X1
-	VPSADBW X1, X0, X0
-	VPADDQ  Y0, Y7, Y7
-	MOVQ R8, AX
-
-tail8:
-	CMPQ AX, BX
-	JGE  rowdone
-	VMOVQ (DI)(AX*1), X0
-	VMOVQ (SI)(AX*1), X1
-	VPSADBW X1, X0, X0
-	VPADDQ  Y0, Y7, Y7
-
-rowdone:
-	ADDQ CX, DI
-	ADDQ DX, SI
-	DECQ R9
-	JNZ  row
-	JMP  fold
-
-	// Dominant macroblock shape: two 16-byte rows per 256-bit op.
-w16:
-	MOVQ R9, R10
-	SHRQ $1, R10
-	JZ   w16odd
-
-w16pair:
-	VMOVDQU (DI), X0
-	VINSERTI128 $1, (DI)(CX*1), Y0, Y0
-	VMOVDQU (SI), X1
-	VINSERTI128 $1, (SI)(DX*1), Y1, Y1
-	VPSADBW Y1, Y0, Y0
-	VPADDQ  Y0, Y7, Y7
-	LEAQ (DI)(CX*2), DI
-	LEAQ (SI)(DX*2), SI
-	DECQ R10
-	JNZ  w16pair
-
-w16odd:
-	TESTQ $1, R9
-	JZ    fold
-	VMOVDQU (DI), X0
-	VMOVDQU (SI), X1
-	VPSADBW X1, X0, X0
-	VPADDQ  Y0, Y7, Y7
-
-fold:
-	VEXTRACTI128 $1, Y7, X0
-	VPADDQ  X7, X0, X0
-	VPSHUFD $0xEE, X0, X1
-	VPADDQ  X1, X0, X0
-	VMOVQ X0, AX
-	VZEROUPPER
-	MOVQ AX, ret+48(FP)
 	RET
 
 // func intraSAD16AVX2(p *byte, stride int) int
