@@ -86,25 +86,26 @@
 //     previous frame's PSNR statistics) are provably done; the steady
 //     state is ~10 heap allocations per encoded frame, and `make
 //     bench-smoke` fails if the pinned ceiling regresses.
-//   - search.FSBM scans candidates centre-outward ("spiral", sorted by L1
-//     then raster order), so the running minimum is near-final after the
-//     first ring; the visit order is chosen so the winner is identical to
-//     the raster scan's under the shorter-vector tie-break. For
-//     macroblocks the whole scan is one kernel call: the ±Range window
-//     clipped to the frame is a rectangle (its area is the Points
-//     count), and metrics.SADBest walks the cached spiral table inside
-//     it and returns the first strictly-best candidate. That kernel's
-//     contract defines only the winner — in ascending-L1 order the
-//     tie-break reduces to strict <, so a tier may abandon a losing
-//     candidate as soon as any lower bound on its SAD reaches the running
-//     minimum without changing index or SAD — which lets the AVX2 tier
-//     keep the cur block in eight YMM registers for the call, test the
-//     running minimum only after rows 8 and 16, and skip unread every
-//     candidate whose 4×4-sum successive-elimination bound has already
-//     reached it (most of a ±15 window on camera content; Points, the
-//     window's area, do not change). The per-candidate Legal/SADCapped loop survives where each
-//     candidate's exact SAD is the product (Input.Collect), for
-//     non-16×16 blocks, and as the test oracle.
+//   - search.FSBM's winner is that of a centre-outward scan
+//     (metrics.Spiral: sorted by L1, then raster order), which keeps the
+//     raster scan's winner under the shorter-vector tie-break — the
+//     lowest (SAD, L1, dy, dx). For macroblocks the whole search is one
+//     kernel call: the ±Range window clipped to the frame is a rectangle
+//     (its area is the Points count), and metrics.SADBest returns that
+//     winner inside it. Only the winner is defined, so a tier may drop a
+//     candidate as soon as any lower bound on its SAD shows it cannot win
+//     and may visit candidates in any order that keeps the winner: the
+//     scalar, SWAR and SSE2 tiers walk the cached spiral table; the AVX2
+//     tier keeps the cur block in eight YMM registers, scans the L1 ≤ 2
+//     head of the spiral for a threshold, bounds every other position by
+//     successive elimination (4×4 sums) sixteen at a compare, and reads
+//     only the few whose bound is below it, in raster order with the tie
+//     rule written out (Points, the window's area, do not change). ACBM's
+//     critical blocks reach it through FSBM.Escalate, which starts the
+//     bar at PBM's integer SAD + 1 and reuses PBM's half-pel ring when the
+//     integer winners agree. The per-candidate Legal/SADCapped loop
+//     survives where each candidate's exact SAD is the product
+//     (Input.Collect), for non-16×16 blocks, and as the test oracle.
 //   - search.PBM — which ACBM runs on every macroblock — pays per block
 //     the same way. One generator gathers the zero, causal spatial and
 //     temporal (or ladder-seed) predictors (mvfield.AppendPredictors is

@@ -225,7 +225,8 @@ func (a *ACBM) SearchTrace(in *search.Input) (search.Result, Trace) {
 	if !in.HasIntraSAD {
 		intra = metrics.IntraSAD(in.Cur, in.BX, in.BY, in.W, in.H)
 	}
-	pbmRes := a.PBM.Search(in)
+	var stage search.Stage
+	pbmRes := a.PBM.SearchStaged(in, &stage)
 
 	tr := Trace{
 		IntraSAD:   intra,
@@ -253,7 +254,7 @@ func (a *ACBM) SearchTrace(in *search.Input) (search.Result, Trace) {
 		return pbmRes, tr
 	}
 
-	fsbmRes := a.FSBM.Search(in)
+	fsbmRes := a.FSBM.Escalate(in, stage)
 	tr.FSBMPoints = fsbmRes.Points
 	total := pbmRes.Points + fsbmRes.Points
 	a.stats.Points += int64(total)

@@ -127,50 +127,59 @@ func BenchmarkKernelHalfPelRing16x16(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelSADBest16x16 scans a whole ±15 window (961 candidates)
-// per op, in the spiral order of the full search.
+// BenchmarkKernelSADBest16x16 searches a ±15 window (961 candidates where
+// it is not clipped) per op, the full search's SADBest call.
 //
 //   - noise: no candidate is much better than the rest, so few leave at
 //     the first row check and the successive-elimination bound removes
 //     almost nothing: close to the worst case.
 //   - camera: the interior macroblocks of two consecutive Foreman QCIF
 //     frames, one per op in turn — the content the full search meets.
+//   - edges: the border macroblocks of the same frames, whose windows the
+//     frame clips (down to 16×16 in a corner), which camera skips and an
+//     encode searches too.
 func BenchmarkKernelSADBest16x16(b *testing.B) {
-	cands := spiralTable(15)
 	clip := Rect{MinX: -15, MinY: -15, MaxX: 15, MaxY: 15}
 	b.Run("noise", func(b *testing.B) {
 		cur, ref := benchPlanes()
 		benchEachISA(b, func(b *testing.B) {
-			b.SetBytes(int64(len(cands)) * 16 * 16)
+			b.SetBytes(961 * 16 * 16)
 			var sink int
 			for i := 0; i < b.N; i++ {
-				idx, sad := SADBest(cur, 32, 24, ref, 33+i%4, 24, 16, 16, cands, clip, 1<<30)
-				sink += idx + sad
+				o, sad, _ := SADBest(cur, 32, 24, ref, 33+i%4, 24, 16, 16, clip, 1<<30)
+				sink += int(o.DX) + sad
 			}
 			benchSink = sink
 		})
 	})
-	b.Run("camera", func(b *testing.B) {
-		seq := video.Generate(video.Foreman, frame.QCIF, 2, 7)
-		cur, ref := seq[1].Y, seq[0].Y
-		// Macroblocks whose ±15 window lies inside the frame.
-		var mbs [][2]int
-		for y := 16; y+16+15 <= cur.H; y += 16 {
-			for x := 16; x+16+15 <= cur.W; x += 16 {
-				mbs = append(mbs, [2]int{x, y})
+	seq := video.Generate(video.Foreman, frame.QCIF, 2, 7)
+	cur, ref := seq[1].Y, seq[0].Y
+	var interior, edges [][2]int
+	for y := 0; y+16 <= cur.H; y += 16 {
+		for x := 0; x+16 <= cur.W; x += 16 {
+			if x >= 15 && y >= 15 && x+16+15 <= cur.W && y+16+15 <= cur.H {
+				interior = append(interior, [2]int{x, y})
+			} else {
+				edges = append(edges, [2]int{x, y})
 			}
 		}
-		benchEachISA(b, func(b *testing.B) {
-			b.SetBytes(int64(len(cands)) * 16 * 16)
-			var sink int
-			for i := 0; i < b.N; i++ {
-				mb := mbs[i%len(mbs)]
-				idx, sad := SADBest(cur, mb[0], mb[1], ref, mb[0], mb[1], 16, 16, cands, clip, 1<<30)
-				sink += idx + sad
-			}
-			benchSink = sink
+	}
+	for _, set := range []struct {
+		name string
+		mbs  [][2]int
+	}{{"camera", interior}, {"edges", edges}} {
+		b.Run(set.name, func(b *testing.B) {
+			benchEachISA(b, func(b *testing.B) {
+				var sink int
+				for i := 0; i < b.N; i++ {
+					mb := set.mbs[i%len(set.mbs)]
+					o, sad, _ := SADBest(cur, mb[0], mb[1], ref, mb[0], mb[1], 16, 16, windowClip(ref, mb[0], mb[1], 16, 16, 15), 1<<30)
+					sink += int(o.DX) + sad
+				}
+				benchSink = sink
+			})
 		})
-	})
+	}
 }
 
 // BenchmarkKernelSSE8x8 is one 8×8 energy on plane bytes through the

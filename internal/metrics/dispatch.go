@@ -45,18 +45,19 @@ import (
 //     an indirect call would escape the caller's stack array to the
 //     heap on every refinement; the exported SADHalfPelRing restores
 //     the caller's centre slot to honour its contract
-//   - sadBest: the 16×16 best-of-candidates scan behind SADBest; cands
-//     and clip non-empty, the cur block and every candidate inside clip
-//     in-plane.
-//     Only the winner is defined (first strictly-smallest SAD below
-//     best, else -1 and best unchanged): a tier may drop a candidate as
-//     soon as any lower bound on its SAD reaches the running minimum — a
-//     partial sum at any row granularity, or (AVX2) a successive-
-//     elimination bound computed before the candidate is read. It reads
-//     nothing outside the cur block and the in-clip candidate blocks
-//   - sadBestFew: sadBest over cands[:n], 1 ≤ n ≤ FewCands, the list
-//     passed by value so the caller's array stays on its stack (see
-//     SADBestFew); same kernels, same contract
+//   - sadBest: the 16×16 window search behind SADBest; clip non-empty,
+//     spiral = Spiral(clip.radius()), the cur block and every displacement
+//     inside clip in-plane. Only the winner is defined (the lowest (SAD,
+//     L1, DY, DX) below best, which is the first strictly-smallest SAD
+//     along spiral; else any Offset and best unchanged): a tier may drop a
+//     displacement as soon as any lower bound on its SAD shows it cannot
+//     win — a partial sum at any row granularity, or (AVX2) a successive-
+//     elimination bound computed before the candidate is read — and may
+//     visit the displacements in any order that keeps that winner. It
+//     reads nothing outside the cur block and the in-clip candidate blocks
+//   - sadBestFew: the first strictly-best of cands[:n], 1 ≤ n ≤ FewCands,
+//     in list order (SADBestFew), the list passed by value so the caller's
+//     array stays on its stack; the same row kernels and early exits
 //   - sse: sum of squared differences behind SSE; w%8 == 0,
 //     w·h ≤ sseMaxSamples (so 32-bit lane sums cannot overflow), both
 //     blocks in-plane. Exact integer arithmetic: no rounding rule, no
@@ -99,7 +100,7 @@ type kernelTable struct {
 	intraSAD func(p *frame.Plane, x, y, w, h int) int
 	ring     func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) [9]int
 
-	sadBest    func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (idx, sad int)
+	sadBest    func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int) (o Offset, sad int)
 	sadBestFew func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (idx, sad int)
 
 	sse   func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int
@@ -214,8 +215,8 @@ func scalarTable() *kernelTable {
 		name:     "scalar",
 		intraSAD: intraSADScalar,
 		ring:     sadHalfPelRingScalar,
-		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
-			return sadBestBy(sadCappedScalar, cur, cx, cy, ref, rx, ry, 16, 16, cands, clip, best)
+		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int) (Offset, int) {
+			return spiralBest(sadCappedScalar, cur, cx, cy, ref, rx, ry, 16, 16, spiral, clip, best)
 		},
 		sadBestFew: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {
 			return sadBestBy(sadCappedScalar, cur, cx, cy, ref, rx, ry, 16, 16, cands[:n], clip, best)
@@ -238,8 +239,8 @@ func swarTable() *kernelTable {
 			return intraSADSWAR(p, x, y, w, h, meanOf(planeSumSWAR(p, x, y, w, h), w, h))
 		},
 		ring: sadHalfPelRingSWAR,
-		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
-			return sadBestBy(sadCappedSWAR, cur, cx, cy, ref, rx, ry, 16, 16, cands, clip, best)
+		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int) (Offset, int) {
+			return spiralBest(sadCappedSWAR, cur, cx, cy, ref, rx, ry, 16, 16, spiral, clip, best)
 		},
 		sadBestFew: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {
 			return sadBestBy(sadCappedSWAR, cur, cx, cy, ref, rx, ry, 16, 16, cands[:n], clip, best)

@@ -3,8 +3,6 @@
 package metrics
 
 import (
-	"math"
-
 	"repro/internal/dct"
 	"repro/internal/frame"
 )
@@ -55,10 +53,11 @@ func sadHpRingBlkAVX2(cur *byte, curStride int, refTop *byte, refStride int, h i
 func intraSAD16AVX2(p *byte, stride int) int
 
 // sadBest16SSE2/AVX2 scan n ≥ 1 candidates for the 16×16 block at cur and
-// return the first strictly-best index below best, or -1. Candidates
-// outside [minX, maxX] × [minY, maxY] are skipped; ref addresses the
-// block displaced by (minX, minY) — the anchor itself may lie outside the
-// plane — and every candidate inside the rectangle must be in-plane.
+// return the first strictly-best index below best, or -1: sadBestFew, and
+// sadBest over the whole Spiral table. Candidates outside [minX, maxX] ×
+// [minY, maxY] are skipped; ref addresses the block displaced by (minX,
+// minY) — the anchor itself may lie outside the plane — and every
+// candidate inside the rectangle must be in-plane.
 //
 //go:noescape
 func sadBest16SSE2(cur *byte, curStride int, ref *byte, refStride int, cands *Offset, n int, minX, minY, maxX, maxY int, best int) (idx, sad int)
@@ -66,26 +65,35 @@ func sadBest16SSE2(cur *byte, curStride int, ref *byte, refStride int, cands *Of
 //go:noescape
 func sadBest16AVX2(cur *byte, curStride int, ref *byte, refStride int, cands *Offset, n int, minX, minY, maxX, maxY int, best int) (idx, sad int)
 
-// sadBestMSEA16AVX2 is sadBest16AVX2 behind an exact successive-elimination
-// pass: a candidate whose 4×4-sum lower bound on its SAD has reached the
-// running minimum is skipped unread. Only for windows mseaFits accepts.
+// sadBestMSEA16AVX2 is the AVX2 sadBest for the windows mseaFits accepts,
+// exact successive elimination around the row scan of sadBest16AVX2: it
+// scans the n = mseaHead spiral positions at head (the L1 ≤ 2 head of the
+// Spiral table) in order, then reads only the displacements whose 4×4-sum
+// bound is below that scan's minimum, in raster order. It returns the
+// winner's displacement — (0, 0) when nothing beats best — and its SAD, or
+// best.
 //
 //go:noescape
-func sadBestMSEA16AVX2(cur *byte, curStride int, ref *byte, refStride int, cands *Offset, n int, minX, minY, maxX, maxY int, best int) (idx, sad int)
+func sadBestMSEA16AVX2(cur *byte, curStride int, ref *byte, refStride int, head *Offset, n int, minX, minY, maxX, maxY int, best int) (dx, dy, sad int)
 
-// mseaFits reports whether sadBestMSEA16AVX2 takes n candidates over clip:
-// its grids hold a 32×32 window and one mask bit per candidate for 1024,
-// its first box-sum chunk needs sixteen positions (spanX+12) in a row, and
-// its candidate filter subtracts the clip origin in 16-bit lanes, where a
-// far origin could wrap an out-of-clip int16 displacement into the clip.
-// Every other window takes sadBest16AVX2 — the ±15 full search always fits.
-func mseaFits(n int, clip Rect) bool {
-	const maxSpan, maxCands = 32, 1024
-	const maxOrigin = math.MaxInt16 - maxSpan
+// mseaHead is the number of spiral positions with |DX|+|DY| ≤ 2, which
+// sadBestMSEA16AVX2 scans first: a smaller ball leaves the threshold too
+// high, a larger one costs more SADs than its lower threshold saves
+// (fullsearch_serial frames_per_s against this ball: L1 ≤ 1 −2.2 %, L1 ≤ 3
+// +1.2 %, inside the runs' spread, L1 ≤ 4 −1.4 %). Every table the kernel
+// takes holds them, since a window at least four wide has a radius of two
+// or more.
+const mseaHead = 13
+
+// mseaFits reports whether sadBestMSEA16AVX2 takes clip: its grids hold a
+// 32×32 window, one bound and one mask bit per position, and its first
+// box-sum chunk needs sixteen positions (spanX+12) in a row. Every other
+// window takes sadBest16AVX2 over the whole table — the ±15 full search
+// always fits.
+func mseaFits(clip Rect) bool {
+	const maxSpan = 32
 	spanX, spanY := clip.MaxX-clip.MinX+1, clip.MaxY-clip.MinY+1
-	return spanX >= 4 && spanX <= maxSpan && spanY <= maxSpan && n <= maxCands &&
-		clip.MinX >= -maxOrigin && clip.MinX <= maxOrigin &&
-		clip.MinY >= -maxOrigin && clip.MinY <= maxOrigin
+	return spanX >= 4 && spanX <= maxSpan && spanY <= maxSpan
 }
 
 // sseBlkSSE2/AVX2 return Σ(a−b)² over a w×h block, w·h ≤ sseMaxSamples:
@@ -215,9 +223,10 @@ func sse2Table() *kernelTable {
 		name:     "sse2",
 		intraSAD: intraSADSSE2,
 		ring:     ringSSE2,
-		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
-			return sadBest16SSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
-				&cands[0], len(cands), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
+		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int) (Offset, int) {
+			i, sad := sadBest16SSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
+				&spiral[0], len(spiral), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
+			return at(spiral, i), sad
 		},
 		sadBestFew: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {
 			return sadBest16SSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
@@ -281,11 +290,12 @@ func sseSSE2(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 // and diagonal pair sums each shared by the two current rows they serve);
 // sadBest (the full-search scan: cur block resident in eight YMM
 // registers, two ref rows per VPSADBW; for the windows mseaFits accepts —
-// every ±15 one — behind an exact 4×4-sum successive-elimination pass
-// whose grids live on the kernel's stack, so most candidates are never
-// read; the winner, its SAD and Points stay the plain scan's); sse
-// (sixteen squared differences per VPMADDWD; the 8-wide residual block
-// takes two rows per iteration);
+// every ±15 one — the L1 ≤ 2 spiral head sets a threshold, an exact
+// 4×4-sum successive-elimination pass whose grids live on the kernel's
+// stack keeps the positions whose bound is below it, sixteen per compare,
+// and only those are read; the winner, its SAD and Points stay the spiral
+// scan's); sse (sixteen squared differences per VPMADDWD; the 8-wide
+// residual block takes two rows per iteration);
 // mbSSE (the zero-block gate's six energies from one 16-wide luma pass and
 // one Cb|Cr pass), residualRows (four float64 lanes per register: a
 // row's eight outputs in two), colQuant (one pass per live column, lanes
@@ -318,14 +328,16 @@ func avx2Table() *kernelTable {
 		sadHpRingBlkAVX2(pix(cur, cx, cy), cur.Stride, &ref.PixFrom(rx-1, ry-1)[0], ref.Stride, h, &out)
 		return out
 	}
-	t.sadBest = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands []Offset, clip Rect, best int) (int, int) {
+	t.sadBest = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int) (Offset, int) {
 		c, r := pix(cur, cx, cy), pix(ref, rx+clip.MinX, ry+clip.MinY)
-		if mseaFits(len(cands), clip) {
-			return sadBestMSEA16AVX2(c, cur.Stride, r, ref.Stride,
-				&cands[0], len(cands), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
+		if mseaFits(clip) {
+			dx, dy, sad := sadBestMSEA16AVX2(c, cur.Stride, r, ref.Stride,
+				&spiral[:mseaHead][0], mseaHead, clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
+			return Offset{DX: int16(dx), DY: int16(dy)}, sad
 		}
-		return sadBest16AVX2(c, cur.Stride, r, ref.Stride,
-			&cands[0], len(cands), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
+		i, sad := sadBest16AVX2(c, cur.Stride, r, ref.Stride,
+			&spiral[0], len(spiral), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
+		return at(spiral, i), sad
 	}
 	t.sadBestFew = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {
 		return sadBest16AVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,

@@ -575,14 +575,14 @@ TEXT ·intraSAD16AVX2(SB), NOSPLIT, $0-24
 	LEAQ (DI)(DX*2), DI
 
 // SADBEST_CHECK_AVX2 folds a copy of Y0 into CX and abandons the
-// candidate (jumps to skip) when the sum has reached BX.
-#define SADBEST_CHECK_AVX2(skip) \
+// candidate (jumps to skip) when the sum has reached bar.
+#define SADBEST_CHECK_AVX2(bar, skip) \
 	VEXTRACTI128 $1, Y0, X1; \
 	VPADDQ  X1, X0, X1; \
 	VPSHUFD $0xEE, X1, X2; \
 	VPADDQ  X2, X1, X1; \
 	VMOVQ X1, CX; \
-	CMPQ CX, BX; \
+	CMPQ CX, bar; \
 	JGE  skip
 
 // func sadBest16AVX2(cur *byte, curStride int, ref *byte, refStride int, cands *Offset, n int, minX, minY, maxX, maxY int, best int) (idx, sad int)
@@ -623,10 +623,10 @@ loop:
 	VPXOR Y0, Y0, Y0
 	SADBEST_ROWS4_AVX2(Y4, Y5)
 	SADBEST_ROWS4_AVX2(Y6, Y7)
-	SADBEST_CHECK_AVX2(next)
+	SADBEST_CHECK_AVX2(BX, next)
 	SADBEST_ROWS4_AVX2(Y8, Y9)
 	SADBEST_ROWS4_AVX2(Y10, Y11)
-	SADBEST_CHECK_AVX2(next)
+	SADBEST_CHECK_AVX2(BX, next)
 	MOVQ CX, BX
 	MOVQ AX, R14
 
@@ -641,17 +641,21 @@ done:
 	MOVQ BX, sad+96(FP)
 	RET
 
-// Successive elimination (MSEA over 4×4 sub-blocks) in front of the same
+// Successive elimination (MSEA over 4×4 sub-blocks) around the same row
 // scan. For a candidate, split both blocks into sixteen 4×4 sub-blocks
 // with sums C_k (cur) and R_k (ref); since |Σ a − Σ b| ≤ Σ |a − b| per
 // sub-block,
 //
 //	bound = Σ_k |C_k − R_k| ≤ SAD,
 //
-// so a candidate whose bound has reached the running minimum cannot be
-// strictly better and is skipped before any of its rows is loaded. The
-// winner and its SAD are those of the plain scan. Three passes:
+// so a candidate whose bound has reached the running minimum cannot win
+// and is skipped before any of its rows is loaded. The winner and its SAD
+// are those of the spiral scan: the lowest (SAD, L1, dy, dx). Four phases:
 //
+//   - head: the row scan over the n spiral positions at head (the L1 ≤ 2
+//     head of the table), in order. Its minimum T is the threshold of the
+//     rest: a later position must have SAD < T to win, since every head
+//     position precedes it in spiral order. T ≤ 0 ends the search here.
 //   - box sums: B[y][x] = the 4×4 sum of the reference at (x, y) of the
 //     candidate area (the union of the in-clip candidate blocks,
 //     (spanX+15) × (spanY+15) pixels), x < spanX+12, y < spanY+12. Each
@@ -662,23 +666,32 @@ done:
 //     area's last column: no byte outside the area is read.
 //   - bounds: for every window position, sixteen VPSUBW/VPABSW/VPADDW
 //     terms against broadcast C_k, sixteen positions per register. The
-//     bound is at most 16·4080 = 65280, so word lanes hold it exactly.
-//   - the scan (described at scan: below): the rows of sadBest16AVX2 for
-//     the candidates a vector filter and a per-candidate bound test leave.
+//     bound is at most 16·4080 = 65280, so word lanes hold it exactly. As
+//     each row is made, one unsigned compare per sixteen positions against
+//     T−1 (clamped to 65535) writes the row's survivors — bound < T — to
+//     a raster bitmask, one dword per window row.
+//   - survivors: the set bits in raster order, head positions (L1 ≤ 2)
+//     skipped. Raster order is not spiral order, so the tie rule is
+//     written out: a survivor wins on a SAD below the running minimum, or
+//     equal to it when its L1 is shorter than the incumbent's (a raster
+//     scan meets equal-L1 ties in (dy, dx) order already). Its bar — the
+//     minimum, plus one for a shorter L1 — is tested against its bound
+//     (the minimum only drops) before its rows are loaded, then against
+//     its partial sums after rows 8 and 16.
 //
 // Everything lives in this frame (a split-checked Go frame, not NOSPLIT:
 // it is larger than the nosplit limit): B (47 rows of 48 words; rows
 // −3..−1 take the ring's warm-up stores), the ring, the sixteen C_k, the
-// bounds (32 rows of 32 words, plus the 4 bytes the filter's dword gather
-// may read past the last one), lane numbers 0..7 and the filter's mask
-// bytes (one bit per candidate, 1024 at most, plus a zero word). mseaFits
-// (dispatch_amd64.go) sends only the windows these sizes hold.
+// bounds (32 rows of 32 words), T−1 in sixteen word lanes, the mask
+// dwords and C_12..C_15 in sixteen word lanes each. mseaFits (dispatch_amd64.go) sends only the windows these sizes
+// hold.
 #define MSEA_B 0
 #define MSEA_RING 4512
 #define MSEA_C 4640
 #define MSEA_BND 4672
-#define MSEA_IOTA 6728
-#define MSEA_MASKS 6760
+#define MSEA_T1 6720
+#define MSEA_MASKS 6752
+#define MSEA_CB 6880
 
 // MSEA_CUR_SUMS sets xd to C_{j,0..3}, the four 4×4 sums of the cur rows
 // 4j..4j+3 held in ya (rows 4j, 4j+1) and yb (rows 4j+2, 4j+3). Y1 holds
@@ -707,9 +720,40 @@ done:
 	VPADDW Y2, Y0, Y0; \
 	VPADDW Y3, Y1, Y1
 
-// func sadBestMSEA16AVX2(cur *byte, curStride int, ref *byte, refStride int, cands *Offset, n int, minX, minY, maxX, maxY int, best int) (idx, sad int)
-TEXT ·sadBestMSEA16AVX2(SB), 0, $6896-104
-	// C_k, k = 4j+i for the sub-block at (4i, 4j), as sixteen words.
+// MSEA_TERMM is MSEA_TERM for a C_k not held in a register: its sixteen
+// broadcast words are at c(R10). A load costs less than a broadcast per
+// row, which would take the shuffle port the terms need.
+#define MSEA_TERMM(off, c) \
+	VMOVDQU off(R9), Y2; \
+	VPSUBW  c(R10), Y2, Y2; \
+	VPABSW  Y2, Y2; \
+	VPADDW  Y2, Y0, Y0
+
+// MSEA_TERM2M is MSEA_TERM2 for a C_k at c(R10).
+#define MSEA_TERM2M(off, c) \
+	VMOVDQU off(R9), Y2; \
+	VMOVDQU off+32(R9), Y3; \
+	VPSUBW  c(R10), Y2, Y2; \
+	VPSUBW  c(R10), Y3, Y3; \
+	VPABSW  Y2, Y2; \
+	VPABSW  Y3, Y3; \
+	VPADDW  Y2, Y0, Y0; \
+	VPADDW  Y3, Y1, Y1
+
+// MSEA_BELOW sets the word lanes of y to all ones where the bound in the
+// matching lane of b is below T (≤ T−1, unsigned).
+#define MSEA_BELOW(b, y) \
+	VPMINUW MSEA_T1(SP), b, y; \
+	VPCMPEQW b, y, y
+
+// MSEA_ABS sets d = |s| (s ≠ MinInt64); NEGQ's sign picks the source.
+#define MSEA_ABS(s, d) \
+	MOVQ    s, d; \
+	NEGQ    d; \
+	CMOVQLT s, d
+
+// func sadBestMSEA16AVX2(cur *byte, curStride int, ref *byte, refStride int, head *Offset, n int, minX, minY, maxX, maxY int, best int) (dx, dy, sad int)
+TEXT ·sadBestMSEA16AVX2(SB), 0, $7008-112
 	MOVQ cur+0(FP), DI
 	MOVQ curStride+8(FP), CX
 	SADBEST_LOAD_CUR2(X4, Y4)
@@ -720,6 +764,69 @@ TEXT ·sadBestMSEA16AVX2(SB), 0, $6896-104
 	SADBEST_LOAD_CUR2(X9, Y9)
 	SADBEST_LOAD_CUR2(X10, Y10)
 	SADBEST_LOAD_CUR2(X11, Y11)
+	MOVQ ref+16(FP), SI
+	MOVQ refStride+24(FP), DX
+	MOVQ head+32(FP), R8
+	MOVQ n+40(FP), R9
+	MOVQ minX+48(FP), R10
+	MOVQ minY+56(FP), R11
+	MOVQ maxX+64(FP), R12
+	MOVQ maxY+72(FP), R13
+	MOVQ best+80(FP), BX
+	SUBQ R10, R12
+	SUBQ R11, R13
+	MOVQ $-1, R14
+	XORQ AX, AX
+
+	// The head: sadBest16AVX2's loop over n ≥ 1 positions.
+headcand:
+	SADBEST_CLIP_CAND(headnext)
+	SADBEST_CAND_ADDR
+	VPXOR Y0, Y0, Y0
+	SADBEST_ROWS4_AVX2(Y4, Y5)
+	SADBEST_ROWS4_AVX2(Y6, Y7)
+	SADBEST_CHECK_AVX2(BX, headnext)
+	SADBEST_ROWS4_AVX2(Y8, Y9)
+	SADBEST_ROWS4_AVX2(Y10, Y11)
+	SADBEST_CHECK_AVX2(BX, headnext)
+	MOVQ CX, BX
+	MOVQ AX, R14
+
+headnext:
+	INCQ AX
+	CMPQ AX, R9
+	JLT  headcand
+
+	// The head's winner goes straight to the results, and R14 becomes its
+	// L1: 0 when there is none, which no survivor undercuts. sad holds T
+	// while BX serves the box sums.
+	XORQ AX, AX
+	XORQ CX, CX
+	TESTQ R14, R14
+	JS   headdone
+	MOVWQSX (R8)(R14*4), AX
+	MOVWQSX 2(R8)(R14*4), CX
+
+headdone:
+	MOVQ AX, dx+88(FP)
+	MOVQ CX, dy+96(FP)
+	MOVQ BX, sad+104(FP)
+	MSEA_ABS(AX, R14)
+	MSEA_ABS(CX, DI)
+	ADDQ DI, R14
+	TESTQ BX, BX
+	JLE  done
+
+	// T−1, at most 65535 (every bound is below a larger T), in word lanes.
+	LEAQ    -1(BX), AX
+	MOVQ    $65535, CX
+	CMPQ    AX, CX
+	CMOVQGT CX, AX
+	VMOVD   AX, X0
+	VPBROADCASTW X0, Y0
+	VMOVDQU Y0, MSEA_T1(SP)
+
+	// C_k, k = 4j+i for the sub-block at (4i, 4j), as sixteen words.
 	VPCMPEQB Y0, Y0, Y0
 	VPABSB   Y0, Y1
 	VPABSW   Y0, Y2
@@ -734,12 +841,6 @@ TEXT ·sadBestMSEA16AVX2(SB), 0, $6896-104
 
 	// Box sums, one column chunk at a time: R9 = the next chunk's start,
 	// R10 = spanX+12 positions per row, CX rows of pixels.
-	MOVQ ref+16(FP), SI
-	MOVQ refStride+24(FP), DX
-	MOVQ maxX+64(FP), R12
-	SUBQ minX+48(FP), R12
-	MOVQ maxY+72(FP), R13
-	SUBQ minY+56(FP), R13
 	LEAQ 13(R12), R10
 	XORQ R9, R9
 
@@ -779,8 +880,10 @@ boxrow:
 	CMPQ      R9, R10
 	JLT       boxchunk
 
-	// Bounds, one window row per iteration: R9 = B row v, R11 = bound row
-	// v. C_0..C_11 stay in Y4..Y15; C_12..C_15 are broadcast per use.
+	// Bounds and survivors, one window row per iteration: R9 = B row v,
+	// R11 = bound row v, DI = mask dword v, R8 = the spanX low bits a row
+	// keeps, AX = the OR of every row's survivors. C_0..C_11 stay in
+	// Y4..Y15; C_12..C_15 are read from MSEA_CB through R10.
 	VPBROADCASTW MSEA_C+0(SP), Y4
 	VPBROADCASTW MSEA_C+2(SP), Y5
 	VPBROADCASTW MSEA_C+4(SP), Y6
@@ -793,8 +896,23 @@ boxrow:
 	VPBROADCASTW MSEA_C+18(SP), Y13
 	VPBROADCASTW MSEA_C+20(SP), Y14
 	VPBROADCASTW MSEA_C+22(SP), Y15
+	VPBROADCASTW MSEA_C+24(SP), Y2
+	VMOVDQU      Y2, MSEA_CB(SP)
+	VPBROADCASTW MSEA_C+26(SP), Y2
+	VMOVDQU      Y2, MSEA_CB+32(SP)
+	VPBROADCASTW MSEA_C+28(SP), Y2
+	VMOVDQU      Y2, MSEA_CB+64(SP)
+	VPBROADCASTW MSEA_C+30(SP), Y2
+	VMOVDQU      Y2, MSEA_CB+96(SP)
+	LEAQ         MSEA_CB(SP), R10
+	LEAQ 1(R12), CX
+	MOVQ $1, R8
+	SHLQ CX, R8
+	DECQ R8
 	LEAQ MSEA_B+3*96(SP), R9
 	LEAQ MSEA_BND(SP), R11
+	LEAQ MSEA_MASKS(SP), DI
+	XORQ AX, AX
 	LEAQ 1(R13), CX
 	CMPQ R12, $15
 	JHI  bound2
@@ -813,20 +931,26 @@ bound1:
 	MSEA_TERM(776, Y13)
 	MSEA_TERM(784, Y14)
 	MSEA_TERM(792, Y15)
-	VPBROADCASTW MSEA_C+24(SP), Y3
-	MSEA_TERM(1152, Y3)
-	VPBROADCASTW MSEA_C+26(SP), Y3
-	MSEA_TERM(1160, Y3)
-	VPBROADCASTW MSEA_C+28(SP), Y3
-	MSEA_TERM(1168, Y3)
-	VPBROADCASTW MSEA_C+30(SP), Y3
-	MSEA_TERM(1176, Y3)
+	MSEA_TERMM(1152, 0)
+	MSEA_TERMM(1160, 32)
+	MSEA_TERMM(1168, 64)
+	MSEA_TERMM(1176, 96)
 	VMOVDQU Y0, (R11)
+	// Positions 0..7 and 8..15 land in bytes 0..7 and 16..23 of the
+	// pack; VPERMQ brings them together.
+	MSEA_BELOW(Y0, Y2)
+	VPACKSSWB Y2, Y2, Y2
+	VPERMQ    $0xD8, Y2, Y2
+	VPMOVMSKB Y2, BX
+	ANDQ      R8, BX
+	MOVL      BX, (DI)
+	ORQ       BX, AX
 	ADDQ    $96, R9
 	ADDQ    $64, R11
+	ADDQ    $4, DI
 	DECQ    CX
 	JNZ     bound1
-	JMP     scan
+	JMP     survivors
 
 bound2:
 	VPXOR Y0, Y0, Y0
@@ -843,39 +967,34 @@ bound2:
 	MSEA_TERM2(776, Y13)
 	MSEA_TERM2(784, Y14)
 	MSEA_TERM2(792, Y15)
-	// Y2 and Y3 are the terms' scratch, so C_12..C_15 borrow Y4, and C_0
-	// returns to it for the next row.
-	VPBROADCASTW MSEA_C+24(SP), Y4
-	MSEA_TERM2(1152, Y4)
-	VPBROADCASTW MSEA_C+26(SP), Y4
-	MSEA_TERM2(1160, Y4)
-	VPBROADCASTW MSEA_C+28(SP), Y4
-	MSEA_TERM2(1168, Y4)
-	VPBROADCASTW MSEA_C+30(SP), Y4
-	MSEA_TERM2(1176, Y4)
-	VPBROADCASTW MSEA_C+0(SP), Y4
+	MSEA_TERM2M(1152, 0)
+	MSEA_TERM2M(1160, 32)
+	MSEA_TERM2M(1168, 64)
+	MSEA_TERM2M(1176, 96)
 	VMOVDQU Y0, (R11)
 	VMOVDQU Y1, 32(R11)
+	// The pack interleaves the two registers by 8-position quarters;
+	// VPERMQ puts positions 0..31 in byte order.
+	MSEA_BELOW(Y0, Y2)
+	MSEA_BELOW(Y1, Y3)
+	VPACKSSWB Y3, Y2, Y2
+	VPERMQ    $0xD8, Y2, Y2
+	VPMOVMSKB Y2, BX
+	ANDQ      R8, BX
+	MOVL      BX, (DI)
+	ORQ       BX, AX
 	ADDQ    $96, R9
 	ADDQ    $64, R11
+	ADDQ    $4, DI
 	DECQ    CX
 	JNZ     bound2
 
-	// The scan, in three steps:
-	//   - first: the scan of sadBest16AVX2 up to and including the first
-	//     in-clip candidate (AX), whose SAD sets the filter's threshold;
-	//   - filter: eight candidates per step (the last step a masked load,
-	//     so nothing past cands[n−1] is read); a lane survives when it is
-	//     a candidate, in clip and its gathered bound is below the
-	//     threshold (Y15, clamped to [0, 65536]); one mask byte per step
-	//     into MSEA_MASKS;
-	//   - survivors: the candidates after AX whose bits are set, in order,
-	//     64 per mask word, each re-tested against the running minimum
-	//     (which only drops) before its rows are loaded.
-	// Y12 = (minX, minY) and Y13 = (spanX−1, spanY−1) as word pairs; Y14 =
-	// word pairs (1, 32), so VPMADDWD turns (dx−minX, dy−minY) into the
-	// bound's index.
-scan:
+	// Survivors. R12 = window row v, R13 = spanY, R15 = v's remaining mask
+	// bits, AX = position x; R9 = its L1, R8 = its bar; R14 = the
+	// incumbent's L1, BX = the running minimum.
+survivors:
+	TESTQ AX, AX
+	JZ    done
 	MOVQ cur+0(FP), DI
 	MOVQ curStride+8(FP), CX
 	SADBEST_LOAD_CUR2(X4, Y4)
@@ -886,166 +1005,68 @@ scan:
 	SADBEST_LOAD_CUR2(X9, Y9)
 	SADBEST_LOAD_CUR2(X10, Y10)
 	SADBEST_LOAD_CUR2(X11, Y11)
-	MOVQ cands+32(FP), R8
-	MOVQ n+40(FP), R9
 	MOVQ minX+48(FP), R10
 	MOVQ minY+56(FP), R11
-	MOVQ best+80(FP), BX
-	MOVQ $-1, R14
-	XORQ AX, AX
+	MOVQ sad+104(FP), BX
+	INCQ R13
+	XORQ R12, R12
 
-first:
-	CMPQ AX, R9
-	JGE  done
-	SADBEST_CLIP_CAND(firstout)
-	SADBEST_CAND_ADDR
-	VPXOR Y0, Y0, Y0
-	SADBEST_ROWS4_AVX2(Y4, Y5)
-	SADBEST_ROWS4_AVX2(Y6, Y7)
-	SADBEST_CHECK_AVX2(filter)
-	SADBEST_ROWS4_AVX2(Y8, Y9)
-	SADBEST_ROWS4_AVX2(Y10, Y11)
-	SADBEST_CHECK_AVX2(filter)
-	MOVQ CX, BX
-	MOVQ AX, R14
-	JMP  filter
+row:
+	MOVL  MSEA_MASKS(SP)(R12*4), R15
+	TESTQ R15, R15
+	JZ    nextrow
 
-firstout:
-	INCQ AX
-	JMP  first
-
-	// DI = the step's first candidate; CX, R12, R13 scratch.
-filter:
-	MOVQ    R11, CX
-	SHLQ    $16, CX
-	MOVWLZX R10, DI
-	ORQ     DI, CX
-	VMOVD   CX, X12
-	VPBROADCASTD X12, Y12
-	SHLQ    $16, R13
-	ORQ     R12, R13
-	VMOVD   R13, X13
-	VPBROADCASTD X13, Y13
-	MOVL    $0x200001, CX
-	VMOVD   CX, X14
-	VPBROADCASTD X14, Y14
-	MOVQ    BX, CX
-	MOVQ    $65536, DI
-	CMPQ    CX, DI
-	CMOVQGT DI, CX
-	XORQ    DI, DI
-	TESTQ   CX, CX
-	CMOVQLT DI, CX
-	VMOVD   CX, X15
-	VPBROADCASTD X15, Y15
-	MOVQ $0x100000000, CX
-	MOVQ CX, MSEA_IOTA(SP)
-	MOVQ $0x300000002, CX
-	MOVQ CX, MSEA_IOTA+8(SP)
-	MOVQ $0x500000004, CX
-	MOVQ CX, MSEA_IOTA+16(SP)
-	MOVQ $0x700000006, CX
-	MOVQ CX, MSEA_IOTA+24(SP)
-	XORQ DI, DI
-
-step:
-	MOVQ R9, R12
-	SUBQ DI, R12
-	JLE  filtered
-	VPCMPEQD Y3, Y3, Y3
-	CMPQ R12, $8
-	JGE  full
-	VMOVD    R12, X3
-	VPBROADCASTD X3, Y3
-	VPCMPGTD MSEA_IOTA(SP), Y3, Y3
-
-full:
-	VPMASKMOVD (R8)(DI*4), Y3, Y0
-	VPSUBW   Y12, Y0, Y0
-	VPMINUW  Y13, Y0, Y1
-	VPCMPEQD Y0, Y1, Y1
-	VPAND    Y3, Y1, Y1
-	VPMADDWD Y14, Y0, Y0
-	VMOVDQU  Y1, Y3
-	VPXOR    Y2, Y2, Y2
-	VPGATHERDD Y3, MSEA_BND(SP)(Y0*2), Y2
-	VPSLLD   $16, Y2, Y2
-	VPSRLD   $16, Y2, Y2
-	VPCMPGTD Y2, Y15, Y2
-	VPAND    Y1, Y2, Y2
-	VMOVMSKPS Y2, R13
-	MOVQ     DI, R12
-	SHRQ     $3, R12
-	MOVB     R13, MSEA_MASKS(SP)(R12*1)
-	ADDQ     $8, DI
-	JMP      step
-
-filtered:
-	// Zero the mask bytes after the last step, so the last mask word
-	// names no candidate past n.
-	SHRQ $3, DI
-	MOVQ $0, MSEA_MASKS(SP)(DI*1)
-
-	// Survivors. AX = the base of the mask word in R15; R12 = the
-	// candidate, (DI, CX) = its (dx−minX, dy−minY).
-	INCQ AX
-	MOVQ AX, CX
-	ANDQ $63, CX
-	SUBQ CX, AX
-	MOVQ AX, R12
-	SHRQ $3, R12
-	MOVQ MSEA_MASKS(SP)(R12*1), R15
-	MOVQ $-1, DI
-	SHLQ CX, DI
+cand:
+	BSFQ R15, AX
+	LEAQ -1(R15), DI
 	ANDQ DI, R15
-
-word:
-	TESTQ R15, R15
-	JZ    nextword
-
-loop:
-	BSFQ    R15, R12
-	LEAQ    -1(R15), DI
-	ANDQ    DI, R15
-	ADDQ    AX, R12
-	MOVWQSX (R8)(R12*4), DI
-	MOVWQSX 2(R8)(R12*4), CX
-	SUBQ    R10, DI
-	SUBQ    R11, CX
-	MOVQ    CX, R13
-	SHLQ    $5, R13
-	ADDQ    DI, R13
-	MOVWQZX MSEA_BND(SP)(R13*2), R13
-	CMPQ    R13, BX
-	JGE     next
-	SADBEST_CAND_ADDR
+	LEAQ (AX)(R10*1), DI
+	MSEA_ABS(DI, R9)
+	LEAQ (R12)(R11*1), DI
+	MSEA_ABS(DI, CX)
+	ADDQ CX, R9
+	CMPQ R9, $2
+	JLE  skip
+	LEAQ    1(BX), CX
+	MOVQ    BX, R8
+	CMPQ    R9, R14
+	CMOVQLT CX, R8
+	MOVQ    R12, DI
+	SHLQ    $5, DI
+	ADDQ    AX, DI
+	MOVWQZX MSEA_BND(SP)(DI*2), DI
+	CMPQ    DI, R8
+	JGE     skip
+	MOVQ  R12, DI
+	IMULQ DX, DI
+	ADDQ  SI, DI
+	ADDQ  AX, DI
 	VPXOR Y0, Y0, Y0
 	SADBEST_ROWS4_AVX2(Y4, Y5)
 	SADBEST_ROWS4_AVX2(Y6, Y7)
-	SADBEST_CHECK_AVX2(next)
+	SADBEST_CHECK_AVX2(R8, skip)
 	SADBEST_ROWS4_AVX2(Y8, Y9)
 	SADBEST_ROWS4_AVX2(Y10, Y11)
-	SADBEST_CHECK_AVX2(next)
+	SADBEST_CHECK_AVX2(R8, skip)
 	MOVQ CX, BX
-	MOVQ R12, R14
+	MOVQ R9, R14
+	LEAQ (AX)(R10*1), DI
+	MOVQ DI, dx+88(FP)
+	LEAQ (R12)(R11*1), DI
+	MOVQ DI, dy+96(FP)
 
-next:
+skip:
 	TESTQ R15, R15
-	JNZ   loop
+	JNZ   cand
 
-nextword:
-	ADDQ $64, AX
-	CMPQ AX, R9
-	JGE  done
-	MOVQ AX, R12
-	SHRQ $3, R12
-	MOVQ MSEA_MASKS(SP)(R12*1), R15
-	JMP  word
+nextrow:
+	INCQ R12
+	CMPQ R12, R13
+	JLT  row
+	MOVQ BX, sad+104(FP)
 
 done:
 	VZEROUPPER
-	MOVQ R14, idx+88(FP)
-	MOVQ BX, sad+96(FP)
 	RET
 
 // SADBEST_ROWS4_SSE2 and SADBEST_CHECK_SSE2 are the 128-bit

@@ -69,13 +69,31 @@ func (p *PBM) refineSteps() int {
 // apply (other block shapes, a block outside the frame), and as the oracle
 // the batch route is tested against (TestPBMBatchMatchesPerPoint).
 func (p *PBM) Search(in *Input) Result {
-	win := in.window()
-	return p.search(in, win, in.W == 16 && in.H == 16 && in.Collect == nil && !win.Empty())
+	return p.SearchStaged(in, nil)
 }
 
-// search is Search with the evaluator named by the caller (batch must be
-// false for inputs the kernel route does not apply to).
-func (p *PBM) search(in *Input, win metrics.Rect, batch bool) Result {
+// Stage is what a search hands FSBM.Escalate about the block it just
+// searched: its integer winner, that winner's exact SAD, and the half-pel
+// refinement's result and points. Only PBM's batch route records one.
+type Stage struct {
+	ok        bool
+	mv        mvfield.MV
+	sad       int
+	refined   bool // final is refineHalfPel's result around mv
+	final     Result
+	refinePts int
+}
+
+// SearchStaged is Search that also records, when st is non-nil, the stage
+// FSBM.Escalate takes.
+func (p *PBM) SearchStaged(in *Input, st *Stage) Result {
+	win := in.window()
+	return p.search(in, win, in.W == 16 && in.H == 16 && in.Collect == nil && !win.Empty(), st)
+}
+
+// search is SearchStaged with the evaluator named by the caller (batch
+// must be false for inputs the kernel route does not apply to).
+func (p *PBM) search(in *Input, win metrics.Rect, batch bool, st *Stage) Result {
 	var buf [pbmProbeCap]metrics.Offset
 	seen := visited{scan: in.Range > visitRange || win.Empty()}
 	probes := in.pbmCandidates(buf[:0], win, &seen)
@@ -83,7 +101,11 @@ func (p *PBM) search(in *Input, win metrics.Rect, batch bool) Result {
 		return pbmPerPoint(in, probes, p.refineSteps(), p.NoHalfPel)
 	}
 	best, bestSAD, pts := pbmBatch(in, win, probes, &seen, p.refineSteps())
-	return finish(in, best, bestSAD, pts, p.NoHalfPel)
+	res := finish(in, best, bestSAD, pts, p.NoHalfPel)
+	if st != nil {
+		*st = Stage{ok: true, mv: best, sad: bestSAD, refined: !p.NoHalfPel, final: res, refinePts: res.Points - pts}
+	}
+	return res
 }
 
 // pbmCandidates appends step 1's probe set to dst (at most
@@ -158,11 +180,6 @@ func (v *visited) add(list []metrics.Offset, o metrics.Offset) int {
 	return int(was ^ 1)
 }
 
-// offsetL1 is the L1 length of a full-pel displacement (half of its MV's).
-func offsetL1(o metrics.Offset) int {
-	return max(int(o.DX), -int(o.DX)) + max(int(o.DY), -int(o.DY))
-}
-
 // descentSteps is the small diamond of the integer descent, in probe
 // order.
 var descentSteps = [4]metrics.Offset{{DX: 1}, {DX: -1}, {DY: 1}, {DY: -1}}
@@ -173,8 +190,8 @@ var descentSteps = [4]metrics.Offset{{DX: 1}, {DX: -1}, {DY: 1}, {DY: -1}}
 //
 // Step 1 is one call. better() orders candidates by (SAD, L1, first-seen);
 // stable-sorted by L1, a later candidate is never shorter than the
-// incumbent, so the winner is the first strictly-smallest SAD — SADBest's
-// whole contract, the argument spiral.go makes for the full search.
+// incumbent, so the winner is the first strictly-smallest SAD — SADBestFew's
+// whole contract, the argument metrics.Spiral makes for the full search.
 //
 // The descent is a sequential walk and stays one: each probe is taken from
 // the current best, which moves inside a step, so the four probes of a
@@ -187,9 +204,9 @@ func pbmBatch(in *Input, win metrics.Rect, probes []metrics.Offset, seen *visite
 	var few [metrics.FewCands]metrics.Offset
 	n := copy(few[:], probes)
 	for i := 1; i < n; i++ {
-		o, l := few[i], offsetL1(few[i])
+		o, l := few[i], few[i].L1()
 		j := i
-		for ; j > 0 && offsetL1(few[j-1]) > l; j-- {
+		for ; j > 0 && few[j-1].L1() > l; j-- {
 			few[j] = few[j-1]
 		}
 		few[j] = o
@@ -207,7 +224,7 @@ func pbmBatch(in *Input, win metrics.Rect, probes []metrics.Offset, seen *visite
 			probes = append(probes, o)
 			few[0] = o
 			if hit, s := metrics.SADBestFew(in.Cur, in.BX, in.BY, in.Ref, in.BX, in.BY, 16, 16, few, 1, win, bestSAD+1); hit == 0 &&
-				(s < bestSAD || offsetL1(o) < offsetL1(best)) {
+				(s < bestSAD || o.L1() < best.L1()) {
 				best, bestSAD, improved = o, s, true
 			}
 		}

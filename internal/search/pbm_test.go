@@ -197,7 +197,7 @@ func checkPBMProblem(t *testing.T, seed uint64, shape uint16) {
 		t.Errorf("%s: Search {%v %d %d} != reference {%v %d %d}",
 			name, got.MV, got.SAD, got.Points, want.MV, want.SAD, want.Points)
 	}
-	if got := p.search(in, in.window(), false); got != want {
+	if got := p.search(in, in.window(), false, nil); got != want {
 		t.Errorf("%s: per-point {%v %d %d} != reference {%v %d %d}",
 			name, got.MV, got.SAD, got.Points, want.MV, want.SAD, want.Points)
 	}

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"math"
+
 	"repro/internal/entropy"
 	"repro/internal/metrics"
 	"repro/internal/mvfield"
@@ -23,19 +25,26 @@ type RCFSBM struct {
 // Name implements Searcher.
 func (f *RCFSBM) Name() string { return "RC-FSBM" }
 
-// cost returns J for a candidate.
-func (in *Input) cost(sad int, mv mvfield.MV, pred mvfield.MV) int {
-	return metrics.RDCost(sad, entropy.MVDBits(mv, pred), in.Qp)
-}
-
-// Search implements Searcher.
+// Search implements Searcher. A probe can win or tie only if its cost is
+// at most the incumbent's, that is its SAD at most bestCost − λ·R(mv), so
+// every SAD is computed capped there: a loser leaves after a few rows, and
+// one whose rate alone exceeds the bar is not read at all. Before the scan
+// the bar is set by the median predictor's full-pel position, one exact
+// SAD: it is in the window, so the winner's cost is at most its cost, and
+// the first candidates of the raster scan already meet a low bar. (With
+// Collect set there is no seed, whose SAD would be recorded twice, and a
+// skipped probe's exact SAD is still recorded.) The winner, its SAD and
+// Points are those of scoring every probe exactly.
 func (f *RCFSBM) Search(in *Input) Result {
 	pred := mvfield.Zero
 	if in.CurField != nil {
 		pred = in.CurField.MedianPredictor(in.MBX, in.MBY)
 	}
-	best := mvfield.Zero
-	bestSAD, bestCost := -1, 0
+	b := rcBest{cost: math.MaxInt}
+	fx, fy := in.ClampMV(pred).FullPel()
+	if seed := mvfield.FromFullPel(fx, fy); in.Collect == nil && in.Legal(seed) {
+		b.cost = in.SAD(seed) + in.rate(seed, pred)
+	}
 	pts := 0
 	for v := -in.Range; v <= in.Range; v++ {
 		for u := -in.Range; u <= in.Range; u++ {
@@ -44,35 +53,63 @@ func (f *RCFSBM) Search(in *Input) Result {
 				continue
 			}
 			pts++
-			sad := in.SAD(mv)
-			j := in.cost(sad, mv, pred)
-			if bestSAD < 0 || j < bestCost || (j == bestCost && mv.L1() < best.L1()) {
-				best, bestSAD, bestCost = mv, sad, j
-			}
+			b.try(in, mv, pred)
 		}
 	}
-	if bestSAD < 0 {
+	if !b.ok {
 		sad := in.SAD(mvfield.Zero)
 		return Result{MV: mvfield.Zero, SAD: sad, Points: 1}
 	}
 	if !f.NoHalfPel {
+		// Each neighbour is taken from the current incumbent, which may move
+		// during the ring.
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
 				if dx == 0 && dy == 0 {
 					continue
 				}
-				mv := best.Add(mvfield.MV{X: dx, Y: dy})
+				mv := b.mv.Add(mvfield.MV{X: dx, Y: dy})
 				if !in.Legal(mv) {
 					continue
 				}
 				pts++
-				sad := in.SAD(mv)
-				j := in.cost(sad, mv, pred)
-				if j < bestCost || (j == bestCost && mv.L1() < best.L1()) {
-					best, bestSAD, bestCost = mv, sad, j
-				}
+				b.try(in, mv, pred)
 			}
 		}
 	}
-	return Result{MV: best, SAD: bestSAD, Points: pts}
+	return Result{MV: b.mv, SAD: b.sad, Points: pts}
+}
+
+// rate is λ·R(mv), the rate term of J for coding mv against pred.
+func (in *Input) rate(mv, pred mvfield.MV) int {
+	return metrics.RDCost(0, entropy.MVDBits(mv, pred), in.Qp)
+}
+
+// rcBest is RCFSBM's incumbent: the lowest J so far, ties to the shorter
+// vector. Before the first candidate is kept, cost is the bar a candidate
+// must meet.
+type rcBest struct {
+	mv        mvfield.MV
+	sad, cost int
+	ok        bool // a candidate has been kept
+}
+
+// try scores mv against pred and keeps it if it beats the incumbent.
+func (b *rcBest) try(in *Input, mv, pred mvfield.MV) {
+	rate := in.rate(mv, pred)
+	limit := b.cost - rate
+	if limit < 0 {
+		if in.Collect != nil {
+			in.SAD(mv)
+		}
+		return
+	}
+	sad := in.SADCapped(mv, limit)
+	if sad > limit {
+		return
+	}
+	// sad ≤ limit: the cost is at most the incumbent's (or the bar).
+	if j := sad + rate; !b.ok || j < b.cost || mv.L1() < b.mv.L1() {
+		*b = rcBest{mv: mv, sad: sad, cost: j, ok: true}
+	}
 }

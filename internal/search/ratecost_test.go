@@ -3,9 +3,89 @@ package search
 import (
 	"testing"
 
+	"repro/internal/entropy"
 	"repro/internal/frame"
+	"repro/internal/metrics"
 	"repro/internal/mvfield"
+	"repro/internal/video"
 )
+
+// exactRCFSBM is RCFSBM scoring every probe with its exact SAD — the loop
+// the capped probes replaced, kept as their reference.
+func exactRCFSBM(f *RCFSBM, in *Input) Result {
+	pred := mvfield.Zero
+	if in.CurField != nil {
+		pred = in.CurField.MedianPredictor(in.MBX, in.MBY)
+	}
+	best := mvfield.Zero
+	bestSAD, bestCost, pts := -1, 0, 0
+	try := func(mv mvfield.MV) {
+		if !in.Legal(mv) {
+			return
+		}
+		pts++
+		sad := in.SAD(mv)
+		j := metrics.RDCost(sad, entropy.MVDBits(mv, pred), in.Qp)
+		if bestSAD < 0 || j < bestCost || (j == bestCost && mv.L1() < best.L1()) {
+			best, bestSAD, bestCost = mv, sad, j
+		}
+	}
+	for v := -in.Range; v <= in.Range; v++ {
+		for u := -in.Range; u <= in.Range; u++ {
+			try(mvfield.FromFullPel(u, v))
+		}
+	}
+	if bestSAD < 0 {
+		return Result{MV: mvfield.Zero, SAD: in.SAD(mvfield.Zero), Points: 1}
+	}
+	if !f.NoHalfPel {
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				if dx != 0 || dy != 0 {
+					try(best.Add(mvfield.MV{X: dx, Y: dy}))
+				}
+			}
+		}
+	}
+	return Result{MV: best, SAD: bestSAD, Points: pts}
+}
+
+// TestRCFSBMCappedProbesMatchExact holds the capped probes to exact
+// scoring: for every macroblock of two Foreman frame pairs, with the
+// median predictor from a causally filled field, at Range 15 and 4, with
+// and without the half-pel ring and with Collect (whose count and
+// deviation must see every probe), vector, SAD and Points must be equal.
+func TestRCFSBMCappedProbesMatchExact(t *testing.T) {
+	frames := video.Generate(video.Foreman, frame.QCIF, 3, 5)
+	const cols, rows = 176 / 16, 144 / 16
+	for _, nhp := range []bool{false, true} {
+		f := &RCFSBM{NoHalfPel: nhp}
+		for _, rng := range []int{15, 4} {
+			for _, collect := range []bool{false, true} {
+				for i := 1; i < len(frames); i++ {
+					field := mvfield.NewField(cols, rows)
+					for mby := 0; mby < rows; mby++ {
+						for mbx := 0; mbx < cols; mbx++ {
+							in := Input{Cur: frames[i].Y, Ref: frames[i-1].Y, BX: 16 * mbx, BY: 16 * mby, W: 16, H: 16,
+								Range: rng, Qp: 12, CurField: field, MBX: mbx, MBY: mby}
+							ref := in
+							var dev, refDev metrics.Deviation
+							if collect {
+								in.Collect, ref.Collect = &dev, &refDev
+							}
+							got, want := f.Search(&in), exactRCFSBM(f, &ref)
+							if got != want || dev != refDev {
+								t.Fatalf("nohalfpel=%v range=%d collect=%v frame %d mb (%d,%d): got %+v (%d SADs), want %+v (%d SADs)",
+									nhp, rng, collect, i, mbx, mby, got, dev.N(), want, refDev.N())
+							}
+							field.Set(mbx, mby, got.MV)
+						}
+					}
+				}
+			}
+		}
+	}
+}
 
 func TestRCFSBMEqualsFSBMOnExactMatch(t *testing.T) {
 	// When a zero-SAD match exists it has minimal J too: both searchers

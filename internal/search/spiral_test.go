@@ -40,36 +40,6 @@ func rasterFSBM(in *Input) Result {
 	return Result{MV: best, SAD: bestSAD, Points: pts}
 }
 
-func TestSpiralOffsetsOrder(t *testing.T) {
-	for _, r := range []int{1, 4, 15} {
-		var offs []mvfield.MV
-		for _, o := range spiralOffsets(r) {
-			offs = append(offs, offsetMV(o))
-		}
-		n := 2*r + 1
-		if len(offs) != n*n {
-			t.Fatalf("range %d: %d offsets, want %d", r, len(offs), n*n)
-		}
-		seen := make(map[mvfield.MV]bool, len(offs))
-		for i, mv := range offs {
-			if seen[mv] {
-				t.Fatalf("range %d: duplicate offset %v", r, mv)
-			}
-			seen[mv] = true
-			if i > 0 && offs[i-1].L1() > mv.L1() {
-				t.Fatalf("range %d: offsets not sorted centre-outward at %d: %v after %v", r, i, mv, offs[i-1])
-			}
-			if i > 0 && offs[i-1].L1() == mv.L1() {
-				// Within one ring the raster (v, then u) order must hold so
-				// tie winners match the raster scan.
-				if offs[i-1].Y > mv.Y || (offs[i-1].Y == mv.Y && offs[i-1].X > mv.X) {
-					t.Fatalf("range %d: ring order not raster at %d: %v after %v", r, i, mv, offs[i-1])
-				}
-			}
-		}
-	}
-}
-
 // TestSpiralMatchesRaster drives both scans over random content —
 // including flat regions that maximise SAD ties — at interior and border
 // blocks, and requires bit-identical results.
@@ -156,5 +126,52 @@ func TestFSBMBatchMatchesPerPoint(t *testing.T) {
 			}
 		}
 		restore()
+	}
+}
+
+// TestFSBMEscalateMatchesSearch holds ACBM's escalation to the full search
+// it replaces: for every macroblock of Foreman and Carphone frame pairs,
+// PBM searched first (with a causally filled field, so its predictors are
+// real), FSBM.Escalate with PBM's stage must return exactly FSBM.Search's
+// result — at Range 15 and 7, for each NoHalfPel setting of either
+// searcher. Blocks where both integer winners agree (the reused
+// refinement) and where they differ must both occur.
+func TestFSBMEscalateMatchesSearch(t *testing.T) {
+	const cols, rows = 176 / 16, 144 / 16
+	same, differ := 0, 0
+	for _, p := range []video.Profile{video.Foreman, video.Carphone} {
+		frames := video.Generate(p, frame.QCIF, 3, 9)
+		for _, rng := range []int{15, 7} {
+			for _, pbmHalf := range []bool{false, true} {
+				for _, fsbmHalf := range []bool{false, true} {
+					pbm, fsbm := &PBM{NoHalfPel: pbmHalf}, &FSBM{NoHalfPel: fsbmHalf}
+					for i := 1; i < len(frames); i++ {
+						field := mvfield.NewField(cols, rows)
+						for mby := 0; mby < rows; mby++ {
+							for mbx := 0; mbx < cols; mbx++ {
+								in := &Input{Cur: frames[i].Y, Ref: frames[i-1].Y, BX: 16 * mbx, BY: 16 * mby, W: 16, H: 16,
+									Range: rng, Qp: 16, CurField: field, MBX: mbx, MBY: mby}
+								var st Stage
+								res := pbm.SearchStaged(in, &st)
+								want := fsbm.Search(in)
+								if got := fsbm.Escalate(in, st); got != want {
+									t.Fatalf("%v range %d pbm.NoHalfPel=%v fsbm.NoHalfPel=%v frame %d mb (%d,%d): Escalate %+v, Search %+v",
+										p, rng, pbmHalf, fsbmHalf, i, mbx, mby, got, want)
+								}
+								if mv, _, _ := fullSearchBatch(in); mv == st.mv {
+									same++
+								} else {
+									differ++
+								}
+								field.Set(mbx, mby, res.MV)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if same == 0 || differ == 0 {
+		t.Fatalf("integer winners agreed on %d blocks and differed on %d: both routes must be exercised", same, differ)
 	}
 }

@@ -196,6 +196,11 @@ func TestQosPinnedLevelsByteIdenticalOffline(t *testing.T) {
 // the stream stays decodable and complete — graceful degradation, not
 // truncation — and once the session ends the controller must walk back
 // to full quality.
+//
+// The upload streams: the first frames go out, and the rest only once the
+// controller has stepped down, so the session is still running when a tick
+// sees its latency however fast the host encodes (a whole clip sent at
+// once can finish inside one 2 ms interval).
 func TestQosDegradeUnderLoadAndRestore(t *testing.T) {
 	frames := video.Generate(video.Foreman, frame.SQCIF, 24, 7)
 	s, ts := newTestServer(t, Config{
@@ -204,8 +209,22 @@ func TestQosDegradeUnderLoadAndRestore(t *testing.T) {
 		QosTargetFrameMs: 0.01, // any real frame latency reads as overload
 	})
 
-	resp, err := http.Post(ts.URL+"/encode?qp=16&me=acbm", "video/x-yuv4mpeg",
-		bytes.NewReader(y4mBody(t, frames)))
+	body, head := y4mBody(t, frames), y4mBody(t, frames[:4])
+	if !bytes.HasPrefix(body, head) {
+		t.Fatal("a clip's Y4M does not start with its first frames' Y4M")
+	}
+	upload, pw := io.Pipe()
+	go func() {
+		if _, err := pw.Write(head); err != nil {
+			return // the request ended early; the transport closed the pipe
+		}
+		for deadline := time.Now().Add(10 * time.Second); s.qos.currentStep() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		_, err := pw.Write(body[len(head):])
+		pw.CloseWithError(err)
+	}()
+	resp, err := http.Post(ts.URL+"/encode?qp=16&me=acbm", "video/x-yuv4mpeg", upload)
 	if err != nil {
 		t.Fatal(err)
 	}
