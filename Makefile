@@ -14,10 +14,13 @@
 #                       proven free of live-lock where nothing else can
 #                       run the row, the task, the slot holder or the
 #                       writer they wait for
-#   make flake        — the QoS tests 20 times each at GOMAXPROCS 1 and 2:
-#                       a test that passes only on a quiet host, or only
-#                       when a timer happens to fire inside a short
-#                       session, fails here instead of 2 % of CI runs
+#   make flake        — the QoS tests 20 times each at GOMAXPROCS 1 and 2,
+#                       then the whole gateway suite (failover, retry,
+#                       stall watchdog, mid-stream kill) 10 times each at
+#                       the same two: a test that passes only on a quiet
+#                       host, or only when a timer happens to fire inside
+#                       a short session, fails here instead of 2 % of CI
+#                       runs
 #   make test-386     — the whole suite built for GOARCH=386 (runs on an
 #                       amd64 host, no download): the leg where int is 32
 #                       bits and the kernel table has only its scalar and
@@ -122,6 +125,7 @@ sched-one-p:
 
 flake:
 	$(GO) test -count 20 -cpu 1,2 -run 'Qos' ./internal/server
+	$(GO) test -count 10 -cpu 1,2 ./internal/gateway
 
 test-386:
 	GOARCH=386 $(GO) test ./...

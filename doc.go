@@ -100,7 +100,11 @@
 //     head of the spiral for a threshold, bounds every other position by
 //     successive elimination (4×4 sums) sixteen at a compare, and reads
 //     only the few whose bound is below it, in raster order with the tie
-//     rule written out (Points, the window's area, do not change). ACBM's
+//     rule written out (Points, the window's area, do not change). The
+//     4×4 sums of the reference come from a metrics.BoxSums each analysis
+//     lane keeps (search.Input.Sums, reset every P-frame), filled a
+//     16×16-position tile at a time when a window first needs it, so each
+//     sum is computed once per frame instead of once per window. ACBM's
 //     critical blocks reach it through FSBM.Escalate, which starts the
 //     bar at PBM's integer SAD + 1 and reuses PBM's half-pel ring when the
 //     integer winners agree. The per-candidate Legal/SADCapped loop

@@ -55,10 +55,14 @@ func reconCodedBlock(p *frame.Plane, x, y int, levels *dct.Block, qp int) {
 // metrics kernel table), so they must live on the heap once rather than on
 // a stack per call. The levels the column pass writes and the
 // reconstruction reads are the macroblock result's, which is long-lived
-// already.
+// already. sums is the lane's cache of the reference's 4×4 box sums, which
+// the full search fills as its windows need them; analyzeFrame resets it
+// onto each P-frame's reference, and finalise hands its storage back to
+// metrics' pool for the next session.
 type mbScratch struct {
 	in   search.Input
 	rows dct.RowPass
+	sums metrics.BoxSums
 }
 
 // zeroBlock is the 8×8 block of zeros an intra block's samples are taken

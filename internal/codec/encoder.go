@@ -276,6 +276,9 @@ func (e *Encoder) finalise() error {
 			e.out = e.sw.Finish()
 		}
 		e.rcPrevJob = nil // release the last retained frame pair
+		for i := range e.lanes {
+			e.lanes[i].sc.sums.Release() // for the next session's lanes
+		}
 	}
 	return e.werr
 }
@@ -729,6 +732,7 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, sc *mbScratch, src, recon *f
 		MBX: mbx, MBY: mby,
 		Seed:     e.curSeed,
 		IntraSAD: intraSAD, HasIntraSAD: true,
+		Sums: &sc.sums,
 	}
 	res := s.Search(&sc.in)
 

@@ -348,6 +348,9 @@ func (e *Encoder) analyzeFrame(src, recon *frame.Frame, curField *mvfield.Field,
 		if fork {
 			lanes[i].s = e.forker.Fork()
 		}
+		if !intra {
+			lanes[i].sc.sums.Reset(e.recon.Y, e.cfg.SearchRange)
+		}
 	}
 	var onWait func(time.Duration)
 	if e.cfg.Observer != nil {

@@ -149,6 +149,41 @@ func TestParallelEncoderBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFSBMLaneSumsBitIdentical holds the full search's per-lane box-sum
+// caches to the sequential bytes and statistics: each lane fills the tiles
+// its own blocks need from a cache reset every P-frame, so a CIF Foreman
+// encode at Workers 2 and 4 on the default pool, and on four lanes of a
+// shared Pool(4), must equal Workers 1. Under -race (make test) this is
+// also the proof that no lane touches another's cache.
+func TestFSBMLaneSumsBitIdentical(t *testing.T) {
+	frames := video.Generate(video.Foreman, frame.CIF, 3, 7)
+	pool := NewPool(4)
+	defer pool.Close()
+	encode := func(workers int, pool *Pool) ([]byte, *SequenceStats) {
+		stats, bs, err := EncodeSequence(Config{Qp: 16, Searcher: &search.FSBM{}, Workers: workers, Pool: pool}, frames)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return bs, stats
+	}
+	refBS, refStats := encode(1, nil)
+	for _, tc := range []struct {
+		workers int
+		pool    *Pool
+	}{{2, nil}, {4, nil}, {4, pool}} {
+		bs, stats := encode(tc.workers, tc.pool)
+		if !bytes.Equal(bs, refBS) {
+			t.Errorf("workers=%d pool=%v: bitstream differs from sequential (%d vs %d bytes)", tc.workers, tc.pool != nil, len(bs), len(refBS))
+		}
+		if !reflect.DeepEqual(stats, refStats) {
+			t.Errorf("workers=%d pool=%v: sequence stats differ\n got %+v\nwant %+v", tc.workers, tc.pool != nil, stats, refStats)
+		}
+	}
+	if got := encoderLanes(t, Config{Qp: 16, Searcher: &search.FSBM{}, Workers: 4, Pool: pool}, frames[:2]); got != 4 {
+		t.Errorf("shared Pool(4) analysed CIF on %d lanes, want 4", got)
+	}
+}
+
 // TestParallelDecodesToSameFrames checks the parallel encoder's stream
 // stays decodable and reconstructs exactly the encoder's reference loop.
 func TestParallelDecodesToSameFrames(t *testing.T) {

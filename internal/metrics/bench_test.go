@@ -138,6 +138,11 @@ func BenchmarkKernelHalfPelRing16x16(b *testing.B) {
 //   - edges: the border macroblocks of the same frames, whose windows the
 //     frame clips (down to 16×16 in a corner), which camera skips and an
 //     encode searches too.
+//   - frame: all 99 macroblocks of the same pair in raster order, one per
+//     op, as an encoder lane runs them: shared reads the box sums from one
+//     BoxSums reset at the start of each pass, percall computes each
+//     window's own — the price the rows above, and ACBM's isolated
+//     escalations, pay.
 func BenchmarkKernelSADBest16x16(b *testing.B) {
 	clip := Rect{MinX: -15, MinY: -15, MaxX: 15, MaxY: 15}
 	b.Run("noise", func(b *testing.B) {
@@ -146,7 +151,7 @@ func BenchmarkKernelSADBest16x16(b *testing.B) {
 			b.SetBytes(961 * 16 * 16)
 			var sink int
 			for i := 0; i < b.N; i++ {
-				o, sad, _ := SADBest(cur, 32, 24, ref, 33+i%4, 24, 16, 16, clip, 1<<30)
+				o, sad, _ := SADBest(cur, 32, 24, ref, 33+i%4, 24, 16, 16, clip, 1<<30, nil)
 				sink += int(o.DX) + sad
 			}
 			benchSink = sink
@@ -154,9 +159,10 @@ func BenchmarkKernelSADBest16x16(b *testing.B) {
 	})
 	seq := video.Generate(video.Foreman, frame.QCIF, 2, 7)
 	cur, ref := seq[1].Y, seq[0].Y
-	var interior, edges [][2]int
+	var interior, edges, mbs [][2]int
 	for y := 0; y+16 <= cur.H; y += 16 {
 		for x := 0; x+16 <= cur.W; x += 16 {
+			mbs = append(mbs, [2]int{x, y})
 			if x >= 15 && y >= 15 && x+16+15 <= cur.W && y+16+15 <= cur.H {
 				interior = append(interior, [2]int{x, y})
 			} else {
@@ -164,6 +170,33 @@ func BenchmarkKernelSADBest16x16(b *testing.B) {
 			}
 		}
 	}
+	b.Run("frame", func(b *testing.B) {
+		for _, shared := range []bool{true, false} {
+			name := "percall"
+			if shared {
+				name = "shared"
+			}
+			b.Run(name, func(b *testing.B) {
+				benchEachISA(b, func(b *testing.B) {
+					var sums *BoxSums
+					if shared {
+						sums = new(BoxSums)
+					}
+					var sink int
+					for i := 0; i < b.N; i++ {
+						k := i % len(mbs)
+						if k == 0 && shared {
+							sums.Reset(ref, 15)
+						}
+						mb := mbs[k]
+						o, sad, _ := SADBest(cur, mb[0], mb[1], ref, mb[0], mb[1], 16, 16, windowClip(ref, mb[0], mb[1], 16, 16, 15), 1<<30, sums)
+						sink += int(o.DX) + sad
+					}
+					benchSink = sink
+				})
+			})
+		}
+	})
 	for _, set := range []struct {
 		name string
 		mbs  [][2]int
@@ -173,7 +206,7 @@ func BenchmarkKernelSADBest16x16(b *testing.B) {
 				var sink int
 				for i := 0; i < b.N; i++ {
 					mb := set.mbs[i%len(set.mbs)]
-					o, sad, _ := SADBest(cur, mb[0], mb[1], ref, mb[0], mb[1], 16, 16, windowClip(ref, mb[0], mb[1], 16, 16, 15), 1<<30)
+					o, sad, _ := SADBest(cur, mb[0], mb[1], ref, mb[0], mb[1], 16, 16, windowClip(ref, mb[0], mb[1], 16, 16, 15), 1<<30, nil)
 					sink += int(o.DX) + sad
 				}
 				benchSink = sink

@@ -53,8 +53,11 @@ import (
 //     displacement as soon as any lower bound on its SAD shows it cannot
 //     win — a partial sum at any row granularity, or (AVX2) a successive-
 //     elimination bound computed before the candidate is read — and may
-//     visit the displacements in any order that keeps that winner. It
-//     reads nothing outside the cur block and the in-clip candidate blocks
+//     visit the displacements in any order that keeps that winner. sums is
+//     the caller's BoxSums for ref, or nil; a tier with no bound pass
+//     ignores it, and the AVX2 one fills the tiles the window needs (or,
+//     with none that covers ref, a per-call window of sums on its stack).
+//     It reads nothing outside the cur block and the visible reference
 //   - sadBestFew: the first strictly-best of cands[:n], 1 ≤ n ≤ FewCands,
 //     in list order (SADBestFew), the list passed by value so the caller's
 //     array stays on its stack; the same row kernels and early exits
@@ -100,7 +103,7 @@ type kernelTable struct {
 	intraSAD func(p *frame.Plane, x, y, w, h int) int
 	ring     func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) [9]int
 
-	sadBest    func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int) (o Offset, sad int)
+	sadBest    func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int, sums *BoxSums) (o Offset, sad int)
 	sadBestFew func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (idx, sad int)
 
 	sse   func(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int
@@ -215,7 +218,7 @@ func scalarTable() *kernelTable {
 		name:     "scalar",
 		intraSAD: intraSADScalar,
 		ring:     sadHalfPelRingScalar,
-		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int) (Offset, int) {
+		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int, _ *BoxSums) (Offset, int) {
 			return spiralBest(sadCappedScalar, cur, cx, cy, ref, rx, ry, 16, 16, spiral, clip, best)
 		},
 		sadBestFew: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {
@@ -239,7 +242,7 @@ func swarTable() *kernelTable {
 			return intraSADSWAR(p, x, y, w, h, meanOf(planeSumSWAR(p, x, y, w, h), w, h))
 		},
 		ring: sadHalfPelRingSWAR,
-		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int) (Offset, int) {
+		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int, _ *BoxSums) (Offset, int) {
 			return spiralBest(sadCappedSWAR, cur, cx, cy, ref, rx, ry, 16, 16, spiral, clip, best)
 		},
 		sadBestFew: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, cands [FewCands]Offset, n int, clip Rect, best int) (int, int) {

@@ -69,12 +69,24 @@ func sadBest16AVX2(cur *byte, curStride int, ref *byte, refStride int, cands *Of
 // exact successive elimination around the row scan of sadBest16AVX2: it
 // scans the n = mseaHead spiral positions at head (the L1 ≤ 2 head of the
 // Spiral table) in order, then reads only the displacements whose 4×4-sum
-// bound is below that scan's minimum, in raster order. It returns the
+// bound is below that scan's minimum, in raster order. sums addresses the
+// reference's box sum at displacement (minX, minY), rows sumStride words
+// apart, filled for the window's (spanX+12) × (spanY+12) positions and
+// readable 16 words past each row of them (BoxSums.fill, or the window
+// sadBestMSEAWindowAVX2 fills).
+// It returns the
 // winner's displacement — (0, 0) when nothing beats best — and its SAD, or
 // best.
 //
 //go:noescape
-func sadBestMSEA16AVX2(cur *byte, curStride int, ref *byte, refStride int, head *Offset, n int, minX, minY, maxX, maxY int, best int) (dx, dy, sad int)
+func sadBestMSEA16AVX2(cur *byte, curStride int, ref *byte, refStride int, head *Offset, n int, minX, minY, maxX, maxY int, best int, sums *uint16, sumStride int) (dx, dy, sad int)
+
+// boxSums16AVX2 writes the 4×4 box sums of h ≥ 1 rows of sixteen positions,
+// the first at src, to dst, rows dstStride words apart. It reads the 19×(h+3)
+// bytes from src and writes nothing but the 16×h words.
+//
+//go:noescape
+func boxSums16AVX2(src *byte, srcStride int, dst *uint16, dstStride, h int)
 
 // mseaHead is the number of spiral positions with |DX|+|DY| ≤ 2, which
 // sadBestMSEA16AVX2 scans first: a smaller ball leaves the threshold too
@@ -86,14 +98,66 @@ func sadBestMSEA16AVX2(cur *byte, curStride int, ref *byte, refStride int, head 
 const mseaHead = 13
 
 // mseaFits reports whether sadBestMSEA16AVX2 takes clip: its grids hold a
-// 32×32 window, one bound and one mask bit per position, and its first
-// box-sum chunk needs sixteen positions (spanX+12) in a row. Every other
-// window takes sadBest16AVX2 over the whole table — the ±15 full search
-// always fits.
+// 32×32 window, one bound and one mask bit per position, and a box-sum fill
+// needs sixteen positions (spanX+12) in a row. Every other window takes
+// sadBest16AVX2 over the whole table — the ±15 full search always fits.
 func mseaFits(clip Rect) bool {
 	const maxSpan = 32
 	spanX, spanY := clip.MaxX-clip.MinX+1, clip.MaxY-clip.MinY+1
 	return spanX >= 4 && spanX <= maxSpan && spanY <= maxSpan
+}
+
+// sadBestMSEAWindowAVX2 is sadBestMSEA16AVX2 for a caller with no BoxSums:
+// it computes the window's (spanX+12) × (spanY+12) box sums into its own
+// frame first (boxSums16AVX2), and ref addresses displacement (minX, minY)
+// as for the kernel.
+//
+//go:noescape
+func sadBestMSEAWindowAVX2(cur *byte, curStride int, ref *byte, refStride int, head *Offset, n int, minX, minY, maxX, maxY int, best int) (dx, dy, sad int)
+
+// sadBestMSEA is the AVX2 sadBest of a window mseaFits takes: the box sums
+// of its (spanX+12) × (spanY+12) area come from sums when it covers ref,
+// else from a per-call window the assembly fills on its own stack.
+func sadBestMSEA(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int, sums *BoxSums) (Offset, int) {
+	ax, ay := rx+clip.MinX, ry+clip.MinY
+	c, r, head := pix(cur, cx, cy), pix(ref, ax, ay), &spiral[:mseaHead][0]
+	var dx, dy, sad int
+	if sums.covers(ref) {
+		sums.fill(ref, ax, ay, rx+clip.MaxX+13, ry+clip.MaxY+13)
+		dx, dy, sad = sadBestMSEA16AVX2(c, cur.Stride, r, ref.Stride, head, mseaHead,
+			clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best, &(*sums.buf)[ay*sums.w+ax], sums.w)
+	} else {
+		dx, dy, sad = sadBestMSEAWindowAVX2(c, cur.Stride, r, ref.Stride, head, mseaHead,
+			clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
+	}
+	return Offset{DX: int16(dx), DY: int16(dy)}, sad
+}
+
+// fill computes every tile of b that holds a position of [x0, x1) × [y0,
+// y1) and is not filled since the last Reset. Each tile is one
+// boxSums16AVX2 call over its rows; a tile narrower than sixteen positions
+// (at the plane's left or right edge) is computed as the sixteen positions
+// ending at the plane's last one instead, writing its neighbours' correct
+// sums too. It allocates only when b holds no storage for its geometry
+// (the sums then come from the pool if it has some).
+func (b *BoxSums) fill(ref *frame.Plane, x0, y0, x1, y1 int) {
+	if b.buf == nil || b.filled == nil {
+		b.grow()
+	}
+	sums := *b.buf
+	i0, i1 := b.tile(x0), b.tile(x1-1)
+	for j := b.tile(y0); j <= b.tile(y1-1); j++ {
+		ty0 := max(sumTile*j-b.shift, 0)
+		ty1 := min(sumTile*(j+1)-b.shift, b.h)
+		row := b.filled[j*b.tilesX : j*b.tilesX+i1+1]
+		for i := i0; i <= i1; i++ {
+			if row[i] != b.gen {
+				row[i] = b.gen
+				tx := min(max(sumTile*i-b.shift, 0), b.w-sumTile)
+				boxSums16AVX2(pix(ref, tx, ty0), ref.Stride, &sums[ty0*b.w+tx], b.w, ty1-ty0)
+			}
+		}
+	}
 }
 
 // sseBlkSSE2/AVX2 return Σ(a−b)² over a w×h block, w·h ≤ sseMaxSamples:
@@ -223,7 +287,7 @@ func sse2Table() *kernelTable {
 		name:     "sse2",
 		intraSAD: intraSADSSE2,
 		ring:     ringSSE2,
-		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int) (Offset, int) {
+		sadBest: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int, _ *BoxSums) (Offset, int) {
 			i, sad := sadBest16SSE2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
 				&spiral[0], len(spiral), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
 			return at(spiral, i), sad
@@ -291,11 +355,12 @@ func sseSSE2(a *frame.Plane, ax, ay int, b *frame.Plane, bx, by, w, h int) int {
 // sadBest (the full-search scan: cur block resident in eight YMM
 // registers, two ref rows per VPSADBW; for the windows mseaFits accepts —
 // every ±15 one — the L1 ≤ 2 spiral head sets a threshold, an exact
-// 4×4-sum successive-elimination pass whose grids live on the kernel's
-// stack keeps the positions whose bound is below it, sixteen per compare,
-// and only those are read; the winner, its SAD and Points stay the spiral
-// scan's); sse (sixteen squared differences per VPMADDWD; the 8-wide
-// residual block takes two rows per iteration);
+// 4×4-sum successive-elimination pass over the reference's box sums (the
+// caller's BoxSums, or a per-call window) keeps the positions whose bound
+// is below it, sixteen per compare, and only those are read; the winner,
+// its SAD and Points stay the spiral scan's); sse (sixteen squared
+// differences per VPMADDWD; the 8-wide residual block takes two rows per
+// iteration);
 // mbSSE (the zero-block gate's six energies from one 16-wide luma pass and
 // one Cb|Cr pass), residualRows (four float64 lanes per register: a
 // row's eight outputs in two), colQuant (one pass per live column, lanes
@@ -328,14 +393,11 @@ func avx2Table() *kernelTable {
 		sadHpRingBlkAVX2(pix(cur, cx, cy), cur.Stride, &ref.PixFrom(rx-1, ry-1)[0], ref.Stride, h, &out)
 		return out
 	}
-	t.sadBest = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int) (Offset, int) {
-		c, r := pix(cur, cx, cy), pix(ref, rx+clip.MinX, ry+clip.MinY)
+	t.sadBest = func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry int, spiral []Offset, clip Rect, best int, sums *BoxSums) (Offset, int) {
 		if mseaFits(clip) {
-			dx, dy, sad := sadBestMSEA16AVX2(c, cur.Stride, r, ref.Stride,
-				&spiral[:mseaHead][0], mseaHead, clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
-			return Offset{DX: int16(dx), DY: int16(dy)}, sad
+			return sadBestMSEA(cur, cx, cy, ref, rx, ry, spiral, clip, best, sums)
 		}
-		i, sad := sadBest16AVX2(c, cur.Stride, r, ref.Stride,
+		i, sad := sadBest16AVX2(pix(cur, cx, cy), cur.Stride, pix(ref, rx+clip.MinX, ry+clip.MinY), ref.Stride,
 			&spiral[0], len(spiral), clip.MinX, clip.MinY, clip.MaxX, clip.MaxY, best)
 		return at(spiral, i), sad
 	}

@@ -1,5 +1,6 @@
 //go:build amd64
 
+#include "funcdata.h"
 #include "textflag.h"
 
 // amd64 SAD kernels. Conventions shared by every TEXT below:
@@ -650,26 +651,27 @@ done:
 //
 // so a candidate whose bound has reached the running minimum cannot win
 // and is skipped before any of its rows is loaded. The winner and its SAD
-// are those of the spiral scan: the lowest (SAD, L1, dy, dx). Four phases:
+// are those of the spiral scan: the lowest (SAD, L1, dy, dx). The R_k are
+// not computed here: sums addresses the reference's 4×4 box sum at the
+// window's first displacement, B[y][x] = Σ of the 4×4 pixels from (x, y)
+// of the candidate area, one row of sumStride words per y, which the
+// caller has filled (boxSums16AVX2) for x < spanX+12, y < spanY+12. Three
+// phases:
 //
 //   - head: the row scan over the n spiral positions at head (the L1 ≤ 2
 //     head of the table), in order. Its minimum T is the threshold of the
 //     rest: a later position must have SAD < T to win, since every head
 //     position precedes it in spiral order. T ≤ 0 ends the search here.
-//   - box sums: B[y][x] = the 4×4 sum of the reference at (x, y) of the
-//     candidate area (the union of the in-clip candidate blocks,
-//     (spanX+15) × (spanY+15) pixels), x < spanX+12, y < spanY+12. Each
-//     column chunk of sixteen word lanes adds four zero-extended byte
-//     loads per row (the horizontal 4-sum) into a running vertical sum,
-//     minus the horizontal sum of four rows back (kept in a 4-slot
-//     ring). The last chunk starts at spanX+12−16, so its last byte is the
-//     area's last column: no byte outside the area is read.
 //   - bounds: for every window position, sixteen VPSUBW/VPABSW/VPADDW
 //     terms against broadcast C_k, sixteen positions per register. The
 //     bound is at most 16·4080 = 65280, so word lanes hold it exactly. As
 //     each row is made, one unsigned compare per sixteen positions against
 //     T−1 (clamped to 65535) writes the row's survivors — bound < T — to
-//     a raster bitmask, one dword per window row.
+//     a raster bitmask, one dword per window row. A row reads sixteen (or,
+//     for windows wider than sixteen, thirty-two) words from each of its
+//     sixteen B columns, up to 16 words past the area's last column; the
+//     lanes beyond it are masked off, so those words need only be
+//     readable.
 //   - survivors: the set bits in raster order, head positions (L1 ≤ 2)
 //     skipped. Raster order is not spiral order, so the tie rule is
 //     written out: a survivor wins on a SAD below the running minimum, or
@@ -679,19 +681,16 @@ done:
 //     (the minimum only drops) before its rows are loaded, then against
 //     its partial sums after rows 8 and 16.
 //
-// Everything lives in this frame (a split-checked Go frame, not NOSPLIT:
-// it is larger than the nosplit limit): B (47 rows of 48 words; rows
-// −3..−1 take the ring's warm-up stores), the ring, the sixteen C_k, the
-// bounds (32 rows of 32 words), T−1 in sixteen word lanes, the mask
-// dwords and C_12..C_15 in sixteen word lanes each. mseaFits (dispatch_amd64.go) sends only the windows these sizes
-// hold.
-#define MSEA_B 0
-#define MSEA_RING 4512
-#define MSEA_C 4640
-#define MSEA_BND 4672
-#define MSEA_T1 6720
-#define MSEA_MASKS 6752
-#define MSEA_CB 6880
+// The kernel's own grids live in this frame (a split-checked Go frame, not
+// NOSPLIT: it is larger than the nosplit limit): the sixteen C_k, the
+// bounds (32 rows of 32 words), T−1 in sixteen word lanes, the mask dwords
+// and C_12..C_15 in sixteen word lanes each. mseaFits (dispatch_amd64.go)
+// sends only the windows these sizes hold.
+#define MSEA_C 0
+#define MSEA_BND 32
+#define MSEA_T1 2080
+#define MSEA_MASKS 2112
+#define MSEA_CB 2240
 
 // MSEA_CUR_SUMS sets xd to C_{j,0..3}, the four 4×4 sums of the cur rows
 // 4j..4j+3 held in ya (rows 4j, 4j+1) and yb (rows 4j+2, 4j+3). Y1 holds
@@ -704,17 +703,17 @@ done:
 	VEXTRACTI128 $1, ya, xd; \
 	VPADDD     xa, xd, xd
 
-// MSEA_TERM adds |c − B| for the sixteen positions at off(R9) to Y0.
-#define MSEA_TERM(off, c) \
-	VPSUBW off(R9), c, Y2; \
+// MSEA_TERM adds |c − B| for the sixteen positions at m to Y0.
+#define MSEA_TERM(m, c) \
+	VPSUBW m, c, Y2; \
 	VPABSW Y2, Y2; \
 	VPADDW Y2, Y0, Y0
 
-// MSEA_TERM2 is MSEA_TERM for thirty-two positions: off(R9) into Y0,
-// off+32(R9) into Y1.
-#define MSEA_TERM2(off, c) \
-	VPSUBW off(R9), c, Y2; \
-	VPSUBW off+32(R9), c, Y3; \
+// MSEA_TERM2 is MSEA_TERM for thirty-two positions: m into Y0, m32 (32
+// bytes on) into Y1.
+#define MSEA_TERM2(m, m32, c) \
+	VPSUBW m, c, Y2; \
+	VPSUBW m32, c, Y3; \
 	VPABSW Y2, Y2; \
 	VPABSW Y3, Y3; \
 	VPADDW Y2, Y0, Y0; \
@@ -723,16 +722,16 @@ done:
 // MSEA_TERMM is MSEA_TERM for a C_k not held in a register: its sixteen
 // broadcast words are at c(R10). A load costs less than a broadcast per
 // row, which would take the shuffle port the terms need.
-#define MSEA_TERMM(off, c) \
-	VMOVDQU off(R9), Y2; \
+#define MSEA_TERMM(m, c) \
+	VMOVDQU m, Y2; \
 	VPSUBW  c(R10), Y2, Y2; \
 	VPABSW  Y2, Y2; \
 	VPADDW  Y2, Y0, Y0
 
 // MSEA_TERM2M is MSEA_TERM2 for a C_k at c(R10).
-#define MSEA_TERM2M(off, c) \
-	VMOVDQU off(R9), Y2; \
-	VMOVDQU off+32(R9), Y3; \
+#define MSEA_TERM2M(m, m32, c) \
+	VMOVDQU m, Y2; \
+	VMOVDQU m32, Y3; \
 	VPSUBW  c(R10), Y2, Y2; \
 	VPSUBW  c(R10), Y3, Y3; \
 	VPABSW  Y2, Y2; \
@@ -752,8 +751,8 @@ done:
 	NEGQ    d; \
 	CMOVQLT s, d
 
-// func sadBestMSEA16AVX2(cur *byte, curStride int, ref *byte, refStride int, head *Offset, n int, minX, minY, maxX, maxY int, best int) (dx, dy, sad int)
-TEXT ·sadBestMSEA16AVX2(SB), 0, $7008-112
+// func sadBestMSEA16AVX2(cur *byte, curStride int, ref *byte, refStride int, head *Offset, n int, minX, minY, maxX, maxY int, best int, sums *uint16, sumStride int) (dx, dy, sad int)
+TEXT ·sadBestMSEA16AVX2(SB), 0, $2368-128
 	MOVQ cur+0(FP), DI
 	MOVQ curStride+8(FP), CX
 	SADBEST_LOAD_CUR2(X4, Y4)
@@ -799,7 +798,7 @@ headnext:
 
 	// The head's winner goes straight to the results, and R14 becomes its
 	// L1: 0 when there is none, which no survivor undercuts. sad holds T
-	// while BX serves the box sums.
+	// while BX serves the bound pass.
 	XORQ AX, AX
 	XORQ CX, CX
 	TESTQ R14, R14
@@ -808,9 +807,9 @@ headnext:
 	MOVWQSX 2(R8)(R14*4), CX
 
 headdone:
-	MOVQ AX, dx+88(FP)
-	MOVQ CX, dy+96(FP)
-	MOVQ BX, sad+104(FP)
+	MOVQ AX, dx+104(FP)
+	MOVQ CX, dy+112(FP)
+	MOVQ BX, sad+120(FP)
 	MSEA_ABS(AX, R14)
 	MSEA_ABS(CX, DI)
 	ADDQ DI, R14
@@ -839,51 +838,13 @@ headdone:
 	VMOVDQU   X12, MSEA_C(SP)
 	VMOVDQU   X14, MSEA_C+16(SP)
 
-	// Box sums, one column chunk at a time: R9 = the next chunk's start,
-	// R10 = spanX+12 positions per row, CX rows of pixels.
-	LEAQ 13(R12), R10
-	XORQ R9, R9
-
-boxchunk:
-	LEAQ    -16(R10), AX
-	CMPQ    R9, AX
-	CMOVQLT R9, AX
-	LEAQ    (SI)(AX*1), DI
-	LEAQ    MSEA_B(SP)(AX*2), R11
-	LEAQ    16(R13), CX
-	XORQ    BX, BX
-	VPXOR   Y3, Y3, Y3
-	VMOVDQU Y3, MSEA_RING(SP)
-	VMOVDQU Y3, MSEA_RING+32(SP)
-	VMOVDQU Y3, MSEA_RING+64(SP)
-	VMOVDQU Y3, MSEA_RING+96(SP)
-
-boxrow:
-	VPMOVZXBW (DI), Y0
-	VPMOVZXBW 1(DI), Y1
-	VPADDW    Y1, Y0, Y0
-	VPMOVZXBW 2(DI), Y1
-	VPADDW    Y1, Y0, Y0
-	VPMOVZXBW 3(DI), Y1
-	VPADDW    Y1, Y0, Y0
-	VPADDW    Y0, Y3, Y3
-	VPSUBW    MSEA_RING(SP)(BX*1), Y3, Y3
-	VMOVDQU   Y0, MSEA_RING(SP)(BX*1)
-	VMOVDQU   Y3, (R11)
-	ADDQ      $32, BX
-	ANDQ      $127, BX
-	ADDQ      DX, DI
-	ADDQ      $96, R11
-	DECQ      CX
-	JNZ       boxrow
-	ADDQ      $16, R9
-	CMPQ      R9, R10
-	JLT       boxchunk
-
-	// Bounds and survivors, one window row per iteration: R9 = B row v,
-	// R11 = bound row v, DI = mask dword v, R8 = the spanX low bits a row
-	// keeps, AX = the OR of every row's survivors. C_0..C_11 stay in
-	// Y4..Y15; C_12..C_15 are read from MSEA_CB through R10.
+	// Bounds and survivors, one window row per iteration: R9, DX, SI and
+	// R12 = B rows v, v+4, v+8 and v+12 (the sub-block rows; one base
+	// register each, since an indexed operand would not stay fused to its
+	// VPSUBW), R15 = the bytes of one B row, R11 = bound row v, DI = mask
+	// dword v, R8 = the spanX low bits a row keeps, AX = the OR of every
+	// row's survivors. C_0..C_11 stay in Y4..Y15; C_12..C_15 are read from
+	// MSEA_CB through R10.
 	VPBROADCASTW MSEA_C+0(SP), Y4
 	VPBROADCASTW MSEA_C+2(SP), Y5
 	VPBROADCASTW MSEA_C+4(SP), Y6
@@ -909,32 +870,38 @@ boxrow:
 	MOVQ $1, R8
 	SHLQ CX, R8
 	DECQ R8
-	LEAQ MSEA_B+3*96(SP), R9
+	MOVQ sums+88(FP), R9
+	MOVQ sumStride+96(FP), R15
+	SHLQ $1, R15
+	LEAQ (R9)(R15*4), DX
+	LEAQ (DX)(R15*4), SI
+	LEAQ (SI)(R15*4), BX
 	LEAQ MSEA_BND(SP), R11
 	LEAQ MSEA_MASKS(SP), DI
 	XORQ AX, AX
 	LEAQ 1(R13), CX
 	CMPQ R12, $15
+	MOVQ BX, R12
 	JHI  bound2
 
 bound1:
 	VPXOR Y0, Y0, Y0
-	MSEA_TERM(0, Y4)
-	MSEA_TERM(8, Y5)
-	MSEA_TERM(16, Y6)
-	MSEA_TERM(24, Y7)
-	MSEA_TERM(384, Y8)
-	MSEA_TERM(392, Y9)
-	MSEA_TERM(400, Y10)
-	MSEA_TERM(408, Y11)
-	MSEA_TERM(768, Y12)
-	MSEA_TERM(776, Y13)
-	MSEA_TERM(784, Y14)
-	MSEA_TERM(792, Y15)
-	MSEA_TERMM(1152, 0)
-	MSEA_TERMM(1160, 32)
-	MSEA_TERMM(1168, 64)
-	MSEA_TERMM(1176, 96)
+	MSEA_TERM(0(R9), Y4)
+	MSEA_TERM(8(R9), Y5)
+	MSEA_TERM(16(R9), Y6)
+	MSEA_TERM(24(R9), Y7)
+	MSEA_TERM(0(DX), Y8)
+	MSEA_TERM(8(DX), Y9)
+	MSEA_TERM(16(DX), Y10)
+	MSEA_TERM(24(DX), Y11)
+	MSEA_TERM(0(SI), Y12)
+	MSEA_TERM(8(SI), Y13)
+	MSEA_TERM(16(SI), Y14)
+	MSEA_TERM(24(SI), Y15)
+	MSEA_TERMM(0(R12), 0)
+	MSEA_TERMM(8(R12), 32)
+	MSEA_TERMM(16(R12), 64)
+	MSEA_TERMM(24(R12), 96)
 	VMOVDQU Y0, (R11)
 	// Positions 0..7 and 8..15 land in bytes 0..7 and 16..23 of the
 	// pack; VPERMQ brings them together.
@@ -945,7 +912,10 @@ bound1:
 	ANDQ      R8, BX
 	MOVL      BX, (DI)
 	ORQ       BX, AX
-	ADDQ    $96, R9
+	ADDQ    R15, R9
+	ADDQ    R15, DX
+	ADDQ    R15, SI
+	ADDQ    R15, R12
 	ADDQ    $64, R11
 	ADDQ    $4, DI
 	DECQ    CX
@@ -955,22 +925,22 @@ bound1:
 bound2:
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
-	MSEA_TERM2(0, Y4)
-	MSEA_TERM2(8, Y5)
-	MSEA_TERM2(16, Y6)
-	MSEA_TERM2(24, Y7)
-	MSEA_TERM2(384, Y8)
-	MSEA_TERM2(392, Y9)
-	MSEA_TERM2(400, Y10)
-	MSEA_TERM2(408, Y11)
-	MSEA_TERM2(768, Y12)
-	MSEA_TERM2(776, Y13)
-	MSEA_TERM2(784, Y14)
-	MSEA_TERM2(792, Y15)
-	MSEA_TERM2M(1152, 0)
-	MSEA_TERM2M(1160, 32)
-	MSEA_TERM2M(1168, 64)
-	MSEA_TERM2M(1176, 96)
+	MSEA_TERM2(0(R9), 32(R9), Y4)
+	MSEA_TERM2(8(R9), 40(R9), Y5)
+	MSEA_TERM2(16(R9), 48(R9), Y6)
+	MSEA_TERM2(24(R9), 56(R9), Y7)
+	MSEA_TERM2(0(DX), 32(DX), Y8)
+	MSEA_TERM2(8(DX), 40(DX), Y9)
+	MSEA_TERM2(16(DX), 48(DX), Y10)
+	MSEA_TERM2(24(DX), 56(DX), Y11)
+	MSEA_TERM2(0(SI), 32(SI), Y12)
+	MSEA_TERM2(8(SI), 40(SI), Y13)
+	MSEA_TERM2(16(SI), 48(SI), Y14)
+	MSEA_TERM2(24(SI), 56(SI), Y15)
+	MSEA_TERM2M(0(R12), 32(R12), 0)
+	MSEA_TERM2M(8(R12), 40(R12), 32)
+	MSEA_TERM2M(16(R12), 48(R12), 64)
+	MSEA_TERM2M(24(R12), 56(R12), 96)
 	VMOVDQU Y0, (R11)
 	VMOVDQU Y1, 32(R11)
 	// The pack interleaves the two registers by 8-position quarters;
@@ -983,7 +953,10 @@ bound2:
 	ANDQ      R8, BX
 	MOVL      BX, (DI)
 	ORQ       BX, AX
-	ADDQ    $96, R9
+	ADDQ    R15, R9
+	ADDQ    R15, DX
+	ADDQ    R15, SI
+	ADDQ    R15, R12
 	ADDQ    $64, R11
 	ADDQ    $4, DI
 	DECQ    CX
@@ -1005,9 +978,11 @@ survivors:
 	SADBEST_LOAD_CUR2(X9, Y9)
 	SADBEST_LOAD_CUR2(X10, Y10)
 	SADBEST_LOAD_CUR2(X11, Y11)
+	MOVQ ref+16(FP), SI
+	MOVQ refStride+24(FP), DX
 	MOVQ minX+48(FP), R10
 	MOVQ minY+56(FP), R11
-	MOVQ sad+104(FP), BX
+	MOVQ sad+120(FP), BX
 	INCQ R13
 	XORQ R12, R12
 
@@ -1051,9 +1026,9 @@ cand:
 	MOVQ CX, BX
 	MOVQ R9, R14
 	LEAQ (AX)(R10*1), DI
-	MOVQ DI, dx+88(FP)
+	MOVQ DI, dx+104(FP)
 	LEAQ (R12)(R11*1), DI
-	MOVQ DI, dy+96(FP)
+	MOVQ DI, dy+112(FP)
 
 skip:
 	TESTQ R15, R15
@@ -1063,9 +1038,162 @@ nextrow:
 	INCQ R12
 	CMPQ R12, R13
 	JLT  row
-	MOVQ BX, sad+104(FP)
+	MOVQ BX, sad+120(FP)
 
 done:
+	VZEROUPPER
+	RET
+
+// A per-call window of box sums for a caller with no BoxSums: the
+// (spanX+12) × (spanY+12) sums of the candidate area go to this frame,
+// rows 48 words apart, in sixteen-wide column chunks (the last ending on
+// the area's last column: chunks at 0, min(16, w−16) when w > 16, and
+// w−16 when w > 32, for w ≤ 44), and sadBestMSEA16AVX2 reads them there.
+// An assembly frame is not zeroed, where a Go array of the same 4 224 bytes
+// would be on every call. The frame holds no pointers of its own; the
+// outgoing arguments are described by the callees' prototypes.
+#define MSEAW_WIN 128
+
+// MSEAW_CHUNK calls boxSums16AVX2 for the area's column chunk at c (a
+// register) over all its rows. Clobbers every general register.
+#define MSEAW_CHUNK(c) \
+	MOVQ ref+16(FP), SI; \
+	ADDQ c, SI; \
+	MOVQ SI, 0(SP); \
+	MOVQ refStride+24(FP), SI; \
+	MOVQ SI, 8(SP); \
+	LEAQ MSEAW_WIN(SP)(c*2), SI; \
+	MOVQ SI, 16(SP); \
+	MOVQ $48, 24(SP); \
+	MOVQ maxY+72(FP), SI; \
+	SUBQ minY+56(FP), SI; \
+	ADDQ $13, SI; \
+	MOVQ SI, 32(SP); \
+	CALL ·boxSums16AVX2(SB)
+
+// MSEAW_AREA sets AX to the area's width, spanX+12.
+#define MSEAW_AREA \
+	MOVQ maxX+64(FP), AX; \
+	SUBQ minX+48(FP), AX; \
+	ADDQ $13, AX
+
+// func sadBestMSEAWindowAVX2(cur *byte, curStride int, ref *byte, refStride int, head *Offset, n int, minX, minY, maxX, maxY int, best int) (dx, dy, sad int)
+TEXT ·sadBestMSEAWindowAVX2(SB), 0, $4352-112
+	NO_LOCAL_POINTERS
+	XORQ AX, AX
+	MSEAW_CHUNK(AX)
+	MSEAW_AREA
+	CMPQ AX, $16
+	JLE  winfilled
+	LEAQ -16(AX), BX
+	MOVQ $16, CX
+	CMPQ BX, CX
+	CMOVQLT BX, CX
+	MSEAW_CHUNK(CX)
+	MSEAW_AREA
+	CMPQ AX, $32
+	JLE  winfilled
+	SUBQ $16, AX
+	MSEAW_CHUNK(AX)
+
+winfilled:
+	MOVQ cur+0(FP), AX
+	MOVQ AX, 0(SP)
+	MOVQ curStride+8(FP), AX
+	MOVQ AX, 8(SP)
+	MOVQ ref+16(FP), AX
+	MOVQ AX, 16(SP)
+	MOVQ refStride+24(FP), AX
+	MOVQ AX, 24(SP)
+	MOVQ head+32(FP), AX
+	MOVQ AX, 32(SP)
+	MOVQ n+40(FP), AX
+	MOVQ AX, 40(SP)
+	MOVQ minX+48(FP), AX
+	MOVQ AX, 48(SP)
+	MOVQ minY+56(FP), AX
+	MOVQ AX, 56(SP)
+	MOVQ maxX+64(FP), AX
+	MOVQ AX, 64(SP)
+	MOVQ maxY+72(FP), AX
+	MOVQ AX, 72(SP)
+	MOVQ best+80(FP), AX
+	MOVQ AX, 80(SP)
+	LEAQ MSEAW_WIN(SP), AX
+	MOVQ AX, 88(SP)
+	MOVQ $48, 96(SP)
+	CALL ·sadBestMSEA16AVX2(SB)
+	MOVQ 104(SP), AX
+	MOVQ AX, dx+88(FP)
+	MOVQ 112(SP), AX
+	MOVQ AX, dy+96(FP)
+	MOVQ 120(SP), AX
+	MOVQ AX, sad+104(FP)
+	RET
+
+// The 4×4 box sums sadBestMSEA16AVX2 reads, sixteen positions wide: the
+// horizontal 4-sum of a row is four zero-extended byte loads added in word
+// lanes, and the running vertical sum V adds each new row's and subtracts
+// the one of four rows back, carried in Y4..Y7 (Y7 starts at zero, which
+// the first stored row subtracts). A sum is at most 16·255 = 4080.
+
+// BOX_HSUM sets y to the sixteen horizontal 4-sums of the row at SI and
+// steps SI to the next row (clobbers Y0).
+#define BOX_HSUM(y) \
+	VPMOVZXBW (SI), y; \
+	VPMOVZXBW 1(SI), Y0; \
+	VPADDW    Y0, y, y; \
+	VPMOVZXBW 2(SI), Y0; \
+	VPADDW    Y0, y, y; \
+	VPMOVZXBW 3(SI), Y0; \
+	VPADDW    Y0, y, y; \
+	ADDQ      DX, SI
+
+// BOX_ROW adds the next row's 4-sums to V (Y3), drops those of four rows
+// back held in old, keeps the new ones in old and stores V at DI, then
+// steps DI one sum row (R8 bytes).
+#define BOX_ROW(old) \
+	BOX_HSUM(Y1); \
+	VPADDW  Y1, Y3, Y3; \
+	VPSUBW  old, Y3, Y3; \
+	VMOVDQU Y1, old; \
+	VMOVDQU Y3, (DI); \
+	ADDQ    R8, DI
+
+// func boxSums16AVX2(src *byte, srcStride int, dst *uint16, dstStride, h int)
+//
+// dst[y·dstStride + x] = Σ of the 4×4 pixels from src + y·srcStride + x,
+// for x < 16 and y < h, h ≥ 1. It reads the 19 bytes of each of the h+3
+// rows from src and writes the sixteen words of each of the h rows at dst.
+TEXT ·boxSums16AVX2(SB), NOSPLIT, $0-40
+	MOVQ src+0(FP), SI
+	MOVQ srcStride+8(FP), DX
+	MOVQ dst+16(FP), DI
+	MOVQ dstStride+24(FP), R8
+	SHLQ $1, R8
+	MOVQ h+32(FP), CX
+	BOX_HSUM(Y4)
+	BOX_HSUM(Y5)
+	BOX_HSUM(Y6)
+	VPADDW Y5, Y4, Y3
+	VPADDW Y6, Y3, Y3
+	VPXOR  Y7, Y7, Y7
+
+boxrow:
+	BOX_ROW(Y7)
+	DECQ CX
+	JZ   boxdone
+	BOX_ROW(Y4)
+	DECQ CX
+	JZ   boxdone
+	BOX_ROW(Y5)
+	DECQ CX
+	JZ   boxdone
+	BOX_ROW(Y6)
+	DECQ CX
+	JNZ  boxrow
+
+boxdone:
 	VZEROUPPER
 	RET
 

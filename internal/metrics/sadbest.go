@@ -39,13 +39,19 @@ func (r Rect) Contains(o Offset) bool {
 // elimination bound — shows it can no longer win, so every tier reports the
 // same winner and SAD. Every displacement inside clip must keep its block
 // inside ref.
-func SADBest(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int, clip Rect, best int) (o Offset, sad int, ok bool) {
+//
+// sums, when non-nil, is the caller's BoxSums, Reset onto ref since ref's
+// pixels last changed: the AVX2 bound reads the reference's 4×4 sums from
+// it and fills the tiles this window needs that no earlier call filled.
+// With nil (or a BoxSums Reset onto a plane of another size) the call
+// computes its own window's sums. The result is the same either way.
+func SADBest(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int, clip Rect, best int, sums *BoxSums) (o Offset, sad int, ok bool) {
 	if clip.Empty() {
 		return Offset{}, best, false
 	}
 	spiral := Spiral(clip.radius())
 	if sadBestKernelFits(cur, cx, cy, ref, rx, ry, w, h, clip) {
-		o, sad = kernels().sadBest(cur, cx, cy, ref, rx, ry, spiral, clip, best)
+		o, sad = kernels().sadBest(cur, cx, cy, ref, rx, ry, spiral, clip, best, sums)
 	} else {
 		o, sad = spiralBest(sadCappedScalar, cur, cx, cy, ref, rx, ry, w, h, spiral, clip, best)
 	}

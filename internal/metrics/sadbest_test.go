@@ -127,7 +127,7 @@ func windowClip(ref *frame.Plane, rx, ry, w, h, r int) Rect {
 func checkSADBest(t *testing.T, what string, oracle func(Rect, int) (Offset, int, bool), cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int, clip Rect, best int) {
 	t.Helper()
 	want, wantSAD, wantOK := oracle(clip, best)
-	got, gotSAD, gotOK := SADBest(cur, cx, cy, ref, rx, ry, w, h, clip, best)
+	got, gotSAD, gotOK := SADBest(cur, cx, cy, ref, rx, ry, w, h, clip, best, nil)
 	if got != want || gotSAD != wantSAD || gotOK != wantOK {
 		t.Fatalf("%s: block (%d,%d) anchor (%d,%d) clip %+v best %d: got (%v, sad %d, %v), want (%v, sad %d, %v)",
 			what, cx, cy, rx, ry, clip, best, got, gotSAD, gotOK, want, wantSAD, wantOK)
@@ -280,10 +280,10 @@ func TestKernelTiersSADBestMatchScalar(t *testing.T) {
 		}
 		// The periodic rows' winners, named: L1 decides (±3, 0) over the
 		// other zero-SAD positions, then raster order (−3, 0) over (3, 0).
-		if o, sad, _ := SADBest(periodicCur, 20, 16, periodicRef, 20, 16, 16, 16, Rect{-15, -15, 15, 15}, 1<<30); o != (Offset{DX: -3}) || sad != 0 {
+		if o, sad, _ := SADBest(periodicCur, 20, 16, periodicRef, 20, 16, 16, 16, Rect{-15, -15, 15, 15}, 1<<30, nil); o != (Offset{DX: -3}) || sad != 0 {
 			t.Fatalf("periodic ±15: got %v sad %d, want (-3, 0) sad 0", o, sad)
 		}
-		if o, sad, _ := SADBest(nearCur, 20, 16, nearRef, 20, 16, 16, 16, Rect{-15, -15, 15, 15}, 1<<30); o != (Offset{DX: -2}) || sad != 0 {
+		if o, sad, _ := SADBest(nearCur, 20, 16, nearRef, 20, 16, 16, 16, Rect{-15, -15, 15, 15}, 1<<30, nil); o != (Offset{DX: -2}) || sad != 0 {
 			t.Fatalf("periodic/4 ±15: got %v sad %d, want (-2, 0) sad 0", o, sad)
 		}
 		noisy := windowOracle(noisyCur, 20, 16, noisyRef, 19, 13, 16, 16)
@@ -329,7 +329,10 @@ func TestMSEABoundBelowSAD(t *testing.T) {
 // rectangles and initial bests through every tier against the
 // no-early-exit definition. The planes are 16+r_p wide and tall for a
 // window radius r_p up to 15, so the ±15 elimination route, its clipped
-// edges and the narrow windows of the plain scan all come up.
+// edges and the narrow windows of the plain scan all come up. Each call
+// searches once with no BoxSums, then runs a sequence of blocks drawn from
+// the same inputs through one BoxSums Reset onto ref at radius r_p, as an
+// encoder lane does: later blocks read the tiles earlier ones filled.
 func FuzzKernelTiersSADBest(f *testing.F) {
 	f.Add([]byte("bestbestbestbestbestbestbestbest"), uint8(3), uint8(4), uint8(5), uint8(2), uint8(9), uint8(1), uint8(7), uint8(6), uint16(900))
 	f.Add(make([]byte, 48), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(255), uint8(255), uint16(0))
@@ -368,12 +371,28 @@ func FuzzKernelTiersSADBest(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotSAD, gotOK := SADBest(cur, cx, cy, ref, rx, ry, 16, 16, clip, best)
-			restore()
+			got, gotSAD, gotOK := SADBest(cur, cx, cy, ref, rx, ry, 16, 16, clip, best, nil)
 			if got != want || gotSAD != wantSAD || gotOK != wantOK {
 				t.Errorf("%s anchor (%d,%d) clip %+v best %d: got (%v, sad %d, %v), want (%v, sad %d, %v)",
 					isa, rx, ry, clip, best, got, gotSAD, gotOK, want, wantSAD, wantOK)
 			}
+			var sums BoxSums
+			sums.Reset(ref, r)
+			for k, sel := range [...]uint8{cxSel, cySel, x0Sel, x1Sel, ySel} {
+				bx, by := (rx+int(sel)+7*k)%(pw-15), (ry+int(sel>>3)+5*k)%(ph-15)
+				win := windowClip(ref, bx, by, 16, 16, r)
+				if k%2 == 1 {
+					win = clip // a sub-rectangle of another anchor's window, still in-plane
+					bx, by = rx, ry
+				}
+				want, wantSAD, wantOK := windowOracle(cur, cx, cy, ref, bx, by, 16, 16)(win, best)
+				got, gotSAD, gotOK := SADBest(cur, cx, cy, ref, bx, by, 16, 16, win, best, &sums)
+				if got != want || gotSAD != wantSAD || gotOK != wantOK {
+					t.Errorf("%s shared sums, block %d anchor (%d,%d) clip %+v best %d: got (%v, sad %d, %v), want (%v, sad %d, %v)",
+						isa, k, bx, by, win, best, got, gotSAD, gotOK, want, wantSAD, wantOK)
+				}
+			}
+			restore()
 		}
 	})
 }

@@ -65,7 +65,7 @@ func fullSearchBatch(in *Input) (best mvfield.MV, bestSAD, pts int) {
 // the minimum finds nothing and reports no point.
 func fullSearchBelow(in *Input, bar int) (best mvfield.MV, bestSAD, pts int) {
 	clip := in.window()
-	o, sad, ok := metrics.SADBest(in.Cur, in.BX, in.BY, in.Ref, in.BX, in.BY, in.W, in.H, clip, bar)
+	o, sad, ok := metrics.SADBest(in.Cur, in.BX, in.BY, in.Ref, in.BX, in.BY, in.W, in.H, clip, bar, in.Sums)
 	if !ok {
 		return mvfield.Zero, 0, 0 // empty window: the block is not inside the frame
 	}

@@ -57,6 +57,13 @@ type Input struct {
 	// Collect, when non-nil, accumulates the SAD of every evaluated
 	// candidate for the SAD_deviation statistic of the Fig. 4 study.
 	Collect *metrics.Deviation
+
+	// Sums, when non-nil, is the caller's cache of Ref's 4×4 box sums,
+	// Reset onto Ref at this search range since Ref last changed: the full
+	// search reads its elimination bounds from it and fills what is
+	// missing. The encoder keeps one per analysis lane and resets it each
+	// frame; without one every full search computes its window's sums.
+	Sums *metrics.BoxSums
 }
 
 // Class says how an adaptive searcher resolved a block — the decision mix
