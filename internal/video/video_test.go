@@ -2,6 +2,7 @@ package video
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/frame"
@@ -261,5 +262,20 @@ func TestSensorNoiseRaisesSADFloor(t *testing.T) {
 	}
 	if sadAt(noisy) <= sadAt(clean) {
 		t.Fatal("sensor noise did not raise the matching error floor")
+	}
+}
+
+// BenchmarkGenerate reports the wall time per QCIF frame of Generate for
+// each profile; its frames are split across GOMAXPROCS goroutines, so run
+// it with -cpu 1,2 to see the serial cost and the parallel one.
+func BenchmarkGenerate(b *testing.B) {
+	const n = 16
+	for _, p := range Profiles {
+		b.Run(strings.ReplaceAll(p.String(), " ", ""), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Generate(p, frame.QCIF, n, 2005)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*n), "ms/frame")
+		})
 	}
 }
