@@ -31,14 +31,16 @@
 #                       `go test -list`, so a new one is picked up by
 #                       being written) fuzzed for 3 s each: `go test`
 #                       alone only replays the seed corpora
-#   make fma-check    — cross-compile internal/dct, internal/codec and
+#   make fma-check    — cross-compile internal/dct, internal/codec,
 #                       internal/metrics (the kernel table's scalar tiers
-#                       of the transform) for arm64 with -gcflags=-S (no
-#                       network, no arm64 host needed) and fail on any
-#                       fused multiply-add attributed to them: the goldens
-#                       pin multiply, round, add, round, and arm64 fuses
-#                       x*y + z into one rounding wherever an explicit
-#                       float64(x*y) conversion does not forbid it
+#                       of the transform) and internal/video (the clip
+#                       renderer every claim and golden reads) for arm64
+#                       with -gcflags=-S (no network, no arm64 host
+#                       needed) and fail on any fused multiply-add
+#                       attributed to them: the goldens pin multiply,
+#                       round, add, round, and arm64 fuses x*y + z into
+#                       one rounding wherever an explicit float64(x*y)
+#                       conversion does not forbid it
 #   make bench-check  — vet + test the bench/ module (BENCHMARK.json's
 #                       harness). It is a module of its own, outside the
 #                       root ./..., so only this target notices when a
@@ -139,12 +141,12 @@ fuzz-smoke:
 	done
 
 fma-check:
-	@fused="$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/dct ./internal/codec ./internal/metrics 2>&1 \
-		| grep -E 'internal/(dct|codec|metrics)/[^/)]+\)[[:space:]]+FN?M(ADD|SUB)[SD]' || true)"; \
+	@fused="$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/dct ./internal/codec ./internal/metrics ./internal/video 2>&1 \
+		| grep -E 'internal/(dct|codec|metrics|video)/[^/)]+\)[[:space:]]+FN?M(ADD|SUB)[SD]' || true)"; \
 	if [ -n "$$fused" ]; then \
-		echo "fused multiply-add in the arm64 build of internal/dct, internal/codec or internal/metrics:"; \
+		echo "fused multiply-add in the arm64 build of internal/dct, internal/codec, internal/metrics or internal/video:"; \
 		echo "$$fused"; exit 1; fi; \
-	echo "fma-check: no fused multiply-add in the arm64 build of internal/dct, internal/codec, internal/metrics"
+	echo "fma-check: no fused multiply-add in the arm64 build of internal/dct, internal/codec, internal/metrics, internal/video"
 
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .

@@ -3,7 +3,10 @@ package video
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/frame"
 )
@@ -64,13 +67,29 @@ func (p Profile) Scene(seed uint64) *Scene {
 }
 
 // Generate renders n frames of the profile at the given size and base rate
-// of 30 frames per second.
+// of 30 frames per second. Frames are rendered on up to GOMAXPROCS
+// goroutines, the caller's included, all joined before it returns; each
+// frame depends only on its index, so the output does not depend on how
+// they are split.
 func Generate(p Profile, size frame.Size, n int, seed uint64) []*frame.Frame {
 	sc := p.Scene(seed)
 	frames := make([]*frame.Frame, n)
-	for t := 0; t < n; t++ {
-		frames[t] = sc.Render(size, t)
+	var next atomic.Int64
+	render := func() {
+		for t := int(next.Add(1) - 1); t < n; t = int(next.Add(1) - 1) {
+			frames[t] = sc.Render(size, t)
+		}
 	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			render()
+		}()
+	}
+	render()
+	wg.Wait()
 	return frames
 }
 
@@ -89,18 +108,26 @@ func Decimate(frames []*frame.Frame, factor int) []*frame.Frame {
 	return out
 }
 
+// sway is amp·sin(freq·t + phase), each product rounded on its own so no
+// GOARCH fuses it into a multiply-add: the motion paths, like the
+// textures, are the same on every ISA. float64(t)·freq is never −0, so a
+// zero phase leaves it unchanged.
+func sway(amp, freq, phase float64, t int) float64 {
+	return float64(amp * math.Sin(float64(float64(t)*freq)+phase))
+}
+
 func missAmericaScene(seed uint64) *Scene {
 	// Static camera, smooth background, gently swaying head and shoulders.
 	head := &Sprite{
-		CX: func(t int) float64 { return 2.5 * math.Sin(float64(t)*0.08) },
-		CY: func(t int) float64 { return -18 + 1.2*math.Sin(float64(t)*0.05+1) },
+		CX: func(t int) float64 { return sway(2.5, 0.08, 0, t) },
+		CY: func(t int) float64 { return -18 + sway(1.2, 0.05, 1, t) },
 		RX: 26, RY: 34,
 		Tex:  Noise{Seed: seed ^ 0xA1, Scale: 26, Octaves: 2},
 		Base: 155, Amp: 12, Cb: -6, Cr: 14,
 		TexLocked: true,
 	}
 	shoulders := &Sprite{
-		CX: func(t int) float64 { return 1.5 * math.Sin(float64(t)*0.08) },
+		CX: func(t int) float64 { return sway(1.5, 0.08, 0, t) },
 		CY: func(t int) float64 { return 62 },
 		RX: 70, RY: 40,
 		Tex:  Noise{Seed: seed ^ 0xA2, Scale: 42, Octaves: 2},
@@ -127,17 +154,15 @@ func carphoneScene(seed uint64) *Scene {
 		ScrollX: func(t int) float64 { return 4.0 * float64(t) },
 	}
 	head := &Sprite{
-		CX: func(t int) float64 {
-			return -20 + 3.5*math.Sin(float64(t)*0.17) + 1.5*math.Sin(float64(t)*0.31)
-		},
-		CY: func(t int) float64 { return -8 + 2.0*math.Sin(float64(t)*0.11+0.7) },
+		CX: func(t int) float64 { return -20 + sway(3.5, 0.17, 0, t) + sway(1.5, 0.31, 0, t) },
+		CY: func(t int) float64 { return -8 + sway(2.0, 0.11, 0.7, t) },
 		RX: 24, RY: 31,
 		Tex:  Noise{Seed: seed ^ 0xB2, Scale: 12, Octaves: 3},
 		Base: 160, Amp: 34, Cb: -8, Cr: 16,
 		TexLocked: true,
 	}
 	body := &Sprite{
-		CX: func(t int) float64 { return -18 + 2.5*math.Sin(float64(t)*0.17) },
+		CX: func(t int) float64 { return -18 + sway(2.5, 0.17, 0, t) },
 		CY: func(t int) float64 { return 58 },
 		RX: 55, RY: 38,
 		Tex:  Noise{Seed: seed ^ 0xB3, Scale: 16, Octaves: 2},
@@ -160,18 +185,18 @@ func foremanScene(seed uint64) *Scene {
 	// pan speed keeps the 10 fps frame-to-frame displacement within the
 	// p=15 search range (3.5 px/frame = 10.5 px between decimated frames).
 	panX := func(t int) float64 {
-		base := 3.0*math.Sin(float64(t)*0.23) + 1.8*math.Sin(float64(t)*0.57+2)
+		base := sway(3.0, 0.23, 0, t) + sway(1.8, 0.57, 2, t)
 		if t > 40 {
-			base += 3.5 * float64(t-40)
+			base += float64(3.5 * float64(t-40))
 		}
 		return base
 	}
 	panY := func(t int) float64 {
-		return 2.2*math.Sin(float64(t)*0.31+1) + 1.2*math.Sin(float64(t)*0.71)
+		return sway(2.2, 0.31, 1, t) + sway(1.2, 0.71, 0, t)
 	}
 	face := &Sprite{
-		CX: func(t int) float64 { return 4.0 * math.Sin(float64(t)*0.13) },
-		CY: func(t int) float64 { return -5 + 3.0*math.Sin(float64(t)*0.19+0.5) },
+		CX: func(t int) float64 { return sway(4.0, 0.13, 0, t) },
+		CY: func(t int) float64 { return -5 + sway(3.0, 0.19, 0.5, t) },
 		RX: 34, RY: 44,
 		Tex:  Noise{Seed: seed ^ 0xC1, Scale: 4, Octaves: 3},
 		Base: 140, Amp: 80, Cb: -10, Cr: 18,
@@ -195,12 +220,12 @@ func tableScene(seed uint64) *Scene {
 			period := 36.0
 			ph := math.Mod(float64(t), period) / period
 			if ph < 0.5 {
-				return -80 + 320*ph
+				return -80 + float64(320*ph)
 			}
-			return 80 - 320*(ph-0.5)
+			return 80 - float64(320*(ph-0.5))
 		},
 		CY: func(t int) float64 {
-			return 10 - 42*math.Abs(math.Sin(float64(t)*0.26))
+			return 10 - float64(42*math.Abs(math.Sin(float64(t)*0.26)))
 		},
 		RX: 5, RY: 5,
 		Tex:  Noise{Seed: seed ^ 0xD1, Scale: 4, Octaves: 1},
@@ -208,8 +233,8 @@ func tableScene(seed uint64) *Scene {
 		TexLocked: true,
 	}
 	paddle := &Sprite{
-		CX: func(t int) float64 { return 60 + 6.0*math.Sin(float64(t)*0.26) },
-		CY: func(t int) float64 { return 28 + 10.0*math.Sin(float64(t)*0.26+1.3) },
+		CX: func(t int) float64 { return 60 + sway(6.0, 0.26, 0, t) },
+		CY: func(t int) float64 { return 28 + sway(10.0, 0.26, 1.3, t) },
 		RX: 9, RY: 14,
 		Rect: true,
 		Tex:  Noise{Seed: seed ^ 0xD2, Scale: 8, Octaves: 2},
@@ -233,7 +258,7 @@ func tableScene(seed uint64) *Scene {
 		},
 		Camera: Camera{
 			PanX: func(t int) float64 { return 0.4 * float64(t) },
-			Zoom: func(t int) float64 { return 1.0 / (1.0 + 0.0012*float64(t)) }, // slow zoom-out
+			Zoom: func(t int) float64 { return 1.0 / (1.0 + float64(0.0012*float64(t))) }, // slow zoom-out
 		},
 	}
 }

@@ -6,17 +6,12 @@ import (
 	"repro/internal/frame"
 )
 
-// Sample is one composited colour sample: luma plus chroma offsets from
-// the neutral 128.
-type Sample struct {
-	Y      float64
-	Cb, Cr float64
-}
-
-// Layer contributes colour at world positions. Layers are composited in
-// order; alpha is the coverage in [0, 1].
+// Layer is one element of a scene's stack: a shape that covers part of
+// the world (coverage alpha in [0, 1]) with a colour. Layers are
+// composited in order. A layer's motion is evaluated once per rendered
+// frame, into a layerFrame the renderer samples row by row.
 type Layer interface {
-	Sample(x, y float64, t int) (s Sample, alpha float64)
+	resolve(t int) layerFrame
 }
 
 // Camera maps screen pixels to world coordinates with pan and zoom. Zoom
@@ -27,20 +22,30 @@ type Camera struct {
 	Zoom       func(t int) float64 // nil means constant 1
 }
 
-func (c Camera) world(px, py float64, w, h int, t int) (float64, float64) {
-	z := 1.0
+// view is a camera resolved for one frame of a given size.
+type view struct {
+	cx, cy, z float64
+	hw, hh    float64 // half the frame's width and height
+}
+
+func (c Camera) view(size frame.Size, t int) view {
+	v := view{z: 1, hw: float64(size.W) / 2, hh: float64(size.H) / 2}
 	if c.Zoom != nil {
-		z = c.Zoom(t)
+		v.z = c.Zoom(t)
 	}
-	cx, cy := 0.0, 0.0
 	if c.PanX != nil {
-		cx = c.PanX(t)
+		v.cx = c.PanX(t)
 	}
 	if c.PanY != nil {
-		cy = c.PanY(t)
+		v.cy = c.PanY(t)
 	}
-	return cx + (px-float64(w)/2)/z, cy + (py-float64(h)/2)/z
+	return v
 }
+
+// x and y map a screen position (in pixels, pixel centres at +0.5) to
+// the world.
+func (v view) x(px float64) float64 { return v.cx + (px-v.hw)/v.z }
+func (v view) y(py float64) float64 { return v.cy + (py-v.hh)/v.z }
 
 // Scene is an ordered stack of layers viewed through a camera.
 type Scene struct {
@@ -62,52 +67,295 @@ func WithSensorNoise(sc *Scene, amp float64, seed uint64) *Scene {
 	return sc
 }
 
-// sampleWorld composites all layers at a world position.
-func (sc *Scene) sampleWorld(x, y float64, t int) Sample {
-	out := Sample{Y: 128}
-	for _, l := range sc.Layers {
-		s, a := l.Sample(x, y, t)
-		if a <= 0 {
-			continue
-		}
-		if a >= 1 {
-			out = s
-			continue
-		}
-		out.Y = out.Y*(1-a) + s.Y*a
-		out.Cb = out.Cb*(1-a) + s.Cb*a
-		out.Cr = out.Cr*(1-a) + s.Cr*a
-	}
-	return out
-}
-
 // Render rasterises frame t of the scene at the given size (4:2:0 output).
 // Luma samples at pixel centres; chroma at the centres of 2×2 luma groups.
+//
+// The camera and every layer's motion are evaluated once per frame. Each
+// sample then composites the stack as if every layer were sampled and
+// blended bottom to top — a layer with alpha ≥ 1 replaces what is below
+// it, a partial one blends over it — but reads texture only where it
+// shows: coverage comes from geometry alone, the topmost fully covering
+// layer gives the starting colour, and only the partial layers above it
+// are blended. Chroma is a per-layer constant, so chroma samples read no
+// texture at all. Render only reads sc, so one Scene may render frames
+// on several goroutines at once.
 func (sc *Scene) Render(size frame.Size, t int) *frame.Frame {
 	f := frame.NewFrame(size)
+	v := sc.Camera.view(size, t)
+	layers := make([]layerFrame, len(sc.Layers))
+	for i, l := range sc.Layers {
+		layers[i] = l.resolve(t)
+	}
+	luma := newGrid(layers, v, size.W, func(px int) float64 { return float64(px) + 0.5 })
+	chroma := newGrid(layers, v, size.W/2, func(px int) float64 { return float64(2*px) + 1 })
+	tex := make([]*noiseRow, len(layers))
+	for i := range layers {
+		if l := &layers[i]; l.tex != nil {
+			xs := make([]float64, size.W)
+			for px, x := range luma.x {
+				xs[px] = l.texX(x)
+			}
+			tex[i] = newNoiseRow(l.tex, xs)
+		}
+	}
+	var sensor []uint64
+	if sc.SensorAmp > 0 {
+		seed := sc.SensorSeed + uint64(t)*0x9E3779B9
+		sensor = make([]uint64, size.W)
+		for px := range sensor {
+			sensor[px] = hashX(seed, int64(px))
+		}
+	}
+	flat := make([]float64, len(layers)) // each flat layer's luma on this row
+
 	for py := 0; py < size.H; py++ {
+		wy := v.y(float64(py) + 0.5)
+		luma.cover(layers, wy)
+		for i := range layers {
+			if l := &layers[i]; l.tex != nil {
+				tex[i].row(l.texY(wy))
+			} else {
+				flat[i] = l.grad.luma(wy)
+			}
+		}
+		lumaAt := func(i, px int) float64 {
+			if l := &layers[i]; l.tex != nil {
+				return l.base + float64((tex[i].sample(px)-0.5)*l.amp)
+			}
+			return flat[i]
+		}
 		row := f.Y.Row(py)
-		for px := 0; px < size.W; px++ {
-			wx, wy := sc.Camera.world(float64(px)+0.5, float64(py)+0.5, size.W, size.H, t)
-			s := sc.sampleWorld(wx, wy, t)
-			y := s.Y
-			if sc.SensorAmp > 0 {
-				y += (hash2(sc.SensorSeed+uint64(t)*0x9E3779B9, int64(px), int64(py)) - 0.5) * 2 * sc.SensorAmp
+		for px := range row {
+			top := luma.top(px)
+			y := 128.0
+			if top >= 0 {
+				y = lumaAt(top, px)
+			}
+			for i := top + 1; i < len(layers); i++ {
+				if a := luma.cov[i][px]; a > 0 {
+					y = float64(y*(1-a)) + float64(lumaAt(i, px)*a)
+				}
+			}
+			if sensor != nil {
+				y += float64((hashY(sensor[px], int64(py)) - 0.5) * 2 * sc.SensorAmp)
 			}
 			row[px] = frame.ClampU8(int(math.Round(y)))
 		}
 	}
+
 	for py := 0; py < size.H/2; py++ {
+		chroma.cover(layers, v.y(float64(2*py)+1))
 		cbRow := f.Cb.Row(py)
 		crRow := f.Cr.Row(py)
-		for px := 0; px < size.W/2; px++ {
-			wx, wy := sc.Camera.world(float64(2*px)+1, float64(2*py)+1, size.W, size.H, t)
-			s := sc.sampleWorld(wx, wy, t)
-			cbRow[px] = frame.ClampU8(int(math.Round(128 + s.Cb)))
-			crRow[px] = frame.ClampU8(int(math.Round(128 + s.Cr)))
+		for px := range cbRow {
+			top := chroma.top(px)
+			cb, cr := 0.0, 0.0
+			if top >= 0 {
+				cb, cr = layers[top].cb, layers[top].cr
+			}
+			for i := top + 1; i < len(layers); i++ {
+				if a := chroma.cov[i][px]; a > 0 {
+					l := &layers[i]
+					cb = float64(cb*(1-a)) + float64(l.cb*a)
+					cr = float64(cr*(1-a)) + float64(l.cr*a)
+				}
+			}
+			cbRow[px] = frame.ClampU8(int(math.Round(128 + cb)))
+			crRow[px] = frame.ClampU8(int(math.Round(128 + cr)))
 		}
 	}
 	return f
+}
+
+// grid is one sampling lattice of a frame (luma, or chroma at half the
+// resolution): the world x of each column, each layer's column-only
+// coverage terms, and the coverage of every layer on the current row.
+type grid struct {
+	x    []float64
+	span [][2]int    // per layer: the columns its coverage can reach
+	term [][]float64 // per sprite layer: its column distance term
+	cov  [][]float64 // per layer: coverage of each column on this row
+}
+
+func newGrid(layers []layerFrame, v view, w int, pos func(px int) float64) *grid {
+	g := &grid{
+		x:    make([]float64, w),
+		span: make([][2]int, len(layers)),
+		term: make([][]float64, len(layers)),
+		cov:  make([][]float64, len(layers)),
+	}
+	for px := range g.x {
+		g.x[px] = v.x(pos(px))
+	}
+	for i := range layers {
+		l := &layers[i]
+		g.cov[i] = make([]float64, w)
+		switch l.shape {
+		case shapeAll:
+			for px := range g.cov[i] {
+				g.cov[i][px] = l.alpha
+			}
+			continue
+		case shapeEllipse, shapeRect:
+			g.term[i] = make([]float64, w)
+			for px, x := range g.x {
+				g.term[i][px] = l.colTerm(x)
+			}
+		}
+		lo, hi := w, 0
+		for px, x := range g.x {
+			if l.colReach(x, g.term[i], px) {
+				lo, hi = min(lo, px), px+1
+			}
+		}
+		g.span[i] = [2]int{lo, max(lo, hi)}
+	}
+	return g
+}
+
+// cover fills cov for the row at world y.
+func (g *grid) cover(layers []layerFrame, y float64) {
+	for i := range layers {
+		l := &layers[i]
+		if l.shape == shapeAll {
+			continue
+		}
+		cov := g.cov[i]
+		clear(cov)
+		rowIn, rowTerm := l.rowTerm(y)
+		if !rowIn {
+			continue
+		}
+		for px := g.span[i][0]; px < g.span[i][1]; px++ {
+			switch l.shape {
+			case shapeBox:
+				if x := g.x[px]; x >= l.x0 && x <= l.x1 {
+					cov[px] = 1
+				}
+			case shapeRect:
+				cov[px] = edgeAlpha(math.Max(g.term[i][px], rowTerm))
+			case shapeEllipse:
+				cov[px] = edgeAlpha(math.Sqrt(g.term[i][px] + rowTerm))
+			}
+		}
+	}
+}
+
+// top returns the topmost layer that fully covers column px on the
+// current row, or -1 if none does.
+func (g *grid) top(px int) int {
+	for i := len(g.cov) - 1; i >= 0; i-- {
+		if g.cov[i][px] >= 1 {
+			return i
+		}
+	}
+	return -1
+}
+
+// shape is a layerFrame's coverage geometry.
+type shape uint8
+
+const (
+	shapeAll     shape = iota // alpha everywhere (Background, Gradient)
+	shapeBox                  // 1 inside [x0, x1] × [y0, y1] (Window)
+	shapeEllipse              // a soft-edged ellipse (Sprite)
+	shapeRect                 // a soft-edged rectangle (Sprite with Rect)
+)
+
+// texMap says how a layer maps world coordinates to texture coordinates.
+type texMap uint8
+
+const (
+	texWorld  texMap = iota // texture pinned to the world
+	texLocked               // texture moves with the layer's centre
+	texScroll               // texture scrolls by (dx, dy)
+)
+
+// layerFrame is a layer resolved for one frame: its geometry, how its
+// texture maps, and its colour.
+type layerFrame struct {
+	shape          shape
+	alpha          float64 // shapeAll's coverage
+	cx, cy, rx, ry float64 // shapeEllipse/shapeRect: centre and radii
+	x0, y0, x1, y1 float64 // shapeBox: the covered rectangle
+	tex            *Noise  // nil: flat luma from grad
+	grad           *Gradient
+	mapping        texMap
+	dx, dy         float64 // texScroll's offset
+	base, amp      float64 // luma = base + (tex - 0.5) × amp
+	cb, cr         float64
+}
+
+// colTerm is the column-only part of a sprite's normalised distance.
+func (l *layerFrame) colTerm(x float64) float64 {
+	d := x - l.cx
+	if l.shape == shapeRect {
+		return math.Abs(d) / l.rx
+	}
+	return d * d / (l.rx * l.rx)
+}
+
+// rowTerm reports whether the layer can cover anything on the row at
+// world y and, for sprites, the row's part of the normalised distance.
+// A sprite's distance is at least its row term (rect: the larger of the
+// two terms; ellipse: the root of their sum, the column term ≥ 0), so a
+// row term ≥ 1 leaves the row uncovered.
+func (l *layerFrame) rowTerm(y float64) (bool, float64) {
+	d := y - l.cy
+	switch l.shape {
+	case shapeBox:
+		return y >= l.y0 && y <= l.y1, 0
+	case shapeRect:
+		r := math.Abs(d) / l.ry
+		return r < 1, r
+	}
+	r := d * d / (l.ry * l.ry)
+	return r < 1, r
+}
+
+// colReach reports whether the layer can cover column px (world x) on
+// some row: by the argument of rowTerm, a column term ≥ 1 cannot.
+func (l *layerFrame) colReach(x float64, term []float64, px int) bool {
+	if l.shape == shapeBox {
+		return x >= l.x0 && x <= l.x1
+	}
+	return term[px] < 1
+}
+
+// texX and texY map world coordinates to the layer's texture.
+func (l *layerFrame) texX(x float64) float64 {
+	switch l.mapping {
+	case texLocked:
+		return x - l.cx
+	case texScroll:
+		return x + l.dx
+	}
+	return x
+}
+
+func (l *layerFrame) texY(y float64) float64 {
+	switch l.mapping {
+	case texLocked:
+		return y - l.cy
+	case texScroll:
+		return y + l.dy
+	}
+	return y
+}
+
+// edgeAlpha is a sprite's coverage at normalised distance dist (< 1
+// inside): full inside 1−edge, none from 1 out, linear between. The ~1
+// pixel soft edge makes subpixel motion read as smooth intensity change
+// rather than jumping coverage.
+func edgeAlpha(dist float64) float64 {
+	const edge = 0.04
+	switch {
+	case dist <= 1-edge:
+		return 1
+	case dist >= 1:
+		return 0
+	}
+	return (1 - dist) / edge
 }
 
 // Background is an infinite textured plane (always alpha 1).
@@ -119,10 +367,8 @@ type Background struct {
 	Cr   float64
 }
 
-// Sample implements Layer.
-func (b *Background) Sample(x, y float64, t int) (Sample, float64) {
-	v := b.Base + (b.Tex.At(x, y)-0.5)*b.Amp
-	return Sample{Y: v, Cb: b.Cb, Cr: b.Cr}, 1
+func (b *Background) resolve(int) layerFrame {
+	return layerFrame{shape: shapeAll, alpha: 1, tex: &b.Tex, base: b.Base, amp: b.Amp, cb: b.Cb, cr: b.Cr}
 }
 
 // Gradient adds a smooth vertical luma ramp, giving low-texture scenes
@@ -133,8 +379,12 @@ type Gradient struct {
 	Strength    float64 // blend factor in (0, 1]
 }
 
-// Sample implements Layer.
-func (g *Gradient) Sample(x, y float64, t int) (Sample, float64) {
+func (g *Gradient) resolve(int) layerFrame {
+	return layerFrame{shape: shapeAll, alpha: g.Strength, grad: g}
+}
+
+// luma is the ramp's luma at world y.
+func (g *Gradient) luma(y float64) float64 {
 	ty := y/g.SpanY + 0.5
 	if ty < 0 {
 		ty = 0
@@ -142,12 +392,11 @@ func (g *Gradient) Sample(x, y float64, t int) (Sample, float64) {
 	if ty > 1 {
 		ty = 1
 	}
-	return Sample{Y: g.Top + (g.Bottom-g.Top)*ty}, g.Strength
+	return g.Top + float64((g.Bottom-g.Top)*ty)
 }
 
 // Sprite is a textured ellipse or rectangle moving along a path in world
-// coordinates. Edges are softened over ~1 pixel so subpixel motion reads
-// as smooth intensity change rather than jumping coverage.
+// coordinates, with edges softened over ~1 pixel (edgeAlpha).
 type Sprite struct {
 	CX, CY func(t int) float64 // centre path
 	RX, RY float64             // radii (half-width/height for Rect)
@@ -161,34 +410,16 @@ type Sprite struct {
 	TexLocked bool
 }
 
-// Sample implements Layer.
-func (s *Sprite) Sample(x, y float64, t int) (Sample, float64) {
-	cx, cy := s.CX(t), s.CY(t)
-	dx, dy := x-cx, y-cy
-	var dist float64 // >1 outside, <1 inside, in normalised units
+func (s *Sprite) resolve(t int) layerFrame {
+	l := layerFrame{shape: shapeEllipse, cx: s.CX(t), cy: s.CY(t), rx: s.RX, ry: s.RY,
+		tex: &s.Tex, base: s.Base, amp: s.Amp, cb: s.Cb, cr: s.Cr}
 	if s.Rect {
-		ax, ay := math.Abs(dx)/s.RX, math.Abs(dy)/s.RY
-		dist = math.Max(ax, ay)
-	} else {
-		dist = math.Sqrt(dx*dx/(s.RX*s.RX) + dy*dy/(s.RY*s.RY))
+		l.shape = shapeRect
 	}
-	// Soft edge: full coverage inside dist<1-e, zero outside dist>1.
-	const edge = 0.04
-	var alpha float64
-	switch {
-	case dist <= 1-edge:
-		alpha = 1
-	case dist >= 1:
-		return Sample{}, 0
-	default:
-		alpha = (1 - dist) / edge
-	}
-	tx, ty := x, y
 	if s.TexLocked {
-		tx, ty = dx, dy
+		l.mapping = texLocked
 	}
-	v := s.Base + (s.Tex.At(tx, ty)-0.5)*s.Amp
-	return Sample{Y: v, Cb: s.Cb, Cr: s.Cr}, alpha
+	return l
 }
 
 // Window is a rectangular cut-out (screen region in world coordinates)
@@ -203,18 +434,14 @@ type Window struct {
 	ScrollY        func(t int) float64
 }
 
-// Sample implements Layer.
-func (w *Window) Sample(x, y float64, t int) (Sample, float64) {
-	if x < w.X0 || x > w.X1 || y < w.Y0 || y > w.Y1 {
-		return Sample{}, 0
-	}
-	sx, sy := 0.0, 0.0
+func (w *Window) resolve(t int) layerFrame {
+	l := layerFrame{shape: shapeBox, x0: w.X0, y0: w.Y0, x1: w.X1, y1: w.Y1,
+		tex: &w.Tex, mapping: texScroll, base: w.Base, amp: w.Amp, cb: w.Cb, cr: w.Cr}
 	if w.ScrollX != nil {
-		sx = w.ScrollX(t)
+		l.dx = w.ScrollX(t)
 	}
 	if w.ScrollY != nil {
-		sy = w.ScrollY(t)
+		l.dy = w.ScrollY(t)
 	}
-	v := w.Base + (w.Tex.At(x+sx, y+sy)-0.5)*w.Amp
-	return Sample{Y: v, Cb: w.Cb, Cr: w.Cr}, 1
+	return l
 }

@@ -2,10 +2,13 @@ package video
 
 import (
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/frame"
+	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 	"repro/internal/mvfield"
 )
@@ -208,26 +211,36 @@ func TestCameraZoomChangesScale(t *testing.T) {
 	// With 2x zoom, the world window halves: a feature at world (10,0)
 	// appears 20px right of centre instead of 10.
 	cam := Camera{Zoom: func(int) float64 { return 2 }}
-	wx, _ := cam.world(84, 48, 128, 96, 0) // 20px right of centre
+	wx := cam.view(frame.SQCIF, 0).x(84) // 20px right of centre
 	if math.Abs(wx-10) > 1e-9 {
 		t.Fatalf("world x = %v, want 10", wx)
 	}
 }
 
 func TestSpriteSoftEdge(t *testing.T) {
-	s := &Sprite{
-		CX: func(int) float64 { return 0 }, CY: func(int) float64 { return 0 },
-		RX: 10, RY: 10,
-		Tex: Noise{Seed: 1, Scale: 8, Octaves: 1}, Base: 200, Amp: 0,
+	// A flat 200 disc of radius 10 over a flat 0 background, panned so
+	// row 48 is world y 0 and column c is world x c−63.8: column 73 sits
+	// at normalised distance 0.98, inside the soft edge.
+	sc := &Scene{
+		Layers: []Layer{
+			&Background{},
+			&Sprite{
+				CX: func(int) float64 { return 0 }, CY: func(int) float64 { return 0 },
+				RX: 10, RY: 10,
+				Tex: Noise{Seed: 1, Scale: 8, Octaves: 1}, Base: 200, Amp: 0,
+			},
+		},
+		Camera: Camera{PanX: func(int) float64 { return 0.3 }, PanY: func(int) float64 { return -0.5 }},
 	}
-	if _, a := s.Sample(0, 0, 0); a != 1 {
-		t.Fatal("centre not fully covered")
+	row := sc.Render(frame.SQCIF, 0).Y.Row(48)
+	if row[64] != 200 {
+		t.Fatalf("centre luma %d, want 200 (fully covered)", row[64])
 	}
-	if _, a := s.Sample(20, 0, 0); a != 0 {
-		t.Fatal("far outside not empty")
+	if row[84] != 0 {
+		t.Fatalf("far outside luma %d, want 0 (empty)", row[84])
 	}
-	if _, a := s.Sample(9.8, 0, 0); a <= 0 || a > 1 {
-		t.Fatalf("edge alpha = %v, want in (0,1]", a)
+	if row[73] <= 0 || row[73] >= 200 {
+		t.Fatalf("edge luma %d, want a blend strictly between 0 and 200", row[73])
 	}
 }
 
@@ -277,5 +290,48 @@ func BenchmarkGenerate(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*n), "ms/frame")
 		})
+	}
+}
+
+func TestRenderConcurrent(t *testing.T) {
+	// Render only reads its Scene, and Generate splits frames across
+	// goroutines: every frame must equal the serial render, at any
+	// GOMAXPROCS, and no goroutine may outlive Generate.
+	defer leakcheck.Snapshot(t)()
+	const n = 12
+	for _, p := range Profiles {
+		sc := WithSensorNoise(p.Scene(2005), 2.0, 2005)
+		plain := p.Scene(2005)
+		want, noisy := make([]*frame.Frame, n), make([]*frame.Frame, n)
+		for i := range n {
+			want[i], noisy[i] = plain.Render(frame.SQCIF, i), sc.Render(frame.SQCIF, i)
+		}
+		got := make([]*frame.Frame, n)
+		var wg sync.WaitGroup
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := g; i < n; i += 4 {
+					got[i] = sc.Render(frame.SQCIF, i)
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range n {
+			if !got[i].Equal(noisy[i]) {
+				t.Errorf("%v frame %d: concurrent Render differs from the serial one", p, i)
+			}
+		}
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			fr := Generate(p, frame.SQCIF, n, 2005)
+			runtime.GOMAXPROCS(prev)
+			for i := range n {
+				if !fr[i].Equal(want[i]) {
+					t.Errorf("%v frame %d: Generate at GOMAXPROCS %d differs from the serial render", p, i, procs)
+				}
+			}
+		}
 	}
 }
