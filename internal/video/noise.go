@@ -72,7 +72,7 @@ func (n *Noise) At(x, y float64) float64 {
 // lattice cell and weight of every column are computed once per frame,
 // the lattice row once per raster row, and each octave keeps the four
 // corner values of the cell it last sampled, shifting them when the cell
-// advances by one. hash2 is pure, so the reuse is exact.
+// advances by one. The hash is pure, so the reuse is exact.
 type noiseRow struct {
 	octs []octaveRow
 	norm float64

@@ -8,19 +8,18 @@
 // move-then-search setup of the paper's Fig. 4 study.
 package video
 
-// hash2 maps lattice coordinates to a uniform value in [0, 1), mixing in
-// the seed. It is stateless: the same (seed, x, y) always yields the same
-// value, which lets noise be sampled at arbitrary subpixel positions.
-func hash2(seed uint64, x, y int64) float64 { return hashY(hashX(seed, x), y) }
-
-// hashX is hash2's first half, which reads only the seed and x: a lattice
-// column's two corners, and a raster column's sensor noise, share it.
+// hashX and hashY together map lattice coordinates to a uniform value in
+// [0, 1), mixing in the seed: hashY(hashX(seed, x), y). The hash is
+// stateless: the same (seed, x, y) always yields the same value, which
+// lets noise be sampled at arbitrary subpixel positions and lets a caller
+// reuse hashX's result for every y of one column (a lattice cell's two
+// corners, a raster column's sensor noise).
 func hashX(seed uint64, x int64) uint64 {
 	h := seed ^ uint64(x)*0x9E3779B97F4A7C15
 	return (h ^ h>>30) * 0xBF58476D1CE4E5B9
 }
 
-// hashY finishes hash2 from hashX's result. The compiler turns the
+// hashY finishes the hash from hashX's result. The compiler turns the
 // division into a multiply by 2⁻⁵³; the explicit conversion keeps that
 // multiply out of any fused multiply-add with the caller's arithmetic.
 func hashY(h uint64, y int64) float64 {

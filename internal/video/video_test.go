@@ -2,6 +2,7 @@ package video
 
 import (
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"strings"
 	"sync"
@@ -330,6 +331,35 @@ func TestRenderConcurrent(t *testing.T) {
 			for i := range n {
 				if !fr[i].Equal(want[i]) {
 					t.Errorf("%v frame %d: Generate at GOMAXPROCS %d differs from the serial render", p, i, procs)
+				}
+			}
+		}
+	}
+}
+
+func TestNoiseRowMatchesAt(t *testing.T) {
+	// The row sampler must return At's exact value whatever columns it
+	// skips: the same cell again, the next cell (corner shift), a jump of
+	// several cells, a new row, negative coordinates, and octaves whose
+	// spacing clamps at one pixel.
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, n := range []Noise{
+		{Seed: 3, Scale: 4, Octaves: 3},
+		{Seed: 9, Scale: 0.5, Octaves: 1},
+		{Seed: 11, Scale: 13.7, Octaves: 5},
+		{Seed: 12, Scale: 6},
+	} {
+		xs := make([]float64, 300)
+		for i := range xs {
+			xs[i] = -40 + float64(i)*(0.3+0.2*float64(i%3)) + rng.Float64()*0.1
+		}
+		r := newNoiseRow(&n, xs)
+		for range 20 {
+			y := rng.Float64()*200 - 100
+			r.row(y)
+			for col := 0; col < len(xs); col += 1 + rng.IntN(4) {
+				if got, want := r.sample(col), n.At(xs[col], y); got != want {
+					t.Fatalf("%+v at (%v, %v): row sampler %v, At %v", n, xs[col], y, got, want)
 				}
 			}
 		}
