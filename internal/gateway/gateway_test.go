@@ -482,15 +482,20 @@ func TestGatewayMidStreamKillExplicitError(t *testing.T) {
 	}
 	wr.Close()
 	// Drain what remains; the stream must end (cut mid-record or not)
-	// rather than hang.
-	for {
-		if _, _, err := pr.ReadPacket(); err != nil {
-			break
-		}
+	// rather than hang. Both errors are kept: a failure must say whether
+	// the body ended on a transport error, which leaves the trailer
+	// unread, or at a clean EOF, after which a missing trailer is the
+	// gateway's.
+	var drainErr error
+	for drainErr == nil {
+		_, _, drainErr = pr.ReadPacket()
 	}
-	io.Copy(io.Discard, resp.Body)
+	_, copyErr := io.Copy(io.Discard, resp.Body)
 	if errT := resp.Trailer.Get(TrailerError); !strings.Contains(errT, "mid-session") {
-		t.Fatalf("error trailer %q does not report the mid-stream death", errT)
+		if copyErr != nil {
+			t.Fatalf("error trailer %q unread: the body ended on a transport error (drain: %v; copy: %v)", errT, drainErr, copyErr)
+		}
+		t.Fatalf("error trailer %q does not report the mid-stream death: the body ended at a clean EOF, so the gateway sent no such trailer (drain: %v)", errT, drainErr)
 	}
 	if n := g.m.retriesTotal.Load(); n != 0 {
 		t.Fatalf("%d retries after the commit point", n)

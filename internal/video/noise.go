@@ -93,24 +93,27 @@ type octaveRow struct {
 	v00, v10, v01, v11 float64
 }
 
-// newNoiseRow prepares n for sampling at the texture x coordinates xs,
-// one per raster column.
-func newNoiseRow(n *Noise, xs []float64) *noiseRow {
-	r := &noiseRow{octs: make([]octaveRow, n.octaves())}
+// place prepares r to sample n at the texture x coordinates xs, one per
+// raster column, reusing r's slices when they fit.
+func (r *noiseRow) place(n *Noise, xs []float64) {
+	if len(r.octs) != n.octaves() {
+		r.octs = make([]octaveRow, n.octaves())
+	}
+	r.norm = 0
 	amp := 1.0
 	for o := range r.octs {
 		c := &r.octs[o]
 		c.s, c.seed = n.lattice(o)
 		c.amp = amp
-		c.x0 = make([]int64, len(xs))
-		c.tx = make([]float64, len(xs))
+		if len(c.x0) != len(xs) {
+			c.x0, c.tx = make([]int64, len(xs)), make([]float64, len(xs))
+		}
 		for i, x := range xs {
 			c.x0[i], c.tx[i] = cell(x, c.s)
 		}
 		r.norm += amp
 		amp *= 0.5
 	}
-	return r
 }
 
 // row moves the sampler to texture y coordinate y.

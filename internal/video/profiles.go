@@ -76,8 +76,9 @@ func Generate(p Profile, size frame.Size, n int, seed uint64) []*frame.Frame {
 	frames := make([]*frame.Frame, n)
 	var next atomic.Int64
 	render := func() {
+		r := newRaster(sc, size)
 		for t := int(next.Add(1) - 1); t < n; t = int(next.Add(1) - 1) {
-			frames[t] = sc.Render(size, t)
+			frames[t] = r.render(t)
 		}
 	}
 	var wg sync.WaitGroup

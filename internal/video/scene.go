@@ -80,81 +80,110 @@ func WithSensorNoise(sc *Scene, amp float64, seed uint64) *Scene {
 // texture at all. Render only reads sc, so one Scene may render frames
 // on several goroutines at once.
 func (sc *Scene) Render(size frame.Size, t int) *frame.Frame {
-	f := frame.NewFrame(size)
-	v := sc.Camera.view(size, t)
-	layers := make([]layerFrame, len(sc.Layers))
+	return newRaster(sc, size).render(t)
+}
+
+// raster renders frames of one scene at one size. Its slices are sized
+// once and refilled per frame, so a goroutine that renders many frames
+// allocates little more than the frames. A raster belongs to one
+// goroutine.
+type raster struct {
+	sc           *Scene
+	size         frame.Size
+	layers       []layerFrame
+	luma, chroma grid
+	tex          []noiseRow // per textured layer
+	xs           []float64  // one layer's texture x of each luma column
+	sensor       []uint64   // hashX of each luma column's sensor noise
+	flat         []float64  // each untextured layer's luma on this row
+}
+
+func newRaster(sc *Scene, size frame.Size) *raster {
+	n := len(sc.Layers)
+	return &raster{
+		sc:     sc,
+		size:   size,
+		layers: make([]layerFrame, n),
+		luma:   newGrid(n, size.W),
+		chroma: newGrid(n, size.W/2),
+		tex:    make([]noiseRow, n),
+		xs:     make([]float64, size.W),
+		sensor: make([]uint64, size.W),
+		flat:   make([]float64, n),
+	}
+}
+
+func (r *raster) render(t int) *frame.Frame {
+	sc, layers := r.sc, r.layers
+	f := frame.NewFrame(r.size)
+	v := sc.Camera.view(r.size, t)
 	for i, l := range sc.Layers {
 		layers[i] = l.resolve(t)
 	}
-	luma := newGrid(layers, v, size.W, func(px int) float64 { return float64(px) + 0.5 })
-	chroma := newGrid(layers, v, size.W/2, func(px int) float64 { return float64(2*px) + 1 })
-	tex := make([]*noiseRow, len(layers))
+	r.luma.place(layers, v, func(px int) float64 { return float64(px) + 0.5 })
+	r.chroma.place(layers, v, func(px int) float64 { return float64(2*px) + 1 })
 	for i := range layers {
 		if l := &layers[i]; l.tex != nil {
-			xs := make([]float64, size.W)
-			for px, x := range luma.x {
-				xs[px] = l.texX(x)
+			for px, x := range r.luma.x {
+				r.xs[px] = l.texX(x)
 			}
-			tex[i] = newNoiseRow(l.tex, xs)
+			r.tex[i].place(l.tex, r.xs)
 		}
 	}
-	var sensor []uint64
 	if sc.SensorAmp > 0 {
 		seed := sc.SensorSeed + uint64(t)*0x9E3779B9
-		sensor = make([]uint64, size.W)
-		for px := range sensor {
-			sensor[px] = hashX(seed, int64(px))
+		for px := range r.sensor {
+			r.sensor[px] = hashX(seed, int64(px))
 		}
 	}
-	flat := make([]float64, len(layers)) // each flat layer's luma on this row
+	lumaAt := func(i, px int) float64 {
+		if l := &layers[i]; l.tex != nil {
+			return l.base + float64((r.tex[i].sample(px)-0.5)*l.amp)
+		}
+		return r.flat[i]
+	}
 
-	for py := 0; py < size.H; py++ {
+	for py := 0; py < r.size.H; py++ {
 		wy := v.y(float64(py) + 0.5)
-		luma.cover(layers, wy)
+		r.luma.cover(layers, wy)
 		for i := range layers {
 			if l := &layers[i]; l.tex != nil {
-				tex[i].row(l.texY(wy))
+				r.tex[i].row(l.texY(wy))
 			} else {
-				flat[i] = l.grad.luma(wy)
+				r.flat[i] = l.grad.luma(wy)
 			}
-		}
-		lumaAt := func(i, px int) float64 {
-			if l := &layers[i]; l.tex != nil {
-				return l.base + float64((tex[i].sample(px)-0.5)*l.amp)
-			}
-			return flat[i]
 		}
 		row := f.Y.Row(py)
 		for px := range row {
-			top := luma.top(px)
+			top := r.luma.top(px)
 			y := 128.0
 			if top >= 0 {
 				y = lumaAt(top, px)
 			}
 			for i := top + 1; i < len(layers); i++ {
-				if a := luma.cov[i][px]; a > 0 {
+				if a := r.luma.cov[i][px]; a > 0 {
 					y = float64(y*(1-a)) + float64(lumaAt(i, px)*a)
 				}
 			}
-			if sensor != nil {
-				y += float64((hashY(sensor[px], int64(py)) - 0.5) * 2 * sc.SensorAmp)
+			if sc.SensorAmp > 0 {
+				y += float64((hashY(r.sensor[px], int64(py)) - 0.5) * 2 * sc.SensorAmp)
 			}
 			row[px] = frame.ClampU8(int(math.Round(y)))
 		}
 	}
 
-	for py := 0; py < size.H/2; py++ {
-		chroma.cover(layers, v.y(float64(2*py)+1))
+	for py := 0; py < r.size.H/2; py++ {
+		r.chroma.cover(layers, v.y(float64(2*py)+1))
 		cbRow := f.Cb.Row(py)
 		crRow := f.Cr.Row(py)
 		for px := range cbRow {
-			top := chroma.top(px)
+			top := r.chroma.top(px)
 			cb, cr := 0.0, 0.0
 			if top >= 0 {
 				cb, cr = layers[top].cb, layers[top].cr
 			}
 			for i := top + 1; i < len(layers); i++ {
-				if a := chroma.cov[i][px]; a > 0 {
+				if a := r.chroma.cov[i][px]; a > 0 {
 					l := &layers[i]
 					cb = float64(cb*(1-a)) + float64(l.cb*a)
 					cr = float64(cr*(1-a)) + float64(l.cr*a)
@@ -168,49 +197,47 @@ func (sc *Scene) Render(size frame.Size, t int) *frame.Frame {
 }
 
 // grid is one sampling lattice of a frame (luma, or chroma at half the
-// resolution): the world x of each column, each layer's column-only
-// coverage terms, and the coverage of every layer on the current row.
+// resolution): the world x of each column, each layer's column term (see
+// layerFrame.colTerm), and the coverage of every layer on the current row.
 type grid struct {
 	x    []float64
-	span [][2]int    // per layer: the columns its coverage can reach
-	term [][]float64 // per sprite layer: its column distance term
+	term [][]float64 // per layer: its column term at each column
+	span [][2]int    // per layer: the columns whose term is < 1
 	cov  [][]float64 // per layer: coverage of each column on this row
 }
 
-func newGrid(layers []layerFrame, v view, w int, pos func(px int) float64) *grid {
-	g := &grid{
-		x:    make([]float64, w),
-		span: make([][2]int, len(layers)),
-		term: make([][]float64, len(layers)),
-		cov:  make([][]float64, len(layers)),
+func newGrid(layers, w int) grid {
+	g := grid{x: make([]float64, w), term: make([][]float64, layers),
+		span: make([][2]int, layers), cov: make([][]float64, layers)}
+	for i := range layers {
+		g.term[i] = make([]float64, w)
+		g.cov[i] = make([]float64, w)
 	}
+	return g
+}
+
+// place positions the grid's columns for one frame: column px sits at
+// screen x pos(px).
+func (g *grid) place(layers []layerFrame, v view, pos func(px int) float64) {
 	for px := range g.x {
 		g.x[px] = v.x(pos(px))
 	}
 	for i := range layers {
 		l := &layers[i]
-		g.cov[i] = make([]float64, w)
-		switch l.shape {
-		case shapeAll:
+		if l.shape == shapeAll {
 			for px := range g.cov[i] {
 				g.cov[i][px] = l.alpha
 			}
 			continue
-		case shapeEllipse, shapeRect:
-			g.term[i] = make([]float64, w)
-			for px, x := range g.x {
-				g.term[i][px] = l.colTerm(x)
-			}
 		}
-		lo, hi := w, 0
+		lo, hi := len(g.x), 0
 		for px, x := range g.x {
-			if l.colReach(x, g.term[i], px) {
+			if g.term[i][px] = l.colTerm(x); g.term[i][px] < 1 {
 				lo, hi = min(lo, px), px+1
 			}
 		}
 		g.span[i] = [2]int{lo, max(lo, hi)}
 	}
-	return g
 }
 
 // cover fills cov for the row at world y.
@@ -220,23 +247,14 @@ func (g *grid) cover(layers []layerFrame, y float64) {
 		if l.shape == shapeAll {
 			continue
 		}
-		cov := g.cov[i]
+		cov, term := g.cov[i], g.term[i]
 		clear(cov)
-		rowIn, rowTerm := l.rowTerm(y)
-		if !rowIn {
+		row := l.rowTerm(y)
+		if row >= 1 {
 			continue
 		}
 		for px := g.span[i][0]; px < g.span[i][1]; px++ {
-			switch l.shape {
-			case shapeBox:
-				if x := g.x[px]; x >= l.x0 && x <= l.x1 {
-					cov[px] = 1
-				}
-			case shapeRect:
-				cov[px] = edgeAlpha(math.Max(g.term[i][px], rowTerm))
-			case shapeEllipse:
-				cov[px] = edgeAlpha(math.Sqrt(g.term[i][px] + rowTerm))
-			}
+			cov[px] = l.coverage(term[px], row)
 		}
 	}
 }
@@ -286,40 +304,51 @@ type layerFrame struct {
 	cb, cr         float64
 }
 
-// colTerm is the column-only part of a sprite's normalised distance.
+// colTerm, rowTerm and coverage split a shaped layer's coverage test
+// into a part per column and a part per row. Coverage is 0 wherever
+// either term is ≥ 1, so a row or column whose term is ≥ 1 is skipped
+// whole. A box's terms are 0 inside its edges and 1 outside. A sprite's
+// are the two parts of its normalised distance, which is at least either
+// of them: a rectangle's distance is the larger term, an ellipse's the
+// root of their sum (both terms ≥ 0), and edgeAlpha is 0 from 1 out.
 func (l *layerFrame) colTerm(x float64) float64 {
 	d := x - l.cx
-	if l.shape == shapeRect {
+	switch l.shape {
+	case shapeBox:
+		return boxTerm(x, l.x0, l.x1)
+	case shapeRect:
 		return math.Abs(d) / l.rx
 	}
 	return d * d / (l.rx * l.rx)
 }
 
-// rowTerm reports whether the layer can cover anything on the row at
-// world y and, for sprites, the row's part of the normalised distance.
-// A sprite's distance is at least its row term (rect: the larger of the
-// two terms; ellipse: the root of their sum, the column term ≥ 0), so a
-// row term ≥ 1 leaves the row uncovered.
-func (l *layerFrame) rowTerm(y float64) (bool, float64) {
+func (l *layerFrame) rowTerm(y float64) float64 {
 	d := y - l.cy
 	switch l.shape {
 	case shapeBox:
-		return y >= l.y0 && y <= l.y1, 0
+		return boxTerm(y, l.y0, l.y1)
 	case shapeRect:
-		r := math.Abs(d) / l.ry
-		return r < 1, r
+		return math.Abs(d) / l.ry
 	}
-	r := d * d / (l.ry * l.ry)
-	return r < 1, r
+	return d * d / (l.ry * l.ry)
 }
 
-// colReach reports whether the layer can cover column px (world x) on
-// some row: by the argument of rowTerm, a column term ≥ 1 cannot.
-func (l *layerFrame) colReach(x float64, term []float64, px int) bool {
-	if l.shape == shapeBox {
-		return x >= l.x0 && x <= l.x1
+func (l *layerFrame) coverage(col, row float64) float64 {
+	switch l.shape {
+	case shapeBox:
+		return 1 - max(col, row)
+	case shapeRect:
+		return edgeAlpha(math.Max(col, row))
 	}
-	return term[px] < 1
+	return edgeAlpha(math.Sqrt(col + row))
+}
+
+// boxTerm is 0 for v in [lo, hi] and 1 outside.
+func boxTerm(v, lo, hi float64) float64 {
+	if v >= lo && v <= hi {
+		return 0
+	}
+	return 1
 }
 
 // texX and texY map world coordinates to the layer's texture.

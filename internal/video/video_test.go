@@ -353,7 +353,8 @@ func TestNoiseRowMatchesAt(t *testing.T) {
 		for i := range xs {
 			xs[i] = -40 + float64(i)*(0.3+0.2*float64(i%3)) + rng.Float64()*0.1
 		}
-		r := newNoiseRow(&n, xs)
+		var r noiseRow
+		r.place(&n, xs)
 		for range 20 {
 			y := rng.Float64()*200 - 100
 			r.row(y)
