@@ -125,7 +125,7 @@ func (r *raster) render(t int) *frame.Frame {
 	for i := range layers {
 		if l := &layers[i]; l.tex != nil {
 			for px, x := range r.luma.x {
-				r.xs[px] = l.texX(x)
+				r.xs[px] = x - l.tx
 			}
 			r.tex[i].place(l.tex, r.xs)
 		}
@@ -148,7 +148,7 @@ func (r *raster) render(t int) *frame.Frame {
 		r.luma.cover(layers, wy)
 		for i := range layers {
 			if l := &layers[i]; l.tex != nil {
-				r.tex[i].row(l.texY(wy))
+				r.tex[i].row(wy - l.ty)
 			} else {
 				r.flat[i] = l.grad.luma(wy)
 			}
@@ -280,15 +280,6 @@ const (
 	shapeRect                 // a soft-edged rectangle (Sprite with Rect)
 )
 
-// texMap says how a layer maps world coordinates to texture coordinates.
-type texMap uint8
-
-const (
-	texWorld  texMap = iota // texture pinned to the world
-	texLocked               // texture moves with the layer's centre
-	texScroll               // texture scrolls by (dx, dy)
-)
-
 // layerFrame is a layer resolved for one frame: its geometry, how its
 // texture maps, and its colour.
 type layerFrame struct {
@@ -298,8 +289,7 @@ type layerFrame struct {
 	x0, y0, x1, y1 float64 // shapeBox: the covered rectangle
 	tex            *Noise  // nil: flat luma from grad
 	grad           *Gradient
-	mapping        texMap
-	dx, dy         float64 // texScroll's offset
+	tx, ty         float64 // texture origin: world (x, y) reads tex at (x−tx, y−ty)
 	base, amp      float64 // luma = base + (tex - 0.5) × amp
 	cb, cr         float64
 }
@@ -311,26 +301,21 @@ type layerFrame struct {
 // are the two parts of its normalised distance, which is at least either
 // of them: a rectangle's distance is the larger term, an ellipse's the
 // root of their sum (both terms ≥ 0), and edgeAlpha is 0 from 1 out.
-func (l *layerFrame) colTerm(x float64) float64 {
-	d := x - l.cx
-	switch l.shape {
-	case shapeBox:
-		return boxTerm(x, l.x0, l.x1)
-	case shapeRect:
-		return math.Abs(d) / l.rx
-	}
-	return d * d / (l.rx * l.rx)
-}
+func (l *layerFrame) colTerm(x float64) float64 { return l.term(x, l.cx, l.rx, l.x0, l.x1) }
+func (l *layerFrame) rowTerm(y float64) float64 { return l.term(y, l.cy, l.ry, l.y0, l.y1) }
 
-func (l *layerFrame) rowTerm(y float64) float64 {
-	d := y - l.cy
+func (l *layerFrame) term(v, c, r, lo, hi float64) float64 {
 	switch l.shape {
 	case shapeBox:
-		return boxTerm(y, l.y0, l.y1)
+		if v >= lo && v <= hi {
+			return 0
+		}
+		return 1
 	case shapeRect:
-		return math.Abs(d) / l.ry
+		return math.Abs(v-c) / r
 	}
-	return d * d / (l.ry * l.ry)
+	d := v - c
+	return d * d / (r * r)
 }
 
 func (l *layerFrame) coverage(col, row float64) float64 {
@@ -341,35 +326,6 @@ func (l *layerFrame) coverage(col, row float64) float64 {
 		return edgeAlpha(math.Max(col, row))
 	}
 	return edgeAlpha(math.Sqrt(col + row))
-}
-
-// boxTerm is 0 for v in [lo, hi] and 1 outside.
-func boxTerm(v, lo, hi float64) float64 {
-	if v >= lo && v <= hi {
-		return 0
-	}
-	return 1
-}
-
-// texX and texY map world coordinates to the layer's texture.
-func (l *layerFrame) texX(x float64) float64 {
-	switch l.mapping {
-	case texLocked:
-		return x - l.cx
-	case texScroll:
-		return x + l.dx
-	}
-	return x
-}
-
-func (l *layerFrame) texY(y float64) float64 {
-	switch l.mapping {
-	case texLocked:
-		return y - l.cy
-	case texScroll:
-		return y + l.dy
-	}
-	return y
 }
 
 // edgeAlpha is a sprite's coverage at normalised distance dist (< 1
@@ -446,7 +402,7 @@ func (s *Sprite) resolve(t int) layerFrame {
 		l.shape = shapeRect
 	}
 	if s.TexLocked {
-		l.mapping = texLocked
+		l.tx, l.ty = l.cx, l.cy
 	}
 	return l
 }
@@ -464,13 +420,14 @@ type Window struct {
 }
 
 func (w *Window) resolve(t int) layerFrame {
-	l := layerFrame{shape: shapeBox, x0: w.X0, y0: w.Y0, x1: w.X1, y1: w.Y1,
-		tex: &w.Tex, mapping: texScroll, base: w.Base, amp: w.Amp, cb: w.Cb, cr: w.Cr}
+	sx, sy := 0.0, 0.0
 	if w.ScrollX != nil {
-		l.dx = w.ScrollX(t)
+		sx = w.ScrollX(t)
 	}
 	if w.ScrollY != nil {
-		l.dy = w.ScrollY(t)
+		sy = w.ScrollY(t)
 	}
-	return l
+	// x − (−sx) is x + sx exactly: IEEE subtraction adds the negation.
+	return layerFrame{shape: shapeBox, x0: w.X0, y0: w.Y0, x1: w.X1, y1: w.Y1,
+		tex: &w.Tex, tx: -sx, ty: -sy, base: w.Base, amp: w.Amp, cb: w.Cb, cr: w.Cr}
 }
