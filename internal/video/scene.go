@@ -206,10 +206,10 @@ type grid struct {
 	cov  [][]float64 // per layer: coverage of each column on this row
 }
 
-func newGrid(layers, w int) grid {
-	g := grid{x: make([]float64, w), term: make([][]float64, layers),
-		span: make([][2]int, layers), cov: make([][]float64, layers)}
-	for i := range layers {
+func newGrid(n, w int) grid {
+	g := grid{x: make([]float64, w), term: make([][]float64, n),
+		span: make([][2]int, n), cov: make([][]float64, n)}
+	for i := range n {
 		g.term[i] = make([]float64, w)
 		g.cov[i] = make([]float64, w)
 	}
