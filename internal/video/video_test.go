@@ -220,7 +220,7 @@ func TestCameraZoomChangesScale(t *testing.T) {
 
 func TestSpriteSoftEdge(t *testing.T) {
 	// A flat 200 disc of radius 10 over a flat 0 background, panned so
-	// row 48 is world y 0 and column c is world x c−63.8: column 73 sits
+	// row 48 is world y 0 and column c is world x c−63.2: column 73 sits
 	// at normalised distance 0.98, inside the soft edge.
 	sc := &Scene{
 		Layers: []Layer{
